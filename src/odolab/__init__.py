@@ -6,7 +6,8 @@ Modules:
   valuegroup    clopen value groups as prime-exponent maps
   speedup       bounded speedup cocycles and their stabilizer chains
   classify      conjugacy / isomorphism / orbit-equivalence tests
-  castles       clopen sets and castle combinatorics
+  castles       integer atom spaces, least cone vectors, towers/castles
+                and their refinements
   construction  the finite-stage cone-speedup construction driver
   sampling      random valid cocycles for the property suites
   formats, cli, repro   text formats, command line, worked-example catalog
@@ -60,14 +61,9 @@ from .classify import (
 )
 from .castles import (
     Castle,
-    ClopenSet,
     Tower,
     castle_refinement_over,
-    cone_transfer_map,
-    equal_measure_subset,
-    matched_partition,
     refine_pure_columns,
-    separate_points,
 )
 from .construction import SpeedupConstruction, StageReport
 
@@ -76,7 +72,6 @@ __all__ = [
     "Castle",
     "ChainDepthError",
     "ClassificationVerdict",
-    "ClopenSet",
     "Cone",
     "CosetSystem",
     "DimensionMismatch",
@@ -103,22 +98,18 @@ __all__ = [
     "castle_refinement_over",
     "cone_check",
     "cone_hull",
-    "cone_transfer_map",
     "conjugate_test",
     "continuous_oe_test",
     "derived_chain",
     "derived_odometer",
-    "equal_measure_subset",
     "evaluate",
     "fit_descriptor",
     "hnf",
     "isomorphism_test",
-    "matched_partition",
     "minimality_to_depth",
     "orbit_equivalence_test",
     "product_form_check",
     "refine_pure_columns",
     "sandwich_diagonal_check",
-    "separate_points",
     "validate",
 ]

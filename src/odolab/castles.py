@@ -1,23 +1,25 @@
-"""Clopen-set and castle combinatorics over odometer chains.
+"""Integer atom spaces, least cone vectors, and castles over odometer chains.
 
-Clopen sets are unions of cylinder atoms at a chosen depth, encoded as
-integers in mixed radix over the coset rectangle (most significant
-coordinate first, so code order is lexicographic order of
-representatives).  Measures are exact fractions.  Castles are families of
-disjoint equal-measure levels organized into towers, optionally carrying
-an internal level map given atom-by-atom as integer displacement vectors.
+Cylinder atoms at a chosen depth are encoded as integers in mixed radix
+over the coset rectangle (most significant coordinate first, so code order
+is lexicographic order of representatives).  Castles are families of
+disjoint equal-size levels of atoms organized into towers, optionally
+carrying an internal level map given atom-by-atom as integer displacement
+vectors.  The construction driver transports exact atom counts between
+castles on top of these primitives.
 
-All "choose a clopen set" operations pick lexicographically first atoms,
-so every construction here is deterministic and regression-testable.
+All choices follow a fixed lexicographic order, so every construction
+here is deterministic and regression-testable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iter_product
 
-from .odometer import OdometerChain, TruncatedPoint
+from .odometer import OdometerChain
 from .speedup import Cone
 
 
@@ -25,19 +27,7 @@ class CastleError(ValueError):
     pass
 
 
-class MeasureTooLarge(CastleError):
-    pass
-
-
-class MeasureMismatch(CastleError):
-    pass
-
-
 class EmptyConeCoset(CastleError):
-    pass
-
-
-class SharedColumn(CastleError):
     pass
 
 
@@ -92,7 +82,8 @@ class AtomSpace:
 
     def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
         """Atom codes at the finer depth refining this atom."""
-        assert finer.chain is self.chain and finer.depth >= self.depth
+        if finer.chain is not self.chain or finer.depth < self.depth:
+            raise CastleError("fibers need a finer atom space of the same chain")
         if self._diagonal and finer._diagonal:
             rep = self.decode(code)
             ranges = [
@@ -114,131 +105,7 @@ class AtomSpace:
         return frozenset(out)
 
 
-# ---------------------------------------------------------------- clopen sets
-
-@dataclass(frozen=True)
-class ClopenSet:
-    """Union of cylinder atoms at a fixed depth of one chain."""
-
-    chain: OdometerChain
-    depth: int
-    atoms: frozenset[int]
-
-    @staticmethod
-    def from_reps(chain: OdometerChain, depth: int, reps) -> "ClopenSet":
-        space = AtomSpace(chain, depth)
-        return ClopenSet(chain, depth, frozenset(space.encode(r) for r in reps))
-
-    @staticmethod
-    def cylinder(chain: OdometerChain, depth: int, vector, at_depth: int | None = None) -> "ClopenSet":
-        """The depth-`depth` cylinder through the orbit point of `vector`,
-        expressed at a possibly finer working depth."""
-        at_depth = depth if at_depth is None else at_depth
-        coarse = AtomSpace(chain, depth)
-        fine = AtomSpace(chain, at_depth)
-        return ClopenSet(chain, at_depth, frozenset(coarse.fibers(coarse.encode_vector(vector), fine)))
-
-    @property
-    def space(self) -> AtomSpace:
-        return AtomSpace(self.chain, self.depth)
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(len(self.atoms), self.chain.index(self.depth))
-
-    def at_depth(self, depth: int) -> "ClopenSet":
-        if depth == self.depth:
-            return self
-        if depth < self.depth:
-            raise CastleError("clopen sets only re-express at finer depths")
-        coarse = AtomSpace(self.chain, self.depth)
-        fine = AtomSpace(self.chain, depth)
-        return ClopenSet(self.chain, depth, coarse.refine_set(self.atoms, fine))
-
-    def reps(self):
-        space = self.space
-        return [space.decode(c) for c in sorted(self.atoms)]
-
-    def is_disjoint(self, other: "ClopenSet") -> bool:
-        a, b = align(self, other)
-        return not (a.atoms & b.atoms)
-
-    def union(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = align(self, other)
-        return ClopenSet(a.chain, a.depth, a.atoms | b.atoms)
-
-    def difference(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = align(self, other)
-        return ClopenSet(a.chain, a.depth, a.atoms - b.atoms)
-
-    def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        a, b = align(self, other)
-        return ClopenSet(a.chain, a.depth, a.atoms & b.atoms)
-
-    def contains_point(self, vector) -> bool:
-        return self.space.encode_vector(vector) in self.atoms
-
-
-def align(a: ClopenSet, b: ClopenSet) -> tuple[ClopenSet, ClopenSet]:
-    if a.chain is not b.chain:
-        raise CastleError("clopen sets live over different chains")
-    depth = max(a.depth, b.depth)
-    return a.at_depth(depth), b.at_depth(depth)
-
-
-# ---------------------------------------------------------------- measure transport
-
-def equal_measure_subset(a: ClopenSet, b: ClopenSet, must_include: int | None = None) -> ClopenSet:
-    """Subset of b with the measure of a: lexicographically first atoms.
-
-    `must_include` (an atom code at the common depth) is taken first when
-    given; the callers use it to keep a designated point inside the chosen
-    set."""
-    if not a.is_disjoint(b):
-        raise CastleError("the reference and target sets must be disjoint")
-    aa, bb = align(a, b)
-    if aa.measure > bb.measure:
-        raise MeasureTooLarge(f"reference measure {aa.measure} exceeds target {bb.measure}")
-    need = len(aa.atoms)
-    chosen: list[int] = []
-    if must_include is not None:
-        if must_include not in bb.atoms:
-            raise CastleError("the atom to include is not in the target set")
-        chosen.append(must_include)
-    for c in sorted(bb.atoms):
-        if len(chosen) >= need:
-            break
-        if c != must_include:
-            chosen.append(c)
-    return ClopenSet(bb.chain, bb.depth, frozenset(chosen[:need]))
-
-
-def matched_partition(a: ClopenSet, b: ClopenSet, parts) -> list[ClopenSet]:
-    """Partition of b matching the measures of a partition of a (greedy)."""
-    aa, bb = align(a, b)
-    if aa.measure != bb.measure:
-        raise MeasureMismatch(f"measures differ: {aa.measure} vs {bb.measure}")
-    depth = max([bb.depth] + [p.depth for p in parts])
-    union = frozenset()
-    sizes = []
-    for p in parts:
-        p = p.at_depth(depth)
-        if p.atoms & union:
-            raise NotAPartition("parts overlap")
-        union |= p.atoms
-        sizes.append(len(p.atoms))
-    if union != aa.at_depth(depth).atoms:
-        raise NotAPartition("parts do not cover the reference set")
-    pool = sorted(bb.at_depth(depth).atoms)
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(ClopenSet(bb.chain, depth, frozenset(pool[start : start + s])))
-        start += s
-    return out
-
-
-# ---------------------------------------------------------------- cone transfer
+# ---------------------------------------------------------------- cone vectors
 
 def _is_inclusive_quadrant(cone: Cone) -> bool:
     if cone.ray is not None:
@@ -313,85 +180,6 @@ def minimal_cone_vector(
     return hits[want - 1][1]
 
 
-def cone_transfer_map(
-    a: ClopenSet, b: ClopenSet, cone: Cone, avoid: tuple | None = None
-) -> list[tuple[ClopenSet, tuple[int, ...]]]:
-    """Piecewise translation carrying a onto b with cone displacements.
-
-    Atoms are paired in lexicographic order and each pair gets the least
-    cone vector in its congruence class.  `avoid` is a pair of atom codes
-    (point_a, point_b) at the common depth: the piece containing point_a
-    is arranged not to send it onto point_b, by re-pairing when possible
-    and by the second-least vector otherwise.
-    """
-    aa, bb = align(a, b)
-    if not aa.is_disjoint(bb):
-        raise CastleError("transfer endpoints must be disjoint")
-    if aa.measure != bb.measure:
-        raise MeasureMismatch(f"measures differ: {aa.measure} vs {bb.measure}")
-    space = aa.space
-    lattice = aa.chain.stage(aa.depth)
-    src = sorted(aa.atoms)
-    dst = sorted(bb.atoms)
-    if avoid is not None and avoid[0] in aa.atoms and len(src) > 1:
-        # pair the designated source atom away from the designated target
-        i = src.index(avoid[0])
-        if dst[i] == avoid[1]:
-            j = (i + 1) % len(dst)
-            dst[i], dst[j] = dst[j], dst[i]
-    pieces = []
-    for s, d in zip(src, dst):
-        vec = minimal_cone_vector(cone, space.decode(d), space.decode(s), lattice)
-        if avoid is not None and s == avoid[0] and space.translate(s, vec) == avoid[1] and d == avoid[1]:
-            vec = minimal_cone_vector(cone, space.decode(d), space.decode(s), lattice, second=True)
-        pieces.append((ClopenSet(aa.chain, aa.depth, frozenset([s])), vec))
-    return pieces
-
-
-# ---------------------------------------------------------------- partial speedups
-
-@dataclass(frozen=True)
-class PartialSpeedup:
-    """Piecewise translation: on each domain piece the map adds one vector.
-
-    Valid when the domains are pairwise disjoint, the images are pairwise
-    disjoint (the map is injective), and every vector lies in the session
-    cone when one is given.
-    """
-
-    pieces: tuple[tuple[ClopenSet, tuple[int, ...]], ...]
-
-    @staticmethod
-    def from_pieces(pieces) -> "PartialSpeedup":
-        return PartialSpeedup(tuple((p, tuple(v)) for p, v in pieces))
-
-    def domain(self) -> ClopenSet:
-        out = self.pieces[0][0]
-        for p, _ in self.pieces[1:]:
-            out = out.union(p)
-        return out
-
-    def image(self) -> ClopenSet:
-        parts = []
-        for p, vec in self.pieces:
-            space = p.space
-            parts.append(ClopenSet(p.chain, p.depth, frozenset(space.translate(c, vec) for c in p.atoms)))
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.union(p)
-        return out
-
-    def check(self, cone: Cone | None = None) -> bool:
-        if cone is not None and any(not cone.contains(vec) for _, vec in self.pieces):
-            return False
-        depth = max(p.depth for p, _ in self.pieces)
-        piece_atoms = sum(len(p.at_depth(depth).atoms) for p, _ in self.pieces)
-        dom = self.domain().at_depth(depth)
-        img = self.image().at_depth(depth)
-        # unions lose atoms exactly when pieces (or their images) overlap
-        return len(dom.atoms) == piece_atoms and len(img.atoms) == piece_atoms
-
-
 @dataclass
 class Tower:
     levels: list[frozenset[int]]
@@ -407,6 +195,8 @@ class Castle:
 
     `steps` maps atom code -> displacement vector; it must send the atoms
     of each non-top level onto the next level up within the same tower.
+    `space` is built on first use and kept, so `chain` and `depth` must
+    not change after that.
     """
 
     chain: OdometerChain
@@ -414,37 +204,15 @@ class Castle:
     towers: list[Tower]
     steps: dict[int, tuple[int, ...]] | None = None
 
-    @property
+    @cached_property
     def space(self) -> AtomSpace:
         return AtomSpace(self.chain, self.depth)
-
-    def level_set(self, alpha: int, v: int) -> ClopenSet:
-        return ClopenSet(self.chain, self.depth, self.towers[alpha].levels[v])
 
     def apply_steps(self, atoms: frozenset[int]) -> frozenset[int]:
         if self.steps is None:
             raise CastleError("castle has no level map")
         space = self.space
         return frozenset(space.translate(c, self.steps[c]) for c in atoms)
-
-    def climb(self, atom: int, count: int) -> int:
-        space = self.space
-        for _ in range(count):
-            atom = space.translate(atom, self.steps[atom])
-        return atom
-
-    def descend(self, atom: int, tower: int, level: int) -> int:
-        """Pull an atom at (tower, level) back to the tower base."""
-        space = self.space
-        for v in range(level, 0, -1):
-            prev = self.towers[tower].levels[v - 1]
-            for c in prev:
-                if space.translate(c, self.steps[c]) == atom:
-                    atom = c
-                    break
-            else:
-                raise CastleError("level map does not reach the atom")
-        return atom
 
     def locate(self, atom: int) -> tuple[int, int]:
         for alpha, tower in enumerate(self.towers):
@@ -519,31 +287,4 @@ def refine_pure_columns(castle: Castle, label_of) -> Castle:
                 itinerary.append(label(atom))
             groups.setdefault(tuple(itinerary), set()).add(c)
         partitions.append([frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1]))])
-    return castle_refinement_over(castle, partitions)
-
-
-def separate_points(castle: Castle, points: list[TruncatedPoint]) -> Castle:
-    """Refine bases so each point's column lies in a tower of its own."""
-    if not points:
-        return castle
-    space = castle.space
-    located = []
-    for p in points:
-        if p.depth < castle.depth:
-            raise CastleError("points must be truncated at least to the castle depth")
-        atom = space.encode(p.coords[castle.depth - 1])
-        alpha, v = castle.locate(atom)
-        base_atom = castle.descend(atom, alpha, v)
-        located.append((alpha, base_atom))
-    partitions = [[frozenset(t.levels[0])] for t in castle.towers]
-    for alpha in set(a for a, _ in located):
-        marks = sorted({b for a, b in located if a == alpha})
-        if len(marks) != len([1 for a, _ in located if a == alpha]):
-            raise SharedColumn("two points share a castle column")
-        base = set(castle.towers[alpha].levels[0])
-        rest = base - set(marks)
-        parts = [frozenset([m]) for m in marks]
-        if rest:
-            parts.append(frozenset(rest))
-        partitions[alpha] = parts
     return castle_refinement_over(castle, partitions)

@@ -2,8 +2,10 @@
 
 Subcommands: lattice, odometer, speedup, classify, construct, repro.
 Classification exits 0 for yes, 1 for no, 2 for undecided; repro exits
-nonzero on any failed fact.  All output is plain text with exact
-rationals; there are no floats to round.
+nonzero on any failed fact.  Malformed specs, unreadable files and inputs
+outside a computation's domain print one `odolab: error: ...` line on
+stderr and exit 3.  All output is plain text with exact rationals; there
+are no floats to round.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import repro as repro_mod
+from .castles import CastleError
 from .classify import (
+    ClassifyError,
     conjugate_test,
     continuous_oe_test,
     fit_descriptor,
@@ -23,6 +27,7 @@ from .classify import (
 )
 from .construction import SpeedupConstruction
 from .formats import (
+    SpecSyntaxError,
     emit_cone,
     emit_lattice,
     load_chain,
@@ -31,7 +36,9 @@ from .formats import (
     load_group_input,
     parse_lattice,
 )
+from .lattice import LatticeError
 from .speedup import (
+    SpeedupError,
     cone_check,
     cone_hull,
     derived_chain,
@@ -234,7 +241,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_repro_cmd)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (SpecSyntaxError, LatticeError, SpeedupError, CastleError, ClassifyError, OSError) as err:
+        print(f"odolab: error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

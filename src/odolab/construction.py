@@ -368,24 +368,19 @@ class SpeedupConstruction:
         descending from pretower beta; chunks are dealt lexicographically
         in tower order."""
         tspace = AtomSpace(self.target, tgt_depth)
-        cursor = [0] * len(pools)
+        sizes: list[list[int]] = [[] for _ in pools]
+        for alpha, tower in enumerate(castle.towers):
+            sizes[pretower_of[alpha]].append(len(tower.levels[0]))
+        chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
         towers = []
         for alpha, tower in enumerate(castle.towers):
-            beta = pretower_of[alpha]
-            size = len(tower.levels[0])
-            chunk = pools[beta][cursor[beta] : cursor[beta] + size]
-            cursor[beta] += size
-            if len(chunk) != size:
-                raise CastleError("target tower base exhausted prematurely")
+            chunk = next(chunks[pretower_of[alpha]])
             towers.append(
                 Tower([
                     frozenset(tspace.translate(c, (v,)) for c in chunk)
                     for v in range(tower.height)
                 ])
             )
-        for beta, pool in enumerate(pools):
-            if cursor[beta] != len(pool):
-                raise CastleError("target tower base not exhausted by the copy")
         return Castle(self.target, tgt_depth, towers, None)
 
     # -- inductive stage ----------------------------------------------------
@@ -432,13 +427,11 @@ class SpeedupConstruction:
                     raise CastleError("block itineraries must start at previous bases")
                 wants.setdefault(alpha, []).append((beta, m, len(codes)))
         for alpha, demands in wants.items():
+            demands.sort()
             pool = sorted(src_prev.towers[alpha].levels[0])
-            start = 0
-            for beta, m, size in sorted(demands):
-                piece_of[(beta, m)] = frozenset(pool[start : start + size])
-                start += size
-            if start != len(pool):
-                raise CastleError("previous base not exhausted by the mirror split")
+            chunks = _deal(pool, [size for _, _, size in demands])
+            for (beta, m, _), chunk in zip(demands, chunks):
+                piece_of[(beta, m)] = frozenset(chunk)
 
         pretowers: list[list[frozenset[int]]] = []
         for beta in range(len(tall)):
@@ -463,7 +456,8 @@ class SpeedupConstruction:
             pretowers = self._separate_pretower(pretowers, beta0, w0, w2, h_prev, space, prev_steps)
             beta0, w0 = _find_position(pretowers, x0_atom)
             beta2, w2 = _find_position(pretowers, x2_atom)
-            tall_bases = _rechunk(tall_bases, [len(t[0]) for t in pretowers])
+            pool = sorted(c for b in tall_bases for c in b)
+            tall_bases = _deal(pool, [len(t[0]) for t in pretowers])
         pretowers[beta0] = _rotate(pretowers[beta0], w0)
         pretowers[beta2] = _rotate(pretowers[beta2], (w2 + 1) % h)
 
@@ -701,8 +695,8 @@ class SpeedupConstruction:
                         return False
             return True
 
-        maps_ok = _safe(_maps_ok)
-        check("level-maps-biject", maps_ok)
+        check("level-maps-biject", _maps_ok)
+        maps_ok = checks[-1][1]
 
         # (6b) every displacement lies in the cone
         def _cone_ok():
@@ -795,13 +789,6 @@ class StageReport:
         ]
 
 
-def _safe(fn):
-    try:
-        return fn()
-    except Exception:  # noqa: BLE001 - audits over corrupted data report False
-        return False
-
-
 def _reexpress_castle(castle: Castle, depth: int) -> Castle:
     if depth == castle.depth:
         return Castle(castle.chain, castle.depth, [Tower(list(t.levels)) for t in castle.towers], None)
@@ -830,11 +817,10 @@ def _rotate(levels, shift):
     return [levels[(w + shift) % h] for w in range(h)]
 
 
-def _rechunk(tall_bases, sizes):
-    """Re-deal target base atoms to match re-split pretower level sizes."""
-    pool = sorted(c for b in tall_bases for c in b)
+def _deal(pool, sizes):
+    """Deal a sorted atom pool into consecutive chunks of the given sizes."""
     if sum(sizes) != len(pool):
-        raise CastleError("target base pool does not match the pretower sizes")
+        raise CastleError("chunk sizes do not exhaust the atom pool")
     out = []
     start = 0
     for s in sizes:

@@ -345,11 +345,9 @@ class RationalLattice:
         # columns of the dual basis are the rows of the inverse
         return RationalLattice.from_fraction_columns([list(r) for r in inv])
 
-    def intersect_via_sum(self, other: "RationalLattice") -> "RationalLattice":
-        return self.dual().sum(other.dual()).dual()
-
     def intersect(self, other: "RationalLattice") -> "RationalLattice":
-        return self.intersect_via_sum(other)
+        """Largest common sublattice: the dual of the sum of the duals."""
+        return self.dual().sum(other.dual()).dual()
 
     def __str__(self) -> str:
         return f"1/{self.den} {self.num}"
@@ -360,26 +358,16 @@ class CosetSystem:
 
     The rectangle edge for coordinate k is the least n > 0 such that
     n*e_k is congruent mod the lattice to a vector supported on coordinates
-    before k; the search is bounded by the index, which guarantees a hit.
-    The rectangle turns out to be the diagonal of the canonical basis, and
-    the representatives are exactly the integer points inside it.
+    before k.  Back-substitution against the triangular basis makes that
+    the diagonal entry rows[k][k], so the rectangle is the diagonal of the
+    canonical basis, and the representatives are exactly the integer
+    points inside it.
     """
 
     def __init__(self, lattice: IntegerLattice):
         self.lattice = lattice
-        self.rectangle = tuple(self._min_step(k) for k in range(lattice.dim))
+        self.rectangle = lattice.diag
         self._reps = None
-
-    def _min_step(self, k: int) -> int:
-        lat = self.lattice
-        bound = lat.index
-        for n in range(1, bound + 1):
-            # is there u in the lattice with u_k = n and u_j = 0 for j > k?
-            # back-substitution forces the coefficients of columns > k to 0,
-            # so existence reduces to divisibility by the pivot.
-            if n % lat.rows[k][k] == 0:
-                return n
-        raise LatticeError("no rectangle edge found below the index bound")
 
     @property
     def index(self) -> int:

@@ -451,7 +451,7 @@ def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
 
     Schreier generators reach(a) + e_i - reach(image of a) span the
     stabilizer; their canonical lattice has index equal to the orbit size,
-    which is asserted.  Depths below the cocycle resolution are rejected:
+    which is checked.  Depths below the cocycle resolution are rejected:
     the induced atom maps only exist on quotients the tables refine.
     """
     _require_valid(cocycle)
@@ -483,7 +483,10 @@ def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
                 current = None  # not yet full rank; keep accumulating
     if current is None:
         raise SpeedupError("stabilizer generators do not span a finite-index subgroup")
-    assert current.index == len(reach), "orbit-stabilizer count mismatch"
+    if current.index != len(reach):
+        raise SpeedupError(
+            f"orbit-stabilizer count mismatch: index {current.index}, orbit {len(reach)}"
+        )
     return current
 
 

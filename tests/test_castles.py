@@ -5,19 +5,12 @@ import pytest
 from odolab.castles import (
     AtomSpace,
     Castle,
-    ClopenSet,
-    MeasureMismatch,
-    MeasureTooLarge,
+    CastleError,
     NotAPartition,
-    SharedColumn,
     Tower,
     castle_refinement_over,
-    cone_transfer_map,
-    equal_measure_subset,
-    matched_partition,
     minimal_cone_vector,
     refine_pure_columns,
-    separate_points,
 )
 from odolab.lattice import IntegerLattice
 from odolab.odometer import OdometerChain
@@ -31,140 +24,7 @@ def chain32():
 QUADRANT = Cone.quadrant(2)
 
 
-# ---------------------------------------------------------------- clopen sets
-
-def test_clopen_measure_and_reexpression():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)])
-    assert a.measure == Fraction(1, 6)
-    deeper = a.at_depth(2)
-    assert deeper.measure == Fraction(1, 6)
-    assert len(deeper.atoms) == 6
-
-
-def test_clopen_cylinder_contains_its_point():
-    ch = chain32()
-    c = ClopenSet.cylinder(ch, 1, (0, -1), at_depth=2)
-    assert c.contains_point((0, -1))
-    assert not c.contains_point((0, 0))
-
-
-# ---------------------------------------------------------------- equal measure
-
-def test_equal_measure_subset_counting():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0), (2, 0), (1, 1)])
-    sub = equal_measure_subset(a, b)
-    assert sub.measure == a.measure
-    assert sub.atoms == frozenset([min(b.atoms)])
-
-
-def test_equal_measure_subset_full():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0), (0, 1)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0), (1, 1)])
-    assert equal_measure_subset(a, b).atoms == b.atoms
-
-
-def test_equal_measure_subset_mixed_depths():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 2, [(0, 0), (3, 0), (6, 0), (0, 2), (3, 2)])  # 5/36
-    b_atoms = [(1, 0)]  # depth-1 atom: 6/36
-    b = ClopenSet.from_reps(ch, 1, b_atoms).at_depth(2)
-    b = ClopenSet(ch, 2, frozenset(list(sorted(b.atoms))[:7]))  # 7/36
-    sub = equal_measure_subset(a, b)
-    assert sub.measure == Fraction(5, 36)
-    assert len(sub.atoms) == 5
-
-
-def test_equal_measure_subset_too_large():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0), (0, 1)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0)])
-    with pytest.raises(MeasureTooLarge):
-        equal_measure_subset(a, b)
-
-
-# ---------------------------------------------------------------- matched partition
-
-def test_matched_partition_counts():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0), (0, 1)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0), (1, 1)])
-    parts = [
-        ClopenSet.from_reps(ch, 1, [(0, 0)]),
-        ClopenSet.from_reps(ch, 1, [(0, 1)]),
-    ]
-    out = matched_partition(a, b, parts)
-    assert [p.measure for p in out] == [Fraction(1, 6), Fraction(1, 6)]
-    assert frozenset().union(*(p.atoms for p in out)) == b.atoms
-
-
-def test_matched_partition_sizes_at_depth():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)]).at_depth(2)
-    b = ClopenSet.from_reps(ch, 1, [(1, 1)]).at_depth(2)
-    split = sorted(a.atoms)
-    parts = [ClopenSet(ch, 2, frozenset(split[:3])), ClopenSet(ch, 2, frozenset(split[3:]))]
-    out = matched_partition(a, b, parts)
-    assert [len(p.atoms) for p in out] == [3, 3]
-
-
-def test_matched_partition_degenerate():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(2, 1)])
-    b = ClopenSet.from_reps(ch, 1, [(2, 0)])
-    out = matched_partition(a, b, [a])
-    assert out == [b]
-
-
-def test_matched_partition_mismatch():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0), (1, 1)])
-    with pytest.raises(MeasureMismatch):
-        matched_partition(a, b, [a])
-
-
-# ---------------------------------------------------------------- cone transfer
-
-def test_cone_transfer_minimal_vectors():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0)])
-    pieces = cone_transfer_map(a, b, QUADRANT)
-    assert len(pieces) == 1
-    assert pieces[0][1] == (1, 0)
-    b2 = ClopenSet.from_reps(ch, 1, [(0, 1)])
-    assert cone_transfer_map(a, b2, QUADRANT)[0][1] == (0, 1)
-
-
-def test_cone_transfer_avoidance_second_minimal():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0)])
-    x_a = min(a.atoms)
-    x_b = min(b.atoms)
-    pieces = cone_transfer_map(a, b, QUADRANT, avoid=(x_a, x_b))
-    vec = pieces[0][1]
-    assert vec != (1, 0)
-    assert QUADRANT.contains(vec)
-    # congruent mod the stage, so the atom map is unchanged
-    assert ch.stage(1).contains((vec[0] - 1, vec[1]))
-
-
-def test_cone_transfer_avoidance_repairs_pairing():
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0), (0, 1)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0), (1, 1)])
-    x_a = min(a.atoms)
-    x_b = min(b.atoms)
-    pieces = cone_transfer_map(a, b, QUADRANT, avoid=(x_a, x_b))
-    space = a.space
-    image_of_xa = space.translate(x_a, dict((min(p.atoms), v) for p, v in pieces)[x_a])
-    assert image_of_xa != x_b
-
+# ---------------------------------------------------------------- cone vectors
 
 def test_minimal_cone_vector_general_sector():
     lat = IntegerLattice.diagonal([3, 2])
@@ -174,20 +34,20 @@ def test_minimal_cone_vector_general_sector():
     assert vec2 == (1, 2)
 
 
-def test_partial_speedup_invariants():
-    from odolab.castles import PartialSpeedup
+def test_cone_transfer_minimal_vectors():
+    # quadrant: the least vector onto a neighbouring atom is the unit step
+    stage = chain32().stage(1)
+    assert minimal_cone_vector(QUADRANT, (1, 0), (0, 0), stage) == (1, 0)
+    assert minimal_cone_vector(QUADRANT, (0, 1), (0, 0), stage) == (0, 1)
 
-    ch = chain32()
-    a = ClopenSet.from_reps(ch, 1, [(0, 0)])
-    b = ClopenSet.from_reps(ch, 1, [(1, 0)])
-    ps = PartialSpeedup.from_pieces(cone_transfer_map(a, b, QUADRANT))
-    assert ps.check(QUADRANT)
-    assert ps.image().atoms == b.atoms
-    # overlapping images break injectivity and must fail the check
-    clash = PartialSpeedup.from_pieces(
-        [(a, (1, 0)), (ClopenSet.from_reps(ch, 1, [(0, 1)]), (1, 1))]
-    )
-    assert not clash.check(QUADRANT)
+
+def test_cone_transfer_avoidance_second_minimal():
+    stage = chain32().stage(1)
+    vec = minimal_cone_vector(QUADRANT, (1, 0), (0, 0), stage, second=True)
+    assert vec != (1, 0)
+    assert QUADRANT.contains(vec)
+    # congruent mod the stage, so the atom map is unchanged
+    assert stage.contains((vec[0] - 1, vec[1]))
 
 
 def test_minimal_cone_vector_empty_coset():
@@ -262,23 +122,13 @@ def test_refine_pure_columns_trivial_labels():
     assert len(refined.towers) == 1
 
 
-def test_separate_points():
-    ch = chain32()
-    castle = _two_level_castle()
-    p0 = ch.zero_point(1)
-    p1 = ch.point_of((1, 0), 1)
-    out = separate_points(castle, [p0, p1])
-    assert len(out.towers) == 2
-    # points already separated: unchanged tower count
-    again = separate_points(out, [p0, p1])
-    assert len(again.towers) == len(out.towers)
-    assert separate_points(castle, []) is castle
+# ---------------------------------------------------------------- atom spaces
 
-
-def test_separate_points_shared_column():
+def test_fibers_need_a_finer_space_of_the_same_chain():
     ch = chain32()
-    castle = _two_level_castle()
-    p0 = ch.zero_point(1)
-    p_top = ch.point_of((0, 1), 1)  # the image of p0 under the level map
-    with pytest.raises(SharedColumn):
-        separate_points(castle, [p0, p_top])
+    coarse, fine = AtomSpace(ch, 1), AtomSpace(ch, 2)
+    assert len(coarse.fibers(0, fine)) == 6
+    with pytest.raises(CastleError):
+        fine.fibers(0, coarse)
+    with pytest.raises(CastleError):
+        coarse.fibers(0, AtomSpace(chain32(), 2))

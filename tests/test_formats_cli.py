@@ -224,3 +224,32 @@ def test_cli_repro_unknown():
 
     with pytest.raises(UnknownCase):
         main(["repro", "no-such-case"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lattice", "dual", "2; 0 0; 0 0"], "generators do not span a rank-2 lattice"),
+        (["lattice", "dual", "2; 0 0"], "line 1, column 1: expected a 2x2 matrix"),
+        (["odometer", "stage", "missing.chain"], "No such file or directory"),
+        (["odometer", "stage", "mixed.chain", "--depth", "0"], "stages are numbered from 1"),
+        (["classify", "iso", "mixed.chain", "mixed.chain", "--depth", "0"], "at least two stages"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "mixed.chain", "--cone", "quad.cone"],
+            "the construction targets one-dimensional chains",
+        ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "half.cone"],
+            "sector spans at least a half-plane",
+        ),
+    ],
+)
+def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
+    (specdir / "half.cone").write_text("cone=sector u=1,0 v=-1,0 include=both")
+    monkeypatch.chdir(specdir)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("odolab: error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
