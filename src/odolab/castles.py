@@ -15,7 +15,6 @@ here is deterministic and regression-testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product as iter_product
 
@@ -81,20 +80,30 @@ class AtomSpace:
         return self.encode(self.system.reduce(tuple(a + b for a, b in zip(rep, vector))))
 
     def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
-        """Atom codes at the finer depth refining this atom."""
+        """Atom codes at the finer depth refining this atom, in increasing order.
+
+        Both stages have canonical upper-triangular bases, so the finer
+        basis is the coarser one times an integer upper-triangular matrix
+        with diagonal finer.rect[i] // self.rect[i]; coarse-basis
+        combinations with coefficients in that box are a transversal of
+        the coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
+        """
         if finer.chain is not self.chain or finer.depth < self.depth:
             raise CastleError("fibers need a finer atom space of the same chain")
+        rep = self.decode(code)
         if self._diagonal and finer._diagonal:
-            rep = self.decode(code)
             ranges = [
                 range(r, finer.rect[i], self.rect[i]) for i, r in enumerate(rep)
             ]
             return [finer.encode(t) for t in iter_product(*ranges)]
-        out = []
-        for c in range(finer.size):
-            if self.encode(self.system.reduce(finer.decode(c))) == code:
-                out.append(c)
-        return out
+        cols = self.system.lattice.columns()
+        box = [range(f // c) for f, c in zip(finer.rect, self.rect)]
+        return sorted(
+            finer.encode_vector(
+                tuple(r + sum(k * col[i] for k, col in zip(coeffs, cols)) for i, r in enumerate(rep))
+            )
+            for coeffs in iter_product(*box)
+        )
 
     def refine_set(self, codes, finer: "AtomSpace") -> frozenset[int]:
         if finer.depth == self.depth:
@@ -113,7 +122,7 @@ def _is_inclusive_quadrant(cone: Cone) -> bool:
     normals = {tuple(n) for n, strict in cone.facets if not strict}
     if len(normals) != len(cone.facets):
         return False
-    expected = {tuple(Fraction(int(i == j)) for j in range(cone.dim)) for i in range(cone.dim)}
+    expected = {tuple(int(i == j) for j in range(cone.dim)) for i in range(cone.dim)}
     return normals == expected
 
 
@@ -126,7 +135,9 @@ def minimal_cone_vector(
     that order; it induces the same atom map because the two vectors are
     congruent, which is what the pointwise-avoidance callers rely on.
     Raises EmptyConeCoset when no member shows up within the coefficient
-    search bound (which cannot happen for cones with interior).
+    search bound (which cannot happen for cones with interior), and
+    CastleError when proving the member found least would need a wider
+    search than the bound allows.
     """
     base = tuple(t - s for t, s in zip(target_rep, source_rep))
     dim = len(base)
@@ -174,7 +185,12 @@ def minimal_cone_vector(
     for i in reversed(range(dim)):
         safe = max(safe, reach // diag[i] + safe)
     if safe > radius:
-        hits = scan(min(safe, search_bound))
+        if safe > search_bound:
+            raise CastleError(
+                f"least cone member of the coset of {base} needs a coefficient search radius"
+                f" of {safe}, beyond the search bound {search_bound}"
+            )
+        hits = scan(safe)
         if len(hits) < want:
             raise EmptyConeCoset(f"no cone member found in the coset of {base}")
     return hits[want - 1][1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import DimensionMismatch, IntegerLattice, LatticeError
 from .odometer import DerivedProvider, OdometerChain
@@ -81,8 +81,11 @@ def _primitive(v):
 class Cone:
     """Integer points of a filled cone: d half-space facets through 0.
 
-    Stored as facet normals with an openness flag each; membership is
-    "nonzero and every facet condition holds".  Plane sectors are also
+    Stored as primitive integer facet normals with an openness flag each;
+    membership is "nonzero and every facet condition holds", in integer
+    arithmetic.  Rational normals given to `from_facets` are rescaled by a
+    positive factor to primitive integers, which keeps every half-space
+    (a zero normal stays zero).  Plane sectors are also
     supported directly: a pair of boundary rays at most a half-plane
     apart, each inclusive or strict, normalized into facet form.  A
     degenerate sector with equal rays means the single ray itself and is
@@ -90,24 +93,27 @@ class Cone:
     """
 
     dim: int
-    facets: tuple[tuple[tuple[Fraction, ...], bool], ...]  # (normal, strict)
+    facets: tuple[tuple[tuple[int, ...], bool], ...]  # (primitive normal, strict)
     ray: tuple[int, ...] | None = None
     sector_data: tuple | None = None  # (u, v, include_u, include_v) when built as a sector
 
     @staticmethod
     def from_facets(normals_flags) -> "Cone":
-        facets = tuple(
-            (tuple(Fraction(e) for e in normal), bool(strict)) for normal, strict in normals_flags
-        )
-        dim = len(facets[0][0])
-        return Cone(dim, facets)
+        facets = []
+        for normal, strict in normals_flags:
+            normal = [Fraction(e) for e in normal]
+            scale = lcm(*(e.denominator for e in normal))
+            ints = [int(e * scale) for e in normal]
+            g = gcd(*ints) or 1
+            facets.append((tuple(e // g for e in ints), bool(strict)))
+        return Cone(len(facets[0][0]), tuple(facets))
 
     @staticmethod
     def quadrant(dim: int, strict_axes=()) -> "Cone":
         """Nonnegative orthant minus 0; axes listed in `strict_axes` excluded."""
         normals = []
         for i in range(dim):
-            n = tuple(Fraction(int(j == i)) for j in range(dim))
+            n = tuple(int(j == i) for j in range(dim))
             normals.append((n, i in strict_axes))
         return Cone(dim, tuple(normals))
 
@@ -122,13 +128,13 @@ class Cone:
         if u == v:
             if not (include_u and include_v):
                 raise SpeedupError("a degenerate sector must include its boundary ray")
-            n = (Fraction(-u[1]), Fraction(u[0]))
+            n = (-u[1], u[0])
             facets = ((n, False), (tuple(-e for e in n), False))
             return Cone(2, facets, ray=u, sector_data=(u, v, True, True))
         if cr <= 0:
             raise SpeedupError("sector spans at least a half-plane; not a valid cone here")
-        n1 = (Fraction(-u[1]), Fraction(u[0]))        # n1 . x = cross(u, x)
-        n2 = (Fraction(v[1]), Fraction(-v[0]))        # n2 . x = cross(x, v)
+        n1 = (-u[1], u[0])        # n1 . x = cross(u, x)
+        n2 = (v[1], -v[0])        # n2 . x = cross(x, v)
         facets = ((n1, not include_u), (n2, not include_v))
         return Cone(2, facets, sector_data=(u, v, include_u, include_v))
 

@@ -92,3 +92,41 @@ def rational_group_generated_by(denominators, probe_denominator_bound=64):
         if acc % b == 0:
             members.add(b)
     return members
+
+
+def fibers_by_scan(coarse, code, finer):
+    """Finer atom codes whose representative reduces to the coarser atom `code`.
+
+    Scans every finer atom, decoding and reducing each one at the coarser
+    depth, so it shares no transversal with `AtomSpace.fibers`.
+    """
+    out = []
+    for c in range(finer.size):
+        if coarse.encode(coarse.system.reduce(finer.decode(c))) == code:
+            out.append(c)
+    return out
+
+
+def fraction_cone_member(normals_flags, x):
+    """Membership of the integer vector x in the cone cut out by rational
+    normals: nonzero, and every dot product >= 0 (> 0 when strict), in Fractions."""
+    if all(e == 0 for e in x):
+        return False
+    for normal, strict in normals_flags:
+        val = sum(Fraction(a) * b for a, b in zip(normal, x))
+        if val < 0 or (strict and val == 0):
+            return False
+    return True
+
+
+def coset_members_by_l1(member, lattice_contains, base, radius):
+    """Members v of the coset base + L with l1 norm <= radius, in
+    (l1 norm, lexicographic) order, by scanning the box [-radius, radius]^d."""
+    hits = []
+    for v in product(range(-radius, radius + 1), repeat=len(base)):
+        norm = sum(abs(x) for x in v)
+        if norm > radius or not member(v):
+            continue
+        if lattice_contains(tuple(x - b for x, b in zip(v, base))):
+            hits.append((norm, v))
+    return [v for _, v in sorted(hits)]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,12 @@ from odolab.castles import (
     minimal_cone_vector,
     refine_pure_columns,
 )
-from odolab.lattice import IntegerLattice
+from odolab.lattice import IntegerLattice, SingularBasis
 from odolab.odometer import OdometerChain
-from odolab.speedup import Cone
+from odolab.speedup import Cone, derived_odometer
+
+from _oracles import coset_members_by_l1, fibers_by_scan, fraction_cone_member
+from test_speedup import row_shear_cocycle
 
 
 def chain32():
@@ -58,6 +62,74 @@ def test_minimal_cone_vector_empty_coset():
     # ray members are (t, 0); the coset of (0, 1) has odd second coordinate
     with pytest.raises(EmptyConeCoset):
         minimal_cone_vector(ray, (0, 1), (0, 0), lat, search_bound=16)
+
+
+def test_minimal_cone_vector_search_bound_is_not_a_silent_clamp():
+    # the least member is (0, 4) = -3*(8, 0) + 4*(6, 1), outside the radius-2 box
+    lat = IntegerLattice.from_rows([[8, 6], [0, 1]])
+    assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat) == (0, 4)
+    with pytest.raises(CastleError, match="radius of 7"):
+        minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat, search_bound=2)
+
+
+def _nondiagonal_lattice(rng, dim):
+    while True:
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = rng.randint(1, 5)
+            for j in range(i + 1, dim):
+                rows[i][j] = rng.randrange(rows[i][i])
+        lat = IntegerLattice.from_rows(rows)
+        if not lat.is_diagonal():
+            return lat
+
+
+def _random_sector(rng):
+    """A sector cone with interior and the independent cross-product test of it."""
+    while True:
+        u = (rng.randint(-3, 3), rng.randint(-3, 3))
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if u[0] * v[1] - u[1] * v[0] > 0:
+            break
+    iu, iv = rng.random() < 0.5, rng.random() < 0.5
+
+    def member(x):
+        cu = u[0] * x[1] - u[1] * x[0]
+        cv = x[0] * v[1] - x[1] * v[0]
+        return x != (0, 0) and (cu > 0 or iu and cu == 0) and (cv > 0 or iv and cv == 0)
+
+    return Cone.sector(u, v, include_u=iu, include_v=iv), member
+
+
+def _random_facet_cone(rng, dim):
+    """A cone of rational facets around an interior vector, with its Fraction test."""
+    inside = tuple(rng.randint(-2, 2) for _ in range(dim - 1)) + (rng.randint(1, 2),)
+    normals = []
+    while len(normals) < dim + rng.randint(0, 1):
+        n = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim))
+        if sum(a * b for a, b in zip(n, inside)) > 0:
+            normals.append((n, rng.random() < 0.5))
+    return Cone.from_facets(normals), lambda x: fraction_cone_member(normals, x)
+
+
+@pytest.mark.parametrize("kind", ["sector", "facets-2d", "facets-3d"])
+def test_minimal_cone_vector_matches_brute_force(kind):
+    rng = random.Random(f"least-cone-vector-{kind}")
+    # the library's own widened scan is a cube of coefficients, slow in 3-d
+    for _ in range(8 if kind == "facets-3d" else 25):
+        if kind == "sector":
+            dim = 2
+            cone, member = _random_sector(rng)
+        else:
+            dim = 2 if kind == "facets-2d" else 3
+            cone, member = _random_facet_cone(rng, dim)
+        lat = _nondiagonal_lattice(rng, dim)
+        target = lat.coset_system().reduce(tuple(rng.randint(-6, 6) for _ in range(dim)))
+        for second in (False, True):
+            got = minimal_cone_vector(cone, target, (0,) * dim, lat, second=second)
+            # the box of radius |got|_1 holds every member that could precede it
+            expected = coset_members_by_l1(member, lat.contains, target, sum(map(abs, got)))
+            assert got == expected[int(second)], (cone.describe(), lat, target, second)
 
 
 # ---------------------------------------------------------------- castles
@@ -132,3 +204,66 @@ def test_fibers_need_a_finer_space_of_the_same_chain():
         fine.fibers(0, coarse)
     with pytest.raises(CastleError):
         coarse.fibers(0, AtomSpace(chain32(), 2))
+
+
+def test_fibers_match_full_scan_on_the_derived_chain():
+    chain = derived_odometer(row_shear_cocycle(), checked_depth=2)
+    rng = random.Random("derived-fibers")
+    for j in range(1, 5):
+        coarse = AtomSpace(chain, j)
+        assert not chain.stage(j).is_diagonal()
+        for finer_depth in range(j, 5):
+            fine = AtomSpace(chain, finer_depth)
+            codes = rng.sample(range(coarse.size), min(5, coarse.size))
+            expected = set()
+            for c in codes:
+                scan = fibers_by_scan(coarse, c, fine)
+                assert coarse.fibers(c, fine) == scan, (j, finer_depth, c)
+                expected.update(scan)
+            assert coarse.refine_set(codes, fine) == expected
+
+
+def _random_chain(rng, first, depth):
+    """Explicit chain whose stage k+1 is stage k's basis times a random integer matrix."""
+    dim = first.dim
+    stages = [first]
+    while len(stages) < depth:
+        m = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        rows = stages[-1].rows
+        product = [[sum(rows[i][t] * m[t][j] for t in range(dim)) for j in range(dim)] for i in range(dim)]
+        try:
+            lat = IntegerLattice.from_rows(product)
+        except SingularBasis:
+            continue
+        if 1 < lat.index // stages[-1].index <= 8:
+            stages.append(lat)
+    return OdometerChain.explicit(stages)
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        IntegerLattice.diagonal([2, 3]),
+        IntegerLattice.from_rows([[3, 1], [0, 2]]),
+        IntegerLattice.diagonal([2, 1, 2]),
+        IntegerLattice.from_rows([[2, 1, 1], [0, 2, 1], [0, 0, 1]]),
+    ],
+    ids=["diagonal-2d", "sheared-2d", "diagonal-3d", "sheared-3d"],
+)
+def test_fibers_match_full_scan_on_explicit_chains(first):
+    rng = random.Random(f"explicit-fibers-{first}")
+    for _ in range(4):
+        chain = _random_chain(rng, first, 3)
+        for j in range(1, 4):
+            coarse = AtomSpace(chain, j)
+            for finer_depth in range(j, 4):
+                fine = AtomSpace(chain, finer_depth)
+                every = [coarse.fibers(c, fine) for c in range(coarse.size)]
+                for c, fiber in enumerate(every):
+                    assert fiber == fibers_by_scan(coarse, c, fine), (chain.describe(), j, finer_depth, c)
+                # the fibers partition the finer atoms
+                assert sorted(x for fiber in every for x in fiber) == list(range(fine.size))
+                codes = set(rng.sample(range(coarse.size), min(3, coarse.size)))
+                assert coarse.refine_set(codes, fine) == frozenset(
+                    x for c in codes for x in every[c]
+                )

@@ -115,8 +115,12 @@ def test_cone_round_trip():
         Cone.quadrant(3, strict_axes=(1,)),
         Cone.sector((1, 0), (1, 1), include_v=False),
         Cone.sector((3, 1), (3, 1)),
+        Cone.from_facets([((Fraction(1, 2), Fraction(-1, 3)), False), ((0, Fraction(5, 4)), True)]),
     ):
         assert parse_cone(emit_cone(cone)) == cone
+    # rational normals are written in their primitive integer form
+    assert emit_cone(cone) == "cone=facets dim=2 normals=3,-2,>=;0,1,>"
+    assert parse_cone("cone=facets dim=2 normals=1/2,-1/3,>=;0,5/4,>") == cone
 
 
 # ---------------------------------------------------------------- errors

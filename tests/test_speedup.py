@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -26,6 +28,8 @@ from odolab.speedup import (
     validate,
     walk,
 )
+
+from _oracles import fraction_cone_member
 
 
 def chain32():
@@ -117,6 +121,36 @@ def test_cone_closed_under_addition_sampled():
         for a in members:
             for b in members:
                 assert cone.contains((a[0] + b[0], a[1] + b[1]))
+
+
+def test_from_facets_stores_primitive_integer_normals():
+    assert Cone.from_facets([((Fraction(1, 2), 1), False)]).facets == (((1, 2), False),)
+    cone = Cone.from_facets([((Fraction(2, 3), Fraction(-4, 9)), True), ((0, 6), False)])
+    assert cone.facets == (((3, -2), True), ((0, 1), False))
+    assert all(type(e) is int for normal, _ in cone.facets for e in normal)
+
+
+def test_cone_contains_matches_fraction_dot_products():
+    rng = random.Random("rational-normals")
+    for _ in range(40):
+        dim = rng.choice((2, 3))
+        normals = [
+            (tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim)), rng.random() < 0.5)
+            for _ in range(rng.randint(1, dim + 1))
+        ]
+        cone = Cone.from_facets(normals)
+        for x in product(range(-4, 5), repeat=dim):
+            assert cone.contains(x) == fraction_cone_member(normals, x), (normals, x)
+
+
+def test_zero_normal_keeps_membership():
+    inclusive = [((0, 0), False), ((1, 0), False)]
+    strict = [((Fraction(0), Fraction(0, 5)), True), ((1, 0), False)]
+    assert Cone.from_facets(inclusive).facets[0] == ((0, 0), False)
+    assert Cone.from_facets(strict).facets[0] == ((0, 0), True)
+    for x in product(range(-3, 4), repeat=2):
+        assert Cone.from_facets(inclusive).contains(x) == fraction_cone_member(inclusive, x)
+        assert not Cone.from_facets(strict).contains(x)
 
 
 def test_cone_check_examples():
