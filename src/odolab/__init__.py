@@ -2,12 +2,14 @@
 
 Modules:
   lattice       canonical integer/rational lattice arithmetic
-  odometer      chains of finite-index sublattices, partitions, invariants
+  odometer      chains of finite-index sublattices, their integer-coded
+                cylinder atoms (one AtomSpace per depth), invariants
   valuegroup    clopen value groups as prime-exponent maps
-  speedup       bounded speedup cocycles and their stabilizer chains
+  speedup       bounded speedup cocycles, their permutations of atom codes
+                and their stabilizer chains
   classify      conjugacy / isomorphism / orbit-equivalence tests
-  castles       integer atom spaces, least cone vectors, towers/castles
-                and their refinements
+  castles       least cone vectors, towers/castles of atom codes and
+                their refinements
   construction  the finite-stage cone-speedup construction driver
   sampling      random valid cocycles for the property suites
   formats, cli, repro   text formats, command line, worked-example catalog
@@ -24,7 +26,6 @@ from .lattice import (
 )
 from .odometer import (
     ChainDepthError,
-    KRPartition,
     NotNested,
     OdometerChain,
     TruncatedPoint,
@@ -79,7 +80,6 @@ __all__ = [
     "HypothesisFailed",
     "IncompatibleCocycle",
     "IntegerLattice",
-    "KRPartition",
     "LatticeError",
     "NoFit",
     "NonBijectiveGenerator",

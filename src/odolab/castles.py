@@ -1,8 +1,7 @@
-"""Integer atom spaces, least cone vectors, and castles over odometer chains.
+"""Least cone vectors, and castles over odometer chains.
 
-Cylinder atoms at a chosen depth are encoded as integers in mixed radix
-over the coset rectangle (most significant coordinate first, so code order
-is lexicographic order of representatives).  Castles are families of
+Castles live on the integer atom codes of the chain's depth-j
+`AtomSpace` (`OdometerChain.kr_partition`).  They are families of
 disjoint equal-size levels of atoms organized into towers, optionally
 carrying an internal level map given atom-by-atom as integer displacement
 vectors.  The construction driver transports exact atom counts between
@@ -15,10 +14,9 @@ here is deterministic and regression-testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product as iter_product
 
-from .odometer import OdometerChain
+from .odometer import AtomSpace, OdometerChain
 from .speedup import Cone
 
 
@@ -40,78 +38,6 @@ class ValueGroupMismatch(CastleError):
 
 class DepthExhausted(CastleError):
     pass
-
-
-# ---------------------------------------------------------------- atom spaces
-
-class AtomSpace:
-    """Encoding of depth-`depth` cylinder atoms of a chain as integers."""
-
-    def __init__(self, chain: OdometerChain, depth: int):
-        self.chain = chain
-        self.depth = depth
-        self.system = chain.system(depth)
-        self.rect = self.system.rectangle
-        self.size = chain.index(depth)
-        strides = [1] * len(self.rect)
-        for i in reversed(range(len(self.rect) - 1)):
-            strides[i] = strides[i + 1] * self.rect[i + 1]
-        self.strides = tuple(strides)
-        self._diagonal = chain.stage(depth).is_diagonal()
-
-    def encode(self, rep) -> int:
-        return sum(r * s for r, s in zip(rep, self.strides))
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for s in self.strides:
-            out.append(code // s)
-            code %= s
-        return tuple(out)
-
-    def encode_vector(self, vector) -> int:
-        """Atom of the orbit point reached from 0 by an integer vector."""
-        return self.encode(self.system.reduce(vector))
-
-    def translate(self, code: int, vector) -> int:
-        rep = self.decode(code)
-        if self._diagonal:
-            return sum(((r + v) % m) * s for r, v, m, s in zip(rep, vector, self.rect, self.strides))
-        return self.encode(self.system.reduce(tuple(a + b for a, b in zip(rep, vector))))
-
-    def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
-        """Atom codes at the finer depth refining this atom, in increasing order.
-
-        Both stages have canonical upper-triangular bases, so the finer
-        basis is the coarser one times an integer upper-triangular matrix
-        with diagonal finer.rect[i] // self.rect[i]; coarse-basis
-        combinations with coefficients in that box are a transversal of
-        the coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
-        """
-        if finer.chain is not self.chain or finer.depth < self.depth:
-            raise CastleError("fibers need a finer atom space of the same chain")
-        rep = self.decode(code)
-        if self._diagonal and finer._diagonal:
-            ranges = [
-                range(r, finer.rect[i], self.rect[i]) for i, r in enumerate(rep)
-            ]
-            return [finer.encode(t) for t in iter_product(*ranges)]
-        cols = self.system.lattice.columns()
-        box = [range(f // c) for f, c in zip(finer.rect, self.rect)]
-        return sorted(
-            finer.encode_vector(
-                tuple(r + sum(k * col[i] for k, col in zip(coeffs, cols)) for i, r in enumerate(rep))
-            )
-            for coeffs in iter_product(*box)
-        )
-
-    def refine_set(self, codes, finer: "AtomSpace") -> frozenset[int]:
-        if finer.depth == self.depth:
-            return frozenset(codes)
-        out = set()
-        for c in codes:
-            out.update(self.fibers(c, finer))
-        return frozenset(out)
 
 
 # ---------------------------------------------------------------- cone vectors
@@ -211,8 +137,6 @@ class Castle:
 
     `steps` maps atom code -> displacement vector; it must send the atoms
     of each non-top level onto the next level up within the same tower.
-    `space` is built on first use and kept, so `chain` and `depth` must
-    not change after that.
     """
 
     chain: OdometerChain
@@ -220,9 +144,9 @@ class Castle:
     towers: list[Tower]
     steps: dict[int, tuple[int, ...]] | None = None
 
-    @cached_property
+    @property
     def space(self) -> AtomSpace:
-        return AtomSpace(self.chain, self.depth)
+        return self.chain.kr_partition(self.depth)
 
     def apply_steps(self, atoms: frozenset[int]) -> frozenset[int]:
         if self.steps is None:
@@ -279,14 +203,14 @@ def refine_pure_columns(castle: Castle, label_of) -> Castle:
 
     `label_of` maps an atom code to a partition label; an integer argument
     is shorthand for "the cylinder partition at that depth"."""
+    space = castle.space
     if isinstance(label_of, int):
-        coarse = AtomSpace(castle.chain, label_of)
-        fine = castle.space
+        coarse = castle.chain.kr_partition(label_of)
         cache = {}
 
         def label(code: int):
             if code not in cache:
-                cache[code] = coarse.encode(coarse.system.reduce(fine.decode(code)))
+                cache[code] = coarse.encode_vector(space.decode(code))
             return cache[code]
 
     else:
@@ -299,7 +223,7 @@ def refine_pure_columns(castle: Castle, label_of) -> Castle:
             atom = c
             itinerary.append(label(atom))
             for _ in range(tower.height - 1):
-                atom = castle.space.translate(atom, castle.steps[atom])
+                atom = space.translate(atom, castle.steps[atom])
                 itinerary.append(label(atom))
             groups.setdefault(tuple(itinerary), set()).add(c)
         partitions.append([frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1]))])

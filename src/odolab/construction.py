@@ -36,10 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 
 from .castles import (
-    AtomSpace,
     Castle,
     CastleError,
     DepthExhausted,
@@ -50,6 +48,7 @@ from .castles import (
     refine_pure_columns,
 )
 from .classify import orbit_equivalence_test
+from .lattice import IntegerLattice
 from .odometer import OdometerChain
 from .speedup import Cone
 
@@ -59,10 +58,6 @@ MAX_DEPTH = 9  # 6^9 source atoms is already beyond desk scale
 
 def _vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _vneg(a):
-    return tuple(-x for x in a)
 
 
 class _NeedDepth(Exception):
@@ -111,34 +106,25 @@ class SpeedupConstruction:
         self.source = source
         self.target = target
         self.cone = cone
-        self.u = tuple(u) if u is not None else self._minimal_cone_member()
+        if u is None:
+            zero = (0,) * source.dim
+            u = minimal_cone_vector(cone, zero, zero, IntegerLattice.standard(source.dim))
+        self.u = tuple(u)
         if not cone.contains(self.u):
             raise CastleError("the anchor displacement must lie in the cone")
-        self.x2_vector = _vneg(self.u)  # exact second anchor: translate of 0
+        self.x2_vector = tuple(-x for x in self.u)  # exact second anchor: translate of 0
         self.first_stage = first_stage
         self.stages: list[StageRecord] = []
 
     # -- small helpers -------------------------------------------------
-
-    def _minimal_cone_member(self):
-        for radius in range(1, 64):
-            best = None
-            for v in iter_product(range(-radius, radius + 1), repeat=self.source.dim):
-                if self.cone.contains(v):
-                    key = (sum(abs(x) for x in v), v)
-                    if best is None or key < best:
-                        best = key
-            if best:
-                return best[1]
-        raise CastleError("no cone member found near the origin")
 
     def anchor_measure(self, k: int) -> Fraction:
         return Fraction(1, self.source.index(k + 1))
 
     def _anchor_sets(self, k: int, gamma: int):
         """Atom sets (working depth) of the two depth-(k+1) anchor cylinders."""
-        coarse = AtomSpace(self.source, k + 1)
-        fine = AtomSpace(self.source, gamma)
+        coarse = self.source.kr_partition(k + 1)
+        fine = self.source.kr_partition(gamma)
         zero = coarse.encode_vector((0,) * self.source.dim)
         other = coarse.encode_vector(self.x2_vector)
         if zero == other:
@@ -214,7 +200,7 @@ class SpeedupConstruction:
                 gamma, tgt_depth = self._align_depths(gamma + 1, tgt_depth + 1)
 
     def _build_base(self, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
-        space = AtomSpace(self.source, gamma)
+        space = self.source.kr_partition(gamma)
         total = space.size
         if total % h or total // h < 2:
             raise _NeedDepth()
@@ -367,7 +353,7 @@ class SpeedupConstruction:
         `pools[beta]` holds the target base atoms available to the towers
         descending from pretower beta; chunks are dealt lexicographically
         in tower order."""
-        tspace = AtomSpace(self.target, tgt_depth)
+        tspace = self.target.kr_partition(tgt_depth)
         sizes: list[list[int]] = [[] for _ in pools]
         for alpha, tower in enumerate(castle.towers):
             sizes[pretower_of[alpha]].append(len(tower.levels[0]))
@@ -400,8 +386,8 @@ class SpeedupConstruction:
 
     def _build_inductive(self, k, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
         prev = self.stages[-1]
-        space = AtomSpace(self.source, gamma)
-        tspace = AtomSpace(self.target, tgt_depth)
+        space = self.source.kr_partition(gamma)
+        tspace = self.target.kr_partition(tgt_depth)
         h_prev = prev.height
         blocks = h // h_prev
 
@@ -595,8 +581,8 @@ class SpeedupConstruction:
         if k >= len(self.stages):
             return StageReport(k, ())  # nothing built: vacuously fine
         rec = self.stages[k]
-        space = AtomSpace(self.source, rec.gamma)
-        tspace = AtomSpace(self.target, rec.tgt_depth)
+        space = self.source.kr_partition(rec.gamma)
+        tspace = self.target.kr_partition(rec.tgt_depth)
         checks: list[tuple[str, bool, str]] = []
 
         def check(name, ok, detail=""):
@@ -647,9 +633,9 @@ class SpeedupConstruction:
         check("rebuild-set-recorded", rec.r_atoms is not None, f"|R|={len(rec.r_atoms)}")
 
         # (5a) every level inside one cylinder atom at depth k+1
-        coarse = AtomSpace(self.source, k + 1)
+        coarse = self.source.kr_partition(k + 1)
         fine_ok = all(
-            len({coarse.encode(coarse.system.reduce(space.decode(c))) for c in l}) == 1
+            len({coarse.encode_vector(space.decode(c)) for c in l}) == 1
             for t in rec.src_castle.towers
             for l in t.levels
         )
@@ -668,9 +654,9 @@ class SpeedupConstruction:
         )
 
         # (5c) target levels inside single target cylinder atoms
-        t_coarse = AtomSpace(self.target, rec.n)
+        t_coarse = self.target.kr_partition(rec.n)
         tgt_ok = all(
-            len({t_coarse.encode(t_coarse.system.reduce(tspace.decode(c))) for c in l}) == 1
+            len({t_coarse.encode_vector(tspace.decode(c)) for c in l}) == 1
             for t in rec.tgt_castle.towers
             for l in t.levels
         )
@@ -793,7 +779,7 @@ def _reexpress_castle(castle: Castle, depth: int) -> Castle:
     if depth == castle.depth:
         return Castle(castle.chain, castle.depth, [Tower(list(t.levels)) for t in castle.towers], None)
     coarse = castle.space
-    fine = AtomSpace(castle.chain, depth)
+    fine = castle.chain.kr_partition(depth)
     towers = [Tower([coarse.refine_set(l, fine) for l in t.levels]) for t in castle.towers]
     return Castle(castle.chain, depth, towers, None)
 
@@ -804,7 +790,7 @@ def _reexpress_steps(castle: Castle, depth: int) -> dict:
     if depth == castle.depth:
         return dict(castle.steps)
     coarse = castle.space
-    fine = AtomSpace(castle.chain, depth)
+    fine = castle.chain.kr_partition(depth)
     out = {}
     for c, vec in castle.steps.items():
         for child in coarse.fibers(c, fine):

@@ -45,13 +45,32 @@ def _content_lines(text: str):
             yield i, stripped
 
 
-def _keyvals(line: str, lineno: int) -> dict[str, str]:
+def _keyvals(line: str, lineno: int) -> dict[str, tuple[str, int]]:
+    """Header tokens as key -> (value text, column of the value)."""
     out = {}
     for m in re.finditer(r"(\S+?)=(\S+)", line):
-        out[m.group(1)] = m.group(2)
+        out[m.group(1)] = (m.group(2), m.start(2) + 1)
     if not out:
         raise SpecSyntaxError(lineno, 1, "expected key=value tokens")
     return out
+
+
+def _field(kv, key: str, lineno: int, parse=str, default=...):
+    """Header value of `key` converted by `parse` (required unless a default
+    is given); a missing or malformed value raises a positioned SpecSyntaxError."""
+    if key not in kv:
+        if default is ...:
+            raise SpecSyntaxError(lineno, 1, f"missing {key}=")
+        return default
+    text, column = kv[key]
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpecSyntaxError(lineno, column, f"bad value {text!r} for {key}=") from None
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
 
 
 # ---------------------------------------------------------------- lattices
@@ -116,13 +135,11 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
         raise SpecSyntaxError(1, 1, "empty chain spec")
     lineno, header = lines[0]
     kv = _keyvals(header, lineno)
-    provider = kv.get("provider")
-    if provider is None:
-        raise SpecSyntaxError(lineno, header.find("provider") + 1, "missing provider=")
-    dim = int(kv["dim"]) if "dim" in kv else None
+    provider = _field(kv, "provider", lineno)
+    dim = _field(kv, "dim", lineno, int, None)
     if provider == "diagpow":
-        primes = [int(p) for p in kv["primes"].split(",")]
-        exps = [_parse_exponent(e, lineno) for e in kv.get("exps", "j").split(",")]
+        primes = _field(kv, "primes", lineno, _ints)
+        exps = [_parse_exponent(e, lineno) for e in _field(kv, "exps", lineno, default="j").split(",")]
         if len(exps) == 1:
             exps = exps * len(primes)
         if dim is not None and dim != len(primes):
@@ -141,11 +158,12 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
             raise SpecSyntaxError(lineno, 1, "dim does not match the stage matrices")
         return OdometerChain.explicit(lattices)
     if provider == "derived":
-        path = Path(kv["cocycle"])
+        path = _field(kv, "cocycle", lineno, Path)
+        checked = _field(kv, "checked", lineno, int, 3)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         cocycle = load_cocycle(path)
-        return derived_odometer(cocycle, checked_depth=int(kv.get("checked", "3")))
+        return derived_odometer(cocycle, checked_depth=checked)
     raise SpecSyntaxError(lineno, 1, f"unknown provider {provider!r}")
 
 
@@ -177,13 +195,13 @@ def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain 
         raise SpecSyntaxError(1, 1, "empty cocycle spec")
     lineno, header = lines[0]
     kv = _keyvals(header, lineno)
+    depth = _field(kv, "J", lineno, int, 1)
+    d2 = _field(kv, "d2", lineno, int)
     if chain is None:
-        path = Path(kv["chain"])
+        path = _field(kv, "chain", lineno, Path)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         chain = load_chain(path)
-    depth = int(kv.get("J", "1"))
-    d2 = int(kv["d2"])
     tables: list[dict] = []
     current: dict | None = None
     for ln, line in lines[1:]:
@@ -199,12 +217,24 @@ def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain 
             raise SpecSyntaxError(ln, 1, f"expected 'rep (...) -> (...)', got {line.strip()!r}")
         if current is None:
             raise SpecSyntaxError(ln, 1, "rep line before any 'gen i:' header")
-        rep = tuple(int(t) for t in m.group(1).split(","))
-        val = tuple(int(t) for t in m.group(2).split(","))
-        current[rep] = val
+        indent = len(line) - len(line.lstrip())
+        rep = _rep_vector(m, 1, ln, indent, chain.dim)
+        current[rep] = _rep_vector(m, 2, ln, indent, chain.dim)
     if len(tables) != d2:
         raise SpecSyntaxError(lineno, 1, f"expected {d2} generator tables, found {len(tables)}")
     return PiecewiseCocycle(chain, d2, depth, tuple(tables))
+
+
+def _rep_vector(match, group: int, lineno: int, indent: int, dim: int) -> tuple[int, ...]:
+    """Integer vector of length `dim` in one bracket of a rep line."""
+    try:
+        vec = _ints(match.group(group))
+    except ValueError:
+        vec = ()
+    if len(vec) != dim:
+        column = indent + match.start(group) + 1
+        raise SpecSyntaxError(lineno, column, f"expected {dim} integers, got ({match.group(group)})")
+    return vec
 
 
 def emit_cocycle(cocycle: PiecewiseCocycle, chain_path: str) -> str:
@@ -234,15 +264,15 @@ def parse_descriptor(text: str) -> SupergroupDescriptor:
         raise SpecSyntaxError(1, 1, "empty descriptor spec")
     lineno, header = lines[0]
     kv = _keyvals(header, lineno)
-    dim = int(kv["dim"])
-    entries = [Fraction(t) for t in kv["shear"].split(",")]
+    dim = _field(kv, "dim", lineno, int)
+    entries = _field(kv, "shear", lineno, lambda text: [Fraction(t) for t in text.split(",")])
     if len(entries) != dim * dim:
         raise SpecSyntaxError(lineno, 1, f"shear needs {dim * dim} entries")
     shear = [entries[i * dim : (i + 1) * dim] for i in range(dim)]
-    supports = []
-    for chunk in kv["supports"].split("|"):
-        chunk = chunk.strip()
-        supports.append(set() if chunk in ("", "-") else {int(p) for p in chunk.split(",")})
+    supports = _field(
+        kv, "supports", lineno,
+        lambda text: [set() if chunk in ("", "-") else set(_ints(chunk)) for chunk in text.split("|")],
+    )
     if len(supports) != dim:
         raise SpecSyntaxError(lineno, 1, f"supports need {dim} groups separated by |")
     return SupergroupDescriptor.make(shear, supports)
@@ -266,20 +296,20 @@ def parse_cone(text: str) -> Cone:
         raise SpecSyntaxError(1, 1, "empty cone spec")
     lineno, header = lines[0]
     kv = _keyvals(header, lineno)
-    kind = kv.get("cone")
+    kind = _field(kv, "cone", lineno, default=None)
     if kind == "quadrant":
-        dim = int(kv["dim"])
-        strict = tuple(int(i) for i in kv["strict"].split(",")) if kv.get("strict") else ()
+        dim = _field(kv, "dim", lineno, int)
+        strict = _field(kv, "strict", lineno, _ints, ())
         return Cone.quadrant(dim, strict_axes=strict)
     if kind == "sector":
-        u = tuple(int(t) for t in kv["u"].split(","))
-        v = tuple(int(t) for t in kv["v"].split(","))
-        include = kv.get("include", "both")
+        u = _field(kv, "u", lineno, _ints)
+        v = _field(kv, "v", lineno, _ints)
+        include = _field(kv, "include", lineno, default="both")
         return Cone.sector(u, v, include_u=include in ("both", "u"), include_v=include in ("both", "v"))
     if kind == "facets":
-        dim = int(kv["dim"])
+        dim = _field(kv, "dim", lineno, int)
         normals = []
-        for chunk in kv["normals"].split(";"):
+        for chunk in _field(kv, "normals", lineno).split(";"):
             *coords, flag = chunk.split(",")
             if len(coords) != dim or flag not in (">", ">="):
                 raise SpecSyntaxError(lineno, 1, f"bad facet {chunk!r}")

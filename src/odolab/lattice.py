@@ -370,14 +370,6 @@ class CosetSystem:
         self._reps = None
 
     @property
-    def index(self) -> int:
-        return self.lattice.index
-
-    @property
-    def atom_measure(self) -> Fraction:
-        return Fraction(1, self.index)
-
-    @property
     def reps(self) -> tuple[tuple[int, ...], ...]:
         if self._reps is None:
             self._reps = tuple(iter_product(*(range(m) for m in self.rectangle)))

@@ -7,12 +7,17 @@ bounded speedups).  Stages are realized lazily and cached; nesting is
 checked at realization time.  Realizing the same stage twice always yields
 the identical lattice, so the cache behaves as a single-writer memo and the
 chain presents pure semantics to concurrent readers.
+
+The chain also owns one `AtomSpace` per depth: the integer encoding of
+its depth-j cylinder atoms, on which the speedup, sampling and castle
+layers all work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Callable, Optional
 
 from .lattice import (
@@ -99,7 +104,7 @@ class OdometerChain:
         self.dim = dim
         self.provider = provider
         self._stages: dict[int, IntegerLattice] = {}
-        self._systems: dict[int, CosetSystem] = {}
+        self._spaces: dict[int, AtomSpace] = {}
 
     # convenience constructors ----------------------------------------
 
@@ -138,9 +143,7 @@ class OdometerChain:
             raise NotNested(j, witness)
 
     def system(self, j: int) -> CosetSystem:
-        if j not in self._systems:
-            self._systems[j] = self.stage(j).coset_system()
-        return self._systems[j]
+        return self.kr_partition(j).system
 
     def index(self, j: int) -> int:
         return self.stage(j).index
@@ -168,8 +171,11 @@ class OdometerChain:
 
     # invariants ------------------------------------------------------------
 
-    def kr_partition(self, j: int) -> "KRPartition":
-        return KRPartition(self, j)
+    def kr_partition(self, j: int) -> "AtomSpace":
+        """The depth-j cylinder atoms, built once per depth and kept."""
+        if j not in self._spaces:
+            self._spaces[j] = AtomSpace(self, j)
+        return self._spaces[j]
 
     def cohomology_stage(self, j: int) -> RationalLattice:
         return self.stage(j).dual()
@@ -275,9 +281,7 @@ def _shortest_vector(lat: IntegerLattice, radius: int | None):
     if radius is None:
         radius = min(max(abs(e) for e in col) for col in lat.columns())
     best = None
-    from itertools import product as iproduct
-
-    for v in iproduct(*(range(-radius, radius + 1) for _ in range(lat.dim))):
+    for v in iter_product(*(range(-radius, radius + 1) for _ in range(lat.dim))):
         if all(x == 0 for x in v) or not lat.contains(v):
             continue
         lead = next(x for x in v if x != 0)
@@ -289,38 +293,92 @@ def _shortest_vector(lat: IntegerLattice, radius: int | None):
     return None if best is None else best[1]
 
 
-class KRPartition:
-    """Depth-j cylinder partition: atoms indexed by coset representatives."""
+class AtomSpace:
+    """The chain's depth-j Kakutani-Rokhlin partition, atoms coded as integers.
+
+    One atom per coset of stage j, all of measure 1/index.  A code is the
+    coset representative in mixed radix over the coset rectangle, most
+    significant coordinate first, so code order is the lexicographic order
+    of representatives.  `OdometerChain.kr_partition` keeps one per depth.
+    """
 
     def __init__(self, chain: OdometerChain, depth: int):
-        if depth < 1:
-            raise ChainError("partition depth starts at 1")
         self.chain = chain
         self.depth = depth
-        self.system = chain.system(depth)
-
-    @property
-    def rectangle(self) -> tuple[int, ...]:
-        return self.system.rectangle
+        self.system = chain.stage(depth).coset_system()
+        self.rectangle = self.system.rectangle
+        self.size = chain.index(depth)
+        strides = [1] * len(self.rectangle)
+        for i in reversed(range(len(self.rectangle) - 1)):
+            strides[i] = strides[i + 1] * self.rectangle[i + 1]
+        self.strides = tuple(strides)
+        self._diagonal = chain.stage(depth).is_diagonal()
 
     @property
     def atom_measure(self) -> Fraction:
-        return self.system.atom_measure
+        return Fraction(1, self.size)
 
-    def atoms(self):
-        return self.system.reps
+    def __len__(self) -> int:
+        return self.size
 
-    def atom_of(self, point: TruncatedPoint) -> tuple[int, ...]:
-        if point.depth < self.depth:
-            raise ChainError("point truncation is shallower than the partition")
-        return point.coords[self.depth - 1]
+    def atoms(self) -> range:
+        return range(self.size)
 
     def boundary_measure(self) -> Fraction:
         """Base plus top measure; only meaningful for one-dimensional chains."""
         if self.chain.dim != 1:
             raise ChainError("boundary measure is defined for 1-dimensional chains here")
-        h = self.system.rectangle[0]
+        h = self.rectangle[0]
         return Fraction(min(2, h), h)
 
-    def __len__(self) -> int:
-        return self.system.index
+    def encode(self, rep) -> int:
+        return sum(r * s for r, s in zip(rep, self.strides))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        out = []
+        for s in self.strides:
+            out.append(code // s)
+            code %= s
+        return tuple(out)
+
+    def encode_vector(self, vector) -> int:
+        """Atom of the orbit point reached from 0 by an integer vector."""
+        return self.encode(self.system.reduce(vector))
+
+    def translate(self, code: int, vector) -> int:
+        rep = self.decode(code)
+        if self._diagonal:
+            return sum(((r + v) % m) * s for r, v, m, s in zip(rep, vector, self.rectangle, self.strides))
+        return self.encode(self.system.reduce(tuple(a + b for a, b in zip(rep, vector))))
+
+    def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
+        """Atom codes at the finer depth refining this atom, in increasing order.
+
+        Both stages have canonical upper-triangular bases, so the finer
+        basis is the coarser one times an integer upper-triangular matrix
+        with diagonal finer.rectangle[i] // self.rectangle[i]; coarse-basis
+        combinations with coefficients in that box are a transversal of
+        the coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
+        """
+        if finer.chain is not self.chain or finer.depth < self.depth:
+            raise ChainError("fibers need a finer atom space of the same chain")
+        rep = self.decode(code)
+        if self._diagonal and finer._diagonal:
+            ranges = [
+                range(r, finer.rectangle[i], self.rectangle[i]) for i, r in enumerate(rep)
+            ]
+            return [finer.encode(t) for t in iter_product(*ranges)]
+        cols = self.system.lattice.columns()
+        box = [range(f // c) for f, c in zip(finer.rectangle, self.rectangle)]
+        return sorted(
+            finer.encode_vector(
+                tuple(r + sum(k * col[i] for k, col in zip(coeffs, cols)) for i, r in enumerate(rep))
+            )
+            for coeffs in iter_product(*box)
+        )
+
+    def refine_set(self, codes, finer: "AtomSpace") -> frozenset[int]:
+        out = set()
+        for c in codes:
+            out.update(self.fibers(c, finer))
+        return frozenset(out)

@@ -4,8 +4,10 @@ Sampling a compatible pair of generator tables by rejection alone almost
 never succeeds, so the sampler seeds one table and propagates the other
 along the first generator's cycles: the compatibility relation determines
 the second table on a cycle once its value at one point is chosen, and
-acceptance reduces to the cycle-closure and bijectivity checks.  Samples
-are deterministic for a given seed.
+acceptance reduces to the cycle-closure and bijectivity checks.  Tables
+are built as lists indexed by the chain's atom codes and keyed by
+representative only for the returned cocycles.  Samples are
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -21,58 +23,44 @@ def _quadrant_values(box: int, dim: int):
     return [v for v in iter_product(range(box + 1), repeat=dim) if any(v)]
 
 
-def _bijective(chain, depth, table) -> bool:
-    system = chain.system(depth)
-    images = {system.reduce(tuple(a + b for a, b in zip(rep, vec))) for rep, vec in table.items()}
-    return len(images) == len(table)
-
-
-def _propagate_second(chain, depth, p_lead, seeds):
+def _propagate_second(space, lead, lead_images, seeds):
     """Second table from per-cycle seeds via the compatibility relation.
 
-    Walking x -> image of x under the seeded generator, the relation forces
+    Tables are lists indexed by atom code.  Walking x -> image of x under
+    the seeded generator, the relation forces
     other(next x) = other(x) + lead(x + other(x)) - lead(x).  Returns None
     when a cycle fails to close.
     """
-    system = chain.system(depth)
-    reduce = system.reduce
-    table: dict = {}
+    table: list = [None] * space.size
     for start, seed in seeds:
-        rep, val = start, seed
-        for _ in range(len(system.reps) + 1):
-            if rep in table:
-                if table[rep] != val:
+        code, val = start, seed
+        for _ in range(space.size + 1):
+            if table[code] is not None:
+                if table[code] != val:
                     return None  # cycle closure failed
                 break
-            table[rep] = val
-            stepped = reduce(tuple(a + b for a, b in zip(rep, val)))
-            nxt = reduce(tuple(a + b for a, b in zip(rep, p_lead[rep])))
+            table[code] = val
+            stepped = space.translate(code, val)
             val = tuple(
                 v + l2 - l1
-                for v, l2, l1 in zip(val, p_lead[stepped], p_lead[rep])
+                for v, l2, l1 in zip(val, lead[stepped], lead[code])
             )
-            rep = nxt
-    if len(table) != len(system.reps):
-        return None
-    return table
+            code = lead_images[code]
+    return None if None in table else table
 
 
-def _cycles(chain, depth, table):
-    system = chain.system(depth)
-    reduce = system.reduce
+def _cycle_starts(images):
+    """Least code of each cycle of a permutation, in increasing order."""
     seen = set()
-    out = []
-    for rep in sorted(system.reps):
-        if rep in seen:
-            continue
-        cyc = []
-        cur = rep
+    starts = []
+    for start in range(len(images)):
+        if start not in seen:
+            starts.append(start)
+        cur = start
         while cur not in seen:
             seen.add(cur)
-            cyc.append(cur)
-            cur = reduce(tuple(a + b for a, b in zip(cur, table[cur])))
-        out.append(cyc)
-    return out
+            cur = images[cur]
+    return starts
 
 
 def sample_cocycles(
@@ -90,8 +78,9 @@ def sample_cocycles(
     both shapes occur in the output.
     """
     dim = chain.dim
-    system = chain.system(depth)
-    reps = sorted(system.reps)
+    space = chain.kr_partition(depth)
+    codes = space.atoms()
+    reps = [space.decode(c) for c in codes]
     values = _quadrant_values(box, dim)
     axis_values = [v for v in values if sum(1 for x in v if x) == 1]
     seen = set()
@@ -104,31 +93,30 @@ def sample_cocycles(
             # axis-aligned slice: keeps the rigidity probe non-vacuous
             lead_axis = rng.randrange(dim)
             a = rng.randint(1, box)
-            p_lead = {rep: tuple(a if i == lead_axis else 0 for i in range(dim)) for rep in reps}
+            lead = [tuple(a if i == lead_axis else 0 for i in range(dim)) for _ in codes]
             seed_pool = [v for v in axis_values if v[lead_axis] == 0] or values
         elif mode < 0.6:
-            p_lead = {rep: rng.choice(values) for rep in reps}
+            lead = [rng.choice(values) for _ in codes]
             seed_pool = values
-            if not _bijective(chain, depth, p_lead):
-                continue
         else:
             vec = rng.choice(values)
-            p_lead = {rep: vec for rep in reps}
+            lead = [vec for _ in codes]
             seed_pool = values
-        seeds = []
-        for cyc in _cycles(chain, depth, p_lead):
-            seeds.append((cyc[0], rng.choice(seed_pool)))
-        p_other = _propagate_second(chain, depth, p_lead, seeds)
-        if p_other is None or not _bijective(chain, depth, p_other):
+        lead_images = [space.translate(c, vec) for c, vec in zip(codes, lead)]
+        if len(set(lead_images)) < space.size:
+            continue
+        seeds = [(start, rng.choice(seed_pool)) for start in _cycle_starts(lead_images)]
+        other = _propagate_second(space, lead, lead_images, seeds)
+        if other is None or len({space.translate(c, v) for c, v in zip(codes, other)}) < space.size:
             continue
         # propagation can wander out of the quadrant; keep cone-valued tables
-        if any(min(v) < 0 or not any(v) for v in p_other.values()):
+        if any(min(v) < 0 or not any(v) for v in other):
             continue
         lead_first = rng.random() < 0.5
-        tables = (p_lead, p_other) if lead_first else (p_other, p_lead)
-        key = tuple(tuple(sorted(t.items())) for t in tables)
+        key = (tuple(lead), tuple(other)) if lead_first else (tuple(other), tuple(lead))
         if key in seen:
             continue
+        tables = tuple(dict(zip(reps, t)) for t in key)
         cocycle = PiecewiseCocycle(chain, 2, depth, tables)
         report = validate(cocycle, raise_on_error=False)
         if not report.ok:

@@ -7,6 +7,11 @@ relation and that each generator permutes the depth-J quotient; both
 together are exactly what makes the generated action a homeomorphism
 action on the inverse limit.
 
+Tables, `value` and `step`/`walk`/`evaluate` speak coset representatives;
+everything else runs on the integer atom codes of the chain's `AtomSpace`
+(`OdometerChain.kr_partition`): permutations are tuples indexed by code,
+and the orbit of zero maps codes to reaching vectors.
+
 The derived chain presents a minimal bounded speedup as an odometer again:
 stage j is the stabilizer of the zero representative under the induced
 permutation action on the depth-j quotient, computed by orbit/stabilizer
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from math import gcd, lcm
 
 from .lattice import DimensionMismatch, IntegerLattice, LatticeError
@@ -166,7 +172,10 @@ class Cone:
 
 @dataclass
 class PiecewiseCocycle:
-    """Speedup cocycle generated by d2 tables on depth-J representatives."""
+    """Speedup cocycle generated by d2 tables on depth-J representatives.
+
+    The induced quotient maps are tuples indexed by atom code.
+    """
 
     chain: OdometerChain
     d2: int
@@ -174,12 +183,16 @@ class PiecewiseCocycle:
     tables: tuple[dict, ...]  # tables[i][rep] = displacement in Z^d1
 
     def __post_init__(self):
-        reps = set(self.chain.system(self.depth).reps)
         if len(self.tables) != self.d2:
             raise SpeedupError("one table per generator is required")
-        for t in self.tables:
-            if set(t) != reps:
-                raise SpeedupError("tables must be total on depth-J representatives")
+        space = self.chain.kr_partition(self.depth)
+        reps = [space.decode(c) for c in space.atoms()]
+        if any(set(t) != set(reps) for t in self.tables):
+            raise SpeedupError("tables must be total on depth-J representatives")
+        # table values indexed by depth-J atom code
+        self._values = tuple(tuple(t[rep] for rep in reps) for t in self.tables)
+        if any(len(vec) != self.chain.dim for row in self._values for vec in row):
+            raise SpeedupError(f"table values must be vectors of length {self.chain.dim}")
         self._perm_cache: dict = {}
         self._validated = False
 
@@ -189,8 +202,7 @@ class PiecewiseCocycle:
 
     def value(self, i: int, rep) -> tuple[int, ...]:
         """Table value of generator i on the depth-J class of `rep`."""
-        base = self.chain.system(self.depth).reduce(rep)
-        return self.tables[i][base]
+        return self._values[i][self.chain.kr_partition(self.depth).encode_vector(rep)]
 
     def values(self) -> list[tuple[int, ...]]:
         out = []
@@ -200,22 +212,30 @@ class PiecewiseCocycle:
 
     # quotient permutations ------------------------------------------
 
-    def permutation(self, i: int, depth: int) -> dict:
-        """Induced map of generator i on depth-`depth` representatives."""
+    def permutation(self, i: int, depth: int) -> tuple[int, ...]:
+        """Induced map of generator i on the depth-`depth` atom codes."""
         key = (i, depth)
         if key not in self._perm_cache:
-            system = self.chain.system(depth)
-            perm = {}
-            for rep in system.reps:
-                p = self.value(i, rep)
-                perm[rep] = system.reduce(tuple(a + b for a, b in zip(rep, p)))
-            self._perm_cache[key] = perm
+            space = self.chain.kr_partition(depth)
+            values = self._values[i]
+            if depth != self.depth:
+                # a finer atom carries the value of the depth-J atom it refines
+                coarse = self.chain.kr_partition(self.depth)
+                owner = {f: c for c in coarse.atoms() for f in coarse.fibers(c, space)}
+                values = [values[owner[f]] for f in space.atoms()]
+            # representatives in code order, one reduction per atom
+            reps = iter_product(*(range(m) for m in space.rectangle))
+            self._perm_cache[key] = tuple(
+                space.encode_vector(_vadd(rep, vec)) for rep, vec in zip(reps, values)
+            )
         return self._perm_cache[key]
 
-    def inverse_permutation(self, i: int, depth: int) -> dict:
+    def inverse_permutation(self, i: int, depth: int) -> tuple[int, ...]:
         key = ("inv", i, depth)
         if key not in self._perm_cache:
-            self._perm_cache[key] = {v: k for k, v in self.permutation(i, depth).items()}
+            perm = self.permutation(i, depth)
+            # codes ordered by their image
+            self._perm_cache[key] = tuple(sorted(range(len(perm)), key=perm.__getitem__))
         return self._perm_cache[key]
 
 
@@ -234,29 +254,30 @@ def validate(cocycle: PiecewiseCocycle, raise_on_error: bool = True) -> Validati
     (i, k), value_i(image under generator k of x) + value_k(x) must equal
     value_k(image under generator i of x) + value_i(x).
     """
-    system = cocycle.chain.system(cocycle.depth)
-    for i in range(cocycle.d2):
-        images: dict = {}
-        for rep in system.reps:
-            img = system.reduce(tuple(a + b for a, b in zip(rep, cocycle.value(i, rep))))
-            if img in images:
-                err = NonBijectiveGenerator(i, img, (images[img], rep))
+    space = cocycle.chain.kr_partition(cocycle.depth)
+    perms = [cocycle.permutation(i, cocycle.depth) for i in range(cocycle.d2)]
+    for i, perm in enumerate(perms):
+        preimage: dict[int, int] = {}
+        for c, image in enumerate(perm):
+            if image in preimage:
+                rep = space.decode(c)
+                err = NonBijectiveGenerator(i, space.decode(image), (space.decode(preimage[image]), rep))
                 if raise_on_error:
                     raise err
                 return ValidationReport(False, str(err), (rep, i, i))
-            images[img] = rep
+            preimage[image] = c
+    values = cocycle._values
     for i in range(cocycle.d2):
         for k in range(i + 1, cocycle.d2):
-            pi = cocycle.permutation(i, cocycle.depth)
-            pk = cocycle.permutation(k, cocycle.depth)
-            for rep in system.reps:
-                lhs = _vadd(cocycle.value(i, pk[rep]), cocycle.value(k, rep))
-                rhs = _vadd(cocycle.value(k, pi[rep]), cocycle.value(i, rep))
+            pi, pk = perms[i], perms[k]
+            for c in space.atoms():
+                lhs = _vadd(values[i][pk[c]], values[k][c])
+                rhs = _vadd(values[k][pi[c]], values[i][c])
                 if lhs != rhs:
-                    err = IncompatibleCocycle(rep, i, k)
+                    err = IncompatibleCocycle(space.decode(c), i, k)
                     if raise_on_error:
                         raise err
-                    return ValidationReport(False, str(err), (rep, i, k))
+                    return ValidationReport(False, str(err), (space.decode(c), i, k))
     cocycle._validated = True
     return ValidationReport(True, "compatible; every generator permutes the quotient")
 
@@ -279,12 +300,12 @@ def step(cocycle: PiecewiseCocycle, rep, i: int, depth: int, forward: bool = Tru
     inverse permutation; its displacement is minus the table value at the
     preimage, which is what the cocycle equation forces.
     """
+    space = cocycle.chain.kr_partition(depth)
+    code = space.encode_vector(rep)
     if forward:
-        disp = cocycle.value(i, rep)
-        return cocycle.permutation(i, depth)[rep], disp
-    pre = cocycle.inverse_permutation(i, depth)[rep]
-    disp = tuple(-e for e in cocycle.value(i, pre))
-    return pre, disp
+        return space.decode(cocycle.permutation(i, depth)[code]), cocycle.value(i, rep)
+    pre = space.decode(cocycle.inverse_permutation(i, depth)[code])
+    return pre, tuple(-e for e in cocycle.value(i, pre))
 
 
 def walk(cocycle: PiecewiseCocycle, rep, vector, depth: int | None = None):
@@ -299,7 +320,8 @@ def walk(cocycle: PiecewiseCocycle, rep, vector, depth: int | None = None):
     if len(vector) != cocycle.d2:
         raise DimensionMismatch(f"vector of length {len(vector)}, acting rank {cocycle.d2}")
     total = (0,) * cocycle.d1
-    cur = cocycle.chain.system(depth).reduce(rep)
+    space = cocycle.chain.kr_partition(depth)
+    cur = space.decode(space.encode_vector(rep))
     for i, count in enumerate(vector):
         forward = count >= 0
         for _ in range(abs(count)):
@@ -391,17 +413,15 @@ def product_form_check(cocycle: PiecewiseCocycle) -> bool:
 # ---------------------------------------------------------------- minimality
 
 def orbit_of_zero(cocycle: PiecewiseCocycle, depth: int) -> dict:
-    """BFS orbit of the zero representative under the abelian generator action.
+    """BFS orbit of the zero atom under the abelian generator action.
 
-    Returns a map representative -> reaching vector in Z^d2.  Enumeration
+    Returns a map atom code -> reaching vector in Z^d2.  Enumeration
     order is fixed (queue order, generators ascending, forward before
     backward) so results are deterministic.
     """
     _require_valid(cocycle)
-    system = cocycle.chain.system(depth)
-    zero = system.reduce((0,) * cocycle.d1)
-    reach = {zero: (0,) * cocycle.d2}
-    queue = [zero]
+    reach = {0: (0,) * cocycle.d2}  # the zero representative has code 0
+    queue = [0]
     perms = [cocycle.permutation(i, depth) for i in range(cocycle.d2)]
     inv_perms = [cocycle.inverse_permutation(i, depth) for i in range(cocycle.d2)]
     head = 0
@@ -433,8 +453,9 @@ def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool
         if probe == j:
             out[j] = len(orbit) == cocycle.chain.index(j)
         else:
-            system = cocycle.chain.system(j)
-            classes = {system.reduce(rep) for rep in orbit}
+            coarse = cocycle.chain.kr_partition(j)
+            fine = cocycle.chain.kr_partition(probe)
+            classes = {coarse.encode_vector(fine.decode(c)) for c in orbit}
             out[j] = len(classes) == cocycle.chain.index(j)
     return out
 
@@ -471,10 +492,10 @@ def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
     current: IntegerLattice | None = None
     zero = (0,) * cocycle.d2
     perms = [cocycle.permutation(i, depth) for i in range(cocycle.d2)]
-    for rep in sorted(reach):
-        vec = reach[rep]
+    for code in sorted(reach):
+        vec = reach[code]
         for i in range(cocycle.d2):
-            img = perms[i][rep]
+            img = perms[i][code]
             gen = list(vec)
             gen[i] += 1
             gen = tuple(a - b for a, b in zip(gen, reach[img]))

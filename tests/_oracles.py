@@ -130,3 +130,19 @@ def coset_members_by_l1(member, lattice_contains, base, radius):
         if lattice_contains(tuple(x - b for x, b in zip(v, base))):
             hits.append((norm, v))
     return [v for _, v in sorted(hits)]
+
+
+def permutation_by_reduction(cocycle, i, depth):
+    """Induced map of generator i on depth-`depth` representatives, as a dict.
+
+    Adds each representative's table value and reduces the sum at that
+    depth, one representative at a time, so it shares no atom coding with
+    `PiecewiseCocycle.permutation`.
+    """
+    resolution = cocycle.chain.system(cocycle.depth)
+    system = cocycle.chain.system(depth)
+    perm = {}
+    for rep in system.reps:
+        p = cocycle.tables[i][resolution.reduce(rep)]
+        perm[rep] = system.reduce(tuple(a + b for a, b in zip(rep, p)))
+    return perm

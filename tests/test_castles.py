@@ -14,7 +14,7 @@ from odolab.castles import (
     refine_pure_columns,
 )
 from odolab.lattice import IntegerLattice, SingularBasis
-from odolab.odometer import OdometerChain
+from odolab.odometer import ChainError, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
 from _oracles import coset_members_by_l1, fibers_by_scan, fraction_cone_member
@@ -200,9 +200,9 @@ def test_fibers_need_a_finer_space_of_the_same_chain():
     ch = chain32()
     coarse, fine = AtomSpace(ch, 1), AtomSpace(ch, 2)
     assert len(coarse.fibers(0, fine)) == 6
-    with pytest.raises(CastleError):
+    with pytest.raises(ChainError):
         fine.fibers(0, coarse)
-    with pytest.raises(CastleError):
+    with pytest.raises(ChainError):
         coarse.fibers(0, AtomSpace(chain32(), 2))
 
 

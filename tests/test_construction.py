@@ -7,6 +7,7 @@ from odolab.construction import SpeedupConstruction
 from odolab.odometer import OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
+from _oracles import coset_members_by_l1
 from test_speedup import row_shear_cocycle
 
 
@@ -24,6 +25,17 @@ def test_anchor_choice_and_schedule():
     assert con.u == (0, 1)
     n, cap, boundary = con._schedule(0)
     assert n == 2 and cap == Fraction(1, 6)
+
+
+def test_anchor_is_the_least_cone_vector():
+    # the least member lies outside the unit box, where a box scan that
+    # stops at the first radius with a hit never looks
+    cone = Cone.from_facets([((8, -6, 9), False), ((2, -6, -3), False), ((-4, 1, -6), True)])
+    con = SpeedupConstruction(
+        OdometerChain.diagonal_power([2, 3, 5]), OdometerChain.diagonal_power([30]), cone
+    )
+    least = coset_members_by_l1(cone.contains, lambda v: True, (0, 0, 0), 3)[0]
+    assert con.u == least == (-1, -2, 0)
 
 
 def test_base_stage_all_invariants():

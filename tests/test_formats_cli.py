@@ -230,6 +230,17 @@ def test_cli_repro_unknown():
         main(["repro", "no-such-case"])
 
 
+# malformed specs for the exit-3 cases, written next to the fixture's files
+BAD_SPECS = {
+    "half.cone": "cone=sector u=1,0 v=-1,0 include=both",
+    "nodim.cone": "cone=quadrant",
+    "nod2.cocycle": "chain=mixed.chain J=1\ngen 1:\nrep (0,0) -> (1,0)",
+    "badj.cocycle": "chain=mixed.chain J=x d2=1\ngen 1:\nrep (0,0) -> (1,0)",
+    "badrep.cocycle": "chain=mixed.chain J=1 d2=1\ngen 1:\nrep (0,x) -> (1,0)",
+    "shortval.cocycle": "chain=mixed.chain J=1 d2=1\ngen 1:\nrep (0,0) -> (1)",
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -246,10 +257,19 @@ def test_cli_repro_unknown():
             ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "half.cone"],
             "sector spans at least a half-plane",
         ),
+        (["speedup", "validate", "nod2.cocycle"], "line 1, column 1: missing d2="),
+        (["speedup", "validate", "badj.cocycle"], "line 1, column 21: bad value 'x' for J="),
+        (["speedup", "validate", "badrep.cocycle"], "line 3, column 6: expected 2 integers, got (0,x)"),
+        (["speedup", "validate", "shortval.cocycle"], "line 3, column 15: expected 2 integers, got (1)"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "nodim.cone"],
+            "line 1, column 1: missing dim=",
+        ),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
-    (specdir / "half.cone").write_text("cone=sector u=1,0 v=-1,0 include=both")
+    for name, text in BAD_SPECS.items():
+        (specdir / name).write_text(text)
     monkeypatch.chdir(specdir)
     assert main(argv) == 3
     captured = capsys.readouterr()

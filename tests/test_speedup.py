@@ -14,6 +14,7 @@ from odolab.speedup import (
     NonBijectiveGenerator,
     NotMinimalAtDepth,
     PiecewiseCocycle,
+    SpeedupError,
     cone_check,
     cone_hull,
     constant_cocycle,
@@ -29,7 +30,9 @@ from odolab.speedup import (
     walk,
 )
 
-from _oracles import fraction_cone_member
+from odolab.sampling import sample_cocycles
+
+from _oracles import fraction_cone_member, permutation_by_reduction
 
 
 def chain32():
@@ -77,6 +80,13 @@ def test_validate_rejects_non_bijective():
     c = PiecewiseCocycle(ch, 1, 1, ({(0,): (2,), (1,): (1,)},))
     with pytest.raises(NonBijectiveGenerator):
         validate(c)
+
+
+def test_table_values_of_the_wrong_length_are_rejected():
+    ch = chain32()
+    table = {rep: (1,) for rep in ch.system(1).reps}
+    with pytest.raises(SpeedupError, match="vectors of length 2"):
+        PiecewiseCocycle(ch, 1, 1, (table,))
 
 
 def test_validate_rejects_incompatible():
@@ -206,7 +216,24 @@ def test_permutation_property_at_depths():
     for j in (1, 2, 3):
         for i in (0, 1):
             perm = c.permutation(i, j)
-            assert sorted(perm.values()) == sorted(perm.keys())
+            assert sorted(perm) == list(range(c.chain.index(j)))
+
+
+def test_permutations_match_the_reduction_loop():
+    # sampled cocycles on the diagonal mixed chain, and a constant cocycle
+    # on the non-diagonal row-shear derived chain (general reduction path)
+    derived = derived_odometer(row_shear_cocycle(), checked_depth=2)
+    cocycles = sample_cocycles(chain32(), 12, random.Random(7))
+    cocycles.append(constant_cocycle(derived, 1, [(1, 0), (2, 1)]))
+    for c in cocycles:
+        for depth in (1, 2, 3):
+            space = c.chain.kr_partition(depth)
+            for i in range(c.d2):
+                expected = permutation_by_reduction(c, i, depth)
+                perm = c.permutation(i, depth)
+                assert {space.decode(a): space.decode(b) for a, b in enumerate(perm)} == expected
+                inverse = c.inverse_permutation(i, depth)
+                assert {space.decode(a): space.decode(b) for b, a in enumerate(inverse)} == expected
 
 
 # ---------------------------------------------------------------- minimality
@@ -376,6 +403,7 @@ def test_walk_is_path_independent():
     # generator steps must accumulate the same displacement
     rng = random.Random(31)
     c = row_shear_cocycle()
+    space = c.chain.kr_partition(1)
     for _ in range(25):
         v = (rng.randint(0, 4), rng.randint(0, 4))
         path = [0] * v[0] + [1] * v[1]
@@ -385,7 +413,7 @@ def test_walk_is_path_independent():
         for i in path:
             disp = c.value(i, cur)
             total = tuple(a + b for a, b in zip(total, disp))
-            cur = c.permutation(i, 1)[cur]
+            cur = space.decode(c.permutation(i, 1)[space.encode(cur)])
         assert total == evaluate(c, rep, v)
 
 
@@ -397,7 +425,7 @@ def test_induced_permutations_preserve_cylinder_measures():
         part = c.chain.kr_partition(depth)
         for i in (0, 1):
             perm = c.permutation(i, depth)
-            assert set(perm.values()) == set(part.atoms())
+            assert set(perm) == set(part.atoms())
             assert all(part.atom_measure == part.atom_measure for _ in perm)
 
 
@@ -406,8 +434,8 @@ def test_induced_permutations_preserve_cylinder_measures():
 def test_orbit_reaching_vectors_consistent():
     c = row_shear_cocycle()
     reach = orbit_of_zero(c, 2)
-    system = c.chain.system(2)
+    space = c.chain.kr_partition(2)
     zero = (0, 0)
-    for rep, vec in reach.items():
+    for code, vec in reach.items():
         end, _ = walk(c, zero, vec, depth=2)
-        assert end == rep
+        assert space.encode(end) == code
