@@ -206,12 +206,9 @@ def refine_pure_columns(castle: Castle, label_of) -> Castle:
     space = castle.space
     if isinstance(label_of, int):
         coarse = castle.chain.kr_partition(label_of)
-        cache = {}
 
         def label(code: int):
-            if code not in cache:
-                cache[code] = coarse.encode_vector(space.decode(code))
-            return cache[code]
+            return space.coarsen(code, coarse)
 
     else:
         label = label_of

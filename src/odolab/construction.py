@@ -360,13 +360,10 @@ class SpeedupConstruction:
         chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
         towers = []
         for alpha, tower in enumerate(castle.towers):
-            chunk = next(chunks[pretower_of[alpha]])
-            towers.append(
-                Tower([
-                    frozenset(tspace.translate(c, (v,)) for c in chunk)
-                    for v in range(tower.height)
-                ])
-            )
+            levels = [frozenset(next(chunks[pretower_of[alpha]]))]
+            for _ in range(tower.height - 1):  # each level is the one below moved by +1
+                levels.append(frozenset(tspace.translate(c, (1,)) for c in levels[-1]))
+            towers.append(Tower(levels))
         return Castle(self.target, tgt_depth, towers, None)
 
     # -- inductive stage ----------------------------------------------------
@@ -635,7 +632,7 @@ class SpeedupConstruction:
         # (5a) every level inside one cylinder atom at depth k+1
         coarse = self.source.kr_partition(k + 1)
         fine_ok = all(
-            len({coarse.encode_vector(space.decode(c)) for c in l}) == 1
+            len({space.coarsen(c, coarse) for c in l}) == 1
             for t in rec.src_castle.towers
             for l in t.levels
         )
@@ -656,7 +653,7 @@ class SpeedupConstruction:
         # (5c) target levels inside single target cylinder atoms
         t_coarse = self.target.kr_partition(rec.n)
         tgt_ok = all(
-            len({t_coarse.encode_vector(tspace.decode(c)) for c in l}) == 1
+            len({tspace.coarsen(c, t_coarse) for c in l}) == 1
             for t in rec.tgt_castle.towers
             for l in t.levels
         )
@@ -684,12 +681,12 @@ class SpeedupConstruction:
         check("level-maps-biject", _maps_ok)
         maps_ok = checks[-1][1]
 
-        # (6b) every displacement lies in the cone
+        # (6b) every displacement lies in the cone; a stage uses few distinct ones
         def _cone_ok():
             domain = frozenset().union(
                 *(l for t in rec.src_castle.towers for l in t.levels[:-1])
             )
-            return all(self.cone.contains(rec.src_castle.steps[c]) for c in domain)
+            return all(self.cone.contains(vec) for vec in {rec.src_castle.steps[c] for c in domain})
 
         check("displacements-in-cone", _cone_ok)
 

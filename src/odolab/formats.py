@@ -35,6 +35,7 @@ class SpecSyntaxError(ValueError):
     def __init__(self, line: int, column: int, message: str):
         self.line = line
         self.column = column
+        self.message = message
         super().__init__(f"line {line}, column {column}: {message}")
 
 
@@ -148,7 +149,10 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
     if provider == "explicit":
         lattices = []
         for ln, chunk in lines[1:]:
-            lat = parse_lattice(chunk)
+            try:
+                lat = parse_lattice(chunk)
+            except SpecSyntaxError as err:  # positioned in the one-line literal
+                raise SpecSyntaxError(ln, err.column, err.message) from None
             if isinstance(lat, RationalLattice):
                 raise SpecSyntaxError(ln, 1, "chain stages must be integer lattices")
             lattices.append(lat)
@@ -308,12 +312,19 @@ def parse_cone(text: str) -> Cone:
         return Cone.sector(u, v, include_u=include in ("both", "u"), include_v=include in ("both", "v"))
     if kind == "facets":
         dim = _field(kv, "dim", lineno, int)
+        text = _field(kv, "normals", lineno)
+        column = kv["normals"][1]
         normals = []
-        for chunk in _field(kv, "normals", lineno).split(";"):
+        for chunk in text.split(";"):
             *coords, flag = chunk.split(",")
-            if len(coords) != dim or flag not in (">", ">="):
-                raise SpecSyntaxError(lineno, 1, f"bad facet {chunk!r}")
-            normals.append((tuple(Fraction(c) for c in coords), flag == ">"))
+            try:
+                normal = tuple(Fraction(c) for c in coords)
+            except (ValueError, ZeroDivisionError):
+                normal = None
+            if normal is None or len(normal) != dim or flag not in (">", ">="):
+                raise SpecSyntaxError(lineno, column, f"bad facet {chunk!r}")
+            normals.append((normal, flag == ">"))
+            column += len(chunk) + 1
         return Cone.from_facets(normals)
     raise SpecSyntaxError(lineno, 1, "cone kind must be quadrant, sector, or facets")
 

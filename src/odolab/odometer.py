@@ -300,6 +300,12 @@ class AtomSpace:
     coset representative in mixed radix over the coset rectangle, most
     significant coordinate first, so code order is the lexicographic order
     of representatives.  `OdometerChain.kr_partition` keeps one per depth.
+
+    `translate` raises `DimensionMismatch` on a vector whose length is not
+    the chain's dimension.  On a diagonal stage it runs on the code's
+    digits with offsets set up once per distinct vector (a stage uses few),
+    and `coarsen` onto a diagonal stage is digit arithmetic set up once per
+    coarser depth; no representative tuple is built per atom.
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
@@ -313,6 +319,8 @@ class AtomSpace:
             strides[i] = strides[i + 1] * self.rectangle[i + 1]
         self.strides = tuple(strides)
         self._diagonal = chain.stage(depth).is_diagonal()
+        self._offsets: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
+        self._digits: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
 
     @property
     def atom_measure(self) -> Fraction:
@@ -346,10 +354,49 @@ class AtomSpace:
         return self.encode(self.system.reduce(vector))
 
     def translate(self, code: int, vector) -> int:
-        rep = self.decode(code)
+        """Atom of the points of atom `code` moved by an integer vector."""
         if self._diagonal:
-            return sum(((r + v) % m) * s for r, v, m, s in zip(rep, vector, self.rectangle, self.strides))
+            try:
+                offsets = self._offsets[vector]
+            except (KeyError, TypeError):  # a new vector, or an unhashable one
+                offsets = self._vector_offsets(vector)
+            out = 0
+            for o, M, s in offsets:  # digit i of the code, shifted by v_i mod m_i, wrapped
+                out += (code % M - code % s + o) % M
+            return out
+        rep = self.decode(code)
+        if len(vector) != len(rep):
+            raise DimensionMismatch(f"vector of length {len(vector)} in dimension {len(rep)}")
         return self.encode(self.system.reduce(tuple(a + b for a, b in zip(rep, vector))))
+
+    def _vector_offsets(self, vector) -> tuple[tuple[int, int, int], ...]:
+        """(v_i mod m_i * s_i, m_i * s_i, s_i) per coordinate, kept per vector."""
+        if len(vector) != len(self.strides):
+            raise DimensionMismatch(
+                f"vector of length {len(vector)} in dimension {len(self.strides)}"
+            )
+        offsets = tuple(
+            ((v % m) * s, m * s, s) for v, m, s in zip(vector, self.rectangle, self.strides)
+        )
+        self._offsets[tuple(vector)] = offsets
+        return offsets
+
+    def coarsen(self, code: int, coarse: "AtomSpace") -> int:
+        """Code of the atom of a coarser space of the same chain containing this atom."""
+        if coarse.chain is not self.chain or coarse.depth > self.depth:
+            raise ChainError("coarsen needs a coarser atom space of the same chain")
+        if not coarse._diagonal:
+            return coarse.encode_vector(self.decode(code))
+        digits = self._digits.get(coarse.depth)
+        if digits is None:
+            digits = self._digits[coarse.depth] = tuple(
+                (m * s, s, mc, sc)
+                for m, s, mc, sc in zip(self.rectangle, self.strides, coarse.rectangle, coarse.strides)
+            )
+        out = 0
+        for M, s, mc, sc in digits:
+            out += code % M // s % mc * sc
+        return out
 
     def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
         """Atom codes at the finer depth refining this atom, in increasing order.
@@ -364,10 +411,11 @@ class AtomSpace:
             raise ChainError("fibers need a finer atom space of the same chain")
         rep = self.decode(code)
         if self._diagonal and finer._diagonal:
-            ranges = [
-                range(r, finer.rectangle[i], self.rectangle[i]) for i, r in enumerate(rep)
-            ]
-            return [finer.encode(t) for t in iter_product(*ranges)]
+            # coordinate by coordinate, most significant first: increasing order
+            out = [0]
+            for r, m, f, s in zip(rep, self.rectangle, finer.rectangle, finer.strides):
+                out = [o + x * s for o in out for x in range(r, f, m)]
+            return out
         cols = self.system.lattice.columns()
         box = [range(f // c) for f, c in zip(finer.rectangle, self.rectangle)]
         return sorted(

@@ -455,7 +455,7 @@ def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool
         else:
             coarse = cocycle.chain.kr_partition(j)
             fine = cocycle.chain.kr_partition(probe)
-            classes = {coarse.encode_vector(fine.decode(c)) for c in orbit}
+            classes = {fine.coarsen(c, coarse) for c in orbit}
             out[j] = len(classes) == cocycle.chain.index(j)
     return out
 

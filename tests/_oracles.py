@@ -146,3 +146,16 @@ def permutation_by_reduction(cocycle, i, depth):
         p = cocycle.tables[i][resolution.reduce(rep)]
         perm[rep] = system.reduce(tuple(a + b for a, b in zip(rep, p)))
     return perm
+
+
+def translate_by_reduction(space, code, vector):
+    """Atom code of atom `code` moved by `vector`: decode the representative,
+    add the vector and reduce the sum at the space's depth, one tuple per call."""
+    rep = space.decode(code)
+    return space.encode(space.system.reduce(tuple(a + b for a, b in zip(rep, vector))))
+
+
+def coarsen_by_reduction(fine, code, coarse):
+    """Coarser atom containing the finer atom `code`: decode its representative
+    and reduce it at the coarser depth."""
+    return coarse.encode(coarse.system.reduce(fine.decode(code)))

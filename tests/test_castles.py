@@ -13,11 +13,17 @@ from odolab.castles import (
     minimal_cone_vector,
     refine_pure_columns,
 )
-from odolab.lattice import IntegerLattice, SingularBasis
+from odolab.lattice import DimensionMismatch, IntegerLattice, SingularBasis
 from odolab.odometer import ChainError, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
-from _oracles import coset_members_by_l1, fibers_by_scan, fraction_cone_member
+from _oracles import (
+    coarsen_by_reduction,
+    coset_members_by_l1,
+    fibers_by_scan,
+    fraction_cone_member,
+    translate_by_reduction,
+)
 from test_speedup import row_shear_cocycle
 
 
@@ -267,3 +273,102 @@ def test_fibers_match_full_scan_on_explicit_chains(first):
                 assert coarse.refine_set(codes, fine) == frozenset(
                     x for c in codes for x in every[c]
                 )
+
+
+# diagonal chains of dimension 1-3 (exponents unequal in two of them) and the
+# non-diagonal row-shear derived chain, each up to depth 4
+KERNEL_CHAINS = {
+    "diag-1d": lambda: OdometerChain.diagonal_power([5]),
+    "diag-2d": lambda: OdometerChain.diagonal_power([3, 2]),
+    "diag-2d-unequal": lambda: OdometerChain.diagonal_power([2, 3], [1, 2]),
+    "diag-3d": lambda: OdometerChain.diagonal_power([2, 3, 5]),
+    "diag-3d-unequal": lambda: OdometerChain.diagonal_power([2, 2, 3], [2, 1, 1]),
+    "row-shear-derived": lambda: derived_odometer(row_shear_cocycle(), checked_depth=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+def test_translate_matches_the_reduction(name):
+    chain = KERNEL_CHAINS[name]()
+    rng = random.Random(f"translate-{name}")
+    for j in range(1, 5):
+        space = chain.kr_partition(j)
+        reach = 3 * max(space.rectangle)
+        # a small pool, so most calls run on offsets set up by an earlier call
+        pool = [(0,) * chain.dim] + [
+            tuple(rng.randint(-reach, reach) for _ in range(chain.dim)) for _ in range(12)
+        ]
+        for _ in range(200):
+            code = rng.randrange(space.size)
+            vec = rng.choice(pool)
+            assert space.translate(code, vec) == translate_by_reduction(space, code, vec), (j, code, vec)
+        assert space.translate(space.size - 1, list(pool[1])) == translate_by_reduction(
+            space, space.size - 1, pool[1]
+        )
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
+def test_coarsen_matches_the_reduction(name):
+    chain = KERNEL_CHAINS[name]()
+    rng = random.Random(f"coarsen-{name}")
+    for fine_depth in range(1, 5):
+        fine = chain.kr_partition(fine_depth)
+        for j in range(1, fine_depth + 1):
+            coarse = chain.kr_partition(j)
+            for code in [0, fine.size - 1] + [rng.randrange(fine.size) for _ in range(100)]:
+                assert fine.coarsen(code, coarse) == coarsen_by_reduction(fine, code, coarse), (
+                    j, fine_depth, code
+                )
+
+
+@pytest.mark.parametrize(
+    "first",
+    [IntegerLattice.diagonal([2, 3]), IntegerLattice.diagonal([2, 1, 2])],
+    ids=["diagonal-2d", "diagonal-3d"],
+)
+def test_coarsen_onto_a_diagonal_stage_of_a_sheared_chain(first):
+    # the coarse stage is diagonal and the finer ones are not: digit
+    # arithmetic on the finer code must still give the containing atom
+    rng = random.Random(f"explicit-coarsen-{first}")
+    for _ in range(4):
+        chain = _random_chain(rng, first, 3)
+        coarse = chain.kr_partition(1)
+        for fine_depth in range(1, 4):
+            fine = chain.kr_partition(fine_depth)
+            for code in range(fine.size):
+                assert fine.coarsen(code, coarse) == coarsen_by_reduction(fine, code, coarse)
+
+
+def test_coarsen_needs_a_coarser_space_of_the_same_chain():
+    ch = chain32()
+    coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
+    assert [fine.coarsen(c, coarse) for c in coarse.fibers(4, fine)] == [4] * 6
+    with pytest.raises(ChainError):
+        coarse.coarsen(0, fine)
+    with pytest.raises(ChainError):
+        fine.coarsen(0, chain32().kr_partition(1))
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(KERNEL_CHAINS) if n.startswith("diag")])
+def test_diagonal_fibers_match_full_scan(name):
+    chain = KERNEL_CHAINS[name]()
+    rng = random.Random(f"diagonal-fibers-{name}")
+    for j in range(1, 3):
+        coarse = chain.kr_partition(j)
+        for finer_depth in range(j, 3):
+            fine = chain.kr_partition(finer_depth)
+            for c in [0, coarse.size - 1] + rng.sample(range(coarse.size), min(4, coarse.size)):
+                assert coarse.fibers(c, fine) == fibers_by_scan(coarse, c, fine), (j, finer_depth, c)
+
+
+def test_translate_rejects_a_vector_of_the_wrong_length():
+    space = chain32().kr_partition(2)
+    assert space.translate(5, (1, 0)) == 9  # (1, 1) + (1, 0) in the 9 x 4 rectangle
+    for bad in ((1,), (1, 0, 7)):
+        with pytest.raises(DimensionMismatch):
+            space.translate(5, bad)
+    sheared = derived_odometer(row_shear_cocycle(), checked_depth=2).kr_partition(2)
+    assert not sheared.chain.stage(2).is_diagonal()
+    for bad in ((1,), (1, 0, 7)):
+        with pytest.raises(DimensionMismatch):
+            sheared.translate(5, bad)

@@ -80,6 +80,21 @@ def test_stage_invariants_detect_corruption():
     assert "anchors-in-boundary-cylinders" in report.failures()
 
 
+def test_stage_invariants_detect_one_displacement_outside_the_cone():
+    con = build(1)
+    rec = con.stages[0]
+    steps = rec.src_castle.steps
+    atom = min(rec.src_castle.towers[0].levels[0])
+    vec = steps[atom]
+    # a congruent vector outside the quadrant: the level maps stay bijective
+    m = con.source.stage(rec.gamma).diag[0]
+    steps[atom] = (vec[0] - m * (vec[0] // m + 1),) + vec[1:]
+    assert not con.cone.contains(steps[atom])
+    failures = con.stage_invariants(0).failures()
+    assert "displacements-in-cone" in failures
+    assert "level-maps-biject" not in failures
+
+
 def test_first_stage_precondition():
     # forcing a first stage whose atoms are not below the anchor measure
     # violates the construction's opening inequality

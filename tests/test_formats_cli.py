@@ -238,6 +238,8 @@ BAD_SPECS = {
     "badj.cocycle": "chain=mixed.chain J=x d2=1\ngen 1:\nrep (0,0) -> (1,0)",
     "badrep.cocycle": "chain=mixed.chain J=1 d2=1\ngen 1:\nrep (0,x) -> (1,0)",
     "shortval.cocycle": "chain=mixed.chain J=1 d2=1\ngen 1:\nrep (0,0) -> (1)",
+    "badnormal.cone": "cone=facets dim=2 normals=1,x,>=",
+    "badrow.chain": "dim=2 provider=explicit\n2; 2 0; 0 2\n2; 4 x; 0 4",
 }
 
 
@@ -265,6 +267,11 @@ BAD_SPECS = {
             ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "nodim.cone"],
             "line 1, column 1: missing dim=",
         ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "badnormal.cone"],
+            "line 1, column 27: bad facet '1,x,>='",
+        ),
+        (["odometer", "stage", "badrow.chain"], "line 3, column 4: bad integer row '4 x'"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
