@@ -62,6 +62,7 @@ from .classify import (
 )
 from .castles import (
     Castle,
+    StepMap,
     Tower,
     castle_refinement_over,
     refine_pure_columns,
@@ -91,6 +92,7 @@ __all__ = [
     "SingularBasis",
     "SpeedupConstruction",
     "StageReport",
+    "StepMap",
     "SupergroupDescriptor",
     "Tower",
     "TruncatedPoint",

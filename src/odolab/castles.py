@@ -4,8 +4,11 @@ Castles live on the integer atom codes of the chain's depth-j
 `AtomSpace` (`OdometerChain.kr_partition`).  They are families of
 disjoint equal-size levels of atoms organized into towers, optionally
 carrying an internal level map given atom-by-atom as integer displacement
-vectors.  The construction driver transports exact atom counts between
-castles on top of these primitives.
+vectors.  Everything is a flat integer array: a tower is a level width
+and its codes level by level, a level map one vector id per code into a
+small vector table, and `positions` one tower-and-level number per code.
+The construction driver transports exact atom counts between castles on
+top of these primitives.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -13,8 +16,10 @@ here is deterministic and regression-testable.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 
 from .odometer import AtomSpace, OdometerChain
 from .speedup import Cone
@@ -122,79 +127,171 @@ def minimal_cone_vector(
     return hits[want - 1][1]
 
 
+class StepMap(Mapping):
+    """A level map: one vector id per atom code into a small vector table.
+
+    `ids[code]` indexes `vectors`; id 0 (`vectors[0] is None`) means no
+    step at that atom.  A stage uses few distinct vectors, so the map costs
+    four bytes per atom.  Read as a mapping code -> vector tuple, iterated
+    in increasing code order; `assign` writes one entry."""
+
+    def __init__(self, size: int, vectors=(None,), ids: array | None = None):
+        self.vectors = list(vectors)
+        self._id_of = {vec: i for i, vec in enumerate(self.vectors) if i}
+        self.ids = array("i", [0]) * size if ids is None else ids
+
+    def copy(self) -> "StepMap":
+        return StepMap(len(self.ids), self.vectors, array("i", self.ids))
+
+    def assign(self, code: int, vector) -> None:
+        vector = tuple(vector)
+        i = self._id_of.get(vector)
+        if i is None:
+            i = self._id_of[vector] = len(self.vectors)
+            self.vectors.append(vector)
+        self.ids[code] = i
+
+    def __getitem__(self, code: int) -> tuple[int, ...]:
+        vector = self.vectors[self.ids[code]] if 0 <= code < len(self.ids) else None
+        if vector is None:
+            raise KeyError(code)
+        return vector
+
+    def __iter__(self):
+        return compress(range(len(self.ids)), self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids) - self.ids.count(0)
+
+
+class _Levels:
+    """Read view of a tower's levels; level v is an array of its codes."""
+
+    def __init__(self, tower: "Tower"):
+        self.tower = tower
+
+    def __len__(self) -> int:
+        return self.tower.height
+
+    def __getitem__(self, v: int) -> array:
+        h = self.tower.height
+        if not -h <= v < h:
+            raise IndexError("level out of range")
+        return self.tower.level(v % h)
+
+
 @dataclass
 class Tower:
-    levels: list[frozenset[int]]
+    """Equal-size levels of atom codes, stored level by level in one array.
+
+    Level v is `codes[v * width:(v + 1) * width]`, sorted."""
+
+    width: int
+    codes: array
+
+    @classmethod
+    def from_levels(cls, levels) -> "Tower":
+        levels = [sorted(level) for level in levels]
+        if not levels or any(len(level) != len(levels[0]) for level in levels):
+            raise CastleError("a tower needs levels of one nonzero size")
+        return cls(len(levels[0]), array("q", [c for level in levels for c in level]))
 
     @property
     def height(self) -> int:
-        return len(self.levels)
+        return len(self.codes) // self.width
+
+    def level(self, v: int) -> array:
+        return self.codes[v * self.width : (v + 1) * self.width]
+
+    @property
+    def levels(self) -> _Levels:
+        return _Levels(self)
 
 
 @dataclass
 class Castle:
-    """Towers of equal-height levels with an optional internal level map.
+    """Towers of equal-size levels with an optional internal level map.
 
-    `steps` maps atom code -> displacement vector; it must send the atoms
-    of each non-top level onto the next level up within the same tower.
-    """
+    `steps` gives each atom below a tower's top the displacement vector
+    that sends it onto the next level up within the same tower."""
 
     chain: OdometerChain
     depth: int
     towers: list[Tower]
-    steps: dict[int, tuple[int, ...]] | None = None
+    steps: StepMap | None = None
 
     @property
     def space(self) -> AtomSpace:
         return self.chain.kr_partition(self.depth)
 
-    def apply_steps(self, atoms: frozenset[int]) -> frozenset[int]:
-        if self.steps is None:
-            raise CastleError("castle has no level map")
-        space = self.space
-        return frozenset(space.translate(c, self.steps[c]) for c in atoms)
 
-    def locate(self, atom: int) -> tuple[int, int]:
-        for alpha, tower in enumerate(self.towers):
-            for v, level in enumerate(tower.levels):
-                if atom in level:
-                    return alpha, v
-        raise CastleError("atom not in the castle")
+def positions(towers, size: int) -> array:
+    """Code -> alpha * H + v for the atoms of level v of tower alpha, where
+    H is the greatest tower height; -1 for atoms outside the towers."""
+    stride = max(t.height for t in towers)
+    out = array("i", [-1]) * size
+    for alpha, t in enumerate(towers):
+        first = alpha * stride
+        for i, c in enumerate(t.codes):
+            out[c] = first + i // t.width
+    return out
 
-    def position_map(self) -> dict[int, tuple[int, int]]:
-        out = {}
-        for alpha, tower in enumerate(self.towers):
-            for v, level in enumerate(tower.levels):
-                for c in level:
-                    out[c] = (alpha, v)
-        return out
+
+def _climb(space: AtomSpace, steps: StepMap, base, height: int) -> array:
+    """The columns from `base` up the level map, level by level: entry
+    v * len(base) + i is the v-th atom of the column starting at base[i]."""
+    translate, vectors, ids = space.translate, steps.vectors, steps.ids
+    columns = array("q", base)
+    cur = list(base)
+    try:
+        for _ in range(height - 1):
+            cur = [translate(c, vectors[ids[c]]) for c in cur]
+            columns.extend(cur)
+    except TypeError:  # vectors[0] is None: an atom below the top has no step
+        raise CastleError("the level map has no step at an atom below a tower's top") from None
+    return columns
+
+
+def _tower_of_columns(columns, width: int, height: int, members) -> Tower:
+    """Tower of the columns numbered `members` in a `_climb` result, each
+    level sorted."""
+    if len(members) == 1:  # one atom per level
+        return Tower(1, columns[members[0] :: width])
+    codes = array("q")
+    for v in range(height):
+        level = columns[v * width : (v + 1) * width]
+        codes.extend(sorted([level[i] for i in members]))
+    return Tower(len(members), codes)
+
+
+def climb_tower(space: AtomSpace, steps: StepMap, base, height: int) -> Tower:
+    """The tower the level map builds over the atoms `base`."""
+    base = sorted(base)
+    return _tower_of_columns(_climb(space, steps, base, height), len(base), height, range(len(base)))
 
 
 def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     """Split each tower over a clopen partition of its base.
 
-    `base_partitions[alpha]` is a list of disjoint atom frozensets whose
-    union is tower alpha's base; each part spawns a tower by climbing the
-    level map."""
+    `base_partitions[alpha]` is a list of disjoint atom sets whose union
+    is tower alpha's base; each part spawns a tower by climbing the level
+    map."""
     if castle.steps is None:
         raise CastleError("refinement needs the castle's level map")
+    space = castle.space
     new_towers = []
     for alpha, tower in enumerate(castle.towers):
         parts = base_partitions[alpha]
         union = set()
         for p in parts:
-            if p & union:
+            if union.intersection(p):
                 raise NotAPartition("base parts overlap")
-            union |= p
-        if union != set(tower.levels[0]):
+            union.update(p)
+        if union != set(tower.level(0)):
             raise NotAPartition("base parts do not cover the base")
         for part in parts:
-            if not part:
-                continue
-            levels = [frozenset(part)]
-            for _ in range(tower.height - 1):
-                levels.append(castle.apply_steps(levels[-1]))
-            new_towers.append(Tower(levels))
+            if part:
+                new_towers.append(climb_tower(space, castle.steps, part, tower.height))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
@@ -202,7 +299,12 @@ def refine_pure_columns(castle: Castle, label_of) -> Castle:
     """Refine so every tower's column meets a constant label sequence.
 
     `label_of` maps an atom code to a partition label; an integer argument
-    is shorthand for "the cylinder partition at that depth"."""
+    is shorthand for "the cylinder partition at that depth".  Each column
+    is climbed once: its labels split the tower's columns level by level,
+    and the new towers are assembled from the same climb, in the order of
+    their least base atoms."""
+    if castle.steps is None:
+        raise CastleError("refinement needs the castle's level map")
     space = castle.space
     if isinstance(label_of, int):
         coarse = castle.chain.kr_partition(label_of)
@@ -212,16 +314,21 @@ def refine_pure_columns(castle: Castle, label_of) -> Castle:
 
     else:
         label = label_of
-    partitions = []
+    new_towers = []
     for tower in castle.towers:
-        groups: dict[tuple, set[int]] = {}
-        for c in sorted(tower.levels[0]):
-            itinerary = []
-            atom = c
-            itinerary.append(label(atom))
-            for _ in range(tower.height - 1):
-                atom = space.translate(atom, castle.steps[atom])
-                itinerary.append(label(atom))
-            groups.setdefault(tuple(itinerary), set()).add(c)
-        partitions.append([frozenset(g) for _, g in sorted(groups.items(), key=lambda kv: min(kv[1]))])
-    return castle_refinement_over(castle, partitions)
+        w, h = tower.width, tower.height
+        columns = _climb(space, castle.steps, tower.level(0), h)
+        # group[i]: class of column i under its labels up to level v, numbered
+        # by first appearance, so in the order of the least base atoms
+        group = [0] * w
+        for v in range(h):
+            classes: dict = {}
+            level = columns[v * w : (v + 1) * w]
+            group = [classes.setdefault((g, label(c)), len(classes)) for g, c in zip(group, level)]
+            if len(classes) == w:  # every column alone: no label can split further
+                break
+        members: list[list[int]] = [[] for _ in range(max(group) + 1)]
+        for i, g in enumerate(group):
+            members[g].append(i)
+        new_towers.extend(_tower_of_columns(columns, w, h, m) for m in members)
+    return Castle(castle.chain, castle.depth, new_towers, castle.steps)

@@ -34,17 +34,23 @@ least values satisfying the driving inequalities, computed exactly:
 
 from __future__ import annotations
 
+import functools
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .castles import (
     Castle,
     CastleError,
     DepthExhausted,
+    StepMap,
     Tower,
     ValueGroupMismatch,
     castle_refinement_over,
+    climb_tower,
     minimal_cone_vector,
+    positions,
     refine_pure_columns,
 )
 from .classify import orbit_equivalence_test
@@ -78,8 +84,8 @@ class StageRecord:
     pretower_count: int
     f_atoms: frozenset[int]      # swapped points, source working depth
     r_atoms: frozenset[int]      # where the previous map was rebuilt
-    prev_steps: dict | None      # previous stage's map at this stage's depth
-    swap_audit: tuple            # level sizes (before, after) the swaps
+    prev_steps: StepMap | None   # previous stage's map off its top, at this stage's depth
+    swap_audit: tuple            # (width, atom count) per tower, (before, after) the swaps
     tower_x0: int
     tower_x2: int
     x0_column: list[tuple[int, ...]]   # exact orbit points up the anchor column
@@ -204,59 +210,56 @@ class SpeedupConstruction:
         total = space.size
         if total % h or total // h < 2:
             raise _NeedDepth()
-        slab = total // h
-        levels = [frozenset(range(w * slab, (w + 1) * slab)) for w in range(h)]
+        towers = [Tower(total // h, array("q", range(total)))]
 
         a0, a2 = self._anchor_sets(0, gamma)
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
 
-        pre_sizes = tuple(len(l) for l in levels)
-        levels = self._swap(levels, 0, a0, keep_atom=x0_atom)
-        levels = self._swap(levels, h - 1, a2, keep_atom=x2_atom)
-        post_sizes = tuple(len(l) for l in levels)
+        pre_sizes = _shape(towers)
+        self._swap(towers, positions(towers, total), a0, a2, x0_atom, x2_atom)
+        post_sizes = _shape(towers)
+        tower = towers[0]
 
         # join the slabs with least cone vectors
-        steps: dict[int, tuple[int, ...]] = {}
+        steps = StepMap(total)
         lattice = self.source.stage(gamma)
         for v in range(h - 1):
-            self._transfer(levels[v], levels[v + 1], space, lattice, steps)
+            self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps)
 
         # the two anchor columns must be pointwise distinct before they can
         # be separated; if they merged, re-route the last step on the zero
         # column inside its congruence class (same atom map, new point map)
         zero = (0,) * self.source.dim
-        if self._pull_to_base(levels, steps, space) == zero:
+        if self._pull_to_base(tower, steps, space) == zero:
             z = zero
             for _ in range(h - 2):
                 z = _vadd(z, steps[space.encode_vector(z)])
             atom = space.encode_vector(z)
             tgt = space.translate(atom, steps[atom])
-            steps[atom] = minimal_cone_vector(
-                self.cone, space.decode(tgt), space.decode(atom), lattice, second=True
+            steps.assign(
+                atom,
+                minimal_cone_vector(self.cone, space.decode(tgt), space.decode(atom), lattice, second=True),
             )
-            if self._pull_to_base(levels, steps, space) == zero:
+            if self._pull_to_base(tower, steps, space) == zero:
                 raise _NeedDepth()
 
-        castle = Castle(self.source, gamma, [Tower(levels)], steps)
-        y_atom = space.encode_vector(self._pull_to_base(levels, steps, space))
+        castle = Castle(self.source, gamma, towers, steps)
+        y_atom = space.encode_vector(self._pull_to_base(tower, steps, space))
         if y_atom == x0_atom:
             raise _NeedDepth()
-        base = set(levels[0])
-        parts = [frozenset([x0_atom]), frozenset([y_atom])]
-        rest = base - {x0_atom, y_atom}
+        parts = [[x0_atom], [y_atom]]
+        rest = set(tower.level(0)) - {x0_atom, y_atom}
         if rest:
-            parts.append(frozenset(rest))
+            parts.append(rest)
         castle = castle_refinement_over(castle, [parts])
         castle = refine_pure_columns(castle, 1)
 
-        tower_x0 = next(i for i, t in enumerate(castle.towers) if x0_atom in t.levels[0])
-        tower_x2 = next(i for i, t in enumerate(castle.towers) if x2_atom in t.levels[-1])
+        tower_x0, tower_x2 = _anchor_towers(castle, x0_atom, x2_atom)
         if tower_x0 == tower_x2:
             raise _NeedDepth()
         tgt_castle = self._copy_levels_to_target(
-            castle, tgt_depth, [sorted(range(0, self.target.index(tgt_depth), h))]
-            , [0] * len(castle.towers)
+            castle, tgt_depth, [list(range(0, self.target.index(tgt_depth), h))], [0] * len(castle.towers)
         )
         return StageRecord(
             k=0,
@@ -278,45 +281,71 @@ class SpeedupConstruction:
             x0_column=self._column_points(castle, tower_x0),
         )
 
-    def _pull_to_base(self, levels, steps, space):
+    def _pull_to_base(self, tower, steps, space):
         """Exact base point of the column ending at the second anchor."""
         y = self.x2_vector
-        for v in range(len(levels) - 1, 0, -1):
-            y = self._pull_back_in(levels[v - 1], y, space, steps)
+        for v in range(tower.height - 1, 0, -1):
+            y = self._pull_back_in(tower.level(v - 1), y, space, steps)
         return y
 
     # -- shared machinery -------------------------------------------------
 
-    def _swap(self, levels, position, anchor, keep_atom):
-        """Swap the level at `position` into the anchor set.
+    def _swap(self, towers, pos, a0, a2, x0_atom, x2_atom):
+        """Swap the base into the anchor set `a0`, then the top into `a2`.
 
-        Removes the non-anchor part of the level and replaces it with
-        lexicographically first anchor atoms taken outside the base and
-        top (the designated atom first whenever it is not already placed).
-        Displaced atoms go to the slots the replacements vacated.
+        Each swap acts on the union of the towers' levels: it removes the
+        level's atoms outside the anchor set and brings in the
+        lexicographically first anchor atoms from outside the base and top
+        (the designated atom first whenever it is not already placed); each
+        displaced atom takes the level its replacement left.  Then, level by
+        level, the atoms that arrived are dealt in increasing order to the
+        towers that lost atoms there, in tower order.  Only the base, the top
+        and the moved atoms are read or written.  Updates the towers and
+        their `positions` array `pos` in place; returns the moved atoms and
+        the (tower, level) pairs that changed.
         """
-        boundary = levels[0] | levels[-1]
-        target_level = levels[position]
-        deficit = sorted(target_level - anchor)
-        pool = sorted((anchor - boundary) - target_level)
-        if keep_atom in pool:
-            pool.remove(keep_atom)
-            pool.insert(0, keep_atom)
-        if len(pool) < len(deficit):
-            raise CastleError("anchor cylinder too small for the swap")
-        incoming = pool[: len(deficit)]
-        where = {}
-        for v, level in enumerate(levels):
-            for c in incoming:
-                if c in level:
-                    where[c] = v
-        new_levels = [set(l) for l in levels]
-        new_levels[position] = (set(target_level) & anchor) | set(incoming)
-        for c, out in zip(incoming, deficit):
-            v = where[c]
-            new_levels[v].discard(c)
-            new_levels[v].add(out)
-        return [frozenset(l) for l in new_levels]
+        h = towers[0].height
+        base = {c for t in towers for c in t.level(0)}
+        top = {c for t in towers for c in t.level(h - 1)}
+        level_of: dict[int, int] = {}  # level after the swaps of every atom they moved
+        for position, edge, anchor, keep_atom in ((0, base, a0, x0_atom), (h - 1, top, a2, x2_atom)):
+            deficit = sorted(edge - anchor)
+            pool = sorted(anchor - base - top)
+            if keep_atom in pool:
+                pool.remove(keep_atom)
+                pool.insert(0, keep_atom)
+            if len(pool) < len(deficit):
+                raise CastleError("anchor cylinder too small for the swap")
+            incoming = pool[: len(deficit)]
+            for c, out in zip(incoming, deficit):
+                level_of[out] = level_of.get(c, pos[c] % h)
+                level_of[c] = position
+            edge.difference_update(deficit)
+            edge.update(incoming)
+        gone: dict[int, list[tuple[int, int]]] = {}  # level -> (tower, atom) that left it
+        came: dict[int, list[int]] = {}              # level -> atoms that arrived
+        for c, w in level_of.items():
+            alpha, v = divmod(pos[c], h)
+            if v != w:
+                gone.setdefault(v, []).append((alpha, c))
+                came.setdefault(w, []).append(c)
+        if any(len(gone.get(w, ())) != len(came.get(w, ())) for w in gone.keys() | came.keys()):
+            raise CastleError("swap bookkeeping lost atoms")
+        touched = set()
+        for w, left in gone.items():
+            left.sort()
+            drops = {c for _, c in left}
+            adds: dict[int, list[int]] = {}
+            for (alpha, _), c in zip(left, sorted(came[w])):
+                adds.setdefault(alpha, []).append(c)
+            for alpha, new in adds.items():
+                t = towers[alpha]
+                level = [c for c in t.level(w) if c not in drops] + new
+                t.codes[w * t.width : (w + 1) * t.width] = array("q", sorted(level))
+                for c in new:
+                    pos[c] = alpha * h + w
+                touched.add((alpha, w))
+        return frozenset(c for left in gone.values() for _, c in left), touched
 
     def _transfer(self, src, dst, space, lattice, steps, changed=None):
         """Pair two atom sets lexicographically with least cone vectors."""
@@ -327,14 +356,15 @@ class SpeedupConstruction:
             vec = minimal_cone_vector(self.cone, space.decode(d), space.decode(s), lattice)
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
-            steps[s] = vec
+            steps.assign(s, vec)
 
     def _pull_back_in(self, level, point, space, steps):
         """Exact preimage of an orbit point under the level map below it."""
         atom = space.encode_vector(point)
         for c in level:
-            if c in steps and space.translate(c, steps[c]) == atom:
-                return tuple(p - q for p, q in zip(point, steps[c]))
+            vec = steps.get(c)
+            if vec is not None and space.translate(c, vec) == atom:
+                return tuple(p - q for p, q in zip(point, vec))
         raise CastleError("no level atom maps onto the point's atom")
 
     def _column_points(self, castle: Castle, tower: int):
@@ -356,14 +386,16 @@ class SpeedupConstruction:
         tspace = self.target.kr_partition(tgt_depth)
         sizes: list[list[int]] = [[] for _ in pools]
         for alpha, tower in enumerate(castle.towers):
-            sizes[pretower_of[alpha]].append(len(tower.levels[0]))
+            sizes[pretower_of[alpha]].append(tower.width)
         chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
         towers = []
         for alpha, tower in enumerate(castle.towers):
-            levels = [frozenset(next(chunks[pretower_of[alpha]]))]
+            level = next(chunks[pretower_of[alpha]])
+            codes = array("q", level)
             for _ in range(tower.height - 1):  # each level is the one below moved by +1
-                levels.append(frozenset(tspace.translate(c, (1,)) for c in levels[-1]))
-            towers.append(Tower(levels))
+                level = sorted(tspace.translate(c, (1,)) for c in level)
+                codes.extend(level)
+            towers.append(Tower(tower.width, codes))
         return Castle(self.target, tgt_depth, towers, None)
 
     # -- inductive stage ----------------------------------------------------
@@ -388,118 +420,108 @@ class SpeedupConstruction:
         h_prev = prev.height
         blocks = h // h_prev
 
-        src_prev = _reexpress_castle(prev.src_castle, gamma)
-        prev_steps = _reexpress_steps(prev.src_castle, gamma)
-        src_prev.steps = prev_steps
-        tgt_prev = _reexpress_castle(prev.tgt_castle, tgt_depth)
+        prev_steps = _previous_map(prev.src_castle, gamma)
 
         # --- target side: pure previous-column split of the tall tower
-        pos2 = tgt_prev.position_map()
+        prev_tspace = prev.tgt_castle.space
+        tpos = positions(prev.tgt_castle.towers, prev_tspace.size)
         groups: dict[tuple, list[int]] = {}
         for c in range(0, tspace.size, h):
-            itinerary = tuple(pos2[(c + w) % tspace.size] for w in range(0, h, h_prev))
+            itinerary = tuple(
+                tpos[tspace.coarsen((c + w) % tspace.size, prev_tspace)] for w in range(0, h, h_prev)
+            )
             groups.setdefault(itinerary, []).append(c)
         tall = sorted(groups.items(), key=lambda kv: min(kv[1]))
 
         # --- source mirror: split previous bases by the tall-tower measures
-        piece_of: dict[tuple[int, int], frozenset[int]] = {}
+        piece_of: dict[tuple[int, int], list[int]] = {}
         wants: dict[int, list[tuple[int, int, int]]] = {}
         for beta, (itinerary, codes) in enumerate(tall):
-            for m, (alpha, v0) in enumerate(itinerary):
+            for m, p in enumerate(itinerary):
+                alpha, v0 = divmod(p, h_prev)
                 if v0 != 0:
                     raise CastleError("block itineraries must start at previous bases")
                 wants.setdefault(alpha, []).append((beta, m, len(codes)))
+        prev_space = prev.src_castle.space
         for alpha, demands in wants.items():
             demands.sort()
-            pool = sorted(src_prev.towers[alpha].levels[0])
+            pool = sorted(prev_space.refine_set(prev.src_castle.towers[alpha].level(0), space))
             chunks = _deal(pool, [size for _, _, size in demands])
             for (beta, m, _), chunk in zip(demands, chunks):
-                piece_of[(beta, m)] = frozenset(chunk)
+                piece_of[(beta, m)] = chunk
 
-        pretowers: list[list[frozenset[int]]] = []
-        for beta in range(len(tall)):
-            tower_levels: list[frozenset[int]] = []
+        pretowers: list[Tower] = []
+        for beta, (_, codes) in enumerate(tall):
+            tower = array("q")
             for m in range(blocks):
-                cur = piece_of[(beta, m)]
-                tower_levels.append(cur)
-                for _ in range(h_prev - 1):
-                    cur = frozenset(space.translate(c, prev_steps[c]) for c in cur)
-                    tower_levels.append(cur)
-            pretowers.append(tower_levels)
+                tower.extend(climb_tower(space, prev_steps, piece_of[(beta, m)], h_prev).codes)
+            pretowers.append(Tower(len(codes), tower))
         tall_bases = [sorted(codes) for _, codes in tall]
 
         # --- separate the anchors into distinct pretowers, then rotate
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
-        beta0, w0 = _find_position(pretowers, x0_atom)
-        beta2, w2 = _find_position(pretowers, x2_atom)
+        pos = positions(pretowers, space.size)
+        beta0, w0 = divmod(pos[x0_atom], h)
+        beta2, w2 = divmod(pos[x2_atom], h)
         if w0 % h_prev != 0 or (w2 + 1) % h_prev != 0:
             raise CastleError("anchors are misaligned with the block structure")
         if beta0 == beta2:
             pretowers = self._separate_pretower(pretowers, beta0, w0, w2, h_prev, space, prev_steps)
-            beta0, w0 = _find_position(pretowers, x0_atom)
-            beta2, w2 = _find_position(pretowers, x2_atom)
+            pos = positions(pretowers, space.size)
+            beta0, w0 = divmod(pos[x0_atom], h)
+            beta2, w2 = divmod(pos[x2_atom], h)
             pool = sorted(c for b in tall_bases for c in b)
-            tall_bases = _deal(pool, [len(t[0]) for t in pretowers])
+            tall_bases = _deal(pool, [t.width for t in pretowers])
         pretowers[beta0] = _rotate(pretowers[beta0], w0)
         pretowers[beta2] = _rotate(pretowers[beta2], (w2 + 1) % h)
+        pos = positions(pretowers, space.size)
 
         # --- swap the castle boundary into the anchor cylinders
         a0, a2 = self._anchor_sets(k, gamma)
-        pre_sizes = tuple(len(l) for tower in pretowers for l in tower)
-        flat = [frozenset().union(*(t[w] for t in pretowers)) for w in range(h)]
-        flat = self._swap(flat, 0, a0, keep_atom=x0_atom)
-        flat = self._swap(flat, h - 1, a2, keep_atom=x2_atom)
-        pretowers, moved = _unflatten(flat, pretowers)
-        post_sizes = tuple(len(l) for tower in pretowers for l in tower)
-        f_atoms = frozenset(moved)
+        pre_sizes = _shape(pretowers)
+        f_atoms, touched = self._swap(pretowers, pos, a0, a2, x0_atom, x2_atom)
+        post_sizes = _shape(pretowers)
 
-        # --- rebuild the previous map where the swap broke it
-        steps = dict(prev_steps)
+        # --- rebuild the previous map where the swap broke it: the pretowers
+        # climbed that map, so only in-block edges at changed levels can break
+        steps = prev_steps.copy()
         lattice = self.source.stage(gamma)
         changed: set[int] = set()
-        for tower in pretowers:
-            for v in range(h - 1):
-                if (v + 1) % h_prev == 0:
-                    continue  # block boundary: fresh edges defined below
-                src_level, dst_level = tower[v], tower[v + 1]
-                stale_src = {
-                    c
-                    for c in src_level
-                    if c not in steps or space.translate(c, steps[c]) not in dst_level
-                }
-                covered = {
-                    space.translate(c, steps[c]) for c in src_level - stale_src
-                }
-                stale_dst = dst_level - covered
-                if stale_src:
-                    self._transfer(stale_src, stale_dst, space, lattice, steps, changed)
+        edges = sorted(
+            {(alpha, v) for alpha, w in touched for v in (w - 1, w) if 0 <= v < h - 1 and (v + 1) % h_prev}
+        )
+        for alpha, v in edges:
+            tower, dst = pretowers[alpha], alpha * h + v + 1
+            stale_src, covered = [], set()
+            for c in tower.level(v):
+                image = space.translate(c, steps[c]) if c in steps else None
+                if image is None or pos[image] != dst:
+                    stale_src.append(c)
+                else:
+                    covered.add(image)
+            if stale_src:
+                stale_dst = set(tower.level(v + 1)) - covered
+                self._transfer(stale_src, stale_dst, space, lattice, steps, changed)
         # record where the map was rebuilt: the swapped set, everything
-        # remapped, and the in-block preimages of swapped levels
+        # remapped, and the in-block preimages of swapped atoms
         r_atoms = set(f_atoms) | changed
-        for tower in pretowers:
-            for v in range(h - 1):
-                if (v + 1) % h_prev == 0:
-                    continue
-                touched = tower[v + 1] & f_atoms
-                if touched:
-                    r_atoms |= {
-                        c for c in tower[v] if space.translate(c, steps[c]) in touched
-                    }
+        for alpha, w in touched:
+            if w and w % h_prev:
+                arrived = f_atoms.intersection(pretowers[alpha].level(w))
+                r_atoms.update(
+                    c for c in pretowers[alpha].level(w - 1) if space.translate(c, steps[c]) in arrived
+                )
 
         # --- join the blocks with fresh cone vectors
         for tower in pretowers:
             for v in range(h_prev - 1, h - 1, h_prev):
-                self._transfer(tower[v], tower[v + 1], space, lattice, steps)
+                self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps)
 
         # --- refine into pure cylinder columns at depth k+1
-        castle = Castle(self.source, gamma, [Tower(list(t)) for t in pretowers], steps)
-        refined = refine_pure_columns(castle, k + 1)
-        pretower_of_tower = [
-            _find_position(pretowers, min(t.levels[0]))[0] for t in refined.towers
-        ]
-        tower_x0 = next(i for i, t in enumerate(refined.towers) if x0_atom in t.levels[0])
-        tower_x2 = next(i for i, t in enumerate(refined.towers) if x2_atom in t.levels[-1])
+        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1)
+        pretower_of_tower = [pos[t.codes[0]] // h for t in refined.towers]
+        tower_x0, tower_x2 = _anchor_towers(refined, x0_atom, x2_atom)
 
         tgt_castle = self._copy_levels_to_target(refined, tgt_depth, tall_bases, pretower_of_tower)
         return StageRecord(
@@ -531,20 +553,18 @@ class SpeedupConstruction:
         measures; the caller deepens the working depth otherwise.
         """
         tower = pretowers[beta]
-        h = len(tower)
-        if any(len(l) < 3 for l in tower):
+        h = tower.height
+        if tower.width < 3:
             raise _NeedDepth()
         x0_atom = space.encode_vector((0,) * self.source.dim)
         y = self.x2_vector
         m2 = w2 // h_prev
         for v in range(w2, m2 * h_prev, -1):
-            y = self._pull_back_in(tower[v - 1], y, space, prev_steps)
+            y = self._pull_back_in(tower.level(v - 1), y, space, prev_steps)
         b2_atom = space.encode_vector(y)
-        part_a: list[frozenset[int]] = []
-        part_b: list[frozenset[int]] = []
-        part_c: list[frozenset[int]] = []
+        parts = (array("q"), array("q"), array("q"))
         for m in range(0, h, h_prev):
-            base = sorted(tower[m])
+            base = tower.level(m).tolist()
             pick_a = x0_atom if w0 == m else None
             pick_b = b2_atom if m2 * h_prev == m else None
             if pick_a == pick_b and pick_a is not None:
@@ -554,22 +574,11 @@ class SpeedupConstruction:
                 pick_a = pool.pop(0)
             if pick_b is None:
                 pick_b = pool.pop(0)
-            cur_a, cur_b = [pick_a], [pick_b]
-            cur_r = [c for c in base if c not in (pick_a, pick_b)]
-            part_a.append(frozenset(cur_a))
-            part_b.append(frozenset(cur_b))
-            part_c.append(frozenset(cur_r))
-            for _ in range(h_prev - 1):
-                cur_a = [space.translate(c, prev_steps[c]) for c in cur_a]
-                cur_b = [space.translate(c, prev_steps[c]) for c in cur_b]
-                cur_r = [space.translate(c, prev_steps[c]) for c in cur_r]
-                part_a.append(frozenset(cur_a))
-                part_b.append(frozenset(cur_b))
-                part_c.append(frozenset(cur_r))
+            rest = [c for c in base if c not in (pick_a, pick_b)]
+            for codes, part in zip(parts, ([pick_a], [pick_b], rest)):
+                codes.extend(climb_tower(space, prev_steps, part, h_prev).codes)
         out = [t for i, t in enumerate(pretowers) if i != beta]
-        out.append(part_a)
-        out.append(part_b)
-        out.append(part_c)
+        out.extend(Tower(len(codes) // h, codes) for codes in parts)
         return out
 
     # -- audits ------------------------------------------------------------
@@ -600,23 +609,22 @@ class SpeedupConstruction:
             f"n={rec.n}",
         )
 
+        src, tgt = rec.src_castle, rec.tgt_castle
+        steps = src.steps
+
         # (2) castle shape: equal-size levels per tower, disjoint, full cover
-        sizes_ok = all(
-            len({len(l) for l in t.levels}) == 1 and t.height == rec.height
-            for t in rec.src_castle.towers
-        )
-        seen: set[int] = set()
-        disjoint = True
-        for t in rec.src_castle.towers:
-            for l in t.levels:
-                if l & seen:
-                    disjoint = False
-                seen |= l
-        check(
-            "castle-shape",
-            sizes_ok and disjoint and len(seen) == space.size,
-            f"towers={len(rec.src_castle.towers)} height={rec.height}",
-        )
+        def _shape_ok():
+            seen = bytearray(space.size)
+            for t in src.towers:
+                if t.height != rec.height or len(t.codes) != t.width * t.height:
+                    return False
+                for c in t.codes:
+                    if seen[c]:
+                        return False
+                    seen[c] = 1
+            return 0 not in seen
+
+        check("castle-shape", _shape_ok, f"towers={len(src.towers)} height={rec.height}")
 
         # (3) swapped-set measure bound
         mu_f = Fraction(len(rec.f_atoms), space.size)
@@ -630,18 +638,12 @@ class SpeedupConstruction:
         check("rebuild-set-recorded", rec.r_atoms is not None, f"|R|={len(rec.r_atoms)}")
 
         # (5a) every level inside one cylinder atom at depth k+1
-        coarse = self.source.kr_partition(k + 1)
-        fine_ok = all(
-            len({space.coarsen(c, coarse) for c in l}) == 1
-            for t in rec.src_castle.towers
-            for l in t.levels
-        )
-        check("levels-refine-cylinders", fine_ok)
+        check("levels-refine-cylinders", lambda: _levels_refine(src, self.source.kr_partition(k + 1)))
 
         # (5b) anchors in base/top inside their cylinders
         a0, a2 = self._anchor_sets(k, rec.gamma)
-        base = frozenset().union(*(t.levels[0] for t in rec.src_castle.towers))
-        top = frozenset().union(*(t.levels[-1] for t in rec.src_castle.towers))
+        base = {c for t in src.towers for c in t.level(0)}
+        top = {c for t in src.towers for c in t.level(t.height - 1)}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
         check(
@@ -651,42 +653,57 @@ class SpeedupConstruction:
         )
 
         # (5c) target levels inside single target cylinder atoms
-        t_coarse = self.target.kr_partition(rec.n)
-        tgt_ok = all(
-            len({tspace.coarsen(c, t_coarse) for c in l}) == 1
-            for t in rec.tgt_castle.towers
-            for l in t.levels
-        )
-        check("target-levels-refine-cylinders", tgt_ok)
+        check("target-levels-refine-cylinders", lambda: _levels_refine(tgt, self.target.kr_partition(rec.n)))
 
         # (5d) the target castle is a translation castle
-        shift_ok = all(
-            frozenset(tspace.translate(c, (1,)) for c in t.levels[v]) == t.levels[v + 1]
-            for t in rec.tgt_castle.towers
-            for v in range(t.height - 1)
-        )
-        check("target-translation-castle", shift_ok)
-
-        # (6a) level maps are bijections level-to-level
-        def _maps_ok():
-            for t in rec.src_castle.towers:
+        def _shift_ok():
+            for t in tgt.towers:
+                w = t.width
+                images = [tspace.translate(c, (1,)) for c in t.codes[: len(t.codes) - w]]
                 for v in range(t.height - 1):
-                    image = frozenset(
-                        space.translate(c, rec.src_castle.steps[c]) for c in t.levels[v]
-                    )
-                    if image != t.levels[v + 1]:
+                    if sorted(images[v * w : (v + 1) * w]) != t.level(v + 1).tolist():
                         return False
             return True
 
-        check("level-maps-biject", _maps_ok)
+        check("target-translation-castle", _shift_ok)
+        shift_ok = checks[-1][1]
+
+        # (6a) level maps are bijections level-to-level, and the column sums
+        # stay in the cone: one climb of every column, one translate per atom
+        @functools.cache
+        def _climb():
+            zero = (0,) * self.source.dim
+            vectors, ids = steps.vectors, steps.ids
+            maps_ok = sums_ok = True
+            for t in src.towers:
+                cur = t.level(0).tolist()
+                sums = [zero] * t.width
+                for v in range(t.height - 1):
+                    vecs = [vectors[ids[c]] for c in cur]
+                    if None in vecs:
+                        raise KeyError("an atom below a tower's top has no step")
+                    # while the earlier levels map onto each other, the
+                    # climbed atoms are exactly level v
+                    cur = [space.translate(c, vec) for c, vec in zip(cur, vecs)]
+                    maps_ok = maps_ok and set(cur) == set(t.level(v + 1))
+                    if sums_ok:
+                        sums = [_vadd(a, vec) for a, vec in zip(sums, vecs)]
+                        sums_ok = all(map(self.cone.contains, sums))
+                    if not (maps_ok or sums_ok):
+                        return False, False
+            return maps_ok, sums_ok
+
+        check("level-maps-biject", lambda: _climb()[0])
         maps_ok = checks[-1][1]
 
         # (6b) every displacement lies in the cone; a stage uses few distinct ones
         def _cone_ok():
-            domain = frozenset().union(
-                *(l for t in rec.src_castle.towers for l in t.levels[:-1])
-            )
-            return all(self.cone.contains(vec) for vec in {rec.src_castle.steps[c] for c in domain})
+            used = set()
+            for t in src.towers:
+                used.update(map(steps.ids.__getitem__, t.codes[: len(t.codes) - t.width]))
+            if 0 in used:
+                raise KeyError("an atom below a tower's top has no step")
+            return all(self.cone.contains(steps.vectors[i]) for i in used)
 
         check("displacements-in-cone", _cone_ok)
 
@@ -699,20 +716,22 @@ class SpeedupConstruction:
         )
 
         # (6d) the map agrees with the previous stage off the rebuild set
+        def _stable():
+            prev = rec.prev_steps
+            for c in prev:
+                i = steps.ids[c]
+                if i and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[prev.ids[c]]:
+                    return False
+            return True
+
         if k == 0:
             check("map-stable-off-rebuild", True, "no previous stage")
         else:
-            cur = rec.src_castle.steps
-            stable = all(
-                c in rec.r_atoms or c not in cur or cur[c] == vec
-                for c, vec in rec.prev_steps.items()
-            )
-            check("map-stable-off-rebuild", stable)
+            check("map-stable-off-rebuild", _stable)
 
         # (7) the level pairing intertwines the two castles
-        pair_ok = len(rec.src_castle.towers) == len(rec.tgt_castle.towers) and all(
-            s.height == t.height and len(s.levels[0]) == len(t.levels[0])
-            for s, t in zip(rec.src_castle.towers, rec.tgt_castle.towers)
+        pair_ok = len(src.towers) == len(tgt.towers) and all(
+            s.height == t.height and s.width == t.width for s, t in zip(src.towers, tgt.towers)
         )
         check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
 
@@ -720,32 +739,20 @@ class SpeedupConstruction:
         check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
 
         # cone closure along columns: partial sums of every column stay in the cone
-        def _columns_ok():
-            for t in rec.src_castle.towers:
-                sums = {c: (0,) * self.source.dim for c in t.levels[0]}
-                atoms = {c: c for c in t.levels[0]}
-                for v in range(t.height - 1):
-                    for start in sums:
-                        vec = rec.src_castle.steps[atoms[start]]
-                        sums[start] = _vadd(sums[start], vec)
-                        atoms[start] = space.translate(atoms[start], vec)
-                        if not self.cone.contains(sums[start]):
-                            return False
-            return True
-
-        check("column-sums-in-cone", _columns_ok)
+        check("column-sums-in-cone", lambda: _climb()[1])
 
         return StageReport(k, tuple(checks))
 
     def partial_speedup_pieces(self, k: int):
         """Grouped (tower, level, vector, atom count) table of the stage map."""
         rec = self.stages[k]
+        steps = rec.src_castle.steps
         out = []
         for alpha, t in enumerate(rec.src_castle.towers):
             for v in range(t.height - 1):
                 groups: dict[tuple, int] = {}
-                for c in t.levels[v]:
-                    vec = rec.src_castle.steps[c]
+                for c in t.level(v):
+                    vec = steps[c]
                     groups[vec] = groups.get(vec, 0) + 1
                 for vec, count in sorted(groups.items()):
                     out.append((alpha, v, vec, count))
@@ -772,32 +779,51 @@ class StageReport:
         ]
 
 
-def _reexpress_castle(castle: Castle, depth: int) -> Castle:
-    if depth == castle.depth:
-        return Castle(castle.chain, castle.depth, [Tower(list(t.levels)) for t in castle.towers], None)
-    coarse = castle.space
-    fine = castle.chain.kr_partition(depth)
-    towers = [Tower([coarse.refine_set(l, fine) for l in t.levels]) for t in castle.towers]
-    return Castle(castle.chain, depth, towers, None)
+def _previous_map(castle: Castle, depth: int) -> StepMap:
+    """The castle's level map off its top levels, at a finer depth of its chain.
+
+    The map is not defined on a top level, so its atoms get no step, even
+    where the castle still holds one from an earlier stage."""
+    ids = array("i", castle.steps.ids)
+    for t in castle.towers:
+        for c in t.level(t.height - 1):
+            ids[c] = 0
+    if depth != castle.depth:
+        coarse, fine = castle.space, castle.chain.kr_partition(depth)
+        fine_ids = array("i", [0]) * fine.size
+        for c in compress(range(len(ids)), ids):
+            i = ids[c]
+            for child in coarse.fibers(c, fine):
+                fine_ids[child] = i
+        ids = fine_ids
+    return StepMap(len(ids), castle.steps.vectors, ids)
 
 
-def _reexpress_steps(castle: Castle, depth: int) -> dict:
-    if castle.steps is None:
-        return {}
-    if depth == castle.depth:
-        return dict(castle.steps)
-    coarse = castle.space
-    fine = castle.chain.kr_partition(depth)
-    out = {}
-    for c, vec in castle.steps.items():
-        for child in coarse.fibers(c, fine):
-            out[child] = vec
-    return out
+def _levels_refine(castle: Castle, coarse) -> bool:
+    """Every level of the castle lies inside one atom of the coarser space."""
+    space = castle.space
+    for t in castle.towers:
+        w = t.width
+        labels = [space.coarsen(c, coarse) for c in t.codes]
+        if any(labels[i : i + w].count(labels[i]) != w for i in range(0, len(labels), w)):
+            return False
+    return True
 
 
-def _rotate(levels, shift):
-    h = len(levels)
-    return [levels[(w + shift) % h] for w in range(h)]
+def _anchor_towers(castle: Castle, x0_atom: int, x2_atom: int) -> tuple[int, int]:
+    """Towers whose base holds the first anchor and whose top holds the second."""
+    tower_x0 = next(i for i, t in enumerate(castle.towers) if x0_atom in t.level(0))
+    tower_x2 = next(i for i, t in enumerate(castle.towers) if x2_atom in t.level(t.height - 1))
+    return tower_x0, tower_x2
+
+
+def _shape(towers) -> tuple[tuple[int, int], ...]:
+    return tuple((t.width, len(t.codes)) for t in towers)
+
+
+def _rotate(tower: Tower, shift: int) -> Tower:
+    cut = shift * tower.width
+    return Tower(tower.width, tower.codes[cut:] + tower.codes[:cut])
 
 
 def _deal(pool, sizes):
@@ -810,44 +836,3 @@ def _deal(pool, sizes):
         out.append(pool[start : start + s])
         start += s
     return out
-
-
-def _unflatten(flat, pretowers):
-    """Redistribute swapped union levels back into pretowers.
-
-    Atoms that stayed keep their tower; replacements are assigned, in
-    order, to the towers that lost atoms at the same position.  Returns
-    the new pretowers and the set of all moved atoms."""
-    h = len(flat)
-    moved: set[int] = set()
-    new_pretowers = [list(t) for t in pretowers]
-    for w in range(h):
-        old_union = frozenset().union(*(t[w] for t in pretowers))
-        new_union = flat[w]
-        gone = old_union - new_union
-        came = sorted(new_union - old_union)
-        moved |= gone | set(came)
-        if not gone and not came:
-            continue
-        takers = []
-        for i, t in enumerate(pretowers):
-            for _ in sorted(set(t[w]) & gone):
-                takers.append(i)
-        if len(takers) != len(came):
-            raise CastleError("swap bookkeeping lost atoms")
-        adds: dict[int, set[int]] = {}
-        for i, c in zip(takers, came):
-            adds.setdefault(i, set()).add(c)
-        for i in range(len(new_pretowers)):
-            kept = set(new_pretowers[i][w]) - gone
-            kept |= adds.get(i, set())
-            new_pretowers[i][w] = frozenset(kept)
-    return new_pretowers, moved
-
-
-def _find_position(pretowers, atom):
-    for beta, tower in enumerate(pretowers):
-        for w, level in enumerate(tower):
-            if atom in level:
-                return beta, w
-    raise CastleError("atom not found in any pretower")

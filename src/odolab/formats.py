@@ -22,7 +22,9 @@ emittable value.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from .classify import SupergroupDescriptor
@@ -78,27 +80,33 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def parse_lattice(text: str):
     """Integer or rational lattice from a literal; returns the typed value."""
-    body = " ".join(s for _, s in _content_lines(text))
+    lines = list(_content_lines(text))
+    body = " ".join(s for _, s in lines)
     if not body:
         raise SpecSyntaxError(1, 1, "empty lattice literal")
-    parts = [p.strip() for p in body.split(";")]
+    # every ';'-separated part, with the offset in `body` where its text starts
+    parts, offset = [], 0
+    for piece in body.split(";"):
+        parts.append((piece.strip(), offset + len(piece) - len(piece.lstrip())))
+        offset += len(piece) + 1
+    line_starts = list(accumulate((len(s) + 1 for _, s in lines), initial=0))
     den = 1
-    if re.fullmatch(r"1/\d+", parts[0]):
-        den = int(parts[0][2:])
+    if re.fullmatch(r"1/\d+", parts[0][0]):
+        den = int(parts[0][0][2:])
         parts = parts[1:]
     try:
-        dim = int(parts[0])
+        dim = int(parts[0][0])
     except (ValueError, IndexError):
         raise SpecSyntaxError(1, 1, "lattice literal must start with its dimension")
     rows = []
-    for chunk in parts[1:]:
+    for chunk, start in parts[1:]:
         if not chunk:
             continue
         try:
             rows.append([int(tok) for tok in chunk.split()])
         except ValueError:
-            col = body.find(chunk) + 1
-            raise SpecSyntaxError(1, col, f"bad integer row {chunk!r}")
+            i = bisect_right(line_starts, start) - 1
+            raise SpecSyntaxError(lines[i][0], start - line_starts[i] + 1, f"bad integer row {chunk!r}") from None
     if len(rows) != dim or any(len(r) != dim for r in rows):
         raise SpecSyntaxError(1, 1, f"expected a {dim}x{dim} matrix")
     if den == 1:

@@ -159,3 +159,39 @@ def coarsen_by_reduction(fine, code, coarse):
     """Coarser atom containing the finer atom `code`: decode its representative
     and reduce it at the coarser depth."""
     return coarse.encode(coarse.system.reduce(fine.decode(code)))
+
+
+def castle_refinement_by_sets(space, towers, steps, base_partitions):
+    """Towers of `castle_refinement_over` as lists of sorted levels.
+
+    `towers` are lists of level sets and `steps` maps codes to vectors.
+    Each part climbs level by level as a frozenset, each atom moved by
+    `translate_by_reduction`."""
+    out = []
+    for levels, parts in zip(towers, base_partitions):
+        for part in parts:
+            if not part:
+                continue
+            climbed = [frozenset(part)]
+            for _ in range(len(levels) - 1):
+                climbed.append(frozenset(translate_by_reduction(space, c, steps[c]) for c in climbed[-1]))
+            out.append([sorted(level) for level in climbed])
+    return out
+
+
+def refine_pure_columns_by_sets(space, towers, steps, label):
+    """Towers of `refine_pure_columns` as lists of sorted levels, in two passes:
+    read each column's label sequence and group the base atoms by it (groups
+    in the order of their least atoms), then climb every group again with
+    `castle_refinement_by_sets`."""
+    partitions = []
+    for levels in towers:
+        groups: dict[tuple, set] = {}
+        for c in sorted(levels[0]):
+            atom, itinerary = c, [label(c)]
+            for _ in range(len(levels) - 1):
+                atom = translate_by_reduction(space, atom, steps[atom])
+                itinerary.append(label(atom))
+            groups.setdefault(tuple(itinerary), set()).add(c)
+        partitions.append([frozenset(g) for g in sorted(groups.values(), key=min)])
+    return castle_refinement_by_sets(space, towers, steps, partitions)

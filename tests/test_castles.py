@@ -8,6 +8,7 @@ from odolab.castles import (
     Castle,
     CastleError,
     NotAPartition,
+    StepMap,
     Tower,
     castle_refinement_over,
     minimal_cone_vector,
@@ -18,10 +19,12 @@ from odolab.odometer import ChainError, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
 from _oracles import (
+    castle_refinement_by_sets,
     coarsen_by_reduction,
     coset_members_by_l1,
     fibers_by_scan,
     fraction_cone_member,
+    refine_pure_columns_by_sets,
     translate_by_reduction,
 )
 from test_speedup import row_shear_cocycle
@@ -140,13 +143,20 @@ def test_minimal_cone_vector_matches_brute_force(kind):
 
 # ---------------------------------------------------------------- castles
 
+def _step_map(space, entries):
+    steps = StepMap(space.size)
+    for c, vec in entries.items():
+        steps.assign(c, vec)
+    return steps
+
+
 def _two_level_castle():
     ch = chain32()
     space = AtomSpace(ch, 1)
     base = frozenset([space.encode((0, 0)), space.encode((1, 0))])
     top = frozenset([space.encode((0, 1)), space.encode((1, 1))])
-    steps = {c: (0, 1) for c in base}
-    return Castle(ch, 1, [Tower([base, top])], steps)
+    steps = _step_map(space, {c: (0, 1) for c in base})
+    return Castle(ch, 1, [Tower.from_levels([base, top])], steps)
 
 
 def test_castle_refinement_over_two_way_split():
@@ -164,7 +174,7 @@ def test_castle_refinement_trivial_partition():
     castle = _two_level_castle()
     refined = castle_refinement_over(castle, [[castle.towers[0].levels[0]]])
     assert len(refined.towers) == 1
-    assert refined.towers[0].levels == castle.towers[0].levels
+    assert refined.towers[0] == castle.towers[0]
 
 
 def test_castle_refinement_measure_bookkeeping():
@@ -187,9 +197,9 @@ def test_refine_pure_columns_splits_by_labels():
     space = AtomSpace(ch, 2)
     # one tower of height 2 whose base meets two different depth-1 atoms
     base = frozenset([space.encode((0, 0)), space.encode((1, 0))])
-    steps = {c: (0, 1) for c in base}
+    steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
-    castle = Castle(ch, 2, [Tower([base, top])], steps)
+    castle = Castle(ch, 2, [Tower.from_levels([base, top])], steps)
     refined = refine_pure_columns(castle, 1)
     assert len(refined.towers) == 2
 
@@ -198,6 +208,72 @@ def test_refine_pure_columns_trivial_labels():
     castle = _two_level_castle()
     refined = refine_pure_columns(castle, lambda atom: 0)
     assert len(refined.towers) == 1
+
+
+def _tower_lists(castle):
+    return [[t.level(v).tolist() for v in range(t.height)] for t in castle.towers]
+
+
+def _random_castle(rng, chain, depth):
+    """Up to four towers over random atoms of the depth-`depth` space, each
+    level sent onto the next by vectors drawn from a small pool.  Returns the
+    castle and its towers as lists of levels."""
+    space = chain.kr_partition(depth)
+    pool = [tuple(rng.randint(-3, 3) for _ in range(chain.dim)) for _ in range(4)]
+    free = set(range(space.size))
+    steps = StepMap(space.size)
+    towers = []
+    while len(free) >= 2 and len(towers) < 4:
+        level = rng.sample(sorted(free), rng.randint(1, min(4, len(free) // 2)))
+        free.difference_update(level)
+        levels = [level]
+        for _ in range(rng.randint(1, 6)):
+            moves, taken = [], set()
+            for c in level:
+                options = [v for v in pool if space.translate(c, v) in free - taken]
+                if not options:
+                    break
+                vec = rng.choice(options)
+                taken.add(space.translate(c, vec))
+                moves.append((c, vec))
+            if len(moves) < len(level):
+                break
+            for c, vec in moves:
+                steps.assign(c, vec)
+            level = [space.translate(c, vec) for c, vec in moves]
+            free.difference_update(level)
+            levels.append(level)
+        towers.append(levels)
+    return Castle(chain, depth, [Tower.from_levels(levels) for levels in towers], steps), towers
+
+
+@pytest.mark.parametrize("kind", ["diagonal-power", "sheared-explicit"])
+def test_refinements_match_the_two_pass_oracle(kind):
+    rng = random.Random(f"refine-{kind}")
+    for _ in range(12):
+        if kind == "diagonal-power":
+            chain = OdometerChain.diagonal_power(rng.choice([[3, 2], [2, 2], [2, 3, 5]]))
+        else:
+            first = rng.choice([[[3, 1], [0, 2]], [[2, 1, 1], [0, 2, 1], [0, 0, 1]]])
+            chain = _random_chain(rng, IntegerLattice.from_rows(first), 3)
+        depth = rng.randint(1, 3)
+        castle, towers = _random_castle(rng, chain, depth)
+        space = castle.space
+        coarse = chain.kr_partition(rng.randint(1, depth))
+        for label_of, label in (
+            (coarse.depth, lambda c: coarsen_by_reduction(space, c, coarse)),
+            (lambda c: c % 3, lambda c: c % 3),
+        ):
+            expected = refine_pure_columns_by_sets(space, towers, castle.steps, label)
+            assert _tower_lists(refine_pure_columns(castle, label_of)) == expected, chain.describe()
+        partitions = []
+        for levels in towers:
+            base = list(levels[0])
+            rng.shuffle(base)
+            cut = rng.randint(0, len(base))
+            partitions.append([frozenset(base[:cut]), frozenset(base[cut:])])
+        expected = castle_refinement_by_sets(space, towers, castle.steps, partitions)
+        assert _tower_lists(castle_refinement_over(castle, partitions)) == expected, chain.describe()
 
 
 # ---------------------------------------------------------------- atom spaces

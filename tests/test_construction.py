@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from odolab.castles import Tower, ValueGroupMismatch
+from odolab.castles import Tower, ValueGroupMismatch, positions, refine_pure_columns
 from odolab.construction import SpeedupConstruction
 from odolab.odometer import OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
-from _oracles import coset_members_by_l1
+from _oracles import coarsen_by_reduction, coset_members_by_l1, refine_pure_columns_by_sets
 from test_speedup import row_shear_cocycle
 
 
@@ -69,7 +69,7 @@ def test_stage_invariants_detect_corruption():
         frozenset().union(*(t.levels[1] for t in rec.src_castle.towers))
     )
     corrupted = [
-        Tower([frozenset([outsider] + base[1:])] + tower.levels[1:])
+        Tower.from_levels([[outsider] + base[1:]] + list(tower.levels)[1:])
         if i == rec.tower_x0
         else t
         for i, t in enumerate(rec.src_castle.towers)
@@ -88,7 +88,7 @@ def test_stage_invariants_detect_one_displacement_outside_the_cone():
     vec = steps[atom]
     # a congruent vector outside the quadrant: the level maps stay bijective
     m = con.source.stage(rec.gamma).diag[0]
-    steps[atom] = (vec[0] - m * (vec[0] // m + 1),) + vec[1:]
+    steps.assign(atom, (vec[0] - m * (vec[0] // m + 1),) + vec[1:])
     assert not con.cone.contains(steps[atom])
     failures = con.stage_invariants(0).failures()
     assert "displacements-in-cone" in failures
@@ -129,6 +129,7 @@ def test_base_stage_tower_count_matches_column_scan():
     space = AtomSpace(con.source, rec.gamma)
     coarse = AtomSpace(con.source, 1)
     steps = rec.src_castle.steps
+    where = positions(rec.src_castle.towers, space.size)
     itineraries = set()
     for tower in rec.src_castle.towers:
         for start in tower.levels[0]:
@@ -137,13 +138,36 @@ def test_base_stage_tower_count_matches_column_scan():
             for _ in range(rec.height - 1):
                 atom = space.translate(atom, steps[atom])
                 names.append(coarse.encode(coarse.system.reduce(space.decode(atom))))
-            itineraries.add((tuple(names), rec.src_castle.locate(start)[0]))
+            itineraries.add((tuple(names), where[start] // rec.height))
     assert len({t for t, _ in itineraries}) <= len(rec.src_castle.towers)
     per_tower = {}
     for names, alpha in itineraries:
         per_tower.setdefault(alpha, set()).add(names)
     # pure columns: one itinerary per tower
     assert all(len(s) == 1 for s in per_tower.values())
+
+
+@pytest.mark.parametrize("case", ["quadrant", "sector", "derived"])
+def test_refine_pure_columns_matches_the_two_pass_oracle_on_stages(case):
+    sector = Cone.sector((1, 0), (1, 1))
+    if case == "quadrant":
+        con = build(2)
+    elif case == "sector":
+        con = build(2, cone=sector)
+    else:
+        con = build(2, cone=sector, source=derived_odometer(row_shear_cocycle(), checked_depth=2))
+    for rec in con.stages:
+        castle = rec.src_castle
+        space = castle.space
+        towers = [list(t.levels) for t in castle.towers]
+        # cylinders one depth below the stage's own, and single atoms
+        for depth in (min(rec.k + 2, rec.gamma), rec.gamma):
+            coarse = con.source.kr_partition(depth)
+            expected = refine_pure_columns_by_sets(
+                space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
+            )
+            refined = refine_pure_columns(castle, depth)
+            assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
 
 
 def test_value_group_mismatch_rejected():
@@ -164,24 +188,28 @@ def test_sector_cone_two_stages():
     assert all(con.cone.contains(v) for v in rec.src_castle.steps.values())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known defect: with the sector cone, stage 2 rebuilds the level map on atoms"
-    " outside its rebuild set and fails map-stable-off-rebuild, as on the diagonal chain"
-    " (perfbench/README.md, 'Known defect')",
-)
 def test_derived_sector_stage2_audit():
     con = build(
         3,
         cone=Cone.sector((1, 0), (1, 1)),
         source=derived_odometer(row_shear_cocycle(), checked_depth=2),
     )
-    # earlier stages must pass outright: only the stage-2 assertion is expected to fail
-    for k in (0, 1):
-        if not con.stage_invariants(k).ok:
-            pytest.fail(f"stage {k}: {con.stage_invariants(k).failures()}")
-    assert con.stage_invariants(2).failures() == []
+    for k in range(3):
+        assert con.stage_invariants(k).failures() == [], k
+
+
+def test_diagonal_sector_stage2_audit():
+    # the previous map is not defined on the previous top level; comparing
+    # against steps left there by earlier stages failed map-stable-off-rebuild
+    con = build(3, cone=Cone.sector((1, 0), (1, 1)))
+    for k in range(3):
+        assert con.stage_invariants(k).failures() == [], k
+    for k in (1, 2):
+        prev, rec = con.stages[k - 1].src_castle, con.stages[k]
+        below_top = {c for t in prev.towers for c in t.codes[: len(t.codes) - t.width]}
+        fine = con.source.kr_partition(rec.gamma)
+        assert len(rec.prev_steps) == len(below_top) * fine.size // prev.space.size
+        assert all(fine.coarsen(c, prev.space) in below_top for c in rec.prev_steps)
 
 
 def test_dyadic_pair_two_stages():

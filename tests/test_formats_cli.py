@@ -129,6 +129,11 @@ def test_syntax_error_carries_position():
     with pytest.raises(SpecSyntaxError) as err:
         parse_lattice("2; 3 x; 0 2")
     assert err.value.line == 1 and err.value.column > 1
+    # a multi-line literal reports the row at its own line and column
+    with pytest.raises(SpecSyntaxError, match=r"^line 3, column 1: bad integer row '0 x'$"):
+        parse_lattice("2;\n1 0;\n0 x")
+    with pytest.raises(SpecSyntaxError, match=r"^line 2, column 3: bad integer row '1 y'$"):
+        parse_lattice("2;\n  1 y; 0 1")
     with pytest.raises(SpecSyntaxError):
         parse_chain("dim=2 provider=unknown")
     with pytest.raises(SpecSyntaxError):
