@@ -1,5 +1,9 @@
 """Least cone vectors, and castles over odometer chains.
 
+`minimal_cone_vector` joins tower levels by the least cone member of a
+coset in (l1 norm, lexicographic) order: one exact search over the
+lattice's canonical triangular basis, for every cone and every lattice.
+
 Castles live on the integer atom codes of the chain's depth-j
 `AtomSpace` (`OdometerChain.kr_partition`).  They are families of
 disjoint equal-size levels of atoms organized into towers, optionally
@@ -17,9 +21,10 @@ here is deterministic and regression-testable.
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, product as iter_product
+from itertools import compress
 
 from .odometer import AtomSpace, OdometerChain
 from .speedup import Cone
@@ -47,84 +52,75 @@ class DepthExhausted(CastleError):
 
 # ---------------------------------------------------------------- cone vectors
 
-def _is_inclusive_quadrant(cone: Cone) -> bool:
-    if cone.ray is not None:
-        return False
-    normals = {tuple(n) for n, strict in cone.facets if not strict}
-    if len(normals) != len(cone.facets):
-        return False
-    expected = {tuple(int(i == j) for j in range(cone.dim)) for i in range(cone.dim)}
-    return normals == expected
-
-
-def minimal_cone_vector(
-    cone: Cone, target_rep, source_rep, lattice, second: bool = False, search_bound: int = 128
-):
+def minimal_cone_vector(cone: Cone, target_rep, source_rep, lattice, second: bool = False):
     """Least cone member congruent to target - source mod the lattice.
 
     Ordering is (l1 norm, lexicographic).  With `second`, the next one in
     that order; it induces the same atom map because the two vectors are
     congruent, which is what the pointwise-avoidance callers rely on.
-    Raises EmptyConeCoset when no member shows up within the coefficient
-    search bound (which cannot happen for cones with interior), and
-    CastleError when proving the member found least would need a wider
-    search than the bound allows.
+
+    One exact search for every cone and lattice.  On the canonical
+    upper-triangular basis (Cohen, GTM 138, 2.4) a member of base + L has
+    x_i = o_i + t_i * rows[i][i], where o_i = base_i + sum_{j>i} t_j *
+    rows[i][j]: coordinates are chosen last to first, each through its
+    residue class in (|x|, x) order, and a branch is cut once its l1 norm
+    exceeds that of the wanted member found so far.  The first coordinate
+    is bounded by the cone's facets.  Raises EmptyConeCoset when no member
+    has l1 norm within |base|_1 + 128 * (sum of |basis entries|).
     """
     base = tuple(t - s for t, s in zip(target_rep, source_rep))
-    dim = len(base)
-    if _is_inclusive_quadrant(cone) and lattice.is_diagonal():
-        diag = lattice.diag
-        least = tuple(b % m for b, m in zip(base, diag))
-        if all(x == 0 for x in least):
-            least = min(
-                (tuple(m if i == k else 0 for i in range(dim)) for k, m in enumerate(diag)),
-                key=lambda v: (sum(v), v),
-            )
-        if not second:
-            return least
-        bumps = [tuple(least[i] + (m if i == k else 0) for i in range(dim)) for k, m in enumerate(diag)]
-        return min(bumps, key=lambda v: (sum(abs(x) for x in v), v))
-    cols = [lattice.column(j) for j in range(dim)]
-    diag = lattice.diag
+    rows = lattice.rows
     want = 2 if second else 1
-
-    def scan(radius):
-        hits = []
-        for coeffs in iter_product(range(-radius, radius + 1), repeat=dim):
-            v = tuple(
-                b + sum(c * col[i] for c, col in zip(coeffs, cols)) for i, b in enumerate(base)
-            )
-            if cone.contains(v):
-                hits.append((sum(abs(x) for x in v), v))
-        hits.sort()
-        return hits
-
-    radius = 2
-    hits = []
-    while radius <= search_bound:
-        hits = scan(radius)
-        if len(hits) >= want:
-            break
-        radius *= 4
-    if len(hits) < want:
+    found: list = []  # the least members so far, sorted (l1 norm, vector) pairs
+    cap = sum(map(abs, base)) + 128 * sum(abs(e) for row in rows for e in row)
+    _choose(len(base) - 1, base, 0, (), cone, rows, want, cap, found)
+    if len(found) < want:
         raise EmptyConeCoset(f"no cone member found in the coset of {base}")
-    # widen once so no smaller candidate can hide outside the first box:
-    # any coefficient beyond the bound forces an l1 norm above the current one
-    bound_l1 = hits[want - 1][0]
-    reach = bound_l1 + sum(abs(b) for b in base)
-    safe = 1
-    for i in reversed(range(dim)):
-        safe = max(safe, reach // diag[i] + safe)
-    if safe > radius:
-        if safe > search_bound:
-            raise CastleError(
-                f"least cone member of the coset of {base} needs a coefficient search radius"
-                f" of {safe}, beyond the search bound {search_bound}"
-            )
-        hits = scan(safe)
-        if len(hits) < want:
-            raise EmptyConeCoset(f"no cone member found in the coset of {base}")
-    return hits[want - 1][1]
+    return found[-1][1]
+
+
+def _choose(i, offsets, norm, tail, cone, rows, want, cap, found) -> None:
+    """Choose x_i, then x_{i-1}, ..., x_0, in front of the chosen `tail`
+    (x_{i+1}, ...) of l1 norm `norm`; `offsets` are o_0, ..., o_i.  Every
+    cone member within the norm limit goes into `found`."""
+    m = rows[i][i]
+    lo, hi = -cap, cap
+    if i == 0:  # each facet n.x >= strict bounds x_0 given the tail
+        for normal, strict in cone.facets:
+            c = strict - sum(n * x for n, x in zip(normal[1:], tail))
+            if normal[0] > 0:
+                lo = max(lo, -(-c // normal[0]))
+            elif normal[0] < 0:
+                hi = min(hi, c // normal[0])
+            elif c > 0:
+                return
+    for x in _by_abs(offsets[i], m, lo, hi):
+        if norm + abs(x) > (found[-1][0] if len(found) == want else cap):
+            return
+        if i:
+            t = (x - offsets[i]) // m
+            shifted = [o + t * row[i] for o, row in zip(offsets[:i], rows)]
+            _choose(i - 1, shifted, norm + abs(x), (x,) + tail, cone, rows, want, cap, found)
+        else:
+            vector = (x,) + tail
+            if cone.contains(vector):  # left to check: the zero vector, a ray's direction
+                insort(found, (norm + abs(x), vector))
+                del found[want:]
+
+
+def _by_abs(r: int, m: int, lo: int, hi: int):
+    """The integers x = r mod m with lo <= x <= hi, in (|x|, x) order."""
+    p = max(lo, 0)
+    p += (r - p) % m  # least class member >= max(lo, 0)
+    q = min(hi, -1)
+    q -= (q - r) % m  # greatest class member <= min(hi, -1)
+    while p <= hi or q >= lo:
+        if q >= lo and (p > hi or -q <= p):
+            yield q
+            q -= m
+        else:
+            yield p
+            p += m
 
 
 class StepMap(Mapping):

@@ -48,6 +48,10 @@ from .speedup import (
 )
 
 
+class UsageError(ValueError):
+    """Arguments that parse but do not fit the command."""
+
+
 def _lattice_cmd(args) -> int:
     lat = parse_lattice(args.lattice)
     if args.op == "hnf":
@@ -62,10 +66,18 @@ def _lattice_cmd(args) -> int:
         for rep in cs.reps:
             print(" ".join(str(x) for x in rep))
     elif args.op == "contains":
-        vec = tuple(int(t) for t in args.vector.split(","))
-        print("yes" if lat.contains(vec) else "no")
-        return 0 if lat.contains(vec) else 1
+        if args.vector is None:
+            raise UsageError("lattice contains needs --vector")
+        try:
+            vec = tuple(int(t) for t in args.vector.split(","))
+        except ValueError:
+            raise UsageError(f"--vector needs comma-separated integers, got {args.vector!r}") from None
+        inside = lat.contains(vec)
+        print("yes" if inside else "no")
+        return 0 if inside else 1
     elif args.op == "intersect":
+        if args.other is None:
+            raise UsageError("lattice intersect needs a second lattice literal")
         other = parse_lattice(args.other)
         print(emit_lattice(lat.intersect(other)))
     return 0
@@ -130,12 +142,10 @@ def _classify_cmd(args) -> int:
     b = load_group_input(args.b)
     is_desc = isinstance(a, SupergroupDescriptor)
     if is_desc != isinstance(b, SupergroupDescriptor):
-        print("pass two descriptor files or two chain files, not one of each")
-        return 2
+        raise UsageError("pass two descriptor files or two chain files, not one of each")
     if args.relation == "oe":
         if is_desc:
-            print("orbit equivalence compares chains; pass chain files")
-            return 2
+            raise UsageError("orbit equivalence compares chains; pass chain files")
         verdict = orbit_equivalence_test(a, b, depth=args.depth)
     elif args.relation == "conj":
         if is_desc:
@@ -243,7 +253,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecSyntaxError, LatticeError, SpeedupError, CastleError, ClassifyError, OSError) as err:
+    except (
+        SpecSyntaxError, LatticeError, SpeedupError, CastleError, ClassifyError, UsageError, OSError
+    ) as err:
         print(f"odolab: error: {err}", file=sys.stderr)
         return 3
 

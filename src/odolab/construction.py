@@ -99,8 +99,6 @@ class SpeedupConstruction:
         source: OdometerChain,
         target: OdometerChain,
         cone: Cone,
-        u: tuple[int, ...] | None = None,
-        first_stage: int | None = None,
     ):
         if target.dim != 1:
             raise CastleError("the construction targets one-dimensional chains")
@@ -112,14 +110,9 @@ class SpeedupConstruction:
         self.source = source
         self.target = target
         self.cone = cone
-        if u is None:
-            zero = (0,) * source.dim
-            u = minimal_cone_vector(cone, zero, zero, IntegerLattice.standard(source.dim))
-        self.u = tuple(u)
-        if not cone.contains(self.u):
-            raise CastleError("the anchor displacement must lie in the cone")
+        zero = (0,) * source.dim
+        self.u = minimal_cone_vector(cone, zero, zero, IntegerLattice.standard(source.dim))
         self.x2_vector = tuple(-x for x in self.u)  # exact second anchor: translate of 0
-        self.first_stage = first_stage
         self.stages: list[StageRecord] = []
 
     # -- small helpers -------------------------------------------------
@@ -158,18 +151,11 @@ class SpeedupConstruction:
         """(target stage n_k, eps cap, boundary measure at n_k)."""
         mu = self.anchor_measure(k)
         if k == 0:
-            if self.first_stage is not None:
-                n = self.first_stage
-                if Fraction(1, self.target.index(n)) >= mu:
-                    raise CastleError(
-                        "first-stage atoms must be strictly smaller than the anchor cylinder"
-                    )
-            else:
-                n = 1
-                while Fraction(1, self.target.index(n)) >= mu:
-                    n += 1
-                    if n > MAX_DEPTH * 4:
-                        raise DepthExhausted("no target stage has fine enough atoms")
+            n = 1
+            while Fraction(1, self.target.index(n)) >= mu:
+                n += 1
+                if n > MAX_DEPTH * 4:
+                    raise DepthExhausted("no target stage has fine enough atoms")
             return n, mu, Fraction(min(2, self.target.index(n)), self.target.index(n))
         earlier = sum((self.anchor_measure(j) for j in range(k)), Fraction(0))
         cap = min(mu, mu / (24 * earlier))

@@ -183,12 +183,14 @@ class IntegerLattice:
 
     # -- derived lattices ---------------------------------------------
 
-    def intersect(self, other: "IntegerLattice") -> "IntegerLattice":
-        """Largest common sublattice, computed through the dual sum."""
+    def intersect(self, other) -> "IntegerLattice":
+        """Largest common sublattice with an integer or rational lattice,
+        computed through the dual sum; it lies in this one, so is integral."""
         if self.dim != other.dim:
             raise DimensionMismatch("lattices of different dimension")
-        meet = RationalLattice.from_integer(self).intersect(RationalLattice.from_integer(other))
-        return meet.as_integer()
+        if isinstance(other, IntegerLattice):
+            other = RationalLattice.from_integer(other)
+        return RationalLattice.from_integer(self).intersect(other).as_integer()
 
     def dual(self) -> "RationalLattice":
         """All rational vectors pairing integrally with every element."""

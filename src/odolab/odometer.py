@@ -309,7 +309,9 @@ class AtomSpace:
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
-        self.chain = chain
+        # the chain keeps its spaces, so a space names its chain by the
+        # chain's stage dict rather than refer back to it in a cycle
+        self._chain_stages = chain._stages
         self.depth = depth
         self.system = chain.stage(depth).coset_system()
         self.rectangle = self.system.rectangle
@@ -334,7 +336,7 @@ class AtomSpace:
 
     def boundary_measure(self) -> Fraction:
         """Base plus top measure; only meaningful for one-dimensional chains."""
-        if self.chain.dim != 1:
+        if len(self.rectangle) != 1:
             raise ChainError("boundary measure is defined for 1-dimensional chains here")
         h = self.rectangle[0]
         return Fraction(min(2, h), h)
@@ -383,7 +385,7 @@ class AtomSpace:
 
     def coarsen(self, code: int, coarse: "AtomSpace") -> int:
         """Code of the atom of a coarser space of the same chain containing this atom."""
-        if coarse.chain is not self.chain or coarse.depth > self.depth:
+        if coarse._chain_stages is not self._chain_stages or coarse.depth > self.depth:
             raise ChainError("coarsen needs a coarser atom space of the same chain")
         if not coarse._diagonal:
             return coarse.encode_vector(self.decode(code))
@@ -407,7 +409,7 @@ class AtomSpace:
         combinations with coefficients in that box are a transversal of
         the coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
         """
-        if finer.chain is not self.chain or finer.depth < self.depth:
+        if finer._chain_stages is not self._chain_stages or finer.depth < self.depth:
             raise ChainError("fibers need a finer atom space of the same chain")
         rep = self.decode(code)
         if self._diagonal and finer._diagonal:

@@ -1,12 +1,15 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from odolab.castles import (
     AtomSpace,
     Castle,
-    CastleError,
+    EmptyConeCoset,
     NotAPartition,
     StepMap,
     Tower,
@@ -64,21 +67,24 @@ def test_cone_transfer_avoidance_second_minimal():
 
 
 def test_minimal_cone_vector_empty_coset():
-    from odolab.castles import EmptyConeCoset
-
     lat = IntegerLattice.diagonal([3, 2])
     ray = Cone.sector((1, 0), (1, 0))
     # ray members are (t, 0); the coset of (0, 1) has odd second coordinate
     with pytest.raises(EmptyConeCoset):
-        minimal_cone_vector(ray, (0, 1), (0, 0), lat, search_bound=16)
+        minimal_cone_vector(ray, (0, 1), (0, 0), lat)
 
 
 def test_minimal_cone_vector_search_bound_is_not_a_silent_clamp():
     # the least member is (0, 4) = -3*(8, 0) + 4*(6, 1), outside the radius-2 box
     lat = IntegerLattice.from_rows([[8, 6], [0, 1]])
     assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat) == (0, 4)
-    with pytest.raises(CastleError, match="radius of 7"):
-        minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat, search_bound=2)
+
+
+def test_second_least_member_of_the_lattice_itself():
+    # members of 3Z x 2Z in the quadrant: (0, 2), then (3, 0), then (0, 4)
+    lat = IntegerLattice.diagonal([3, 2])
+    assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat) == (0, 2)
+    assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat, second=True) == (3, 0)
 
 
 def _nondiagonal_lattice(rng, dim):
@@ -121,24 +127,86 @@ def _random_facet_cone(rng, dim):
     return Cone.from_facets(normals), lambda x: fraction_cone_member(normals, x)
 
 
-@pytest.mark.parametrize("kind", ["sector", "facets-2d", "facets-3d"])
+def _random_quadrant(rng, dim, strict):
+    """A quadrant, with some axes strict when asked, and its coordinate test."""
+    axes = {i for i in range(dim) if rng.random() < 0.5} if strict else set()
+
+    def member(x):
+        return any(x) and all(e > 0 if i in axes else e >= 0 for i, e in enumerate(x))
+
+    return Cone.quadrant(dim, strict_axes=axes), member
+
+
+def _random_ray(rng):
+    """A ray cone, and its test as a positive multiple of the primitive u."""
+    while True:
+        u = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if gcd(*u) == 1:
+            break
+
+    def member(x):
+        k = max(map(abs, x)) // max(map(abs, u))  # the multiple, if x is one
+        return k > 0 and x == (k * u[0], k * u[1])
+
+    return Cone.sector(u, u), member
+
+
+def _cone_vector_case(rng, kind):
+    """(cone, member test, lattice, target, source) of one random case."""
+    dim = 3 if kind.endswith("3d") else 2
+    if kind == "sector" or kind == "nonzero-source":
+        cone, member = _random_sector(rng)
+    elif kind.startswith("facets"):
+        cone, member = _random_facet_cone(rng, dim)
+    elif kind == "ray":
+        cone, member = _random_ray(rng)
+    else:
+        cone, member = _random_quadrant(rng, dim, strict=kind.startswith("strict"))
+    if kind.startswith("quadrant-diagonal"):
+        lat = IntegerLattice.diagonal([rng.randint(1, 5) for _ in range(dim)])
+    else:
+        lat = _nondiagonal_lattice(rng, dim)
+    reduce = lat.coset_system().reduce
+    source = (0,) * dim
+    if kind == "nonzero-source":
+        source = reduce(tuple(rng.randint(-6, 6) for _ in range(dim)))
+    if kind.startswith("quadrant-diagonal") and rng.random() < 0.3:
+        target = (0,) * dim  # the lattice's own coset
+    else:
+        target = reduce(tuple(rng.randint(-6, 6) for _ in range(dim)))
+    return cone, member, lat, target, source
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "sector",
+        "facets-2d",
+        "facets-3d",
+        "quadrant-diagonal-2d",
+        "quadrant-diagonal-3d",
+        "strict-quadrant-2d",
+        "strict-quadrant-3d",
+        "ray",
+        "nonzero-source",
+    ],
+)
 def test_minimal_cone_vector_matches_brute_force(kind):
     rng = random.Random(f"least-cone-vector-{kind}")
-    # the library's own widened scan is a cube of coefficients, slow in 3-d
-    for _ in range(8 if kind == "facets-3d" else 25):
-        if kind == "sector":
-            dim = 2
-            cone, member = _random_sector(rng)
-        else:
-            dim = 2 if kind == "facets-2d" else 3
-            cone, member = _random_facet_cone(rng, dim)
-        lat = _nondiagonal_lattice(rng, dim)
-        target = lat.coset_system().reduce(tuple(rng.randint(-6, 6) for _ in range(dim)))
+    for _ in range(25):
+        cone, member, lat, target, source = _cone_vector_case(rng, kind)
+        base = tuple(t - s for t, s in zip(target, source))
         for second in (False, True):
-            got = minimal_cone_vector(cone, target, (0,) * dim, lat, second=second)
+            try:
+                got = minimal_cone_vector(cone, target, source, lat, second=second)
+            except EmptyConeCoset:
+                # only a ray misses whole cosets; none of its members lies near 0
+                assert kind == "ray", (cone.describe(), lat, target, second)
+                assert coset_members_by_l1(member, lat.contains, base, 30) == []
+                continue
             # the box of radius |got|_1 holds every member that could precede it
-            expected = coset_members_by_l1(member, lat.contains, target, sum(map(abs, got)))
-            assert got == expected[int(second)], (cone.describe(), lat, target, second)
+            expected = coset_members_by_l1(member, lat.contains, base, sum(map(abs, got)))
+            assert got == expected[int(second)], (cone.describe(), lat, target, source, second)
 
 
 # ---------------------------------------------------------------- castles
@@ -425,6 +493,22 @@ def test_coarsen_needs_a_coarser_space_of_the_same_chain():
         fine.coarsen(0, chain32().kr_partition(1))
 
 
+@pytest.mark.parametrize("sheared", [False, True])
+def test_a_chain_is_freed_without_the_cyclic_collector(sheared):
+    # atom spaces refer to no chain, so dropping the last reference to a
+    # chain frees it and its spaces by reference counting alone
+    gc.disable()
+    try:
+        ch = derived_odometer(row_shear_cocycle(), checked_depth=2) if sheared else chain32()
+        coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
+        assert coarse.fibers(1, fine) and fine.coarsen(5, coarse) >= 0
+        chain_ref, space_ref = weakref.ref(ch), weakref.ref(fine)
+        del ch, coarse, fine
+        assert chain_ref() is None and space_ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", [n for n in sorted(KERNEL_CHAINS) if n.startswith("diag")])
 def test_diagonal_fibers_match_full_scan(name):
     chain = KERNEL_CHAINS[name]()
@@ -444,7 +528,7 @@ def test_translate_rejects_a_vector_of_the_wrong_length():
         with pytest.raises(DimensionMismatch):
             space.translate(5, bad)
     sheared = derived_odometer(row_shear_cocycle(), checked_depth=2).kr_partition(2)
-    assert not sheared.chain.stage(2).is_diagonal()
+    assert not sheared.system.lattice.is_diagonal()
     for bad in ((1,), (1, 0, 7)):
         with pytest.raises(DimensionMismatch):
             sheared.translate(5, bad)

@@ -95,20 +95,6 @@ def test_stage_invariants_detect_one_displacement_outside_the_cone():
     assert "level-maps-biject" not in failures
 
 
-def test_first_stage_precondition():
-    # forcing a first stage whose atoms are not below the anchor measure
-    # violates the construction's opening inequality
-    con = SpeedupConstruction(
-        OdometerChain.diagonal_power([3, 2]),
-        OdometerChain.diagonal_power([6]),
-        Cone.quadrant(2),
-        first_stage=1,  # atom measure 1/6 is not < 1/6
-    )
-    with pytest.raises(Exception) as err:
-        con.run(1)
-    assert "anchor" in str(err.value)
-
-
 def test_stage_invariants_vacuous_before_running():
     con = SpeedupConstruction(
         OdometerChain.diagonal_power([3, 2]),

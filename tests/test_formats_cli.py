@@ -167,6 +167,11 @@ def test_cli_lattice(capsys):
     assert main(["lattice", "contains", "2; 3 2; 0 2", "--vector", "2,2"]) == 0
     capsys.readouterr()
     assert main(["lattice", "contains", "2; 3 2; 0 2", "--vector", "1,1"]) == 1
+    capsys.readouterr()
+    # an integer lattice meets a rational one in either order
+    for pair in (["2; 3 2; 0 2", "1/2; 2; 1 0; 0 1"], ["1/2; 2; 1 0; 0 1", "2; 3 2; 0 2"]):
+        assert main(["lattice", "intersect", *pair]) == 0
+        assert capsys.readouterr().out.strip() == "2; 3 2; 0 2"
 
 
 def test_cli_odometer(specdir, capsys):
@@ -277,6 +282,11 @@ BAD_SPECS = {
             "line 1, column 27: bad facet '1,x,>='",
         ),
         (["odometer", "stage", "badrow.chain"], "line 3, column 4: bad integer row '4 x'"),
+        (["classify", "conj", "base.desc", "mixed.chain"], "two descriptor files or two chain files"),
+        (["classify", "oe", "base.desc", "sheared.desc"], "orbit equivalence compares chains"),
+        (["lattice", "contains", "2; 3 2; 0 2"], "lattice contains needs --vector"),
+        (["lattice", "contains", "2; 3 2; 0 2", "--vector", "1,x"], "comma-separated integers, got '1,x'"),
+        (["lattice", "intersect", "2; 3 2; 0 2"], "needs a second lattice literal"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
