@@ -36,7 +36,7 @@ from .formats import (
     load_group_input,
     parse_lattice,
 )
-from .lattice import LatticeError
+from .lattice import LatticeError, RationalLattice
 from .speedup import (
     SpeedupError,
     cone_check,
@@ -61,6 +61,10 @@ def _lattice_cmd(args) -> int:
     elif args.op == "dual":
         print(emit_lattice(lat.dual()))
     elif args.op == "coset":
+        if isinstance(lat, RationalLattice):
+            if not lat.is_integral():
+                raise UsageError(f"lattice coset needs an integer lattice, got denominator {lat.den}")
+            lat = lat.as_integer()
         cs = lat.coset_system()
         print("rectangle", " ".join(str(m) for m in cs.rectangle))
         for rep in cs.reps:
@@ -69,9 +73,9 @@ def _lattice_cmd(args) -> int:
         if args.vector is None:
             raise UsageError("lattice contains needs --vector")
         try:
-            vec = tuple(int(t) for t in args.vector.split(","))
-        except ValueError:
-            raise UsageError(f"--vector needs comma-separated integers, got {args.vector!r}") from None
+            vec = tuple(Fraction(t) for t in args.vector.split(","))
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--vector needs comma-separated rationals, got {args.vector!r}") from None
         inside = lat.contains(vec)
         print("yes" if inside else "no")
         return 0 if inside else 1

@@ -38,7 +38,6 @@ import functools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .castles import (
     Castle,
@@ -776,12 +775,7 @@ def _previous_map(castle: Castle, depth: int) -> StepMap:
             ids[c] = 0
     if depth != castle.depth:
         coarse, fine = castle.space, castle.chain.kr_partition(depth)
-        fine_ids = array("i", [0]) * fine.size
-        for c in compress(range(len(ids)), ids):
-            i = ids[c]
-            for child in coarse.fibers(c, fine):
-                fine_ids[child] = i
-        ids = fine_ids
+        ids = array("i", (ids[fine.coarsen(c, coarse)] for c in range(fine.size)))
     return StepMap(len(ids), castle.steps.vectors, ids)
 
 

@@ -301,11 +301,15 @@ class AtomSpace:
     significant coordinate first, so code order is the lexicographic order
     of representatives.  `OdometerChain.kr_partition` keeps one per depth.
 
-    `translate` raises `DimensionMismatch` on a vector whose length is not
-    the chain's dimension.  On a diagonal stage it runs on the code's
-    digits with offsets set up once per distinct vector (a stage uses few),
-    and `coarsen` onto a diagonal stage is digit arithmetic set up once per
-    coarser depth; no representative tuple is built per atom.
+    `translate` and `coarsen` run on the code's digits, least significant
+    first, with no representative tuple built per atom.  The stage's
+    canonical basis is upper triangular with the rectangle on its diagonal,
+    so reduction is mixed-radix arithmetic in which digit i wrapping q
+    times subtracts q * rows[k][i] from each more significant digit k
+    (Cohen, GTM 138, 2.4); on a diagonal stage nothing carries.
+    `translate` sets its offsets up once per distinct vector (a stage uses
+    few) and raises `DimensionMismatch` on a vector whose length is not the
+    chain's dimension; `coarsen` sets its digits up once per coarser depth.
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
@@ -320,9 +324,13 @@ class AtomSpace:
         for i in reversed(range(len(self.rectangle) - 1)):
             strides[i] = strides[i + 1] * self.rectangle[i + 1]
         self.strides = tuple(strides)
-        self._diagonal = chain.stage(depth).is_diagonal()
-        self._offsets: dict[tuple[int, ...], tuple[tuple[int, int, int], ...]] = {}
-        self._digits: dict[int, tuple[tuple[int, int, int, int], ...]] = {}
+        # column i of the basis above its diagonal entry: the carries of
+        # digit i into the more significant digits (none when all zero)
+        rows = self.system.lattice.rows
+        columns = (tuple(rows[k][i] for k in range(i)) for i in range(len(rows)))
+        self._carries = tuple(col if any(col) else () for col in columns)
+        self._offsets: dict[tuple[int, ...], tuple[tuple[int, int, int, tuple[int, ...]], ...]] = {}
+        self._digits: dict[int, tuple[tuple[int, int, int, int, tuple[int, ...]], ...]] = {}
 
     @property
     def atom_measure(self) -> Fraction:
@@ -357,29 +365,29 @@ class AtomSpace:
 
     def translate(self, code: int, vector) -> int:
         """Atom of the points of atom `code` moved by an integer vector."""
-        if self._diagonal:
-            try:
-                offsets = self._offsets[vector]
-            except (KeyError, TypeError):  # a new vector, or an unhashable one
-                offsets = self._vector_offsets(vector)
-            out = 0
-            for o, M, s in offsets:  # digit i of the code, shifted by v_i mod m_i, wrapped
-                out += (code % M - code % s + o) % M
-            return out
-        rep = self.decode(code)
-        if len(vector) != len(rep):
-            raise DimensionMismatch(f"vector of length {len(vector)} in dimension {len(rep)}")
-        return self.encode(self.system.reduce(tuple(a + b for a, b in zip(rep, vector))))
+        try:
+            offsets = self._offsets[vector]
+        except (KeyError, TypeError):  # a new vector, or an unhashable one
+            offsets = self._vector_offsets(vector)
+        out, carry = 0, None
+        for o, M, s, col in offsets:  # digit i of the code plus digit i of the offset
+            t = code % M - code % s + o
+            if carry:  # carries owed to digits 0..i, digit i's last
+                t -= carry.pop() * s
+            if col and (q := t // M):
+                carry = [c + q * a for c, a in zip(carry, col)] if carry else [q * a for a in col]
+            out += t % M
+        return out
 
-    def _vector_offsets(self, vector) -> tuple[tuple[int, int, int], ...]:
-        """(v_i mod m_i * s_i, m_i * s_i, s_i) per coordinate, kept per vector."""
-        if len(vector) != len(self.strides):
-            raise DimensionMismatch(
-                f"vector of length {len(vector)} in dimension {len(self.strides)}"
-            )
+    def _vector_offsets(self, vector) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """(r_i * s_i, m_i * s_i, s_i, carries of digit i) per coordinate,
+        least significant first, for the vector's representative r; kept per
+        vector."""
+        rep = self.system.reduce(vector)
         offsets = tuple(
-            ((v % m) * s, m * s, s) for v, m, s in zip(vector, self.rectangle, self.strides)
-        )
+            (r * s, m * s, s, col)
+            for r, m, s, col in zip(rep, self.rectangle, self.strides, self._carries)
+        )[::-1]
         self._offsets[tuple(vector)] = offsets
         return offsets
 
@@ -387,17 +395,22 @@ class AtomSpace:
         """Code of the atom of a coarser space of the same chain containing this atom."""
         if coarse._chain_stages is not self._chain_stages or coarse.depth > self.depth:
             raise ChainError("coarsen needs a coarser atom space of the same chain")
-        if not coarse._diagonal:
-            return coarse.encode_vector(self.decode(code))
         digits = self._digits.get(coarse.depth)
         if digits is None:
             digits = self._digits[coarse.depth] = tuple(
-                (m * s, s, mc, sc)
-                for m, s, mc, sc in zip(self.rectangle, self.strides, coarse.rectangle, coarse.strides)
-            )
-        out = 0
-        for M, s, mc, sc in digits:
-            out += code % M // s % mc * sc
+                (m * s, s, mc, sc, col)
+                for m, s, mc, sc, col in zip(
+                    self.rectangle, self.strides, coarse.rectangle, coarse.strides, coarse._carries
+                )
+            )[::-1]
+        out, carry = 0, None
+        for M, s, m, sc, col in digits:  # digit i of this code reduced at the coarser stage
+            t = code % M // s
+            if carry:
+                t -= carry.pop()
+            if col and (q := t // m):
+                carry = [c + q * a for c, a in zip(carry, col)] if carry else [q * a for a in col]
+            out += t % m * sc
         return out
 
     def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
@@ -412,12 +425,6 @@ class AtomSpace:
         if finer._chain_stages is not self._chain_stages or finer.depth < self.depth:
             raise ChainError("fibers need a finer atom space of the same chain")
         rep = self.decode(code)
-        if self._diagonal and finer._diagonal:
-            # coordinate by coordinate, most significant first: increasing order
-            out = [0]
-            for r, m, f, s in zip(rep, self.rectangle, finer.rectangle, finer.strides):
-                out = [o + x * s for o in out for x in range(r, f, m)]
-            return out
         cols = self.system.lattice.columns()
         box = [range(f // c) for f, c in zip(finer.rectangle, self.rectangle)]
         return sorted(

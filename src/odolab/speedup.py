@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from math import gcd, lcm
 
 from .lattice import DimensionMismatch, IntegerLattice, LatticeError
@@ -217,17 +216,12 @@ class PiecewiseCocycle:
         key = (i, depth)
         if key not in self._perm_cache:
             space = self.chain.kr_partition(depth)
-            values = self._values[i]
+            table = values = self._values[i]
             if depth != self.depth:
                 # a finer atom carries the value of the depth-J atom it refines
                 coarse = self.chain.kr_partition(self.depth)
-                owner = {f: c for c in coarse.atoms() for f in coarse.fibers(c, space)}
-                values = [values[owner[f]] for f in space.atoms()]
-            # representatives in code order, one reduction per atom
-            reps = iter_product(*(range(m) for m in space.rectangle))
-            self._perm_cache[key] = tuple(
-                space.encode_vector(_vadd(rep, vec)) for rep, vec in zip(reps, values)
-            )
+                values = (table[space.coarsen(c, coarse)] for c in space.atoms())
+            self._perm_cache[key] = tuple(map(space.translate, space.atoms(), values))
         return self._perm_cache[key]
 
     def inverse_permutation(self, i: int, depth: int) -> tuple[int, ...]:

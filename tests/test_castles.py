@@ -30,7 +30,7 @@ from _oracles import (
     refine_pure_columns_by_sets,
     translate_by_reduction,
 )
-from test_speedup import row_shear_cocycle
+from test_speedup import alternating_chain, row_shear_cocycle
 
 
 def chain32():
@@ -419,9 +419,11 @@ def test_fibers_match_full_scan_on_explicit_chains(first):
                 )
 
 
-# diagonal chains of dimension 1-3 (exponents unequal in two of them) and the
-# non-diagonal row-shear derived chain, each up to depth 4
+# diagonal chains of dimension 1-3 (exponents unequal in two of them), the
+# non-diagonal row-shear derived chain, and an explicit chain whose stages
+# are sheared and diagonal in turn, each up to depth 4
 KERNEL_CHAINS = {
+    "alternating-explicit": alternating_chain,
     "diag-1d": lambda: OdometerChain.diagonal_power([5]),
     "diag-2d": lambda: OdometerChain.diagonal_power([3, 2]),
     "diag-2d-unequal": lambda: OdometerChain.diagonal_power([2, 3], [1, 2]),
@@ -509,7 +511,11 @@ def test_a_chain_is_freed_without_the_cyclic_collector(sheared):
         gc.enable()
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(KERNEL_CHAINS) if n.startswith("diag")])
+# the diagonal chains, and the alternating chain whose sheared stages have
+# diagonal neighbours on both sides
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(KERNEL_CHAINS) if n.startswith(("diag", "alternating"))]
+)
 def test_diagonal_fibers_match_full_scan(name):
     chain = KERNEL_CHAINS[name]()
     rng = random.Random(f"diagonal-fibers-{name}")

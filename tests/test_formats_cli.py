@@ -168,6 +168,14 @@ def test_cli_lattice(capsys):
     capsys.readouterr()
     assert main(["lattice", "contains", "2; 3 2; 0 2", "--vector", "1,1"]) == 1
     capsys.readouterr()
+    # rational entries, against a rational and an integer lattice
+    assert main(["lattice", "contains", "1/2; 2; 1 0; 0 1", "--vector", "1/2,0"]) == 0
+    assert capsys.readouterr().out.strip() == "yes"
+    assert main(["lattice", "contains", "2; 3 2; 0 2", "--vector", "1/2,0"]) == 1
+    assert capsys.readouterr().out.strip() == "no"
+    # a rational literal of an integer lattice has integer cosets
+    assert main(["lattice", "coset", "1/2; 2; 2 0; 0 2"]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["rectangle 1 1", "0 0"]
     # an integer lattice meets a rational one in either order
     for pair in (["2; 3 2; 0 2", "1/2; 2; 1 0; 0 1"], ["1/2; 2; 1 0; 0 1", "2; 3 2; 0 2"]):
         assert main(["lattice", "intersect", *pair]) == 0
@@ -285,8 +293,10 @@ BAD_SPECS = {
         (["classify", "conj", "base.desc", "mixed.chain"], "two descriptor files or two chain files"),
         (["classify", "oe", "base.desc", "sheared.desc"], "orbit equivalence compares chains"),
         (["lattice", "contains", "2; 3 2; 0 2"], "lattice contains needs --vector"),
-        (["lattice", "contains", "2; 3 2; 0 2", "--vector", "1,x"], "comma-separated integers, got '1,x'"),
+        (["lattice", "contains", "2; 3 2; 0 2", "--vector", "1,x"], "comma-separated rationals, got '1,x'"),
         (["lattice", "intersect", "2; 3 2; 0 2"], "needs a second lattice literal"),
+        (["lattice", "contains", "2; 3 2; 0 2", "--vector", "1/0,1"], "comma-separated rationals, got '1/0,1'"),
+        (["lattice", "coset", "1/2; 2; 1 0; 0 1"], "lattice coset needs an integer lattice, got denominator 2"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):

@@ -43,6 +43,20 @@ def chain22():
     return OdometerChain.diagonal_power([2, 2])
 
 
+def alternating_chain():
+    """Sheared and diagonal stages in turn: [3 1; 0 2] > diag(6, 6) >
+    [18 6; 0 12] > diag(36, 36), so a carrying stage sits next to a
+    carry-free one in both directions."""
+    return OdometerChain.explicit(
+        [
+            IntegerLattice.from_rows([[3, 1], [0, 2]]),
+            IntegerLattice.diagonal([6, 6]),
+            IntegerLattice.from_rows([[18, 6], [0, 12]]),
+            IntegerLattice.diagonal([36, 36]),
+        ]
+    )
+
+
 def row_shear_cocycle(chain=None):
     """Base generator moves one step right; the vertical generator moves up,
     drifting right by one on the odd row.  Resolution depth 1."""
@@ -220,11 +234,18 @@ def test_permutation_property_at_depths():
 
 
 def test_permutations_match_the_reduction_loop():
-    # sampled cocycles on the diagonal mixed chain, and a constant cocycle
-    # on the non-diagonal row-shear derived chain (general reduction path)
+    # sampled cocycles on the diagonal mixed chain, a constant cocycle on
+    # the non-diagonal row-shear derived chain, and one on the alternating
+    # chain whose values differ across its depth-1 atoms by vectors of stage
+    # 1 (so it is bijective at every depth): above depth 1 a finer atom must
+    # read the value of the sheared depth-1 atom it lies in
     derived = derived_odometer(row_shear_cocycle(), checked_depth=2)
     cocycles = sample_cocycles(chain32(), 12, random.Random(7))
     cocycles.append(constant_cocycle(derived, 1, [(1, 0), (2, 1)]))
+    alternating = alternating_chain()
+    shifts = [(0, 0), (3, 0), (1, 2), (-1, -2), (4, 2), (-3, 0)]
+    table = {rep: (1 + a, b) for rep, (a, b) in zip(alternating.system(1).reps, shifts)}
+    cocycles.append(PiecewiseCocycle(alternating, 1, 1, (table,)))
     for c in cocycles:
         for depth in (1, 2, 3):
             space = c.chain.kr_partition(depth)
