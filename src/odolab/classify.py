@@ -226,6 +226,30 @@ def fit_descriptor(chain: OdometerChain, depth: int):
     fitted group at each stage's denominator must reproduce the stage
     exactly.  Returns a descriptor or NoFit; depth must be at least 2 so a
     shear has two stages to pin it down.
+
+    In dimension 2 the fit is the shear [[1, 0], [lam, 1]] with supports
+    (sup1, sup2): sup1 the primes of the stage generators' first
+    coordinates, sup2 those of the stages' vertical scales.  The shears
+    tried are lam = a/d with d <= the largest stage denominator, d
+    supported on sup2 and |lam| <= 2, in the order d first, then (|a|,
+    sign); the first that fits is returned.  That order is walked in closed
+    form and only its first member-passing shear is verified:
+
+    - Membership of every stage generator pins lam to one residue class
+      r mod N, or to none (`_column_class`).  Every candidate lam is
+      p-integral at each prime p outside sup2.  There a generator column
+      (c0, c1) with v_p(c0) = -k < 0 needs lam = -c1/c0 mod p^k (none
+      when v_p(c1) < -k), and one with v_p(c0) >= 0 needs v_p(c1) >= 0,
+      whatever lam is.  For each d the least a = r*d mod N with
+      |a| <= 2d is then one reduction mod N (`_first_shear`).
+    - One check is exact.  `_fit_valid` depends on lam only modulo
+      M = prod over p in sup1 - sup2 of p^e, e = max_j v_p(den_j): at
+      primes in sup2 the second coordinate is unconstrained, and at primes
+      outside sup1 and sup2 membership does not involve lam.  If some lam*
+      fits, the stage j reaching e contains a vector (p^-e, .), so one of
+      its generator columns has v_p(c0) = -e, and N is a multiple of M.
+      Every member of the class then agrees with lam* modulo M, so the
+      class fits as a whole or not at all, and the first member decides.
     """
     if depth < 2:
         raise ClassifyError("fitting needs at least two stages")
@@ -252,7 +276,8 @@ def fit_descriptor(chain: OdometerChain, depth: int):
     sup2: set[int] = set()
     for dual in duals:
         sup2 |= prime_support(_vertical_scale(dual))
-    for lam in _shear_candidates(sup2, duals):
+    lam = _first_shear(duals, sup2)
+    if lam is not None:
         desc = SupergroupDescriptor.make([[1, 0], [lam, 1]], [sup1, sup2])
         if _fit_valid(desc, chain, duals):
             return desc
@@ -275,24 +300,71 @@ def _vertical_scale(dual: RationalLattice) -> Fraction:
     return Fraction(c * t, dual.den)
 
 
-def _shear_candidates(sup2, duals):
-    """Small-denominator rationals, denominator supported on sup2."""
-    cap = 1
+def _column_class(duals, sup2):
+    """The shears lam with sup2-supported denominator that make every stage
+    generator a member of [[1, 0], [lam, 1]] with second support sup2, as
+    (r, N) for lam = r mod N, or None when no shear does.
+
+    A generator (u0, u1)/w of a stage needs lam*u0 + u1 = 0 mod w', where w'
+    is w without its sup2 primes.  With g = gcd(u0, w') that is solvable iff
+    g divides u1, and then lam = -(u1/g) * (u0/g)^-1 mod w'/g.  The classes
+    of all generators are merged by the Chinese remainder theorem for
+    moduli that need not be coprime.
+    """
+    r, modulus = 0, 1
     for dual in duals:
-        cap = max(cap, dual.den)
-    dens = sorted(
-        d
-        for d in range(1, cap + 1)
-        if set(prime_factors(d)) <= set(sup2) or d == 1
-    )
-    seen = set()
-    for den in dens:
-        for num in sorted(range(-2 * den, 2 * den + 1), key=lambda n: (abs(n), n < 0)):
-            lam = Fraction(num, den)
-            if lam in seen:
-                continue
-            seen.add(lam)
-            yield lam
+        w = dual.den
+        for p in sup2:
+            while w % p == 0:
+                w //= p
+        for u0, u1 in dual.num.columns():
+            g = gcd(u0, w)
+            if u1 % g:
+                return None
+            m = w // g
+            s = -(u1 // g) * pow(u0 // g, -1, m) % m
+            h = gcd(modulus, m)
+            if (s - r) % h:
+                return None
+            step = (s - r) // h * pow(modulus // h, -1, m // h) % (m // h)
+            r += modulus * step
+            modulus *= m // h
+    return r, modulus
+
+
+def _smooth_numbers(primes, cap: int) -> list[int]:
+    """The integers in [1, cap] whose prime factors all lie in `primes`, ascending."""
+    nums = [1]
+    for p in primes:
+        grown = []
+        for n in nums:
+            while n <= cap:
+                grown.append(n)
+                n *= p
+        nums = grown
+    return sorted(nums)
+
+
+def _first_shear(duals, sup2):
+    """The first lam = a/d of the fitting order (d ascending, then (|a|,
+    sign), |a| <= 2d) whose shear makes every stage generator a member, or
+    None.
+
+    The first d that has a class member gives it in lowest terms: were
+    gcd(a, d) = g > 1, a/g over d/g would be a member at a smaller d.
+    """
+    pinned = _column_class(duals, sup2)
+    if pinned is None:
+        return None
+    r, modulus = pinned
+    cap = max(dual.den for dual in duals)
+    for d in _smooth_numbers(sup2, cap):
+        a = r * d % modulus
+        if modulus - a < a:
+            a -= modulus
+        if abs(a) <= 2 * d:
+            return Fraction(a, d)
+    return None
 
 
 def _fit_valid(desc: SupergroupDescriptor, chain: OdometerChain, duals) -> bool:
@@ -519,10 +591,19 @@ def conjugate_test(
     return _undecided(relation, depth)
 
 
+def _check_bounds(height: int, denom_bound: int = 1) -> None:
+    """Bounds below 1 search nothing, so no verdict may rest on them."""
+    if height < 1:
+        raise ClassifyError(f"search height must be at least 1, got {height}")
+    if denom_bound < 1:
+        raise ClassifyError(f"denominator bound must be at least 1, got {denom_bound}")
+
+
 def isomorphism_test(
     desc_t: SupergroupDescriptor, desc_s: SupergroupDescriptor, height: int = 5
 ) -> ClassificationVerdict:
     """Existence of an integer unimodular matrix carrying one group to the other."""
+    _check_bounds(height)
     bad = _check_rank("isomorphic", desc_t.dim, desc_s.dim)
     if bad:
         return bad
@@ -537,6 +618,7 @@ def continuous_oe_test(
 ) -> ClassificationVerdict:
     """Existence of a rational matrix of determinant +-1 carrying one group
     to the other."""
+    _check_bounds(height, denom_bound)
     bad = _check_rank("continuously-orbit-equivalent", desc_t.dim, desc_s.dim)
     if bad:
         return bad

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import DimensionMismatch, IntegerLattice, LatticeError
+from .lattice import DimensionMismatch, IntegerLattice, _hnf_from_columns
 from .odometer import DerivedProvider, OdometerChain
 from .valuegroup import ValueGroup
 
@@ -482,6 +482,9 @@ def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
     quotient = cocycle.chain.index(depth)
     if len(reach) != quotient:
         raise NotMinimalAtDepth(depth, len(reach), quotient)
+    # until the generators reach full rank they are all kept, and
+    # `_hnf_from_columns` serves as the rank test; from then on each new one
+    # is folded into the canonical basis
     basis: list[tuple[int, ...]] = []
     current: IntegerLattice | None = None
     zero = (0,) * cocycle.d2
@@ -495,13 +498,13 @@ def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
             gen = tuple(a - b for a, b in zip(gen, reach[img]))
             if gen == zero:
                 continue
-            if current is not None and current.contains(gen):
+            if current is not None:
+                if not current.contains(gen):
+                    current = IntegerLattice.from_columns(current.columns() + [gen])
                 continue
             basis.append(gen)
-            try:
+            if _hnf_from_columns(basis, cocycle.d2) is not None:
                 current = IntegerLattice.from_columns(basis)
-            except LatticeError:
-                current = None  # not yet full rank; keep accumulating
     if current is None:
         raise SpeedupError("stabilizer generators do not span a finite-index subgroup")
     if current.index != len(reach):

@@ -195,3 +195,52 @@ def refine_pure_columns_by_sets(space, towers, steps, label):
             groups.setdefault(tuple(itinerary), set()).add(c)
         partitions.append([frozenset(g) for g in sorted(groups.values(), key=min)])
     return castle_refinement_by_sets(space, towers, steps, partitions)
+
+
+def _shear_candidates(sup2, duals):
+    """Shears a/d with d <= the largest stage denominator supported on sup2 and
+    |a/d| <= 2, each once, d first, then (|a|, sign): every integer up to
+    the cap is factored to pick the denominators."""
+    from odolab.lattice import prime_factors
+
+    cap = 1
+    for dual in duals:
+        cap = max(cap, dual.den)
+    dens = sorted(
+        d
+        for d in range(1, cap + 1)
+        if set(prime_factors(d)) <= set(sup2) or d == 1
+    )
+    seen = set()
+    for den in dens:
+        for num in sorted(range(-2 * den, 2 * den + 1), key=lambda n: (abs(n), n < 0)):
+            lam = Fraction(num, den)
+            if lam in seen:
+                continue
+            seen.add(lam)
+            yield lam
+
+
+def fit_by_enumeration(chain, depth):
+    """`fit_descriptor` with the dimension-2 shear found by trying every
+    candidate shear in order through `_fit_valid`, rather than by the
+    residue class its stage generators pin.  In other dimensions no shear
+    is searched, and the library's fit is returned."""
+    from odolab.classify import NoFit, SupergroupDescriptor, _fit_valid, _vertical_scale, fit_descriptor
+    from odolab.lattice import prime_support
+
+    if chain.dim != 2:
+        return fit_descriptor(chain, depth)
+    duals = [chain.cohomology_stage(j) for j in range(1, depth + 1)]
+    sup1 = set()
+    for dual in duals:
+        for col in dual.columns():
+            sup1 |= prime_support(col[0])
+    sup2 = set()
+    for dual in duals:
+        sup2 |= prime_support(_vertical_scale(dual))
+    for lam in _shear_candidates(sup2, duals):
+        desc = SupergroupDescriptor.make([[1, 0], [lam, 1]], [sup1, sup2])
+        if _fit_valid(desc, chain, duals):
+            return desc
+    return NoFit("no unit lower shear with the observed prime supports fits")

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from odolab.classify import (
+    ClassifyError,
     DimensionUnsupported,
+    NoFit,
     SupergroupDescriptor,
     UnsupportedDescriptor,
     conjugate_test,
@@ -13,8 +16,10 @@ from odolab.classify import (
     orbit_equivalence_test,
 )
 from odolab.odometer import OdometerChain
-from odolab.speedup import derived_odometer
+from odolab.sampling import sample_cocycles
+from odolab.speedup import NotMinimalAtDepth, derived_odometer
 
+from _oracles import fit_by_enumeration
 from test_speedup import chain22, chain32, row_shear_cocycle, staircase_cocycle
 
 H_BASE = SupergroupDescriptor.coordinate([{3}, {2}])  # Z[1/3] x Z[1/2]
@@ -90,13 +95,11 @@ def test_fit_descriptor_one_dimensional():
 
 
 def test_fit_descriptor_needs_two_stages():
-    with pytest.raises(Exception):
+    with pytest.raises(ClassifyError):
         fit_descriptor(chain32(), 1)
 
 
 def test_fit_descriptor_random_diagonal_chains():
-    import random
-
     rng = random.Random(5)
     primes = [2, 3, 5, 7]
     for _ in range(10):
@@ -104,6 +107,97 @@ def test_fit_descriptor_random_diagonal_chains():
         chain = OdometerChain.diagonal_power(bases)
         desc = fit_descriptor(chain, 3)
         assert desc == SupergroupDescriptor.coordinate([{bases[0]}, {bases[1]}])
+
+
+# ---------------------------------------------------------------- closed-form shear fit
+
+PROBE_SEED = 20210223
+# probe samples (derived at depth 3, fitted at depth 4) whose stage
+# generators admit a shear within the fitting bounds that no shear fits
+PROBE_MEMBER_ONLY = (1, 11)
+
+
+def _derived_samples(seed, count):
+    """derived_odometer(c, 3) of sampled cocycles on the mixed chain, with
+    None where a sample is not minimal at depth 3."""
+    out = []
+    for c in sample_cocycles(chain32(), count, random.Random(seed)):
+        try:
+            out.append(derived_odometer(c, checked_depth=3))
+        except NotMinimalAtDepth:
+            out.append(None)
+    return out
+
+
+NAMED_FITS = {
+    "row-shear": (lambda: derived_odometer(row_shear_cocycle(), checked_depth=2), 5),
+    "staircase": (lambda: derived_odometer(staircase_cocycle(), checked_depth=3), 4),
+    "mixed": (chain32, 4),
+    "rank-one": (lambda: OdometerChain.diagonal_power([6]), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_FITS))
+def test_fit_descriptor_matches_enumeration_on_named_chains(name):
+    build, depth = NAMED_FITS[name]
+    chain = build()
+    assert fit_descriptor(chain, depth) == fit_by_enumeration(chain, depth)
+
+
+@pytest.fixture(scope="module")
+def probe_chains():
+    return _derived_samples(PROBE_SEED, max(PROBE_MEMBER_ONLY) + 1)
+
+
+def test_fit_descriptor_matches_enumeration_on_member_only_probes(probe_chains):
+    for i in PROBE_MEMBER_ONLY:
+        fit = fit_descriptor(probe_chains[i], 4)
+        assert isinstance(fit, NoFit)
+        assert fit == fit_by_enumeration(probe_chains[i], 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_fit_descriptor_matches_enumeration_on_sampled_chains(seed):
+    chains = [c for c in _derived_samples(seed, 12) if c is not None]
+    assert chains
+    for chain in chains:
+        assert fit_descriptor(chain, 3) == fit_by_enumeration(chain, 3)
+
+
+def _class_fits(chain, depth):
+    """(fits, nonempty) over the candidate shears in the generators' class.
+
+    Walks every candidate shear of the enumeration: the class is exactly the
+    candidates whose shear makes every stage generator a member, and
+    `_fit_valid` must give one answer on all of them."""
+    from odolab.classify import _column_class, _fit_valid, _vertical_scale
+    from odolab.lattice import prime_support
+
+    from _oracles import _shear_candidates
+
+    duals = [chain.cohomology_stage(j) for j in range(1, depth + 1)]
+    sup1, sup2 = set(), set()
+    for dual in duals:
+        sup2 |= prime_support(_vertical_scale(dual))
+        for col in dual.columns():
+            sup1 |= prime_support(col[0])
+    pinned = _column_class(duals, sup2)
+    answers = set()
+    for lam in _shear_candidates(sup2, duals):
+        desc = SupergroupDescriptor.make([[1, 0], [lam, 1]], [sup1, sup2])
+        members = all(desc.member(col) for dual in duals for col in dual.columns())
+        in_class = pinned is not None and (lam.numerator - pinned[0] * lam.denominator) % pinned[1] == 0
+        assert members == in_class, lam
+        if in_class:
+            answers.add(_fit_valid(desc, chain, duals))
+    assert len(answers) <= 1
+    return (answers == {True}, bool(answers))
+
+
+def test_shear_class_fits_all_or_none(probe_chains):
+    row = derived_odometer(row_shear_cocycle(), checked_depth=2)
+    assert _class_fits(row, 3) == (True, True)
+    assert _class_fits(probe_chains[PROBE_MEMBER_ONLY[1]], 4) == (False, True)
 
 
 def test_classifier_argument_order_symmetry():

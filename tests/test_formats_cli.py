@@ -297,6 +297,9 @@ BAD_SPECS = {
         (["lattice", "intersect", "2; 3 2; 0 2"], "needs a second lattice literal"),
         (["lattice", "contains", "2; 3 2; 0 2", "--vector", "1/0,1"], "comma-separated rationals, got '1/0,1'"),
         (["lattice", "coset", "1/2; 2; 1 0; 0 1"], "lattice coset needs an integer lattice, got denominator 2"),
+        (["classify", "coe", "base.desc", "sheared.desc", "--denom", "0"], "denominator bound must be at least 1, got 0"),
+        (["classify", "coe", "base.desc", "sheared.desc", "--height", "0"], "search height must be at least 1, got 0"),
+        (["classify", "iso", "base.desc", "sheared.desc", "--height", "-1"], "search height must be at least 1, got -1"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
