@@ -27,8 +27,8 @@ from .lattice import (
     DimensionMismatch,
     IntegerLattice,
     RationalLattice,
-    _fraction_inverse,
-    _xgcd,
+    _adjugate,
+    _integer_kernel,
     prime_factors,
     prime_support,
 )
@@ -116,6 +116,20 @@ def _det(rows):
     return total
 
 
+def _clear_denominators(rows):
+    """(D, D * rows) with D the least common denominator of the entries."""
+    D = lcm(*(e.denominator for row in rows for e in row))
+    return D, [[int(e * D) for e in row] for row in rows]
+
+
+def _inverse(rows):
+    """Exact inverse of a rational matrix: clear its denominators, take the
+    fraction-free adjugate, divide back."""
+    D, scaled = _clear_denominators(rows)
+    d, adj = _adjugate(scaled)
+    return [[Fraction(D * e, d) for e in row] for row in adj]
+
+
 def _mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     return [
@@ -132,7 +146,7 @@ def _subset_witness(mat_a, sup_a, mat_b, sup_b):
     primes and every p in sup_a[i] must be allowed at coordinate m.
     """
     dim = len(mat_a)
-    M = _mat_mul(mat_b, _fraction_inverse(mat_a))
+    M = _mat_mul(mat_b, _inverse(mat_a))
     for i in range(dim):
         for m in range(dim):
             entry = M[m][i]
@@ -159,7 +173,7 @@ def _non_member_witness(a: SupergroupDescriptor, b: SupergroupDescriptor):
     if reason is None:
         return None
     _, i, _, p = reason
-    inv = _fraction_inverse(a.shear)
+    inv = _inverse(a.shear)
     column = [inv[r][i] for r in range(a.dim)]
     for k in range(0, 64):
         x = tuple(e * Fraction(1, p**k) for e in column)
@@ -387,11 +401,7 @@ def _truncate(desc: SupergroupDescriptor, scale: int) -> RationalLattice:
     of a rational preimage lattice with Z^d.
     """
     dim = desc.dim
-    D = 1
-    for row in desc.shear:
-        for e in row:
-            D = lcm(D, e.denominator)
-    scaled = [[int(e * D) for e in row] for row in desc.shear]
+    D, scaled = _clear_denominators(desc.shear)
     B = D * scale
     diag = []
     for i in range(dim):
@@ -400,43 +410,14 @@ def _truncate(desc: SupergroupDescriptor, scale: int) -> RationalLattice:
             if p not in desc.supports[i]:
                 b *= p**e
         diag.append(b)
-    inv = _fraction_inverse(scaled)
-    cols = [[inv[r][i] * diag[i] for r in range(dim)] for i in range(dim)]
-    pre = RationalLattice.from_fraction_columns(cols)
-    members = pre.intersect(RationalLattice.from_integer(IntegerLattice.standard(dim)))
+    # the preimage of diag . Z^d under scaled is scaled^-1 . diag . Z^d
+    d, adj = _adjugate(scaled)
+    pre = RationalLattice.from_scaled_rows(d, [[adj[r][i] * diag[i] for i in range(dim)] for r in range(dim)])
+    members = pre.intersect(IntegerLattice.standard(dim))
     return RationalLattice._canonical(dim, scale, members.as_integer())
 
 
 # ---------------------------------------------------------------- constraint engine
-
-def _integer_kernel(matrix, n):
-    """Basis of the integer kernel of an integer matrix with n columns."""
-    m = len(matrix)
-    acol = [[matrix[r][c] for r in range(m)] for c in range(n)]
-    ucol = [[int(i == c) for i in range(n)] for c in range(n)]
-    free = list(range(n))
-    for r in range(m):
-        piv = None
-        for ci in list(free):
-            if acol[ci][r] == 0:
-                continue
-            if piv is None:
-                piv = ci
-                continue
-            g, x, y = _xgcd(acol[piv][r], acol[ci][r])
-            a_, b_ = acol[piv][r] // g, acol[ci][r] // g
-            acol[piv], acol[ci] = (
-                [x * p + y * q for p, q in zip(acol[piv], acol[ci])],
-                [a_ * q - b_ * p for p, q in zip(acol[piv], acol[ci])],
-            )
-            ucol[piv], ucol[ci] = (
-                [x * p + y * q for p, q in zip(ucol[piv], ucol[ci])],
-                [a_ * q - b_ * p for p, q in zip(ucol[piv], ucol[ci])],
-            )
-        if piv is not None:
-            free.remove(piv)
-    return [tuple(ucol[ci]) for ci in free]
-
 
 def _zero_constraints(desc_t: SupergroupDescriptor, desc_s: SupergroupDescriptor):
     """Linear conditions on alpha forced by the scaled generator families.
@@ -446,7 +427,7 @@ def _zero_constraints(desc_t: SupergroupDescriptor, desc_s: SupergroupDescriptor
     at coordinate m of the target.
     """
     dim = desc_t.dim
-    inv_t = _fraction_inverse(desc_t.shear)
+    inv_t = _inverse(desc_t.shear)
     rows = []
     for m in range(dim):
         for i in range(dim):
@@ -454,10 +435,7 @@ def _zero_constraints(desc_t: SupergroupDescriptor, desc_s: SupergroupDescriptor
                 continue
             # coefficient of alpha[r][c] in M[m][i]
             coeffs = [desc_s.shear[m][r] * inv_t[c][i] for r in range(dim) for c in range(dim)]
-            den = 1
-            for e in coeffs:
-                den = lcm(den, e.denominator)
-            rows.append([int(e * den) for e in coeffs])
+            rows += _clear_denominators([coeffs])[1]
     return rows
 
 
@@ -483,7 +461,7 @@ def _alpha_from(basis, ts, dim):
 
 def _verify_transport(alpha, desc_t: SupergroupDescriptor, desc_s: SupergroupDescriptor) -> bool:
     """alpha(H_T) = H_S, checked symbolically in both directions."""
-    alpha_inv = _fraction_inverse(alpha)
+    alpha_inv = _inverse(alpha)
     transported = _mat_mul(desc_t.shear, alpha_inv)
     fwd = _subset_witness(transported, desc_t.supports, desc_s.shear, desc_s.supports)
     bwd = _subset_witness(desc_s.shear, desc_s.supports, transported, desc_t.supports)
@@ -494,9 +472,7 @@ def _matrix_search(desc_t, desc_s, relation, height, denominators):
     """Shared engine for the unit-determinant transport tests."""
     dim = desc_t.dim
     constraints = _zero_constraints(desc_t, desc_s)
-    kernel = _integer_kernel(constraints, dim * dim) if constraints else [
-        tuple(int(i == c) for i in range(dim * dim)) for c in range(dim * dim)
-    ]
+    kernel = _integer_kernel(constraints, dim * dim)
     if not kernel:
         return _no(relation, "support constraints force the zero matrix")
     if dim == 2:

@@ -8,8 +8,12 @@ equality of matrices, the index in Z^d is the product of the diagonal, and
 the rectangle spanned by the diagonal is a fundamental domain.
 
 Rational lattices are an integer basis in the same canonical shape scaled
-by 1/s for the least admissible positive s.  Everything runs on Python
-ints and fractions.Fraction; there are no floats anywhere.
+by 1/s for the least admissible positive s.  The algebra runs on Python
+ints: one xgcd elimination loop gives canonical bases and integer kernels,
+and one fraction-free Gauss-Jordan gives duals.  fractions.Fraction appears
+only at the boundary: the columns and covolume of a rational lattice, and
+the vectors `RationalLattice.contains` accepts.  There are no floats
+anywhere, and an entry with a fractional part is refused, never truncated.
 """
 
 from __future__ import annotations
@@ -47,15 +51,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _hnf_from_columns(columns, dim: int):
-    """Canonical basis of the lattice generated by `columns`, or None.
+def _eliminate(columns, rows):
+    """Clear each row of `rows` in turn from every column but one, by xgcd.
 
-    Works for any number of generators; returns the basis as a tuple of
-    rows, or None when the generators do not span a rank-`dim` lattice.
+    The first column still nonzero at a row becomes its pivot and leaves the
+    pool; the others are combined with it by unimodular steps until they
+    vanish there.  Returns the pivot per row (None where the whole pool is
+    already zero) and the leftover columns, which vanish at every row.
     """
     work = [list(c) for c in columns]
-    placed: list[list[int]] = []
-    for i in reversed(range(dim)):
+    pivots = []
+    for i in rows:
         piv = None
         for col in work:
             if col[i] == 0:
@@ -69,19 +75,70 @@ def _hnf_from_columns(columns, dim: int):
                 [x * p + y * q for p, q in zip(piv, col)],
                 [a * q - b * p for p, q in zip(piv, col)],
             )
-        if piv is None:
-            return None
-        if piv[i] < 0:
-            piv[:] = [-e for e in piv]
+        pivots.append(piv)
         work = [c for c in work if c is not piv]
-        placed.append(piv)
-    basis = placed[::-1]  # column j now has its pivot in row j
+    return pivots, work
+
+
+def _hnf_from_columns(columns, dim: int):
+    """Canonical basis of the lattice generated by `columns`, or None.
+
+    Works for any number of generators; returns the basis as a tuple of
+    rows, or None when the generators do not span a rank-`dim` lattice.
+    """
+    pivots, _ = _eliminate(columns, reversed(range(dim)))
+    if None in pivots:
+        return None
+    basis = [c if c[j] > 0 else [-e for e in c] for j, c in enumerate(pivots[::-1])]
     for j in range(dim):
         for i in reversed(range(j)):
             q = basis[j][i] // basis[i][i]
             if q:
                 basis[j] = [e - q * f for e, f in zip(basis[j], basis[i])]
     return tuple(tuple(basis[j][i] for j in range(dim)) for i in range(dim))
+
+
+def _integer_kernel(matrix, n):
+    """Basis of the integer kernel of an integer matrix with n columns: the
+    columns of [matrix; I] left over once every row of the matrix is cleared."""
+    m = len(matrix)
+    stacked = [[matrix[r][c] for r in range(m)] + [int(i == c) for i in range(n)] for c in range(n)]
+    _, free = _eliminate(stacked, range(m))
+    return [tuple(col[m:]) for col in free]
+
+
+def _adjugate(rows):
+    """(d, M) with rows . M = d . I, d > 0 and M integral, for a square
+    nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [rows | I]: after step k every
+    entry is, up to sign, a minor of the augmented matrix, so each division
+    by the previous pivot is exact, and d ends as |det(rows)|.
+    """
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if aug[r][k]), None)
+        if piv is None:
+            raise SingularBasis("matrix is singular")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        p = aug[k][k]
+        for r in range(n):
+            if r != k:
+                f = aug[r][k]
+                aug[r] = [(p * e - f * g) // prev for e, g in zip(aug[r], aug[k])]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * e for e in row[n:]] for row in aug]
+
+
+def _integer_entry(e) -> int:
+    """`e` as an int; an entry with a fractional part is refused, not truncated."""
+    n = int(e)
+    if n != e:
+        raise LatticeError(f"entry {e} is not an integer")
+    return n
 
 
 @dataclass(frozen=True)
@@ -99,7 +156,7 @@ class IntegerLattice:
 
     @staticmethod
     def from_columns(columns) -> "IntegerLattice":
-        columns = [tuple(int(e) for e in c) for c in columns]
+        columns = [tuple(_integer_entry(e) for e in c) for c in columns]
         if not columns:
             raise SingularBasis("no generators")
         dim = len(columns[0])
@@ -126,7 +183,7 @@ class IntegerLattice:
 
     @staticmethod
     def diagonal(entries) -> "IntegerLattice":
-        entries = [int(e) for e in entries]
+        entries = [_integer_entry(e) for e in entries]
         if any(e <= 0 for e in entries):
             raise SingularBasis("diagonal entries must be positive")
         dim = len(entries)
@@ -186,10 +243,6 @@ class IntegerLattice:
     def intersect(self, other) -> "IntegerLattice":
         """Largest common sublattice with an integer or rational lattice,
         computed through the dual sum; it lies in this one, so is integral."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("lattices of different dimension")
-        if isinstance(other, IntegerLattice):
-            other = RationalLattice.from_integer(other)
         return RationalLattice.from_integer(self).intersect(other).as_integer()
 
     def dual(self) -> "RationalLattice":
@@ -211,24 +264,6 @@ class IntegerLattice:
 def hnf(matrix) -> IntegerLattice:
     """Canonicalize a raw square basis matrix (rows given, columns generate)."""
     return IntegerLattice.from_rows(matrix)
-
-
-def _fraction_inverse(rows):
-    """Exact inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularBasis("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [e - f * g for e, g in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -263,22 +298,9 @@ class RationalLattice:
         return RationalLattice(lattice.dim, 1, lattice)
 
     @staticmethod
-    def from_fraction_columns(columns) -> "RationalLattice":
-        cols = [[Fraction(e) for e in c] for c in columns]
-        if not cols:
-            raise SingularBasis("no generators")
-        dim = len(cols[0])
-        den = 1
-        for c in cols:
-            for e in c:
-                den = lcm(den, e.denominator)
-        int_cols = [[int(e * den) for e in c] for c in cols]
-        num = IntegerLattice.from_columns(int_cols)
-        return RationalLattice._canonical(dim, den, num)
-
-    @staticmethod
     def from_scaled_rows(den: int, matrix) -> "RationalLattice":
         """Lattice (1/den) * (matrix) * Z^d for a raw square row matrix."""
+        den = _integer_entry(den)
         if den <= 0:
             raise SingularBasis("denominator must be positive")
         num = IntegerLattice.from_rows(matrix)
@@ -310,18 +332,8 @@ class RationalLattice:
         """Exact membership of a vector of rationals."""
         if len(vector) != self.dim:
             raise DimensionMismatch(f"vector of length {len(vector)} in dimension {self.dim}")
-        target = [Fraction(v) * self.den for v in vector]
-        # back-substitute against the triangular numerator basis
-        coeffs_ok = True
-        residual = target[:]
-        for i in reversed(range(self.dim)):
-            q = residual[i] / self.num.rows[i][i]
-            if q.denominator != 1:
-                coeffs_ok = False
-                break
-            for k in range(i + 1):
-                residual[k] -= q * self.num.rows[k][i]
-        return coeffs_ok
+        scaled = [Fraction(v) * self.den for v in vector]
+        return all(e.denominator == 1 for e in scaled) and self.num.contains([e.numerator for e in scaled])
 
     def is_sublattice(self, other: "RationalLattice") -> bool:
         if self.dim != other.dim:
@@ -330,8 +342,10 @@ class RationalLattice:
 
     # -- lattice algebra ----------------------------------------------
 
-    def sum(self, other: "RationalLattice") -> "RationalLattice":
-        """Smallest lattice containing both summands."""
+    def sum(self, other) -> "RationalLattice":
+        """Smallest lattice containing both summands; either may be integral."""
+        if isinstance(other, IntegerLattice):
+            other = RationalLattice.from_integer(other)
         if self.dim != other.dim:
             raise DimensionMismatch("lattices of different dimension")
         den = lcm(self.den, other.den)
@@ -342,12 +356,13 @@ class RationalLattice:
 
     def dual(self) -> "RationalLattice":
         """Inverse-transpose lattice; dual of the dual is the original."""
-        basis = [[Fraction(self.num.rows[i][j], self.den) for j in range(self.dim)] for i in range(self.dim)]
-        inv = _fraction_inverse(basis)
-        # columns of the dual basis are the rows of the inverse
-        return RationalLattice.from_fraction_columns([list(r) for r in inv])
+        # the basis is num/den and num . M = d . I, so its inverse transpose
+        # is (den/d) . M^T
+        d, adj = _adjugate(self.num.rows)
+        dim = self.dim
+        return RationalLattice.from_scaled_rows(d, [[self.den * adj[j][i] for j in range(dim)] for i in range(dim)])
 
-    def intersect(self, other: "RationalLattice") -> "RationalLattice":
+    def intersect(self, other) -> "RationalLattice":
         """Largest common sublattice: the dual of the sum of the duals."""
         return self.dual().sum(other.dual()).dual()
 

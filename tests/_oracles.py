@@ -5,7 +5,7 @@ triangular-solve code it is used to check.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 
 def span_in_box(generators, coeff_bound):
@@ -77,6 +77,84 @@ def pairs_integrally(vector, generators):
         if dot.denominator != 1:
             return False
     return True
+
+
+def leibniz_det(matrix):
+    """Determinant as the Leibniz sum over all permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= matrix[i][perm[i]]
+        total += term
+    return total
+
+
+def rank_by_minors(matrix):
+    """Largest r such that some r x r minor is nonzero."""
+    m, n = len(matrix), len(matrix[0]) if matrix else 0
+    for r in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), r):
+            for cols in combinations(range(n), r):
+                if leibniz_det([[matrix[i][j] for j in cols] for i in rows]):
+                    return r
+    return 0
+
+
+def integer_coordinates(vector, basis):
+    """Integer c with sum(c_k * basis_k) == vector, or None.
+
+    `basis` holds independent integer vectors.  The coordinates are solved by
+    Cramer's rule on the first nonsingular square block of rows, then
+    checked on every row.
+    """
+    k = len(basis)
+    if k == 0:
+        return () if all(x == 0 for x in vector) else None
+    for rows in combinations(range(len(vector)), k):
+        block = [[basis[j][i] for j in range(k)] for i in rows]
+        det = leibniz_det(block)
+        if det:
+            break
+    coords = []
+    for j in range(k):
+        swapped = [row[:j] + [vector[i]] + row[j + 1 :] for row, i in zip(block, rows)]
+        c = Fraction(leibniz_det(swapped), det)
+        if c.denominator != 1:
+            return None
+        coords.append(int(c))
+    if any(sum(c * b[i] for c, b in zip(coords, basis)) != vector[i] for i in range(len(vector))):
+        return None
+    return tuple(coords)
+
+
+def rational_members_in_box(den, columns, grid, radius):
+    """The integer vectors v with |v_i| <= radius for which v/grid lies in
+    the lattice (1/den) * span_Z(columns), `columns` being d independent
+    integer vectors.
+
+    v/grid is a member iff its coordinates in the generators are integers.
+    By Cramer's rule coordinate i is den * det(N_i) / (grid * det(N)), where
+    N has the generators as columns and N_i has column i replaced by v.
+    det(N_i) is linear in v, so it is read off the determinants with v a
+    unit vector; no elimination is shared with the library.
+    """
+    dim = len(columns)
+    rows = [[columns[j][i] for j in range(dim)] for i in range(dim)]
+    det = leibniz_det(rows)
+    unit = [[int(k == i) for i in range(dim)] for k in range(dim)]
+    cramer = [
+        [leibniz_det([row[:i] + [unit[k][r]] + row[i + 1 :] for r, row in enumerate(rows)]) for k in range(dim)]
+        for i in range(dim)
+    ]
+    modulus = grid * det
+    members = set()
+    for v in product(range(-radius, radius + 1), repeat=dim):
+        if all(den * sum(c * x for c, x in zip(cramer[i], v)) % modulus == 0 for i in range(dim)):
+            members.add(v)
+    return members
 
 
 def rational_group_generated_by(denominators, probe_denominator_bound=64):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from odolab.classify import (
     NoFit,
     SupergroupDescriptor,
     UnsupportedDescriptor,
+    _truncate,
     conjugate_test,
     continuous_oe_test,
     fit_descriptor,
@@ -107,6 +109,30 @@ def test_fit_descriptor_random_diagonal_chains():
         chain = OdometerChain.diagonal_power(bases)
         desc = fit_descriptor(chain, 3)
         assert desc == SupergroupDescriptor.coordinate([{bases[0]}, {bases[1]}])
+
+
+@pytest.mark.parametrize(
+    "desc, scales",
+    [
+        (H_BASE, (1, 2, 6, 12)),
+        (H_DYADIC, (1, 4, 6)),
+        (SupergroupDescriptor.coordinate([{2, 3}, set()]), (1, 6, 10)),
+        (SupergroupDescriptor.coordinate([{2}, {3}, {2, 5}]), (1, 6, 10)),
+        (H_SHEARED, (1, 2, 6, 12)),
+    ],
+    ids=["base", "dyadic", "one-sided", "three-dim", "row-shear"],
+)
+def test_truncate_matches_enumeration(desc, scales):
+    """The cut of a described group at `scale` holds exactly its members
+    with denominators dividing `scale`; probed on a grid twice as fine."""
+    for scale in scales:
+        cut = _truncate(desc, scale)
+        grid = 2 * scale
+        radius = grid if desc.dim == 2 else scale
+        for v in product(range(-radius, radius + 1), repeat=desc.dim):
+            x = tuple(Fraction(e, grid) for e in v)
+            expected = all((e * scale).denominator == 1 for e in x) and desc.member(x)
+            assert cut.contains(x) == expected
 
 
 # ---------------------------------------------------------------- closed-form shear fit

@@ -126,9 +126,7 @@ def test_freeness_dyadic():
 
 def test_cohomology_stage_examples():
     ch = chain32()
-    assert ch.cohomology_stage(1) == RationalLattice.from_fraction_columns(
-        [(Fraction(1, 3), 0), (0, Fraction(1, 2))]
-    )
+    assert ch.cohomology_stage(1) == RationalLattice.from_scaled_rows(6, [[2, 0], [0, 3]])
     eye = OdometerChain.explicit([IntegerLattice.standard(2)])
     assert eye.cohomology_stage(1) == RationalLattice.from_integer(IntegerLattice.standard(2))
 
