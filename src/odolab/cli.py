@@ -172,6 +172,8 @@ def _classify_cmd(args) -> int:
 
 
 def _construct_cmd(args) -> int:
+    if args.stages < 1:
+        raise UsageError(f"stage count must be at least 1, got {args.stages}")
     source = load_chain(args.source)
     target = load_chain(args.target)
     cone = load_cone(args.cone)

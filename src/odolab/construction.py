@@ -10,12 +10,13 @@ target's cylinder towers inside the source space, stage by stage:
             own towers, refine to pure cylinder columns, and mirror the
             tower shape on the target side by exact measure bookkeeping;
   stage k   refine the target tower into pure previous-stage columns,
-            mirror that refinement on the source castle, rotate the two
-            anchor towers so the anchors sit at the base and top, swap the
-            boundary into the next anchor cylinders (recording the moved
-            set and patching the previous translation map where it broke),
-            join consecutive blocks by fresh cone translations, refine,
-            and copy over.
+            mirror that refinement on the source castle with one climb of
+            the previous map, separate the anchors by choosing columns of
+            that climb, rotate the two anchor towers so the anchors sit at
+            the base and top, swap the boundary into the next anchor
+            cylinders (recording the moved set and patching the previous
+            translation map where it broke), join consecutive blocks by
+            fresh cone translations, refine, and copy over.
 
 No homeomorphism between the spaces is ever constructed: every transport
 step moves exact atom counts, which is the only consequence of such a map
@@ -46,8 +47,9 @@ from .castles import (
     StepMap,
     Tower,
     ValueGroupMismatch,
+    _climb,
+    _tower_of_columns,
     castle_refinement_over,
-    climb_tower,
     minimal_cone_vector,
     positions,
     refine_pure_columns,
@@ -215,22 +217,27 @@ class SpeedupConstruction:
         # the two anchor columns must be pointwise distinct before they can
         # be separated; if they merged, re-route the last step on the zero
         # column inside its congruence class (same atom map, new point map)
+        columns = _climb(space, steps, tower.level(0), h)
+        top = columns[(h - 1) * tower.width :]
+        column = columns[top.index(x2_atom) :: tower.width]  # the column ending at the second anchor
+
+        def base_point():
+            """Exact base point of that column: the second anchor minus its steps."""
+            climbed = map(sum, zip(*(steps[c] for c in column[:-1])))
+            return tuple(x - s for x, s in zip(self.x2_vector, climbed))
+
         zero = (0,) * self.source.dim
-        if self._pull_to_base(tower, steps, space) == zero:
-            z = zero
-            for _ in range(h - 2):
-                z = _vadd(z, steps[space.encode_vector(z)])
-            atom = space.encode_vector(z)
-            tgt = space.translate(atom, steps[atom])
+        if base_point() == zero:
+            atom = column[h - 2]
             steps.assign(
                 atom,
-                minimal_cone_vector(self.cone, space.decode(tgt), space.decode(atom), lattice, second=True),
+                minimal_cone_vector(self.cone, space.decode(x2_atom), space.decode(atom), lattice, second=True),
             )
-            if self._pull_to_base(tower, steps, space) == zero:
+            if base_point() == zero:
                 raise _NeedDepth()
 
         castle = Castle(self.source, gamma, towers, steps)
-        y_atom = space.encode_vector(self._pull_to_base(tower, steps, space))
+        y_atom = column[0]
         if y_atom == x0_atom:
             raise _NeedDepth()
         parts = [[x0_atom], [y_atom]]
@@ -265,13 +272,6 @@ class SpeedupConstruction:
             tower_x2=tower_x2,
             x0_column=self._column_points(castle, tower_x0),
         )
-
-    def _pull_to_base(self, tower, steps, space):
-        """Exact base point of the column ending at the second anchor."""
-        y = self.x2_vector
-        for v in range(tower.height - 1, 0, -1):
-            y = self._pull_back_in(tower.level(v - 1), y, space, steps)
-        return y
 
     # -- shared machinery -------------------------------------------------
 
@@ -342,15 +342,6 @@ class SpeedupConstruction:
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
             steps.assign(s, vec)
-
-    def _pull_back_in(self, level, point, space, steps):
-        """Exact preimage of an orbit point under the level map below it."""
-        atom = space.encode_vector(point)
-        for c in level:
-            vec = steps.get(c)
-            if vec is not None and space.translate(c, vec) == atom:
-                return tuple(p - q for p, q in zip(point, vec))
-        raise CastleError("no level atom maps onto the point's atom")
 
     def _column_points(self, castle: Castle, tower: int):
         """Exact orbit points along the zero anchor's column."""
@@ -435,31 +426,52 @@ class SpeedupConstruction:
             for (beta, m, _), chunk in zip(demands, chunks):
                 piece_of[(beta, m)] = chunk
 
-        pretowers: list[Tower] = []
-        for beta, (_, codes) in enumerate(tall):
-            tower = array("q")
-            for m in range(blocks):
-                tower.extend(climb_tower(space, prev_steps, piece_of[(beta, m)], h_prev).codes)
-            pretowers.append(Tower(len(codes), tower))
-        tall_bases = [sorted(codes) for _, codes in tall]
-
-        # --- separate the anchors into distinct pretowers, then rotate
+        # --- climb each block piece once with the previous map: column i of
+        # a climb starts at the piece's i-th smallest base atom
+        climbs = {key: _climb(space, prev_steps, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
-        pos = positions(pretowers, space.size)
-        beta0, w0 = divmod(pos[x0_atom], h)
-        beta2, w2 = divmod(pos[x2_atom], h)
-        if w0 % h_prev != 0 or (w2 + 1) % h_prev != 0:
-            raise CastleError("anchors are misaligned with the block structure")
+        (beta0, m0), i0 = _find_column(climbs, h_prev, x0_atom, 0)
+        (beta2, m2), i2 = _find_column(climbs, h_prev, x2_atom, h_prev - 1)
+
+        # --- pretowers as (tall tower, the columns each block gives it);
+        # when the anchors share one, split it into an anchor part, a
+        # co-anchor part and the rest, each block giving one column to each
+        # anchor part.  Levels need at least three atoms so the remainder
+        # keeps equal measures; deepen the working depth otherwise.
+        widths = [len(codes) for _, codes in tall]
+        layout = [(beta, [range(width)] * blocks) for beta, width in enumerate(widths)]
+        tall_bases = [sorted(codes) for _, codes in tall]
         if beta0 == beta2:
-            pretowers = self._separate_pretower(pretowers, beta0, w0, w2, h_prev, space, prev_steps)
-            pos = positions(pretowers, space.size)
-            beta0, w0 = divmod(pos[x0_atom], h)
-            beta2, w2 = divmod(pos[x2_atom], h)
-            pool = sorted(c for b in tall_bases for c in b)
-            tall_bases = _deal(pool, [t.width for t in pretowers])
-        pretowers[beta0] = _rotate(pretowers[beta0], w0)
-        pretowers[beta2] = _rotate(pretowers[beta2], (w2 + 1) % h)
+            width = widths[beta0]
+            if width < 3:
+                raise _NeedDepth()
+            if (m0, i0) == (m2, i2):
+                raise CastleError("the anchors share a block column")
+            parts = []
+            for m in range(blocks):
+                a = i0 if m == m0 else None
+                b = i2 if m == m2 else None
+                rest = [i for i in range(width) if i not in (a, b)]
+                a = rest.pop(0) if a is None else a
+                b = rest.pop(0) if b is None else b
+                parts.append(([a], [b], rest))
+            del layout[beta0]
+            layout.extend((beta0, list(members)) for members in zip(*parts))
+            beta0, beta2 = len(layout) - 3, len(layout) - 2
+            pool = sorted(c for base in tall_bases for c in base)
+            tall_bases = _deal(pool, [len(members[0]) for _, members in layout])
+        pretowers = []
+        for beta, members in layout:
+            codes = array("q")
+            for m in range(blocks):
+                codes.extend(_tower_of_columns(climbs[beta, m], widths[beta], h_prev, members[m]).codes)
+            pretowers.append(Tower(len(members[0]), codes))
+        del climbs
+
+        # --- rotate the anchors to the base and the top
+        pretowers[beta0] = _rotate(pretowers[beta0], m0 * h_prev)
+        pretowers[beta2] = _rotate(pretowers[beta2], (m2 + 1) * h_prev % h)
         pos = positions(pretowers, space.size)
 
         # --- swap the castle boundary into the anchor cylinders
@@ -528,43 +540,6 @@ class SpeedupConstruction:
             tower_x2=tower_x2,
             x0_column=self._column_points(refined, tower_x0),
         )
-
-    def _separate_pretower(self, pretowers, beta, w0, w2, h_prev, space, prev_steps):
-        """Split one pretower into anchor-, co-anchor-, and remainder parts.
-
-        Each block contributes a one-atom column to each anchor part,
-        chosen so the two anchors' columns land in distinct parts.  Levels
-        must hold at least three atoms so the remainder part keeps equal
-        measures; the caller deepens the working depth otherwise.
-        """
-        tower = pretowers[beta]
-        h = tower.height
-        if tower.width < 3:
-            raise _NeedDepth()
-        x0_atom = space.encode_vector((0,) * self.source.dim)
-        y = self.x2_vector
-        m2 = w2 // h_prev
-        for v in range(w2, m2 * h_prev, -1):
-            y = self._pull_back_in(tower.level(v - 1), y, space, prev_steps)
-        b2_atom = space.encode_vector(y)
-        parts = (array("q"), array("q"), array("q"))
-        for m in range(0, h, h_prev):
-            base = tower.level(m).tolist()
-            pick_a = x0_atom if w0 == m else None
-            pick_b = b2_atom if m2 * h_prev == m else None
-            if pick_a == pick_b and pick_a is not None:
-                raise CastleError("the anchors share a block column")
-            pool = [c for c in base if c not in (pick_a, pick_b)]
-            if pick_a is None:
-                pick_a = pool.pop(0)
-            if pick_b is None:
-                pick_b = pool.pop(0)
-            rest = [c for c in base if c not in (pick_a, pick_b)]
-            for codes, part in zip(parts, ([pick_a], [pick_b], rest)):
-                codes.extend(climb_tower(space, prev_steps, part, h_prev).codes)
-        out = [t for i, t in enumerate(pretowers) if i != beta]
-        out.extend(Tower(len(codes) // h, codes) for codes in parts)
-        return out
 
     # -- audits ------------------------------------------------------------
 
@@ -788,6 +763,16 @@ def _levels_refine(castle: Castle, coarse) -> bool:
         if any(labels[i : i + w].count(labels[i]) != w for i in range(0, len(labels), w)):
             return False
     return True
+
+
+def _find_column(climbs, height: int, atom: int, row: int):
+    """(piece, column index) of the `_climb` result whose level `row` holds `atom`."""
+    for piece, columns in climbs.items():
+        width = len(columns) // height
+        level = columns[row * width : (row + 1) * width]
+        if atom in level:
+            return piece, level.index(atom)
+    raise CastleError("anchors are misaligned with the block structure")
 
 
 def _anchor_towers(castle: Castle, x0_atom: int, x2_atom: int) -> tuple[int, int]:

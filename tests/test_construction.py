@@ -8,6 +8,7 @@ from odolab.odometer import OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
 from _oracles import coarsen_by_reduction, coset_members_by_l1, refine_pure_columns_by_sets
+from test_digests import FROZEN, stage_digests
 from test_speedup import row_shear_cocycle
 
 
@@ -57,6 +58,11 @@ def test_three_stages_all_invariants():
         rec = con.stages[k]
         mu_f = Fraction(len(rec.f_atoms), con.source.index(rec.gamma))
         assert mu_f <= 4 * con.anchor_measure(k)
+        # both anchors fall in the one tall tower: it splits into the x0
+        # column, the x2 column and the w - 2 columns left
+        assert rec.pretower_count == 3
+        w = con.source.index(rec.gamma) // rec.height
+        assert [width for width, _ in rec.swap_audit[0][-3:]] == [1, 1, w - 2]
 
 
 def test_stage_invariants_detect_corruption():
@@ -182,6 +188,7 @@ def test_derived_sector_stage2_audit():
     )
     for k in range(3):
         assert con.stage_invariants(k).failures() == [], k
+    assert stage_digests(con) == FROZEN["derived-sector"]
 
 
 def test_diagonal_sector_stage2_audit():
@@ -190,6 +197,7 @@ def test_diagonal_sector_stage2_audit():
     con = build(3, cone=Cone.sector((1, 0), (1, 1)))
     for k in range(3):
         assert con.stage_invariants(k).failures() == [], k
+    assert stage_digests(con) == FROZEN["sector"]
     for k in (1, 2):
         prev, rec = con.stages[k - 1].src_castle, con.stages[k]
         below_top = {c for t in prev.towers for c in t.codes[: len(t.codes) - t.width]}
@@ -200,12 +208,13 @@ def test_diagonal_sector_stage2_audit():
 
 def test_dyadic_pair_two_stages():
     con = build(
-        2,
+        3,
         source=OdometerChain.diagonal_power([2, 2]),
         target=OdometerChain.diagonal_power([4]),
     )
-    for k in range(2):
+    for k in range(3):
         assert con.stage_invariants(k).ok
+    assert stage_digests(con) == FROZEN["dyadic"]
 
 
 def test_x0_column_is_exact_and_increasing():

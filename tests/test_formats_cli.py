@@ -300,6 +300,16 @@ BAD_SPECS = {
         (["classify", "coe", "base.desc", "sheared.desc", "--denom", "0"], "denominator bound must be at least 1, got 0"),
         (["classify", "coe", "base.desc", "sheared.desc", "--height", "0"], "search height must be at least 1, got 0"),
         (["classify", "iso", "base.desc", "sheared.desc", "--height", "-1"], "search height must be at least 1, got -1"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "quad.cone",
+             "--stages", "0", "--table"],
+            "stage count must be at least 1, got 0",
+        ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "quad.cone",
+             "--stages", "-2"],
+            "stage count must be at least 1, got -2",
+        ),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
