@@ -39,6 +39,8 @@ import functools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .castles import (
     Castle,
@@ -55,7 +57,7 @@ from .castles import (
     refine_pure_columns,
 )
 from .classify import orbit_equivalence_test
-from .lattice import IntegerLattice
+from .lattice import IntegerLattice, _integer_kernel
 from .odometer import OdometerChain
 from .speedup import Cone
 
@@ -543,23 +545,46 @@ class SpeedupConstruction:
 
     # -- audits ------------------------------------------------------------
 
+    def _record(self, k: int) -> StageRecord:
+        if not 0 <= k < len(self.stages):
+            raise CastleError(f"no stage {k}: {len(self.stages)} stages are built, numbered from 0")
+        return self.stages[k]
+
     def stage_invariants(self, k: int) -> "StageReport":
+        """Audit stage k: one exact, named check per structural invariant,
+        always in the same order (stage numbers, castle shape, swapped
+        measure, rebuild set, cylinder levels of both castles, anchor
+        placement and separation, the target's +1 map, level maps,
+        displacements and column sums in the cone, stability off the
+        rebuild set, pairing, swap conservation).
+
+        The checks read only the stage's towers, level map, swap records
+        and cone, never an array the build made for its own speed.  The
+        level maps and column sums come from one climb of each column
+        (`_column_walk`).  A check that raises on corrupted data fails and
+        names the exception; a failing climb check names its first failing
+        tower and level.  A stage not built yet reports no checks; a
+        negative k raises CastleError.
+        """
         if k >= len(self.stages):
             return StageReport(k, ())  # nothing built: vacuously fine
-        rec = self.stages[k]
+        rec = self._record(k)
         space = self.source.kr_partition(rec.gamma)
         tspace = self.target.kr_partition(rec.tgt_depth)
         checks: list[tuple[str, bool, str]] = []
 
         def check(name, ok, detail=""):
             # `ok` may be a thunk so that audits of corrupted data report a
-            # failure instead of crashing mid-check
+            # failure instead of crashing mid-check; a thunk may also return
+            # an (ok, detail) pair
             if callable(ok):
                 try:
                     ok = ok()
                 except Exception as err:  # noqa: BLE001 - audit must not die
                     checks.append((name, False, f"check raised {type(err).__name__}: {err}"))
                     return
+            if isinstance(ok, tuple):
+                ok, detail = ok
             checks.append((name, bool(ok), detail))
 
         # (1) stage numbers strictly increase
@@ -617,12 +642,16 @@ class SpeedupConstruction:
 
         # (5d) the target castle is a translation castle
         def _shift_ok():
+            # the images of the levels below the top, level by level; when
+            # +1 keeps every level's order they are the codes above the base
             for t in tgt.towers:
                 w = t.width
-                images = [tspace.translate(c, (1,)) for c in t.codes[: len(t.codes) - w]]
-                for v in range(t.height - 1):
-                    if sorted(images[v * w : (v + 1) * w]) != t.level(v + 1).tolist():
-                        return False
+                images = array("q", map(tspace.translate, t.codes[: len(t.codes) - w], repeat((1,))))
+                levels = range(t.height - 1)
+                if images != t.codes[w:] and any(
+                    sorted(images[v * w : (v + 1) * w]) != t.level(v + 1).tolist() for v in levels
+                ):
+                    return False
             return True
 
         check("target-translation-castle", _shift_ok)
@@ -630,30 +659,8 @@ class SpeedupConstruction:
 
         # (6a) level maps are bijections level-to-level, and the column sums
         # stay in the cone: one climb of every column, one translate per atom
-        @functools.cache
-        def _climb():
-            zero = (0,) * self.source.dim
-            vectors, ids = steps.vectors, steps.ids
-            maps_ok = sums_ok = True
-            for t in src.towers:
-                cur = t.level(0).tolist()
-                sums = [zero] * t.width
-                for v in range(t.height - 1):
-                    vecs = [vectors[ids[c]] for c in cur]
-                    if None in vecs:
-                        raise KeyError("an atom below a tower's top has no step")
-                    # while the earlier levels map onto each other, the
-                    # climbed atoms are exactly level v
-                    cur = [space.translate(c, vec) for c, vec in zip(cur, vecs)]
-                    maps_ok = maps_ok and set(cur) == set(t.level(v + 1))
-                    if sums_ok:
-                        sums = [_vadd(a, vec) for a, vec in zip(sums, vecs)]
-                        sums_ok = all(map(self.cone.contains, sums))
-                    if not (maps_ok or sums_ok):
-                        return False, False
-            return maps_ok, sums_ok
-
-        check("level-maps-biject", lambda: _climb()[0])
+        walk = functools.cache(lambda: _column_walk(src, self.cone))
+        check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
         # (6b) every displacement lies in the cone; a stage uses few distinct ones
@@ -699,13 +706,13 @@ class SpeedupConstruction:
         check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
 
         # cone closure along columns: partial sums of every column stay in the cone
-        check("column-sums-in-cone", lambda: _climb()[1])
+        check("column-sums-in-cone", lambda: _verdict(walk()[1]))
 
         return StageReport(k, tuple(checks))
 
     def partial_speedup_pieces(self, k: int):
         """Grouped (tower, level, vector, atom count) table of the stage map."""
-        rec = self.stages[k]
+        rec = self._record(k)
         steps = rec.src_castle.steps
         out = []
         for alpha, t in enumerate(rec.src_castle.towers):
@@ -755,14 +762,119 @@ def _previous_map(castle: Castle, depth: int) -> StepMap:
 
 
 def _levels_refine(castle: Castle, coarse) -> bool:
-    """Every level of the castle lies inside one atom of the coarser space."""
+    """Every level of the castle lies inside one atom of the coarser space.
+
+    A level of one atom always does, so towers of width 1 are skipped."""
     space = castle.space
     for t in castle.towers:
         w = t.width
-        labels = [space.coarsen(c, coarse) for c in t.codes]
-        if any(labels[i : i + w].count(labels[i]) != w for i in range(0, len(labels), w)):
+        if w == 1:
+            continue
+        labels = list(map(space.coarsen, t.codes, repeat(coarse)))
+        if any(labels[i::w] != labels[::w] for i in range(1, w)):  # atom i of each level vs atom 0
             return False
     return True
+
+
+def _verdict(failure) -> tuple[bool, str]:
+    """(ok, detail) of a climb check from its first failing (tower, level)."""
+    if failure is None:
+        return True, ""
+    return False, "first failure: tower {} level {}".format(*failure)
+
+
+def _column_walk(castle: Castle, cone: Cone):
+    """Climb each column of the castle from its base atom to its top, once.
+
+    Returns the first (tower, level) where the set of climbed atoms
+    differs from the tower's level, and the first where a column's
+    partial step sum leaves the cone, each None if there is none; "first"
+    is in (tower, level) order.  Like a walk that climbs all columns of a
+    tower level by level, it stops once both have failed and otherwise
+    raises KeyError at the first level holding an atom with no step.
+
+    Reads only the towers, the level map and the cone.  A column is one
+    run of `translate` calls kept in an array; the step ids along it give
+    its partial sums' facet values (`_sums_outside`)."""
+    space, steps = castle.space, castle.steps
+    translate, vectors, ids = space.translate, steps.vectors, steps.ids
+    outside = _sums_outside(cone, vectors)
+    maps_at = sums_at = None
+    for alpha, t in enumerate(castle.towers):
+        w, h, codes = t.width, t.height, t.codes
+        # the climb laid out like `codes`: column i is climbed[i::w]; every
+        # column reaches levels 0..reach-1 (one that meets an atom with no
+        # step is padded)
+        climbed, reach = array("q", codes), h
+        for i, c in enumerate(codes[:w]):
+            column = array("q", [c])
+            for v in range(1, h):
+                vec = vectors[ids[c]]
+                if vec is None:
+                    reach = min(reach, v)
+                    column.extend([c] * (h - v))
+                    break
+                c = translate(c, vec)
+                column.append(c)
+            climbed[i::w] = column
+        n = reach * w
+        if maps_at is None and climbed[:n] != codes[:n]:  # some level differs, or only its order
+            levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
+            v = next((v for v, a, b in levels if sorted(a) != b.tolist() and set(a) != set(b)), None)
+            if v is not None:
+                maps_at = alpha, v
+        if sums_at is None:
+            # each column's step ids, at its levels 0..reach-2
+            columns = (climbed[i : n - w : w] for i in range(w))
+            firsts = (outside(list(map(ids.__getitem__, column))) for column in columns)
+            firsts = [j for j in firsts if j is not None]
+            if firsts:
+                sums_at = alpha, min(firsts) + 1
+        if maps_at and sums_at:
+            break
+        if reach < h:
+            raise KeyError("an atom below a tower's top has no step")
+    return maps_at, sums_at
+
+
+def _sums_outside(cone: Cone, vectors):
+    """The function taking the step ids up a column to the index of the
+    first partial sum outside the cone, or None.
+
+    On a pointed cone (its facet normals have no common integer kernel)
+    each step's facet values n.v are computed once per vector id, and the
+    partial sums are running sums of integers: inside the cone iff every
+    facet value is >= 0 (> 0 on a strict facet) and the sum is nonzero,
+    and a sum whose facet values are all >= 0 is zero iff they add up to
+    0.  On any other cone, or to locate a failure, each partial sum is
+    tested with `Cone.contains`."""
+
+    def by_contains(step_ids):
+        total = None
+        for j, i in enumerate(step_ids):
+            total = vectors[i] if total is None else _vadd(total, vectors[i])
+            if not cone.contains(total):
+                return j
+        return None
+
+    normals = [normal for normal, _ in cone.facets]
+    if cone.ray is not None or _integer_kernel(normals, cone.dim):
+        return by_contains
+    facets = [
+        ([0] + [sum(map(mul, normal, vec)) for vec in vectors[1:]], strict) for normal, strict in cone.facets
+    ]
+    totals = [sum(values) for values in zip(*(values for values, _ in facets))]
+
+    def by_facets(step_ids):
+        for values, strict in facets:
+            low = min(accumulate(map(values.__getitem__, step_ids)), default=1)
+            if low < 0 or (strict and low == 0):
+                return by_contains(step_ids)
+        if 0 in accumulate(map(totals.__getitem__, step_ids)):
+            return by_contains(step_ids)
+        return None
+
+    return by_facets
 
 
 def _find_column(climbs, height: int, atom: int, row: int):

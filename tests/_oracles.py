@@ -322,3 +322,132 @@ def fit_by_enumeration(chain, depth):
         if _fit_valid(desc, chain, duals):
             return desc
     return NoFit("no unit lower shear with the observed prime supports fits")
+
+
+def stage_checks_by_levels(con, k):
+    """(name, ok) of every `SpeedupConstruction.stage_invariants(k)` check,
+    walking the castles level by level.
+
+    The level maps and column sums climb all columns of a tower one level
+    at a time, comparing the climbed atoms with the level as sets and
+    testing every partial sum with `Cone.contains`; every atom of every
+    level is coarsened for the cylinder checks, and every target level is
+    compared with the sorted +1 images of the one below."""
+    from odolab.construction import _vadd
+
+    rec = con.stages[k]
+    space = con.source.kr_partition(rec.gamma)
+    tspace = con.target.kr_partition(rec.tgt_depth)
+    checks = []
+
+    def check(name, ok):
+        if callable(ok):
+            try:
+                ok = ok()
+            except Exception:  # noqa: BLE001 - a raising check fails
+                ok = False
+        checks.append((name, bool(ok)))
+
+    def levels_refine(castle, coarse):
+        for t in castle.towers:
+            w = t.width
+            labels = [castle.space.coarsen(c, coarse) for c in t.codes]
+            if any(labels[i : i + w].count(labels[i]) != w for i in range(0, len(labels), w)):
+                return False
+        return True
+
+    check("stage-numbers-increase", k == 0 or rec.n > con.stages[k - 1].n)
+    src, tgt = rec.src_castle, rec.tgt_castle
+    steps = src.steps
+
+    def shape_ok():
+        seen = bytearray(space.size)
+        for t in src.towers:
+            if t.height != rec.height or len(t.codes) != t.width * t.height:
+                return False
+            for c in t.codes:
+                if seen[c]:
+                    return False
+                seen[c] = 1
+        return 0 not in seen
+
+    check("castle-shape", shape_ok)
+    if k == 0:
+        check("swap-measure-bound", not rec.f_atoms)
+    else:
+        check("swap-measure-bound", Fraction(len(rec.f_atoms), space.size) <= 4 * con.anchor_measure(k))
+    check("rebuild-set-recorded", rec.r_atoms is not None)
+    check("levels-refine-cylinders", lambda: levels_refine(src, con.source.kr_partition(k + 1)))
+    a0, a2 = con._anchor_sets(k, rec.gamma)
+    base = {c for t in src.towers for c in t.level(0)}
+    top = {c for t in src.towers for c in t.level(t.height - 1)}
+    x0_atom = space.encode_vector((0,) * con.source.dim)
+    x2_atom = space.encode_vector(con.x2_vector)
+    check("anchors-in-boundary-cylinders", x0_atom in base and x2_atom in top and base <= a0 and top <= a2)
+    check("target-levels-refine-cylinders", lambda: levels_refine(tgt, con.target.kr_partition(rec.n)))
+
+    def shift_ok():
+        for t in tgt.towers:
+            w = t.width
+            images = [tspace.translate(c, (1,)) for c in t.codes[: len(t.codes) - w]]
+            for v in range(t.height - 1):
+                if sorted(images[v * w : (v + 1) * w]) != t.level(v + 1).tolist():
+                    return False
+        return True
+
+    check("target-translation-castle", shift_ok)
+    shift_ok = checks[-1][1]
+
+    def climb():
+        zero = (0,) * con.source.dim
+        vectors, ids = steps.vectors, steps.ids
+        maps_ok = sums_ok = True
+        for t in src.towers:
+            cur = t.level(0).tolist()
+            sums = [zero] * t.width
+            for v in range(t.height - 1):
+                vecs = [vectors[ids[c]] for c in cur]
+                if None in vecs:
+                    raise KeyError("an atom below a tower's top has no step")
+                cur = [space.translate(c, vec) for c, vec in zip(cur, vecs)]
+                maps_ok = maps_ok and set(cur) == set(t.level(v + 1))
+                if sums_ok:
+                    sums = [_vadd(a, vec) for a, vec in zip(sums, vecs)]
+                    sums_ok = all(map(con.cone.contains, sums))
+                if not (maps_ok or sums_ok):
+                    return False, False
+        return maps_ok, sums_ok
+
+    check("level-maps-biject", lambda: climb()[0])
+    maps_ok = checks[-1][1]
+
+    def cone_ok():
+        used = set()
+        for t in src.towers:
+            used.update(map(steps.ids.__getitem__, t.codes[: len(t.codes) - t.width]))
+        if 0 in used:
+            raise KeyError("an atom below a tower's top has no step")
+        return all(con.cone.contains(steps.vectors[i]) for i in used)
+
+    check("displacements-in-cone", cone_ok)
+    check(
+        "anchors-in-distinct-towers",
+        rec.tower_x0 != rec.tower_x2 and all(p != con.x2_vector for p in rec.x0_column),
+    )
+
+    def stable():
+        prev = rec.prev_steps
+        for c in prev:
+            i = steps.ids[c]
+            if i and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[prev.ids[c]]:
+                return False
+        return True
+
+    check("map-stable-off-rebuild", True if k == 0 else stable)
+    pair_ok = len(src.towers) == len(tgt.towers) and all(
+        s.height == t.height and s.width == t.width for s, t in zip(src.towers, tgt.towers)
+    )
+    check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
+    check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
+    check("column-sums-in-cone", lambda: climb()[1])
+    return checks

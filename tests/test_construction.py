@@ -1,13 +1,27 @@
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from odolab.castles import Tower, ValueGroupMismatch, positions, refine_pure_columns
-from odolab.construction import SpeedupConstruction
+from odolab.castles import (
+    Castle,
+    CastleError,
+    StepMap,
+    Tower,
+    ValueGroupMismatch,
+    positions,
+    refine_pure_columns,
+)
+from odolab.construction import SpeedupConstruction, StageRecord
 from odolab.odometer import OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
-from _oracles import coarsen_by_reduction, coset_members_by_l1, refine_pure_columns_by_sets
+from _oracles import (
+    coarsen_by_reduction,
+    coset_members_by_l1,
+    refine_pure_columns_by_sets,
+    stage_checks_by_levels,
+)
 from test_digests import FROZEN, stage_digests
 from test_speedup import row_shear_cocycle
 
@@ -19,6 +33,14 @@ def build(stages=1, cone=None, source=None, target=None):
         cone or Cone.quadrant(2),
     )
     return con.run(stages)
+
+
+def assert_audit_matches_the_level_oracle(con, k):
+    """The audit's verdicts equal those of the level-by-level walk; returns
+    the report."""
+    report = con.stage_invariants(k)
+    assert [(name, ok) for name, ok, _ in report.checks] == stage_checks_by_levels(con, k)
+    return report
 
 
 def test_anchor_choice_and_schedule():
@@ -51,7 +73,7 @@ def test_base_stage_all_invariants():
 def test_three_stages_all_invariants():
     con = build(3)
     for k in range(3):
-        report = con.stage_invariants(k)
+        report = assert_audit_matches_the_level_oracle(con, k)
         assert report.ok, (k, report.failures())
     # swapped-measure bound is exact at each stage
     for k in (1, 2):
@@ -99,6 +121,136 @@ def test_stage_invariants_detect_one_displacement_outside_the_cone():
     failures = con.stage_invariants(0).failures()
     assert "displacements-in-cone" in failures
     assert "level-maps-biject" not in failures
+
+
+def test_cube_audit_matches_the_level_oracle():
+    con = SpeedupConstruction(
+        OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8]), Cone.quadrant(3)
+    ).run(3)
+    for k in range(3):
+        assert assert_audit_matches_the_level_oracle(con, k).ok, k
+
+
+def _set_level(tower, v, level):
+    tower.codes[v * tower.width : (v + 1) * tower.width] = array("q", sorted(level))
+
+
+# quadrant stage 1: towers 0, 1, 3 and 4 have width 1, tower 2 width 2
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_audit_matches_the_oracle_on_atoms_swapped_between_levels(alpha):
+    con = build(2)
+    assert [t.width for t in con.stages[1].src_castle.towers] == [1, 1, 2, 1, 1]
+    tower = con.stages[1].src_castle.towers[alpha]
+    low, high = tower.level(5).tolist(), tower.level(6).tolist()
+    low[-1], high[0] = high[0], low[-1]
+    _set_level(tower, 5, low)
+    _set_level(tower, 6, high)
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert ("level-maps-biject", False, f"first failure: tower {alpha} level 5") in report.checks
+    assert "column-sums-in-cone" not in report.failures()
+
+
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_audit_matches_the_oracle_on_a_step_removed_below_the_top(alpha):
+    con = build(2)
+    castle = con.stages[1].src_castle
+    castle.steps.ids[castle.towers[alpha].level(7)[0]] = 0
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    detail = "check raised KeyError: \"an atom below a tower's top has no step\""
+    for name in ("level-maps-biject", "column-sums-in-cone"):
+        assert (name, False, detail) in report.checks
+
+
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_audit_matches_the_oracle_on_a_congruent_step_outside_the_cone(alpha):
+    con = build(2)
+    rec = con.stages[1]
+    steps = rec.src_castle.steps
+    atom = rec.src_castle.towers[alpha].level(0)[-1]
+    vec = steps[atom]
+    m = con.source.stage(rec.gamma).diag[0]
+    steps.assign(atom, (vec[0] - m * (vec[0] // m + 1),) + vec[1:])
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert "level-maps-biject" not in report.failures()
+    assert ("column-sums-in-cone", False, f"first failure: tower {alpha} level 1") in report.checks
+
+
+def test_audit_matches_the_oracle_on_a_wide_level_straddling_two_cylinders():
+    con = build(2)
+    castle = con.stages[1].src_castle
+    space, coarse = castle.space, con.source.kr_partition(2)
+    wide, narrow = castle.towers[2], castle.towers[0]
+    v = next(
+        v
+        for v in range(1, wide.height)
+        if space.coarsen(narrow.level(v)[0], coarse) != space.coarsen(wide.level(v)[0], coarse)
+    )
+    a, b = wide.level(v).tolist(), narrow.level(v).tolist()
+    a[1], b[0] = b[0], a[1]
+    _set_level(wide, v, a)
+    _set_level(narrow, v, b)
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert "levels-refine-cylinders" in report.failures()
+
+
+@pytest.mark.parametrize("alpha", [0, 2])
+def test_audit_matches_the_oracle_on_a_target_level_shifted_by_two(alpha):
+    con = build(2)
+    tgt = con.stages[1].tgt_castle
+    tower = tgt.towers[alpha]
+    _set_level(tower, 9, [tgt.space.translate(c, (2,)) for c in tower.level(9)])
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert "target-translation-castle" in report.failures()
+
+
+def _hand_built(cone, vectors):
+    """A construction whose only stage is one width-1 tower climbing from
+    atom 0 by `vectors`; its target tower is the +1 climb from atom 0."""
+    con = SpeedupConstruction(OdometerChain.diagonal_power([3, 2]), OdometerChain.diagonal_power([6]), cone)
+    space = con.source.kr_partition(1)
+    steps, codes = StepMap(space.size), array("q", [0])
+    for vec in vectors:
+        steps.assign(codes[-1], vec)
+        codes.append(space.translate(codes[-1], vec))
+    castle = Castle(con.source, 1, [Tower(1, codes)], steps)
+    tgt = Castle(con.target, 1, [Tower(1, array("q", range(len(codes))))])
+    con.stages = [
+        StageRecord(
+            k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), eps_cap=Fraction(1),
+            boundary_measure=Fraction(1), src_castle=castle, tgt_castle=tgt, pretower_count=1,
+            f_atoms=frozenset(), r_atoms=frozenset(), prev_steps=None, swap_audit=((), ()),
+            tower_x0=0, tower_x2=0, x0_column=[(0, 0)],
+        )
+    ]
+    return con
+
+
+@pytest.mark.parametrize(
+    "cone, vectors",
+    [
+        # a half-plane: not pointed, so its partial sums go through Cone.contains
+        (Cone.from_facets([((0, 1), False)]), [(1, 0), (-1, 0)]),
+        # pointed: the facet values of the second sum are all 0, so it is zero
+        (Cone.quadrant(2), [(1, 0), (-1, 0)]),
+        # the second sum lies on the strict facet y > 0
+        (Cone.quadrant(2, strict_axes=(1,)), [(1, 1), (0, -1)]),
+    ],
+)
+def test_audit_matches_the_oracle_on_column_sums_leaving_the_cone(cone, vectors):
+    con = _hand_built(cone, vectors)
+    report = assert_audit_matches_the_level_oracle(con, 0)
+    assert "level-maps-biject" not in report.failures()
+    assert ("column-sums-in-cone", False, "first failure: tower 0 level 2") in report.checks
+
+
+def test_stage_numbers_out_of_range_are_refused():
+    con = build(1)
+    for call in (con.stage_invariants, con.partial_speedup_pieces):
+        with pytest.raises(CastleError, match="no stage -1: 1 stages are built"):
+            call(-1)
+    with pytest.raises(CastleError, match="no stage 1: 1 stages are built"):
+        con.partial_speedup_pieces(1)
+    assert con.stage_invariants(1).checks == ()
 
 
 def test_stage_invariants_vacuous_before_running():
@@ -187,7 +339,7 @@ def test_derived_sector_stage2_audit():
         source=derived_odometer(row_shear_cocycle(), checked_depth=2),
     )
     for k in range(3):
-        assert con.stage_invariants(k).failures() == [], k
+        assert assert_audit_matches_the_level_oracle(con, k).failures() == [], k
     assert stage_digests(con) == FROZEN["derived-sector"]
 
 
