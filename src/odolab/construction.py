@@ -57,7 +57,7 @@ from .castles import (
     refine_pure_columns,
 )
 from .classify import orbit_equivalence_test
-from .lattice import IntegerLattice, _integer_kernel
+from .lattice import IntegerLattice
 from .odometer import OdometerChain
 from .speedup import Cone
 
@@ -659,7 +659,7 @@ class SpeedupConstruction:
 
         # (6a) level maps are bijections level-to-level, and the column sums
         # stay in the cone: one climb of every column, one translate per atom
-        walk = functools.cache(lambda: _column_walk(src, self.cone))
+        walk = functools.cache(lambda: _column_walk(src, space, self.cone))
         check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
@@ -764,11 +764,14 @@ def _previous_map(castle: Castle, depth: int) -> StepMap:
 def _levels_refine(castle: Castle, coarse) -> bool:
     """Every level of the castle lies inside one atom of the coarser space.
 
-    A level of one atom always does, so towers of width 1 are skipped."""
+    A level of one atom always does, so a tower of width 1 has only its
+    first atom coarsened, which raises unless `coarse` is a coarser space
+    of the castle's chain."""
     space = castle.space
     for t in castle.towers:
         w = t.width
         if w == 1:
+            space.coarsen(t.codes[0], coarse)
             continue
         labels = list(map(space.coarsen, t.codes, repeat(coarse)))
         if any(labels[i::w] != labels[::w] for i in range(1, w)):  # atom i of each level vs atom 0
@@ -783,20 +786,22 @@ def _verdict(failure) -> tuple[bool, str]:
     return False, "first failure: tower {} level {}".format(*failure)
 
 
-def _column_walk(castle: Castle, cone: Cone):
-    """Climb each column of the castle from its base atom to its top, once.
+def _column_walk(castle: Castle, space, cone: Cone):
+    """Climb each column of the castle from its base atom to its top, once,
+    translating in the atom space `space` of the stage.
 
     Returns the first (tower, level) where the set of climbed atoms
     differs from the tower's level, and the first where a column's
     partial step sum leaves the cone, each None if there is none; "first"
     is in (tower, level) order.  Like a walk that climbs all columns of a
     tower level by level, it stops once both have failed and otherwise
-    raises KeyError at the first level holding an atom with no step.
+    raises KeyError, naming the tower and level, at the first level
+    holding an atom with no step.
 
-    Reads only the towers, the level map and the cone.  A column is one
-    run of `translate` calls kept in an array; the step ids along it give
-    its partial sums' facet values (`_sums_outside`)."""
-    space, steps = castle.space, castle.steps
+    Reads only the towers, the level map, `space` and the cone.  A column
+    is one run of `translate` calls kept in an array; the step ids along
+    it give its partial sums' facet values (`_sums_outside`)."""
+    steps = castle.steps
     translate, vectors, ids = space.translate, steps.vectors, steps.ids
     outside = _sums_outside(cone, vectors)
     maps_at = sums_at = None
@@ -820,7 +825,7 @@ def _column_walk(castle: Castle, cone: Cone):
         n = reach * w
         if maps_at is None and climbed[:n] != codes[:n]:  # some level differs, or only its order
             levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
-            v = next((v for v, a, b in levels if sorted(a) != b.tolist() and set(a) != set(b)), None)
+            v = next((v for v, a, b in levels if set(a) != set(b)), None)
             if v is not None:
                 maps_at = alpha, v
         if sums_at is None:
@@ -833,7 +838,7 @@ def _column_walk(castle: Castle, cone: Cone):
         if maps_at and sums_at:
             break
         if reach < h:
-            raise KeyError("an atom below a tower's top has no step")
+            raise KeyError(f"an atom below a tower's top has no step: tower {alpha} level {reach - 1}")
     return maps_at, sums_at
 
 
@@ -841,13 +846,14 @@ def _sums_outside(cone: Cone, vectors):
     """The function taking the step ids up a column to the index of the
     first partial sum outside the cone, or None.
 
-    On a pointed cone (its facet normals have no common integer kernel)
-    each step's facet values n.v are computed once per vector id, and the
-    partial sums are running sums of integers: inside the cone iff every
-    facet value is >= 0 (> 0 on a strict facet) and the sum is nonzero,
-    and a sum whose facet values are all >= 0 is zero iff they add up to
-    0.  On any other cone, or to locate a failure, each partial sum is
-    tested with `Cone.contains`."""
+    Each step's facet values n.v are computed once per vector id, and a
+    column's partial sums have running sums of them as facet values.  A
+    partial sum whose facet values are all >= 0 (> 0 on a strict facet)
+    and add up to a positive number is nonzero and in the cone.  A column
+    with a partial sum that fails this, or whose facet values add up to
+    0, is tested sum by sum with `Cone.contains`, which also locates the
+    failure.  (On a ray cone the facet values of every vector add up to
+    0, so its columns always are.)"""
 
     def by_contains(step_ids):
         total = None
@@ -857,9 +863,6 @@ def _sums_outside(cone: Cone, vectors):
                 return j
         return None
 
-    normals = [normal for normal, _ in cone.facets]
-    if cone.ray is not None or _integer_kernel(normals, cone.dim):
-        return by_contains
     facets = [
         ([0] + [sum(map(mul, normal, vec)) for vec in vectors[1:]], strict) for normal, strict in cone.facets
     ]

@@ -156,7 +156,7 @@ def test_audit_matches_the_oracle_on_a_step_removed_below_the_top(alpha):
     castle = con.stages[1].src_castle
     castle.steps.ids[castle.towers[alpha].level(7)[0]] = 0
     report = assert_audit_matches_the_level_oracle(con, 1)
-    detail = "check raised KeyError: \"an atom below a tower's top has no step\""
+    detail = f"check raised KeyError: \"an atom below a tower's top has no step: tower {alpha} level 7\""
     for name in ("level-maps-biject", "column-sums-in-cone"):
         assert (name, False, detail) in report.checks
 
@@ -228,7 +228,8 @@ def _hand_built(cone, vectors):
 @pytest.mark.parametrize(
     "cone, vectors",
     [
-        # a half-plane: not pointed, so its partial sums go through Cone.contains
+        # a half-plane: every partial sum's facet values add up to 0, so
+        # Cone.contains tests each, and finds the second one zero
         (Cone.from_facets([((0, 1), False)]), [(1, 0), (-1, 0)]),
         # pointed: the facet values of the second sum are all 0, so it is zero
         (Cone.quadrant(2), [(1, 0), (-1, 0)]),
@@ -241,6 +242,19 @@ def test_audit_matches_the_oracle_on_column_sums_leaving_the_cone(cone, vectors)
     report = assert_audit_matches_the_level_oracle(con, 0)
     assert "level-maps-biject" not in report.failures()
     assert ("column-sums-in-cone", False, "first failure: tower 0 level 2") in report.checks
+
+
+def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
+    # stage 1's levels must lie in source cylinders of depth 2 and target
+    # cylinders of depth n = 4; the hand-built castles have depth 1
+    con = build(2)
+    rec = con.stages[1]
+    hand = _hand_built(Cone.quadrant(2), [(1, 0), (0, 1)]).stages[0]
+    rec.src_castle, rec.tgt_castle = hand.src_castle, hand.tgt_castle
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    detail = "check raised ChainError: coarsen needs a coarser atom space of the same chain"
+    for name in ("levels-refine-cylinders", "target-levels-refine-cylinders"):
+        assert (name, False, detail) in report.checks
 
 
 def test_stage_numbers_out_of_range_are_refused():
