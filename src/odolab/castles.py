@@ -103,7 +103,7 @@ def _choose(i, offsets, norm, tail, cone, rows, want, cap, found) -> None:
             _choose(i - 1, shifted, norm + abs(x), (x,) + tail, cone, rows, want, cap, found)
         else:
             vector = (x,) + tail
-            if cone.contains(vector):  # left to check: the zero vector, a ray's direction
+            if cone.contains(vector):  # left to check: the zero vector
                 insort(found, (norm + abs(x), vector))
                 del found[want:]
 

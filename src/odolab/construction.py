@@ -57,7 +57,7 @@ from .castles import (
     refine_pure_columns,
 )
 from .classify import orbit_equivalence_test
-from .lattice import IntegerLattice
+from .lattice import IntegerLattice, _integer_kernel
 from .odometer import OdometerChain
 from .speedup import Cone
 
@@ -89,13 +89,17 @@ class StageRecord:
     r_atoms: frozenset[int]      # where the previous map was rebuilt
     prev_steps: StepMap | None   # previous stage's map off its top, at this stage's depth
     swap_audit: tuple            # (width, atom count) per tower, (before, after) the swaps
-    tower_x0: int
-    tower_x2: int
-    x0_column: list[tuple[int, ...]]   # exact orbit points up the anchor column
 
 
 class SpeedupConstruction:
-    """Stage driver; build with run(k) and audit with stage_invariants(k)."""
+    """Stage driver; build with run(k) and audit with stage_invariants(k).
+
+    Each stage is built by one loop that deepens the working depths of
+    both chains together until every selection step has fine enough atoms
+    (`_stage`).  Its `StageRecord` holds the stage itself: the castles,
+    the swap and rebuild records, and the previous map; the audit works
+    out everything else, the anchors' towers and columns included, from
+    these.  `run` refuses a cone that contains a line."""
 
     def __init__(
         self,
@@ -173,35 +177,47 @@ class SpeedupConstruction:
     # -- public API ------------------------------------------------------
 
     def run(self, stages: int) -> "SpeedupConstruction":
+        """Build the stages up to `stages`.  A cone containing a line is
+        refused: with no strict facet, a nonzero integer kernel of the
+        facet normals spans a line inside the cone."""
+        if not any(strict for _, strict in self.cone.facets):
+            kernel = _integer_kernel([normal for normal, _ in self.cone.facets], self.cone.dim)
+            if kernel:
+                raise CastleError(f"the cone contains the line through {kernel[0]}; it must contain no line")
         while len(self.stages) < stages:
-            if not self.stages:
-                self.stages.append(self._base_stage())
-            else:
-                self.stages.append(self._inductive_stage(len(self.stages)))
+            self.stages.append(self._stage(len(self.stages)))
         return self
+
+    def _stage(self, k: int) -> StageRecord:
+        """Build stage k at the least working depths that work, deepening
+        both chains together whenever a selection step needs finer atoms."""
+        n, cap, boundary = self._schedule(k)
+        h = self.target.index(n)
+        if k == 0:
+            gamma, tgt_depth = self._align_depths(2, n)
+            build = self._build_base
+        else:
+            prev = self.stages[-1]
+            gamma, tgt_depth = self._align_depths(max(prev.gamma, k + 1), max(prev.tgt_depth, n))
+            build = self._build_inductive
+        while True:
+            try:
+                return build(k, n, cap, boundary, h, gamma, tgt_depth)
+            except _NeedDepth:
+                if gamma >= MAX_DEPTH:
+                    raise DepthExhausted(f"stage {k} needs more depth than allowed")
+                gamma, tgt_depth = self._align_depths(gamma + 1, tgt_depth + 1)
 
     # -- base stage ------------------------------------------------------
 
-    def _base_stage(self) -> StageRecord:
-        n, cap, boundary = self._schedule(0)
-        h = self.target.index(n)
-        gamma, tgt_depth = self._align_depths(2, n)
-        while True:
-            try:
-                return self._build_base(n, cap, boundary, h, gamma, tgt_depth)
-            except _NeedDepth:
-                if gamma >= MAX_DEPTH:
-                    raise DepthExhausted("the base stage needs more depth than allowed")
-                gamma, tgt_depth = self._align_depths(gamma + 1, tgt_depth + 1)
-
-    def _build_base(self, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
+    def _build_base(self, k, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
         space = self.source.kr_partition(gamma)
         total = space.size
         if total % h or total // h < 2:
             raise _NeedDepth()
         towers = [Tower(total // h, array("q", range(total)))]
 
-        a0, a2 = self._anchor_sets(0, gamma)
+        a0, a2 = self._anchor_sets(k, gamma)
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
 
@@ -256,7 +272,7 @@ class SpeedupConstruction:
             castle, tgt_depth, [list(range(0, self.target.index(tgt_depth), h))], [0] * len(castle.towers)
         )
         return StageRecord(
-            k=0,
+            k=k,
             n=n,
             gamma=gamma,
             tgt_depth=tgt_depth,
@@ -270,9 +286,6 @@ class SpeedupConstruction:
             r_atoms=frozenset(),
             prev_steps=None,
             swap_audit=(pre_sizes, post_sizes),
-            tower_x0=tower_x0,
-            tower_x2=tower_x2,
-            x0_column=self._column_points(castle, tower_x0),
         )
 
     # -- shared machinery -------------------------------------------------
@@ -345,16 +358,6 @@ class SpeedupConstruction:
                 changed.add(s)
             steps.assign(s, vec)
 
-    def _column_points(self, castle: Castle, tower: int):
-        """Exact orbit points along the zero anchor's column."""
-        space = castle.space
-        z = (0,) * self.source.dim
-        pts = [z]
-        for _ in range(castle.towers[tower].height - 1):
-            z = _vadd(z, castle.steps[space.encode_vector(z)])
-            pts.append(z)
-        return pts
-
     def _copy_levels_to_target(self, castle, tgt_depth, pools, pretower_of):
         """Mirror the source towers on the target side, measure for measure.
 
@@ -377,19 +380,6 @@ class SpeedupConstruction:
         return Castle(self.target, tgt_depth, towers, None)
 
     # -- inductive stage ----------------------------------------------------
-
-    def _inductive_stage(self, k: int) -> StageRecord:
-        n, cap, boundary = self._schedule(k)
-        h = self.target.index(n)
-        prev = self.stages[-1]
-        gamma, tgt_depth = self._align_depths(max(prev.gamma, k + 1), max(prev.tgt_depth, n))
-        while True:
-            try:
-                return self._build_inductive(k, n, cap, boundary, h, gamma, tgt_depth)
-            except _NeedDepth:
-                if gamma >= MAX_DEPTH:
-                    raise DepthExhausted("the stage needs more depth than allowed")
-                gamma, tgt_depth = self._align_depths(gamma + 1, tgt_depth + 1)
 
     def _build_inductive(self, k, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
         prev = self.stages[-1]
@@ -520,7 +510,6 @@ class SpeedupConstruction:
         # --- refine into pure cylinder columns at depth k+1
         refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1)
         pretower_of_tower = [pos[t.codes[0]] // h for t in refined.towers]
-        tower_x0, tower_x2 = _anchor_towers(refined, x0_atom, x2_atom)
 
         tgt_castle = self._copy_levels_to_target(refined, tgt_depth, tall_bases, pretower_of_tower)
         return StageRecord(
@@ -538,9 +527,6 @@ class SpeedupConstruction:
             r_atoms=frozenset(r_atoms),
             prev_steps=prev_steps,
             swap_audit=(pre_sizes, post_sizes),
-            tower_x0=tower_x0,
-            tower_x2=tower_x2,
-            x0_column=self._column_points(refined, tower_x0),
         )
 
     # -- audits ------------------------------------------------------------
@@ -560,8 +546,10 @@ class SpeedupConstruction:
 
         The checks read only the stage's towers, level map, swap records
         and cone, never an array the build made for its own speed.  The
-        level maps and column sums come from one climb of each column
-        (`_column_walk`).  A check that raises on corrupted data fails and
+        level maps, the column sums and the exact points up the first
+        anchor's column come from one climb of each column
+        (`_column_walk`); the anchors' towers are read off the castle's
+        bases and tops.  A check that raises on corrupted data fails and
         names the exception; a failing climb check names its first failing
         tower and level.  A stage not built yet reports no checks; a
         negative k raises CastleError.
@@ -625,15 +613,16 @@ class SpeedupConstruction:
         # (5a) every level inside one cylinder atom at depth k+1
         check("levels-refine-cylinders", lambda: _levels_refine(src, self.source.kr_partition(k + 1)))
 
-        # (5b) anchors in base/top inside their cylinders
+        # (5b) anchors in base/top inside their cylinders; base and top map
+        # each of their atoms to its tower
         a0, a2 = self._anchor_sets(k, rec.gamma)
-        base = {c for t in src.towers for c in t.level(0)}
-        top = {c for t in src.towers for c in t.level(t.height - 1)}
+        base = {c: alpha for alpha, t in enumerate(src.towers) for c in t.level(0)}
+        top = {c: alpha for alpha, t in enumerate(src.towers) for c in t.level(t.height - 1)}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
         check(
             "anchors-in-boundary-cylinders",
-            x0_atom in base and x2_atom in top and base <= a0 and top <= a2,
+            x0_atom in base and x2_atom in top and base.keys() <= a0 and top.keys() <= a2,
             f"|base|={len(base)} |anchor|={len(a0)}",
         )
 
@@ -659,7 +648,7 @@ class SpeedupConstruction:
 
         # (6a) level maps are bijections level-to-level, and the column sums
         # stay in the cone: one climb of every column, one translate per atom
-        walk = functools.cache(lambda: _column_walk(src, space, self.cone))
+        walk = functools.cache(lambda: _column_walk(src, space, self.cone, (base.get(x0_atom), x0_atom)))
         check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
@@ -674,13 +663,17 @@ class SpeedupConstruction:
 
         check("displacements-in-cone", _cone_ok)
 
-        # (6c) the anchors live in distinct towers with pointwise disjoint columns
-        check(
-            "anchors-in-distinct-towers",
-            rec.tower_x0 != rec.tower_x2
-            and all(p != self.x2_vector for p in rec.x0_column),
-            f"towers {rec.tower_x0} vs {rec.tower_x2}",
-        )
+        # (6c) the anchors live in distinct towers with pointwise disjoint
+        # columns: the exact points up the x0 column, from the zero point,
+        # are the running sums of the steps along its climb, coordinate by
+        # coordinate
+        def _anchors_apart():
+            tower_x0, tower_x2 = base[x0_atom], top[x2_atom]
+            coords = zip(*map(steps.__getitem__, walk()[2][:-1]))
+            points = zip(*(accumulate(c, initial=0) for c in coords))
+            return tower_x0 != tower_x2 and self.x2_vector not in points, f"towers {tower_x0} vs {tower_x2}"
+
+        check("anchors-in-distinct-towers", _anchors_apart)
 
         # (6d) the map agrees with the previous stage off the rebuild set
         def _stable():
@@ -780,23 +773,28 @@ def _levels_refine(castle: Castle, coarse) -> bool:
 
 
 def _verdict(failure) -> tuple[bool, str]:
-    """(ok, detail) of a climb check from its first failing (tower, level)."""
+    """(ok, detail) of a climb check from its first failing (tower, level);
+    raises the walk's KeyError for a missing step."""
+    if isinstance(failure, KeyError):
+        raise failure
     if failure is None:
         return True, ""
     return False, "first failure: tower {} level {}".format(*failure)
 
 
-def _column_walk(castle: Castle, space, cone: Cone):
+def _column_walk(castle: Castle, space, cone: Cone, anchor):
     """Climb each column of the castle from its base atom to its top, once,
     translating in the atom space `space` of the stage.
 
     Returns the first (tower, level) where the set of climbed atoms
-    differs from the tower's level, and the first where a column's
-    partial step sum leaves the cone, each None if there is none; "first"
-    is in (tower, level) order.  Like a walk that climbs all columns of a
-    tower level by level, it stops once both have failed and otherwise
-    raises KeyError, naming the tower and level, at the first level
-    holding an atom with no step.
+    differs from the tower's level, the first where a column's partial
+    step sum leaves the cone, each None if there is none, and the climb
+    of the column from base atom `anchor[1]` of tower `anchor[0]` (None
+    when there is no such tower); "first" is in (tower, level) order.
+    Like a walk that climbs all columns of a tower level by level and
+    stops once both have failed, the first two are instead one KeyError,
+    naming the tower and level, when an atom below a tower's top has no
+    step and the walk would reach it.
 
     Reads only the towers, the level map, `space` and the cone.  A column
     is one run of `translate` calls kept in an array; the step ids along
@@ -804,7 +802,7 @@ def _column_walk(castle: Castle, space, cone: Cone):
     steps = castle.steps
     translate, vectors, ids = space.translate, steps.vectors, steps.ids
     outside = _sums_outside(cone, vectors)
-    maps_at = sums_at = None
+    maps_at = sums_at = missing = anchor_column = None
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
         # the climb laid out like `codes`: column i is climbed[i::w]; every
@@ -822,6 +820,8 @@ def _column_walk(castle: Castle, space, cone: Cone):
                 c = translate(c, vec)
                 column.append(c)
             climbed[i::w] = column
+        if alpha == anchor[0]:
+            anchor_column = climbed[codes.index(anchor[1]) :: w]
         n = reach * w
         if maps_at is None and climbed[:n] != codes[:n]:  # some level differs, or only its order
             levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
@@ -835,11 +835,11 @@ def _column_walk(castle: Castle, space, cone: Cone):
             firsts = [j for j in firsts if j is not None]
             if firsts:
                 sums_at = alpha, min(firsts) + 1
-        if maps_at and sums_at:
-            break
-        if reach < h:
-            raise KeyError(f"an atom below a tower's top has no step: tower {alpha} level {reach - 1}")
-    return maps_at, sums_at
+        if reach < h and missing is None:
+            missing = alpha, reach - 1
+    if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
+        maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
+    return maps_at, sums_at, anchor_column
 
 
 def _sums_outside(cone: Cone, vectors):
@@ -852,8 +852,7 @@ def _sums_outside(cone: Cone, vectors):
     and add up to a positive number is nonzero and in the cone.  A column
     with a partial sum that fails this, or whose facet values add up to
     0, is tested sum by sum with `Cone.contains`, which also locates the
-    failure.  (On a ray cone the facet values of every vector add up to
-    0, so its columns always are.)"""
+    failure."""
 
     def by_contains(step_ids):
         total = None

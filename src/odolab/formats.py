@@ -30,7 +30,7 @@ from pathlib import Path
 from .classify import SupergroupDescriptor
 from .lattice import IntegerLattice, RationalLattice
 from .odometer import DiagonalPowerProvider, ExplicitProvider, OdometerChain
-from .speedup import Cone, PiecewiseCocycle, derived_odometer, validate
+from .speedup import Cone, PiecewiseCocycle, SpeedupError, derived_odometer, validate
 
 
 class SpecSyntaxError(ValueError):
@@ -312,7 +312,10 @@ def parse_cone(text: str) -> Cone:
     if kind == "quadrant":
         dim = _field(kv, "dim", lineno, int)
         strict = _field(kv, "strict", lineno, _ints, ())
-        return Cone.quadrant(dim, strict_axes=strict)
+        try:
+            return Cone.quadrant(dim, strict_axes=strict)
+        except SpeedupError as err:  # a strict axis out of range
+            raise SpecSyntaxError(lineno, kv["strict"][1], str(err)) from None
     if kind == "sector":
         u = _field(kv, "u", lineno, _ints)
         v = _field(kv, "v", lineno, _ints)

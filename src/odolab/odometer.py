@@ -180,11 +180,11 @@ class OdometerChain:
     def cohomology_stage(self, j: int) -> RationalLattice:
         return self.stage(j).dual()
 
-    def freeness_evidence(self, depth: int, radius: int | None = None) -> "FreenessReport":
+    def freeness_evidence(self, depth: int) -> "FreenessReport":
         lat = self.stage(depth)
         for j in range(1, depth):
             self.stage(j)  # realize for the nesting audit
-        shortest = _shortest_vector(lat, radius)
+        shortest = _shortest_vector(lat)
         certified = None
         if isinstance(self.provider, DiagonalPowerProvider):
             certified = all(
@@ -269,17 +269,11 @@ class FreenessReport:
     shortest_nonzero: tuple[int, ...] | None
     certified_free: bool | None
 
-    def exceeds(self, bound: int) -> bool:
-        """Whether no nonzero intersection vector of norm <= bound was seen."""
-        if self.shortest_nonzero is None:
-            return True
-        return sum(x * x for x in self.shortest_nonzero) > bound * bound
 
-
-def _shortest_vector(lat: IntegerLattice, radius: int | None):
-    """Shortest nonzero vector by bounded box scan (sign-normalized)."""
-    if radius is None:
-        radius = min(max(abs(e) for e in col) for col in lat.columns())
+def _shortest_vector(lat: IntegerLattice):
+    """Shortest nonzero vector by a box scan (sign-normalized), out to the
+    least sup norm of a basis column, which bounds one lattice vector."""
+    radius = min(max(abs(e) for e in col) for col in lat.columns())
     best = None
     for v in iter_product(*(range(-radius, radius + 1) for _ in range(lat.dim))):
         if all(x == 0 for x in v) or not lat.contains(v):

@@ -18,6 +18,10 @@ from itertools import product as iter_product
 from .odometer import OdometerChain
 from .speedup import PiecewiseCocycle, validate
 
+_DEPTH = 1         # the tables are constant on depth-1 cylinders
+_BOX = 3           # table values have coordinates in 0.._BOX
+_ATTEMPTS = 20000  # draws before `sample_cocycles` returns fewer than asked
+
 
 def _quadrant_values(box: int, dim: int):
     return [v for v in iter_product(range(box + 1), repeat=dim) if any(v)]
@@ -63,14 +67,7 @@ def _cycle_starts(images):
     return starts
 
 
-def sample_cocycles(
-    chain: OdometerChain,
-    count: int,
-    rng: random.Random,
-    depth: int = 1,
-    box: int = 3,
-    max_attempts: int = 20000,
-):
+def sample_cocycles(chain: OdometerChain, count: int, rng: random.Random):
     """Up to `count` distinct validated cocycles with quadrant values.
 
     The lead table is constant on a random slice of samples (where the
@@ -78,21 +75,21 @@ def sample_cocycles(
     both shapes occur in the output.
     """
     dim = chain.dim
-    space = chain.kr_partition(depth)
+    space = chain.kr_partition(_DEPTH)
     codes = space.atoms()
     reps = [space.decode(c) for c in codes]
-    values = _quadrant_values(box, dim)
+    values = _quadrant_values(_BOX, dim)
     axis_values = [v for v in values if sum(1 for x in v if x) == 1]
     seen = set()
     out = []
     attempts = 0
-    while len(out) < count and attempts < max_attempts:
+    while len(out) < count and attempts < _ATTEMPTS:
         attempts += 1
         mode = rng.random()
         if mode < 0.25:
             # axis-aligned slice: keeps the rigidity probe non-vacuous
             lead_axis = rng.randrange(dim)
-            a = rng.randint(1, box)
+            a = rng.randint(1, _BOX)
             lead = [tuple(a if i == lead_axis else 0 for i in range(dim)) for _ in codes]
             seed_pool = [v for v in axis_values if v[lead_axis] == 0] or values
         elif mode < 0.6:
@@ -117,7 +114,7 @@ def sample_cocycles(
         if key in seen:
             continue
         tables = tuple(dict(zip(reps, t)) for t in key)
-        cocycle = PiecewiseCocycle(chain, 2, depth, tables)
+        cocycle = PiecewiseCocycle(chain, 2, _DEPTH, tables)
         report = validate(cocycle, raise_on_error=False)
         if not report.ok:
             continue

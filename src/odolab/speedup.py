@@ -91,15 +91,16 @@ class Cone:
     arithmetic.  Rational normals given to `from_facets` are rescaled by a
     positive factor to primitive integers, which keeps every half-space
     (a zero normal stays zero).  Plane sectors are also
-    supported directly: a pair of boundary rays at most a half-plane
+    supported directly: a pair of boundary rays less than a half-plane
     apart, each inclusive or strict, normalized into facet form.  A
-    degenerate sector with equal rays means the single ray itself and is
-    kept with an explicit marker because no facet pair can express it.
+    degenerate sector with equal rays u means the single ray itself: the
+    line n.x = 0 through u, cut by the strict facet u.x > 0.  A cone
+    whose facets allow a whole line is valid here, but the construction
+    refuses it (`SpeedupConstruction.run`).
     """
 
     dim: int
     facets: tuple[tuple[tuple[int, ...], bool], ...]  # (primitive normal, strict)
-    ray: tuple[int, ...] | None = None
     sector_data: tuple | None = None  # (u, v, include_u, include_v) when built as a sector
 
     @staticmethod
@@ -116,6 +117,9 @@ class Cone:
     @staticmethod
     def quadrant(dim: int, strict_axes=()) -> "Cone":
         """Nonnegative orthant minus 0; axes listed in `strict_axes` excluded."""
+        for a in strict_axes:
+            if not 0 <= a < dim:
+                raise SpeedupError(f"strict axis {a} is not an axis of dimension {dim}")
         normals = []
         for i in range(dim):
             n = tuple(int(j == i) for j in range(dim))
@@ -134,8 +138,8 @@ class Cone:
             if not (include_u and include_v):
                 raise SpeedupError("a degenerate sector must include its boundary ray")
             n = (-u[1], u[0])
-            facets = ((n, False), (tuple(-e for e in n), False))
-            return Cone(2, facets, ray=u, sector_data=(u, v, True, True))
+            facets = ((n, False), (tuple(-e for e in n), False), (u, True))
+            return Cone(2, facets, sector_data=(u, v, True, True))
         if cr <= 0:
             raise SpeedupError("sector spans at least a half-plane; not a valid cone here")
         n1 = (-u[1], u[0])        # n1 . x = cross(u, x)
@@ -148,8 +152,6 @@ class Cone:
             raise DimensionMismatch(f"vector of length {len(x)} in dimension {self.dim}")
         if all(e == 0 for e in x):
             return False
-        if self.ray is not None:
-            return _cross(self.ray, x) == 0 and _dot(self.ray, x) > 0
         for normal, strict in self.facets:
             val = _dot(normal, x)
             if val < 0 or (strict and val == 0):
@@ -541,10 +543,9 @@ def derived_odometer(cocycle: PiecewiseCocycle, checked_depth: int = 3) -> Odome
     _require_valid(cocycle)
 
     def stage_fn(j: int) -> IntegerLattice:
-        lat = derived_stage(cocycle, j)
-        if lat.index != cocycle.chain.index(j):
-            raise NotMinimalAtDepth(j, lat.index, cocycle.chain.index(j))
-        return lat
+        # a closure, so that a tracer that wraps `derived_stage` sees each call;
+        # derived_stage raises NotMinimalAtDepth when the index falls short
+        return derived_stage(cocycle, j)
 
     def value_group_fn() -> ValueGroup:
         return cocycle.chain.clopen_value_group()

@@ -324,6 +324,36 @@ def fit_by_enumeration(chain, depth):
     return NoFit("no unit lower shear with the observed prime supports fits")
 
 
+def anchor_towers(con, k):
+    """(first tower whose base holds x0, first tower whose top holds x2)
+    in the source castle of stage k."""
+    rec = con.stages[k]
+    space = con.source.kr_partition(rec.gamma)
+    x0_atom = space.encode_vector((0,) * con.source.dim)
+    x2_atom = space.encode_vector(con.x2_vector)
+    towers = rec.src_castle.towers
+    tower_x0 = next(i for i, t in enumerate(towers) if x0_atom in t.level(0))
+    tower_x2 = next(i for i, t in enumerate(towers) if x2_atom in t.level(t.height - 1))
+    return tower_x0, tower_x2
+
+
+def x0_column_points(con, k):
+    """Exact points up the column of stage k's castle from the zero point:
+    each level's step is read at the atom of the exact point, found by
+    one encode_vector per level."""
+    from odolab.construction import _vadd
+
+    rec = con.stages[k]
+    space = con.source.kr_partition(rec.gamma)
+    steps = rec.src_castle.steps
+    z = (0,) * con.source.dim
+    points = [z]
+    for _ in range(rec.src_castle.towers[anchor_towers(con, k)[0]].height - 1):
+        z = _vadd(z, steps[space.encode_vector(z)])
+        points.append(z)
+    return points
+
+
 def stage_checks_by_levels(con, k):
     """(name, ok) of every `SpeedupConstruction.stage_invariants(k)` check,
     walking the castles level by level.
@@ -430,10 +460,12 @@ def stage_checks_by_levels(con, k):
         return all(con.cone.contains(steps.vectors[i]) for i in used)
 
     check("displacements-in-cone", cone_ok)
-    check(
-        "anchors-in-distinct-towers",
-        rec.tower_x0 != rec.tower_x2 and all(p != con.x2_vector for p in rec.x0_column),
-    )
+
+    def anchors_apart():
+        tower_x0, tower_x2 = anchor_towers(con, k)
+        return tower_x0 != tower_x2 and all(p != con.x2_vector for p in x0_column_points(con, k))
+
+    check("anchors-in-distinct-towers", anchors_apart)
 
     def stable():
         prev = rec.prev_steps

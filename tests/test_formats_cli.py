@@ -257,6 +257,8 @@ BAD_SPECS = {
     "badrep.cocycle": "chain=mixed.chain J=1 d2=1\ngen 1:\nrep (0,x) -> (1,0)",
     "shortval.cocycle": "chain=mixed.chain J=1 d2=1\ngen 1:\nrep (0,0) -> (1)",
     "badnormal.cone": "cone=facets dim=2 normals=1,x,>=",
+    "badstrict.cone": "cone=quadrant dim=2 strict=0,5",
+    "line.cone": "cone=facets dim=2 normals=1,0,>=",
     "badrow.chain": "dim=2 provider=explicit\n2; 2 0; 0 2\n2; 4 x; 0 4",
 }
 
@@ -309,6 +311,14 @@ BAD_SPECS = {
             ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "quad.cone",
              "--stages", "-2"],
             "stage count must be at least 1, got -2",
+        ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "badstrict.cone"],
+            "line 1, column 28: strict axis 5 is not an axis of dimension 2",
+        ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "line.cone"],
+            "the cone contains the line through (0, 1); it must contain no line",
         ),
     ],
 )

@@ -133,6 +133,25 @@ def test_cone_sector_strict_flags():
     assert c.contains((5, 4))
 
 
+@pytest.mark.parametrize("u", [(3, 1), (1, 0), (-2, 5)])
+def test_degenerate_sector_is_its_ray(u):
+    cone = Cone.sector(u, u)
+    assert cone.contains(u) and cone.contains((2 * u[0], 2 * u[1]))
+    assert not cone.contains((0, 0)) and not cone.contains((-u[0], -u[1]))
+    # brute force over a box: the members are the positive multiples of u
+    for x in product(range(-12, 13), repeat=2):
+        assert cone.contains(x) == any(x == (t * u[0], t * u[1]) for t in range(1, 13)), x
+    with pytest.raises(SpeedupError, match="must include its boundary ray"):
+        Cone.sector(u, u, include_v=False)
+
+
+def test_quadrant_refuses_a_strict_axis_out_of_range():
+    with pytest.raises(SpeedupError, match="strict axis 2 is not an axis of dimension 2"):
+        Cone.quadrant(2, strict_axes=(0, 2))
+    with pytest.raises(SpeedupError, match="strict axis -1"):
+        Cone.quadrant(2, strict_axes=(-1,))
+
+
 def test_cone_closed_under_addition_sampled():
     rng = random.Random(5)
     cones = [QUADRANT, Cone.sector((1, 0), (1, 1)), Cone.sector((2, 1), (-1, 3))]
@@ -365,7 +384,7 @@ def test_cone_hull_row_shear():
 def test_cone_hull_single_direction():
     c = constant_cocycle(chain32(), 1, [(3, 1), (6, 2)])
     hull = cone_hull(c)
-    assert hull.ray == (3, 1)
+    assert hull.sector_data == ((3, 1), (3, 1), True, True)
     assert hull.contains((3, 1)) and hull.contains((9, 3))
     assert not hull.contains((1, 0)) and not hull.contains((-3, -1))
 
