@@ -24,7 +24,7 @@ from array import array
 from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 
 from .odometer import AtomSpace, OdometerChain
 from .speedup import Cone
@@ -291,37 +291,29 @@ def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
-def refine_pure_columns(castle: Castle, label_of) -> Castle:
-    """Refine so every tower's column meets a constant label sequence.
+def refine_pure_columns(castle: Castle, depth: int) -> Castle:
+    """Refine so every tower's column meets a constant sequence of
+    cylinder atoms at `depth`.
 
-    `label_of` maps an atom code to a partition label; an integer argument
-    is shorthand for "the cylinder partition at that depth".  Each column
-    is climbed once: its labels split the tower's columns level by level,
-    and the new towers are assembled from the same climb, in the order of
-    their least base atoms."""
+    Each column is climbed once: the coarser atoms along it split the
+    tower's columns level by level, and the new towers are assembled from
+    the same climb, in the order of their least base atoms."""
     if castle.steps is None:
         raise CastleError("refinement needs the castle's level map")
     space = castle.space
-    if isinstance(label_of, int):
-        coarse = castle.chain.kr_partition(label_of)
-
-        def label(code: int):
-            return space.coarsen(code, coarse)
-
-    else:
-        label = label_of
+    coarse = castle.chain.kr_partition(depth)
     new_towers = []
     for tower in castle.towers:
         w, h = tower.width, tower.height
         columns = _climb(space, castle.steps, tower.level(0), h)
-        # group[i]: class of column i under its labels up to level v, numbered
+        # group[i]: class of column i under its atoms up to level v, numbered
         # by first appearance, so in the order of the least base atoms
         group = [0] * w
         for v in range(h):
             classes: dict = {}
-            level = columns[v * w : (v + 1) * w]
-            group = [classes.setdefault((g, label(c)), len(classes)) for g, c in zip(group, level)]
-            if len(classes) == w:  # every column alone: no label can split further
+            atoms = map(space.coarsen, columns[v * w : (v + 1) * w], repeat(coarse))
+            group = [classes.setdefault(key, len(classes)) for key in zip(group, atoms)]
+            if len(classes) == w:  # every column alone: no atom can split further
                 break
         members: list[list[int]] = [[] for _ in range(max(group) + 1)]
         for i, g in enumerate(group):

@@ -39,8 +39,8 @@ import functools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import accumulate, compress, count, repeat
+from operator import mul, ne
 
 from .castles import (
     Castle,
@@ -258,16 +258,13 @@ class SpeedupConstruction:
         y_atom = column[0]
         if y_atom == x0_atom:
             raise _NeedDepth()
-        parts = [[x0_atom], [y_atom]]
+        parts = [[x0_atom], [y_atom]]  # x2 tops y's column: the anchors' towers part here
         rest = set(tower.level(0)) - {x0_atom, y_atom}
         if rest:
             parts.append(rest)
         castle = castle_refinement_over(castle, [parts])
         castle = refine_pure_columns(castle, 1)
 
-        tower_x0, tower_x2 = _anchor_towers(castle, x0_atom, x2_atom)
-        if tower_x0 == tower_x2:
-            raise _NeedDepth()
         tgt_castle = self._copy_levels_to_target(
             castle, tgt_depth, [list(range(0, self.target.index(tgt_depth), h))], [0] * len(castle.towers)
         )
@@ -363,20 +360,18 @@ class SpeedupConstruction:
 
         `pools[beta]` holds the target base atoms available to the towers
         descending from pretower beta; chunks are dealt lexicographically
-        in tower order."""
-        tspace = self.target.kr_partition(tgt_depth)
+        in tower order.  A one-dimensional code is the residue mod the index
+        and every base lies in hZ, h the height, so +1 never wraps below a
+        top: the tower over `base` has the sorted levels base + v (the split
+        in `_build_inductive` relies on this too)."""
         sizes: list[list[int]] = [[] for _ in pools]
         for alpha, tower in enumerate(castle.towers):
             sizes[pretower_of[alpha]].append(tower.width)
         chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
         towers = []
         for alpha, tower in enumerate(castle.towers):
-            level = next(chunks[pretower_of[alpha]])
-            codes = array("q", level)
-            for _ in range(tower.height - 1):  # each level is the one below moved by +1
-                level = sorted(tspace.translate(c, (1,)) for c in level)
-                codes.extend(level)
-            towers.append(Tower(tower.width, codes))
+            base = next(chunks[pretower_of[alpha]])
+            towers.append(Tower(tower.width, array("q", [c + v for v in range(tower.height) for c in base])))
         return Castle(self.target, tgt_depth, towers, None)
 
     # -- inductive stage ----------------------------------------------------
@@ -384,31 +379,29 @@ class SpeedupConstruction:
     def _build_inductive(self, k, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
         prev = self.stages[-1]
         space = self.source.kr_partition(gamma)
-        tspace = self.target.kr_partition(tgt_depth)
         h_prev = prev.height
         blocks = h // h_prev
 
         prev_steps = _previous_map(prev.src_castle, gamma)
 
-        # --- target side: pure previous-column split of the tall tower
-        prev_tspace = prev.tgt_castle.space
-        tpos = positions(prev.tgt_castle.towers, prev_tspace.size)
+        # --- target side: pure previous-column split of the tall tower; by
+        # residue arithmetic (`_copy_levels_to_target`) block m of the tower
+        # over c starts at the previous atom (c + m * h_prev) mod its index
+        prev_index = self.target.index(prev.tgt_depth)
+        tower_of = {c: alpha for alpha, t in enumerate(prev.tgt_castle.towers) for c in t.level(0)}
         groups: dict[tuple, list[int]] = {}
-        for c in range(0, tspace.size, h):
-            itinerary = tuple(
-                tpos[tspace.coarsen((c + w) % tspace.size, prev_tspace)] for w in range(0, h, h_prev)
-            )
-            groups.setdefault(itinerary, []).append(c)
-        tall = sorted(groups.items(), key=lambda kv: min(kv[1]))
+        for c in range(0, self.target.index(tgt_depth), h):
+            try:
+                itinerary = tuple(tower_of[(c + w) % prev_index] for w in range(0, h, h_prev))
+            except KeyError:
+                raise CastleError("block itineraries must start at previous bases") from None
+            groups.setdefault(itinerary, []).append(c)  # in increasing c: keys by least base
 
         # --- source mirror: split previous bases by the tall-tower measures
         piece_of: dict[tuple[int, int], list[int]] = {}
         wants: dict[int, list[tuple[int, int, int]]] = {}
-        for beta, (itinerary, codes) in enumerate(tall):
-            for m, p in enumerate(itinerary):
-                alpha, v0 = divmod(p, h_prev)
-                if v0 != 0:
-                    raise CastleError("block itineraries must start at previous bases")
+        for beta, (itinerary, codes) in enumerate(groups.items()):
+            for m, alpha in enumerate(itinerary):
                 wants.setdefault(alpha, []).append((beta, m, len(codes)))
         prev_space = prev.src_castle.space
         for alpha, demands in wants.items():
@@ -431,9 +424,9 @@ class SpeedupConstruction:
         # co-anchor part and the rest, each block giving one column to each
         # anchor part.  Levels need at least three atoms so the remainder
         # keeps equal measures; deepen the working depth otherwise.
-        widths = [len(codes) for _, codes in tall]
+        tall_bases = list(groups.values())
+        widths = [len(codes) for codes in tall_bases]
         layout = [(beta, [range(width)] * blocks) for beta, width in enumerate(widths)]
-        tall_bases = [sorted(codes) for _, codes in tall]
         if beta0 == beta2:
             width = widths[beta0]
             if width < 3:
@@ -675,12 +668,15 @@ class SpeedupConstruction:
 
         check("anchors-in-distinct-towers", _anchors_apart)
 
-        # (6d) the map agrees with the previous stage off the rebuild set
+        # (6d) the map agrees with the previous stage off the rebuild set; only
+        # codes whose ids differ, renumbered into one table, are compared
         def _stable():
             prev = rec.prev_steps
-            for c in prev:
-                i = steps.ids[c]
-                if i and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[prev.ids[c]]:
+            id_of = {vec: i for i, vec in enumerate(steps.vectors)}
+            renumber = [id_of.get(vec, -1) for vec in prev.vectors]
+            for c in compress(count(), map(ne, map(renumber.__getitem__, prev.ids), steps.ids)):
+                i, j = steps.ids[c], prev.ids[c]
+                if i and j and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[j]:
                     return False
             return True
 

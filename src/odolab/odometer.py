@@ -271,20 +271,25 @@ class FreenessReport:
 
 
 def _shortest_vector(lat: IntegerLattice):
-    """Shortest nonzero vector by a box scan (sign-normalized), out to the
-    least sup norm of a basis column, which bounds one lattice vector."""
+    """Shortest nonzero vector in the box [-r, r]^d, sign-normalized, ties to
+    the lexicographically least; r is the least sup norm of a basis column,
+    which bounds one lattice vector.  Only lattice points are visited: on
+    the canonical triangular basis x_i runs, last to first, through its
+    residue class o_i mod rows[i][i] in the box, o_i carrying the
+    coefficients already chosen (Cohen, GTM 138, 2.4)."""
+    rows, zero = lat.rows, (0,) * lat.dim
     radius = min(max(abs(e) for e in col) for col in lat.columns())
-    best = None
-    for v in iter_product(*(range(-radius, radius + 1) for _ in range(lat.dim))):
-        if all(x == 0 for x in v) or not lat.contains(v):
-            continue
-        lead = next(x for x in v if x != 0)
-        if lead < 0:
-            v = tuple(-x for x in v)
-        key = (sum(x * x for x in v), v)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+    points = [((), zero)]  # (x_{i+1}, ..., x_{d-1}; o_0, ..., o_i)
+    for i in reversed(range(lat.dim)):
+        m = rows[i][i]
+        points = [
+            ((x,) + tail, [o + (x - offsets[i]) // m * row[i] for o, row in zip(offsets[:i], rows)])
+            for tail, offsets in points
+            for x in range(-radius + (offsets[i] + radius) % m, radius + 1, m)
+        ]
+    # box and lattice are symmetric, and the sign-normalized vectors are those above zero
+    keys = [(sum(x * x for x in v), v) for v, _ in points if v > zero]
+    return min(keys)[1] if keys else None
 
 
 class AtomSpace:
@@ -293,7 +298,8 @@ class AtomSpace:
     One atom per coset of stage j, all of measure 1/index.  A code is the
     coset representative in mixed radix over the coset rectangle, most
     significant coordinate first, so code order is the lexicographic order
-    of representatives.  `OdometerChain.kr_partition` keeps one per depth.
+    of representatives; on a one-dimensional chain the code is the residue
+    mod the index.  `OdometerChain.kr_partition` keeps one per depth.
 
     `translate` and `coarsen` run on the code's digits, least significant
     first, with no representative tuple built per atom.  The stage's

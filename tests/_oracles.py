@@ -324,6 +324,20 @@ def fit_by_enumeration(chain, depth):
     return NoFit("no unit lower shear with the observed prime supports fits")
 
 
+def target_castle_by_translation(castle):
+    """Towers of a target castle rebuilt from their bases as lists of sorted
+    levels: each level is the sorted +1 images of the one below, one
+    `translate_by_reduction` per atom, with no residue arithmetic."""
+    space = castle.space
+    out = []
+    for t in castle.towers:
+        levels = [t.level(0).tolist()]
+        for _ in range(t.height - 1):
+            levels.append(sorted(translate_by_reduction(space, c, (1,)) for c in levels[-1]))
+        out.append(levels)
+    return out
+
+
 def anchor_towers(con, k):
     """(first tower whose base holds x0, first tower whose top holds x2)
     in the source castle of stage k."""

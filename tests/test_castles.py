@@ -273,9 +273,15 @@ def test_refine_pure_columns_splits_by_labels():
 
 
 def test_refine_pure_columns_trivial_labels():
-    castle = _two_level_castle()
-    refined = refine_pure_columns(castle, lambda atom: 0)
-    assert len(refined.towers) == 1
+    ch = chain32()
+    space = AtomSpace(ch, 2)
+    # a base of two depth-2 atoms inside one depth-1 atom, moved by one vector
+    base = frozenset([space.encode((0, 0)), space.encode((3, 0))])
+    steps = _step_map(space, {c: (0, 1) for c in base})
+    top = frozenset(space.translate(c, steps[c]) for c in base)
+    castle = Castle(ch, 2, [Tower.from_levels([base, top])], steps)
+    refined = refine_pure_columns(castle, 1)
+    assert _tower_lists(refined) == _tower_lists(castle)
 
 
 def _tower_lists(castle):
@@ -328,12 +334,10 @@ def test_refinements_match_the_two_pass_oracle(kind):
         castle, towers = _random_castle(rng, chain, depth)
         space = castle.space
         coarse = chain.kr_partition(rng.randint(1, depth))
-        for label_of, label in (
-            (coarse.depth, lambda c: coarsen_by_reduction(space, c, coarse)),
-            (lambda c: c % 3, lambda c: c % 3),
-        ):
-            expected = refine_pure_columns_by_sets(space, towers, castle.steps, label)
-            assert _tower_lists(refine_pure_columns(castle, label_of)) == expected, chain.describe()
+        expected = refine_pure_columns_by_sets(
+            space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
+        )
+        assert _tower_lists(refine_pure_columns(castle, coarse.depth)) == expected, chain.describe()
         partitions = []
         for levels in towers:
             base = list(levels[0])

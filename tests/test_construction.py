@@ -23,6 +23,7 @@ from _oracles import (
     coset_members_by_l1,
     refine_pure_columns_by_sets,
     stage_checks_by_levels,
+    target_castle_by_translation,
     x0_column_points,
 )
 from test_digests import FROZEN, stage_digests
@@ -44,6 +45,13 @@ def assert_audit_matches_the_level_oracle(con, k):
     report = con.stage_invariants(k)
     assert [(name, ok) for name, ok, _ in report.checks] == stage_checks_by_levels(con, k)
     return report
+
+
+def assert_targets_are_translation_climbs(con):
+    """Every target castle equals the +1 climb of its bases."""
+    for rec in con.stages:
+        tgt = rec.tgt_castle
+        assert target_castle_by_translation(tgt) == [[t.level(v).tolist() for v in range(t.height)] for t in tgt.towers]
 
 
 def test_anchor_choice_and_schedule():
@@ -78,6 +86,7 @@ def test_three_stages_all_invariants():
     for k in range(3):
         report = assert_audit_matches_the_level_oracle(con, k)
         assert report.ok, (k, report.failures())
+    assert_targets_are_translation_climbs(con)
     # swapped-measure bound is exact at each stage
     for k in (1, 2):
         rec = con.stages[k]
@@ -133,6 +142,7 @@ def test_cube_audit_matches_the_level_oracle():
     ).run(3)
     for k in range(3):
         assert assert_audit_matches_the_level_oracle(con, k).ok, k
+    assert_targets_are_translation_climbs(con)
 
 
 def _set_level(tower, v, level):
@@ -302,6 +312,39 @@ def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
         assert (name, False, detail) in report.checks
 
 
+def test_finer_target_towers_are_translation_climbs():
+    # index 36^j against the source's 6^j: the target depth trails the source's
+    con = build(2, target=OdometerChain.diagonal_power([36]))
+    for k in range(2):
+        assert con.stage_invariants(k).ok, k
+    assert con.stages[1].tgt_depth < con.stages[1].gamma
+    assert_targets_are_translation_climbs(con)
+
+
+def test_a_rotated_previous_target_tower_is_refused():
+    # the tall tower's blocks must start at previous target bases; with
+    # tower 0 turned one level, its old base atoms are bases no longer
+    con = build(1)
+    tower = con.stages[0].tgt_castle.towers[0]
+    tower.codes = tower.codes[tower.width :] + tower.codes[: tower.width]
+    with pytest.raises(CastleError, match="block itineraries must start at previous bases"):
+        con.run(2)
+
+
+@pytest.mark.parametrize("inside", [False, True])
+def test_audit_matches_the_oracle_on_a_step_changed_off_or_on_the_rebuild_set(inside):
+    # move the step at the least atom outside (or inside) R where both maps
+    # have one by a lattice period: the atom map stays, the vector changes
+    con = build(2)
+    rec = con.stages[1]
+    steps = rec.src_castle.steps
+    atom = min(c for c in rec.prev_steps if c in steps and (c in rec.r_atoms) == inside)
+    m = con.source.stage(rec.gamma).diag[0]
+    steps.assign(atom, (steps[atom][0] + m,) + steps[atom][1:])
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert ("map-stable-off-rebuild" in report.failures()) is not inside
+
+
 def test_stage_numbers_out_of_range_are_refused():
     con = build(1)
     for call in (con.stage_invariants, con.partial_speedup_pieces):
@@ -424,6 +467,7 @@ def test_derived_sector_stage2_audit():
     for k in range(3):
         assert assert_audit_matches_the_level_oracle(con, k).failures() == [], k
     assert stage_digests(con) == FROZEN["derived-sector"]
+    assert_targets_are_translation_climbs(con)
 
 
 def test_diagonal_sector_stage2_audit():

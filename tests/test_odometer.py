@@ -9,9 +9,11 @@ from odolab.odometer import (
     DerivedProvider,
     NotNested,
     OdometerChain,
+    _shortest_vector,
 )
 
 from _oracles import pairs_integrally, shortest_nonzero_in_box
+from test_castles import _random_chain
 
 
 def chain32():
@@ -107,6 +109,31 @@ def test_freeness_evidence_diagonal():
     assert rep.certified_free is True
     oracle = shortest_nonzero_in_box(rep.intersection.contains, 2, 40)
     assert oracle == rep.shortest_nonzero
+
+
+def _least_column_sup(lat):
+    return min(max(map(abs, col)) for col in lat.columns())
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_shortest_vector_matches_the_box_scan_on_the_cube(depth):
+    lat = OdometerChain.diagonal_power([2, 2, 2]).stage(depth)
+    expected = shortest_nonzero_in_box(lat.contains, 3, _least_column_sup(lat))
+    assert _shortest_vector(lat) == expected == (0, 0, 2**depth)
+
+
+def test_shortest_vector_matches_the_box_scan_on_sheared_chains():
+    rng = random.Random("shortest-sheared")
+    firsts = [[[3, 1], [0, 2]], [[2, -1], [1, 3]], [[2, 1, 1], [0, 2, 1], [0, 0, 1]], [[1, 2, 0], [0, 3, 1], [1, 0, 2]]]
+    sheared = 0
+    for first in firsts * 3:  # a fourth round meets a 3-d box of radius 81: 10 s of scanning
+        chain = _random_chain(rng, IntegerLattice.from_rows(first), 3)
+        for depth in range(1, 4):
+            lat = chain.stage(depth)
+            sheared += not lat.is_diagonal()
+            expected = shortest_nonzero_in_box(lat.contains, lat.dim, _least_column_sup(lat))
+            assert _shortest_vector(lat) == expected, (lat.rows, depth)
+    assert sheared > 30
 
 
 def test_freeness_constant_chain_not_certified():
