@@ -6,11 +6,11 @@ lattice's canonical triangular basis, for every cone and every lattice.
 
 Castles live on the integer atom codes of the chain's depth-j
 `AtomSpace` (`OdometerChain.kr_partition`).  They are families of
-disjoint equal-size levels of atoms organized into towers, optionally
-carrying an internal level map given atom-by-atom as integer displacement
-vectors.  Everything is a flat integer array: a tower is a level width
-and its codes level by level, a level map one vector id per code into a
-small vector table, and `positions` one tower-and-level number per code.
+disjoint equal-size levels of atoms organized into towers, carrying an
+internal level map given atom-by-atom as integer displacement vectors.
+Everything is a flat integer array: a tower is a level width and its
+codes level by level, a level map one vector id per code into a small
+vector table, and `positions` one tower-and-level number per code.
 The construction driver transports exact atom counts between castles on
 top of these primitives.
 
@@ -206,7 +206,7 @@ class Tower:
 
 @dataclass
 class Castle:
-    """Towers of equal-size levels with an optional internal level map.
+    """Towers of equal-size levels with an internal level map.
 
     `steps` gives each atom below a tower's top the displacement vector
     that sends it onto the next level up within the same tower."""
@@ -214,7 +214,7 @@ class Castle:
     chain: OdometerChain
     depth: int
     towers: list[Tower]
-    steps: StepMap | None = None
+    steps: StepMap
 
     @property
     def space(self) -> AtomSpace:
@@ -272,8 +272,6 @@ def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     `base_partitions[alpha]` is a list of disjoint atom sets whose union
     is tower alpha's base; each part spawns a tower by climbing the level
     map."""
-    if castle.steps is None:
-        raise CastleError("refinement needs the castle's level map")
     space = castle.space
     new_towers = []
     for alpha, tower in enumerate(castle.towers):
@@ -298,8 +296,6 @@ def refine_pure_columns(castle: Castle, depth: int) -> Castle:
     Each column is climbed once: the coarser atoms along it split the
     tower's columns level by level, and the new towers are assembled from
     the same climb, in the order of their least base atoms."""
-    if castle.steps is None:
-        raise CastleError("refinement needs the castle's level map")
     space = castle.space
     coarse = castle.chain.kr_partition(depth)
     new_towers = []

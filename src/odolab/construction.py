@@ -40,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from operator import mul, ne
+from operator import ge, gt, mul, ne
 
 from .castles import (
     Castle,
@@ -65,10 +65,6 @@ from .speedup import Cone
 MAX_DEPTH = 9  # 6^9 source atoms is already beyond desk scale
 
 
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class _NeedDepth(Exception):
     """Internal: the working depth is too coarse for a selection step."""
 
@@ -83,7 +79,7 @@ class StageRecord:
     eps_cap: Fraction
     boundary_measure: Fraction
     src_castle: Castle
-    tgt_castle: Castle           # target towers; the level map is +1
+    tgt_bases: list[array]       # target base atoms per tower; tower alpha is tgt_bases[alpha] + v, v < height
     pretower_count: int
     f_atoms: frozenset[int]      # swapped points, source working depth
     r_atoms: frozenset[int]      # where the previous map was rebuilt
@@ -99,7 +95,9 @@ class SpeedupConstruction:
     (`_stage`).  Its `StageRecord` holds the stage itself: the castles,
     the swap and rebuild records, and the previous map; the audit works
     out everything else, the anchors' towers and columns included, from
-    these.  `run` refuses a cone that contains a line."""
+    these.  A cone that contains a line is refused: with no strict facet,
+    a nonzero integer kernel of the facet normals spans a line inside the
+    cone."""
 
     def __init__(
         self,
@@ -111,6 +109,10 @@ class SpeedupConstruction:
             raise CastleError("the construction targets one-dimensional chains")
         if cone.dim != source.dim:
             raise CastleError("cone and source dimension differ")
+        if not any(strict for _, strict in cone.facets):
+            kernel = _integer_kernel([normal for normal, _ in cone.facets], cone.dim)
+            if kernel:
+                raise CastleError(f"the cone contains the line through {kernel[0]}; it must contain no line")
         verdict = orbit_equivalence_test(source, target)
         if verdict.outcome == "no":
             raise ValueGroupMismatch(str(verdict.certificate))
@@ -177,13 +179,7 @@ class SpeedupConstruction:
     # -- public API ------------------------------------------------------
 
     def run(self, stages: int) -> "SpeedupConstruction":
-        """Build the stages up to `stages`.  A cone containing a line is
-        refused: with no strict facet, a nonzero integer kernel of the
-        facet normals spans a line inside the cone."""
-        if not any(strict for _, strict in self.cone.facets):
-            kernel = _integer_kernel([normal for normal, _ in self.cone.facets], self.cone.dim)
-            if kernel:
-                raise CastleError(f"the cone contains the line through {kernel[0]}; it must contain no line")
+        """Build the stages up to `stages`."""
         while len(self.stages) < stages:
             self.stages.append(self._stage(len(self.stages)))
         return self
@@ -265,8 +261,8 @@ class SpeedupConstruction:
         castle = castle_refinement_over(castle, [parts])
         castle = refine_pure_columns(castle, 1)
 
-        tgt_castle = self._copy_levels_to_target(
-            castle, tgt_depth, [list(range(0, self.target.index(tgt_depth), h))], [0] * len(castle.towers)
+        tgt_bases = self._copy_levels_to_target(
+            castle, [range(0, self.target.index(tgt_depth), h)], [0] * len(castle.towers)
         )
         return StageRecord(
             k=k,
@@ -277,7 +273,7 @@ class SpeedupConstruction:
             eps_cap=cap,
             boundary_measure=boundary,
             src_castle=castle,
-            tgt_castle=tgt_castle,
+            tgt_bases=tgt_bases,
             pretower_count=1,
             f_atoms=frozenset(),
             r_atoms=frozenset(),
@@ -355,24 +351,22 @@ class SpeedupConstruction:
                 changed.add(s)
             steps.assign(s, vec)
 
-    def _copy_levels_to_target(self, castle, tgt_depth, pools, pretower_of):
-        """Mirror the source towers on the target side, measure for measure.
+    def _copy_levels_to_target(self, castle, pools, pretower_of):
+        """Mirror the source towers on the target side, measure for measure:
+        the target base atoms of each tower.
 
         `pools[beta]` holds the target base atoms available to the towers
         descending from pretower beta; chunks are dealt lexicographically
         in tower order.  A one-dimensional code is the residue mod the index
         and every base lies in hZ, h the height, so +1 never wraps below a
-        top: the tower over `base` has the sorted levels base + v (the split
-        in `_build_inductive` relies on this too)."""
+        top: the tower over `base` has the sorted levels base + v, and only
+        the base is kept (the split in `_build_inductive` relies on this
+        too)."""
         sizes: list[list[int]] = [[] for _ in pools]
         for alpha, tower in enumerate(castle.towers):
             sizes[pretower_of[alpha]].append(tower.width)
         chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
-        towers = []
-        for alpha, tower in enumerate(castle.towers):
-            base = next(chunks[pretower_of[alpha]])
-            towers.append(Tower(tower.width, array("q", [c + v for v in range(tower.height) for c in base])))
-        return Castle(self.target, tgt_depth, towers, None)
+        return [array("q", next(chunks[beta])) for beta in pretower_of]
 
     # -- inductive stage ----------------------------------------------------
 
@@ -388,7 +382,7 @@ class SpeedupConstruction:
         # residue arithmetic (`_copy_levels_to_target`) block m of the tower
         # over c starts at the previous atom (c + m * h_prev) mod its index
         prev_index = self.target.index(prev.tgt_depth)
-        tower_of = {c: alpha for alpha, t in enumerate(prev.tgt_castle.towers) for c in t.level(0)}
+        tower_of = {c: alpha for alpha, base in enumerate(prev.tgt_bases) for c in base}
         groups: dict[tuple, list[int]] = {}
         for c in range(0, self.target.index(tgt_depth), h):
             try:
@@ -504,7 +498,7 @@ class SpeedupConstruction:
         refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1)
         pretower_of_tower = [pos[t.codes[0]] // h for t in refined.towers]
 
-        tgt_castle = self._copy_levels_to_target(refined, tgt_depth, tall_bases, pretower_of_tower)
+        tgt_bases = self._copy_levels_to_target(refined, tall_bases, pretower_of_tower)
         return StageRecord(
             k=k,
             n=n,
@@ -514,7 +508,7 @@ class SpeedupConstruction:
             eps_cap=cap,
             boundary_measure=boundary,
             src_castle=refined,
-            tgt_castle=tgt_castle,
+            tgt_bases=tgt_bases,
             pretower_count=len(pretowers),
             f_atoms=f_atoms,
             r_atoms=frozenset(r_atoms),
@@ -533,7 +527,7 @@ class SpeedupConstruction:
         """Audit stage k: one exact, named check per structural invariant,
         always in the same order (stage numbers, castle shape, swapped
         measure, rebuild set, cylinder levels of both castles, anchor
-        placement and separation, the target's +1 map, level maps,
+        placement and separation, the target's tiling, level maps,
         displacements and column sums in the cone, stability off the
         rebuild set, pairing, swap conservation).
 
@@ -575,7 +569,7 @@ class SpeedupConstruction:
             f"n={rec.n}",
         )
 
-        src, tgt = rec.src_castle, rec.tgt_castle
+        src = rec.src_castle
         steps = src.steps
 
         # (2) castle shape: equal-size levels per tower, disjoint, full cover
@@ -604,7 +598,7 @@ class SpeedupConstruction:
         check("rebuild-set-recorded", rec.r_atoms is not None, f"|R|={len(rec.r_atoms)}")
 
         # (5a) every level inside one cylinder atom at depth k+1
-        check("levels-refine-cylinders", lambda: _levels_refine(src, self.source.kr_partition(k + 1)))
+        check("levels-refine-cylinders", lambda: _levels_refine(src.space, src.towers, self.source.kr_partition(k + 1)))
 
         # (5b) anchors in base/top inside their cylinders; base and top map
         # each of their atoms to its tower
@@ -619,24 +613,24 @@ class SpeedupConstruction:
             f"|base|={len(base)} |anchor|={len(a0)}",
         )
 
-        # (5c) target levels inside single target cylinder atoms
-        check("target-levels-refine-cylinders", lambda: _levels_refine(tgt, self.target.kr_partition(rec.n)))
+        # (5c) target levels inside single target cylinder atoms: +1 maps
+        # depth-n atoms onto depth-n atoms, so a tower's levels lie in one
+        # each iff its base does (a base is a tower of one level)
+        check(
+            "target-levels-refine-cylinders",
+            lambda: _levels_refine(
+                tspace, [Tower(len(b), b) for b in rec.tgt_bases], self.target.kr_partition(rec.n)
+            ),
+        )
 
-        # (5d) the target castle is a translation castle
-        def _shift_ok():
-            # the images of the levels below the top, level by level; when
-            # +1 keeps every level's order they are the codes above the base
-            for t in tgt.towers:
-                w = t.width
-                images = array("q", map(tspace.translate, t.codes[: len(t.codes) - w], repeat((1,))))
-                levels = range(t.height - 1)
-                if images != t.codes[w:] and any(
-                    sorted(images[v * w : (v + 1) * w]) != t.level(v + 1).tolist() for v in levels
-                ):
-                    return False
-            return True
+        # (5d) the target towers tile the target: the bases are exactly the
+        # multiples of the height, so +1 never wraps below a top, and the
+        # levels base + v are disjoint and cover every target atom
+        def _tiling_ok():
+            bases = array("q", sorted(c for b in rec.tgt_bases for c in b))
+            return tspace.size % rec.height == 0 and bases == array("q", range(0, tspace.size, rec.height))
 
-        check("target-translation-castle", _shift_ok)
+        check("target-translation-castle", _tiling_ok)
         shift_ok = checks[-1][1]
 
         # (6a) level maps are bijections level-to-level, and the column sums
@@ -686,8 +680,8 @@ class SpeedupConstruction:
             check("map-stable-off-rebuild", _stable)
 
         # (7) the level pairing intertwines the two castles
-        pair_ok = len(src.towers) == len(tgt.towers) and all(
-            s.height == t.height and s.width == t.width for s, t in zip(src.towers, tgt.towers)
+        pair_ok = len(src.towers) == len(rec.tgt_bases) and all(
+            s.height == rec.height and s.width == len(b) for s, b in zip(src.towers, rec.tgt_bases)
         )
         check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
 
@@ -750,14 +744,14 @@ def _previous_map(castle: Castle, depth: int) -> StepMap:
     return StepMap(len(ids), castle.steps.vectors, ids)
 
 
-def _levels_refine(castle: Castle, coarse) -> bool:
-    """Every level of the castle lies inside one atom of the coarser space.
+def _levels_refine(space, towers, coarse) -> bool:
+    """Every level of the towers, on atoms of `space`, lies inside one atom
+    of the coarser space.
 
     A level of one atom always does, so a tower of width 1 has only its
     first atom coarsened, which raises unless `coarse` is a coarser space
-    of the castle's chain."""
-    space = castle.space
-    for t in castle.towers:
+    of the same chain."""
+    for t in towers:
         w = t.width
         if w == 1:
             space.coarsen(t.codes[0], coarse)
@@ -843,36 +837,30 @@ def _sums_outside(cone: Cone, vectors):
     first partial sum outside the cone, or None.
 
     Each step's facet values n.v are computed once per vector id, and a
-    column's partial sums have running sums of them as facet values.  A
-    partial sum whose facet values are all >= 0 (> 0 on a strict facet)
-    and add up to a positive number is nonzero and in the cone.  A column
-    with a partial sum that fails this, or whose facet values add up to
-    0, is tested sum by sum with `Cone.contains`, which also locates the
-    failure."""
-
-    def by_contains(step_ids):
-        total = None
-        for j, i in enumerate(step_ids):
-            total = vectors[i] if total is None else _vadd(total, vectors[i])
-            if not cone.contains(total):
-                return j
-        return None
-
+    column's partial sums have running sums of them as facet values.  The
+    cone contains no line (`SpeedupConstruction` refuses one that does),
+    so a sum is in it iff its facet values are all >= 0, > 0 on a strict
+    facet, and add up to a positive number: a strict facet keeps the sum
+    nonzero, and with none, facet values all 0 put it in the kernel of
+    the normals, which is 0.  So the total of the facet values is one
+    more strict facet, and the first failure is the least index at which
+    some facet's running sum fails."""
     facets = [
         ([0] + [sum(map(mul, normal, vec)) for vec in vectors[1:]], strict) for normal, strict in cone.facets
     ]
-    totals = [sum(values) for values in zip(*(values for values, _ in facets))]
+    facets.append(([sum(values) for values in zip(*(values for values, _ in facets))], True))
 
-    def by_facets(step_ids):
+    def first_outside(step_ids):
+        firsts = []
         for values, strict in facets:
-            low = min(accumulate(map(values.__getitem__, step_ids)), default=1)
-            if low < 0 or (strict and low == 0):
-                return by_contains(step_ids)
-        if 0 in accumulate(map(totals.__getitem__, step_ids)):
-            return by_contains(step_ids)
-        return None
+            sums = accumulate(map(values.__getitem__, step_ids))
+            # 0 >= x fails a strict facet, 0 > x any facet
+            j = next(compress(count(), map(ge if strict else gt, repeat(0), sums)), None)
+            if j is not None:
+                firsts.append(j)
+        return min(firsts, default=None)
 
-    return by_facets
+    return first_outside
 
 
 def _find_column(climbs, height: int, atom: int, row: int):
@@ -883,13 +871,6 @@ def _find_column(climbs, height: int, atom: int, row: int):
         if atom in level:
             return piece, level.index(atom)
     raise CastleError("anchors are misaligned with the block structure")
-
-
-def _anchor_towers(castle: Castle, x0_atom: int, x2_atom: int) -> tuple[int, int]:
-    """Towers whose base holds the first anchor and whose top holds the second."""
-    tower_x0 = next(i for i, t in enumerate(castle.towers) if x0_atom in t.level(0))
-    tower_x2 = next(i for i, t in enumerate(castle.towers) if x2_atom in t.level(t.height - 1))
-    return tower_x0, tower_x2
 
 
 def _shape(towers) -> tuple[tuple[int, int], ...]:

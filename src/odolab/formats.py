@@ -175,6 +175,8 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         cocycle = load_cocycle(path)
+        if dim is not None and dim != cocycle.d2:
+            raise SpecSyntaxError(lineno, kv["dim"][1], f"dim does not match the cocycle's rank {cocycle.d2}")
         return derived_odometer(cocycle, checked_depth=checked)
     raise SpecSyntaxError(lineno, 1, f"unknown provider {provider!r}")
 

@@ -388,7 +388,7 @@ def _case_continuous_oe_probe(report: CaseReport, workdir: Path, rng):
     chain = OdometerChain.diagonal_power([3, 2])
     base = fit_descriptor(chain, 4)
     samples = sample_cocycles(chain, 25, rng)
-    yes = undecided = nofit = notmin = 0
+    yes = no = undecided = nofit = notmin = 0
     for c in samples:
         try:
             derived = derived_odometer(c, checked_depth=3)
@@ -402,13 +402,15 @@ def _case_continuous_oe_probe(report: CaseReport, workdir: Path, rng):
         verdict = continuous_oe_test(base, fitted, height=2, denom_bound=2)
         if verdict.outcome == "yes":
             yes += 1
+        elif verdict.outcome == "no":
+            no += 1
         else:
             undecided += 1
     report.add(
         "probe-summary",
         "derived",
         True,
-        f"coe-yes={yes} undecided={undecided} no-fit={nofit} not-minimal={notmin} "
+        f"coe-yes={yes} coe-no={no} undecided={undecided} no-fit={nofit} not-minimal={notmin} "
         "(observations only; nothing asserted)",
     )
 

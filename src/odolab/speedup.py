@@ -96,7 +96,7 @@ class Cone:
     degenerate sector with equal rays u means the single ray itself: the
     line n.x = 0 through u, cut by the strict facet u.x > 0.  A cone
     whose facets allow a whole line is valid here, but the construction
-    refuses it (`SpeedupConstruction.run`).
+    refuses it (`SpeedupConstruction`).
     """
 
     dim: int

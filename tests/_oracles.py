@@ -4,6 +4,7 @@ Every oracle here works by enumeration so it cannot share a bug with the
 triangular-solve code it is used to check.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -324,15 +325,14 @@ def fit_by_enumeration(chain, depth):
     return NoFit("no unit lower shear with the observed prime supports fits")
 
 
-def target_castle_by_translation(castle):
-    """Towers of a target castle rebuilt from their bases as lists of sorted
-    levels: each level is the sorted +1 images of the one below, one
-    `translate_by_reduction` per atom, with no residue arithmetic."""
-    space = castle.space
+def target_castle_by_translation(space, bases, height):
+    """Target towers of the given height rebuilt from their bases as lists
+    of sorted levels: each level is the sorted +1 images of the one below,
+    one `translate_by_reduction` per atom, with no residue arithmetic."""
     out = []
-    for t in castle.towers:
-        levels = [t.level(0).tolist()]
-        for _ in range(t.height - 1):
+    for base in bases:
+        levels = [sorted(base)]
+        for _ in range(height - 1):
             levels.append(sorted(translate_by_reduction(space, c, (1,)) for c in levels[-1]))
         out.append(levels)
     return out
@@ -355,7 +355,7 @@ def x0_column_points(con, k):
     """Exact points up the column of stage k's castle from the zero point:
     each level's step is read at the atom of the exact point, found by
     one encode_vector per level."""
-    from odolab.construction import _vadd
+    from odolab.speedup import _vadd
 
     rec = con.stages[k]
     space = con.source.kr_partition(rec.gamma)
@@ -375,9 +375,11 @@ def stage_checks_by_levels(con, k):
     The level maps and column sums climb all columns of a tower one level
     at a time, comparing the climbed atoms with the level as sets and
     testing every partial sum with `Cone.contains`; every atom of every
-    level is coarsened for the cylinder checks, and every target level is
-    compared with the sorted +1 images of the one below."""
-    from odolab.construction import _vadd
+    level is coarsened for the cylinder checks.  The target towers are
+    rebuilt from their bases by `target_castle_by_translation`; each
+    level must be its base + v, with no wrap, and the levels together
+    must cover the target atoms once each."""
+    from odolab.speedup import _vadd
 
     rec = con.stages[k]
     space = con.source.kr_partition(rec.gamma)
@@ -392,17 +394,17 @@ def stage_checks_by_levels(con, k):
                 ok = False
         checks.append((name, bool(ok)))
 
-    def levels_refine(castle, coarse):
-        for t in castle.towers:
-            w = t.width
-            labels = [castle.space.coarsen(c, coarse) for c in t.codes]
-            if any(labels[i : i + w].count(labels[i]) != w for i in range(0, len(labels), w)):
-                return False
+    def levels_refine(space, towers, coarse):
+        for levels in towers:
+            for level in levels:
+                if len({space.coarsen(c, coarse) for c in level}) > 1:
+                    return False
         return True
 
     check("stage-numbers-increase", k == 0 or rec.n > con.stages[k - 1].n)
-    src, tgt = rec.src_castle, rec.tgt_castle
+    src = rec.src_castle
     steps = src.steps
+    tgt = functools.cache(lambda: target_castle_by_translation(tspace, rec.tgt_bases, rec.height))
 
     def shape_ok():
         seen = bytearray(space.size)
@@ -421,23 +423,27 @@ def stage_checks_by_levels(con, k):
     else:
         check("swap-measure-bound", Fraction(len(rec.f_atoms), space.size) <= 4 * con.anchor_measure(k))
     check("rebuild-set-recorded", rec.r_atoms is not None)
-    check("levels-refine-cylinders", lambda: levels_refine(src, con.source.kr_partition(k + 1)))
+    check(
+        "levels-refine-cylinders",
+        lambda: levels_refine(src.space, [list(t.levels) for t in src.towers], con.source.kr_partition(k + 1)),
+    )
     a0, a2 = con._anchor_sets(k, rec.gamma)
     base = {c for t in src.towers for c in t.level(0)}
     top = {c for t in src.towers for c in t.level(t.height - 1)}
     x0_atom = space.encode_vector((0,) * con.source.dim)
     x2_atom = space.encode_vector(con.x2_vector)
     check("anchors-in-boundary-cylinders", x0_atom in base and x2_atom in top and base <= a0 and top <= a2)
-    check("target-levels-refine-cylinders", lambda: levels_refine(tgt, con.target.kr_partition(rec.n)))
+    check("target-levels-refine-cylinders", lambda: levels_refine(tspace, tgt(), con.target.kr_partition(rec.n)))
 
     def shift_ok():
-        for t in tgt.towers:
-            w = t.width
-            images = [tspace.translate(c, (1,)) for c in t.codes[: len(t.codes) - w]]
-            for v in range(t.height - 1):
-                if sorted(images[v * w : (v + 1) * w]) != t.level(v + 1).tolist():
+        seen = [0] * tspace.size
+        for base, levels in zip(rec.tgt_bases, tgt()):
+            for v, level in enumerate(levels):
+                if level != sorted(c + v for c in base):
                     return False
-        return True
+                for c in level:
+                    seen[c] += 1
+        return seen.count(1) == tspace.size
 
     check("target-translation-castle", shift_ok)
     shift_ok = checks[-1][1]
@@ -490,10 +496,13 @@ def stage_checks_by_levels(con, k):
         return True
 
     check("map-stable-off-rebuild", True if k == 0 else stable)
-    pair_ok = len(src.towers) == len(tgt.towers) and all(
-        s.height == t.height and s.width == t.width for s, t in zip(src.towers, tgt.towers)
-    )
-    check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
+
+    def pair_ok():
+        return len(src.towers) == len(tgt()) and all(
+            s.height == len(levels) and s.width == len(levels[0]) for s, levels in zip(src.towers, tgt())
+        )
+
+    check("pairing-intertwines", lambda: pair_ok() and maps_ok and shift_ok)
     check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
     check("column-sums-in-cone", lambda: climb()[1])
     return checks

@@ -48,10 +48,11 @@ def assert_audit_matches_the_level_oracle(con, k):
 
 
 def assert_targets_are_translation_climbs(con):
-    """Every target castle equals the +1 climb of its bases."""
+    """Every target tower, base + v by definition, equals the +1 climb of its base."""
     for rec in con.stages:
-        tgt = rec.tgt_castle
-        assert target_castle_by_translation(tgt) == [[t.level(v).tolist() for v in range(t.height)] for t in tgt.towers]
+        tspace = con.target.kr_partition(rec.tgt_depth)
+        expected = [[[c + v for c in base] for v in range(rec.height)] for base in rec.tgt_bases]
+        assert target_castle_by_translation(tspace, rec.tgt_bases, rec.height) == expected
 
 
 def test_anchor_choice_and_schedule():
@@ -207,13 +208,35 @@ def test_audit_matches_the_oracle_on_a_wide_level_straddling_two_cylinders():
     assert "levels-refine-cylinders" in report.failures()
 
 
+# quadrant stage 1: target bases of widths 1, 1, 2, 1, 1, all multiples of the height
 @pytest.mark.parametrize("alpha", [0, 2])
-def test_audit_matches_the_oracle_on_a_target_level_shifted_by_two(alpha):
+def test_audit_matches_the_oracle_on_a_target_base_shifted_by_one(alpha):
+    # the shifted tower overlaps the next one and leaves its old base uncovered
     con = build(2)
-    tgt = con.stages[1].tgt_castle
-    tower = tgt.towers[alpha]
-    _set_level(tower, 9, [tgt.space.translate(c, (2,)) for c in tower.level(9)])
+    bases = con.stages[1].tgt_bases
+    bases[alpha] = array("q", [c + 1 for c in bases[alpha]])
     report = assert_audit_matches_the_level_oracle(con, 1)
+    assert "target-translation-castle" in report.failures()
+    assert "pairing-intertwines" in report.failures()
+
+
+def test_audit_matches_the_oracle_on_target_bases_swapped_between_widths():
+    # the target still tiles, but its towers no longer pair with the source's
+    con = build(2)
+    bases = con.stages[1].tgt_bases
+    assert [len(b) for b in bases] == [1, 1, 2, 1, 1]
+    bases[0], bases[2] = bases[2], bases[0]
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert report.failures() == ["pairing-intertwines"]
+
+
+def test_audit_matches_the_oracle_on_a_target_base_straddling_two_cylinders():
+    # the depth-n target cylinders are the residues mod the height
+    con = build(2)
+    bases = con.stages[1].tgt_bases
+    bases[2] = array("q", [bases[2][0], bases[2][1] + 1])
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert "target-levels-refine-cylinders" in report.failures()
     assert "target-translation-castle" in report.failures()
 
 
@@ -261,7 +284,7 @@ def test_audit_matches_the_oracle_on_anchors_in_one_tower():
 
 def _hand_built(cone, vectors):
     """A construction whose only stage is one width-1 tower climbing from
-    atom 0 by `vectors`; its target tower is the +1 climb from atom 0."""
+    atom 0 by `vectors`; its target tower is the one over target atom 0."""
     con = SpeedupConstruction(OdometerChain.diagonal_power([3, 2]), OdometerChain.diagonal_power([6]), cone)
     space = con.source.kr_partition(1)
     steps, codes = StepMap(space.size), array("q", [0])
@@ -269,11 +292,10 @@ def _hand_built(cone, vectors):
         steps.assign(codes[-1], vec)
         codes.append(space.translate(codes[-1], vec))
     castle = Castle(con.source, 1, [Tower(1, codes)], steps)
-    tgt = Castle(con.target, 1, [Tower(1, array("q", range(len(codes))))])
     con.stages = [
         StageRecord(
             k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), eps_cap=Fraction(1),
-            boundary_measure=Fraction(1), src_castle=castle, tgt_castle=tgt, pretower_count=1,
+            boundary_measure=Fraction(1), src_castle=castle, tgt_bases=[array("q", [0])], pretower_count=1,
             f_atoms=frozenset(), r_atoms=frozenset(), prev_steps=None, swap_audit=((), ()),
         )
     ]
@@ -283,9 +305,9 @@ def _hand_built(cone, vectors):
 @pytest.mark.parametrize(
     "cone, vectors",
     [
-        # a half-plane: every partial sum's facet values add up to 0, so
-        # Cone.contains tests each, and finds the second one zero
-        (Cone.from_facets([((0, 1), False)]), [(1, 0), (-1, 0)]),
+        # an open half-plane: its strict facet alone keeps every sum in it
+        # nonzero, and the second sum lies on it
+        (Cone.from_facets([((1, 0), True)]), [(1, 0), (-1, 1)]),
         # pointed: the facet values of the second sum are all 0, so it is zero
         (Cone.quadrant(2), [(1, 0), (-1, 0)]),
         # the second sum lies on the strict facet y > 0
@@ -305,7 +327,7 @@ def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
     con = build(2)
     rec = con.stages[1]
     hand = _hand_built(Cone.quadrant(2), [(1, 0), (0, 1)]).stages[0]
-    rec.src_castle, rec.tgt_castle = hand.src_castle, hand.tgt_castle
+    rec.src_castle, rec.tgt_bases, rec.tgt_depth = hand.src_castle, hand.tgt_bases, hand.tgt_depth
     report = assert_audit_matches_the_level_oracle(con, 1)
     detail = "check raised ChainError: coarsen needs a coarser atom space of the same chain"
     for name in ("levels-refine-cylinders", "target-levels-refine-cylinders"):
@@ -323,10 +345,10 @@ def test_finer_target_towers_are_translation_climbs():
 
 def test_a_rotated_previous_target_tower_is_refused():
     # the tall tower's blocks must start at previous target bases; with
-    # tower 0 turned one level, its old base atoms are bases no longer
+    # tower 0 turned one level, its base is its old level 1
     con = build(1)
-    tower = con.stages[0].tgt_castle.towers[0]
-    tower.codes = tower.codes[tower.width :] + tower.codes[: tower.width]
+    bases = con.stages[0].tgt_bases
+    bases[0] = array("q", [c + 1 for c in bases[0]])
     with pytest.raises(CastleError, match="block itineraries must start at previous bases"):
         con.run(2)
 
@@ -428,10 +450,8 @@ def test_cones_containing_a_line_are_refused(normals, line):
     dim = len(normals[0][0])
     source = OdometerChain.diagonal_power([3, 2] if dim == 2 else [2, 2, 2])
     target = OdometerChain.diagonal_power([6] if dim == 2 else [8])
-    con = SpeedupConstruction(source, target, Cone.from_facets(normals))
     with pytest.raises(CastleError, match=re.escape(f"the cone contains the line through {line}")):
-        con.run(1)
-    assert con.stages == []
+        SpeedupConstruction(source, target, Cone.from_facets(normals))
 
 
 def test_an_open_half_plane_contains_no_line_and_builds():

@@ -260,6 +260,7 @@ BAD_SPECS = {
     "badstrict.cone": "cone=quadrant dim=2 strict=0,5",
     "line.cone": "cone=facets dim=2 normals=1,0,>=",
     "badrow.chain": "dim=2 provider=explicit\n2; 2 0; 0 2\n2; 4 x; 0 4",
+    "rank.chain": "dim=3 provider=derived cocycle=rowshear.cocycle",
 }
 
 
@@ -320,6 +321,7 @@ BAD_SPECS = {
             ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "line.cone"],
             "the cone contains the line through (0, 1); it must contain no line",
         ),
+        (["odometer", "stage", "rank.chain"], "line 1, column 5: dim does not match the cocycle's rank 2"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from odolab.repro import CASES, UnknownCase, run_repro
@@ -25,3 +28,30 @@ def test_runs_are_deterministic():
 def test_unknown_case():
     with pytest.raises(UnknownCase):
         run_repro("definitely-not-a-case")
+
+
+def test_probe_summary_counts_every_outcome_once():
+    # recompute each sampled speedup's outcome from the case's seeded sample
+    from odolab.classify import SupergroupDescriptor, continuous_oe_test, fit_descriptor
+    from odolab.odometer import OdometerChain
+    from odolab.sampling import sample_cocycles
+    from odolab.speedup import NotMinimalAtDepth, derived_odometer
+
+    chain = OdometerChain.diagonal_power([3, 2])
+    base = fit_descriptor(chain, 4)
+    expected = dict.fromkeys(["coe-yes", "coe-no", "undecided", "no-fit", "not-minimal"], 0)
+    for c in sample_cocycles(chain, 25, random.Random(20210223)):
+        try:
+            fitted = fit_descriptor(derived_odometer(c, checked_depth=3), 4)
+        except NotMinimalAtDepth:
+            expected["not-minimal"] += 1
+            continue
+        if not isinstance(fitted, SupergroupDescriptor):
+            expected["no-fit"] += 1
+            continue
+        outcome = continuous_oe_test(base, fitted, height=2, denom_bound=2).outcome
+        expected[{"yes": "coe-yes", "no": "coe-no"}.get(outcome, outcome)] += 1
+    (fact,) = run_repro("continuous-oe-probe").facts
+    counts = {key: int(value) for key, value in re.findall(r"([a-z-]+)=(\d+)", fact.detail)}
+    assert counts == expected
+    assert sum(counts.values()) == 25
