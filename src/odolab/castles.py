@@ -12,7 +12,10 @@ Everything is a flat integer array: a tower is a level width and its
 codes level by level, a level map one vector id per code into a small
 vector table, and `positions` one tower-and-level number per code.
 The construction driver transports exact atom counts between castles on
-top of these primitives.
+top of these primitives.  `castle_refinement_over` climbs the level map
+with `AtomSpace.translate`; `refine_pure_columns` reads the columns off
+the images of the map that the build already has, and the cylinders off
+one `AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -24,7 +27,7 @@ from array import array
 from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 
 from .odometer import AtomSpace, OdometerChain
 from .speedup import Cone
@@ -289,30 +292,50 @@ def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
-def refine_pure_columns(castle: Castle, depth: int) -> Castle:
+def _column(images, c: int, height: int) -> array:
+    """The `height` atoms from c up a level map given by its images
+    (`images[c]` the atom it sends c onto, -1 where unknown); an unknown
+    one raises CastleError."""
+    column = array("q", [c]) * height
+    for v in range(1, height):
+        c = images[c]
+        if c < 0:
+            raise CastleError("the level map has no known image at an atom below a tower's top")
+        column[v] = c
+    return column
+
+
+def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     """Refine so every tower's column meets a constant sequence of
     cylinder atoms at `depth`.
 
-    Each column is climbed once: the coarser atoms along it split the
-    tower's columns level by level, and the new towers are assembled from
-    the same climb, in the order of their least base atoms."""
-    space = castle.space
+    Each column is read off the build's `images` of the level map
+    (`images[c]` the atom it sends c onto, -1 where unknown; an unknown one
+    below a tower's top raises CastleError), with no translation, and each
+    atom's cylinder at `depth` is one entry of the space's `lift` of the
+    coarse codes.  The columns of a tower are grouped by their sequences of
+    cylinders; each group is a new tower with sorted levels, in the order of
+    the least base atoms.  Every column is read before the cylinders are
+    lifted, so the lifted array, allocated last and freed first, leaves no
+    hole under the new towers (read the other way round, quadrant stages
+    0-4 peaked 8 MB higher)."""
+    columns = [[_column(images, c, t.height) for c in t.level(0)] for t in castle.towers]
     coarse = castle.chain.kr_partition(depth)
+    labels = castle.space.lift(array("i", range(coarse.size)), coarse)
+    groups: list[list[array]] = []
+    for tower_columns in columns:
+        by_cylinders: dict = {}
+        for column in tower_columns:
+            key = array("i", map(labels.__getitem__, column)).tobytes() if len(tower_columns) > 1 else None
+            by_cylinders.setdefault(key, []).append(column)
+        groups.extend(by_cylinders.values())
+    del labels, columns
     new_towers = []
-    for tower in castle.towers:
-        w, h = tower.width, tower.height
-        columns = _climb(space, castle.steps, tower.level(0), h)
-        # group[i]: class of column i under its atoms up to level v, numbered
-        # by first appearance, so in the order of the least base atoms
-        group = [0] * w
-        for v in range(h):
-            classes: dict = {}
-            atoms = map(space.coarsen, columns[v * w : (v + 1) * w], repeat(coarse))
-            group = [classes.setdefault(key, len(classes)) for key in zip(group, atoms)]
-            if len(classes) == w:  # every column alone: no atom can split further
-                break
-        members: list[list[int]] = [[] for _ in range(max(group) + 1)]
-        for i, g in enumerate(group):
-            members[g].append(i)
-        new_towers.extend(_tower_of_columns(columns, w, h, m) for m in members)
+    for group in groups:
+        codes = group[0]
+        if len(group) > 1:
+            codes = array("q")
+            for level in zip(*group):
+                codes.extend(sorted(level))
+        new_towers.append(Tower(len(group), codes))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)

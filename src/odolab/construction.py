@@ -224,9 +224,10 @@ class SpeedupConstruction:
 
         # join the slabs with least cone vectors
         steps = StepMap(total)
+        images = array("i", [-1]) * total  # the atom each step sends its atom onto
         lattice = self.source.stage(gamma)
         for v in range(h - 1):
-            self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps)
+            self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps, images)
 
         # the two anchor columns must be pointwise distinct before they can
         # be separated; if they merged, re-route the last step on the zero
@@ -259,7 +260,8 @@ class SpeedupConstruction:
         if rest:
             parts.append(rest)
         castle = castle_refinement_over(castle, [parts])
-        castle = refine_pure_columns(castle, 1)
+        castle = refine_pure_columns(castle, 1, images)
+        del images
 
         tgt_bases = self._copy_levels_to_target(
             castle, [range(0, self.target.index(tgt_depth), h)], [0] * len(castle.towers)
@@ -340,8 +342,9 @@ class SpeedupConstruction:
                 touched.add((alpha, w))
         return frozenset(c for left in gone.values() for _, c in left), touched
 
-    def _transfer(self, src, dst, space, lattice, steps, changed=None):
-        """Pair two atom sets lexicographically with least cone vectors."""
+    def _transfer(self, src, dst, space, lattice, steps, images, changed=None):
+        """Pair two atom sets lexicographically with least cone vectors; the
+        vector sending s onto d is the image `images[s] = d`."""
         src_atoms, dst_atoms = sorted(src), sorted(dst)
         if len(src_atoms) != len(dst_atoms):
             raise CastleError("transfer endpoints have different sizes")
@@ -350,6 +353,7 @@ class SpeedupConstruction:
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
             steps.assign(s, vec)
+            images[s] = d
 
     def _copy_levels_to_target(self, castle, pools, pretower_of):
         """Mirror the source towers on the target side, measure for measure:
@@ -406,8 +410,15 @@ class SpeedupConstruction:
                 piece_of[(beta, m)] = chunk
 
         # --- climb each block piece once with the previous map: column i of
-        # a climb starts at the piece's i-th smallest base atom
-        climbs = {key: _climb(space, prev_steps, piece, h_prev) for key, piece in piece_of.items()}
+        # a climb starts at the piece's i-th smallest base atom.  The climbs
+        # give the map's images, which every transfer of the rebuild and the
+        # joins below keeps up to date until the refinement reads them
+        climbs = {}
+        images = array("i", [-1]) * space.size  # the atom each step sends its atom onto, -1 where unknown
+        for key, piece in piece_of.items():
+            climbs[key] = _climb(space, prev_steps, piece, h_prev)
+            for c, image in zip(climbs[key], climbs[key][len(piece) :]):
+                images[c] = image
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
         (beta0, m0), i0 = _find_column(climbs, h_prev, x0_atom, 0)
@@ -471,32 +482,34 @@ class SpeedupConstruction:
             tower, dst = pretowers[alpha], alpha * h + v + 1
             stale_src, covered = [], set()
             for c in tower.level(v):
-                image = space.translate(c, steps[c]) if c in steps else None
-                if image is None or pos[image] != dst:
+                image = images[c]  # -1 exactly where the previous map has no step
+                if image < 0 or pos[image] != dst:
                     stale_src.append(c)
                 else:
                     covered.add(image)
             if stale_src:
                 stale_dst = set(tower.level(v + 1)) - covered
-                self._transfer(stale_src, stale_dst, space, lattice, steps, changed)
+                self._transfer(stale_src, stale_dst, space, lattice, steps, images, changed)
         # record where the map was rebuilt: the swapped set, everything
         # remapped, and the in-block preimages of swapped atoms
         r_atoms = set(f_atoms) | changed
         for alpha, w in touched:
             if w and w % h_prev:
                 arrived = f_atoms.intersection(pretowers[alpha].level(w))
-                r_atoms.update(
-                    c for c in pretowers[alpha].level(w - 1) if space.translate(c, steps[c]) in arrived
-                )
+                r_atoms.update(c for c in pretowers[alpha].level(w - 1) if images[c] in arrived)
 
         # --- join the blocks with fresh cone vectors
         for tower in pretowers:
             for v in range(h_prev - 1, h - 1, h_prev):
-                self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps)
+                self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps, images)
 
-        # --- refine into pure cylinder columns at depth k+1
-        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1)
-        pretower_of_tower = [pos[t.codes[0]] // h for t in refined.towers]
+        # --- refine into pure cylinder columns at depth k+1; a tower's first
+        # atom is a base atom of its pretower
+        pretower_of = {c: beta for beta, t in enumerate(pretowers) for c in t.level(0)}
+        del pos
+        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1, images)
+        del images
+        pretower_of_tower = [pretower_of[t.codes[0]] for t in refined.towers]
 
         tgt_bases = self._copy_levels_to_target(refined, tall_bases, pretower_of_tower)
         return StageRecord(
@@ -594,8 +607,8 @@ class SpeedupConstruction:
             bound = 4 * self.anchor_measure(k)
             check("swap-measure-bound", mu_f <= bound, f"{mu_f} <= {bound}")
 
-        # (4) rebuild set recorded and within reason
-        check("rebuild-set-recorded", rec.r_atoms is not None, f"|R|={len(rec.r_atoms)}")
+        # (4) the rebuild set holds every swapped atom (both are empty at stage 0)
+        check("rebuild-set-recorded", rec.f_atoms <= rec.r_atoms, f"|R|={len(rec.r_atoms)}")
 
         # (5a) every level inside one cylinder atom at depth k+1
         check("levels-refine-cylinders", lambda: _levels_refine(src.space, src.towers, self.source.kr_partition(k + 1)))
@@ -739,8 +752,7 @@ def _previous_map(castle: Castle, depth: int) -> StepMap:
         for c in t.level(t.height - 1):
             ids[c] = 0
     if depth != castle.depth:
-        coarse, fine = castle.space, castle.chain.kr_partition(depth)
-        ids = array("i", (ids[fine.coarsen(c, coarse)] for c in range(fine.size)))
+        ids = castle.chain.kr_partition(depth).lift(ids, castle.space)
     return StepMap(len(ids), castle.steps.vectors, ids)
 
 
@@ -750,15 +762,16 @@ def _levels_refine(space, towers, coarse) -> bool:
 
     A level of one atom always does, so a tower of width 1 has only its
     first atom coarsened, which raises unless `coarse` is a coarser space
-    of the same chain."""
+    of the same chain.  The labels are compared one level at a time, so
+    no per-atom list is built for a tower."""
     for t in towers:
-        w = t.width
+        w, codes = t.width, t.codes
         if w == 1:
-            space.coarsen(t.codes[0], coarse)
+            space.coarsen(codes[0], coarse)
             continue
-        labels = list(map(space.coarsen, t.codes, repeat(coarse)))
-        if any(labels[i::w] != labels[::w] for i in range(1, w)):  # atom i of each level vs atom 0
-            return False
+        for v in range(0, len(codes), w):
+            if len(set(map(space.coarsen, codes[v : v + w], repeat(coarse)))) > 1:
+                return False
     return True
 
 

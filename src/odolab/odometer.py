@@ -15,6 +15,7 @@ layers all work.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -310,6 +311,9 @@ class AtomSpace:
     `translate` sets its offsets up once per distinct vector (a stage uses
     few) and raises `DimensionMismatch` on a vector whose length is not the
     chain's dimension; `coarsen` sets its digits up once per coarser depth.
+    `lift` reads an array indexed by coarser codes at every code of this
+    space at once, from slices of it, one per block of codes that share
+    their more significant digits and the wraps of the least significant.
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
@@ -411,6 +415,50 @@ class AtomSpace:
             if col and (q := t // m):
                 carry = [c + q * a for c, a in zip(carry, col)] if carry else [q * a for a in col]
             out += t % m * sc
+        return out
+
+    def lift(self, values, coarse: "AtomSpace") -> array:
+        """The `array('i')` whose entry c is `values[self.coarsen(c, coarse)]`.
+
+        A code is a prefix of digits 0..d-2 and a least significant digit
+        x = q * m + r, m = coarse.rectangle[-1] (which divides this space's
+        last side).  At the coarser stage r stays the last digit and the q
+        wraps shift the prefix by q times that digit's carries, so the m
+        codes of one (prefix, q) block map onto the m consecutive coarse
+        codes from b, the coarse code of the shifted prefix with r = 0:
+        the result is built from slices `values[b:b + m]`, with one prefix
+        reduced per block and no work per atom.  When the last coarse digit
+        carries nothing (always on a diagonal stage), a prefix's blocks are
+        one slice repeated.  Raises ChainError as `coarsen` does."""
+        if coarse._chain_stages is not self._chain_stages or coarse.depth > self.depth:
+            raise ChainError("coarsen needs a coarser atom space of the same chain")
+        m = coarse.rectangle[-1]
+        wraps = self.rectangle[-1] // m
+        shift = coarse._carries[-1]
+        # the prefix digits at the coarser stage, least significant first:
+        # (index, side, stride, carries)
+        prefix_len = len(self.rectangle) - 1
+        digits = tuple(zip(range(prefix_len), coarse.rectangle, coarse.strides, coarse._carries))[::-1]
+
+        def block(x):  # coarse code of the shifted prefix x, reduced in place
+            b = 0
+            for i, side, stride, col in digits:
+                t = x[i]
+                if col and (q := t // side):
+                    for k, a in enumerate(col):
+                        x[k] -= q * a
+                b += t % side * stride
+            return b
+
+        out = array("i")
+        for prefix in iter_product(*map(range, self.rectangle[:-1])):
+            if shift:
+                for q in range(wraps):
+                    b = block([x - q * a for x, a in zip(prefix, shift)])
+                    out.extend(values[b : b + m])
+            else:
+                b = block(list(prefix))
+                out.extend(values[b : b + m] * wraps)
         return out
 
     def fibers(self, code: int, finer: "AtomSpace") -> list[int]:

@@ -5,6 +5,7 @@ triangular-solve code it is used to check.
 """
 
 import functools
+from array import array
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -258,6 +259,32 @@ def castle_refinement_by_sets(space, towers, steps, base_partitions):
     return out
 
 
+def images_by_translation(castle):
+    """The images `refine_pure_columns` reads, for a castle: entry c is
+    `translate_by_reduction` of c by its step for each atom below a tower's
+    top, -1 on the top levels and outside the towers."""
+    space, steps = castle.space, castle.steps
+    images = array("i", [-1]) * space.size
+    for t in castle.towers:
+        for c in t.codes[: len(t.codes) - t.width]:
+            images[c] = translate_by_reduction(space, c, steps[c])
+    return images
+
+
+def previous_map_by_coarsening(castle, depth):
+    """`construction._previous_map` one atom at a time: the castle's step ids
+    off its top levels, each finer atom reading the id of the atom
+    `coarsen_by_reduction` puts it in."""
+    top = {c for t in castle.towers for c in t.level(t.height - 1)}
+    fine = castle.chain.kr_partition(depth)
+    ids = array("i", [0]) * fine.size
+    for c in range(fine.size):
+        parent = coarsen_by_reduction(fine, c, castle.space)
+        if parent not in top:
+            ids[c] = castle.steps.ids[parent]
+    return ids
+
+
 def refine_pure_columns_by_sets(space, towers, steps, label):
     """Towers of `refine_pure_columns` as lists of sorted levels, in two passes:
     read each column's label sequence and group the base atoms by it (groups
@@ -422,7 +449,7 @@ def stage_checks_by_levels(con, k):
         check("swap-measure-bound", not rec.f_atoms)
     else:
         check("swap-measure-bound", Fraction(len(rec.f_atoms), space.size) <= 4 * con.anchor_measure(k))
-    check("rebuild-set-recorded", rec.r_atoms is not None)
+    check("rebuild-set-recorded", rec.f_atoms <= rec.r_atoms)
     check(
         "levels-refine-cylinders",
         lambda: levels_refine(src.space, [list(t.levels) for t in src.towers], con.source.kr_partition(k + 1)),

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from array import array
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ import pytest
 from odolab.castles import (
     AtomSpace,
     Castle,
+    CastleError,
     EmptyConeCoset,
     NotAPartition,
     StepMap,
@@ -27,6 +29,7 @@ from _oracles import (
     coset_members_by_l1,
     fibers_by_scan,
     fraction_cone_member,
+    images_by_translation,
     refine_pure_columns_by_sets,
     translate_by_reduction,
 )
@@ -268,7 +271,7 @@ def test_refine_pure_columns_splits_by_labels():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [Tower.from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1)
+    refined = refine_pure_columns(castle, 1, images_by_translation(castle))
     assert len(refined.towers) == 2
 
 
@@ -280,8 +283,19 @@ def test_refine_pure_columns_trivial_labels():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [Tower.from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1)
+    refined = refine_pure_columns(castle, 1, images_by_translation(castle))
     assert _tower_lists(refined) == _tower_lists(castle)
+
+
+def test_refine_pure_columns_refuses_an_unknown_image_below_a_top():
+    # a two-level tower over a base of two depth-1 atoms, one of them with no
+    # known image; -1 on the top level is what every castle has
+    castle = _two_level_castle()
+    images = images_by_translation(castle)
+    assert [images[c] for c in castle.towers[0].level(1)] == [-1, -1]
+    images[castle.towers[0].level(0)[1]] = -1
+    with pytest.raises(CastleError, match="no known image at an atom below a tower's top"):
+        refine_pure_columns(castle, 1, images)
 
 
 def _tower_lists(castle):
@@ -337,7 +351,8 @@ def test_refinements_match_the_two_pass_oracle(kind):
         expected = refine_pure_columns_by_sets(
             space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
         )
-        assert _tower_lists(refine_pure_columns(castle, coarse.depth)) == expected, chain.describe()
+        refined = refine_pure_columns(castle, coarse.depth, images_by_translation(castle))
+        assert _tower_lists(refined) == expected, chain.describe()
         partitions = []
         for levels in towers:
             base = list(levels[0])
@@ -489,14 +504,50 @@ def test_coarsen_onto_a_diagonal_stage_of_a_sheared_chain(first):
                 assert fine.coarsen(code, coarse) == coarsen_by_reduction(fine, code, coarse)
 
 
+# the diagonal quadrant chain, the sheared row-shear derived chain, the
+# dyadic cube and twelve random sheared explicit chains, each with its
+# deepest depth of at most about 50,000 atoms
+LIFT_CHAINS = {
+    "quadrant": (lambda: [OdometerChain.diagonal_power([3, 2])], 6),
+    "row-shear-derived": (lambda: [derived_odometer(row_shear_cocycle(), checked_depth=2)], 6),
+    "dyadic-cube": (lambda: [OdometerChain.diagonal_power([2, 2, 2])], 5),
+    "sheared-explicit": (lambda: _sheared_chains(random.Random("lift"), 12), 4),
+}
+
+
+def _sheared_chains(rng, count):
+    firsts = [[[3, 1], [0, 2]], [[2, 1], [0, 3]], [[2, 1, 1], [0, 2, 1], [0, 0, 1]]]
+    return [_random_chain(rng, IntegerLattice.from_rows(rng.choice(firsts)), 4) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CHAINS))
+def test_lift_is_the_coarsening_at_every_code(name):
+    chains, depth = LIFT_CHAINS[name]
+    for chain in chains():
+        for fine_depth in range(1, depth + 1):
+            fine = chain.kr_partition(fine_depth)
+            for j in range(1, fine_depth + 1):
+                coarse = chain.kr_partition(j)
+                # values other than the coarse codes, read through the same map
+                expected = array("i", [100 + coarsen_by_reduction(fine, c, coarse) for c in range(fine.size)])
+                lifted = fine.lift(array("i", range(100, 100 + coarse.size)), coarse)
+                assert lifted == expected, (chain.describe(), j, fine_depth)
+
+
 def test_coarsen_needs_a_coarser_space_of_the_same_chain():
     ch = chain32()
     coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
     assert [fine.coarsen(c, coarse) for c in coarse.fibers(4, fine)] == [4] * 6
-    with pytest.raises(ChainError):
+    message = "coarsen needs a coarser atom space of the same chain"
+    with pytest.raises(ChainError, match=message):
         coarse.coarsen(0, fine)
-    with pytest.raises(ChainError):
+    with pytest.raises(ChainError, match=message):
         fine.coarsen(0, chain32().kr_partition(1))
+    # lift has the same guard
+    with pytest.raises(ChainError, match=message):
+        coarse.lift(array("i", range(fine.size)), fine)
+    with pytest.raises(ChainError, match=message):
+        fine.lift(array("i", range(6)), chain32().kr_partition(1))
 
 
 @pytest.mark.parametrize("sheared", [False, True])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from odolab import construction
 from odolab.castles import (
     Castle,
     CastleError,
@@ -21,6 +22,8 @@ from _oracles import (
     anchor_towers,
     coarsen_by_reduction,
     coset_members_by_l1,
+    images_by_translation,
+    previous_map_by_coarsening,
     refine_pure_columns_by_sets,
     stage_checks_by_levels,
     target_castle_by_translation,
@@ -367,6 +370,66 @@ def test_audit_matches_the_oracle_on_a_step_changed_off_or_on_the_rebuild_set(in
     assert ("map-stable-off-rebuild" in report.failures()) is not inside
 
 
+# one corrupted record of quadrant stage 1 per check that the build's own
+# records decide
+CORRUPTIONS = {
+    "stage-numbers-increase": lambda rec, prev: setattr(rec, "n", prev.n),
+    "rebuild-set-recorded": lambda rec, prev: setattr(rec, "r_atoms", frozenset()),
+    "swap-conserves-shape": lambda rec, prev: setattr(rec, "swap_audit", (rec.swap_audit[0], rec.swap_audit[0][1:])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_audit_matches_the_oracle_on_a_corrupted_record(name):
+    con = build(2)
+    CORRUPTIONS[name](con.stages[1], con.stages[0])
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert name in report.failures()
+
+
+def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
+    con = build(2)
+    rec = con.stages[1]
+    assert rec.f_atoms < rec.r_atoms
+    rec.r_atoms = rec.f_atoms
+    report = assert_audit_matches_the_level_oracle(con, 1)
+    assert ("rebuild-set-recorded", True, f"|R|={len(rec.f_atoms)}") in report.checks
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
+def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch):
+    # the refinement reads the images the build kept; record every call
+    calls = []
+
+    def recording(castle, depth, images):
+        towers = [list(t.levels) for t in castle.towers]
+        refined = refine_pure_columns(castle, depth, images)
+        calls.append((castle, towers, depth, refined))
+        return refined
+
+    monkeypatch.setattr(construction, "refine_pure_columns", recording)
+    if case == "quadrant":
+        con = build(4)
+    elif case == "derived-sector":
+        source = derived_odometer(row_shear_cocycle(), checked_depth=2)
+        con = build(3, cone=Cone.sector((1, 0), (1, 1)), source=source)
+    else:
+        cube, target = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
+        con = build(3, cone=Cone.quadrant(3), source=cube, target=target)
+    # stages 0-2: the refined towers are those of the two translating passes
+    assert len(calls) == len(con.stages)
+    for castle, towers, depth, refined in calls[:3]:
+        space, coarse = castle.space, con.source.kr_partition(depth)
+        expected = refine_pure_columns_by_sets(
+            space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
+        )
+        assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
+    # every stage: the previous map is the per-atom one
+    for prev, rec in zip(con.stages, con.stages[1:]):
+        assert rec.prev_steps.vectors == prev.src_castle.steps.vectors
+        assert rec.prev_steps.ids == previous_map_by_coarsening(prev.src_castle, rec.gamma), rec.k
+
+
 def test_stage_numbers_out_of_range_are_refused():
     con = build(1)
     for call in (con.stage_invariants, con.partial_speedup_pieces):
@@ -428,13 +491,14 @@ def test_refine_pure_columns_matches_the_two_pass_oracle_on_stages(case):
         castle = rec.src_castle
         space = castle.space
         towers = [list(t.levels) for t in castle.towers]
+        images = images_by_translation(castle)
         # cylinders one depth below the stage's own, and single atoms
         for depth in (min(rec.k + 2, rec.gamma), rec.gamma):
             coarse = con.source.kr_partition(depth)
             expected = refine_pure_columns_by_sets(
                 space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
             )
-            refined = refine_pure_columns(castle, depth)
+            refined = refine_pure_columns(castle, depth, images)
             assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
 
 
