@@ -12,10 +12,12 @@ Everything is a flat integer array: a tower is a level width and its
 codes level by level, a level map one vector id per code into a small
 vector table, and `positions` one tower-and-level number per code.
 The construction driver transports exact atom counts between castles on
-top of these primitives.  `castle_refinement_over` climbs the level map
-with `AtomSpace.translate`; `refine_pure_columns` reads the columns off
-the images of the map that the build already has, and the cylinders off
-one `AtomSpace.lift`.
+top of these primitives.  No atom is translated one by one: a level map
+is climbed by reading its images, the array of the atoms it sends each
+atom onto, which the build keeps up to date and `AtomSpace.images`
+computes for a whole map at once.  `castle_refinement_over` and
+`refine_pure_columns` read their columns off such an array, and the
+latter reads the cylinders off one `AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -236,18 +238,30 @@ def positions(towers, size: int) -> array:
     return out
 
 
-def _climb(space: AtomSpace, steps: StepMap, base, height: int) -> array:
-    """The columns from `base` up the level map, level by level: entry
-    v * len(base) + i is the v-th atom of the column starting at base[i]."""
-    translate, vectors, ids = space.translate, steps.vectors, steps.ids
-    columns = array("q", base)
-    cur = list(base)
-    try:
-        for _ in range(height - 1):
-            cur = [translate(c, vectors[ids[c]]) for c in cur]
-            columns.extend(cur)
-    except TypeError:  # vectors[0] is None: an atom below the top has no step
-        raise CastleError("the level map has no step at an atom below a tower's top") from None
+def _column(images, c: int, height: int) -> array:
+    """The atoms from c up a level map given by its images (`images[c]` the
+    atom it sends c onto, -1 where unknown): `height` of them, or fewer when
+    the column meets an atom with no known image, which it ends with."""
+    column = array("q", [c])
+    for _ in range(height - 1):
+        c = images[c]
+        if c < 0:
+            break
+        column.append(c)
+    return column
+
+
+def _climb(images, base, height: int) -> array:
+    """The columns from `base` up a level map given by its images, level by
+    level: entry v * len(base) + i is the v-th atom of the column starting
+    at base[i].  An unknown image below the top raises CastleError."""
+    width = len(base)
+    columns = array("q", base) * height
+    for i, c in enumerate(base):
+        column = _column(images, c, height)
+        if len(column) < height:
+            raise CastleError("the level map has no step at an atom below a tower's top")
+        columns[i::width] = column
     return columns
 
 
@@ -263,19 +277,19 @@ def _tower_of_columns(columns, width: int, height: int, members) -> Tower:
     return Tower(len(members), codes)
 
 
-def climb_tower(space: AtomSpace, steps: StepMap, base, height: int) -> Tower:
-    """The tower the level map builds over the atoms `base`."""
+def climb_tower(images, base, height: int) -> Tower:
+    """The tower a level map, given by its images, builds over the atoms `base`."""
     base = sorted(base)
-    return _tower_of_columns(_climb(space, steps, base, height), len(base), height, range(len(base)))
+    return _tower_of_columns(_climb(images, base, height), len(base), height, range(len(base)))
 
 
-def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
+def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
     """Split each tower over a clopen partition of its base.
 
     `base_partitions[alpha]` is a list of disjoint atom sets whose union
     is tower alpha's base; each part spawns a tower by climbing the level
-    map."""
-    space = castle.space
+    map, read off its `images` (`images[c]` the atom it sends c onto, -1
+    where unknown)."""
     new_towers = []
     for alpha, tower in enumerate(castle.towers):
         parts = base_partitions[alpha]
@@ -288,21 +302,8 @@ def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
             raise NotAPartition("base parts do not cover the base")
         for part in parts:
             if part:
-                new_towers.append(climb_tower(space, castle.steps, part, tower.height))
+                new_towers.append(climb_tower(images, part, tower.height))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
-
-
-def _column(images, c: int, height: int) -> array:
-    """The `height` atoms from c up a level map given by its images
-    (`images[c]` the atom it sends c onto, -1 where unknown); an unknown
-    one raises CastleError."""
-    column = array("q", [c]) * height
-    for v in range(1, height):
-        c = images[c]
-        if c < 0:
-            raise CastleError("the level map has no known image at an atom below a tower's top")
-        column[v] = c
-    return column
 
 
 def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
@@ -319,7 +320,11 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     lifted, so the lifted array, allocated last and freed first, leaves no
     hole under the new towers (read the other way round, quadrant stages
     0-4 peaked 8 MB higher)."""
-    columns = [[_column(images, c, t.height) for c in t.level(0)] for t in castle.towers]
+    columns = []
+    for t in castle.towers:
+        columns.append([_column(images, c, t.height) for c in t.level(0)])
+        if any(len(column) < t.height for column in columns[-1]):
+            raise CastleError("the level map has no known image at an atom below a tower's top")
     coarse = castle.chain.kr_partition(depth)
     labels = castle.space.lift(array("i", range(coarse.size)), coarse)
     groups: list[list[array]] = []

@@ -50,6 +50,7 @@ from .castles import (
     Tower,
     ValueGroupMismatch,
     _climb,
+    _column,
     _tower_of_columns,
     castle_refinement_over,
     minimal_cone_vector,
@@ -232,7 +233,7 @@ class SpeedupConstruction:
         # the two anchor columns must be pointwise distinct before they can
         # be separated; if they merged, re-route the last step on the zero
         # column inside its congruence class (same atom map, new point map)
-        columns = _climb(space, steps, tower.level(0), h)
+        columns = _climb(images, tower.level(0), h)
         top = columns[(h - 1) * tower.width :]
         column = columns[top.index(x2_atom) :: tower.width]  # the column ending at the second anchor
 
@@ -259,7 +260,7 @@ class SpeedupConstruction:
         rest = set(tower.level(0)) - {x0_atom, y_atom}
         if rest:
             parts.append(rest)
-        castle = castle_refinement_over(castle, [parts])
+        castle = castle_refinement_over(castle, [parts], images)
         castle = refine_pure_columns(castle, 1, images)
         del images
 
@@ -409,16 +410,12 @@ class SpeedupConstruction:
             for (beta, m, _), chunk in zip(demands, chunks):
                 piece_of[(beta, m)] = chunk
 
-        # --- climb each block piece once with the previous map: column i of
-        # a climb starts at the piece's i-th smallest base atom.  The climbs
-        # give the map's images, which every transfer of the rebuild and the
-        # joins below keeps up to date until the refinement reads them
-        climbs = {}
-        images = array("i", [-1]) * space.size  # the atom each step sends its atom onto, -1 where unknown
-        for key, piece in piece_of.items():
-            climbs[key] = _climb(space, prev_steps, piece, h_prev)
-            for c, image in zip(climbs[key], climbs[key][len(piece) :]):
-                images[c] = image
+        # --- climb each block piece once up the previous map's images:
+        # column i of a climb starts at the piece's i-th smallest base atom.
+        # Every transfer of the rebuild and the joins below keeps the images
+        # up to date until the refinement reads them
+        images = space.images(prev_steps)  # the atom each step sends its atom onto, -1 where it has none
+        climbs = {key: _climb(images, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
         (beta0, m0), i0 = _find_column(climbs, h_prev, x0_atom, 0)
@@ -647,7 +644,7 @@ class SpeedupConstruction:
         shift_ok = checks[-1][1]
 
         # (6a) level maps are bijections level-to-level, and the column sums
-        # stay in the cone: one climb of every column, one translate per atom
+        # stay in the cone: one climb of every column up the map's images
         walk = functools.cache(lambda: _column_walk(src, space, self.cone, (base.get(x0_atom), x0_atom)))
         check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
@@ -669,7 +666,11 @@ class SpeedupConstruction:
         # coordinate
         def _anchors_apart():
             tower_x0, tower_x2 = base[x0_atom], top[x2_atom]
-            coords = zip(*map(steps.__getitem__, walk()[2][:-1]))
+            column = walk()[2][:-1]
+            vectors = list(map(steps.vectors.__getitem__, map(steps.ids.__getitem__, column)))
+            if None in vectors:  # an atom with no step, as `steps[c]` would say
+                raise KeyError(column[vectors.index(None)])
+            coords = zip(*vectors)
             points = zip(*(accumulate(c, initial=0) for c in coords))
             return tower_x0 != tower_x2 and self.x2_vector not in points, f"towers {tower_x0} vs {tower_x2}"
 
@@ -760,17 +761,17 @@ def _levels_refine(space, towers, coarse) -> bool:
     """Every level of the towers, on atoms of `space`, lies inside one atom
     of the coarser space.
 
-    A level of one atom always does, so a tower of width 1 has only its
-    first atom coarsened, which raises unless `coarse` is a coarser space
-    of the same chain.  The labels are compared one level at a time, so
-    no per-atom list is built for a tower."""
+    Every atom's coarser atom is one entry of the space's `lift` of the
+    coarse codes, which raises unless `coarse` is a coarser space of the
+    same chain.  A tower's labels, laid out like its codes, hold one label
+    per level iff the labels of column i, read by the strided slice
+    [i::width], equal those of column 0 for every i."""
+    labels = space.lift(array("i", range(coarse.size)), coarse)
     for t in towers:
-        w, codes = t.width, t.codes
-        if w == 1:
-            space.coarsen(codes[0], coarse)
-            continue
-        for v in range(0, len(codes), w):
-            if len(set(map(space.coarsen, codes[v : v + w], repeat(coarse)))) > 1:
+        w = t.width
+        if w > 1:
+            level_labels = array("i", map(labels.__getitem__, t.codes))
+            if any(level_labels[i::w] != level_labels[::w] for i in range(1, w)):
                 return False
     return True
 
@@ -787,7 +788,7 @@ def _verdict(failure) -> tuple[bool, str]:
 
 def _column_walk(castle: Castle, space, cone: Cone, anchor):
     """Climb each column of the castle from its base atom to its top, once,
-    translating in the atom space `space` of the stage.
+    up the images of its level map in the atom space `space` of the stage.
 
     Returns the first (tower, level) where the set of climbed atoms
     differs from the tower's level, the first where a column's partial
@@ -799,29 +800,27 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
     naming the tower and level, when an atom below a tower's top has no
     step and the walk would reach it.
 
-    Reads only the towers, the level map, `space` and the cone.  A column
-    is one run of `translate` calls kept in an array; the step ids along
-    it give its partial sums' facet values (`_sums_outside`)."""
+    Reads only the towers, the level map, `space` and the cone.  The map's
+    images come from `space.images` of the level map itself, never from an
+    array the build kept; a column is read off them (`castles._column`),
+    and the step ids along it give its partial sums' facet values
+    (`_sums_outside`)."""
     steps = castle.steps
-    translate, vectors, ids = space.translate, steps.vectors, steps.ids
-    outside = _sums_outside(cone, vectors)
+    ids = steps.ids
+    images = space.images(steps)
+    outside = _sums_outside(cone, steps.vectors)
     maps_at = sums_at = missing = anchor_column = None
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
         # the climb laid out like `codes`: column i is climbed[i::w]; every
         # column reaches levels 0..reach-1 (one that meets an atom with no
-        # step is padded)
+        # step is padded with that atom)
         climbed, reach = array("q", codes), h
         for i, c in enumerate(codes[:w]):
-            column = array("q", [c])
-            for v in range(1, h):
-                vec = vectors[ids[c]]
-                if vec is None:
-                    reach = min(reach, v)
-                    column.extend([c] * (h - v))
-                    break
-                c = translate(c, vec)
-                column.append(c)
+            column = _column(images, c, h)
+            if len(column) < h:
+                reach = min(reach, len(column))
+                column.extend([column[-1]] * (h - len(column)))
             climbed[i::w] = column
         if alpha == anchor[0]:
             anchor_column = climbed[codes.index(anchor[1]) :: w]

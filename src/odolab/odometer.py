@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import cycle, product as iter_product
 from typing import Callable, Optional
 
 from .lattice import (
@@ -314,6 +314,10 @@ class AtomSpace:
     `lift` reads an array indexed by coarser codes at every code of this
     space at once, from slices of it, one per block of codes that share
     their more significant digits and the wraps of the least significant.
+    `images` translates every code by a level map at once: the most
+    significant digit carries into nothing, so a translate is the code plus
+    one table entry per run of the other digits that exchange carries, and
+    the per-vector tables cost one `translate` call per entry, not per atom.
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
@@ -333,6 +337,17 @@ class AtomSpace:
         rows = self.system.lattice.rows
         columns = (tuple(rows[k][i] for k in range(i)) for i in range(len(rows)))
         self._carries = tuple(col if any(col) else () for col in columns)
+        # the runs of digits 1..d-1 that exchange carries, most significant
+        # first, as (stride of the run's least significant digit, number of
+        # values of its digits): a carry of digit i into digit k >= 1 joins
+        # the digits k..i
+        runs: list[tuple[int, int]] = []  # (first, last) digit
+        for i in range(1, len(rows)):
+            first = min((k for k in range(1, i) if rows[k][i]), default=i)
+            while runs and runs[-1][1] >= first:
+                first = min(first, runs.pop()[0])
+            runs.append((first, i))
+        self._runs = tuple((strides[last], strides[first - 1] // strides[last]) for first, last in runs)
         self._offsets: dict[tuple[int, ...], tuple[tuple[int, int, int, tuple[int, ...]], ...]] = {}
         self._digits: dict[int, tuple[tuple[int, int, int, int, tuple[int, ...]], ...]] = {}
 
@@ -394,6 +409,38 @@ class AtomSpace:
         )[::-1]
         self._offsets[tuple(vector)] = offsets
         return offsets
+
+    def images(self, steps) -> array:
+        """The `array('i')` whose entry c is `self.translate(c, v)` for the
+        vector v = `steps.vectors[steps.ids[c]]` of a level map (a
+        `castles.StepMap`), -1 where the id is 0 (no step).
+
+        Digit 0 carries into nothing, so modulo the index translate(c, v) is
+        c + translate(0, v) plus one term per run g of digits 1..d-1 that
+        exchange carries, read off the run's digits alone: E_g[x] =
+        translate(x * s_g, v) - x * s_g - translate(0, v) at digit value x,
+        s_g the stride of the run's least significant digit.  The last run
+        has stride 1, so its term plus translate(0, v) is translate(x, v) - x.
+        The tables of a vector cost one `translate` call per value of each
+        run's digits, whatever the number of atoms.  The other runs' terms
+        are summed once per setting of their digits, and each block of codes
+        sharing every digit above the last run is read in one pass."""
+        vectors, ids, n = steps.vectors, steps.ids, self.size
+        translate = self.translate
+        *upper, (_, width) = self._runs or ((1, 1),)  # one dimension: blocks of one code
+        # every table is by digit value x a list over vector ids, 0 at id 0:
+        # translate(x, v) for the last run, E_g[x] for each other run
+        last = [[0] + [translate(x, v) for v in vectors[1:]] for x in range(width)]
+        terms = [
+            [[0] + [translate(x * s, v) - x * s - b for v, b in zip(vectors[1:], last[0][1:])] for x in range(size)]
+            for s, size in upper
+        ]
+        # one head per setting of the other runs' digits, in code order
+        heads = [list(map(sum, zip([0] * len(vectors), *cols))) for cols in iter_product(*terms)]
+        out = array("i")
+        for c, head in zip(range(0, n, width), cycle(heads)):
+            out.extend([(c + t[i] + head[i]) % n if i else -1 for t, i in zip(last, ids[c : c + width])])
+        return out
 
     def coarsen(self, code: int, coarse: "AtomSpace") -> int:
         """Code of the atom of a coarser space of the same chain containing this atom."""

@@ -365,6 +365,56 @@ def target_castle_by_translation(space, bases, height):
     return out
 
 
+def column_walk_by_translation(castle, space, cone, anchor):
+    """`construction._column_walk` by per-atom translation: each column is
+    climbed with one `space.translate` call per level, and an atom with no
+    step pads the rest of its column with itself.  Returns the same three
+    results: the first (tower, level) whose climbed atoms differ from the
+    level as a set, the first where a column's partial step sum leaves the
+    cone (both one KeyError naming the tower and level when the walk would
+    reach an atom with no step first), and the climbed column from base
+    atom `anchor[1]` of tower `anchor[0]`."""
+    from odolab.construction import _sums_outside
+
+    steps = castle.steps
+    vectors, ids = steps.vectors, steps.ids
+    outside = _sums_outside(cone, vectors)
+    maps_at = sums_at = missing = anchor_column = None
+    for alpha, t in enumerate(castle.towers):
+        w, h, codes = t.width, t.height, t.codes
+        climbed, reach = array("q", codes), h
+        for i, c in enumerate(codes[:w]):
+            column = array("q", [c])
+            for v in range(1, h):
+                vec = vectors[ids[c]]
+                if vec is None:
+                    reach = min(reach, v)
+                    column.extend([c] * (h - v))
+                    break
+                c = space.translate(c, vec)
+                column.append(c)
+            climbed[i::w] = column
+        if alpha == anchor[0]:
+            anchor_column = climbed[codes.index(anchor[1]) :: w]
+        n = reach * w
+        if maps_at is None and climbed[:n] != codes[:n]:
+            levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
+            v = next((v for v, a, b in levels if set(a) != set(b)), None)
+            if v is not None:
+                maps_at = alpha, v
+        if sums_at is None:
+            columns = (climbed[i : n - w : w] for i in range(w))
+            firsts = (outside(list(map(ids.__getitem__, column))) for column in columns)
+            firsts = [j for j in firsts if j is not None]
+            if firsts:
+                sums_at = alpha, min(firsts) + 1
+        if reach < h and missing is None:
+            missing = alpha, reach - 1
+    if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
+        maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
+    return maps_at, sums_at, anchor_column
+
+
 def anchor_towers(con, k):
     """(first tower whose base holds x0, first tower whose top holds x2)
     in the source castle of stage k."""

@@ -233,7 +233,8 @@ def _two_level_castle():
 def test_castle_refinement_over_two_way_split():
     castle = _two_level_castle()
     base = sorted(castle.towers[0].levels[0])
-    refined = castle_refinement_over(castle, [[frozenset([base[0]]), frozenset([base[1]])]])
+    parts = [[frozenset([base[0]]), frozenset([base[1]])]]
+    refined = castle_refinement_over(castle, parts, images_by_translation(castle))
     assert len(refined.towers) == 2
     assert all(t.height == 2 for t in refined.towers)
     total_old = frozenset().union(*(l for t in castle.towers for l in t.levels))
@@ -243,7 +244,7 @@ def test_castle_refinement_over_two_way_split():
 
 def test_castle_refinement_trivial_partition():
     castle = _two_level_castle()
-    refined = castle_refinement_over(castle, [[castle.towers[0].levels[0]]])
+    refined = castle_refinement_over(castle, [[castle.towers[0].levels[0]]], images_by_translation(castle))
     assert len(refined.towers) == 1
     assert refined.towers[0] == castle.towers[0]
 
@@ -251,7 +252,8 @@ def test_castle_refinement_trivial_partition():
 def test_castle_refinement_measure_bookkeeping():
     castle = _two_level_castle()
     base = sorted(castle.towers[0].levels[0])
-    refined = castle_refinement_over(castle, [[frozenset([base[0]]), frozenset([base[1]])]])
+    parts = [[frozenset([base[0]]), frozenset([base[1]])]]
+    refined = castle_refinement_over(castle, parts, images_by_translation(castle))
     old_base_measure = Fraction(len(castle.towers[0].levels[0]), 6)
     new_base_measure = sum(Fraction(len(t.levels[0]), 6) for t in refined.towers)
     assert old_base_measure == new_base_measure
@@ -260,7 +262,9 @@ def test_castle_refinement_measure_bookkeeping():
 def test_castle_refinement_rejects_bad_partition():
     castle = _two_level_castle()
     with pytest.raises(NotAPartition):
-        castle_refinement_over(castle, [[frozenset([min(castle.towers[0].levels[0])])]])
+        castle_refinement_over(
+            castle, [[frozenset([min(castle.towers[0].levels[0])])]], images_by_translation(castle)
+        )
 
 
 def test_refine_pure_columns_splits_by_labels():
@@ -360,7 +364,8 @@ def test_refinements_match_the_two_pass_oracle(kind):
             cut = rng.randint(0, len(base))
             partitions.append([frozenset(base[:cut]), frozenset(base[cut:])])
         expected = castle_refinement_by_sets(space, towers, castle.steps, partitions)
-        assert _tower_lists(castle_refinement_over(castle, partitions)) == expected, chain.describe()
+        refined = castle_refinement_over(castle, partitions, images_by_translation(castle))
+        assert _tower_lists(refined) == expected, chain.describe()
 
 
 # ---------------------------------------------------------------- atom spaces
@@ -534,6 +539,38 @@ def test_lift_is_the_coarsening_at_every_code(name):
                 assert lifted == expected, (chain.describe(), j, fine_depth)
 
 
+# the chains of LIFT_CHAINS, a 1-D chain, the 3-D mixed chain, and random
+# sheared explicit 3-D chains whose carrying digits 1 and 2 form one run
+IMAGES_CHAINS = {
+    **LIFT_CHAINS,
+    "diag-1d": (lambda: [OdometerChain.diagonal_power([5])], 4),
+    "mixed-3d": (lambda: [OdometerChain.diagonal_power([3, 2, 6])], 2),
+    "merged-runs-3d": (
+        lambda: [
+            _random_chain(random.Random(f"merged-{i}"), IntegerLattice.from_rows([[2, 1, 1], [0, 2, 1], [0, 0, 1]]), 4)
+            for i in range(4)
+        ],
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGES_CHAINS))
+def test_images_are_the_translates_at_every_code(name):
+    chains, depth = IMAGES_CHAINS[name]
+    rng = random.Random(f"images-{name}")
+    merged = False  # a 3-D stage whose digit 2 carries into digit 1
+    for chain in chains():
+        for j in range(1, depth + 1):
+            space = chain.kr_partition(j)
+            merged = merged or chain.dim == 3 and space.system.lattice.rows[1][2] != 0
+            vectors = [None] + [tuple(rng.randint(-50, 50) for _ in range(chain.dim)) for _ in range(6)]
+            steps = StepMap(space.size, vectors, array("i", [rng.randrange(len(vectors)) for _ in range(space.size)]))
+            expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(steps.ids)]
+            assert space.images(steps).tolist() == expected, (chain.describe(), j)
+    assert merged or name != "merged-runs-3d"
+
+
 def test_coarsen_needs_a_coarser_space_of_the_same_chain():
     ch = chain32()
     coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
@@ -593,3 +630,6 @@ def test_translate_rejects_a_vector_of_the_wrong_length():
     for bad in ((1,), (1, 0, 7)):
         with pytest.raises(DimensionMismatch):
             sheared.translate(5, bad)
+        # images translates every vector of the map's table
+        with pytest.raises(DimensionMismatch):
+            sheared.images(StepMap(sheared.size, [None, (1, 0), bad]))

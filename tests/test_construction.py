@@ -15,12 +15,13 @@ from odolab.castles import (
     refine_pure_columns,
 )
 from odolab.construction import SpeedupConstruction, StageRecord
-from odolab.odometer import OdometerChain
+from odolab.odometer import AtomSpace, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
 from _oracles import (
     anchor_towers,
     coarsen_by_reduction,
+    column_walk_by_translation,
     coset_members_by_l1,
     images_by_translation,
     previous_map_by_coarsening,
@@ -43,11 +44,30 @@ def build(stages=1, cone=None, source=None, target=None):
 
 
 def assert_audit_matches_the_level_oracle(con, k):
-    """The audit's verdicts equal those of the level-by-level walk; returns
-    the report."""
+    """The audit's verdicts equal those of the level-by-level walk, and its
+    column walk equals the one by per-atom translation; returns the report."""
     report = con.stage_invariants(k)
     assert [(name, ok) for name, ok, _ in report.checks] == stage_checks_by_levels(con, k)
+    assert_walk_matches_the_translating_oracle(con, k)
     return report
+
+
+def assert_walk_matches_the_translating_oracle(con, k):
+    """`_column_walk`, reading the images of the level map, gives the three
+    results of the walk that translates atom by atom, or raises as it does,
+    from the anchor the audit passes it (errors compared by their repr)."""
+    rec = con.stages[k]
+    castle, space = rec.src_castle, con.source.kr_partition(rec.gamma)
+    x0_atom = space.encode_vector((0,) * con.source.dim)
+    anchor = next((alpha for alpha, t in enumerate(castle.towers) if x0_atom in t.level(0)), None), x0_atom
+
+    def outcome(walk):
+        try:
+            return [repr(r) if isinstance(r, KeyError) else r for r in walk(castle, space, con.cone, anchor)]
+        except Exception as err:  # noqa: BLE001 - a corrupted stage may make both walks raise
+            return repr(err)
+
+    assert outcome(construction._column_walk) == outcome(column_walk_by_translation), k
 
 
 def assert_targets_are_translation_climbs(con):
@@ -172,11 +192,15 @@ def test_audit_matches_the_oracle_on_atoms_swapped_between_levels(alpha):
 def test_audit_matches_the_oracle_on_a_step_removed_below_the_top(alpha):
     con = build(2)
     castle = con.stages[1].src_castle
-    castle.steps.ids[castle.towers[alpha].level(7)[0]] = 0
+    atom = castle.towers[alpha].level(7)[0]
+    castle.steps.ids[atom] = 0
     report = assert_audit_matches_the_level_oracle(con, 1)
     detail = f"check raised KeyError: \"an atom below a tower's top has no step: tower {alpha} level 7\""
     for name in ("level-maps-biject", "column-sums-in-cone"):
         assert (name, False, detail) in report.checks
+    # tower 0 holds the x0 column, whose exact points stop at the atom
+    if alpha == 0:
+        assert ("anchors-in-distinct-towers", False, f"check raised KeyError: {atom}") in report.checks
 
 
 @pytest.mark.parametrize("alpha", [0, 2])
@@ -370,12 +394,20 @@ def test_audit_matches_the_oracle_on_a_step_changed_off_or_on_the_rebuild_set(in
     assert ("map-stable-off-rebuild" in report.failures()) is not inside
 
 
+def _step_out_of_its_tower(rec, prev):
+    """Send the base atom of tower 0 onto level 1 of tower 1."""
+    castle = rec.src_castle
+    space, c, d = castle.space, castle.towers[0].level(0)[0], castle.towers[1].level(1)[0]
+    castle.steps.assign(c, tuple(b - a for a, b in zip(space.decode(c), space.decode(d))))
+
+
 # one corrupted record of quadrant stage 1 per check that the build's own
-# records decide
+# records decide, and a level map whose image leaves its tower
 CORRUPTIONS = {
     "stage-numbers-increase": lambda rec, prev: setattr(rec, "n", prev.n),
     "rebuild-set-recorded": lambda rec, prev: setattr(rec, "r_atoms", frozenset()),
     "swap-conserves-shape": lambda rec, prev: setattr(rec, "swap_audit", (rec.swap_audit[0], rec.swap_audit[0][1:])),
+    "level-maps-biject": _step_out_of_its_tower,
 }
 
 
@@ -385,6 +417,35 @@ def test_audit_matches_the_oracle_on_a_corrupted_record(name):
     CORRUPTIONS[name](con.stages[1], con.stages[0])
     report = assert_audit_matches_the_level_oracle(con, 1)
     assert name in report.failures()
+
+
+def test_the_walk_of_quadrant_stage_3_matches_the_translating_oracle():
+    con = build(4)
+    assert con.source.index(con.stages[3].gamma) == 279936
+    assert_walk_matches_the_translating_oracle(con, 3)
+
+
+def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
+    # every translate call of the build and audit of quadrant stages 0-2 fills
+    # a table of `AtomSpace.images`: at most one per vector and value of the
+    # last digit (a 2-D stage's one run of carrying digits), far fewer than atoms
+    calls, entries = [0], [0]
+    translate, images = AtomSpace.translate, AtomSpace.images
+
+    def counted_translate(space, code, vector):
+        calls[0] += 1
+        return translate(space, code, vector)
+
+    def counted_images(space, steps):
+        entries[0] += (len(steps.vectors) - 1) * space.rectangle[-1]
+        return images(space, steps)
+
+    monkeypatch.setattr(AtomSpace, "translate", counted_translate)
+    monkeypatch.setattr(AtomSpace, "images", counted_images)
+    con = build(3)
+    assert all(con.stage_invariants(k).ok for k in range(3))
+    atoms = sum(con.source.index(rec.gamma) for rec in con.stages)
+    assert 0 < calls[0] <= entries[0] < atoms // 3, (calls[0], entries[0], atoms)
 
 
 def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
