@@ -260,7 +260,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
-        SpecSyntaxError, LatticeError, SpeedupError, CastleError, ClassifyError, UsageError, OSError
+        SpecSyntaxError, LatticeError, SpeedupError, CastleError, ClassifyError, UsageError,
+        repro_mod.UnknownCase, OSError,
     ) as err:
         print(f"odolab: error: {err}", file=sys.stderr)
         return 3

@@ -414,7 +414,8 @@ class SpeedupConstruction:
         # column i of a climb starts at the piece's i-th smallest base atom.
         # Every transfer of the rebuild and the joins below keeps the images
         # up to date until the refinement reads them
-        images = space.images(prev_steps)  # the atom each step sends its atom onto, -1 where it has none
+        # (the atom each step sends its atom onto, -1 where it has none)
+        images = space.images(prev_steps.vectors, prev_steps.ids)
         climbs = {key: _climb(images, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
@@ -807,7 +808,7 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
     (`_sums_outside`)."""
     steps = castle.steps
     ids = steps.ids
-    images = space.images(steps)
+    images = space.images(steps.vectors, ids)
     outside = _sums_outside(cone, steps.vectors)
     maps_at = sums_at = missing = anchor_column = None
     for alpha, t in enumerate(castle.towers):

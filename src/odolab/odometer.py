@@ -302,18 +302,18 @@ class AtomSpace:
     of representatives; on a one-dimensional chain the code is the residue
     mod the index.  `OdometerChain.kr_partition` keeps one per depth.
 
-    `translate` and `coarsen` run on the code's digits, least significant
-    first, with no representative tuple built per atom.  The stage's
-    canonical basis is upper triangular with the rectangle on its diagonal,
-    so reduction is mixed-radix arithmetic in which digit i wrapping q
-    times subtracts q * rows[k][i] from each more significant digit k
-    (Cohen, GTM 138, 2.4); on a diagonal stage nothing carries.
-    `translate` sets its offsets up once per distinct vector (a stage uses
-    few) and raises `DimensionMismatch` on a vector whose length is not the
-    chain's dimension; `coarsen` sets its digits up once per coarser depth.
-    `lift` reads an array indexed by coarser codes at every code of this
-    space at once, from slices of it, one per block of codes that share
-    their more significant digits and the wraps of the least significant.
+    `translate` runs on the code's digits, least significant first, with
+    no representative tuple built per atom.  The stage's canonical basis is
+    upper triangular with the rectangle on its diagonal, so reduction is
+    mixed-radix arithmetic in which digit i wrapping q times subtracts
+    q * rows[k][i] from each more significant digit k (Cohen, GTM 138,
+    2.4); on a diagonal stage nothing carries.  `translate` sets its
+    offsets up once per distinct vector (a stage uses few) and raises
+    `DimensionMismatch` on a vector whose length is not the chain's
+    dimension.  `lift` reads an array indexed by coarser codes at every
+    code of this space at once, from slices of it, one per block of codes
+    that share their more significant digits and the wraps of the least
+    significant.
     `images` translates every code by a level map at once: the most
     significant digit carries into nothing, so a translate is the code plus
     one table entry per run of the other digits that exchange carries, and
@@ -349,7 +349,6 @@ class AtomSpace:
             runs.append((first, i))
         self._runs = tuple((strides[last], strides[first - 1] // strides[last]) for first, last in runs)
         self._offsets: dict[tuple[int, ...], tuple[tuple[int, int, int, tuple[int, ...]], ...]] = {}
-        self._digits: dict[int, tuple[tuple[int, int, int, int, tuple[int, ...]], ...]] = {}
 
     @property
     def atom_measure(self) -> Fraction:
@@ -410,10 +409,11 @@ class AtomSpace:
         self._offsets[tuple(vector)] = offsets
         return offsets
 
-    def images(self, steps) -> array:
+    def images(self, vectors, ids) -> array:
         """The `array('i')` whose entry c is `self.translate(c, v)` for the
-        vector v = `steps.vectors[steps.ids[c]]` of a level map (a
-        `castles.StepMap`), -1 where the id is 0 (no step).
+        vector v = `vectors[ids[c]]` of a level map (the table and the ids of
+        a `castles.StepMap`, or a cocycle's generator table), -1 where the
+        id is 0 (no step; `vectors[0]` is never read).
 
         Digit 0 carries into nothing, so modulo the index translate(c, v) is
         c + translate(0, v) plus one term per run g of digits 1..d-1 that
@@ -425,7 +425,7 @@ class AtomSpace:
         run's digits, whatever the number of atoms.  The other runs' terms
         are summed once per setting of their digits, and each block of codes
         sharing every digit above the last run is read in one pass."""
-        vectors, ids, n = steps.vectors, steps.ids, self.size
+        n = self.size
         translate = self.translate
         *upper, (_, width) = self._runs or ((1, 1),)  # one dimension: blocks of one code
         # every table is by digit value x a list over vector ids, 0 at id 0:
@@ -442,30 +442,9 @@ class AtomSpace:
             out.extend([(c + t[i] + head[i]) % n if i else -1 for t, i in zip(last, ids[c : c + width])])
         return out
 
-    def coarsen(self, code: int, coarse: "AtomSpace") -> int:
-        """Code of the atom of a coarser space of the same chain containing this atom."""
-        if coarse._chain_stages is not self._chain_stages or coarse.depth > self.depth:
-            raise ChainError("coarsen needs a coarser atom space of the same chain")
-        digits = self._digits.get(coarse.depth)
-        if digits is None:
-            digits = self._digits[coarse.depth] = tuple(
-                (m * s, s, mc, sc, col)
-                for m, s, mc, sc, col in zip(
-                    self.rectangle, self.strides, coarse.rectangle, coarse.strides, coarse._carries
-                )
-            )[::-1]
-        out, carry = 0, None
-        for M, s, m, sc, col in digits:  # digit i of this code reduced at the coarser stage
-            t = code % M // s
-            if carry:
-                t -= carry.pop()
-            if col and (q := t // m):
-                carry = [c + q * a for c, a in zip(carry, col)] if carry else [q * a for a in col]
-            out += t % m * sc
-        return out
-
     def lift(self, values, coarse: "AtomSpace") -> array:
-        """The `array('i')` whose entry c is `values[self.coarsen(c, coarse)]`.
+        """The `array('i')` whose entry c is `values[k]`, k the code of the
+        atom of a coarser space of the same chain that contains atom c.
 
         A code is a prefix of digits 0..d-2 and a least significant digit
         x = q * m + r, m = coarse.rectangle[-1] (which divides this space's
@@ -476,7 +455,8 @@ class AtomSpace:
         the result is built from slices `values[b:b + m]`, with one prefix
         reduced per block and no work per atom.  When the last coarse digit
         carries nothing (always on a diagonal stage), a prefix's blocks are
-        one slice repeated.  Raises ChainError as `coarsen` does."""
+        one slice repeated.  Raises ChainError unless `coarse` belongs to
+        this space's chain at a depth at most this space's."""
         if coarse._chain_stages is not self._chain_stages or coarse.depth > self.depth:
             raise ChainError("coarsen needs a coarser atom space of the same chain")
         m = coarse.rectangle[-1]

@@ -9,8 +9,9 @@ action on the inverse limit.
 
 Tables, `value` and `step`/`walk`/`evaluate` speak coset representatives;
 everything else runs on the integer atom codes of the chain's `AtomSpace`
-(`OdometerChain.kr_partition`): permutations are tuples indexed by code,
-and the orbit of zero maps codes to reaching vectors.
+(`OdometerChain.kr_partition`): permutations are `array('i')` indexed by
+code, read off `AtomSpace.images` of a generator's table kept as a level
+map, and the orbit of zero maps codes to reaching vectors.
 
 The derived chain presents a minimal bounded speedup as an odometer again:
 stage j is the stabilizer of the zero representative under the induced
@@ -20,6 +21,7 @@ with Schreier generators and returned in canonical lattice form.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -175,7 +177,11 @@ class Cone:
 class PiecewiseCocycle:
     """Speedup cocycle generated by d2 tables on depth-J representatives.
 
-    The induced quotient maps are tuples indexed by atom code.
+    Each table is also kept the way a castle keeps a level map, as
+    `(vectors, ids)`: `vectors[0]` is None and `ids`, an `array('i')` over
+    the depth-J codes, gives each code's vector.  The induced quotient
+    maps are `space.images(vectors, ids)`, with `ids` lifted first to a
+    finer depth.
     """
 
     chain: OdometerChain
@@ -190,9 +196,12 @@ class PiecewiseCocycle:
         reps = [space.decode(c) for c in space.atoms()]
         if any(set(t) != set(reps) for t in self.tables):
             raise SpeedupError("tables must be total on depth-J representatives")
-        # table values indexed by depth-J atom code
-        self._values = tuple(tuple(t[rep] for rep in reps) for t in self.tables)
-        if any(len(vec) != self.chain.dim for row in self._values for vec in row):
+        self._maps: list[tuple[list, array]] = []
+        for t in self.tables:
+            id_of: dict = {}
+            ids = array("i", [id_of.setdefault(tuple(t[rep]), len(id_of) + 1) for rep in reps])
+            self._maps.append(([None, *id_of], ids))
+        if any(len(vec) != self.chain.dim for vectors, _ in self._maps for vec in vectors[1:]):
             raise SpeedupError(f"table values must be vectors of length {self.chain.dim}")
         self._perm_cache: dict = {}
         self._validated = False
@@ -203,7 +212,8 @@ class PiecewiseCocycle:
 
     def value(self, i: int, rep) -> tuple[int, ...]:
         """Table value of generator i on the depth-J class of `rep`."""
-        return self._values[i][self.chain.kr_partition(self.depth).encode_vector(rep)]
+        vectors, ids = self._maps[i]
+        return vectors[ids[self.chain.kr_partition(self.depth).encode_vector(rep)]]
 
     def values(self) -> list[tuple[int, ...]]:
         out = []
@@ -213,17 +223,16 @@ class PiecewiseCocycle:
 
     # quotient permutations ------------------------------------------
 
-    def permutation(self, i: int, depth: int) -> tuple[int, ...]:
+    def permutation(self, i: int, depth: int) -> array:
         """Induced map of generator i on the depth-`depth` atom codes."""
         key = (i, depth)
         if key not in self._perm_cache:
             space = self.chain.kr_partition(depth)
-            table = values = self._values[i]
+            vectors, ids = self._maps[i]
             if depth != self.depth:
                 # a finer atom carries the value of the depth-J atom it refines
-                coarse = self.chain.kr_partition(self.depth)
-                values = (table[space.coarsen(c, coarse)] for c in space.atoms())
-            self._perm_cache[key] = tuple(map(space.translate, space.atoms(), values))
+                ids = space.lift(ids, self.chain.kr_partition(self.depth))
+            self._perm_cache[key] = space.images(vectors, ids)
         return self._perm_cache[key]
 
     def inverse_permutation(self, i: int, depth: int) -> tuple[int, ...]:
@@ -262,13 +271,13 @@ def validate(cocycle: PiecewiseCocycle, raise_on_error: bool = True) -> Validati
                     raise err
                 return ValidationReport(False, str(err), (rep, i, i))
             preimage[image] = c
-    values = cocycle._values
     for i in range(cocycle.d2):
+        (vi, ids_i), pi = cocycle._maps[i], perms[i]
         for k in range(i + 1, cocycle.d2):
-            pi, pk = perms[i], perms[k]
+            (vk, ids_k), pk = cocycle._maps[k], perms[k]
             for c in space.atoms():
-                lhs = _vadd(values[i][pk[c]], values[k][c])
-                rhs = _vadd(values[k][pi[c]], values[i][c])
+                lhs = _vadd(vi[ids_i[pk[c]]], vk[ids_k[c]])
+                rhs = _vadd(vk[ids_k[pi[c]]], vi[ids_i[c]])
                 if lhs != rhs:
                     err = IncompatibleCocycle(space.decode(c), i, k)
                     if raise_on_error:
@@ -450,9 +459,8 @@ def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool
             out[j] = len(orbit) == cocycle.chain.index(j)
         else:
             coarse = cocycle.chain.kr_partition(j)
-            fine = cocycle.chain.kr_partition(probe)
-            classes = {fine.coarsen(c, coarse) for c in orbit}
-            out[j] = len(classes) == cocycle.chain.index(j)
+            classes = cocycle.chain.kr_partition(probe).lift(array("i", range(coarse.size)), coarse)
+            out[j] = len({classes[c] for c in orbit}) == coarse.size
     return out
 
 
@@ -519,6 +527,8 @@ def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
 def derived_chain(cocycle: PiecewiseCocycle, depth: int) -> DerivedChainReport:
     """Stabilizer lattices of the zero atom, stages J up to `depth`."""
     _require_valid(cocycle)
+    if depth < cocycle.depth:
+        raise SpeedupError("derive at least to the cocycle resolution depth")
     stages = []
     sizes = []
     flags = []

@@ -228,6 +228,30 @@ def permutation_by_reduction(cocycle, i, depth):
     return perm
 
 
+def minimality_by_reduction(cocycle, depth):
+    """`minimality_to_depth` on representatives: the orbit of zero under the
+    `permutation_by_reduction` maps at max(j, J), and at each depth j the
+    number of depth-j atoms its members lie in, each found by
+    `coarsen_by_reduction`."""
+    out = {}
+    for j in range(1, depth + 1):
+        probe = max(j, cocycle.depth)
+        fine, coarse = cocycle.chain.kr_partition(probe), cocycle.chain.kr_partition(j)
+        perms = [permutation_by_reduction(cocycle, i, probe) for i in range(cocycle.d2)]
+        zero = (0,) * cocycle.d1
+        orbit, queue = {zero}, [zero]
+        while queue:
+            # the maps permute a finite set: forward steps reach the whole orbit
+            cur = queue.pop()
+            for nxt in (perm[cur] for perm in perms):
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    queue.append(nxt)
+        atoms = {coarsen_by_reduction(fine, fine.encode(rep), coarse) for rep in orbit}
+        out[j] = len(atoms) == coarse.size
+    return out
+
+
 def translate_by_reduction(space, code, vector):
     """Atom code of atom `code` moved by `vector`: decode the representative,
     add the vector and reduce the sum at the space's depth, one tuple per call."""
@@ -237,7 +261,10 @@ def translate_by_reduction(space, code, vector):
 
 def coarsen_by_reduction(fine, code, coarse):
     """Coarser atom containing the finer atom `code`: decode its representative
-    and reduce it at the coarser depth."""
+    and reduce it at the coarser depth.  A `coarse` space deeper than `fine`
+    has no atom containing it: ValueError."""
+    if coarse.depth > fine.depth:
+        raise ValueError(f"depth {coarse.depth} is finer than depth {fine.depth}")
     return coarse.encode(coarse.system.reduce(fine.decode(code)))
 
 
@@ -474,7 +501,7 @@ def stage_checks_by_levels(con, k):
     def levels_refine(space, towers, coarse):
         for levels in towers:
             for level in levels:
-                if len({space.coarsen(c, coarse) for c in level}) > 1:
+                if len({coarsen_by_reduction(space, c, coarse) for c in level}) > 1:
                     return False
         return True
 

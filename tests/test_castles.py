@@ -479,16 +479,17 @@ def test_translate_matches_the_reduction(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CHAINS))
 def test_coarsen_matches_the_reduction(name):
+    # `lift` of the coarse codes reads each fine atom's coarser atom
     chain = KERNEL_CHAINS[name]()
     rng = random.Random(f"coarsen-{name}")
     for fine_depth in range(1, 5):
         fine = chain.kr_partition(fine_depth)
         for j in range(1, fine_depth + 1):
             coarse = chain.kr_partition(j)
+            lifted = fine.lift(array("i", range(coarse.size)), coarse)
+            assert len(lifted) == fine.size
             for code in [0, fine.size - 1] + [rng.randrange(fine.size) for _ in range(100)]:
-                assert fine.coarsen(code, coarse) == coarsen_by_reduction(fine, code, coarse), (
-                    j, fine_depth, code
-                )
+                assert lifted[code] == coarsen_by_reduction(fine, code, coarse), (j, fine_depth, code)
 
 
 @pytest.mark.parametrize(
@@ -505,8 +506,8 @@ def test_coarsen_onto_a_diagonal_stage_of_a_sheared_chain(first):
         coarse = chain.kr_partition(1)
         for fine_depth in range(1, 4):
             fine = chain.kr_partition(fine_depth)
-            for code in range(fine.size):
-                assert fine.coarsen(code, coarse) == coarsen_by_reduction(fine, code, coarse)
+            lifted = fine.lift(array("i", range(coarse.size)), coarse)
+            assert lifted.tolist() == [coarsen_by_reduction(fine, code, coarse) for code in range(fine.size)]
 
 
 # the diagonal quadrant chain, the sheared row-shear derived chain, the
@@ -565,22 +566,18 @@ def test_images_are_the_translates_at_every_code(name):
             space = chain.kr_partition(j)
             merged = merged or chain.dim == 3 and space.system.lattice.rows[1][2] != 0
             vectors = [None] + [tuple(rng.randint(-50, 50) for _ in range(chain.dim)) for _ in range(6)]
-            steps = StepMap(space.size, vectors, array("i", [rng.randrange(len(vectors)) for _ in range(space.size)]))
-            expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(steps.ids)]
-            assert space.images(steps).tolist() == expected, (chain.describe(), j)
+            ids = array("i", [rng.randrange(len(vectors)) for _ in range(space.size)])
+            expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(ids)]
+            assert space.images(vectors, ids).tolist() == expected, (chain.describe(), j)
     assert merged or name != "merged-runs-3d"
 
 
 def test_coarsen_needs_a_coarser_space_of_the_same_chain():
     ch = chain32()
     coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
-    assert [fine.coarsen(c, coarse) for c in coarse.fibers(4, fine)] == [4] * 6
+    lifted = fine.lift(array("i", range(coarse.size)), coarse)
+    assert [lifted[c] for c in coarse.fibers(4, fine)] == [4] * 6
     message = "coarsen needs a coarser atom space of the same chain"
-    with pytest.raises(ChainError, match=message):
-        coarse.coarsen(0, fine)
-    with pytest.raises(ChainError, match=message):
-        fine.coarsen(0, chain32().kr_partition(1))
-    # lift has the same guard
     with pytest.raises(ChainError, match=message):
         coarse.lift(array("i", range(fine.size)), fine)
     with pytest.raises(ChainError, match=message):
@@ -595,7 +592,7 @@ def test_a_chain_is_freed_without_the_cyclic_collector(sheared):
     try:
         ch = derived_odometer(row_shear_cocycle(), checked_depth=2) if sheared else chain32()
         coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
-        assert coarse.fibers(1, fine) and fine.coarsen(5, coarse) >= 0
+        assert coarse.fibers(1, fine) and fine.lift(array("i", range(coarse.size)), coarse)[5] >= 0
         chain_ref, space_ref = weakref.ref(ch), weakref.ref(fine)
         del ch, coarse, fine
         assert chain_ref() is None and space_ref() is None
@@ -632,4 +629,4 @@ def test_translate_rejects_a_vector_of_the_wrong_length():
             sheared.translate(5, bad)
         # images translates every vector of the map's table
         with pytest.raises(DimensionMismatch):
-            sheared.images(StepMap(sheared.size, [None, (1, 0), bad]))
+            sheared.images([None, (1, 0), bad], array("i", [0]) * sheared.size)

@@ -225,7 +225,8 @@ def test_audit_matches_the_oracle_on_a_wide_level_straddling_two_cylinders():
     v = next(
         v
         for v in range(1, wide.height)
-        if space.coarsen(narrow.level(v)[0], coarse) != space.coarsen(wide.level(v)[0], coarse)
+        if coarsen_by_reduction(space, narrow.level(v)[0], coarse)
+        != coarsen_by_reduction(space, wide.level(v)[0], coarse)
     )
     a, b = wide.level(v).tolist(), narrow.level(v).tolist()
     a[1], b[0] = b[0], a[1]
@@ -436,9 +437,9 @@ def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
         calls[0] += 1
         return translate(space, code, vector)
 
-    def counted_images(space, steps):
-        entries[0] += (len(steps.vectors) - 1) * space.rectangle[-1]
-        return images(space, steps)
+    def counted_images(space, vectors, ids):
+        entries[0] += (len(vectors) - 1) * space.rectangle[-1]
+        return images(space, vectors, ids)
 
     monkeypatch.setattr(AtomSpace, "translate", counted_translate)
     monkeypatch.setattr(AtomSpace, "images", counted_images)
@@ -627,7 +628,7 @@ def test_diagonal_sector_stage2_audit():
         below_top = {c for t in prev.towers for c in t.codes[: len(t.codes) - t.width]}
         fine = con.source.kr_partition(rec.gamma)
         assert len(rec.prev_steps) == len(below_top) * fine.size // prev.space.size
-        assert all(fine.coarsen(c, prev.space) in below_top for c in rec.prev_steps)
+        assert all(coarsen_by_reduction(fine, c, prev.space) in below_top for c in rec.prev_steps)
 
 
 def test_dyadic_pair_two_stages():

@@ -241,11 +241,13 @@ def test_cli_repro_single(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_repro_unknown():
-    from odolab.repro import UnknownCase
-
-    with pytest.raises(UnknownCase):
-        main(["repro", "no-such-case"])
+def test_cli_repro_unknown(capsys):
+    # an unknown case is an error (exit 3), not a failed fact (exit 1)
+    assert main(["repro", "no-such-case"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("odolab: error: unknown case 'no-such-case'; known: ")
+    assert captured.err.count("\n") == 1
 
 
 # malformed specs for the exit-3 cases, written next to the fixture's files
@@ -322,6 +324,7 @@ BAD_SPECS = {
             "the cone contains the line through (0, 1); it must contain no line",
         ),
         (["odometer", "stage", "rank.chain"], "line 1, column 5: dim does not match the cocycle's rank 2"),
+        (["speedup", "derive", "rowshear.cocycle", "--depth", "0"], "derive at least to the cocycle resolution depth"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):

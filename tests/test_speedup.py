@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from odolab.lattice import IntegerLattice
-from odolab.odometer import OdometerChain
+from odolab.odometer import AtomSpace, OdometerChain
 from odolab.speedup import (
     AntipodalValues,
     Cone,
@@ -32,7 +32,7 @@ from odolab.speedup import (
 
 from odolab.sampling import sample_cocycles
 
-from _oracles import fraction_cone_member, permutation_by_reduction
+from _oracles import fraction_cone_member, minimality_by_reduction, permutation_by_reduction
 
 
 def chain32():
@@ -253,20 +253,23 @@ def test_permutation_property_at_depths():
 
 
 def test_permutations_match_the_reduction_loop():
-    # sampled cocycles on the diagonal mixed chain, a constant cocycle on
-    # the non-diagonal row-shear derived chain, and one on the alternating
-    # chain whose values differ across its depth-1 atoms by vectors of stage
-    # 1 (so it is bijective at every depth): above depth 1 a finer atom must
-    # read the value of the sheared depth-1 atom it lies in
+    # sampled cocycles on the diagonal mixed chain, constant cocycles of
+    # resolution 1 and 3 on the non-diagonal row-shear derived chain (every
+    # stage sheared), and one on the alternating chain whose values differ
+    # across its depth-1 atoms by vectors of stage 1 (so it is bijective at
+    # every depth): above the resolution a finer atom must read the value of
+    # the sheared atom it lies in.  Each runs at its resolution and two
+    # depths above it
     derived = derived_odometer(row_shear_cocycle(), checked_depth=2)
     cocycles = sample_cocycles(chain32(), 12, random.Random(7))
     cocycles.append(constant_cocycle(derived, 1, [(1, 0), (2, 1)]))
+    cocycles.append(constant_cocycle(derived, 3, [(1, 0), (2, 1)]))
     alternating = alternating_chain()
     shifts = [(0, 0), (3, 0), (1, 2), (-1, -2), (4, 2), (-3, 0)]
     table = {rep: (1 + a, b) for rep, (a, b) in zip(alternating.system(1).reps, shifts)}
     cocycles.append(PiecewiseCocycle(alternating, 1, 1, (table,)))
     for c in cocycles:
-        for depth in (1, 2, 3):
+        for depth in range(c.depth, c.depth + 3):
             space = c.chain.kr_partition(depth)
             for i in range(c.d2):
                 expected = permutation_by_reduction(c, i, depth)
@@ -274,6 +277,31 @@ def test_permutations_match_the_reduction_loop():
                 assert {space.decode(a): space.decode(b) for a, b in enumerate(perm)} == expected
                 inverse = c.inverse_permutation(i, depth)
                 assert {space.decode(a): space.decode(b) for b, a in enumerate(inverse)} == expected
+
+
+def test_permutations_run_on_tables_not_on_atoms(monkeypatch):
+    # every translate call of deriving the staircase chain to depth 8 fills
+    # a table of `AtomSpace.images`: at most one per vector and value of the
+    # last digit (a 2-D stage's one run of carrying digits), far fewer than
+    # the 65,536 atoms of the last depth
+    calls, entries = [0], [0]
+    translate, images = AtomSpace.translate, AtomSpace.images
+
+    def counted_translate(space, code, vector):
+        calls[0] += 1
+        return translate(space, code, vector)
+
+    def counted_images(space, vectors, ids):
+        entries[0] += (len(vectors) - 1) * space.rectangle[-1]
+        return images(space, vectors, ids)
+
+    monkeypatch.setattr(AtomSpace, "translate", counted_translate)
+    monkeypatch.setattr(AtomSpace, "images", counted_images)
+    c = staircase_cocycle()
+    report = derived_chain(c, 8)
+    atoms = c.chain.index(8)
+    assert atoms == 65536 and all(report.transitive)
+    assert 0 < calls[0] <= entries[0] < atoms // 32, (calls[0], entries[0], atoms)
 
 
 # ---------------------------------------------------------------- minimality
@@ -293,6 +321,14 @@ def test_minimality_fails_for_triple_step():
     c = constant_cocycle(ch, 1, [(3,)])
     flags = minimality_to_depth(c, 2)
     assert flags[1] is False
+
+
+@pytest.mark.parametrize("steps, minimal", [([(1, 0), (0, 1)], True), ([(3, 0), (0, 1)], False)])
+def test_minimality_below_the_resolution_matches_the_reduction(steps, minimal):
+    # resolution 2: depth 1 is read off the classes of the depth-2 orbit
+    c = constant_cocycle(chain32(), 2, steps)
+    expected = minimality_by_reduction(c, 4)
+    assert minimality_to_depth(c, 4) == expected == {j: minimal for j in range(1, 5)}
 
 
 def test_minimality_double_step_is_valid_but_stuck():
@@ -319,6 +355,12 @@ def test_derived_chain_report():
     assert all(rep.transitive)
     for j in range(1, 4):
         assert rep.stage(j + 1).is_sublattice(rep.stage(j))
+
+
+def test_derived_chain_below_the_resolution_depth_is_an_error():
+    for c, depth in ((row_shear_cocycle(), 0), (constant_cocycle(chain32(), 2, [(1, 0), (0, 1)]), 1)):
+        with pytest.raises(SpeedupError, match="derive at least to the cocycle resolution depth"):
+            derived_chain(c, depth)
 
 
 def test_derived_stage_staircase():
