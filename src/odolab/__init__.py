@@ -28,7 +28,6 @@ from .odometer import (
     ChainDepthError,
     NotNested,
     OdometerChain,
-    TruncatedPoint,
 )
 from .valuegroup import ValueGroup
 from .speedup import (
@@ -95,7 +94,6 @@ __all__ = [
     "StepMap",
     "SupergroupDescriptor",
     "Tower",
-    "TruncatedPoint",
     "ValueGroup",
     "castle_refinement_over",
     "cone_check",

@@ -15,9 +15,10 @@ The construction driver transports exact atom counts between castles on
 top of these primitives.  No atom is translated one by one: a level map
 is climbed by reading its images, the array of the atoms it sends each
 atom onto, which the build keeps up to date and `AtomSpace.images`
-computes for a whole map at once.  `castle_refinement_over` and
-`refine_pure_columns` read their columns off such an array, and the
-latter reads the cylinders off one `AtomSpace.lift`.
+computes for a whole map at once.  `castle_refinement_over` climbs each
+tower once up such an array and cuts every part's tower out of that
+climb; `refine_pure_columns` reads its columns off such an array and the
+cylinders off one `AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -190,13 +191,6 @@ class Tower:
     width: int
     codes: array
 
-    @classmethod
-    def from_levels(cls, levels) -> "Tower":
-        levels = [sorted(level) for level in levels]
-        if not levels or any(len(level) != len(levels[0]) for level in levels):
-            raise CastleError("a tower needs levels of one nonzero size")
-        return cls(len(levels[0]), array("q", [c for level in levels for c in level]))
-
     @property
     def height(self) -> int:
         return len(self.codes) // self.width
@@ -277,19 +271,14 @@ def _tower_of_columns(columns, width: int, height: int, members) -> Tower:
     return Tower(len(members), codes)
 
 
-def climb_tower(images, base, height: int) -> Tower:
-    """The tower a level map, given by its images, builds over the atoms `base`."""
-    base = sorted(base)
-    return _tower_of_columns(_climb(images, base, height), len(base), height, range(len(base)))
-
-
 def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
     """Split each tower over a clopen partition of its base.
 
     `base_partitions[alpha]` is a list of disjoint atom sets whose union
-    is tower alpha's base; each part spawns a tower by climbing the level
-    map, read off its `images` (`images[c]` the atom it sends c onto, -1
-    where unknown)."""
+    is tower alpha's base; each part spawns a tower.  Each tower is climbed
+    once up the level map, read off its `images` (`images[c]` the atom it
+    sends c onto, -1 where unknown), and every part's columns are cut out
+    of that climb."""
     new_towers = []
     for alpha, tower in enumerate(castle.towers):
         parts = base_partitions[alpha]
@@ -298,11 +287,15 @@ def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
             if union.intersection(p):
                 raise NotAPartition("base parts overlap")
             union.update(p)
-        if union != set(tower.level(0)):
+        base = tower.level(0)
+        if union != set(base):
             raise NotAPartition("base parts do not cover the base")
+        columns = _climb(images, base, tower.height)
+        column_of = {c: i for i, c in enumerate(base)}
         for part in parts:
             if part:
-                new_towers.append(climb_tower(images, part, tower.height))
+                members = [column_of[c] for c in part]
+                new_towers.append(_tower_of_columns(columns, tower.width, tower.height, members))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 

@@ -77,8 +77,6 @@ class StageRecord:
     gamma: int                   # source working depth
     tgt_depth: int               # target working depth (equal index)
     height: int
-    eps_cap: Fraction
-    boundary_measure: Fraction
     src_castle: Castle
     tgt_bases: list[array]       # target base atoms per tower; tower alpha is tgt_bases[alpha] + v, v < height
     pretower_count: int
@@ -153,12 +151,15 @@ class SpeedupConstruction:
                 g += 1
             else:
                 t += 1
-        raise ValueGroupMismatch("no common atom granularity found")
+        # `__init__` refused value groups that differ: this is the depth cap
+        raise DepthExhausted(
+            f"no common atom granularity up to source depth {MAX_DEPTH}: stopped at source depth {g}, target depth {t}"
+        )
 
     # -- stage scheduling ----------------------------------------------
 
-    def _schedule(self, k: int) -> tuple[int, Fraction, Fraction]:
-        """(target stage n_k, eps cap, boundary measure at n_k)."""
+    def _schedule(self, k: int) -> int:
+        """The target stage n_k."""
         mu = self.anchor_measure(k)
         if k == 0:
             n = 1
@@ -166,7 +167,7 @@ class SpeedupConstruction:
                 n += 1
                 if n > MAX_DEPTH * 4:
                     raise DepthExhausted("no target stage has fine enough atoms")
-            return n, mu, Fraction(min(2, self.target.index(n)), self.target.index(n))
+            return n
         earlier = sum((self.anchor_measure(j) for j in range(k)), Fraction(0))
         cap = min(mu, mu / (24 * earlier))
         bound = min(cap, mu / 3)
@@ -175,7 +176,7 @@ class SpeedupConstruction:
             n += 1
             if n > MAX_DEPTH * 4:
                 raise DepthExhausted("no target stage has small enough boundary")
-        return n, cap, Fraction(2, self.target.index(n))
+        return n
 
     # -- public API ------------------------------------------------------
 
@@ -188,7 +189,7 @@ class SpeedupConstruction:
     def _stage(self, k: int) -> StageRecord:
         """Build stage k at the least working depths that work, deepening
         both chains together whenever a selection step needs finer atoms."""
-        n, cap, boundary = self._schedule(k)
+        n = self._schedule(k)
         h = self.target.index(n)
         if k == 0:
             gamma, tgt_depth = self._align_depths(2, n)
@@ -199,7 +200,7 @@ class SpeedupConstruction:
             build = self._build_inductive
         while True:
             try:
-                return build(k, n, cap, boundary, h, gamma, tgt_depth)
+                return build(k, n, h, gamma, tgt_depth)
             except _NeedDepth:
                 if gamma >= MAX_DEPTH:
                     raise DepthExhausted(f"stage {k} needs more depth than allowed")
@@ -207,7 +208,7 @@ class SpeedupConstruction:
 
     # -- base stage ------------------------------------------------------
 
-    def _build_base(self, k, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
+    def _build_base(self, k, n, h, gamma, tgt_depth) -> StageRecord:
         space = self.source.kr_partition(gamma)
         total = space.size
         if total % h or total // h < 2:
@@ -232,10 +233,12 @@ class SpeedupConstruction:
 
         # the two anchor columns must be pointwise distinct before they can
         # be separated; if they merged, re-route the last step on the zero
-        # column inside its congruence class (same atom map, new point map)
-        columns = _climb(images, tower.level(0), h)
-        top = columns[(h - 1) * tower.width :]
-        column = columns[top.index(x2_atom) :: tower.width]  # the column ending at the second anchor
+        # column inside its congruence class (same atom map, new point map).
+        # The joins pair the i-th atoms of consecutive sorted levels, so
+        # column i is codes[i::width], the column ending at the second
+        # anchor included
+        i = tower.level(h - 1).index(x2_atom)
+        column = tower.codes[i :: tower.width]
 
         def base_point():
             """Exact base point of that column: the second anchor minus its steps."""
@@ -273,8 +276,6 @@ class SpeedupConstruction:
             gamma=gamma,
             tgt_depth=tgt_depth,
             height=h,
-            eps_cap=cap,
-            boundary_measure=boundary,
             src_castle=castle,
             tgt_bases=tgt_bases,
             pretower_count=1,
@@ -375,7 +376,7 @@ class SpeedupConstruction:
 
     # -- inductive stage ----------------------------------------------------
 
-    def _build_inductive(self, k, n, cap, boundary, h, gamma, tgt_depth) -> StageRecord:
+    def _build_inductive(self, k, n, h, gamma, tgt_depth) -> StageRecord:
         prev = self.stages[-1]
         space = self.source.kr_partition(gamma)
         h_prev = prev.height
@@ -516,8 +517,6 @@ class SpeedupConstruction:
             gamma=gamma,
             tgt_depth=tgt_depth,
             height=h,
-            eps_cap=cap,
-            boundary_measure=boundary,
             src_castle=refined,
             tgt_bases=tgt_bases,
             pretower_count=len(pretowers),

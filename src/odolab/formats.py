@@ -148,6 +148,8 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
     dim = _field(kv, "dim", lineno, int, None)
     if provider == "diagpow":
         primes = _field(kv, "primes", lineno, _ints)
+        if min(primes) < 1:  # base 1 is allowed: the chain is not free, as `freeness_evidence` says
+            raise SpecSyntaxError(lineno, kv["primes"][1], f"diagpow bases must be at least 1, got {min(primes)}")
         exps = [_parse_exponent(e, lineno) for e in _field(kv, "exps", lineno, default="j").split(",")]
         if len(exps) == 1:
             exps = exps * len(primes)
@@ -322,7 +324,11 @@ def parse_cone(text: str) -> Cone:
         u = _field(kv, "u", lineno, _ints)
         v = _field(kv, "v", lineno, _ints)
         include = _field(kv, "include", lineno, default="both")
-        return Cone.sector(u, v, include_u=include in ("both", "u"), include_v=include in ("both", "v"))
+        try:
+            return Cone.sector(u, v, include_u=include in ("both", "u"), include_v=include in ("both", "v"))
+        except SpeedupError as err:  # a bad ray, or rays that span no cone: at u unless u is a nonzero plane vector
+            column = kv["v" if len(u) == 2 and any(u) else "u"][1]
+            raise SpecSyntaxError(lineno, column, str(err)) from None
     if kind == "facets":
         dim = _field(kv, "dim", lineno, int)
         text = _field(kv, "normals", lineno)

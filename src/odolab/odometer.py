@@ -152,24 +152,6 @@ class OdometerChain:
     def describe(self) -> str:
         return f"dim={self.dim} {self.provider.describe()}"
 
-    # dynamics ------------------------------------------------------------
-
-    def zero_point(self, depth: int) -> "TruncatedPoint":
-        return TruncatedPoint(self, tuple(self.system(j).reduce((0,) * self.dim) for j in range(1, depth + 1)))
-
-    def point_of(self, vector, depth: int) -> "TruncatedPoint":
-        """Truncation of the orbit point reached from 0 by `vector`."""
-        return TruncatedPoint(self, tuple(self.system(j).reduce(vector) for j in range(1, depth + 1)))
-
-    def act(self, point: "TruncatedPoint", vector) -> "TruncatedPoint":
-        if len(vector) != self.dim:
-            raise DimensionMismatch(f"vector of length {len(vector)} in dimension {self.dim}")
-        coords = tuple(
-            self.system(j + 1).reduce(tuple(a + b for a, b in zip(c, vector)))
-            for j, c in enumerate(point.coords)
-        )
-        return TruncatedPoint(self, coords)
-
     # invariants ------------------------------------------------------------
 
     def kr_partition(self, j: int) -> "AtomSpace":
@@ -231,28 +213,6 @@ class OdometerChain:
         conjugacy, so False here means "not visibly a product".
         """
         return all(self.stage(j).is_diagonal() for j in range(1, depth + 1))
-
-
-@dataclass(frozen=True)
-class TruncatedPoint:
-    """Finite truncation of an inverse-limit point: one representative per stage."""
-
-    chain: OdometerChain
-    coords: tuple[tuple[int, ...], ...]
-
-    @property
-    def depth(self) -> int:
-        return len(self.coords)
-
-    def is_compatible(self) -> bool:
-        """Reducing coordinate j+1 into stage j must reproduce coordinate j."""
-        for j in range(1, self.depth):
-            if self.chain.system(j).reduce(self.coords[j]) != self.coords[j - 1]:
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return f"TruncatedPoint{self.coords}"
 
 
 @dataclass(frozen=True)
@@ -359,13 +319,6 @@ class AtomSpace:
 
     def atoms(self) -> range:
         return range(self.size)
-
-    def boundary_measure(self) -> Fraction:
-        """Base plus top measure; only meaningful for one-dimensional chains."""
-        if len(self.rectangle) != 1:
-            raise ChainError("boundary measure is defined for 1-dimensional chains here")
-        h = self.rectangle[0]
-        return Fraction(min(2, h), h)
 
     def encode(self, rep) -> int:
         return sum(r * s for r, s in zip(rep, self.strides))

@@ -268,6 +268,14 @@ def coarsen_by_reduction(fine, code, coarse):
     return coarse.encode(coarse.system.reduce(fine.decode(code)))
 
 
+def tower_from_levels(levels):
+    """A `Tower` with the given levels, of one nonzero size, each sorted."""
+    from odolab.castles import Tower
+
+    levels = [sorted(level) for level in levels]
+    return Tower(len(levels[0]), array("q", [c for level in levels for c in level]))
+
+
 def castle_refinement_by_sets(space, towers, steps, base_partitions):
     """Towers of `castle_refinement_over` as lists of sorted levels.
 

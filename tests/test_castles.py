@@ -14,7 +14,6 @@ from odolab.castles import (
     EmptyConeCoset,
     NotAPartition,
     StepMap,
-    Tower,
     castle_refinement_over,
     minimal_cone_vector,
     refine_pure_columns,
@@ -31,6 +30,7 @@ from _oracles import (
     fraction_cone_member,
     images_by_translation,
     refine_pure_columns_by_sets,
+    tower_from_levels,
     translate_by_reduction,
 )
 from test_speedup import alternating_chain, row_shear_cocycle
@@ -227,7 +227,7 @@ def _two_level_castle():
     base = frozenset([space.encode((0, 0)), space.encode((1, 0))])
     top = frozenset([space.encode((0, 1)), space.encode((1, 1))])
     steps = _step_map(space, {c: (0, 1) for c in base})
-    return Castle(ch, 1, [Tower.from_levels([base, top])], steps)
+    return Castle(ch, 1, [tower_from_levels([base, top])], steps)
 
 
 def test_castle_refinement_over_two_way_split():
@@ -274,7 +274,7 @@ def test_refine_pure_columns_splits_by_labels():
     base = frozenset([space.encode((0, 0)), space.encode((1, 0))])
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
-    castle = Castle(ch, 2, [Tower.from_levels([base, top])], steps)
+    castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
     refined = refine_pure_columns(castle, 1, images_by_translation(castle))
     assert len(refined.towers) == 2
 
@@ -286,7 +286,7 @@ def test_refine_pure_columns_trivial_labels():
     base = frozenset([space.encode((0, 0)), space.encode((3, 0))])
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
-    castle = Castle(ch, 2, [Tower.from_levels([base, top])], steps)
+    castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
     refined = refine_pure_columns(castle, 1, images_by_translation(castle))
     assert _tower_lists(refined) == _tower_lists(castle)
 
@@ -336,7 +336,7 @@ def _random_castle(rng, chain, depth):
             free.difference_update(level)
             levels.append(level)
         towers.append(levels)
-    return Castle(chain, depth, [Tower.from_levels(levels) for levels in towers], steps), towers
+    return Castle(chain, depth, [tower_from_levels(levels) for levels in towers], steps), towers
 
 
 @pytest.mark.parametrize("kind", ["diagonal-power", "sheared-explicit"])

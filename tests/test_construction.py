@@ -8,6 +8,7 @@ from odolab import construction
 from odolab.castles import (
     Castle,
     CastleError,
+    DepthExhausted,
     StepMap,
     Tower,
     ValueGroupMismatch,
@@ -28,6 +29,7 @@ from _oracles import (
     refine_pure_columns_by_sets,
     stage_checks_by_levels,
     target_castle_by_translation,
+    tower_from_levels,
     x0_column_points,
 )
 from test_digests import FROZEN, stage_digests
@@ -81,8 +83,7 @@ def assert_targets_are_translation_climbs(con):
 def test_anchor_choice_and_schedule():
     con = build(0)
     assert con.u == (0, 1)
-    n, cap, boundary = con._schedule(0)
-    assert n == 2 and cap == Fraction(1, 6)
+    assert con._schedule(0) == 2
 
 
 def test_anchor_is_the_least_cone_vector():
@@ -134,7 +135,7 @@ def test_stage_invariants_detect_corruption():
         frozenset().union(*(t.levels[1] for t in rec.src_castle.towers))
     )
     corrupted = [
-        Tower.from_levels([[outsider] + base[1:]] + list(tower.levels)[1:])
+        tower_from_levels([[outsider] + base[1:]] + list(tower.levels)[1:])
         if i == tower_x0
         else t
         for i, t in enumerate(rec.src_castle.towers)
@@ -322,8 +323,8 @@ def _hand_built(cone, vectors):
     castle = Castle(con.source, 1, [Tower(1, codes)], steps)
     con.stages = [
         StageRecord(
-            k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), eps_cap=Fraction(1),
-            boundary_measure=Fraction(1), src_castle=castle, tgt_bases=[array("q", [0])], pretower_count=1,
+            k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), src_castle=castle,
+            tgt_bases=[array("q", [0])], pretower_count=1,
             f_atoms=frozenset(), r_atoms=frozenset(), prev_steps=None, swap_audit=((), ()),
         )
     ]
@@ -593,6 +594,24 @@ def test_value_group_mismatch_rejected():
             OdometerChain.diagonal_power([2]),
             Cone.quadrant(2),
         )
+
+
+def test_the_depth_cap_on_aligning_depths_is_reported_as_such(monkeypatch):
+    # stage 1 onto 36^j starts at source depth 5, whose index 6^5 is no
+    # power of 36; the next equal index lies past the cap
+    monkeypatch.setattr(construction, "MAX_DEPTH", 5)
+    con = build(1, target=OdometerChain.diagonal_power([36]))
+    with pytest.raises(DepthExhausted, match=r"^no common atom granularity up to source depth 5: stopped at source depth 6"):
+        con.run(2)
+    assert len(con.stages) == 1
+
+
+def test_the_depth_cap_on_deepening_a_stage(monkeypatch):
+    monkeypatch.setattr(construction, "MAX_DEPTH", 4)
+    con = build(1)
+    with pytest.raises(DepthExhausted, match=r"^stage 1 needs more depth than allowed$"):
+        con.run(2)
+    assert len(con.stages) == 1
 
 
 def test_sector_cone_two_stages():

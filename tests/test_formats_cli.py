@@ -136,6 +136,16 @@ def test_syntax_error_carries_position():
         parse_lattice("2;\n  1 y; 0 1")
     with pytest.raises(SpecSyntaxError):
         parse_chain("dim=2 provider=unknown")
+    # a diagpow base below 1 is refused at the primes= value; base 1 gives a
+    # chain that is not free
+    with pytest.raises(SpecSyntaxError, match=r"^line 1, column 31: diagpow bases must be at least 1, got -3$"):
+        parse_chain("dim=2 provider=diagpow primes=-3,2 exps=j,j")
+    assert parse_chain("dim=2 provider=diagpow primes=1,2").freeness_evidence(2).certified_free is False
+    # a sector's errors are positioned at the ray they blame
+    with pytest.raises(SpecSyntaxError, match=r"^line 1, column 15: the zero vector has no direction$"):
+        parse_cone("cone=sector u=0,0 v=1,0")
+    with pytest.raises(SpecSyntaxError, match=r"^line 1, column 21: the zero vector has no direction$"):
+        parse_cone("cone=sector u=1,0 v=0,0")
     with pytest.raises(SpecSyntaxError):
         parse_cocycle(
             "chain=unused J=1 d2=1\nnonsense",
@@ -263,6 +273,10 @@ BAD_SPECS = {
     "line.cone": "cone=facets dim=2 normals=1,0,>=",
     "badrow.chain": "dim=2 provider=explicit\n2; 2 0; 0 2\n2; 4 x; 0 4",
     "rank.chain": "dim=3 provider=derived cocycle=rowshear.cocycle",
+    "negbase.chain": "dim=2 provider=diagpow primes=-3,2 exps=j,j",
+    "zerobase.chain": "dim=2 provider=diagpow primes=0,2",
+    "zeroray.cone": "cone=sector u=0,0 v=1,0",
+    "ray3.cone": "cone=sector u=1,2,3 v=1,0",
 }
 
 
@@ -325,6 +339,16 @@ BAD_SPECS = {
         ),
         (["odometer", "stage", "rank.chain"], "line 1, column 5: dim does not match the cocycle's rank 2"),
         (["speedup", "derive", "rowshear.cocycle", "--depth", "0"], "derive at least to the cocycle resolution depth"),
+        (["odometer", "kr", "negbase.chain", "--depth", "2"], "line 1, column 31: diagpow bases must be at least 1, got -3"),
+        (["odometer", "value-group", "zerobase.chain"], "line 1, column 31: diagpow bases must be at least 1, got 0"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "zeroray.cone"],
+            "line 1, column 15: the zero vector has no direction",
+        ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "ray3.cone"],
+            "line 1, column 15: sector cones are two-dimensional",
+        ),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
@@ -337,3 +361,13 @@ def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
     assert captured.err.startswith("odolab: error: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------- package
+
+def test_every_exported_name_resolves():
+    import odolab
+
+    missing = [name for name in odolab.__all__ if not hasattr(odolab, name)]
+    assert missing == []
+    assert len(set(odolab.__all__)) == len(odolab.__all__)

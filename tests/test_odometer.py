@@ -52,30 +52,6 @@ def test_stage_derived_provider_callback():
     assert ch.stage(3) == IntegerLattice.diagonal([8, 27])
 
 
-# ---------------------------------------------------------------- action
-
-def test_act_examples():
-    ch = chain32()
-    x = ch.zero_point(2)
-    y = ch.act(x, (3, 2))
-    assert y.coords == ((0, 0), (3, 2))
-    assert ch.act(x, (0, 0)) == x
-    z = ch.act(ch.zero_point(1), (1, 1))
-    assert z.coords == ((1, 1),)
-
-
-def test_act_is_additive_and_compatible():
-    rng = random.Random(3)
-    ch = chain32()
-    x = ch.zero_point(4)
-    for _ in range(40):
-        v = (rng.randint(-9, 9), rng.randint(-9, 9))
-        w = (rng.randint(-9, 9), rng.randint(-9, 9))
-        assert ch.act(ch.act(x, v), w) == ch.act(x, (v[0] + w[0], v[1] + w[1]))
-        x = ch.act(x, v)
-        assert x.is_compatible()
-
-
 # ---------------------------------------------------------------- partitions
 
 def test_kr_partition_shape():
@@ -91,13 +67,6 @@ def test_kr_partition_trivial():
     part = ch.kr_partition(1)
     assert len(part) == 1
     assert part.atom_measure == 1
-
-
-def test_kr_boundary_decay_one_dimensional():
-    ch = OdometerChain.diagonal_power([6])
-    bounds = [ch.kr_partition(j).boundary_measure() for j in range(1, 6)]
-    assert all(a >= b for a, b in zip(bounds, bounds[1:]))
-    assert bounds[0] == Fraction(2, 6)
 
 
 # ---------------------------------------------------------------- freeness
