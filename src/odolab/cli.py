@@ -177,10 +177,11 @@ def _construct_cmd(args) -> int:
     source = load_chain(args.source)
     target = load_chain(args.target)
     cone = load_cone(args.cone)
-    con = SpeedupConstruction(source, target, cone).run(args.stages)
+    con = SpeedupConstruction(source, target, cone)
     failures = 0
+    # one stage at a time, so a run that stops partway shows what it built
     for k in range(args.stages):
-        rec = con.stages[k]
+        rec = con.run(k + 1).stages[k]
         print(
             f"stage {k}: target-stage={rec.n} height={rec.height} "
             f"towers={len(rec.src_castle.towers)} depth={rec.gamma} "

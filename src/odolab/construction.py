@@ -114,7 +114,10 @@ class SpeedupConstruction:
                 raise CastleError(f"the cone contains the line through {kernel[0]}; it must contain no line")
         verdict = orbit_equivalence_test(source, target)
         if verdict.outcome == "no":
-            raise ValueGroupMismatch(str(verdict.certificate))
+            _, witness = verdict.certificate
+            raise ValueGroupMismatch(
+                f"source and target clopen value groups differ: {witness} lies in only one of them"
+            )
         self.source = source
         self.target = target
         self.cone = cone

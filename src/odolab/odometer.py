@@ -182,6 +182,8 @@ class OdometerChain:
         )
 
     def clopen_value_group(self, depth: int | None = None) -> "ValueGroup":
+        if depth is not None and depth < 1:
+            raise ChainError(f"depth bound must be at least 1, got {depth}")
         if isinstance(self.provider, DiagonalPowerProvider):
             infinite: set[int] = set()
             for b, a in zip(self.provider.bases, self.provider.coeffs):
@@ -212,6 +214,8 @@ class OdometerChain:
         A non-diagonal stage does not rule out product type up to
         conjugacy, so False here means "not visibly a product".
         """
+        if depth < 1:
+            raise ChainError(f"depth bound must be at least 1, got {depth}")
         return all(self.stage(j).is_diagonal() for j in range(1, depth + 1))
 
 

@@ -11,12 +11,18 @@ Tables, `value` and `step`/`walk`/`evaluate` speak coset representatives;
 everything else runs on the integer atom codes of the chain's `AtomSpace`
 (`OdometerChain.kr_partition`): permutations are `array('i')` indexed by
 code, read off `AtomSpace.images` of a generator's table kept as a level
-map, and the orbit of zero maps codes to reaching vectors.
+map, and the orbit of zero is an `array('i')` of codes laid out as a
+staircase of blocks, one side per generator.
 
 The derived chain presents a minimal bounded speedup as an odometer again:
 stage j is the stabilizer of the zero representative under the induced
-permutation action on the depth-j quotient, computed by orbit/stabilizer
-with Schreier generators and returned in canonical lattice form.
+permutation action on the depth-j quotient.  The action is abelian and
+transitive, so the stabilizer is read in closed form off the staircase:
+generator i maps the orbit of the generators before it forward, block by
+block, until it returns after sides[i] blocks, at a point of that orbit
+with digit vector r; the columns sides[i] e_i - r are triangular, lie in
+the stabilizer and have the orbit size as index, so they span it.  The
+lattice is returned in canonical form.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lattice import DimensionMismatch, IntegerLattice, _hnf_from_columns
+from .lattice import DimensionMismatch, IntegerLattice
 from .odometer import DerivedProvider, OdometerChain
 from .valuegroup import ValueGroup
 
@@ -417,31 +423,30 @@ def product_form_check(cocycle: PiecewiseCocycle) -> bool:
 
 # ---------------------------------------------------------------- minimality
 
-def orbit_of_zero(cocycle: PiecewiseCocycle, depth: int) -> dict:
-    """BFS orbit of the zero atom under the abelian generator action.
+def orbit_of_zero(cocycle: PiecewiseCocycle, depth: int) -> tuple[array, tuple[int, ...]]:
+    """Orbit of the zero atom as a staircase of blocks: `(codes, sides)`.
 
-    Returns a map atom code -> reaching vector in Z^d2.  Enumeration
-    order is fixed (queue order, generators ascending, forward before
-    backward) so results are deterministic.
+    O_0 = {0}, and O_i is the orbit of 0 under the generators before i.
+    Generator i maps O_i forward one block at a time and stops at the
+    first block whose first code lies in O_i; `sides[i]` is the number of
+    blocks, O_i included.  So codes[t] is reached from 0 by the vector
+    whose coordinates are the digits of t in mixed radix over `sides`,
+    generator 0 least significant.  One code decides: the generators
+    commute and permute the quotient, so each block is an orbit of the
+    generators before i, either O_i itself or disjoint from O_i and from
+    the blocks before it.
     """
     _require_valid(cocycle)
-    reach = {0: (0,) * cocycle.d2}  # the zero representative has code 0
-    queue = [0]
-    perms = [cocycle.permutation(i, depth) for i in range(cocycle.d2)]
-    inv_perms = [cocycle.inverse_permutation(i, depth) for i in range(cocycle.d2)]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        vec = reach[cur]
-        for i in range(cocycle.d2):
-            for nxt, delta in ((perms[i][cur], 1), (inv_perms[i][cur], -1)):
-                if nxt not in reach:
-                    new = list(vec)
-                    new[i] += delta
-                    reach[nxt] = tuple(new)
-                    queue.append(nxt)
-    return reach
+    codes = array("i", [0])  # the zero representative has code 0
+    sides = []
+    for i in range(cocycle.d2):
+        perm = cocycle.permutation(i, depth)
+        inner = set(codes)
+        block = codes
+        while (block := array("i", map(perm.__getitem__, block)))[0] not in inner:
+            codes += block
+        sides.append(len(codes) // len(inner))
+    return codes, tuple(sides)
 
 
 def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool]:
@@ -454,7 +459,7 @@ def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool
         # below the resolution depth the tables are still well defined on
         # the coarser quotient only through the finer one; probe from J up
         probe = max(j, cocycle.depth)
-        orbit = orbit_of_zero(cocycle, probe)
+        orbit = orbit_of_zero(cocycle, probe)[0]
         if probe == j:
             out[j] = len(orbit) == cocycle.chain.index(j)
         else:
@@ -471,57 +476,44 @@ class DerivedChainReport:
     first_depth: int
     stages: tuple[IntegerLattice, ...]
     orbit_sizes: tuple[int, ...]
-    transitive: tuple[bool, ...]
 
     def stage(self, j: int) -> IntegerLattice:
         return self.stages[j - self.first_depth]
 
 
 def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
-    """Stabilizer of the zero atom at one depth, via orbit/stabilizer.
+    """Stabilizer of the zero atom at one depth, read off the orbit staircase.
 
-    Schreier generators reach(a) + e_i - reach(image of a) span the
-    stabilizer; their canonical lattice has index equal to the orbit size,
-    which is checked.  Depths below the cocycle resolution are rejected:
-    the induced atom maps only exist on quotients the tables refine.
+    With `(codes, sides) = orbit_of_zero(cocycle, depth)`, generator j
+    takes 0 to perm_j^sides[j](0), a point of O_j = codes[:prod(sides[:j])]
+    whose index has the digit vector r.  So column j, sides[j] e_j - r,
+    lies in the stabilizer.  The columns are triangular with index
+    prod(sides), the orbit size, which is the stabilizer's index by
+    orbit-stabilizer: they span it.  A shorter orbit than the quotient
+    raises NotMinimalAtDepth.  Depths below the cocycle resolution are
+    rejected: the induced atom maps only exist on quotients the tables
+    refine.
     """
     _require_valid(cocycle)
     if depth < cocycle.depth:
         raise SpeedupError("stabilizers are defined from the cocycle resolution depth up")
-    reach = orbit_of_zero(cocycle, depth)
+    codes, sides = orbit_of_zero(cocycle, depth)
     quotient = cocycle.chain.index(depth)
-    if len(reach) != quotient:
-        raise NotMinimalAtDepth(depth, len(reach), quotient)
-    # until the generators reach full rank they are all kept, and
-    # `_hnf_from_columns` serves as the rank test; from then on each new one
-    # is folded into the canonical basis
-    basis: list[tuple[int, ...]] = []
-    current: IntegerLattice | None = None
-    zero = (0,) * cocycle.d2
-    perms = [cocycle.permutation(i, depth) for i in range(cocycle.d2)]
-    for code in sorted(reach):
-        vec = reach[code]
-        for i in range(cocycle.d2):
-            img = perms[i][code]
-            gen = list(vec)
-            gen[i] += 1
-            gen = tuple(a - b for a, b in zip(gen, reach[img]))
-            if gen == zero:
-                continue
-            if current is not None:
-                if not current.contains(gen):
-                    current = IntegerLattice.from_columns(current.columns() + [gen])
-                continue
-            basis.append(gen)
-            if _hnf_from_columns(basis, cocycle.d2) is not None:
-                current = IntegerLattice.from_columns(basis)
-    if current is None:
-        raise SpeedupError("stabilizer generators do not span a finite-index subgroup")
-    if current.index != len(reach):
-        raise SpeedupError(
-            f"orbit-stabilizer count mismatch: index {current.index}, orbit {len(reach)}"
-        )
-    return current
+    if len(codes) != quotient:
+        raise NotMinimalAtDepth(depth, len(codes), quotient)
+    columns = []
+    inner = 1  # |O_j|
+    for j, side in enumerate(sides):
+        # one step of generator j past the first code of its last block
+        t = codes.index(cocycle.permutation(j, depth)[codes[(side - 1) * inner]], 0, inner)
+        column = []
+        for s in sides:
+            t, digit = divmod(t, s)
+            column.append(-digit)
+        column[j] += side
+        columns.append(column)
+        inner *= side
+    return IntegerLattice.from_columns(columns)
 
 
 def derived_chain(cocycle: PiecewiseCocycle, depth: int) -> DerivedChainReport:
@@ -530,16 +522,11 @@ def derived_chain(cocycle: PiecewiseCocycle, depth: int) -> DerivedChainReport:
     if depth < cocycle.depth:
         raise SpeedupError("derive at least to the cocycle resolution depth")
     stages = []
-    sizes = []
-    flags = []
     for j in range(cocycle.depth, depth + 1):
-        lat = derived_stage(cocycle, j)
-        stages.append(lat)
-        sizes.append(lat.index)
-        flags.append(lat.index == cocycle.chain.index(j))
+        stages.append(derived_stage(cocycle, j))
         if len(stages) > 1 and not stages[-1].is_sublattice(stages[-2]):
             raise SpeedupError(f"derived stages fail to nest at depth {j}")
-    return DerivedChainReport(cocycle.depth, tuple(stages), tuple(sizes), tuple(flags))
+    return DerivedChainReport(cocycle.depth, tuple(stages), tuple(lat.index for lat in stages))
 
 
 def derived_odometer(cocycle: PiecewiseCocycle, checked_depth: int = 3) -> OdometerChain:

@@ -252,6 +252,66 @@ def minimality_by_reduction(cocycle, depth):
     return out
 
 
+def stabilizer_by_schreier(cocycle, depth):
+    """`derived_stage` by orbit/stabilizer with Schreier generators: a BFS
+    over forward and inverse permutations maps each orbit code to a
+    reaching vector, and the generators reach(a) + e_i - reach(image of a)
+    are folded into a canonical lattice whose index must equal the orbit
+    size.  Raises `NotMinimalAtDepth` with the same message as
+    `derived_stage`."""
+    from odolab.lattice import IntegerLattice, _hnf_from_columns
+    from odolab.speedup import NotMinimalAtDepth, SpeedupError
+
+    reach = {0: (0,) * cocycle.d2}  # the zero representative has code 0
+    queue = [0]
+    perms = [cocycle.permutation(i, depth) for i in range(cocycle.d2)]
+    inv_perms = [cocycle.inverse_permutation(i, depth) for i in range(cocycle.d2)]
+    head = 0
+    while head < len(queue):
+        cur = queue[head]
+        head += 1
+        vec = reach[cur]
+        for i in range(cocycle.d2):
+            for nxt, delta in ((perms[i][cur], 1), (inv_perms[i][cur], -1)):
+                if nxt not in reach:
+                    new = list(vec)
+                    new[i] += delta
+                    reach[nxt] = tuple(new)
+                    queue.append(nxt)
+    quotient = cocycle.chain.index(depth)
+    if len(reach) != quotient:
+        raise NotMinimalAtDepth(depth, len(reach), quotient)
+    # until the generators reach full rank they are all kept, and
+    # `_hnf_from_columns` serves as the rank test; from then on each new one
+    # is folded into the canonical basis
+    basis: list[tuple[int, ...]] = []
+    current: IntegerLattice | None = None
+    zero = (0,) * cocycle.d2
+    for code in sorted(reach):
+        vec = reach[code]
+        for i in range(cocycle.d2):
+            img = perms[i][code]
+            gen = list(vec)
+            gen[i] += 1
+            gen = tuple(a - b for a, b in zip(gen, reach[img]))
+            if gen == zero:
+                continue
+            if current is not None:
+                if not current.contains(gen):
+                    current = IntegerLattice.from_columns(current.columns() + [gen])
+                continue
+            basis.append(gen)
+            if _hnf_from_columns(basis, cocycle.d2) is not None:
+                current = IntegerLattice.from_columns(basis)
+    if current is None:
+        raise SpeedupError("stabilizer generators do not span a finite-index subgroup")
+    if current.index != len(reach):
+        raise SpeedupError(
+            f"orbit-stabilizer count mismatch: index {current.index}, orbit {len(reach)}"
+        )
+    return current
+
+
 def translate_by_reduction(space, code, vector):
     """Atom code of atom `code` moved by `vector`: decode the representative,
     add the vector and reduce the sum at the space's depth, one tuple per call."""

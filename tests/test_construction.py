@@ -588,7 +588,7 @@ def test_an_open_half_plane_contains_no_line_and_builds():
 
 
 def test_value_group_mismatch_rejected():
-    with pytest.raises(ValueGroupMismatch):
+    with pytest.raises(ValueGroupMismatch, match=r"^source and target clopen value groups differ: 1/3 lies in only one of them$"):
         SpeedupConstruction(
             OdometerChain.diagonal_power([3, 2]),
             OdometerChain.diagonal_power([2]),

@@ -163,6 +163,7 @@ def specdir(tmp_path):
     (tmp_path / "base.desc").write_text("dim=2 shear=1,0,0,1 supports=3|2")
     (tmp_path / "sheared.desc").write_text("dim=2 shear=1,0,-1/2,1 supports=3|2")
     (tmp_path / "quad.cone").write_text("cone=quadrant dim=2")
+    (tmp_path / "ex.chain").write_text("dim=2 provider=explicit\n2; 2 0; 0 2\n2; 4 0; 0 4")
     from odolab.formats import emit_cocycle as emit
 
     (tmp_path / "rowshear.cocycle").write_text(emit(row_shear_cocycle(), "mixed.chain"))
@@ -245,6 +246,25 @@ def test_cli_construct(specdir, capsys):
     assert "stage 0" in out and "FAIL" not in out
 
 
+def test_cli_construct_prints_the_stages_built_before_an_error(specdir, monkeypatch, capsys):
+    # with the depth cap at 5, stage 1 onto 36^j finds no common atom
+    # granularity: stage 0 and its audit are printed, then the error
+    from odolab import construction
+
+    monkeypatch.setattr(construction, "MAX_DEPTH", 5)
+    (specdir / "t36.chain").write_text("dim=1 provider=diagpow primes=36 exps=j")
+    argv = ["construct", "--source", str(specdir / "mixed.chain"), "--target", str(specdir / "t36.chain"),
+            "--cone", str(specdir / "quad.cone"), "--audit", "--stages"]
+    assert main([*argv, "1"]) == 0
+    stage_0 = capsys.readouterr().out
+    assert stage_0.startswith("stage 0: ") and "  stage 0 PASS " in stage_0 and "FAIL" not in stage_0
+    assert main([*argv, "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == stage_0
+    assert captured.err.startswith("odolab: error: no common atom granularity up to source depth 5: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_repro_single(capsys):
     assert main(["repro", "sandwich-lattice-rigidity"]) == 0
     out = capsys.readouterr().out
@@ -277,6 +297,7 @@ BAD_SPECS = {
     "zerobase.chain": "dim=2 provider=diagpow primes=0,2",
     "zeroray.cone": "cone=sector u=0,0 v=1,0",
     "ray3.cone": "cone=sector u=1,2,3 v=1,0",
+    "flat.chain": "dim=1 provider=diagpow primes=6 exps=0",
 }
 
 
@@ -349,6 +370,13 @@ BAD_SPECS = {
             ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "ray3.cone"],
             "line 1, column 15: sector cones are two-dimensional",
         ),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "flat.chain", "--cone", "quad.cone"],
+            "source and target clopen value groups differ: 1/2 lies in only one of them",
+        ),
+        (["classify", "oe", "ex.chain", "ex.chain", "--depth", "0"], "depth bound must be at least 1, got 0"),
+        (["odometer", "value-group", "ex.chain", "--depth", "0"], "depth bound must be at least 1, got 0"),
+        (["odometer", "product-type", "mixed.chain", "--depth", "0"], "depth bound must be at least 1, got 0"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):

@@ -32,7 +32,12 @@ from odolab.speedup import (
 
 from odolab.sampling import sample_cocycles
 
-from _oracles import fraction_cone_member, minimality_by_reduction, permutation_by_reduction
+from _oracles import (
+    fraction_cone_member,
+    minimality_by_reduction,
+    permutation_by_reduction,
+    stabilizer_by_schreier,
+)
 
 
 def chain32():
@@ -300,7 +305,7 @@ def test_permutations_run_on_tables_not_on_atoms(monkeypatch):
     c = staircase_cocycle()
     report = derived_chain(c, 8)
     atoms = c.chain.index(8)
-    assert atoms == 65536 and all(report.transitive)
+    assert atoms == 65536
     assert 0 < calls[0] <= entries[0] < atoms // 32, (calls[0], entries[0], atoms)
 
 
@@ -352,7 +357,6 @@ def test_derived_stage_row_shear_matches_closed_form():
 def test_derived_chain_report():
     rep = derived_chain(row_shear_cocycle(), 4)
     assert rep.orbit_sizes == (6, 36, 216, 1296)
-    assert all(rep.transitive)
     for j in range(1, 4):
         assert rep.stage(j + 1).is_sublattice(rep.stage(j))
 
@@ -393,6 +397,39 @@ def test_derived_stage_not_minimal():
     c = constant_cocycle(ch, 1, [(3,)])
     with pytest.raises(NotMinimalAtDepth):
         derived_stage(c, 1)
+
+
+def _stabilizer_or_message(find, cocycle, depth):
+    try:
+        return find(cocycle, depth)
+    except NotMinimalAtDepth as err:
+        return str(err)
+
+
+def test_derived_stage_matches_the_schreier_oracle():
+    # sampled cocycles of the mixed and dyadic chains at depths 1-4 and of
+    # the 3-D mixed chain at depths 1-3 (two of them at depth 4, 1,679,616
+    # atoms), constant cocycles of resolution 1 and 3 on the sheared derived
+    # row-shear chain, and constant cocycles of rank 1 and 2 on a 1-D chain;
+    # a cocycle that is not minimal must raise the oracle's message
+    cases = []
+    for chain in (chain32(), chain22()):
+        cases += [(c, d) for c in sample_cocycles(chain, 24, random.Random(5)) for d in range(1, 5)]
+    mixed3 = sample_cocycles(OdometerChain.diagonal_power([3, 2, 6]), 6, random.Random(11))
+    cases += [(c, d) for c in mixed3 for d in range(1, 4)] + [(c, 4) for c in mixed3[:2]]
+    derived = derived_odometer(row_shear_cocycle(), checked_depth=2)
+    for resolution in (1, 3):
+        c = constant_cocycle(derived, resolution, [(1, 0), (2, 1)])
+        cases += [(c, d) for d in range(resolution, resolution + 2)]
+    line = OdometerChain.diagonal_power([6])
+    for steps in ([(1,)], [(5,)], [(2,)], [(2,), (3,)], [(4,), (3,)], [(3,), (3,)]):
+        cases += [(constant_cocycle(line, 1, steps), d) for d in range(1, 4)]
+    found = [_stabilizer_or_message(derived_stage, c, d) for c, d in cases]
+    assert found == [_stabilizer_or_message(stabilizer_by_schreier, c, d) for c, d in cases]
+    lattices = [lat for lat in found if not isinstance(lat, str)]
+    assert 0 < len(lattices) < len(found)
+    # a staircase that returns off the zero code gives a sheared stabilizer
+    assert any(not lat.is_diagonal() for lat in lattices)
 
 
 def test_derived_odometer_value_group():
@@ -513,11 +550,43 @@ def test_induced_permutations_preserve_cylinder_measures():
 
 # ---------------------------------------------------------------- orbit sanity
 
+def _digits(t, sides):
+    vector = []
+    for side in sides:
+        t, digit = divmod(t, side)
+        vector.append(digit)
+    return tuple(vector)
+
+
 def test_orbit_reaching_vectors_consistent():
+    # codes[t] is reached from 0 by the digits of t over `sides`, generator
+    # 0 least significant; sampled cocycles add orbits that are not the
+    # whole quotient and staircases with two or more blocks on each side
+    cocycles = [row_shear_cocycle(), *sample_cocycles(chain32(), 6, random.Random(7))]
+    for c in cocycles:
+        codes, sides = orbit_of_zero(c, 2)
+        space = c.chain.kr_partition(2)
+        assert len(set(codes)) == len(codes) == sides[0] * sides[1]
+        for t, code in enumerate(codes):
+            end, _ = walk(c, (0, 0), _digits(t, sides), depth=2)
+            assert space.encode(end) == code
+
+
+def test_the_staircase_hashes_each_inner_orbit_once(monkeypatch):
+    # a block is tested against O_i alone, so only O_0 and O_1 are hashed;
+    # the orbit so far would give the same sides at a cost quadratic in them
+    from odolab import speedup
+
+    hashed = []
+
+    def counted_set(codes):
+        hashed.append(len(codes))
+        return set(codes)
+
     c = row_shear_cocycle()
-    reach = orbit_of_zero(c, 2)
-    space = c.chain.kr_partition(2)
-    zero = (0, 0)
-    for code, vec in reach.items():
-        end, _ = walk(c, zero, vec, depth=2)
-        assert space.encode(end) == code
+    validate(c)
+    monkeypatch.setattr(speedup, "set", counted_set, raising=False)
+    codes, sides = orbit_of_zero(c, 5)
+    assert sides == (243, 32) and hashed == [1, 243]
+
+
