@@ -17,8 +17,12 @@ is climbed by reading its images, the array of the atoms it sends each
 atom onto, which the build keeps up to date and `AtomSpace.images`
 computes for a whole map at once.  `castle_refinement_over` climbs each
 tower once up such an array and cuts every part's tower out of that
-climb; `refine_pure_columns` reads its columns off such an array and the
-cylinders off one `AtomSpace.lift`.
+climb; `refine_pure_columns` reads the cylinders off one `AtomSpace.lift`
+and its columns off such an array, with no climb where the array sends
+each level of a tower onto the next one in stored order (a width-1
+pretower always, since the build keeps the array up to date): there
+column i is `codes[i::width]`, one C-level comparison proves it, and only
+the other towers are climbed.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -30,7 +34,8 @@ from array import array
 from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice
+from operator import eq
 
 from .odometer import AtomSpace, OdometerChain
 from .speedup import Cone
@@ -245,6 +250,22 @@ def _column(images, c: int, height: int) -> array:
     return column
 
 
+def _climbs_as_stored(images, tower: Tower) -> bool:
+    """Whether climbing the tower up a level map given by its images reads
+    back its own codes: column i is `codes[i::width]`, all the way up.
+
+    That holds iff every atom below the top is sent onto the code one level
+    above it in the same place, `images[codes[j]] == codes[j + width]`,
+    checked in one pass with no temporary array; -1 among the codes is
+    refused, since a climb stops at an image -1 (`_column`).  Codes that
+    match so far are images, so no code is read that a climb would not
+    read."""
+    codes, w = tower.codes, tower.width
+    if len(codes) != w * tower.height or -1 in codes:
+        return False
+    return all(map(eq, islice(codes, w, None), map(images.__getitem__, codes)))
+
+
 def _climb(images, base, height: int) -> array:
     """The columns from `base` up a level map given by its images, level by
     level: entry v * len(base) + i is the v-th atom of the column starting
@@ -259,16 +280,13 @@ def _climb(images, base, height: int) -> array:
     return columns
 
 
-def _tower_of_columns(columns, width: int, height: int, members) -> Tower:
+def _tower_of_columns(columns, width: int, members) -> Tower:
     """Tower of the columns numbered `members` in a `_climb` result, each
     level sorted."""
     if len(members) == 1:  # one atom per level
         return Tower(1, columns[members[0] :: width])
-    codes = array("q")
-    for v in range(height):
-        level = columns[v * width : (v + 1) * width]
-        codes.extend(sorted([level[i] for i in members]))
-    return Tower(len(members), codes)
+    levels = zip(*(columns[i::width] for i in members))
+    return Tower(len(members), array("q", chain.from_iterable(map(sorted, levels))))
 
 
 def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
@@ -295,7 +313,7 @@ def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
         for part in parts:
             if part:
                 members = [column_of[c] for c in part]
-                new_towers.append(_tower_of_columns(columns, tower.width, tower.height, members))
+                new_towers.append(_tower_of_columns(columns, tower.width, members))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
@@ -305,7 +323,10 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
 
     Each column is read off the build's `images` of the level map
     (`images[c]` the atom it sends c onto, -1 where unknown; an unknown one
-    below a tower's top raises CastleError), with no translation, and each
+    below a tower's top raises CastleError), with no translation: a tower
+    whose images send every level onto the next one in stored order
+    (`_climbs_as_stored`) has column i `codes[i::width]` and is not climbed,
+    and any other tower is climbed column by column.  Each
     atom's cylinder at `depth` is one entry of the space's `lift` of the
     coarse codes.  The columns of a tower are grouped by their sequences of
     cylinders; each group is a new tower with sorted levels, in the order of
@@ -315,9 +336,12 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     0-4 peaked 8 MB higher)."""
     columns = []
     for t in castle.towers:
-        columns.append([_column(images, c, t.height) for c in t.level(0)])
-        if any(len(column) < t.height for column in columns[-1]):
-            raise CastleError("the level map has no known image at an atom below a tower's top")
+        if _climbs_as_stored(images, t):
+            columns.append([t.codes[i :: t.width] for i in range(t.width)])
+        else:
+            columns.append([_column(images, c, t.height) for c in t.level(0)])
+            if any(len(column) < t.height for column in columns[-1]):
+                raise CastleError("the level map has no known image at an atom below a tower's top")
     coarse = castle.chain.kr_partition(depth)
     labels = castle.space.lift(array("i", range(coarse.size)), coarse)
     groups: list[list[array]] = []

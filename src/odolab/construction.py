@@ -39,8 +39,8 @@ import functools
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat
-from operator import ge, gt, mul, ne
+from itertools import accumulate, compress, count, islice, repeat
+from operator import ge, gt, le, lt, mul, ne
 
 from .castles import (
     Castle,
@@ -50,6 +50,7 @@ from .castles import (
     Tower,
     ValueGroupMismatch,
     _climb,
+    _climbs_as_stored,
     _column,
     _tower_of_columns,
     castle_refinement_over,
@@ -457,7 +458,7 @@ class SpeedupConstruction:
         for beta, members in layout:
             codes = array("q")
             for m in range(blocks):
-                codes.extend(_tower_of_columns(climbs[beta, m], widths[beta], h_prev, members[m]).codes)
+                codes.extend(_tower_of_columns(climbs[beta, m], widths[beta], members[m]).codes)
             pretowers.append(Tower(len(members[0]), codes))
         del climbs
 
@@ -547,12 +548,13 @@ class SpeedupConstruction:
         The checks read only the stage's towers, level map, swap records
         and cone, never an array the build made for its own speed.  The
         level maps, the column sums and the exact points up the first
-        anchor's column come from one climb of each column
-        (`_column_walk`); the anchors' towers are read off the castle's
-        bases and tops.  A check that raises on corrupted data fails and
-        names the exception; a failing climb check names its first failing
-        tower and level.  A stage not built yet reports no checks; a
-        negative k raises CastleError.
+        anchor's column are those of one climb of each column
+        (`_column_walk`, which climbs only where no proof on a whole tower
+        or on the vector table gives them); the anchors' towers are read
+        off the castle's bases and tops.  A check that raises on corrupted
+        data fails and names the exception; a failing climb check names
+        its first failing tower and level.  A stage not built yet reports
+        no checks; a negative k raises CastleError.
         """
         if k >= len(self.stages):
             return StageReport(k, ())  # nothing built: vacuously fine
@@ -790,8 +792,9 @@ def _verdict(failure) -> tuple[bool, str]:
 
 
 def _column_walk(castle: Castle, space, cone: Cone, anchor):
-    """Climb each column of the castle from its base atom to its top, once,
-    up the images of its level map in the atom space `space` of the stage.
+    """What climbing each column of the castle from its base atom to its
+    top, once, up the images of its level map in the atom space `space` of
+    the stage finds.
 
     Returns the first (tower, level) where the set of climbed atoms
     differs from the tower's level, the first where a column's partial
@@ -807,33 +810,61 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
     images come from `space.images` of the level map itself, never from an
     array the build kept; a column is read off them (`castles._column`),
     and the step ids along it give its partial sums' facet values
-    (`_sums_outside`)."""
+    (`_sums_outside`).  A column is climbed only where no whole-array
+    proof gives the same three results:
+
+    - A tower whose images send each level onto the next in stored order
+      (`castles._climbs_as_stored`: -1 is no code, and images[codes[j]]
+      is codes[j + w] below the top) climbs onto its own codes: column i
+      is codes[i::w], every column reaches the top, and every climbed
+      level is the tower's level.
+    - A wider tower whose codes all index the images (so none is -1) and
+      whose images of each level, sorted, are the next level, sorted
+      (`_climbs_onto_levels`), climbs onto its levels as sets: by
+      induction up the levels, the climbed atoms of level v are a
+      permutation of level v (true at the base), so their images are a
+      permutation of the images of level v, which is level v + 1.  None
+      is -1, so every column reaches the top.  Such a tower is climbed
+      only for the anchor's column or for its partial sums.
+    - The sums of a column are not read when every vector of the table
+      has facet values >= 0, > 0 on strict facets, and a positive total
+      (`_steps_stay_in`): the facet values of a partial sum are sums of
+      those of its steps, so they pass the same test, and a sum is in the
+      cone iff it passes (see `_sums_outside`).  A vector of the table
+      that no column uses can only make this test fail, never pass."""
     steps = castle.steps
     ids = steps.ids
     images = space.images(steps.vectors, ids)
     outside = _sums_outside(cone, steps.vectors)
+    sums_hold = _steps_stay_in(cone, steps.vectors)
     maps_at = sums_at = missing = anchor_column = None
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
-        # the climb laid out like `codes`: column i is climbed[i::w]; every
-        # column reaches levels 0..reach-1 (one that meets an atom with no
-        # step is padded with that atom)
-        climbed, reach = array("q", codes), h
-        for i, c in enumerate(codes[:w]):
-            column = _column(images, c, h)
-            if len(column) < h:
-                reach = min(reach, len(column))
-                column.extend([column[-1]] * (h - len(column)))
-            climbed[i::w] = column
+        read_sums = not sums_hold and sums_at is None
+        if _climbs_as_stored(images, t):
+            climbed, reach = codes, h
+        elif alpha == anchor[0] or read_sums or not _climbs_onto_levels(images, t):
+            # the climb laid out like `codes`: column i is climbed[i::w];
+            # every column reaches levels 0..reach-1 (one that meets an atom
+            # with no step is padded with that atom)
+            climbed, reach = array("q", codes), h
+            for i, c in enumerate(codes[:w]):
+                column = _column(images, c, h)
+                if len(column) < h:
+                    reach = min(reach, len(column))
+                    column.extend([column[-1]] * (h - len(column)))
+                climbed[i::w] = column
+        else:
+            continue
         if alpha == anchor[0]:
             anchor_column = climbed[codes.index(anchor[1]) :: w]
         n = reach * w
-        if maps_at is None and climbed[:n] != codes[:n]:  # some level differs, or only its order
+        if maps_at is None and climbed is not codes and climbed[:n] != codes[:n]:  # some level differs, or only its order
             levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
             v = next((v for v, a, b in levels if set(a) != set(b)), None)
             if v is not None:
                 maps_at = alpha, v
-        if sums_at is None:
+        if read_sums:
             # each column's step ids, at its levels 0..reach-2
             columns = (climbed[i : n - w : w] for i in range(w))
             firsts = (outside(list(map(ids.__getitem__, column))) for column in columns)
@@ -845,6 +876,42 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
     if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
         maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
     return maps_at, sums_at, anchor_column
+
+
+def _climbs_onto_levels(images, tower: Tower) -> bool:
+    """Whether a tower of width > 1, all of whose codes index `images`, has
+    at every level below its top the sorted images of the level equal to
+    the next level sorted.
+
+    One pass over the codes finds the levels whose images, in stored
+    order, are not the next level in stored order; only those are sorted.
+    Codes outside `images` are refused, so that no code is read that a
+    climb would not read without failing."""
+    w, codes = tower.width, tower.codes
+    if w == 1 or len(codes) != w * tower.height or not 0 <= min(codes) <= max(codes) < len(images):
+        return False
+    unordered = {j // w for j in compress(count(), map(ne, islice(codes, w, None), map(images.__getitem__, codes)))}
+    return all(
+        sorted(map(images.__getitem__, codes[v * w : (v + 1) * w])) == sorted(codes[(v + 1) * w : (v + 2) * w])
+        for v in unordered
+    )
+
+
+def _facet_values(cone: Cone, vectors):
+    """(values, strict) per facet of the cone, values[i] the facet value n.v
+    of vector id i (0 at id 0, which has no vector), followed by the total
+    of all facets' values as one more strict facet."""
+    facets = [
+        ([0] + [sum(map(mul, normal, vec)) for vec in vectors[1:]], strict) for normal, strict in cone.facets
+    ]
+    facets.append(([sum(values) for values in zip(*(values for values, _ in facets))], True))
+    return facets
+
+
+def _steps_stay_in(cone: Cone, vectors) -> bool:
+    """Whether every vector of the table has facet values >= 0, > 0 on the
+    strict facets and the total: then so has every sum of them."""
+    return all(all(map(lt if strict else le, repeat(0), values[1:])) for values, strict in _facet_values(cone, vectors))
 
 
 def _sums_outside(cone: Cone, vectors):
@@ -860,10 +927,7 @@ def _sums_outside(cone: Cone, vectors):
     the normals, which is 0.  So the total of the facet values is one
     more strict facet, and the first failure is the least index at which
     some facet's running sum fails."""
-    facets = [
-        ([0] + [sum(map(mul, normal, vec)) for vec in vectors[1:]], strict) for normal, strict in cone.facets
-    ]
-    facets.append(([sum(values) for values in zip(*(values for values, _ in facets))], True))
+    facets = _facet_values(cone, vectors)
 
     def first_outside(step_ids):
         firsts = []

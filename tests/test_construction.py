@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from odolab import construction
+from odolab import castles, construction
 from odolab.castles import (
     Castle,
     CastleError,
@@ -350,6 +350,24 @@ def test_audit_matches_the_oracle_on_column_sums_leaving_the_cone(cone, vectors)
     assert ("column-sums-in-cone", False, "first failure: tower 0 level 2") in report.checks
 
 
+@pytest.mark.parametrize(
+    "cone, vectors",
+    [
+        # pointed: the zero step has facet values all >= 0 but total 0
+        (Cone.quadrant(2), [(0, 0)]),
+        # the first step lies on the strict facet y > 0; the second sum is inside
+        (Cone.quadrant(2, strict_axes=(1,)), [(1, 0), (0, 1)]),
+    ],
+)
+def test_audit_matches_the_oracle_on_a_first_step_outside_the_cone(cone, vectors):
+    # a step outside the cone keeps the walk from skipping the column sums,
+    # though every facet value of it is >= 0
+    con = _hand_built(cone, vectors)
+    report = assert_audit_matches_the_level_oracle(con, 0)
+    assert "displacements-in-cone" in report.failures()
+    assert ("column-sums-in-cone", False, "first failure: tower 0 level 1") in report.checks
+
+
 def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
     # stage 1's levels must lie in source cylinders of depth 2 and target
     # cylinders of depth n = 4; the hand-built castles have depth 1
@@ -403,22 +421,104 @@ def _step_out_of_its_tower(rec, prev):
     castle.steps.assign(c, tuple(b - a for a, b in zip(space.decode(c), space.decode(d))))
 
 
-# one corrupted record of quadrant stage 1 per check that the build's own
-# records decide, and a level map whose image leaves its tower
+def _step_outside_the_cone_mid_column(rec, prev):
+    """Give the atom halfway up tower 0 a congruent step outside the cone;
+    the column's partial sums there are far inside it and stay so."""
+    steps, tower = rec.src_castle.steps, rec.src_castle.towers[0]
+    atom = tower.level(tower.height // 2)[0]
+    vec, m = steps[atom], rec.src_castle.chain.stage(rec.gamma).diag[0]
+    steps.assign(atom, (vec[0] - m * (vec[0] // m + 1),) + vec[1:])
+
+
+def _top_code_minus_one(alpha):
+    """Set the last top code of tower alpha to -1 and drop the step below
+    it, whose image is then -1 too: the codes match their images, but a
+    climb stops."""
+
+    def corrupt(rec, prev):
+        castle = rec.src_castle
+        tower = castle.towers[alpha]
+        castle.steps.ids[tower.codes[-1 - tower.width]] = 0
+        tower.codes[-1] = -1
+
+    return corrupt
+
+
+def _halfway_level_of_tower_2(rec):
+    tower = rec.src_castle.towers[2]
+    return tower, tower.height // 2 * tower.width
+
+
+def _atoms_swapped_in_a_wide_level(rec, prev):
+    """Swap the two atoms of the middle level of tower 2 (width 2): the
+    images no longer match the codes in order, but still level by level."""
+    tower, j = _halfway_level_of_tower_2(rec)
+    tower.codes[j], tower.codes[j + 1] = tower.codes[j + 1], tower.codes[j]
+
+
+def _atom_doubled_in_a_wide_level(rec, prev):
+    """Replace the second atom of the middle level of tower 2 by the first."""
+    tower, j = _halfway_level_of_tower_2(rec)
+    tower.codes[j + 1] = tower.codes[j]
+
+
+# corrupted records of quadrant stage 1 and the checks that fail on them:
+# one per check that the build's own records decide, a level map whose
+# image leaves its tower, and one that defeats each shortcut of the
+# column walk (`construction._column_walk`)
 CORRUPTIONS = {
-    "stage-numbers-increase": lambda rec, prev: setattr(rec, "n", prev.n),
-    "rebuild-set-recorded": lambda rec, prev: setattr(rec, "r_atoms", frozenset()),
-    "swap-conserves-shape": lambda rec, prev: setattr(rec, "swap_audit", (rec.swap_audit[0], rec.swap_audit[0][1:])),
-    "level-maps-biject": _step_out_of_its_tower,
+    "stage-numbers-increase": (lambda rec, prev: setattr(rec, "n", prev.n), ["stage-numbers-increase"]),
+    "rebuild-set-recorded": (
+        lambda rec, prev: setattr(rec, "r_atoms", frozenset()),
+        ["rebuild-set-recorded", "map-stable-off-rebuild"],
+    ),
+    "swap-conserves-shape": (
+        lambda rec, prev: setattr(rec, "swap_audit", (rec.swap_audit[0], rec.swap_audit[0][1:])),
+        ["swap-conserves-shape"],
+    ),
+    "level-maps-biject": (
+        _step_out_of_its_tower, ["level-maps-biject", "map-stable-off-rebuild", "pairing-intertwines"]
+    ),
+    "displacements-in-cone": (
+        _step_outside_the_cone_mid_column, ["displacements-in-cone", "map-stable-off-rebuild"]
+    ),
+    "top-code-minus-one": (
+        _top_code_minus_one(3),
+        [
+            "castle-shape",
+            "anchors-in-boundary-cylinders",
+            "level-maps-biject",
+            "displacements-in-cone",
+            "pairing-intertwines",
+            "column-sums-in-cone",
+        ],
+    ),
+    "wide-top-code-minus-one": (
+        _top_code_minus_one(2),
+        [
+            "castle-shape",
+            "levels-refine-cylinders",
+            "anchors-in-boundary-cylinders",
+            "level-maps-biject",
+            "displacements-in-cone",
+            "pairing-intertwines",
+            "column-sums-in-cone",
+        ],
+    ),
+    "atoms-swapped-in-a-wide-level": (_atoms_swapped_in_a_wide_level, []),
+    "atom-doubled-in-a-wide-level": (
+        _atom_doubled_in_a_wide_level, ["castle-shape", "level-maps-biject", "pairing-intertwines"]
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_audit_matches_the_oracle_on_a_corrupted_record(name):
     con = build(2)
-    CORRUPTIONS[name](con.stages[1], con.stages[0])
+    corrupt, failures = CORRUPTIONS[name]
+    corrupt(con.stages[1], con.stages[0])
     report = assert_audit_matches_the_level_oracle(con, 1)
-    assert name in report.failures()
+    assert report.failures() == failures
 
 
 def test_the_walk_of_quadrant_stage_3_matches_the_translating_oracle():
@@ -448,6 +548,38 @@ def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
     assert all(con.stage_invariants(k).ok for k in range(3))
     atoms = sum(con.source.index(rec.gamma) for rec in con.stages)
     assert 0 < calls[0] <= entries[0] < atoms // 3, (calls[0], entries[0], atoms)
+
+
+def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monkeypatch):
+    # on quadrant stages 0-3 every final tower's images send each level onto
+    # the next in stored order, or (stage 1's width-2 tower) onto the next as
+    # a set, and every step is inside the cone: the audit climbs no column.
+    # The refinement climbs only the columns of the wide pretowers, and at
+    # stage 0 none: its slab joins pair the sorted levels in order
+    column, refine = castles._column, construction.refine_pure_columns
+    climbs, refinements = [], []
+
+    def counted(images, c, height):
+        climbs.append(c)
+        return column(images, c, height)
+
+    def recording(castle, depth, images):
+        del climbs[:]
+        refined = refine(castle, depth, images)
+        wide_bases = sorted(c for t in castle.towers if t.width > 1 for c in t.level(0))
+        refinements.append((sorted(climbs), wide_bases))
+        return refined
+
+    monkeypatch.setattr(castles, "_column", counted)
+    monkeypatch.setattr(construction, "_column", counted)
+    monkeypatch.setattr(construction, "refine_pure_columns", recording)
+    con = build(4)
+    assert refinements[0][0] == [] and refinements[0][1]
+    for climbed, wide_bases in refinements[1:]:
+        assert climbed == wide_bases and climbed
+    del climbs[:]
+    assert all(con.stage_invariants(k).ok for k in range(4))
+    assert climbs == []
 
 
 def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
