@@ -859,7 +859,8 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
         if alpha == anchor[0]:
             anchor_column = climbed[codes.index(anchor[1]) :: w]
         n = reach * w
-        if maps_at is None and climbed is not codes and climbed[:n] != codes[:n]:  # some level differs, or only its order
+        # some level differs, or only its order
+        if maps_at is None and climbed is not codes and climbed[:n] != codes[:n]:
             levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
             v = next((v for v, a, b in levels if set(a) != set(b)), None)
             if v is not None:
