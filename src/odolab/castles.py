@@ -8,9 +8,9 @@ Castles live on the integer atom codes of the chain's depth-j
 `AtomSpace` (`OdometerChain.kr_partition`).  They are families of
 disjoint equal-size levels of atoms organized into towers, carrying an
 internal level map given atom-by-atom as integer displacement vectors.
-Everything is a flat integer array: a tower is a level width and its
+Everything is a flat `array('i')`: a tower is a level width and its
 codes level by level, a level map one vector id per code into a small
-vector table, and `positions` one tower-and-level number per code.
+vector table.  The towers are the only record of where an atom is.
 The construction driver transports exact atom counts between castles on
 top of these primitives.  No atom is translated one by one: a level map
 is climbed by reading its images, the array of the atoms it sends each
@@ -147,9 +147,6 @@ class StepMap(Mapping):
         self._id_of = {vec: i for i, vec in enumerate(self.vectors) if i}
         self.ids = array("i", [0]) * size if ids is None else ids
 
-    def copy(self) -> "StepMap":
-        return StepMap(len(self.ids), self.vectors, array("i", self.ids))
-
     def assign(self, code: int, vector) -> None:
         vector = tuple(vector)
         i = self._id_of.get(vector)
@@ -225,23 +222,11 @@ class Castle:
         return self.chain.kr_partition(self.depth)
 
 
-def positions(towers, size: int) -> array:
-    """Code -> alpha * H + v for the atoms of level v of tower alpha, where
-    H is the greatest tower height; -1 for atoms outside the towers."""
-    stride = max(t.height for t in towers)
-    out = array("i", [-1]) * size
-    for alpha, t in enumerate(towers):
-        first = alpha * stride
-        for i, c in enumerate(t.codes):
-            out[c] = first + i // t.width
-    return out
-
-
 def _column(images, c: int, height: int) -> array:
     """The atoms from c up a level map given by its images (`images[c]` the
     atom it sends c onto, -1 where unknown): `height` of them, or fewer when
     the column meets an atom with no known image, which it ends with."""
-    column = array("q", [c])
+    column = array("i", [c])
     for _ in range(height - 1):
         c = images[c]
         if c < 0:
@@ -271,7 +256,7 @@ def _climb(images, base, height: int) -> array:
     level: entry v * len(base) + i is the v-th atom of the column starting
     at base[i].  An unknown image below the top raises CastleError."""
     width = len(base)
-    columns = array("q", base) * height
+    columns = array("i", base) * height
     for i, c in enumerate(base):
         column = _column(images, c, height)
         if len(column) < height:
@@ -286,7 +271,7 @@ def _tower_of_columns(columns, width: int, members) -> Tower:
     if len(members) == 1:  # one atom per level
         return Tower(1, columns[members[0] :: width])
     levels = zip(*(columns[i::width] for i in members))
-    return Tower(len(members), array("q", chain.from_iterable(map(sorted, levels))))
+    return Tower(len(members), array("i", chain.from_iterable(map(sorted, levels))))
 
 
 def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
@@ -356,7 +341,7 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     for group in groups:
         codes = group[0]
         if len(group) > 1:
-            codes = array("q")
+            codes = array("i")
             for level in zip(*group):
                 codes.extend(sorted(level))
         new_towers.append(Tower(len(group), codes))

@@ -55,7 +55,6 @@ from .castles import (
     _tower_of_columns,
     castle_refinement_over,
     minimal_cone_vector,
-    positions,
     refine_pure_columns,
 )
 from .classify import orbit_equivalence_test
@@ -80,10 +79,8 @@ class StageRecord:
     height: int
     src_castle: Castle
     tgt_bases: list[array]       # target base atoms per tower; tower alpha is tgt_bases[alpha] + v, v < height
-    pretower_count: int
     f_atoms: frozenset[int]      # swapped points, source working depth
     r_atoms: frozenset[int]      # where the previous map was rebuilt
-    prev_steps: StepMap | None   # previous stage's map off its top, at this stage's depth
     swap_audit: tuple            # (width, atom count) per tower, (before, after) the swaps
 
 
@@ -92,12 +89,12 @@ class SpeedupConstruction:
 
     Each stage is built by one loop that deepens the working depths of
     both chains together until every selection step has fine enough atoms
-    (`_stage`).  Its `StageRecord` holds the stage itself: the castles,
-    the swap and rebuild records, and the previous map; the audit works
-    out everything else, the anchors' towers and columns included, from
-    these.  A cone that contains a line is refused: with no strict facet,
-    a nonzero integer kernel of the facet normals spans a line inside the
-    cone."""
+    (`_stage`).  Its `StageRecord` holds the stage itself: the castles and
+    the swap and rebuild records; the audit works out everything else, the
+    anchors' towers and columns and the previous stage's map included, from
+    these and the previous record.  A cone that contains a line is refused:
+    with no strict facet, a nonzero integer kernel of the facet normals
+    spans a line inside the cone."""
 
     def __init__(
         self,
@@ -217,14 +214,14 @@ class SpeedupConstruction:
         total = space.size
         if total % h or total // h < 2:
             raise _NeedDepth()
-        towers = [Tower(total // h, array("q", range(total)))]
+        towers = [Tower(total // h, array("i", range(total)))]
 
         a0, a2 = self._anchor_sets(k, gamma)
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
 
         pre_sizes = _shape(towers)
-        self._swap(towers, positions(towers, total), a0, a2, x0_atom, x2_atom)
+        self._swap(towers, a0, a2, x0_atom, x2_atom)
         post_sizes = _shape(towers)
         tower = towers[0]
 
@@ -282,16 +279,14 @@ class SpeedupConstruction:
             height=h,
             src_castle=castle,
             tgt_bases=tgt_bases,
-            pretower_count=1,
             f_atoms=frozenset(),
             r_atoms=frozenset(),
-            prev_steps=None,
             swap_audit=(pre_sizes, post_sizes),
         )
 
     # -- shared machinery -------------------------------------------------
 
-    def _swap(self, towers, pos, a0, a2, x0_atom, x2_atom):
+    def _swap(self, towers, a0, a2, x0_atom, x2_atom):
         """Swap the base into the anchor set `a0`, then the top into `a2`.
 
         Each swap acts on the union of the towers' levels: it removes the
@@ -301,13 +296,19 @@ class SpeedupConstruction:
         displaced atom takes the level its replacement left.  Then, level by
         level, the atoms that arrived are dealt in increasing order to the
         towers that lost atoms there, in tower order.  Only the base, the top
-        and the moved atoms are read or written.  Updates the towers and
-        their `positions` array `pos` in place; returns the moved atoms and
-        the (tower, level) pairs that changed.
+        and the moved atoms are written; the (tower, level) of every atom that
+        can move (one in an anchor set, the base or the top) is found by one
+        scan of each tower's codes.  Updates the towers in place; returns the
+        moved atoms and the (tower, level) pairs that changed.
         """
         h = towers[0].height
         base = {c for t in towers for c in t.level(0)}
         top = {c for t in towers for c in t.level(h - 1)}
+        wanted = a0 | a2 | base | top
+        where: dict[int, tuple[int, int]] = {}
+        for alpha, t in enumerate(towers):
+            for j in compress(count(), map(wanted.__contains__, t.codes)):
+                where[t.codes[j]] = alpha, j // t.width
         level_of: dict[int, int] = {}  # level after the swaps of every atom they moved
         for position, edge, anchor, keep_atom in ((0, base, a0, x0_atom), (h - 1, top, a2, x2_atom)):
             deficit = sorted(edge - anchor)
@@ -319,14 +320,14 @@ class SpeedupConstruction:
                 raise CastleError("anchor cylinder too small for the swap")
             incoming = pool[: len(deficit)]
             for c, out in zip(incoming, deficit):
-                level_of[out] = level_of.get(c, pos[c] % h)
+                level_of[out] = level_of.get(c, where[c][1])
                 level_of[c] = position
             edge.difference_update(deficit)
             edge.update(incoming)
         gone: dict[int, list[tuple[int, int]]] = {}  # level -> (tower, atom) that left it
         came: dict[int, list[int]] = {}              # level -> atoms that arrived
         for c, w in level_of.items():
-            alpha, v = divmod(pos[c], h)
+            alpha, v = where[c]
             if v != w:
                 gone.setdefault(v, []).append((alpha, c))
                 came.setdefault(w, []).append(c)
@@ -342,9 +343,7 @@ class SpeedupConstruction:
             for alpha, new in adds.items():
                 t = towers[alpha]
                 level = [c for c in t.level(w) if c not in drops] + new
-                t.codes[w * t.width : (w + 1) * t.width] = array("q", sorted(level))
-                for c in new:
-                    pos[c] = alpha * h + w
+                t.codes[w * t.width : (w + 1) * t.width] = array("i", sorted(level))
                 touched.add((alpha, w))
         return frozenset(c for left in gone.values() for _, c in left), touched
 
@@ -376,7 +375,7 @@ class SpeedupConstruction:
         for alpha, tower in enumerate(castle.towers):
             sizes[pretower_of[alpha]].append(tower.width)
         chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
-        return [array("q", next(chunks[beta])) for beta in pretower_of]
+        return [array("i", next(chunks[beta])) for beta in pretower_of]
 
     # -- inductive stage ----------------------------------------------------
 
@@ -386,7 +385,8 @@ class SpeedupConstruction:
         h_prev = prev.height
         blocks = h // h_prev
 
-        prev_steps = _previous_map(prev.src_castle, gamma)
+        # the previous map, rebuilt in place below into this stage's map
+        steps = _previous_map(prev.src_castle, gamma)
 
         # --- target side: pure previous-column split of the tall tower; by
         # residue arithmetic (`_copy_levels_to_target`) block m of the tower
@@ -420,7 +420,7 @@ class SpeedupConstruction:
         # Every transfer of the rebuild and the joins below keeps the images
         # up to date until the refinement reads them
         # (the atom each step sends its atom onto, -1 where it has none)
-        images = space.images(prev_steps.vectors, prev_steps.ids)
+        images = space.images(steps.vectors, steps.ids)
         climbs = {key: _climb(images, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
@@ -456,7 +456,7 @@ class SpeedupConstruction:
             tall_bases = _deal(pool, [len(members[0]) for _, members in layout])
         pretowers = []
         for beta, members in layout:
-            codes = array("q")
+            codes = array("i")
             for m in range(blocks):
                 codes.extend(_tower_of_columns(climbs[beta, m], widths[beta], members[m]).codes)
             pretowers.append(Tower(len(members[0]), codes))
@@ -465,34 +465,33 @@ class SpeedupConstruction:
         # --- rotate the anchors to the base and the top
         pretowers[beta0] = _rotate(pretowers[beta0], m0 * h_prev)
         pretowers[beta2] = _rotate(pretowers[beta2], (m2 + 1) * h_prev % h)
-        pos = positions(pretowers, space.size)
 
         # --- swap the castle boundary into the anchor cylinders
         a0, a2 = self._anchor_sets(k, gamma)
         pre_sizes = _shape(pretowers)
-        f_atoms, touched = self._swap(pretowers, pos, a0, a2, x0_atom, x2_atom)
+        f_atoms, touched = self._swap(pretowers, a0, a2, x0_atom, x2_atom)
         post_sizes = _shape(pretowers)
 
-        # --- rebuild the previous map where the swap broke it: the pretowers
-        # climbed that map, so only in-block edges at changed levels can break
-        steps = prev_steps.copy()
+        # --- rebuild the previous map in place where the swap broke it: the
+        # pretowers climbed that map, so only in-block edges at changed levels
+        # can break
         lattice = self.source.stage(gamma)
         changed: set[int] = set()
         edges = sorted(
             {(alpha, v) for alpha, w in touched for v in (w - 1, w) if 0 <= v < h - 1 and (v + 1) % h_prev}
         )
         for alpha, v in edges:
-            tower, dst = pretowers[alpha], alpha * h + v + 1
+            tower = pretowers[alpha]
+            dst = set(tower.level(v + 1))
             stale_src, covered = [], set()
             for c in tower.level(v):
                 image = images[c]  # -1 exactly where the previous map has no step
-                if image < 0 or pos[image] != dst:
-                    stale_src.append(c)
-                else:
+                if image in dst:
                     covered.add(image)
+                else:
+                    stale_src.append(c)
             if stale_src:
-                stale_dst = set(tower.level(v + 1)) - covered
-                self._transfer(stale_src, stale_dst, space, lattice, steps, images, changed)
+                self._transfer(stale_src, dst - covered, space, lattice, steps, images, changed)
         # record where the map was rebuilt: the swapped set, everything
         # remapped, and the in-block preimages of swapped atoms
         r_atoms = set(f_atoms) | changed
@@ -509,7 +508,6 @@ class SpeedupConstruction:
         # --- refine into pure cylinder columns at depth k+1; a tower's first
         # atom is a base atom of its pretower
         pretower_of = {c: beta for beta, t in enumerate(pretowers) for c in t.level(0)}
-        del pos
         refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1, images)
         del images
         pretower_of_tower = [pretower_of[t.codes[0]] for t in refined.towers]
@@ -523,10 +521,8 @@ class SpeedupConstruction:
             height=h,
             src_castle=refined,
             tgt_bases=tgt_bases,
-            pretower_count=len(pretowers),
             f_atoms=f_atoms,
             r_atoms=frozenset(r_atoms),
-            prev_steps=prev_steps,
             swap_audit=(pre_sizes, post_sizes),
         )
 
@@ -546,14 +542,16 @@ class SpeedupConstruction:
         rebuild set, pairing, swap conservation).
 
         The checks read only the stage's towers, level map, swap records
-        and cone, never an array the build made for its own speed.  The
-        level maps, the column sums and the exact points up the first
-        anchor's column are those of one climb of each column
-        (`_column_walk`, which climbs only where no proof on a whole tower
-        or on the vector table gives them); the anchors' towers are read
-        off the castle's bases and tops.  A check that raises on corrupted
-        data fails and names the exception; a failing climb check names
-        its first failing tower and level.  A stage not built yet reports
+        and cone and the previous stage's castle, never an array the build
+        made for its own speed.  The level maps and the column sums are
+        those of one climb of each column (`_column_walk`, which climbs only
+        where no proof on a whole tower or on the vector table gives them),
+        and the exact points up the first anchor's column those of one climb
+        of that column, both up the images of the stage's own level map; the
+        anchors' towers are read off the castle's bases and tops, and the
+        previous map off the previous castle (`_previous_map`).  A check
+        that raises on corrupted data fails and names the exception; a
+        failing climb check names its first failing tower and level.  A stage not built yet reports
         no checks; a negative k raises CastleError.
         """
         if k >= len(self.stages):
@@ -642,15 +640,16 @@ class SpeedupConstruction:
         # multiples of the height, so +1 never wraps below a top, and the
         # levels base + v are disjoint and cover every target atom
         def _tiling_ok():
-            bases = array("q", sorted(c for b in rec.tgt_bases for c in b))
-            return tspace.size % rec.height == 0 and bases == array("q", range(0, tspace.size, rec.height))
+            bases = array("i", sorted(c for b in rec.tgt_bases for c in b))
+            return tspace.size % rec.height == 0 and bases == array("i", range(0, tspace.size, rec.height))
 
         check("target-translation-castle", _tiling_ok)
         shift_ok = checks[-1][1]
 
         # (6a) level maps are bijections level-to-level, and the column sums
         # stay in the cone: one climb of every column up the map's images
-        walk = functools.cache(lambda: _column_walk(src, space, self.cone, (base.get(x0_atom), x0_atom)))
+        images = functools.cache(lambda: space.images(steps.vectors, steps.ids))
+        walk = functools.cache(lambda: _column_walk(src, images(), self.cone))
         check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
@@ -671,11 +670,13 @@ class SpeedupConstruction:
         # coordinate
         def _anchors_apart():
             tower_x0, tower_x2 = base[x0_atom], top[x2_atom]
-            column = walk()[2][:-1]
-            vectors = list(map(steps.vectors.__getitem__, map(steps.ids.__getitem__, column)))
-            if None in vectors:  # an atom with no step, as `steps[c]` would say
-                raise KeyError(column[vectors.index(None)])
-            coords = zip(*vectors)
+            h = src.towers[tower_x0].height
+            column = _column(images(), x0_atom, h)
+            if len(column) < h:  # it ends at an atom with no step, as `steps[c]` would say
+                raise KeyError(column[-1])
+            # coordinate i of each vector id's step, read lazily up the column
+            tables = ([0] + [vec[i] for vec in steps.vectors[1:]] for i in range(self.source.dim))
+            coords = (map(t.__getitem__, map(steps.ids.__getitem__, islice(column, h - 1))) for t in tables)
             points = zip(*(accumulate(c, initial=0) for c in coords))
             return tower_x0 != tower_x2 and self.x2_vector not in points, f"towers {tower_x0} vs {tower_x2}"
 
@@ -684,7 +685,7 @@ class SpeedupConstruction:
         # (6d) the map agrees with the previous stage off the rebuild set; only
         # codes whose ids differ, renumbered into one table, are compared
         def _stable():
-            prev = rec.prev_steps
+            prev = _previous_map(self.stages[k - 1].src_castle, rec.gamma)
             id_of = {vec: i for i, vec in enumerate(steps.vectors)}
             renumber = [id_of.get(vec, -1) for vec in prev.vectors]
             for c in compress(count(), map(ne, map(renumber.__getitem__, prev.ids), steps.ids)):
@@ -749,7 +750,9 @@ class StageReport:
 
 
 def _previous_map(castle: Castle, depth: int) -> StepMap:
-    """The castle's level map off its top levels, at a finer depth of its chain.
+    """The castle's level map off its top levels, at a finer depth of its chain:
+    the map the next stage rebuilds in place, and the one its audit finds
+    unchanged off the rebuild set.
 
     The map is not defined on a top level, so its atoms get no step, even
     where the castle still holds one from an earlier stage."""
@@ -791,27 +794,25 @@ def _verdict(failure) -> tuple[bool, str]:
     return False, "first failure: tower {} level {}".format(*failure)
 
 
-def _column_walk(castle: Castle, space, cone: Cone, anchor):
+def _column_walk(castle: Castle, images, cone: Cone):
     """What climbing each column of the castle from its base atom to its
-    top, once, up the images of its level map in the atom space `space` of
-    the stage finds.
+    top, once, up the images of its level map (`images[c]` the atom the
+    map sends c onto, -1 where it has no step) finds.
 
     Returns the first (tower, level) where the set of climbed atoms
-    differs from the tower's level, the first where a column's partial
-    step sum leaves the cone, each None if there is none, and the climb
-    of the column from base atom `anchor[1]` of tower `anchor[0]` (None
-    when there is no such tower); "first" is in (tower, level) order.
-    Like a walk that climbs all columns of a tower level by level and
-    stops once both have failed, the first two are instead one KeyError,
-    naming the tower and level, when an atom below a tower's top has no
-    step and the walk would reach it.
+    differs from the tower's level and the first where a column's partial
+    step sum leaves the cone, each None if there is none; "first" is in
+    (tower, level) order.  Like a walk that climbs all columns of a tower
+    level by level and stops once both have failed, they are instead one
+    KeyError, naming the tower and level, when an atom below a tower's top
+    has no step and the walk would reach it.
 
-    Reads only the towers, the level map, `space` and the cone.  The map's
-    images come from `space.images` of the level map itself, never from an
-    array the build kept; a column is read off them (`castles._column`),
-    and the step ids along it give its partial sums' facet values
-    (`_sums_outside`).  A column is climbed only where no whole-array
-    proof gives the same three results:
+    Reads only the towers, the level map, its images and the cone; the
+    audit computes the images with `space.images` of the level map itself
+    and never passes an array the build kept.  A column is read off them
+    (`castles._column`), and the step ids along it give its partial sums'
+    facet values (`_sums_outside`).  A column is climbed only where no
+    whole-array proof gives the same two results:
 
     - A tower whose images send each level onto the next in stored order
       (`castles._climbs_as_stored`: -1 is no code, and images[codes[j]]
@@ -825,7 +826,7 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
       permutation of level v (true at the base), so their images are a
       permutation of the images of level v, which is level v + 1.  None
       is -1, so every column reaches the top.  Such a tower is climbed
-      only for the anchor's column or for its partial sums.
+      only for its partial sums.
     - The sums of a column are not read when every vector of the table
       has facet values >= 0, > 0 on strict facets, and a positive total
       (`_steps_stay_in`): the facet values of a partial sum are sums of
@@ -834,20 +835,19 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
       that no column uses can only make this test fail, never pass."""
     steps = castle.steps
     ids = steps.ids
-    images = space.images(steps.vectors, ids)
     outside = _sums_outside(cone, steps.vectors)
     sums_hold = _steps_stay_in(cone, steps.vectors)
-    maps_at = sums_at = missing = anchor_column = None
+    maps_at = sums_at = missing = None
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
         read_sums = not sums_hold and sums_at is None
         if _climbs_as_stored(images, t):
             climbed, reach = codes, h
-        elif alpha == anchor[0] or read_sums or not _climbs_onto_levels(images, t):
+        elif read_sums or not _climbs_onto_levels(images, t):
             # the climb laid out like `codes`: column i is climbed[i::w];
             # every column reaches levels 0..reach-1 (one that meets an atom
             # with no step is padded with that atom)
-            climbed, reach = array("q", codes), h
+            climbed, reach = array("i", codes), h
             for i, c in enumerate(codes[:w]):
                 column = _column(images, c, h)
                 if len(column) < h:
@@ -856,8 +856,6 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
                 climbed[i::w] = column
         else:
             continue
-        if alpha == anchor[0]:
-            anchor_column = climbed[codes.index(anchor[1]) :: w]
         n = reach * w
         # some level differs, or only its order
         if maps_at is None and climbed is not codes and climbed[:n] != codes[:n]:
@@ -876,7 +874,7 @@ def _column_walk(castle: Castle, space, cone: Cone, anchor):
             missing = alpha, reach - 1
     if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
         maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
-    return maps_at, sums_at, anchor_column
+    return maps_at, sums_at
 
 
 def _climbs_onto_levels(images, tower: Tower) -> bool:

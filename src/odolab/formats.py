@@ -6,6 +6,7 @@ Grammar, one value per file (blank lines and '#' comments ignored):
   chain       dim=2 provider=diagpow primes=3,2 exps=j,j
               dim=2 provider=explicit          (lattice literals, one per line)
               dim=2 provider=derived cocycle=<path> [checked=3]
+                                               (stage i: the stabilizer at depth J+i-1)
   cocycle     chain=<path> J=1 d2=2
               gen 1:
               rep (0,0) -> (1,0)

@@ -532,9 +532,13 @@ def derived_chain(cocycle: PiecewiseCocycle, depth: int) -> DerivedChainReport:
 def derived_odometer(cocycle: PiecewiseCocycle, checked_depth: int = 3) -> OdometerChain:
     """The speedup presented as an odometer chain over its stabilizers.
 
-    The chain's value group is taken symbolically from the base chain,
-    which is justified by the orbit-stabilizer equality of indices; that
-    equality is verified at every realized stage and `checked_depth`
+    Stabilizers exist from the cocycle resolution J up (`derived_stage`),
+    so chain stage i is the stabilizer of the zero atom at depth J + i - 1;
+    for J = 1 that is depth i.  Dropping the first stages of a decreasing
+    chain leaves a cofinal chain, with the same odometer and the same value
+    group.  The chain's value group is taken symbolically from the base
+    chain, which is justified by the orbit-stabilizer equality of indices;
+    that equality is verified at every realized stage and `checked_depth`
     stages are realized eagerly here.
     """
     _require_valid(cocycle)
@@ -542,7 +546,7 @@ def derived_odometer(cocycle: PiecewiseCocycle, checked_depth: int = 3) -> Odome
     def stage_fn(j: int) -> IntegerLattice:
         # a closure, so that a tracer that wraps `derived_stage` sees each call;
         # derived_stage raises NotMinimalAtDepth when the index falls short
-        return derived_stage(cocycle, j)
+        return derived_stage(cocycle, cocycle.depth + j - 1)
 
     def value_group_fn() -> ValueGroup:
         return cocycle.chain.clopen_value_group()

@@ -333,7 +333,7 @@ def tower_from_levels(levels):
     from odolab.castles import Tower
 
     levels = [sorted(level) for level in levels]
-    return Tower(len(levels[0]), array("q", [c for level in levels for c in level]))
+    return Tower(len(levels[0]), array("i", [c for level in levels for c in level]))
 
 
 def castle_refinement_by_sets(space, towers, steps, base_partitions):
@@ -460,26 +460,25 @@ def target_castle_by_translation(space, bases, height):
     return out
 
 
-def column_walk_by_translation(castle, space, cone, anchor):
+def column_walk_by_translation(castle, space, cone):
     """`construction._column_walk` by per-atom translation: each column is
     climbed with one `space.translate` call per level, and an atom with no
-    step pads the rest of its column with itself.  Returns the same three
+    step pads the rest of its column with itself.  Returns the same two
     results: the first (tower, level) whose climbed atoms differ from the
-    level as a set, the first where a column's partial step sum leaves the
-    cone (both one KeyError naming the tower and level when the walk would
-    reach an atom with no step first), and the climbed column from base
-    atom `anchor[1]` of tower `anchor[0]`."""
+    level as a set, and the first where a column's partial step sum leaves
+    the cone (both one KeyError naming the tower and level when the walk
+    would reach an atom with no step first)."""
     from odolab.construction import _sums_outside
 
     steps = castle.steps
     vectors, ids = steps.vectors, steps.ids
     outside = _sums_outside(cone, vectors)
-    maps_at = sums_at = missing = anchor_column = None
+    maps_at = sums_at = missing = None
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
-        climbed, reach = array("q", codes), h
+        climbed, reach = array("i", codes), h
         for i, c in enumerate(codes[:w]):
-            column = array("q", [c])
+            column = array("i", [c])
             for v in range(1, h):
                 vec = vectors[ids[c]]
                 if vec is None:
@@ -489,8 +488,6 @@ def column_walk_by_translation(castle, space, cone, anchor):
                 c = space.translate(c, vec)
                 column.append(c)
             climbed[i::w] = column
-        if alpha == anchor[0]:
-            anchor_column = climbed[codes.index(anchor[1]) :: w]
         n = reach * w
         if maps_at is None and climbed[:n] != codes[:n]:
             levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
@@ -507,7 +504,7 @@ def column_walk_by_translation(castle, space, cone, anchor):
             missing = alpha, reach - 1
     if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
         maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
-    return maps_at, sums_at, anchor_column
+    return maps_at, sums_at
 
 
 def anchor_towers(con, k):
@@ -660,10 +657,11 @@ def stage_checks_by_levels(con, k):
     check("anchors-in-distinct-towers", anchors_apart)
 
     def stable():
-        prev = rec.prev_steps
-        for c in prev:
-            i = steps.ids[c]
-            if i and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[prev.ids[c]]:
+        prev = con.stages[k - 1].src_castle
+        prev_ids = previous_map_by_coarsening(prev, rec.gamma)
+        for c, j in enumerate(prev_ids):
+            i = steps.ids[c] if j else 0  # compared where both maps have a step
+            if i and c not in rec.r_atoms and steps.vectors[i] != prev.steps.vectors[j]:
                 return False
         return True
 

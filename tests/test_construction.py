@@ -12,10 +12,9 @@ from odolab.castles import (
     StepMap,
     Tower,
     ValueGroupMismatch,
-    positions,
     refine_pure_columns,
 )
-from odolab.construction import SpeedupConstruction, StageRecord
+from odolab.construction import SpeedupConstruction, StageRecord, _previous_map
 from odolab.odometer import AtomSpace, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
@@ -55,21 +54,23 @@ def assert_audit_matches_the_level_oracle(con, k):
 
 
 def assert_walk_matches_the_translating_oracle(con, k):
-    """`_column_walk`, reading the images of the level map, gives the three
-    results of the walk that translates atom by atom, or raises as it does,
-    from the anchor the audit passes it (errors compared by their repr)."""
+    """`_column_walk`, reading the images of the level map, gives the two
+    results of the walk that translates atom by atom, or raises as it does
+    (errors compared by their repr)."""
     rec = con.stages[k]
     castle, space = rec.src_castle, con.source.kr_partition(rec.gamma)
-    x0_atom = space.encode_vector((0,) * con.source.dim)
-    anchor = next((alpha for alpha, t in enumerate(castle.towers) if x0_atom in t.level(0)), None), x0_atom
+    steps = castle.steps
 
     def outcome(walk):
         try:
-            return [repr(r) if isinstance(r, KeyError) else r for r in walk(castle, space, con.cone, anchor)]
+            return [repr(r) if isinstance(r, KeyError) else r for r in walk()]
         except Exception as err:  # noqa: BLE001 - a corrupted stage may make both walks raise
             return repr(err)
 
-    assert outcome(construction._column_walk) == outcome(column_walk_by_translation), k
+    def walk():
+        return construction._column_walk(castle, space.images(steps.vectors, steps.ids), con.cone)
+
+    assert outcome(walk) == outcome(lambda: column_walk_by_translation(castle, space, con.cone)), k
 
 
 def assert_targets_are_translation_climbs(con):
@@ -119,7 +120,7 @@ def test_three_stages_all_invariants():
         assert mu_f <= 4 * con.anchor_measure(k)
         # both anchors fall in the one tall tower: it splits into the x0
         # column, the x2 column and the w - 2 columns left
-        assert rec.pretower_count == 3
+        assert len(rec.swap_audit[0]) == 3
         w = con.source.index(rec.gamma) // rec.height
         assert [width for width, _ in rec.swap_audit[0][-3:]] == [1, 1, w - 2]
 
@@ -171,7 +172,7 @@ def test_cube_audit_matches_the_level_oracle():
 
 
 def _set_level(tower, v, level):
-    tower.codes[v * tower.width : (v + 1) * tower.width] = array("q", sorted(level))
+    tower.codes[v * tower.width : (v + 1) * tower.width] = array("i", sorted(level))
 
 
 # quadrant stage 1: towers 0, 1, 3 and 4 have width 1, tower 2 width 2
@@ -243,7 +244,7 @@ def test_audit_matches_the_oracle_on_a_target_base_shifted_by_one(alpha):
     # the shifted tower overlaps the next one and leaves its old base uncovered
     con = build(2)
     bases = con.stages[1].tgt_bases
-    bases[alpha] = array("q", [c + 1 for c in bases[alpha]])
+    bases[alpha] = array("i", [c + 1 for c in bases[alpha]])
     report = assert_audit_matches_the_level_oracle(con, 1)
     assert "target-translation-castle" in report.failures()
     assert "pairing-intertwines" in report.failures()
@@ -263,7 +264,7 @@ def test_audit_matches_the_oracle_on_a_target_base_straddling_two_cylinders():
     # the depth-n target cylinders are the residues mod the height
     con = build(2)
     bases = con.stages[1].tgt_bases
-    bases[2] = array("q", [bases[2][0], bases[2][1] + 1])
+    bases[2] = array("i", [bases[2][0], bases[2][1] + 1])
     report = assert_audit_matches_the_level_oracle(con, 1)
     assert "target-levels-refine-cylinders" in report.failures()
     assert "target-translation-castle" in report.failures()
@@ -316,7 +317,7 @@ def _hand_built(cone, vectors):
     atom 0 by `vectors`; its target tower is the one over target atom 0."""
     con = SpeedupConstruction(OdometerChain.diagonal_power([3, 2]), OdometerChain.diagonal_power([6]), cone)
     space = con.source.kr_partition(1)
-    steps, codes = StepMap(space.size), array("q", [0])
+    steps, codes = StepMap(space.size), array("i", [0])
     for vec in vectors:
         steps.assign(codes[-1], vec)
         codes.append(space.translate(codes[-1], vec))
@@ -324,8 +325,7 @@ def _hand_built(cone, vectors):
     con.stages = [
         StageRecord(
             k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), src_castle=castle,
-            tgt_bases=[array("q", [0])], pretower_count=1,
-            f_atoms=frozenset(), r_atoms=frozenset(), prev_steps=None, swap_audit=((), ()),
+            tgt_bases=[array("i", [0])], f_atoms=frozenset(), r_atoms=frozenset(), swap_audit=((), ()),
         )
     ]
     return con
@@ -395,7 +395,7 @@ def test_a_rotated_previous_target_tower_is_refused():
     # tower 0 turned one level, its base is its old level 1
     con = build(1)
     bases = con.stages[0].tgt_bases
-    bases[0] = array("q", [c + 1 for c in bases[0]])
+    bases[0] = array("i", [c + 1 for c in bases[0]])
     with pytest.raises(CastleError, match="block itineraries must start at previous bases"):
         con.run(2)
 
@@ -407,7 +407,8 @@ def test_audit_matches_the_oracle_on_a_step_changed_off_or_on_the_rebuild_set(in
     con = build(2)
     rec = con.stages[1]
     steps = rec.src_castle.steps
-    atom = min(c for c in rec.prev_steps if c in steps and (c in rec.r_atoms) == inside)
+    prev = _previous_map(con.stages[0].src_castle, rec.gamma)
+    atom = min(c for c in prev if c in steps and (c in rec.r_atoms) == inside)
     m = con.source.stage(rec.gamma).diag[0]
     steps.assign(atom, (steps[atom][0] + m,) + steps[atom][1:])
     report = assert_audit_matches_the_level_oracle(con, 1)
@@ -444,6 +445,19 @@ def _top_code_minus_one(alpha):
     return corrupt
 
 
+def _previous_step_moved_by_a_period(rec, prev):
+    """Move the previous stage's step below its top, at the parent of the
+    least atom off R where both maps have a step, by a lattice period of
+    the previous depth: its atom map stays, and the audit must compare
+    against the previous stage itself, not against a copy of its map."""
+    castle, steps = prev.src_castle, rec.src_castle.steps
+    fine = rec.src_castle.space
+    atom = min(c for c in _previous_map(castle, rec.gamma) if c in steps and c not in rec.r_atoms)
+    parent = coarsen_by_reduction(fine, atom, castle.space)
+    vec, m = castle.steps[parent], castle.chain.stage(prev.gamma).diag[0]
+    castle.steps.assign(parent, (vec[0] + m,) + vec[1:])
+
+
 def _halfway_level_of_tower_2(rec):
     tower = rec.src_castle.towers[2]
     return tower, tower.height // 2 * tower.width
@@ -462,10 +476,11 @@ def _atom_doubled_in_a_wide_level(rec, prev):
     tower.codes[j + 1] = tower.codes[j]
 
 
-# corrupted records of quadrant stage 1 and the checks that fail on them:
-# one per check that the build's own records decide, a level map whose
-# image leaves its tower, and one that defeats each shortcut of the
-# column walk (`construction._column_walk`)
+# corrupted records of quadrant stage 1 (or of stage 0 under it) and the
+# checks that fail on them: one per check that the build's own records
+# decide, a level map whose image leaves its tower, a previous map changed
+# under the stage, and one that defeats each shortcut of the column walk
+# (`construction._column_walk`)
 CORRUPTIONS = {
     "stage-numbers-increase": (lambda rec, prev: setattr(rec, "n", prev.n), ["stage-numbers-increase"]),
     "rebuild-set-recorded": (
@@ -482,6 +497,7 @@ CORRUPTIONS = {
     "displacements-in-cone": (
         _step_outside_the_cone_mid_column, ["displacements-in-cone", "map-stable-off-rebuild"]
     ),
+    "previous-step-moved-by-a-period": (_previous_step_moved_by_a_period, ["map-stable-off-rebuild"]),
     "top-code-minus-one": (
         _top_code_minus_one(3),
         [
@@ -553,9 +569,11 @@ def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
 def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monkeypatch):
     # on quadrant stages 0-3 every final tower's images send each level onto
     # the next in stored order, or (stage 1's width-2 tower) onto the next as
-    # a set, and every step is inside the cone: the audit climbs no column.
-    # The refinement climbs only the columns of the wide pretowers, and at
-    # stage 0 none: its slab joins pair the sorted levels in order
+    # a set, and every step is inside the cone: the column walk climbs no
+    # column, and the audit climbs only the first anchor's, from the zero
+    # point's atom 0, for its exact points.  The refinement climbs only the
+    # columns of the wide pretowers, and at stage 0 none: its slab joins
+    # pair the sorted levels in order
     column, refine = castles._column, construction.refine_pure_columns
     climbs, refinements = [], []
 
@@ -579,7 +597,7 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
         assert climbed == wide_bases and climbed
     del climbs[:]
     assert all(con.stage_invariants(k).ok for k in range(4))
-    assert climbs == []
+    assert climbs == [0] * 4
 
 
 def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
@@ -589,6 +607,25 @@ def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
     rec.r_atoms = rec.f_atoms
     report = assert_audit_matches_the_level_oracle(con, 1)
     assert ("rebuild-set-recorded", True, f"|R|={len(rec.f_atoms)}") in report.checks
+
+
+def build_case(case):
+    """Quadrant stages 0-3, or derived-sector or dyadic-cube stages 0-2."""
+    if case == "quadrant":
+        return build(4)
+    if case == "derived-sector":
+        source = derived_odometer(row_shear_cocycle(), checked_depth=2)
+        return build(3, cone=Cone.sector((1, 0), (1, 1)), source=source)
+    cube, target = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
+    return build(3, cone=Cone.quadrant(3), source=cube, target=target)
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
+def test_tower_codes_and_target_bases_are_int32_arrays(case):
+    # one array type for every atom array, as the images and step ids are
+    for rec in build_case(case).stages:
+        assert {t.codes.typecode for t in rec.src_castle.towers} == {"i"}, rec.k
+        assert {b.typecode for b in rec.tgt_bases} == {"i"}, rec.k
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
@@ -603,14 +640,7 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
         return refined
 
     monkeypatch.setattr(construction, "refine_pure_columns", recording)
-    if case == "quadrant":
-        con = build(4)
-    elif case == "derived-sector":
-        source = derived_odometer(row_shear_cocycle(), checked_depth=2)
-        con = build(3, cone=Cone.sector((1, 0), (1, 1)), source=source)
-    else:
-        cube, target = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
-        con = build(3, cone=Cone.quadrant(3), source=cube, target=target)
+    con = build_case(case)
     # stages 0-2: the refined towers are those of the two translating passes
     assert len(calls) == len(con.stages)
     for castle, towers, depth, refined in calls[:3]:
@@ -621,8 +651,9 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
         assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
     # every stage: the previous map is the per-atom one
     for prev, rec in zip(con.stages, con.stages[1:]):
-        assert rec.prev_steps.vectors == prev.src_castle.steps.vectors
-        assert rec.prev_steps.ids == previous_map_by_coarsening(prev.src_castle, rec.gamma), rec.k
+        previous = _previous_map(prev.src_castle, rec.gamma)
+        assert previous.vectors == prev.src_castle.steps.vectors
+        assert previous.ids == previous_map_by_coarsening(prev.src_castle, rec.gamma), rec.k
 
 
 def test_stage_numbers_out_of_range_are_refused():
@@ -655,16 +686,15 @@ def test_base_stage_tower_count_matches_column_scan():
     space = AtomSpace(con.source, rec.gamma)
     coarse = AtomSpace(con.source, 1)
     steps = rec.src_castle.steps
-    where = positions(rec.src_castle.towers, space.size)
     itineraries = set()
-    for tower in rec.src_castle.towers:
+    for alpha, tower in enumerate(rec.src_castle.towers):
         for start in tower.levels[0]:
             atom = start
             names = [coarse.encode(coarse.system.reduce(space.decode(atom)))]
             for _ in range(rec.height - 1):
                 atom = space.translate(atom, steps[atom])
                 names.append(coarse.encode(coarse.system.reduce(space.decode(atom))))
-            itineraries.add((tuple(names), where[start] // rec.height))
+            itineraries.add((tuple(names), alpha))
     assert len({t for t, _ in itineraries}) <= len(rec.src_castle.towers)
     per_tower = {}
     for names, alpha in itineraries:
@@ -778,8 +808,9 @@ def test_diagonal_sector_stage2_audit():
         prev, rec = con.stages[k - 1].src_castle, con.stages[k]
         below_top = {c for t in prev.towers for c in t.codes[: len(t.codes) - t.width]}
         fine = con.source.kr_partition(rec.gamma)
-        assert len(rec.prev_steps) == len(below_top) * fine.size // prev.space.size
-        assert all(coarsen_by_reduction(fine, c, prev.space) in below_top for c in rec.prev_steps)
+        previous = _previous_map(prev, rec.gamma)
+        assert len(previous) == len(below_top) * fine.size // prev.space.size
+        assert all(coarsen_by_reduction(fine, c, prev.space) in below_top for c in previous)
 
 
 def test_dyadic_pair_two_stages():

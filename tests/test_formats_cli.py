@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from odolab.classify import SupergroupDescriptor
+from odolab.classify import SupergroupDescriptor, fit_descriptor, orbit_equivalence_test
 from odolab.cli import main
 from odolab.formats import (
     SpecSyntaxError,
@@ -20,7 +20,7 @@ from odolab.formats import (
 )
 from odolab.lattice import IntegerLattice, RationalLattice, SingularBasis
 from odolab.odometer import OdometerChain
-from odolab.speedup import Cone
+from odolab.speedup import Cone, constant_cocycle
 
 from test_speedup import row_shear_cocycle
 
@@ -65,6 +65,19 @@ def test_cocycle_round_trip(tmp_path):
     assert again.tables == cocycle.tables
     assert again.depth == cocycle.depth and again.d2 == cocycle.d2
     assert emit_cocycle(again, "mixed.chain") == text
+
+
+def test_a_derived_chain_over_a_resolution_2_cocycle_starts_at_depth_2(tmp_path):
+    # stabilizers exist from depth J = 2 up: chain stage i is the one at
+    # depth i + 1, a cofinal chain with the base chain's odometer
+    mixed = OdometerChain.diagonal_power([3, 2])
+    cocycle = constant_cocycle(mixed, 2, [(1, 0), (0, 1)])
+    (tmp_path / "mixed.chain").write_text("dim=2 provider=diagpow primes=3,2 exps=j,j")
+    (tmp_path / "j2.cocycle").write_text(emit_cocycle(cocycle, "mixed.chain"))
+    chain = parse_chain("dim=2 provider=derived cocycle=j2.cocycle checked=2", base_dir=tmp_path)
+    assert [emit_lattice(chain.stage(i)) for i in (1, 2)] == ["2; 9 0; 0 4", "2; 27 0; 0 8"]
+    assert orbit_equivalence_test(chain, mixed).outcome == "yes"
+    assert emit_descriptor(fit_descriptor(chain, 3)) == "dim=2 shear=1,0,0,1 supports=3|2"
 
 
 def test_randomized_round_trips():
