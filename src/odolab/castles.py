@@ -310,8 +310,9 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     (`images[c]` the atom it sends c onto, -1 where unknown; an unknown one
     below a tower's top raises CastleError), with no translation: a tower
     whose images send every level onto the next one in stored order
-    (`_climbs_as_stored`) has column i `codes[i::width]` and is not climbed,
-    and any other tower is climbed column by column.  Each
+    (`_climbs_as_stored`) has column i `codes[i::width]` and is not climbed
+    (at width 1 the new tower shares the old one's codes array), and any
+    other tower is climbed column by column.  Each
     atom's cylinder at `depth` is one entry of the space's `lift` of the
     coarse codes.  The columns of a tower are grouped by their sequences of
     cylinders; each group is a new tower with sorted levels, in the order of
@@ -322,7 +323,8 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     columns = []
     for t in castle.towers:
         if _climbs_as_stored(images, t):
-            columns.append([t.codes[i :: t.width] for i in range(t.width)])
+            # a width-1 tower's column is its codes array itself, not a copy
+            columns.append([t.codes] if t.width == 1 else [t.codes[i :: t.width] for i in range(t.width)])
         else:
             columns.append([_column(images, c, t.height) for c in t.level(0)])
             if any(len(column) < t.height for column in columns[-1]):

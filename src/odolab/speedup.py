@@ -15,14 +15,18 @@ map, and the orbit of zero is an `array('i')` of codes laid out as a
 staircase of blocks, one side per generator.
 
 The derived chain presents a minimal bounded speedup as an odometer again:
-stage j is the stabilizer of the zero representative under the induced
-permutation action on the depth-j quotient.  The action is abelian and
-transitive, so the stabilizer is read in closed form off the staircase:
+stage j is the stabilizer D_j of the zero atom under the induced action on
+the depth-j quotient Z^d1 / Gamma_j, and only the resolution depth J is
+walked.  There D_J is read in closed form off the orbit staircase:
 generator i maps the orbit of the generators before it forward, block by
 block, until it returns after sides[i] blocks, at a point of that orbit
 with digit vector r; the columns sides[i] e_i - r are triangular, lie in
-the stabilizer and have the orbit size as index, so they span it.  The
-lattice is returned in canonical form.
+D_J and have the orbit size as index, so they are a basis of it.  The
+displacement c(w, x) of a move depends on x only through its depth-J
+atom, so phi(w) = c(w, 0) is a homomorphism on D_J and, for j >= J,
+D_j = {w in D_J : phi(w) in Gamma_j}: every deeper stage is one integer
+kernel, and the speedup is minimal at depth j iff its index is
+[Z^d1 : Gamma_j].  Lattices are returned in canonical form.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 
-from .lattice import DimensionMismatch, IntegerLattice
+from .lattice import DimensionMismatch, IntegerLattice, _integer_kernel
 from .odometer import DerivedProvider, OdometerChain
 from .valuegroup import ValueGroup
 
@@ -210,6 +216,7 @@ class PiecewiseCocycle:
         if any(len(vec) != self.chain.dim for vectors, _ in self._maps for vec in vectors[1:]):
             raise SpeedupError(f"table values must be vectors of length {self.chain.dim}")
         self._perm_cache: dict = {}
+        self._stabilizer_basis = None  # (basis of D_J, phi on it), see derived_stage
         self._validated = False
 
     @property
@@ -450,22 +457,22 @@ def orbit_of_zero(cocycle: PiecewiseCocycle, depth: int) -> tuple[array, tuple[i
 
 
 def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool]:
-    """Whether the orbit of 0 covers the full quotient at each depth."""
+    """Whether the orbit of 0 covers the full quotient at each depth.
+
+    Below the resolution J the tables act on the coarser quotient only
+    through the finer one, so the depth-J orbit is projected; from J up the
+    orbit has the stabilizer's index as size (`derived_stage`).
+    """
     _require_valid(cocycle)
     if depth < cocycle.depth:
         raise SpeedupError("check at least the cocycle resolution depth")
     out = {}
-    for j in range(1, depth + 1):
-        # below the resolution depth the tables are still well defined on
-        # the coarser quotient only through the finer one; probe from J up
-        probe = max(j, cocycle.depth)
-        orbit = orbit_of_zero(cocycle, probe)[0]
-        if probe == j:
-            out[j] = len(orbit) == cocycle.chain.index(j)
-        else:
-            coarse = cocycle.chain.kr_partition(j)
-            classes = cocycle.chain.kr_partition(probe).lift(array("i", range(coarse.size)), coarse)
-            out[j] = len({classes[c] for c in orbit}) == coarse.size
+    for j in range(1, cocycle.depth):
+        coarse = cocycle.chain.kr_partition(j)
+        classes = cocycle.chain.kr_partition(cocycle.depth).lift(array("i", range(coarse.size)), coarse)
+        out[j] = len({classes[c] for c in orbit_of_zero(cocycle, cocycle.depth)[0]}) == coarse.size
+    for j in range(cocycle.depth, depth + 1):
+        out[j] = _stabilizer(cocycle, j).index == cocycle.chain.index(j)
     return out
 
 
@@ -481,39 +488,58 @@ class DerivedChainReport:
         return self.stages[j - self.first_depth]
 
 
-def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
-    """Stabilizer of the zero atom at one depth, read off the orbit staircase.
+def _stabilizer(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
+    """D_depth for depth >= J, as `derived_stage` derives it, without the
+    minimality check; the basis of D_J and phi on it are kept on the cocycle."""
+    if cocycle._stabilizer_basis is None:
+        codes, sides = orbit_of_zero(cocycle, cocycle.depth)
+        strides = list(accumulate(sides, mul, initial=1))  # strides[j] = |O_j|
+        columns = []
+        for j, side in enumerate(sides):
+            # one step of generator j past the first code of its last block
+            t = codes.index(cocycle.permutation(j, cocycle.depth)[codes[(side - 1) * strides[j]]], 0, strides[j])
+            column = [-(t // stride % s) for stride, s in zip(strides, sides)]
+            column[j] += side
+            columns.append(column)
+        cocycle._stabilizer_basis = (columns, [evaluate(cocycle, (0,) * cocycle.d1, col) for col in columns])
+    columns, phi = cocycle._stabilizer_basis
+    matrix = [[v[r] for v in phi] + [-e for e in row] for r, row in enumerate(cocycle.chain.stage(depth).rows)]
+    kernel = _integer_kernel(matrix, cocycle.d2 + cocycle.d1)
+    return IntegerLattice.from_columns(
+        [[sum(a * col[r] for a, col in zip(k, columns)) for r in range(cocycle.d2)] for k in kernel]
+    )
 
-    With `(codes, sides) = orbit_of_zero(cocycle, depth)`, generator j
-    takes 0 to perm_j^sides[j](0), a point of O_j = codes[:prod(sides[:j])]
-    whose index has the digit vector r.  So column j, sides[j] e_j - r,
-    lies in the stabilizer.  The columns are triangular with index
-    prod(sides), the orbit size, which is the stabilizer's index by
-    orbit-stabilizer: they span it.  A shorter orbit than the quotient
-    raises NotMinimalAtDepth.  Depths below the cocycle resolution are
-    rejected: the induced atom maps only exist on quotients the tables
-    refine.
+
+def derived_stage(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
+    """Stabilizer D_depth of the zero atom, from the depth-J stabilizer.
+
+    The orbit staircase is walked once per cocycle, at the resolution J.
+    With `(codes, sides) = orbit_of_zero(cocycle, J)`, generator j takes 0
+    to perm_j^sides[j](0), a point of O_j = codes[:prod(sides[:j])] whose
+    index has the digit vector r.  So column j, sides[j] e_j - r, lies in
+    D_J.  The columns are triangular with index prod(sides), the orbit
+    size, which is the stabilizer's index by orbit-stabilizer: they are a
+    basis B of D_J.  The move w takes a point x to x + c(w, x), and
+    c(w, x) depends only on the depth-J atom of x: each step adds a table
+    value, constant on depth-J atoms, and maps depth-J atoms onto depth-J
+    atoms.  So phi(w) = c(w, 0) is a homomorphism on D_J, because
+    c(v + w, 0) = c(v, w.0) + c(w, 0) and w.0 lies in the zero atom; and w
+    fixes the zero atom at depth j >= J iff w lies in D_J and
+    w.0 = phi(w) lies in Gamma_j.  Hence D_j is B times the first d2
+    coordinates of the integer kernel of [phi(B) | -G_j], G_j the basis of
+    Gamma_j, and D_j <= D_{j-1} because Gamma_j <= Gamma_{j-1}.  Its index
+    is the orbit size, and one short of the quotient raises
+    NotMinimalAtDepth.  Depths below the cocycle resolution are rejected:
+    the induced atom maps only exist on quotients the tables refine.
     """
     _require_valid(cocycle)
     if depth < cocycle.depth:
         raise SpeedupError("stabilizers are defined from the cocycle resolution depth up")
-    codes, sides = orbit_of_zero(cocycle, depth)
+    lattice = _stabilizer(cocycle, depth)
     quotient = cocycle.chain.index(depth)
-    if len(codes) != quotient:
-        raise NotMinimalAtDepth(depth, len(codes), quotient)
-    columns = []
-    inner = 1  # |O_j|
-    for j, side in enumerate(sides):
-        # one step of generator j past the first code of its last block
-        t = codes.index(cocycle.permutation(j, depth)[codes[(side - 1) * inner]], 0, inner)
-        column = []
-        for s in sides:
-            t, digit = divmod(t, s)
-            column.append(-digit)
-        column[j] += side
-        columns.append(column)
-        inner *= side
-    return IntegerLattice.from_columns(columns)
+    if lattice.index != quotient:
+        raise NotMinimalAtDepth(depth, lattice.index, quotient)
+    return lattice
 
 
 def derived_chain(cocycle: PiecewiseCocycle, depth: int) -> DerivedChainReport:
@@ -521,12 +547,8 @@ def derived_chain(cocycle: PiecewiseCocycle, depth: int) -> DerivedChainReport:
     _require_valid(cocycle)
     if depth < cocycle.depth:
         raise SpeedupError("derive at least to the cocycle resolution depth")
-    stages = []
-    for j in range(cocycle.depth, depth + 1):
-        stages.append(derived_stage(cocycle, j))
-        if len(stages) > 1 and not stages[-1].is_sublattice(stages[-2]):
-            raise SpeedupError(f"derived stages fail to nest at depth {j}")
-    return DerivedChainReport(cocycle.depth, tuple(stages), tuple(lat.index for lat in stages))
+    stages = tuple(derived_stage(cocycle, j) for j in range(cocycle.depth, depth + 1))
+    return DerivedChainReport(cocycle.depth, stages, tuple(lat.index for lat in stages))
 
 
 def derived_odometer(cocycle: PiecewiseCocycle, checked_depth: int = 3) -> OdometerChain:
@@ -534,12 +556,14 @@ def derived_odometer(cocycle: PiecewiseCocycle, checked_depth: int = 3) -> Odome
 
     Stabilizers exist from the cocycle resolution J up (`derived_stage`),
     so chain stage i is the stabilizer of the zero atom at depth J + i - 1;
-    for J = 1 that is depth i.  Dropping the first stages of a decreasing
-    chain leaves a cofinal chain, with the same odometer and the same value
-    group.  The chain's value group is taken symbolically from the base
-    chain, which is justified by the orbit-stabilizer equality of indices;
-    that equality is verified at every realized stage and `checked_depth`
-    stages are realized eagerly here.
+    for J = 1 that is depth i.  The orbit staircase runs once, at depth J,
+    and each stage is one integer kernel on top of it.  Dropping the first
+    stages of a decreasing chain leaves a cofinal chain, with the same
+    odometer and the same value group.  The chain's value group is taken
+    symbolically from the base chain, which is justified by the
+    orbit-stabilizer equality of indices; that equality is verified at
+    every realized stage and `checked_depth` stages are realized eagerly
+    here.
     """
     _require_valid(cocycle)
 

@@ -312,6 +312,34 @@ def stabilizer_by_schreier(cocycle, depth):
     return current
 
 
+def stabilizer_by_staircase(cocycle, depth):
+    """`derived_stage` off the orbit staircase walked at `depth` itself, not
+    at the resolution: with `(codes, sides) = orbit_of_zero(cocycle, depth)`
+    generator j returns after sides[j] blocks to the point of the orbit of
+    the generators before it whose index has digit vector r, and the
+    triangular columns sides[j] e_j - r span the stabilizer.  Raises
+    `NotMinimalAtDepth` with the same message as `derived_stage`."""
+    from odolab.lattice import IntegerLattice
+    from odolab.speedup import NotMinimalAtDepth, orbit_of_zero
+
+    codes, sides = orbit_of_zero(cocycle, depth)
+    quotient = cocycle.chain.index(depth)
+    if len(codes) != quotient:
+        raise NotMinimalAtDepth(depth, len(codes), quotient)
+    columns = []
+    inner = 1
+    for j, side in enumerate(sides):
+        t = codes.index(cocycle.permutation(j, depth)[codes[(side - 1) * inner]], 0, inner)
+        column = []
+        for s in sides:
+            t, digit = divmod(t, s)
+            column.append(-digit)
+        column[j] += side
+        columns.append(column)
+        inner *= side
+    return IntegerLattice.from_columns(columns)
+
+
 def translate_by_reduction(space, code, vector):
     """Atom code of atom `code` moved by `vector`: decode the representative,
     add the vector and reduce the sum at the space's depth, one tuple per call."""

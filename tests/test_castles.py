@@ -291,6 +291,19 @@ def test_refine_pure_columns_trivial_labels():
     assert _tower_lists(refined) == _tower_lists(castle)
 
 
+def test_refine_pure_columns_keeps_a_width_1_tower_codes_array():
+    # a width-1 tower that climbs as stored is its one column: the new tower
+    # holds the old tower's array, not a copy of it
+    ch = chain32()
+    space = AtomSpace(ch, 2)
+    base = frozenset([space.encode((0, 0))])
+    steps = _step_map(space, {c: (0, 1) for c in base})
+    top = frozenset(space.translate(c, steps[c]) for c in base)
+    castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
+    refined = refine_pure_columns(castle, 1, images_by_translation(castle))
+    assert refined.towers[0].codes is castle.towers[0].codes
+
+
 def test_refine_pure_columns_refuses_an_unknown_image_below_a_top():
     # a two-level tower over a base of two depth-1 atoms, one of them with no
     # known image; -1 on the top level is what every castle has

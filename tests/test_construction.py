@@ -537,6 +537,15 @@ def test_audit_matches_the_oracle_on_a_corrupted_record(name):
     assert report.failures() == failures
 
 
+def test_castle_shape_reports_a_code_out_of_range():
+    # the audit survives a code past the atom space and names the error
+    con = build(2)
+    castle = con.stages[1].src_castle
+    castle.towers[0].codes[0] = castle.space.size
+    checks = {name: (ok, detail) for name, ok, detail in con.stage_invariants(1).checks}
+    assert checks["castle-shape"] == (False, "check raised IndexError: bytearray index out of range")
+
+
 def test_the_walk_of_quadrant_stage_3_matches_the_translating_oracle():
     con = build(4)
     assert con.source.index(con.stages[3].gamma) == 279936

@@ -37,6 +37,7 @@ from _oracles import (
     minimality_by_reduction,
     permutation_by_reduction,
     stabilizer_by_schreier,
+    stabilizer_by_staircase,
 )
 
 
@@ -285,10 +286,10 @@ def test_permutations_match_the_reduction_loop():
 
 
 def test_permutations_run_on_tables_not_on_atoms(monkeypatch):
-    # every translate call of deriving the staircase chain to depth 8 fills
-    # a table of `AtomSpace.images`: at most one per vector and value of the
-    # last digit (a 2-D stage's one run of carrying digits), far fewer than
-    # the 65,536 atoms of the last depth
+    # every translate call of the staircase cocycle's permutations at depths
+    # 1-8 fills a table of `AtomSpace.images`: at most one per vector and
+    # value of the last digit (a 2-D stage's one run of carrying digits), far
+    # fewer than the 65,536 atoms of the last depth
     calls, entries = [0], [0]
     translate, images = AtomSpace.translate, AtomSpace.images
 
@@ -303,8 +304,9 @@ def test_permutations_run_on_tables_not_on_atoms(monkeypatch):
     monkeypatch.setattr(AtomSpace, "translate", counted_translate)
     monkeypatch.setattr(AtomSpace, "images", counted_images)
     c = staircase_cocycle()
-    report = derived_chain(c, 8)
+    perms = [c.permutation(i, depth) for depth in range(1, 9) for i in range(c.d2)]
     atoms = c.chain.index(8)
+    assert len(perms[-1]) == atoms
     assert atoms == 65536
     assert 0 < calls[0] <= entries[0] < atoms // 32, (calls[0], entries[0], atoms)
 
@@ -407,14 +409,18 @@ def _stabilizer_or_message(find, cocycle, depth):
 
 
 def test_derived_stage_matches_the_schreier_oracle():
-    # sampled cocycles of the mixed and dyadic chains at depths 1-4 and of
-    # the 3-D mixed chain at depths 1-3 (two of them at depth 4, 1,679,616
-    # atoms), constant cocycles of resolution 1 and 3 on the sheared derived
-    # row-shear chain, and constant cocycles of rank 1 and 2 on a 1-D chain;
-    # a cocycle that is not minimal must raise the oracle's message
+    # sampled cocycles of the mixed and dyadic chains at depths 1-4 and, past
+    # J + 3, at depths 5-6, and of the 3-D mixed chain at depths 1-3 (two of
+    # them at depth 4, 1,679,616 atoms), constant cocycles of resolution 1
+    # and 3 on the sheared derived row-shear chain, and constant cocycles of
+    # rank 1 and 2 on a 1-D chain; the closed form must equal the lattice
+    # or the not-minimal message of both the Schreier oracle and the
+    # staircase walked at the depth itself
     cases = []
-    for chain in (chain32(), chain22()):
-        cases += [(c, d) for c in sample_cocycles(chain, 24, random.Random(5)) for d in range(1, 5)]
+    for chain, deep in ((chain32(), 6), (chain22(), 12)):
+        samples = sample_cocycles(chain, 24, random.Random(5))
+        cases += [(c, d) for c in samples for d in range(1, 5)]
+        cases += [(c, d) for c in samples[:deep] for d in (5, 6)]
     mixed3 = sample_cocycles(OdometerChain.diagonal_power([3, 2, 6]), 6, random.Random(11))
     cases += [(c, d) for c in mixed3 for d in range(1, 4)] + [(c, 4) for c in mixed3[:2]]
     derived = derived_odometer(row_shear_cocycle(), checked_depth=2)
@@ -426,10 +432,52 @@ def test_derived_stage_matches_the_schreier_oracle():
         cases += [(constant_cocycle(line, 1, steps), d) for d in range(1, 4)]
     found = [_stabilizer_or_message(derived_stage, c, d) for c, d in cases]
     assert found == [_stabilizer_or_message(stabilizer_by_schreier, c, d) for c, d in cases]
+    assert found == [_stabilizer_or_message(stabilizer_by_staircase, c, d) for c, d in cases]
     lattices = [lat for lat in found if not isinstance(lat, str)]
     assert 0 < len(lattices) < len(found)
     # a staircase that returns off the zero code gives a sheared stabilizer
     assert any(not lat.is_diagonal() for lat in lattices)
+    deep = [lat for lat, (_, d) in zip(found, cases) if d >= 5]
+    assert any(isinstance(lat, str) for lat in deep) and any(not isinstance(lat, str) for lat in deep)
+
+
+def test_minimality_matches_the_reduction_past_the_resolution():
+    # sampled cocycles of the dyadic chain, some minimal at depth 1 and not
+    # at depth 4: minimality must be read at every depth, not at J alone
+    found, expected = [], []
+    for c in sample_cocycles(chain22(), 12, random.Random(5)):
+        found.append(minimality_to_depth(c, 4))
+        expected.append(minimality_by_reduction(c, 4))
+    assert found == expected
+    assert any(flags[1] and not flags[4] for flags in found)
+
+
+def test_deriving_walks_permutations_and_orbits_at_the_resolution_only(monkeypatch):
+    # the derived chain, the minimality flags and the derived odometer of the
+    # staircase cocycle to depth 8 touch no quotient deeper than J = 1
+    from odolab import speedup
+
+    depths = []
+    permutation, orbit = PiecewiseCocycle.permutation, speedup.orbit_of_zero
+
+    def counted_permutation(cocycle, i, depth):
+        depths.append(("permutation", depth))
+        return permutation(cocycle, i, depth)
+
+    def counted_orbit(cocycle, depth):
+        depths.append(("orbit_of_zero", depth))
+        return orbit(cocycle, depth)
+
+    monkeypatch.setattr(PiecewiseCocycle, "permutation", counted_permutation)
+    monkeypatch.setattr(speedup, "orbit_of_zero", counted_orbit)
+    c = staircase_cocycle()
+    assert derived_chain(c, 8).orbit_sizes == tuple(4**j for j in range(1, 9))
+    assert all(minimality_to_depth(c, 8).values())
+    assert derived_odometer(c, checked_depth=8).stage(8) == IntegerLattice.diagonal([2**8, 2**8])
+    assert {name for name, _ in depths} == {"permutation", "orbit_of_zero"}
+    assert {depth for _, depth in depths} == {c.depth}
+    # the depth-J staircase is walked once per cocycle
+    assert depths.count(("orbit_of_zero", 1)) == 1
 
 
 def test_derived_odometer_value_group():
