@@ -11,6 +11,10 @@ internal level map given atom-by-atom as integer displacement vectors.
 Everything is a flat `array('i')`: a tower is a level width and its
 codes level by level, a level map one vector id per code into a small
 vector table.  The towers are the only record of where an atom is.
+A tower is its columns: level v is `codes[v * width:(v + 1) * width]`
+and column i, the atoms the level map carries up from base atom
+`codes[i]`, is `codes[i::width]`, so below the top the map sends
+`codes[j]` onto `codes[j + width]`.
 The construction driver transports exact atom counts between castles on
 top of these primitives.  No atom is translated one by one: a level map
 is climbed by reading its images, the array of the atoms it sends each
@@ -18,11 +22,10 @@ atom onto, which the build keeps up to date and `AtomSpace.images`
 computes for a whole map at once.  `castle_refinement_over` climbs each
 tower once up such an array and cuts every part's tower out of that
 climb; `refine_pure_columns` reads the cylinders off one `AtomSpace.lift`
-and its columns off such an array, with no climb where the array sends
-each level of a tower onto the next one in stored order (a width-1
-pretower always, since the build keeps the array up to date): there
-column i is `codes[i::width]`, one C-level comparison proves it, and only
-the other towers are climbed.
+and its columns off such an array, with no climb where a tower is stored
+in climb order (a width-1 pretower always, since the build keeps the
+array up to date): one C-level comparison proves it, and only the other
+towers are climbed.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -188,7 +191,9 @@ class _Levels:
 class Tower:
     """Equal-size levels of atom codes, stored level by level in one array.
 
-    Level v is `codes[v * width:(v + 1) * width]`, sorted."""
+    Level v is `codes[v * width:(v + 1) * width]`.  A built tower is stored
+    in climb order: column i, from base atom `codes[i]` up its castle's
+    level map, is `codes[i::width]` (`_climbs_as_stored`)."""
 
     width: int
     codes: array
@@ -251,27 +256,19 @@ def _climbs_as_stored(images, tower: Tower) -> bool:
     return all(map(eq, islice(codes, w, None), map(images.__getitem__, codes)))
 
 
-def _climb(images, base, height: int) -> array:
-    """The columns from `base` up a level map given by its images, level by
-    level: entry v * len(base) + i is the v-th atom of the column starting
-    at base[i].  An unknown image below the top raises CastleError."""
-    width = len(base)
-    columns = array("i", base) * height
-    for i, c in enumerate(base):
-        column = _column(images, c, height)
-        if len(column) < height:
-            raise CastleError("the level map has no step at an atom below a tower's top")
-        columns[i::width] = column
+def _climb(images, base, height: int) -> list[array]:
+    """The columns from the atoms of `base` up a level map given by its
+    images.  An unknown image below the top raises CastleError."""
+    columns = [_column(images, c, height) for c in base]
+    if any(len(column) < height for column in columns):
+        raise CastleError("the level map has no known image at an atom below a tower's top")
     return columns
 
 
-def _tower_of_columns(columns, width: int, members) -> Tower:
-    """Tower of the columns numbered `members` in a `_climb` result, each
-    level sorted."""
-    if len(members) == 1:  # one atom per level
-        return Tower(1, columns[members[0] :: width])
-    levels = zip(*(columns[i::width] for i in members))
-    return Tower(len(members), array("i", chain.from_iterable(map(sorted, levels))))
+def _interleave(columns) -> array:
+    """The codes of the tower whose column i is `columns[i]`: level v holds
+    the v-th atom of each column, in column order."""
+    return columns[0] if len(columns) == 1 else array("i", chain.from_iterable(zip(*columns)))
 
 
 def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
@@ -281,7 +278,7 @@ def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
     is tower alpha's base; each part spawns a tower.  Each tower is climbed
     once up the level map, read off its `images` (`images[c]` the atom it
     sends c onto, -1 where unknown), and every part's columns are cut out
-    of that climb."""
+    of that climb, in base order."""
     new_towers = []
     for alpha, tower in enumerate(castle.towers):
         parts = base_partitions[alpha]
@@ -297,8 +294,8 @@ def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
         column_of = {c: i for i, c in enumerate(base)}
         for part in parts:
             if part:
-                members = [column_of[c] for c in part]
-                new_towers.append(_tower_of_columns(columns, tower.width, members))
+                members = sorted(column_of[c] for c in part)
+                new_towers.append(Tower(len(members), _interleave([columns[i] for i in members])))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
@@ -315,8 +312,9 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
     other tower is climbed column by column.  Each
     atom's cylinder at `depth` is one entry of the space's `lift` of the
     coarse codes.  The columns of a tower are grouped by their sequences of
-    cylinders; each group is a new tower with sorted levels, in the order of
-    the least base atoms.  Every column is read before the cylinders are
+    cylinders; each group is a new tower of those columns in base order,
+    stored in climb order, and the groups follow the order of their first
+    base atoms.  Every column is read before the cylinders are
     lifted, so the lifted array, allocated last and freed first, leaves no
     hole under the new towers (read the other way round, quadrant stages
     0-4 peaked 8 MB higher)."""
@@ -326,9 +324,7 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
             # a width-1 tower's column is its codes array itself, not a copy
             columns.append([t.codes] if t.width == 1 else [t.codes[i :: t.width] for i in range(t.width)])
         else:
-            columns.append([_column(images, c, t.height) for c in t.level(0)])
-            if any(len(column) < t.height for column in columns[-1]):
-                raise CastleError("the level map has no known image at an atom below a tower's top")
+            columns.append(_climb(images, t.level(0), t.height))
     coarse = castle.chain.kr_partition(depth)
     labels = castle.space.lift(array("i", range(coarse.size)), coarse)
     groups: list[list[array]] = []
@@ -339,12 +335,4 @@ def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
             by_cylinders.setdefault(key, []).append(column)
         groups.extend(by_cylinders.values())
     del labels, columns
-    new_towers = []
-    for group in groups:
-        codes = group[0]
-        if len(group) > 1:
-            codes = array("i")
-            for level in zip(*group):
-                codes.extend(sorted(level))
-        new_towers.append(Tower(len(group), codes))
-    return Castle(castle.chain, castle.depth, new_towers, castle.steps)
+    return Castle(castle.chain, castle.depth, [Tower(len(group), _interleave(group)) for group in groups], castle.steps)

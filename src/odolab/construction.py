@@ -53,7 +53,7 @@ from .castles import (
     _climb,
     _climbs_as_stored,
     _column,
-    _tower_of_columns,
+    _interleave,
     castle_refinement_over,
     minimal_cone_vector,
     refine_pure_columns,
@@ -425,8 +425,8 @@ class SpeedupConstruction:
         climbs = {key: _climb(images, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
-        (beta0, m0), i0 = _find_column(climbs, h_prev, x0_atom, 0)
-        (beta2, m2), i2 = _find_column(climbs, h_prev, x2_atom, h_prev - 1)
+        (beta0, m0), i0 = _find_column(climbs, x0_atom, 0)
+        (beta2, m2), i2 = _find_column(climbs, x2_atom, h_prev - 1)
 
         # --- pretowers as (tall tower, the columns each block gives it);
         # when the anchors share one, split it into an anchor part, a
@@ -459,7 +459,7 @@ class SpeedupConstruction:
         for beta, members in layout:
             codes = array("i")
             for m in range(blocks):
-                codes.extend(_tower_of_columns(climbs[beta, m], widths[beta], members[m]).codes)
+                codes.extend(_interleave([climbs[beta, m][i] for i in members[m]]))
             pretowers.append(Tower(len(members[0]), codes))
         del climbs
 
@@ -547,8 +547,10 @@ class SpeedupConstruction:
         made for its own speed.  The level maps and the column sums are
         those of one climb of each column (`_column_walk`, which climbs only
         where no proof on a whole tower or on the vector table gives them),
-        and the exact points up the first anchor's column those of one climb
-        of that column, both up the images of the stage's own level map; the
+        and the exact points up the first anchor's column those of its steps,
+        the column read off its tower where the tower is stored in climb
+        order and climbed otherwise, both up the images of the stage's own
+        level map; the
         anchors' towers are read off the castle's bases and tops, and the
         previous map off the previous castle (`_previous_map`).  A check
         that raises on corrupted data fails and names the exception; a
@@ -608,8 +610,13 @@ class SpeedupConstruction:
             bound = 4 * self.anchor_measure(k)
             check("swap-measure-bound", mu_f <= bound, f"{mu_f} <= {bound}")
 
-        # (4) the rebuild set holds every swapped atom (both are empty at stage 0)
-        check("rebuild-set-recorded", rec.f_atoms <= rec.r_atoms, f"|R|={len(rec.r_atoms)}")
+        # (4) the rebuild set holds every swapped atom and only atoms of the
+        # space (both are empty at stage 0)
+        check(
+            "rebuild-set-recorded",
+            rec.f_atoms <= rec.r_atoms and all(map(range(space.size).__contains__, rec.r_atoms)),
+            f"|R|={len(rec.r_atoms)}",
+        )
 
         # (5a) every level inside one cylinder atom at depth k+1
         check("levels-refine-cylinders", lambda: _levels_refine(src.space, src.towers, self.source.kr_partition(k + 1)))
@@ -667,14 +674,19 @@ class SpeedupConstruction:
 
         # (6c) the anchors live in distinct towers with pointwise disjoint
         # columns: the exact points up the x0 column, from the zero point,
-        # are the running sums of the steps along its climb, coordinate by
-        # coordinate
+        # are the running sums of the steps along it, coordinate by
+        # coordinate; the column is read off a tower stored in climb order
+        # and climbed only in one that is not
         def _anchors_apart():
             tower_x0, tower_x2 = base[x0_atom], top[x2_atom]
-            h = src.towers[tower_x0].height
-            column = _column(images(), x0_atom, h)
-            if len(column) < h:  # it ends at an atom with no step, as `steps[c]` would say
-                raise KeyError(column[-1])
+            tower = src.towers[tower_x0]
+            h = tower.height
+            if _climbs_as_stored(images(), tower):
+                column = tower.codes[tower.level(0).index(x0_atom) :: tower.width]
+            else:
+                column = _column(images(), x0_atom, h)
+                if len(column) < h:  # it ends at an atom with no step, as `steps[c]` would say
+                    raise KeyError(column[-1])
             # coordinate i of each vector id's step, read lazily up the column
             tables = ([0] + [vec[i] for vec in steps.vectors[1:]] for i in range(self.source.dim))
             coords = (map(t.__getitem__, map(steps.ids.__getitem__, islice(column, h - 1))) for t in tables)
@@ -819,15 +831,8 @@ def _column_walk(castle: Castle, images, cone: Cone):
       (`castles._climbs_as_stored`: -1 is no code, and images[codes[j]]
       is codes[j + w] below the top) climbs onto its own codes: column i
       is codes[i::w], every column reaches the top, and every climbed
-      level is the tower's level.
-    - A wider tower whose codes all index the images (so none is -1) and
-      whose images of each level, sorted, are the next level, sorted
-      (`_climbs_onto_levels`), climbs onto its levels as sets: by
-      induction up the levels, the climbed atoms of level v are a
-      permutation of level v (true at the base), so their images are a
-      permutation of the images of level v, which is level v + 1.  None
-      is -1, so every column reaches the top.  Such a tower is climbed
-      only for its partial sums.
+      level is the tower's level.  Every tower the build stores is such
+      a tower; one stored out of climb order is climbed.
     - The sums of a column are not read when every vector of the table
       has facet values >= 0, > 0 on strict facets, and a positive total
       (`_steps_stay_in`): the facet values of a partial sum are sums of
@@ -841,10 +846,9 @@ def _column_walk(castle: Castle, images, cone: Cone):
     maps_at = sums_at = missing = None
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
-        read_sums = not sums_hold and sums_at is None
         if _climbs_as_stored(images, t):
             climbed, reach = codes, h
-        elif read_sums or not _climbs_onto_levels(images, t):
+        else:
             # the climb laid out like `codes`: column i is climbed[i::w];
             # every column reaches levels 0..reach-1 (one that meets an atom
             # with no step is padded with that atom)
@@ -855,8 +859,6 @@ def _column_walk(castle: Castle, images, cone: Cone):
                     reach = min(reach, len(column))
                     column.extend([column[-1]] * (h - len(column)))
                 climbed[i::w] = column
-        else:
-            continue
         n = reach * w
         # some level differs, or only its order
         if maps_at is None and climbed is not codes and climbed[:n] != codes[:n]:
@@ -864,7 +866,7 @@ def _column_walk(castle: Castle, images, cone: Cone):
             v = next((v for v, a, b in levels if set(a) != set(b)), None)
             if v is not None:
                 maps_at = alpha, v
-        if read_sums:
+        if not sums_hold and sums_at is None:
             # each column's step ids, at its levels 0..reach-2
             columns = (climbed[i : n - w : w] for i in range(w))
             firsts = (outside(list(map(ids.__getitem__, column))) for column in columns)
@@ -876,25 +878,6 @@ def _column_walk(castle: Castle, images, cone: Cone):
     if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
         maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
     return maps_at, sums_at
-
-
-def _climbs_onto_levels(images, tower: Tower) -> bool:
-    """Whether a tower of width > 1, all of whose codes index `images`, has
-    at every level below its top the sorted images of the level equal to
-    the next level sorted.
-
-    One pass over the codes finds the levels whose images, in stored
-    order, are not the next level in stored order; only those are sorted.
-    Codes outside `images` are refused, so that no code is read that a
-    climb would not read without failing."""
-    w, codes = tower.width, tower.codes
-    if w == 1 or len(codes) != w * tower.height or not 0 <= min(codes) <= max(codes) < len(images):
-        return False
-    unordered = {j // w for j in compress(count(), map(ne, islice(codes, w, None), map(images.__getitem__, codes)))}
-    return all(
-        sorted(map(images.__getitem__, codes[v * w : (v + 1) * w])) == sorted(codes[(v + 1) * w : (v + 2) * w])
-        for v in unordered
-    )
 
 
 def _facet_values(cone: Cone, vectors):
@@ -942,13 +925,12 @@ def _sums_outside(cone: Cone, vectors):
     return first_outside
 
 
-def _find_column(climbs, height: int, atom: int, row: int):
-    """(piece, column index) of the `_climb` result whose level `row` holds `atom`."""
+def _find_column(climbs, atom: int, row: int):
+    """(piece, column index) of the `_climb` column that holds `atom` at level `row`."""
     for piece, columns in climbs.items():
-        width = len(columns) // height
-        level = columns[row * width : (row + 1) * width]
-        if atom in level:
-            return piece, level.index(atom)
+        for i, column in enumerate(columns):
+            if column[row] == atom:
+                return piece, i
     raise CastleError("anchors are misaligned with the block structure")
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .lattice import DimensionMismatch, IntegerLattice, _integer_kernel
 from .odometer import DerivedProvider, OdometerChain
@@ -488,20 +488,39 @@ class DerivedChainReport:
         return self.stages[j - self.first_depth]
 
 
+def _forward_sum(cocycle: PiecewiseCocycle, perms, counts) -> tuple[int, ...]:
+    """c(v, 0) for a vector v of counts >= 0: the table values summed up
+    the staircase path from the zero atom (code 0), counts[i] forward steps
+    of generator i up its depth-J permutation perms[i], i = 0, 1, ..."""
+    total, c = (0,) * cocycle.d1, 0
+    for (vectors, ids), perm, n in zip(cocycle._maps, perms, counts):
+        for _ in range(n):
+            total = _vadd(total, vectors[ids[c]])
+            c = perm[c]
+    return total
+
+
 def _stabilizer(cocycle: PiecewiseCocycle, depth: int) -> IntegerLattice:
     """D_depth for depth >= J, as `derived_stage` derives it, without the
-    minimality check; the basis of D_J and phi on it are kept on the cocycle."""
+    minimality check; the basis of D_J and phi on it are kept on the cocycle.
+
+    Column j of the basis is w = side e_j - r with r >= 0, and phi(w) is
+    c(side e_j, 0) - c(r, 0), two forward sums: c(r + w, 0) = c(r, w.0) +
+    c(w, 0), and c(r, w.0) = c(r, 0) because w.0 lies in the zero atom."""
     if cocycle._stabilizer_basis is None:
         codes, sides = orbit_of_zero(cocycle, cocycle.depth)
+        perms = [cocycle.permutation(i, cocycle.depth) for i in range(cocycle.d2)]
         strides = list(accumulate(sides, mul, initial=1))  # strides[j] = |O_j|
-        columns = []
+        columns, phi = [], []
         for j, side in enumerate(sides):
             # one step of generator j past the first code of its last block
-            t = codes.index(cocycle.permutation(j, cocycle.depth)[codes[(side - 1) * strides[j]]], 0, strides[j])
-            column = [-(t // stride % s) for stride, s in zip(strides, sides)]
+            t = codes.index(perms[j][codes[(side - 1) * strides[j]]], 0, strides[j])
+            r = [t // stride % s for stride, s in zip(strides, sides)]
+            column = [-e for e in r]
             column[j] += side
             columns.append(column)
-        cocycle._stabilizer_basis = (columns, [evaluate(cocycle, (0,) * cocycle.d1, col) for col in columns])
+            phi.append(tuple(map(sub, _forward_sum(cocycle, perms, [0] * j + [side]), _forward_sum(cocycle, perms, r))))
+        cocycle._stabilizer_basis = (columns, phi)
     columns, phi = cocycle._stabilizer_basis
     matrix = [[v[r] for v in phi] + [-e for e in row] for r, row in enumerate(cocycle.chain.stage(depth).rows)]
     kernel = _integer_kernel(matrix, cocycle.d2 + cocycle.d1)

@@ -619,7 +619,7 @@ def stage_checks_by_levels(con, k):
         check("swap-measure-bound", not rec.f_atoms)
     else:
         check("swap-measure-bound", Fraction(len(rec.f_atoms), space.size) <= 4 * con.anchor_measure(k))
-    check("rebuild-set-recorded", rec.f_atoms <= rec.r_atoms)
+    check("rebuild-set-recorded", rec.f_atoms <= rec.r_atoms and all(0 <= c < space.size for c in rec.r_atoms))
     check(
         "levels-refine-cylinders",
         lambda: levels_refine(src.space, [list(t.levels) for t in src.towers], con.source.kr_partition(k + 1)),

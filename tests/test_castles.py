@@ -14,6 +14,7 @@ from odolab.castles import (
     EmptyConeCoset,
     NotAPartition,
     StepMap,
+    _climbs_as_stored,
     castle_refinement_over,
     minimal_cone_vector,
     refine_pure_columns,
@@ -288,7 +289,7 @@ def test_refine_pure_columns_trivial_labels():
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
     refined = refine_pure_columns(castle, 1, images_by_translation(castle))
-    assert _tower_lists(refined) == _tower_lists(castle)
+    assert tower_lists(refined) == tower_lists(castle)
 
 
 def test_refine_pure_columns_keeps_a_width_1_tower_codes_array():
@@ -315,8 +316,13 @@ def test_refine_pure_columns_refuses_an_unknown_image_below_a_top():
         refine_pure_columns(castle, 1, images)
 
 
-def _tower_lists(castle):
-    return [[t.level(v).tolist() for v in range(t.height)] for t in castle.towers]
+def tower_lists(castle, images=None):
+    """Each tower as its list of levels, each a sorted list; given the
+    `images` of the castle's level map, every tower must also be stored in
+    climb order, column i `codes[i::width]`."""
+    if images is not None:
+        assert all(_climbs_as_stored(images, t) for t in castle.towers)
+    return [[sorted(t.level(v)) for v in range(t.height)] for t in castle.towers]
 
 
 def _random_castle(rng, chain, depth):
@@ -368,8 +374,9 @@ def test_refinements_match_the_two_pass_oracle(kind):
         expected = refine_pure_columns_by_sets(
             space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
         )
-        refined = refine_pure_columns(castle, coarse.depth, images_by_translation(castle))
-        assert _tower_lists(refined) == expected, chain.describe()
+        images = images_by_translation(castle)
+        refined = refine_pure_columns(castle, coarse.depth, images)
+        assert tower_lists(refined, images) == expected, chain.describe()
         partitions = []
         for levels in towers:
             base = list(levels[0])
@@ -377,8 +384,8 @@ def test_refinements_match_the_two_pass_oracle(kind):
             cut = rng.randint(0, len(base))
             partitions.append([frozenset(base[:cut]), frozenset(base[cut:])])
         expected = castle_refinement_by_sets(space, towers, castle.steps, partitions)
-        refined = castle_refinement_over(castle, partitions, images_by_translation(castle))
-        assert _tower_lists(refined) == expected, chain.describe()
+        refined = castle_refinement_over(castle, partitions, images)
+        assert tower_lists(refined, images) == expected, chain.describe()
 
 
 # ---------------------------------------------------------------- atom spaces

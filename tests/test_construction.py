@@ -12,6 +12,7 @@ from odolab.castles import (
     StepMap,
     Tower,
     ValueGroupMismatch,
+    _climbs_as_stored,
     refine_pure_columns,
 )
 from odolab.construction import SpeedupConstruction, StageRecord, _previous_map
@@ -31,6 +32,7 @@ from _oracles import (
     tower_from_levels,
     x0_column_points,
 )
+from test_castles import tower_lists
 from test_digests import FROZEN, stage_digests
 from test_speedup import row_shear_cocycle
 
@@ -487,6 +489,10 @@ CORRUPTIONS = {
         lambda rec, prev: setattr(rec, "r_atoms", frozenset()),
         ["rebuild-set-recorded", "map-stable-off-rebuild"],
     ),
+    "rebuild-set-past-the-space": (
+        lambda rec, prev: setattr(rec, "r_atoms", rec.r_atoms | {rec.src_castle.space.size}),
+        ["rebuild-set-recorded"],
+    ),
     "swap-conserves-shape": (
         lambda rec, prev: setattr(rec, "swap_audit", (rec.swap_audit[0], rec.swap_audit[0][1:])),
         ["swap-conserves-shape"],
@@ -576,13 +582,11 @@ def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
 
 
 def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monkeypatch):
-    # on quadrant stages 0-3 every final tower's images send each level onto
-    # the next in stored order, or (stage 1's width-2 tower) onto the next as
-    # a set, and every step is inside the cone: the column walk climbs no
-    # column, and the audit climbs only the first anchor's, from the zero
-    # point's atom 0, for its exact points.  The refinement climbs only the
-    # columns of the wide pretowers, and at stage 0 none: its slab joins
-    # pair the sorted levels in order
+    # on quadrant stages 0-3 every final tower is stored in climb order and
+    # every step is inside the cone: the column walk climbs no column, and
+    # the audit reads the first anchor's column off its tower.  The
+    # refinement climbs only the columns of the wide pretowers, and at stage
+    # 0 none: the parts of the slab tower are cut out in climb order
     column, refine = castles._column, construction.refine_pure_columns
     climbs, refinements = [], []
 
@@ -606,7 +610,7 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
         assert climbed == wide_bases and climbed
     del climbs[:]
     assert all(con.stage_invariants(k).ok for k in range(4))
-    assert climbs == [0] * 4
+    assert climbs == []
 
 
 def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
@@ -619,14 +623,31 @@ def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
 
 
 def build_case(case):
-    """Quadrant stages 0-3, or derived-sector or dyadic-cube stages 0-2."""
+    """Quadrant or dyadic stages 0-3, or derived-sector, sector or
+    dyadic-cube stages 0-2."""
     if case == "quadrant":
         return build(4)
     if case == "derived-sector":
         source = derived_odometer(row_shear_cocycle(), checked_depth=2)
         return build(3, cone=Cone.sector((1, 0), (1, 1)), source=source)
+    if case == "sector":
+        return build(3, cone=Cone.sector((1, 0), (1, 1)))
+    if case == "dyadic":
+        return build(4, source=OdometerChain.diagonal_power([2, 2]), target=OdometerChain.diagonal_power([4]))
     cube, target = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
     return build(3, cone=Cone.quadrant(3), source=cube, target=target)
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube"])
+def test_every_built_tower_is_stored_in_climb_order(case):
+    # a tower is its columns: below the top its level map sends codes[j]
+    # onto codes[j + width], in the wide towers too
+    stages = build_case(case).stages
+    assert any(t.width > 1 for rec in stages for t in rec.src_castle.towers)
+    for rec in stages:
+        castle = rec.src_castle
+        images = castle.space.images(castle.steps.vectors, castle.steps.ids)
+        assert all(_climbs_as_stored(images, t) for t in castle.towers), rec.k
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
@@ -645,19 +666,20 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
     def recording(castle, depth, images):
         towers = [list(t.levels) for t in castle.towers]
         refined = refine_pure_columns(castle, depth, images)
-        calls.append((castle, towers, depth, refined))
+        calls.append((castle, towers, depth, tower_lists(refined, images)))
         return refined
 
     monkeypatch.setattr(construction, "refine_pure_columns", recording)
     con = build_case(case)
-    # stages 0-2: the refined towers are those of the two translating passes
+    # stages 0-2: the refined towers are those of the two translating
+    # passes, each stored in climb order up the images the build kept
     assert len(calls) == len(con.stages)
-    for castle, towers, depth, refined in calls[:3]:
+    for castle, towers, depth, refined_levels in calls[:3]:
         space, coarse = castle.space, con.source.kr_partition(depth)
         expected = refine_pure_columns_by_sets(
             space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
         )
-        assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
+        assert refined_levels == expected
     # every stage: the previous map is the per-atom one
     for prev, rec in zip(con.stages, con.stages[1:]):
         previous = _previous_map(prev.src_castle, rec.gamma)
@@ -733,7 +755,7 @@ def test_refine_pure_columns_matches_the_two_pass_oracle_on_stages(case):
                 space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
             )
             refined = refine_pure_columns(castle, depth, images)
-            assert [[t.level(v).tolist() for v in range(t.height)] for t in refined.towers] == expected
+            assert tower_lists(refined, images) == expected
 
 
 @pytest.mark.parametrize(

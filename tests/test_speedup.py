@@ -480,6 +480,34 @@ def test_deriving_walks_permutations_and_orbits_at_the_resolution_only(monkeypat
     assert depths.count(("orbit_of_zero", 1)) == 1
 
 
+def test_phi_reads_forward_steps_only(monkeypatch):
+    # phi on the basis of D_J sums table values forward up the depth-J
+    # permutations: deriving the row-shear cocycle (whose second basis
+    # column has a negative entry) takes no backward step and reduces no
+    # coset representative
+    from odolab.lattice import CosetSystem
+
+    calls = []
+    inverse, reduce = PiecewiseCocycle.inverse_permutation, CosetSystem.reduce
+
+    def counted_inverse(cocycle, i, depth):
+        calls.append("inverse_permutation")
+        return inverse(cocycle, i, depth)
+
+    def counted_reduce(system, rep):
+        calls.append("reduce")
+        return reduce(system, rep)
+
+    monkeypatch.setattr(PiecewiseCocycle, "inverse_permutation", counted_inverse)
+    monkeypatch.setattr(CosetSystem, "reduce", counted_reduce)
+    c = row_shear_cocycle()
+    validate(c)
+    del calls[:]
+    report = derived_chain(c, 8)
+    assert report.stage(8) == IntegerLattice.from_rows([[6561, 6433], [0, 256]])
+    assert calls == []
+
+
 def test_derived_odometer_value_group():
     chain = derived_odometer(row_shear_cocycle(), checked_depth=2)
     vg = chain.clopen_value_group()
