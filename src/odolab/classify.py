@@ -14,6 +14,14 @@ is a quadratic form whose integer content divides every achievable
 determinant; content at least 2 (or a vanishing form) rules out
 determinant +-1.  Anything else bounded search cannot settle is reported
 as undecided, never as a refusal dressed up as a No.
+
+The transport searches walk the candidate coefficient tuples in one fixed
+order: by max |x|, then the tuple of |x|, then the tuple of signs (x < 0),
+each compared lexicographically.  The tuples are generated lazily in that
+order, never collected and sorted.  Each candidate is first filtered on
+integers: den * alpha is an integer matrix, whose determinant must be
++-den^dim.  Only the candidates that pass become Fraction matrices and are
+verified.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
+from operator import mul
 
 from .lattice import (
     DimensionMismatch,
@@ -104,15 +113,17 @@ class SupergroupDescriptor:
 
 
 def _det(rows):
+    """Determinant by cofactor expansion, in the entries' own arithmetic:
+    an int for integer rows, a Fraction for rational ones."""
     n = len(rows)
     if n == 1:
-        return Fraction(rows[0][0])
+        return rows[0][0]
     if n == 2:
-        return Fraction(rows[0][0]) * rows[1][1] - Fraction(rows[0][1]) * rows[1][0]
-    total = Fraction(0)
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * Fraction(rows[0][j]) * _det(minor)
+        total += (-1) ** j * rows[0][j] * _det(minor)
     return total
 
 
@@ -454,9 +465,19 @@ def _det_form_coefficients(basis):
     return coeffs
 
 
-def _alpha_from(basis, ts, dim):
-    flat = [sum(t * k[idx] for t, k in zip(ts, basis)) for idx in range(dim * dim)]
-    return [flat[i * dim : (i + 1) * dim] for i in range(dim)]
+def _candidates(bound: int, r: int):
+    """The nonzero integer r-tuples with entries in [-bound, bound], yielded
+    lazily in increasing order of the key (max |x|, the tuple of |x|, the
+    tuple of x < 0).
+
+    No two tuples share a key, so the order is total: sup-norm m = 1, 2, ...;
+    within it the tuples of absolute values with maximum m in lexicographic
+    order; within each of those the sign patterns in lexicographic order,
+    + before - at every nonzero entry."""
+    for m in range(1, bound + 1):
+        for a in iter_product(range(m + 1), repeat=r):
+            if m in a:
+                yield from iter_product(*[(v,) if v == 0 else (v, -v) for v in a])
 
 
 def _verify_transport(alpha, desc_t: SupergroupDescriptor, desc_s: SupergroupDescriptor) -> bool:
@@ -469,7 +490,18 @@ def _verify_transport(alpha, desc_t: SupergroupDescriptor, desc_s: SupergroupDes
 
 
 def _matrix_search(desc_t, desc_s, relation, height, denominators):
-    """Shared engine for the unit-determinant transport tests."""
+    """Shared engine for the unit-determinant transport tests.
+
+    The candidates are alpha = sum (raw_r / den) K_r over the integer basis
+    K_r of the matrices the support constraints allow, for each den in
+    `denominators` and each nonzero integer tuple raw of sup-norm at most
+    height * den.  The tuples are generated lazily (`_candidates`) in the
+    order (max |x|, the tuple of |x|, the tuple of x < 0), so the first
+    witness is that of sorting the whole box, which is never built.  A
+    candidate is rejected on integers before any Fraction is made: den *
+    alpha is the integer matrix A = sum raw_r K_r, and det alpha = +-1 iff
+    det A = +-den^dim.  Only the survivors become Fraction matrices for
+    `_verify_transport`."""
     dim = desc_t.dim
     constraints = _zero_constraints(desc_t, desc_s)
     kernel = _integer_kernel(constraints, dim * dim)
@@ -485,26 +517,21 @@ def _matrix_search(desc_t, desc_s, relation, height, denominators):
         if denominators == (1,) and content >= 2:
             return _no(relation, f"determinant content {content}: no unit determinant")
     r = len(kernel)
+    entries = list(zip(*kernel))  # entries[idx]: entry idx of every kernel column
     for den in denominators:
-        for raw in sorted(
-            iter_product(range(-height * den, height * den + 1), repeat=r),
-            key=lambda t: (
-                max((abs(x) for x in t), default=0),
-                tuple(abs(x) for x in t),
-                tuple(x < 0 for x in t),
-            ),
-        ):
-            if all(x == 0 for x in raw):
+        unit = den**dim
+        for raw in _candidates(height * den, r):
+            # rows is den * alpha, an integer matrix since `_integer_kernel`
+            # returns integer columns
+            flat = [sum(map(mul, raw, e)) for e in entries]
+            rows = [flat[i * dim : (i + 1) * dim] for i in range(dim)]
+            if _det(rows) not in (unit, -unit):
                 continue
-            ts = [Fraction(x, den) for x in raw]
-            alpha = _alpha_from(kernel, ts, dim)
-            det = _det(alpha)
-            if det not in (1, -1):
-                continue
-            if denominators == (1,) and any(e.denominator != 1 for row in alpha for e in row):
-                continue
+            # the isomorphism test searches den = 1 alone, where alpha = rows
+            # is integral: no candidate needs an integrality check
+            alpha = [[Fraction(e, den) for e in row] for row in rows]
             if _verify_transport(alpha, desc_t, desc_s):
-                return _yes(relation, witness=tuple(tuple(e for e in row) for row in alpha))
+                return _yes(relation, witness=tuple(tuple(row) for row in alpha))
     return _undecided(relation, height)
 
 

@@ -386,9 +386,6 @@ class SpeedupConstruction:
         h_prev = prev.height
         blocks = h // h_prev
 
-        # the previous map, rebuilt in place below into this stage's map
-        steps = _previous_map(prev.src_castle, gamma)
-
         # --- target side: pure previous-column split of the tall tower; by
         # residue arithmetic (`_copy_levels_to_target`) block m of the tower
         # over c starts at the previous atom (c + m * h_prev) mod its index
@@ -401,6 +398,10 @@ class SpeedupConstruction:
             except KeyError:
                 raise CastleError("block itineraries must start at previous bases") from None
             groups.setdefault(itinerary, []).append(c)  # in increasing c: keys by least base
+        # both anchors lie in a lone tall tower, which must be split below
+        # into three parts; narrower than 3, deepen before mirroring and climbing
+        if len(groups) == 1 and len(next(iter(groups.values()))) < 3:
+            raise _NeedDepth()
 
         # --- source mirror: split previous bases by the tall-tower measures
         piece_of: dict[tuple[int, int], list[int]] = {}
@@ -418,9 +419,11 @@ class SpeedupConstruction:
 
         # --- climb each block piece once up the previous map's images:
         # column i of a climb starts at the piece's i-th smallest base atom.
-        # Every transfer of the rebuild and the joins below keeps the images
+        # The previous map is rebuilt in place below into this stage's map;
+        # every transfer of the rebuild and the joins below keeps the images
         # up to date until the refinement reads them
         # (the atom each step sends its atom onto, -1 where it has none)
+        steps = _previous_map(prev.src_castle, gamma)
         images = space.images(steps.vectors, steps.ids)
         climbs = {key: _climb(images, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)

@@ -704,3 +704,75 @@ def stage_checks_by_levels(con, k):
     check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
     check("column-sums-in-cone", lambda: climb()[1])
     return checks
+
+
+def transport_by_sorted_search(desc_t, desc_s, relation, height, denominators):
+    """The unit-determinant transport search as a full sorted enumeration.
+
+    Materializes every coefficient tuple of the box, sorts it by (max |x|,
+    the tuple of |x|, the tuple of x < 0), and tests each candidate with a
+    `Fraction` determinant; the first verified candidate is the witness."""
+    from math import gcd
+
+    from odolab.classify import (
+        _det_form_coefficients,
+        _no,
+        _undecided,
+        _verify_transport,
+        _yes,
+        _zero_constraints,
+    )
+    from odolab.lattice import _integer_kernel
+
+    def _det(rows):
+        n = len(rows)
+        if n == 1:
+            return Fraction(rows[0][0])
+        if n == 2:
+            return Fraction(rows[0][0]) * rows[1][1] - Fraction(rows[0][1]) * rows[1][0]
+        total = Fraction(0)
+        for j in range(n):
+            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+            total += (-1) ** j * Fraction(rows[0][j]) * _det(minor)
+        return total
+
+    def _alpha_from(basis, ts, dim):
+        flat = [sum(t * k[idx] for t, k in zip(ts, basis)) for idx in range(dim * dim)]
+        return [flat[i * dim : (i + 1) * dim] for i in range(dim)]
+
+    dim = desc_t.dim
+    constraints = _zero_constraints(desc_t, desc_s)
+    kernel = _integer_kernel(constraints, dim * dim)
+    if not kernel:
+        return _no(relation, "support constraints force the zero matrix")
+    if dim == 2:
+        coeffs = _det_form_coefficients(kernel)
+        if all(c == 0 for c in coeffs):
+            return _no(relation, "support constraints force a singular matrix family")
+        content = 0
+        for c in coeffs:
+            content = gcd(content, c)
+        if denominators == (1,) and content >= 2:
+            return _no(relation, f"determinant content {content}: no unit determinant")
+    r = len(kernel)
+    for den in denominators:
+        for raw in sorted(
+            product(range(-height * den, height * den + 1), repeat=r),
+            key=lambda t: (
+                max((abs(x) for x in t), default=0),
+                tuple(abs(x) for x in t),
+                tuple(x < 0 for x in t),
+            ),
+        ):
+            if all(x == 0 for x in raw):
+                continue
+            ts = [Fraction(x, den) for x in raw]
+            alpha = _alpha_from(kernel, ts, dim)
+            det = _det(alpha)
+            if det not in (1, -1):
+                continue
+            if denominators == (1,) and any(e.denominator != 1 for row in alpha for e in row):
+                continue
+            if _verify_transport(alpha, desc_t, desc_s):
+                return _yes(relation, witness=tuple(tuple(e for e in row) for row in alpha))
+    return _undecided(relation, height)

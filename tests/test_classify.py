@@ -10,6 +10,7 @@ from odolab.classify import (
     NoFit,
     SupergroupDescriptor,
     UnsupportedDescriptor,
+    _candidates,
     _truncate,
     conjugate_test,
     continuous_oe_test,
@@ -21,7 +22,7 @@ from odolab.odometer import OdometerChain
 from odolab.sampling import sample_cocycles
 from odolab.speedup import NotMinimalAtDepth, derived_odometer
 
-from _oracles import fit_by_enumeration
+from _oracles import fit_by_enumeration, transport_by_sorted_search
 from test_speedup import chain22, chain32, row_shear_cocycle, staircase_cocycle
 
 H_BASE = SupergroupDescriptor.coordinate([{3}, {2}])  # Z[1/3] x Z[1/2]
@@ -324,6 +325,93 @@ def test_continuous_oe_no_forced_singular():
     verdict = continuous_oe_test(H_BASE, H_DYADIC)
     assert verdict.outcome == "no"
     assert "singular" in verdict.certificate or "zero matrix" in verdict.certificate
+
+
+# ---------------------------------------------------------------- transport search order
+
+def _box_key(t):
+    return (max((abs(x) for x in t), default=0), tuple(abs(x) for x in t), tuple(x < 0 for x in t))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_candidates_follow_the_sorted_box(r):
+    for bound in range(7):
+        box = sorted(product(range(-bound, bound + 1), repeat=r), key=_box_key)
+        assert list(_candidates(bound, r)) == [t for t in box if any(t)]
+
+
+TRANSPORT_SUPPORTS = (frozenset({2}), frozenset({3}), frozenset({2, 3}))
+
+
+def _sampled_descriptor(rng, dim, supports=None):
+    """A descriptor with supports drawn from TRANSPORT_SUPPORTS unless given
+    and, in dimension 2, the shear lam = a/d with d a squarefree product of
+    second-coordinate primes and |a| <= d."""
+    supports = supports or [rng.choice(TRANSPORT_SUPPORTS) for _ in range(dim)]
+    if dim == 1:
+        return SupergroupDescriptor.coordinate(supports)
+    d = 1
+    for p in sorted(supports[1]):
+        d *= p ** rng.randint(0, 1)
+    return SupergroupDescriptor.make([[1, 0], [Fraction(rng.randint(-d, d), d), 1]], supports)
+
+
+def _transport_cases(seed, count):
+    """(t, s, denominator bound) triples, a third of them in dimension 1.  Half
+    the pairs share their supports and differ in the shear, which is where
+    a continuous orbit equivalence needs a fractional witness."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        dim = 1 if i % 3 == 0 else 2
+        t = _sampled_descriptor(rng, dim)
+        s = _sampled_descriptor(rng, dim, list(t.supports) if rng.random() < 0.5 else None)
+        cases.append((t, s, rng.randint(1, 3)))
+    return cases
+
+
+def _with_sorted_search(t, s, iso_height, coe_height, denom_bound):
+    """(verdict, the sorted-search oracle's verdict) for both transport tests."""
+    return [
+        (
+            isomorphism_test(t, s, height=iso_height),
+            transport_by_sorted_search(t, s, "isomorphic", iso_height, (1,)),
+        ),
+        (
+            continuous_oe_test(t, s, height=coe_height, denom_bound=denom_bound),
+            transport_by_sorted_search(
+                t, s, "continuously-orbit-equivalent", coe_height, tuple(range(1, denom_bound + 1))
+            ),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_transport_search_matches_sorted_search_on_sampled_pairs(seed):
+    """Same outcome, first witness and certificate as sorting the whole box,
+    on 30 pairs per seed at height 2 and denominators up to 3."""
+    seen = {"isomorphic": set(), "continuously-orbit-equivalent": set()}
+    for t, s, denom_bound in _transport_cases(seed, 30):
+        for verdict, reference in _with_sorted_search(t, s, 2, 2, denom_bound):
+            assert verdict == reference, (t.describe(), s.describe())
+            seen[verdict.relation].add(verdict.outcome)
+    assert all(outcomes == {"yes", "no", "undecided"} for outcomes in seen.values())
+
+
+def test_transport_search_matches_sorted_search_on_workload_pairs():
+    """The equal-rank pairs the benchmark's verdict phase classifies: the
+    shear case and the ladder at the default iso height and coe height 5
+    with denominators up to 2, and every fitted probe against the mixed
+    chain's fit at coe height 2."""
+    stairs = fit_descriptor(derived_odometer(staircase_cocycle(), checked_depth=3), 4)
+    pairs = [(H_BASE, H_SHEARED, 5), (H_DYADIC, stairs, 5), (H_BASE, H_DYADIC, 5), (H_BASE, H_BASE, 5)]
+    mixed = fit_descriptor(chain32(), 4)
+    fits = [fit_descriptor(chain, 4) for chain in _derived_samples(PROBE_SEED, 25) if chain is not None]
+    pairs += [(mixed, fit, 2) for fit in fits if not isinstance(fit, NoFit)]
+    assert len(pairs) > 4
+    for t, s, coe_height in pairs:
+        for verdict, reference in _with_sorted_search(t, s, 5, coe_height, 2):
+            assert verdict == reference, (t.describe(), s.describe())
 
 
 # ---------------------------------------------------------------- orbit equivalence

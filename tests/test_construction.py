@@ -651,6 +651,23 @@ def test_every_built_tower_is_stored_in_climb_order(case):
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
+def test_each_inductive_stage_lifts_the_previous_map_once(case, monkeypatch):
+    # at the least working depth the target split leaves one tall tower of
+    # width 1 holding both anchors; that attempt deepens before the previous
+    # map is lifted, so only the attempt that builds the stage lifts it
+    lifts = []
+    previous_map = construction._previous_map
+
+    def counted(castle, depth):
+        lifts.append(depth)
+        return previous_map(castle, depth)
+
+    monkeypatch.setattr(construction, "_previous_map", counted)
+    stages = build_case(case).stages
+    assert lifts == [rec.gamma for rec in stages[1:]]
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
 def test_tower_codes_and_target_bases_are_int32_arrays(case):
     # one array type for every atom array, as the images and step ids are
     for rec in build_case(case).stages:
