@@ -23,6 +23,10 @@ step moves exact atom counts, which is the only consequence of such a map
 the castle-level construction consumes.  All selections are
 lexicographic, so runs are reproducible.
 
+No working depth has more than MAX_ATOMS atoms (the two chains work at equal
+index, so one bound covers both); a source whose clopen value group is Z, whose
+atoms never get finer, is refused.
+
 Anchor conventions: the first anchor is the zero point; the second is its
 translate by minus the least cone vector; the stage-k anchor cylinders
 are their depth-(k+1) cylinders.  Stage numbers and tower heights are the
@@ -60,11 +64,11 @@ from .castles import (
 )
 from .classify import orbit_equivalence_test
 from .lattice import IntegerLattice, _integer_kernel
-from .odometer import OdometerChain
+from .odometer import ChainError, OdometerChain
 from .speedup import Cone
 
 
-MAX_DEPTH = 9  # 6^9 source atoms is already beyond desk scale
+MAX_ATOMS = 2**26  # admits quadrant stage 6 (6^10 atoms, ~23 bytes each) in ~1.5 GB
 
 
 class _NeedDepth(Exception):
@@ -117,6 +121,9 @@ class SpeedupConstruction:
             raise ValueGroupMismatch(
                 f"source and target clopen value groups differ: {witness} lies in only one of them"
             )
+        group = source.clopen_value_group(6)
+        if group.exact and not group.infinite:  # bounded indices
+            raise CastleError(f"the clopen value group is {group.describe()}: the chains' atoms never get finer")
         self.source = source
         self.target = target
         self.cone = cone
@@ -143,41 +150,33 @@ class SpeedupConstruction:
         return a0, a2
 
     def _align_depths(self, min_src_depth: int, min_tgt_depth: int):
-        """Smallest depth pair with equal index on both chains."""
+        """Smallest depth pair with equal index on both chains, within the atom budget."""
         g, t = max(1, min_src_depth), max(1, min_tgt_depth)
-        while g <= MAX_DEPTH and t <= MAX_DEPTH * 4:
-            si, ti = self.source.index(g), self.target.index(t)
+        while (si := self.source.index(g)) <= MAX_ATOMS:
+            ti = self.target.index(t)
             if si == ti:
                 return g, t
             if si < ti:
                 g += 1
             else:
                 t += 1
-        # `__init__` refused value groups that differ: this is the depth cap
-        raise DepthExhausted(
-            f"no common atom granularity up to source depth {MAX_DEPTH}: stopped at source depth {g}, target depth {t}"
-        )
+        # `__init__` refused differing value groups and indices that stop growing: this is the budget
+        raise DepthExhausted(f"no common atom granularity within {MAX_ATOMS} atoms: source depth {g} has {si} atoms")
 
     # -- stage scheduling ----------------------------------------------
 
     def _schedule(self, k: int) -> int:
-        """The target stage n_k."""
+        """The target stage n_k: the least n past n_(k-1) at which `atoms`
+        target atoms measure less than `bound`."""
         mu = self.anchor_measure(k)
-        if k == 0:
-            n = 1
-            while Fraction(1, self.target.index(n)) >= mu:
-                n += 1
-                if n > MAX_DEPTH * 4:
-                    raise DepthExhausted("no target stage has fine enough atoms")
-            return n
-        earlier = sum((self.anchor_measure(j) for j in range(k)), Fraction(0))
-        cap = min(mu, mu / (24 * earlier))
-        bound = min(cap, mu / 3)
-        n = self.stages[k - 1].n + 1
-        while Fraction(2, self.target.index(n)) >= bound:
+        n, atoms, bound = 1, 1, mu
+        if k:
+            earlier = sum((self.anchor_measure(j) for j in range(k)), Fraction(0))
+            n, atoms, bound = self.stages[k - 1].n + 1, 2, min(mu / (24 * earlier), mu / 3)
+        while Fraction(atoms, self.target.index(n)) >= bound:
+            if self.target.index(n) > MAX_ATOMS:
+                raise DepthExhausted(f"stage {k}: no target stage within {MAX_ATOMS} atoms has fine enough atoms")
             n += 1
-            if n > MAX_DEPTH * 4:
-                raise DepthExhausted("no target stage has small enough boundary")
         return n
 
     # -- public API ------------------------------------------------------
@@ -204,8 +203,6 @@ class SpeedupConstruction:
             try:
                 return build(k, n, h, gamma, tgt_depth)
             except _NeedDepth:
-                if gamma >= MAX_DEPTH:
-                    raise DepthExhausted(f"stage {k} needs more depth than allowed")
                 gamma, tgt_depth = self._align_depths(gamma + 1, tgt_depth + 1)
 
     # -- base stage ------------------------------------------------------
@@ -564,7 +561,7 @@ class SpeedupConstruction:
             return StageReport(k, ())  # nothing built: vacuously fine
         rec = self._record(k)
         space = self.source.kr_partition(rec.gamma)
-        tspace = self.target.kr_partition(rec.tgt_depth)
+        tsize = self.target.index(rec.tgt_depth)  # a target code is its residue mod tsize
         checks: list[tuple[str, bool, str]] = []
 
         def check(name, ok, detail=""):
@@ -639,20 +636,21 @@ class SpeedupConstruction:
 
         # (5c) target levels inside single target cylinder atoms: +1 maps
         # depth-n atoms onto depth-n atoms, so a tower's levels lie in one
-        # each iff its base does (a base is a tower of one level)
-        check(
-            "target-levels-refine-cylinders",
-            lambda: _levels_refine(
-                tspace, [Tower(len(b), b) for b in rec.tgt_bases], self.target.kr_partition(rec.n)
-            ),
-        )
+        # each iff its base does; a code's depth-n atom is its residue mod T(n)
+        def _target_levels_ok():
+            m = self.target.index(rec.n)
+            if tsize % m:
+                raise ChainError("coarsen needs a coarser atom space of the same chain")
+            return all(len({c % m for c in b}) <= 1 for b in rec.tgt_bases)
+
+        check("target-levels-refine-cylinders", _target_levels_ok)
 
         # (5d) the target towers tile the target: the bases are exactly the
         # multiples of the height, so +1 never wraps below a top, and the
         # levels base + v are disjoint and cover every target atom
         def _tiling_ok():
             bases = array("i", sorted(c for b in rec.tgt_bases for c in b))
-            return tspace.size % rec.height == 0 and bases == array("i", range(0, tspace.size, rec.height))
+            return tsize % rec.height == 0 and bases == array("i", range(0, tsize, rec.height))
 
         check("target-translation-castle", _tiling_ok)
         shift_ok = checks[-1][1]
@@ -664,8 +662,11 @@ class SpeedupConstruction:
         check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
-        # (6b) every displacement lies in the cone; a stage uses few distinct ones
+        # (6b) every displacement lies in the cone; a stage uses few distinct ones.
+        # Proved maps leave no code below a top without a step, so a table in the cone decides
         def _cone_ok():
+            if maps_ok and _steps_stay_in(self.cone, steps.vectors):
+                return True
             used = set()
             for t in src.towers:
                 used.update(map(steps.ids.__getitem__, t.codes[: len(t.codes) - t.width]))
@@ -950,9 +951,4 @@ def _deal(pool, sizes):
     """Deal a sorted atom pool into consecutive chunks of the given sizes."""
     if sum(sizes) != len(pool):
         raise CastleError("chunk sizes do not exhaust the atom pool")
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(pool[start : start + s])
-        start += s
-    return out
+    return [pool[end - s : end] for end, s in zip(accumulate(sizes), sizes)]

@@ -478,6 +478,17 @@ def _atom_doubled_in_a_wide_level(rec, prev):
     tower.codes[j + 1] = tower.codes[j]
 
 
+def _unused_vector_outside_the_cone(rec, prev):
+    """Put a vector outside the cone into the step table, used by no atom:
+    the table alone no longer proves the displacements, so the audit reads
+    the ids in use off the codes, and every one of them is in the cone."""
+    steps = rec.src_castle.steps
+    atom = rec.src_castle.towers[0].codes[0]
+    vec = steps[atom]
+    steps.assign(atom, tuple(-x for x in vec))
+    steps.assign(atom, vec)
+
+
 # corrupted records of quadrant stage 1 (or of stage 0 under it) and the
 # checks that fail on them: one per check that the build's own records
 # decide, a level map whose image leaves its tower, a previous map changed
@@ -528,6 +539,7 @@ CORRUPTIONS = {
         ],
     ),
     "atoms-swapped-in-a-wide-level": (_atoms_swapped_in_a_wide_level, []),
+    "unused-vector-outside-the-cone": (_unused_vector_outside_the_cone, []),
     "atom-doubled-in-a-wide-level": (
         _atom_doubled_in_a_wide_level, ["castle-shape", "level-maps-biject", "pairing-intertwines"]
     ),
@@ -806,22 +818,57 @@ def test_value_group_mismatch_rejected():
         )
 
 
-def test_the_depth_cap_on_aligning_depths_is_reported_as_such(monkeypatch):
-    # stage 1 onto 36^j starts at source depth 5, whose index 6^5 is no
-    # power of 36; the next equal index lies past the cap
-    monkeypatch.setattr(construction, "MAX_DEPTH", 5)
+def test_the_atom_budget_on_aligning_depths_is_reported_as_such(monkeypatch):
+    # stage 1 onto 36^j deepens to source depth 5, whose index 6^5 is no
+    # power of 36; the next equal index, 6^6, lies past the budget
+    monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
     con = build(1, target=OdometerChain.diagonal_power([36]))
-    with pytest.raises(DepthExhausted, match=r"^no common atom granularity up to source depth 5: stopped at source depth 6"):
+    with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 7776 atoms: source depth 6 has 46656 atoms$"):
         con.run(2)
     assert len(con.stages) == 1
 
 
-def test_the_depth_cap_on_deepening_a_stage(monkeypatch):
-    monkeypatch.setattr(construction, "MAX_DEPTH", 4)
+def test_the_atom_budget_on_deepening_a_stage(monkeypatch):
+    # stage 1 is tried at source depth 4 (6^4 atoms, the budget) and needs
+    # finer atoms: the deepening is refused, not built
+    monkeypatch.setattr(construction, "MAX_ATOMS", 6**4)
     con = build(1)
-    with pytest.raises(DepthExhausted, match=r"^stage 1 needs more depth than allowed$"):
+    tried = []
+    build_inductive = con._build_inductive
+    monkeypatch.setattr(con, "_build_inductive", lambda k, n, h, g, t: tried.append(g) or build_inductive(k, n, h, g, t))
+    with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 1296 atoms: source depth 5 has 7776 atoms$"):
+        con.run(2)
+    assert tried == [4]
+    assert len(con.stages) == 1
+
+
+def test_the_atom_budget_on_scheduling_a_target_stage(monkeypatch):
+    # stage 1 needs a target stage with 2 atoms below 1/144; the first one
+    # tried, 6^3 atoms, is not fine enough and already past the budget
+    con = build(1)
+    monkeypatch.setattr(construction, "MAX_ATOMS", 36)
+    with pytest.raises(DepthExhausted, match=r"^stage 1: no target stage within 36 atoms has fine enough atoms$"):
         con.run(2)
     assert len(con.stages) == 1
+
+
+def test_the_atom_budget_admits_quadrant_depth_10_and_refuses_11():
+    # 6^10 atoms is within the budget and 6^11 is not; aligning realizes
+    # lattices only, never an atom space
+    con = SpeedupConstruction(OdometerChain.diagonal_power([3, 2]), OdometerChain.diagonal_power([6]), Cone.quadrant(2))
+    assert con._align_depths(10, 10) == (10, 10)
+    with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 67108864 atoms: source depth 11 has "):
+        con._align_depths(11, 11)
+    assert construction.MAX_ATOMS == 2**26
+    assert not con.stages and not con.source._spaces and not con.target._spaces
+
+
+@pytest.mark.parametrize("source_primes", [[1, 1], [1, 1, 1]])
+def test_chains_whose_atoms_never_get_finer_are_refused(source_primes):
+    # every index is 1, so no depth would ever have atoms fine enough
+    source = OdometerChain.diagonal_power(source_primes)
+    with pytest.raises(CastleError, match=r"^the clopen value group is Z: the chains' atoms never get finer$"):
+        SpeedupConstruction(source, OdometerChain.diagonal_power([1]), Cone.quadrant(len(source_primes)))
 
 
 def test_sector_cone_two_stages():

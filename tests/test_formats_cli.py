@@ -260,11 +260,11 @@ def test_cli_construct(specdir, capsys):
 
 
 def test_cli_construct_prints_the_stages_built_before_an_error(specdir, monkeypatch, capsys):
-    # with the depth cap at 5, stage 1 onto 36^j finds no common atom
+    # with the atom budget at 6^5, stage 1 onto 36^j finds no common atom
     # granularity: stage 0 and its audit are printed, then the error
     from odolab import construction
 
-    monkeypatch.setattr(construction, "MAX_DEPTH", 5)
+    monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
     (specdir / "t36.chain").write_text("dim=1 provider=diagpow primes=36 exps=j")
     argv = ["construct", "--source", str(specdir / "mixed.chain"), "--target", str(specdir / "t36.chain"),
             "--cone", str(specdir / "quad.cone"), "--audit", "--stages"]
@@ -274,8 +274,19 @@ def test_cli_construct_prints_the_stages_built_before_an_error(specdir, monkeypa
     assert main([*argv, "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == stage_0
-    assert captured.err.startswith("odolab: error: no common atom granularity up to source depth 5: ")
+    assert captured.err.startswith("odolab: error: no common atom granularity within 7776 atoms: ")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_construct_refuses_chains_whose_atoms_never_get_finer(specdir, capsys):
+    (specdir / "ones.chain").write_text("dim=2 provider=diagpow primes=1,1 exps=j,j")
+    (specdir / "one.chain").write_text("dim=1 provider=diagpow primes=1 exps=j")
+    argv = ["construct", "--source", str(specdir / "ones.chain"), "--target", str(specdir / "one.chain"),
+            "--cone", str(specdir / "quad.cone"), "--stages", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "odolab: error: the clopen value group is Z: the chains' atoms never get finer\n"
 
 
 def test_cli_repro_single(capsys):
