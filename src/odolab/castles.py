@@ -34,7 +34,6 @@ here is deterministic and regression-testable.
 from __future__ import annotations
 
 from array import array
-from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, islice
@@ -66,37 +65,33 @@ class DepthExhausted(CastleError):
 
 # ---------------------------------------------------------------- cone vectors
 
-def minimal_cone_vector(cone: Cone, target_rep, source_rep, lattice, second: bool = False):
+def minimal_cone_vector(cone: Cone, target_rep, source_rep, lattice):
     """Least cone member congruent to target - source mod the lattice.
 
-    Ordering is (l1 norm, lexicographic).  With `second`, the next one in
-    that order; it induces the same atom map because the two vectors are
-    congruent, which is what the pointwise-avoidance callers rely on.
-
-    One exact search for every cone and lattice.  On the canonical
-    upper-triangular basis (Cohen, GTM 138, 2.4) a member of base + L has
-    x_i = o_i + t_i * rows[i][i], where o_i = base_i + sum_{j>i} t_j *
-    rows[i][j]: coordinates are chosen last to first, each through its
-    residue class in (|x|, x) order, and a branch is cut once its l1 norm
-    exceeds that of the wanted member found so far.  The first coordinate
-    is bounded by the cone's facets.  Raises EmptyConeCoset when no member
-    has l1 norm within |base|_1 + 128 * (sum of |basis entries|).
+    Ordering is (l1 norm, lexicographic).  One exact search for every cone
+    and lattice.  On the canonical upper-triangular basis (Cohen, GTM 138,
+    2.4) a member of base + L has x_i = o_i + t_i * rows[i][i], where
+    o_i = base_i + sum_{j>i} t_j * rows[i][j]: coordinates are chosen last
+    to first, each through its residue class in (|x|, x) order, and a
+    branch is cut once its l1 norm exceeds that of the least member found
+    so far.  The first coordinate is bounded by the cone's facets.  Raises
+    EmptyConeCoset when no member has l1 norm within |base|_1 + 128 * (sum
+    of |basis entries|).
     """
     base = tuple(t - s for t, s in zip(target_rep, source_rep))
     rows = lattice.rows
-    want = 2 if second else 1
-    found: list = []  # the least members so far, sorted (l1 norm, vector) pairs
+    best: list = []  # the least member so far, as one (l1 norm, vector) pair
     cap = sum(map(abs, base)) + 128 * sum(abs(e) for row in rows for e in row)
-    _choose(len(base) - 1, base, 0, (), cone, rows, want, cap, found)
-    if len(found) < want:
+    _choose(len(base) - 1, base, 0, (), cone, rows, cap, best)
+    if not best:
         raise EmptyConeCoset(f"no cone member found in the coset of {base}")
-    return found[-1][1]
+    return best[0][1]
 
 
-def _choose(i, offsets, norm, tail, cone, rows, want, cap, found) -> None:
+def _choose(i, offsets, norm, tail, cone, rows, cap, best) -> None:
     """Choose x_i, then x_{i-1}, ..., x_0, in front of the chosen `tail`
-    (x_{i+1}, ...) of l1 norm `norm`; `offsets` are o_0, ..., o_i.  Every
-    cone member within the norm limit goes into `found`."""
+    (x_{i+1}, ...) of l1 norm `norm`; `offsets` are o_0, ..., o_i.  A cone
+    member within the norm limit that precedes `best[0]` replaces it."""
     m = rows[i][i]
     lo, hi = -cap, cap
     if i == 0:  # each facet n.x >= strict bounds x_0 given the tail
@@ -109,17 +104,16 @@ def _choose(i, offsets, norm, tail, cone, rows, want, cap, found) -> None:
             elif c > 0:
                 return
     for x in _by_abs(offsets[i], m, lo, hi):
-        if norm + abs(x) > (found[-1][0] if len(found) == want else cap):
+        if norm + abs(x) > (best[0][0] if best else cap):
             return
         if i:
             t = (x - offsets[i]) // m
             shifted = [o + t * row[i] for o, row in zip(offsets[:i], rows)]
-            _choose(i - 1, shifted, norm + abs(x), (x,) + tail, cone, rows, want, cap, found)
+            _choose(i - 1, shifted, norm + abs(x), (x,) + tail, cone, rows, cap, best)
         else:
-            vector = (x,) + tail
-            if cone.contains(vector):  # left to check: the zero vector
-                insort(found, (norm + abs(x), vector))
-                del found[want:]
+            pair = (norm + abs(x), (x,) + tail)
+            if cone.contains(pair[1]) and (not best or pair < best[0]):  # left to check: the zero vector
+                best[:] = [pair]
 
 
 def _by_abs(r: int, m: int, lo: int, hi: int):

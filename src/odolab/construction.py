@@ -29,8 +29,12 @@ atoms never get finer, is refused.
 
 Anchor conventions: the first anchor is the zero point; the second is its
 translate by minus the least cone vector; the stage-k anchor cylinders
-are their depth-(k+1) cylinders.  Stage numbers and tower heights are the
-least values satisfying the driving inequalities, computed exactly:
+are their depth-(k+1) cylinders.  Stage 0 parts the anchors by one pairing
+rule: its joins pair the i-th atoms of consecutive sorted levels, except
+that the top's two least atoms trade places when the second anchor is the
+least, so the zero point's column never ends at the second anchor
+(`_build_base`).  Stage numbers and tower heights are the least values
+satisfying the driving inequalities, computed exactly:
 
     atom measure < anchor measure                      (stage 0)
     boundary measure < min(eps cap, anchor measure/3)  (stage k), with
@@ -209,8 +213,8 @@ class SpeedupConstruction:
 
     def _build_base(self, k, n, h, gamma, tgt_depth) -> StageRecord:
         space = self.source.kr_partition(gamma)
-        total = space.size
-        if total % h or total // h < 2:
+        total = space.size  # a multiple of h, the index of a coarser depth of the target
+        if total // h < 2:
             raise _NeedDepth()
         towers = [Tower(total // h, array("i", range(total)))]
 
@@ -223,6 +227,20 @@ class SpeedupConstruction:
         post_sizes = _shape(towers)
         tower = towers[0]
 
+        # the anchors' columns part by one pairing rule.  The joins pair the
+        # i-th atoms of consecutive stored levels, so column i is
+        # codes[i::width].  Every level is stored sorted and x0 is code 0, the
+        # least atom of the base, so the least atoms form x0's column; when x2
+        # is the least atom of the top, the top's two least atoms trade
+        # places (the width is at least 2), so x2 tops another column.
+        # Distinct columns hold distinct atoms.  Pointwise they are apart
+        # too: the points up x0's column are sums of cone vectors, and x2 =
+        # -u is one only if u plus cone vectors sums to 0, which a cone with
+        # no line rules out (a sum of its members is a member, never 0)
+        top = (h - 1) * tower.width
+        if tower.codes[top] == x2_atom:
+            tower.codes[top], tower.codes[top + 1] = tower.codes[top + 1], x2_atom
+
         # join the slabs with least cone vectors
         steps = StepMap(total)
         images = array("i", [-1]) * total  # the atom each step sends its atom onto
@@ -230,39 +248,12 @@ class SpeedupConstruction:
         for v in range(h - 1):
             self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps, images)
 
-        # the two anchor columns must be pointwise distinct before they can
-        # be separated; if they merged, re-route the last step on the zero
-        # column inside its congruence class (same atom map, new point map).
-        # The joins pair the i-th atoms of consecutive sorted levels, so
-        # column i is codes[i::width], the column ending at the second
-        # anchor included
-        i = tower.level(h - 1).index(x2_atom)
-        column = tower.codes[i :: tower.width]
-
-        def base_point():
-            """Exact base point of that column: the second anchor minus its steps."""
-            climbed = map(sum, zip(*(steps[c] for c in column[:-1])))
-            return tuple(x - s for x, s in zip(self.x2_vector, climbed))
-
-        zero = (0,) * self.source.dim
-        if base_point() == zero:
-            atom = column[h - 2]
-            steps.assign(
-                atom,
-                minimal_cone_vector(self.cone, space.decode(x2_atom), space.decode(atom), lattice, second=True),
-            )
-            if base_point() == zero:
-                raise _NeedDepth()
-
-        castle = Castle(self.source, gamma, towers, steps)
-        y_atom = column[0]
-        if y_atom == x0_atom:
-            raise _NeedDepth()
-        parts = [[x0_atom], [y_atom]]  # x2 tops y's column: the anchors' towers part here
+        y_atom = tower.codes[tower.level(h - 1).index(x2_atom)]  # the base of x2's column
+        parts = [[x0_atom], [y_atom]]  # the anchors' towers part here
         rest = set(tower.level(0)) - {x0_atom, y_atom}
         if rest:
             parts.append(rest)
-        castle = castle_refinement_over(castle, [parts], images)
+        castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [parts], images)
         castle = refine_pure_columns(castle, 1, images)
         del images
 
@@ -346,12 +337,11 @@ class SpeedupConstruction:
         return frozenset(c for left in gone.values() for _, c in left), touched
 
     def _transfer(self, src, dst, space, lattice, steps, images, changed=None):
-        """Pair two atom sets lexicographically with least cone vectors; the
-        vector sending s onto d is the image `images[s] = d`."""
-        src_atoms, dst_atoms = sorted(src), sorted(dst)
-        if len(src_atoms) != len(dst_atoms):
+        """Send `src[i]` onto `dst[i]` by the least cone vector; the vector
+        sending s onto d is the image `images[s] = d`."""
+        if len(src) != len(dst):
             raise CastleError("transfer endpoints have different sizes")
-        for s, d in zip(src_atoms, dst_atoms):
+        for s, d in zip(src, dst):
             vec = minimal_cone_vector(self.cone, space.decode(d), space.decode(s), lattice)
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
@@ -492,7 +482,7 @@ class SpeedupConstruction:
                 else:
                     stale_src.append(c)
             if stale_src:
-                self._transfer(stale_src, dst - covered, space, lattice, steps, images, changed)
+                self._transfer(sorted(stale_src), sorted(dst - covered), space, lattice, steps, images, changed)
         # record where the map was rebuilt: the swapped set, everything
         # remapped, and the in-block preimages of swapped atoms
         r_atoms = set(f_atoms) | changed
@@ -504,7 +494,7 @@ class SpeedupConstruction:
         # --- join the blocks with fresh cone vectors
         for tower in pretowers:
             for v in range(h_prev - 1, h - 1, h_prev):
-                self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps, images)
+                self._transfer(sorted(tower.level(v)), sorted(tower.level(v + 1)), space, lattice, steps, images)
 
         # --- refine into pure cylinder columns at depth k+1; a tower's first
         # atom is a base atom of its pretower

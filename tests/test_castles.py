@@ -61,15 +61,6 @@ def test_cone_transfer_minimal_vectors():
     assert minimal_cone_vector(QUADRANT, (0, 1), (0, 0), stage) == (0, 1)
 
 
-def test_cone_transfer_avoidance_second_minimal():
-    stage = chain32().stage(1)
-    vec = minimal_cone_vector(QUADRANT, (1, 0), (0, 0), stage, second=True)
-    assert vec != (1, 0)
-    assert QUADRANT.contains(vec)
-    # congruent mod the stage, so the atom map is unchanged
-    assert stage.contains((vec[0] - 1, vec[1]))
-
-
 def test_minimal_cone_vector_empty_coset():
     lat = IntegerLattice.diagonal([3, 2])
     ray = Cone.sector((1, 0), (1, 0))
@@ -82,13 +73,6 @@ def test_minimal_cone_vector_search_bound_is_not_a_silent_clamp():
     # the least member is (0, 4) = -3*(8, 0) + 4*(6, 1), outside the radius-2 box
     lat = IntegerLattice.from_rows([[8, 6], [0, 1]])
     assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat) == (0, 4)
-
-
-def test_second_least_member_of_the_lattice_itself():
-    # members of 3Z x 2Z in the quadrant: (0, 2), then (3, 0), then (0, 4)
-    lat = IntegerLattice.diagonal([3, 2])
-    assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat) == (0, 2)
-    assert minimal_cone_vector(QUADRANT, (0, 0), (0, 0), lat, second=True) == (3, 0)
 
 
 def _nondiagonal_lattice(rng, dim):
@@ -200,17 +184,16 @@ def test_minimal_cone_vector_matches_brute_force(kind):
     for _ in range(25):
         cone, member, lat, target, source = _cone_vector_case(rng, kind)
         base = tuple(t - s for t, s in zip(target, source))
-        for second in (False, True):
-            try:
-                got = minimal_cone_vector(cone, target, source, lat, second=second)
-            except EmptyConeCoset:
-                # only a ray misses whole cosets; none of its members lies near 0
-                assert kind == "ray", (cone.describe(), lat, target, second)
-                assert coset_members_by_l1(member, lat.contains, base, 30) == []
-                continue
-            # the box of radius |got|_1 holds every member that could precede it
-            expected = coset_members_by_l1(member, lat.contains, base, sum(map(abs, got)))
-            assert got == expected[int(second)], (cone.describe(), lat, target, source, second)
+        try:
+            got = minimal_cone_vector(cone, target, source, lat)
+        except EmptyConeCoset:
+            # only a ray misses whole cosets; none of its members lies near 0
+            assert kind == "ray", (cone.describe(), lat, target)
+            assert coset_members_by_l1(member, lat.contains, base, 30) == []
+            continue
+        # the box of radius |got|_1 holds every member that could precede it
+        expected = coset_members_by_l1(member, lat.contains, base, sum(map(abs, got)))
+        assert got == expected[0], (cone.describe(), lat, target, source)
 
 
 # ---------------------------------------------------------------- castles

@@ -1,14 +1,18 @@
+import random
 import re
 from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from odolab import castles, construction
 from odolab.castles import (
     Castle,
     CastleError,
     DepthExhausted,
+    EmptyConeCoset,
     StepMap,
     Tower,
     ValueGroupMismatch,
@@ -35,6 +39,9 @@ from _oracles import (
 from test_castles import tower_lists
 from test_digests import FROZEN, stage_digests
 from test_speedup import row_shear_cocycle
+
+
+MIRRORED_QUADRANT = Cone.from_facets([((-1, 0), False), ((0, -1), False)])
 
 
 def build(stages=1, cone=None, source=None, target=None):
@@ -635,8 +642,8 @@ def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
 
 
 def build_case(case):
-    """Quadrant or dyadic stages 0-3, or derived-sector, sector or
-    dyadic-cube stages 0-2."""
+    """Quadrant, dyadic or mirrored-quadrant stages 0-3, or derived-sector,
+    sector or dyadic-cube stages 0-2."""
     if case == "quadrant":
         return build(4)
     if case == "derived-sector":
@@ -646,11 +653,13 @@ def build_case(case):
         return build(3, cone=Cone.sector((1, 0), (1, 1)))
     if case == "dyadic":
         return build(4, source=OdometerChain.diagonal_power([2, 2]), target=OdometerChain.diagonal_power([4]))
+    if case == "mirrored-quadrant":
+        return build(4, cone=MIRRORED_QUADRANT)
     cube, target = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
     return build(3, cone=Cone.quadrant(3), source=cube, target=target)
 
 
-@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube"])
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube", "mirrored-quadrant"])
 def test_every_built_tower_is_stored_in_climb_order(case):
     # a tower is its columns: below the top its level map sends codes[j]
     # onto codes[j + width], in the wide towers too
@@ -807,6 +816,76 @@ def test_an_open_half_plane_contains_no_line_and_builds():
     con = build(1, cone=Cone.from_facets([((1, 0), True)]))
     assert con.stages[0].gamma == 3
     assert con.stage_invariants(0).ok
+
+
+def test_the_mirrored_quadrant_parts_its_anchors_by_trading_the_top(monkeypatch):
+    # x2 = -u = (1, 0) is the least atom of stage 0's top, which would end
+    # x0's column; the top's two least atoms trade places instead.  Under a
+    # budget of 6^6 atoms, a stage that deepened without end would raise
+    # DepthExhausted rather than hang
+    monkeypatch.setattr(construction, "MAX_ATOMS", 6**6)
+    con = build(3, cone=MIRRORED_QUADRANT)
+    assert con.u == (-1, 0)
+    rec = con.stages[0]
+    space = con.source.kr_partition(rec.gamma)
+    assert min(c for t in rec.src_castle.towers for c in t.level(rec.height - 1)) == space.encode_vector((1, 0))
+    for k in range(3):
+        report = assert_audit_matches_the_level_oracle(con, k)
+        assert report.ok, (k, report.failures())
+
+
+def test_random_plane_facet_cones_build_two_stages(monkeypatch):
+    # two facets each, normals in [-3, 3]^2, each strict with probability
+    # 0.4; one cone is empty and refused, every other builds stages 0-1 with
+    # every check passing.  Under a budget of 6^5 atoms, a stage that
+    # deepened without end would raise DepthExhausted rather than hang
+    monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
+    rng = random.Random(20210223)
+    empty = 0
+    for _ in range(20):
+        facets = []
+        for _ in range(2):
+            normal = (0, 0)
+            while normal == (0, 0):
+                normal = (rng.randint(-3, 3), rng.randint(-3, 3))
+            facets.append((normal, rng.random() < 0.4))
+        cone = Cone.from_facets(facets)
+        try:
+            con = build(2, cone=cone)
+        except EmptyConeCoset:
+            assert coset_members_by_l1(cone.contains, lambda v: True, (0, 0), 12) == [], cone.facets
+            empty += 1
+            continue
+        for k in range(2):
+            report = con.stage_invariants(k)
+            assert report.ok, (cone.facets, k, report.failures())
+    assert empty == 1
+
+
+_PLANE_CHAINS = OdometerChain.diagonal_power([3, 2]), OdometerChain.diagonal_power([6])
+_CUBE_CHAINS = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_sum_of_two_members_of_an_accepted_cone_is_a_member(data):
+    # the premise of the base stage's pointwise separation: u plus cone
+    # vectors never sums to 0.  A cone with a line, refused, breaks it
+    dim = data.draw(st.sampled_from([2, 3]))
+    normal = st.tuples(*[st.integers(-3, 3)] * dim)
+    cone = Cone.from_facets(data.draw(st.lists(st.tuples(normal, st.booleans()), min_size=1, max_size=3)))
+    try:
+        con = SpeedupConstruction(*(_PLANE_CHAINS if dim == 2 else _CUBE_CHAINS), cone)
+    except EmptyConeCoset:
+        assume(False)
+    except CastleError as err:
+        assert "contains the line" in str(err)
+        assume(False)
+    # members up to a little past u, the least one; a + b = 0 needs -a in the cone
+    members = coset_members_by_l1(cone.contains, lambda v: True, (0,) * dim, sum(map(abs, con.u)) + 4)
+    assert not any(cone.contains(tuple(-x for x in a)) for a in members), cone.facets
+    a, b = data.draw(st.sampled_from(members)), data.draw(st.sampled_from(members))
+    assert cone.contains(tuple(x + y for x, y in zip(a, b))), (cone.facets, a, b)
 
 
 def test_value_group_mismatch_rejected():
