@@ -19,13 +19,12 @@ The construction driver transports exact atom counts between castles on
 top of these primitives.  No atom is translated one by one: a level map
 is climbed by reading its images, the array of the atoms it sends each
 atom onto, which the build keeps up to date and `AtomSpace.images`
-computes for a whole map at once.  `castle_refinement_over` climbs each
-tower once up such an array and cuts every part's tower out of that
-climb; `refine_pure_columns` reads the cylinders off one `AtomSpace.lift`
-and its columns off such an array, with no climb where a tower is stored
-in climb order (a width-1 pretower always, since the build keeps the
-array up to date): one C-level comparison proves it, and only the other
-towers are climbed.
+computes for a whole map at once.  Every tower the build hands on is
+stored in climb order (`_put_in_climb_order` mends the few levels its
+joins and swaps can leave out of it), so `castle_refinement_over` and
+`refine_pure_columns` read column i as `codes[i::width]`, climb nothing,
+and store each new tower's columns side by side by strided assignment;
+`refine_pure_columns` reads the cylinders off one `AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -36,7 +35,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import eq
 
 from .odometer import AtomSpace, OdometerChain
@@ -185,9 +184,10 @@ class _Levels:
 class Tower:
     """Equal-size levels of atom codes, stored level by level in one array.
 
-    Level v is `codes[v * width:(v + 1) * width]`.  A built tower is stored
-    in climb order: column i, from base atom `codes[i]` up its castle's
-    level map, is `codes[i::width]` (`_climbs_as_stored`)."""
+    Level v is `codes[v * width:(v + 1) * width]`.  A built tower, and
+    every tower the refinements take, is stored in climb order: column i,
+    from base atom `codes[i]` up its castle's level map, is
+    `codes[i::width]` (`_climbs_as_stored` proves it)."""
 
     width: int
     codes: array
@@ -259,20 +259,45 @@ def _climb(images, base, height: int) -> list[array]:
     return columns
 
 
-def _interleave(columns) -> array:
-    """The codes of the tower whose column i is `columns[i]`: level v holds
-    the v-th atom of each column, in column order."""
-    return columns[0] if len(columns) == 1 else array("i", chain.from_iterable(zip(*columns)))
+def _put_in_climb_order(tower: Tower, images, edges) -> None:
+    """Put the tower in climb order up a level map given by its images,
+    when only the sorted `edges` v can send level v onto v + 1 out of
+    stored order: at each, in turn, where the images of level v differ
+    from level v + 1, the columns of levels v + 1 up to the next edge are
+    permuted by strided slice assignment.  Level 0 never moves.  A level
+    not sent onto the next one raises CastleError."""
+    codes, w = tower.codes, tower.width
+    for v, end in zip(edges, [*edges[1:], tower.height - 1]):
+        lo, hi = (v + 1) * w, (end + 1) * w  # levels v + 1 .. end
+        image = array("i", map(images.__getitem__, codes[lo - w : lo]))
+        above = codes[lo : lo + w]
+        if image != above:
+            if sorted(image) != sorted(above):
+                raise CastleError(f"the level map does not send level {v} onto level {v + 1}")
+            column_of = {c: i for i, c in enumerate(above)}
+            segment = codes[lo:hi]
+            for j, c in enumerate(image):
+                codes[lo + j : hi : w] = segment[column_of[c] :: w]
 
 
-def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
+def _columns_of(tower: Tower, members) -> array:
+    """The codes of the tower whose column j is `tower`'s column
+    `members[j]`, by strided assignment; a width-1 tower's own array."""
+    codes, w, n = tower.codes, tower.width, len(members)
+    if w == 1:
+        return codes
+    out = array("i", [0]) * (len(codes) // w * n)
+    for j, i in enumerate(members):
+        out[j::n] = codes[i::w]
+    return out
+
+
+def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     """Split each tower over a clopen partition of its base.
 
     `base_partitions[alpha]` is a list of disjoint atom sets whose union
-    is tower alpha's base; each part spawns a tower.  Each tower is climbed
-    once up the level map, read off its `images` (`images[c]` the atom it
-    sends c onto, -1 where unknown), and every part's columns are cut out
-    of that climb, in base order."""
+    is tower alpha's base; each part spawns a tower of the columns over
+    it, in base order, each read off the codes (`_columns_of`)."""
     new_towers = []
     for alpha, tower in enumerate(castle.towers):
         parts = base_partitions[alpha]
@@ -284,49 +309,30 @@ def castle_refinement_over(castle: Castle, base_partitions, images) -> Castle:
         base = tower.level(0)
         if union != set(base):
             raise NotAPartition("base parts do not cover the base")
-        columns = _climb(images, base, tower.height)
         column_of = {c: i for i, c in enumerate(base)}
         for part in parts:
             if part:
-                members = sorted(column_of[c] for c in part)
-                new_towers.append(Tower(len(members), _interleave([columns[i] for i in members])))
+                new_towers.append(Tower(len(part), _columns_of(tower, sorted(column_of[c] for c in part))))
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
-def refine_pure_columns(castle: Castle, depth: int, images) -> Castle:
+def refine_pure_columns(castle: Castle, depth: int) -> Castle:
     """Refine so every tower's column meets a constant sequence of
     cylinder atoms at `depth`.
 
-    Each column is read off the build's `images` of the level map
-    (`images[c]` the atom it sends c onto, -1 where unknown; an unknown one
-    below a tower's top raises CastleError), with no translation: a tower
-    whose images send every level onto the next one in stored order
-    (`_climbs_as_stored`) has column i `codes[i::width]` and is not climbed
-    (at width 1 the new tower shares the old one's codes array), and any
-    other tower is climbed column by column.  Each
-    atom's cylinder at `depth` is one entry of the space's `lift` of the
-    coarse codes.  The columns of a tower are grouped by their sequences of
-    cylinders; each group is a new tower of those columns in base order,
-    stored in climb order, and the groups follow the order of their first
-    base atoms.  Every column is read before the cylinders are
-    lifted, so the lifted array, allocated last and freed first, leaves no
-    hole under the new towers (read the other way round, quadrant stages
-    0-4 peaked 8 MB higher)."""
-    columns = []
-    for t in castle.towers:
-        if _climbs_as_stored(images, t):
-            # a width-1 tower's column is its codes array itself, not a copy
-            columns.append([t.codes] if t.width == 1 else [t.codes[i :: t.width] for i in range(t.width)])
-        else:
-            columns.append(_climb(images, t.level(0), t.height))
+    Each atom's cylinder at `depth` is one entry of the space's `lift` of
+    the coarse codes.  The columns of a tower, read off its codes, are
+    grouped by their sequences of cylinders; each group is a new tower of
+    those columns in base order (`_columns_of`), and the groups follow the
+    order of their first base atoms."""
     coarse = castle.chain.kr_partition(depth)
     labels = castle.space.lift(array("i", range(coarse.size)), coarse)
-    groups: list[list[array]] = []
-    for tower_columns in columns:
+    groups = []  # (tower, the columns of one new tower)
+    for t in castle.towers:
         by_cylinders: dict = {}
-        for column in tower_columns:
-            key = array("i", map(labels.__getitem__, column)).tobytes() if len(tower_columns) > 1 else None
-            by_cylinders.setdefault(key, []).append(column)
-        groups.extend(by_cylinders.values())
-    del labels, columns
-    return Castle(castle.chain, castle.depth, [Tower(len(group), _interleave(group)) for group in groups], castle.steps)
+        for i in range(t.width):
+            key = array("i", map(labels.__getitem__, t.codes[i :: t.width])).tobytes() if t.width > 1 else None
+            by_cylinders.setdefault(key, []).append(i)
+        groups.extend((t, members) for members in by_cylinders.values())
+    del labels
+    return Castle(castle.chain, castle.depth, [Tower(len(m), _columns_of(t, m)) for t, m in groups], castle.steps)

@@ -16,7 +16,11 @@ target's cylinder towers inside the source space, stage by stage:
             the base and top, swap the boundary into the next anchor
             cylinders (recording the moved set and patching the previous
             translation map where it broke), join consecutive blocks by
-            fresh cone translations, refine, and copy over.
+            fresh cone translations, permute columns back into climb
+            order where the joins and swaps broke it, refine, and copy over.
+
+Every tower the build hands to a refinement is stored in climb order, so
+column i of a tower is `codes[i::width]` and no refinement climbs.
 
 No homeomorphism between the spaces is ever constructed: every transport
 step moves exact atom counts, which is the only consequence of such a map
@@ -61,7 +65,7 @@ from .castles import (
     _climb,
     _climbs_as_stored,
     _column,
-    _interleave,
+    _put_in_climb_order,
     castle_refinement_over,
     minimal_cone_vector,
     refine_pure_columns,
@@ -243,19 +247,17 @@ class SpeedupConstruction:
 
         # join the slabs with least cone vectors
         steps = StepMap(total)
-        images = array("i", [-1]) * total  # the atom each step sends its atom onto
         lattice = self.source.stage(gamma)
         for v in range(h - 1):
-            self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps, images)
+            self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps)
 
         y_atom = tower.codes[tower.level(h - 1).index(x2_atom)]  # the base of x2's column
         parts = [[x0_atom], [y_atom]]  # the anchors' towers part here
         rest = set(tower.level(0)) - {x0_atom, y_atom}
         if rest:
             parts.append(rest)
-        castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [parts], images)
-        castle = refine_pure_columns(castle, 1, images)
-        del images
+        castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [parts])
+        castle = refine_pure_columns(castle, 1)
 
         tgt_bases = self._copy_levels_to_target(
             castle, [range(0, self.target.index(tgt_depth), h)], [0] * len(castle.towers)
@@ -336,9 +338,9 @@ class SpeedupConstruction:
                 touched.add((alpha, w))
         return frozenset(c for left in gone.values() for _, c in left), touched
 
-    def _transfer(self, src, dst, space, lattice, steps, images, changed=None):
-        """Send `src[i]` onto `dst[i]` by the least cone vector; the vector
-        sending s onto d is the image `images[s] = d`."""
+    def _transfer(self, src, dst, space, lattice, steps, images=None, changed=None):
+        """Send `src[i]` onto `dst[i]` by the least cone vector; given
+        `images`, the vector sending s onto d is the image `images[s] = d`."""
         if len(src) != len(dst):
             raise CastleError("transfer endpoints have different sizes")
         for s, d in zip(src, dst):
@@ -346,7 +348,8 @@ class SpeedupConstruction:
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
             steps.assign(s, vec)
-            images[s] = d
+            if images is not None:
+                images[s] = d
 
     def _copy_levels_to_target(self, castle, pools, pretower_of):
         """Mirror the source towers on the target side, measure for measure:
@@ -408,7 +411,7 @@ class SpeedupConstruction:
         # column i of a climb starts at the piece's i-th smallest base atom.
         # The previous map is rebuilt in place below into this stage's map;
         # every transfer of the rebuild and the joins below keeps the images
-        # up to date until the refinement reads them
+        # up to date until the pretowers are put in climb order
         # (the atom each step sends its atom onto, -1 where it has none)
         steps = _previous_map(prev.src_castle, gamma)
         images = space.images(steps.vectors, steps.ids)
@@ -445,12 +448,16 @@ class SpeedupConstruction:
             beta0, beta2 = len(layout) - 3, len(layout) - 2
             pool = sorted(c for base in tall_bases for c in base)
             tall_bases = _deal(pool, [len(members[0]) for _, members in layout])
+        # block m of a pretower is its levels from m * h_prev on, and its
+        # column j there is the climb of the block's j-th chosen column
         pretowers = []
         for beta, members in layout:
-            codes = array("i")
+            width = len(members[0])
+            codes = array("i", [0]) * (width * h)
             for m in range(blocks):
-                codes.extend(_interleave([climbs[beta, m][i] for i in members[m]]))
-            pretowers.append(Tower(len(members[0]), codes))
+                for j, i in enumerate(members[m]):
+                    codes[m * h_prev * width + j : (m + 1) * h_prev * width : width] = climbs[beta, m][i]
+            pretowers.append(Tower(width, codes))
         del climbs
 
         # --- rotate the anchors to the base and the top
@@ -463,15 +470,19 @@ class SpeedupConstruction:
         f_atoms, touched = self._swap(pretowers, a0, a2, x0_atom, x2_atom)
         post_sizes = _shape(pretowers)
 
-        # --- rebuild the previous map in place where the swap broke it: the
-        # pretowers climbed that map, so only in-block edges at changed levels
-        # can break
+        # --- each block was stored in the order of its climb of the previous
+        # map, so the map can break, or send a level onto the next out of
+        # stored order, only at an edge v (level v onto v + 1) that is a join
+        # or next to a level the swap touched
+        joins = range(h_prev - 1, h - 1, h_prev)
+        breaks = [set(joins) for _ in pretowers]
+        for alpha, w in touched:
+            breaks[alpha].update(v for v in (w - 1, w) if 0 <= v < h - 1)
+
+        # --- rebuild the previous map in place at the in-block edges
         lattice = self.source.stage(gamma)
         changed: set[int] = set()
-        edges = sorted(
-            {(alpha, v) for alpha, w in touched for v in (w - 1, w) if 0 <= v < h - 1 and (v + 1) % h_prev}
-        )
-        for alpha, v in edges:
+        for alpha, v in sorted((alpha, v) for alpha, vs in enumerate(breaks) for v in vs if (v + 1) % h_prev):
             tower = pretowers[alpha]
             dst = set(tower.level(v + 1))
             stale_src, covered = [], set()
@@ -493,14 +504,18 @@ class SpeedupConstruction:
 
         # --- join the blocks with fresh cone vectors
         for tower in pretowers:
-            for v in range(h_prev - 1, h - 1, h_prev):
+            for v in joins:
                 self._transfer(sorted(tower.level(v)), sorted(tower.level(v + 1)), space, lattice, steps, images)
+
+        # --- put the pretowers back in climb order at every edge that can break it
+        for tower, tower_breaks in zip(pretowers, breaks):
+            _put_in_climb_order(tower, images, sorted(tower_breaks))
+        del images
 
         # --- refine into pure cylinder columns at depth k+1; a tower's first
         # atom is a base atom of its pretower
         pretower_of = {c: beta for beta, t in enumerate(pretowers) for c in t.level(0)}
-        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1, images)
-        del images
+        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1)
         pretower_of_tower = [pretower_of[t.codes[0]] for t in refined.towers]
 
         tgt_bases = self._copy_levels_to_target(refined, tall_bases, pretower_of_tower)
@@ -538,9 +553,9 @@ class SpeedupConstruction:
         those of one climb of each column (`_column_walk`, which climbs only
         where no proof on a whole tower or on the vector table gives them),
         and the exact points up the first anchor's column those of its steps,
-        the column read off its tower where the tower is stored in climb
-        order and climbed otherwise, both up the images of the stage's own
-        level map; the
+        the column read off its tower where the walk found the tower stored
+        in climb order and climbed otherwise, both up the images of the
+        stage's own level map; the
         anchors' towers are read off the castle's bases and tops, and the
         previous map off the previous castle (`_previous_map`).  A check
         that raises on corrupted data fails and names the exception; a
@@ -669,13 +684,13 @@ class SpeedupConstruction:
         # (6c) the anchors live in distinct towers with pointwise disjoint
         # columns: the exact points up the x0 column, from the zero point,
         # are the running sums of the steps along it, coordinate by
-        # coordinate; the column is read off a tower stored in climb order
-        # and climbed only in one that is not
+        # coordinate; the column is read off a tower the column walk found
+        # stored in climb order and climbed only in one that is not
         def _anchors_apart():
             tower_x0, tower_x2 = base[x0_atom], top[x2_atom]
             tower = src.towers[tower_x0]
             h = tower.height
-            if _climbs_as_stored(images(), tower):
+            if walk()[2][tower_x0]:
                 column = tower.codes[tower.level(0).index(x0_atom) :: tower.width]
             else:
                 column = _column(images(), x0_atom, h)
@@ -690,15 +705,24 @@ class SpeedupConstruction:
         check("anchors-in-distinct-towers", _anchors_apart)
 
         # (6d) the map agrees with the previous stage off the rebuild set; only
-        # codes whose ids differ, renumbered into one table, are compared
+        # codes whose ids differ, renumbered into one table, are compared,
+        # chunk by chunk.  The build leaves the previous table a prefix of
+        # this one, and then the previous ids need no renumbering
         def _stable():
             prev = _previous_map(self.stages[k - 1].src_castle, rec.gamma)
             id_of = {vec: i for i, vec in enumerate(steps.vectors)}
             renumber = [id_of.get(vec, -1) for vec in prev.vectors]
-            for c in compress(count(), map(ne, map(renumber.__getitem__, prev.ids), steps.ids)):
-                i, j = steps.ids[c], prev.ids[c]
-                if i and j and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[j]:
-                    return False
+            old = prev.ids
+            if renumber != list(range(len(renumber))):
+                old = array("i", map(renumber.__getitem__, prev.ids))
+            n = 4096  # codes per chunk
+            for s in range(0, len(old), n):
+                new_chunk, old_chunk = steps.ids[s : s + n], old[s : s + n]
+                if new_chunk != old_chunk:
+                    for c in compress(count(s), map(ne, old_chunk, new_chunk)):
+                        i, j = steps.ids[c], prev.ids[c]
+                        if i and j and c not in rec.r_atoms and steps.vectors[i] != prev.vectors[j]:
+                            return False
             return True
 
         if k == 0:
@@ -812,7 +836,8 @@ def _column_walk(castle: Castle, images, cone: Cone):
     (tower, level) order.  Like a walk that climbs all columns of a tower
     level by level and stops once both have failed, they are instead one
     KeyError, naming the tower and level, when an atom below a tower's top
-    has no step and the walk would reach it.
+    has no step and the walk would reach it.  The third result tells, per
+    tower, whether the climb read back its codes (stored in climb order).
 
     Reads only the towers, the level map, its images and the cone; the
     audit computes the images with `space.images` of the level map itself
@@ -838,9 +863,11 @@ def _column_walk(castle: Castle, images, cone: Cone):
     outside = _sums_outside(cone, steps.vectors)
     sums_hold = _steps_stay_in(cone, steps.vectors)
     maps_at = sums_at = missing = None
+    in_order = []
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
-        if _climbs_as_stored(images, t):
+        in_order.append(_climbs_as_stored(images, t))
+        if in_order[alpha]:
             climbed, reach = codes, h
         else:
             # the climb laid out like `codes`: column i is climbed[i::w];
@@ -871,7 +898,7 @@ def _column_walk(castle: Castle, images, cone: Cone):
             missing = alpha, reach - 1
     if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
         maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
-    return maps_at, sums_at
+    return maps_at, sums_at, in_order
 
 
 def _facet_values(cone: Cone, vectors):

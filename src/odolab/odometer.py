@@ -379,15 +379,26 @@ class AtomSpace:
         s_g the stride of the run's least significant digit.  The last run
         has stride 1, so its term plus translate(0, v) is translate(x, v) - x.
         The tables of a vector cost one `translate` call per value of each
-        run's digits, whatever the number of atoms.  The other runs' terms
-        are summed once per setting of their digits, and each block of codes
-        sharing every digit above the last run is read in one pass."""
+        run's digits, whatever the number of atoms; when the last run is one
+        digit (always in dimension 2) of more than two values, its table
+        costs two: the digit x + r (r that of the vector) wraps at most once,
+        at x = width - r, and on either side of the wrap translate(x, v) - x
+        is constant.  The other runs' terms are summed once per setting of
+        their digits, and each block of codes sharing every digit above the
+        last run is read in one pass."""
         n = self.size
         translate = self.translate
         *upper, (_, width) = self._runs or ((1, 1),)  # one dimension: blocks of one code
         # every table is by digit value x a list over vector ids, 0 at id 0:
         # translate(x, v) for the last run, E_g[x] for each other run
-        last = [[0] + [translate(x, v) for v in vectors[1:]] for x in range(width)]
+        if 2 < width == self.rectangle[-1]:  # with two values or fewer, a call per value is no dearer
+            # per vector: translate(x, v) - x below the wrap at x = -r mod width, and from it on
+            below = [translate(0, v) for v in vectors[1:]]
+            wraps = [-b % width for b in below]
+            above = [translate(x, v) - x for x, v in zip(wraps, vectors[1:])]
+            last = [[0] + [x + (b if x < w else a) for b, w, a in zip(below, wraps, above)] for x in range(width)]
+        else:
+            last = [[0] + [translate(x, v) for v in vectors[1:]] for x in range(width)]
         terms = [
             [[0] + [translate(x * s, v) - x * s - b for v, b in zip(vectors[1:], last[0][1:])] for x in range(size)]
             for s, size in upper

@@ -491,17 +491,19 @@ def target_castle_by_translation(space, bases, height):
 def column_walk_by_translation(castle, space, cone):
     """`construction._column_walk` by per-atom translation: each column is
     climbed with one `space.translate` call per level, and an atom with no
-    step pads the rest of its column with itself.  Returns the same two
+    step pads the rest of its column with itself.  Returns the same three
     results: the first (tower, level) whose climbed atoms differ from the
     level as a set, and the first where a column's partial step sum leaves
     the cone (both one KeyError naming the tower and level when the walk
-    would reach an atom with no step first)."""
+    would reach an atom with no step first), and per tower whether every
+    column climbs to the top onto the tower's own codes."""
     from odolab.construction import _sums_outside
 
     steps = castle.steps
     vectors, ids = steps.vectors, steps.ids
     outside = _sums_outside(cone, vectors)
     maps_at = sums_at = missing = None
+    in_order = []
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
         climbed, reach = array("i", codes), h
@@ -516,6 +518,7 @@ def column_walk_by_translation(castle, space, cone):
                 c = space.translate(c, vec)
                 column.append(c)
             climbed[i::w] = column
+        in_order.append(reach == h and climbed == codes)
         n = reach * w
         if maps_at is None and climbed[:n] != codes[:n]:
             levels = ((v, climbed[v * w : (v + 1) * w], codes[v * w : (v + 1) * w]) for v in range(1, reach))
@@ -532,7 +535,7 @@ def column_walk_by_translation(castle, space, cone):
             missing = alpha, reach - 1
     if missing and not (maps_at and sums_at and max(maps_at[0], sums_at[0]) <= missing[0]):
         maps_at = sums_at = KeyError("an atom below a tower's top has no step: tower {} level {}".format(*missing))
-    return maps_at, sums_at
+    return maps_at, sums_at, in_order
 
 
 def anchor_towers(con, k):

@@ -14,7 +14,9 @@ from odolab.castles import (
     EmptyConeCoset,
     NotAPartition,
     StepMap,
+    Tower,
     _climbs_as_stored,
+    _put_in_climb_order,
     castle_refinement_over,
     minimal_cone_vector,
     refine_pure_columns,
@@ -218,7 +220,7 @@ def test_castle_refinement_over_two_way_split():
     castle = _two_level_castle()
     base = sorted(castle.towers[0].levels[0])
     parts = [[frozenset([base[0]]), frozenset([base[1]])]]
-    refined = castle_refinement_over(castle, parts, images_by_translation(castle))
+    refined = castle_refinement_over(castle, parts)
     assert len(refined.towers) == 2
     assert all(t.height == 2 for t in refined.towers)
     total_old = frozenset().union(*(l for t in castle.towers for l in t.levels))
@@ -228,7 +230,7 @@ def test_castle_refinement_over_two_way_split():
 
 def test_castle_refinement_trivial_partition():
     castle = _two_level_castle()
-    refined = castle_refinement_over(castle, [[castle.towers[0].levels[0]]], images_by_translation(castle))
+    refined = castle_refinement_over(castle, [[castle.towers[0].levels[0]]])
     assert len(refined.towers) == 1
     assert refined.towers[0] == castle.towers[0]
 
@@ -237,7 +239,7 @@ def test_castle_refinement_measure_bookkeeping():
     castle = _two_level_castle()
     base = sorted(castle.towers[0].levels[0])
     parts = [[frozenset([base[0]]), frozenset([base[1]])]]
-    refined = castle_refinement_over(castle, parts, images_by_translation(castle))
+    refined = castle_refinement_over(castle, parts)
     old_base_measure = Fraction(len(castle.towers[0].levels[0]), 6)
     new_base_measure = sum(Fraction(len(t.levels[0]), 6) for t in refined.towers)
     assert old_base_measure == new_base_measure
@@ -246,9 +248,7 @@ def test_castle_refinement_measure_bookkeeping():
 def test_castle_refinement_rejects_bad_partition():
     castle = _two_level_castle()
     with pytest.raises(NotAPartition):
-        castle_refinement_over(
-            castle, [[frozenset([min(castle.towers[0].levels[0])])]], images_by_translation(castle)
-        )
+        castle_refinement_over(castle, [[frozenset([min(castle.towers[0].levels[0])])]])
 
 
 def test_refine_pure_columns_splits_by_labels():
@@ -259,7 +259,7 @@ def test_refine_pure_columns_splits_by_labels():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1, images_by_translation(castle))
+    refined = refine_pure_columns(castle, 1)
     assert len(refined.towers) == 2
 
 
@@ -271,7 +271,7 @@ def test_refine_pure_columns_trivial_labels():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1, images_by_translation(castle))
+    refined = refine_pure_columns(castle, 1)
     assert tower_lists(refined) == tower_lists(castle)
 
 
@@ -284,19 +284,43 @@ def test_refine_pure_columns_keeps_a_width_1_tower_codes_array():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1, images_by_translation(castle))
+    refined = refine_pure_columns(castle, 1)
     assert refined.towers[0].codes is castle.towers[0].codes
 
 
-def test_refine_pure_columns_refuses_an_unknown_image_below_a_top():
-    # a two-level tower over a base of two depth-1 atoms, one of them with no
-    # known image; -1 on the top level is what every castle has
-    castle = _two_level_castle()
-    images = images_by_translation(castle)
-    assert [images[c] for c in castle.towers[0].level(1)] == [-1, -1]
-    images[castle.towers[0].level(0)[1]] = -1
-    with pytest.raises(CastleError, match="no known image at an atom below a tower's top"):
-        refine_pure_columns(castle, 1, images)
+def _climbing_tower(width, height):
+    """A tower of width columns climbing by +1 mod width * height, each
+    column one residue class: column i is codes[i::width] up `images`."""
+    size = width * height
+    images = array("i", [(c + width) % size for c in range(size)])
+    return Tower(width, array("i", range(size))), images
+
+
+def test_put_in_climb_order_mends_the_levels_above_each_edge():
+    # levels 2-4 and 5-6 are stored in two other column orders, so only
+    # edges 1 and 4 are out of climb order; permuting the columns above
+    # them mends the tower and never moves level 0
+    tower, images = _climbing_tower(4, 7)
+    expected = array("i", tower.codes)
+    for v in range(2, 7):
+        order = [2, 0, 3, 1] if v < 5 else [3, 2, 1, 0]
+        tower.codes[4 * v : 4 * v + 4] = array("i", [4 * v + i for i in order])
+    assert not _climbs_as_stored(images, tower)
+    _put_in_climb_order(tower, images, [1, 4])
+    assert tower.codes == expected and _climbs_as_stored(images, tower)
+    # edges already in climb order leave the codes alone
+    _put_in_climb_order(tower, images, [0, 1, 2, 5])
+    assert tower.codes == expected
+
+
+def test_put_in_climb_order_refuses_a_level_not_sent_onto_the_next():
+    # an unknown image (-1), or an image outside the next level, below the
+    # top is a broken map: CastleError, not an assertion
+    for broken in (-1, 27):
+        tower, images = _climbing_tower(4, 7)
+        images[9] = broken
+        with pytest.raises(CastleError, match="the level map does not send level 2 onto level 3"):
+            _put_in_climb_order(tower, images, [0, 2])
 
 
 def tower_lists(castle, images=None):
@@ -311,7 +335,8 @@ def tower_lists(castle, images=None):
 def _random_castle(rng, chain, depth):
     """Up to four towers over random atoms of the depth-`depth` space, each
     level sent onto the next by vectors drawn from a small pool.  Returns the
-    castle and its towers as lists of levels."""
+    castle, its towers stored in climb order over a sorted base, and its
+    towers as lists of levels."""
     space = chain.kr_partition(depth)
     pool = [tuple(rng.randint(-3, 3) for _ in range(chain.dim)) for _ in range(4)]
     free = set(range(space.size))
@@ -338,7 +363,14 @@ def _random_castle(rng, chain, depth):
             free.difference_update(level)
             levels.append(level)
         towers.append(levels)
-    return Castle(chain, depth, [tower_from_levels(levels) for levels in towers], steps), towers
+    return Castle(chain, depth, [_in_climb_order(levels) for levels in towers], steps), towers
+
+
+def _in_climb_order(levels):
+    """The tower whose level v is `levels[v]`, each level listed in the
+    order of the columns that climb it, with the columns sorted by base atom."""
+    order = sorted(range(len(levels[0])), key=levels[0].__getitem__)
+    return Tower(len(order), array("i", [level[i] for level in levels for i in order]))
 
 
 @pytest.mark.parametrize("kind", ["diagonal-power", "sheared-explicit"])
@@ -358,7 +390,8 @@ def test_refinements_match_the_two_pass_oracle(kind):
             space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
         )
         images = images_by_translation(castle)
-        refined = refine_pure_columns(castle, coarse.depth, images)
+        assert all(_climbs_as_stored(images, t) for t in castle.towers)
+        refined = refine_pure_columns(castle, coarse.depth)
         assert tower_lists(refined, images) == expected, chain.describe()
         partitions = []
         for levels in towers:
@@ -367,7 +400,7 @@ def test_refinements_match_the_two_pass_oracle(kind):
             cut = rng.randint(0, len(base))
             partitions.append([frozenset(base[:cut]), frozenset(base[cut:])])
         expected = castle_refinement_by_sets(space, towers, castle.steps, partitions)
-        refined = castle_refinement_over(castle, partitions, images)
+        refined = castle_refinement_over(castle, partitions)
         assert tower_lists(refined, images) == expected, chain.describe()
 
 
@@ -573,6 +606,33 @@ def test_images_are_the_translates_at_every_code(name):
             expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(ids)]
             assert space.images(vectors, ids).tolist() == expected, (chain.describe(), j)
     assert merged or name != "merged-runs-3d"
+
+
+def test_images_read_a_one_digit_last_run_off_two_translates():
+    # a last run of one digit wraps at most once, so its table comes from two
+    # translates per vector once it has more than two values: every code
+    # against translate, on diagonal, sheared and 3-D stages, last sides of
+    # 1 and 2 beside wider ones, vectors whose last digit is 0 (no wrap) and
+    # negative vectors
+    rng = random.Random("one-digit-run")
+    spaces = [
+        OdometerChain.diagonal_power([3, 2]).kr_partition(1),
+        OdometerChain.diagonal_power([3, 2]).kr_partition(2),
+        derived_odometer(row_shear_cocycle(), checked_depth=2).kr_partition(2),
+        OdometerChain.explicit([IntegerLattice.from_rows([[4, 1], [0, 1]])]).kr_partition(1),
+        OdometerChain.diagonal_power([2, 3, 1]).kr_partition(2),
+        OdometerChain.diagonal_power([3, 2, 6]).kr_partition(1),
+    ]
+    for space in spaces:
+        side, dim = space.rectangle[-1], len(space.rectangle)
+        vectors = [None, (0,) * dim, (0,) * (dim - 1) + (-side,), (0,) * (dim - 1) + (side - 1,)]
+        vectors += [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(5)]
+        ids = array("i", [rng.randrange(len(vectors)) for _ in range(space.size)])
+        n = min(len(vectors), space.size)
+        ids[:n] = array("i", range(n))  # every vector at least once where the space allows
+        expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(ids)]
+        assert space.images(vectors, ids).tolist() == expected, space.rectangle
+        assert space._runs[-1][1] == side  # the last run is one digit
 
 
 def test_coarsen_needs_a_coarser_space_of_the_same_chain():

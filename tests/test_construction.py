@@ -603,9 +603,9 @@ def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
 def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monkeypatch):
     # on quadrant stages 0-3 every final tower is stored in climb order and
     # every step is inside the cone: the column walk climbs no column, and
-    # the audit reads the first anchor's column off its tower.  The
-    # refinement climbs only the columns of the wide pretowers, and at stage
-    # 0 none: the parts of the slab tower are cut out in climb order
+    # the audit reads the first anchor's column off its tower.  The build
+    # hands the refinement every pretower in climb order, so it climbs no
+    # column at any stage, wide pretowers included
     column, refine = castles._column, construction.refine_pure_columns
     climbs, refinements = [], []
 
@@ -613,20 +613,18 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
         climbs.append(c)
         return column(images, c, height)
 
-    def recording(castle, depth, images):
+    def recording(castle, depth):
         del climbs[:]
-        refined = refine(castle, depth, images)
-        wide_bases = sorted(c for t in castle.towers if t.width > 1 for c in t.level(0))
-        refinements.append((sorted(climbs), wide_bases))
+        refined = refine(castle, depth)
+        refinements.append((list(climbs), any(t.width > 1 for t in castle.towers)))
         return refined
 
     monkeypatch.setattr(castles, "_column", counted)
     monkeypatch.setattr(construction, "_column", counted)
     monkeypatch.setattr(construction, "refine_pure_columns", recording)
     con = build(4)
-    assert refinements[0][0] == [] and refinements[0][1]
-    for climbed, wide_bases in refinements[1:]:
-        assert climbed == wide_bases and climbed
+    assert len(refinements) == 4 and all(wide for _, wide in refinements)
+    assert all(climbed == [] for climbed, _ in refinements)
     del climbs[:]
     assert all(con.stage_invariants(k).ok for k in range(4))
     assert climbs == []
@@ -671,6 +669,24 @@ def test_every_built_tower_is_stored_in_climb_order(case):
         assert all(_climbs_as_stored(images, t) for t in castle.towers), rec.k
 
 
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube", "mirrored-quadrant"])
+def test_every_pretower_the_refinement_takes_is_stored_in_climb_order(case, monkeypatch):
+    # the build mends the climb order its swaps and joins break, so the
+    # refinement reads column i as codes[i::width]: checked up the images of
+    # the level map by per-atom translation, before the refinement runs
+    wide = []
+
+    def checked(castle, depth):
+        images = images_by_translation(castle)
+        assert all(_climbs_as_stored(images, t) for t in castle.towers), depth
+        wide.append(any(t.width > 1 for t in castle.towers))
+        return refine_pure_columns(castle, depth)
+
+    monkeypatch.setattr(construction, "refine_pure_columns", checked)
+    stages = build_case(case).stages
+    assert len(wide) == len(stages) and any(wide[1:])
+
+
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
 def test_each_inductive_stage_lifts_the_previous_map_once(case, monkeypatch):
     # at the least working depth the target split leaves one tall tower of
@@ -698,19 +714,20 @@ def test_tower_codes_and_target_bases_are_int32_arrays(case):
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
 def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch):
-    # the refinement reads the images the build kept; record every call
+    # record every call of the refinement
     calls = []
 
-    def recording(castle, depth, images):
+    def recording(castle, depth):
         towers = [list(t.levels) for t in castle.towers]
-        refined = refine_pure_columns(castle, depth, images)
+        refined = refine_pure_columns(castle, depth)
+        images = castle.space.images(castle.steps.vectors, castle.steps.ids)
         calls.append((castle, towers, depth, tower_lists(refined, images)))
         return refined
 
     monkeypatch.setattr(construction, "refine_pure_columns", recording)
     con = build_case(case)
     # stages 0-2: the refined towers are those of the two translating
-    # passes, each stored in climb order up the images the build kept
+    # passes, each stored in climb order up the images of the level map
     assert len(calls) == len(con.stages)
     for castle, towers, depth, refined_levels in calls[:3]:
         space, coarse = castle.space, con.source.kr_partition(depth)
@@ -792,7 +809,7 @@ def test_refine_pure_columns_matches_the_two_pass_oracle_on_stages(case):
             expected = refine_pure_columns_by_sets(
                 space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
             )
-            refined = refine_pure_columns(castle, depth, images)
+            refined = refine_pure_columns(castle, depth)
             assert tower_lists(refined, images) == expected
 
 
