@@ -16,10 +16,11 @@ and column i, the atoms the level map carries up from base atom
 `codes[i]`, is `codes[i::width]`, so below the top the map sends
 `codes[j]` onto `codes[j + width]`.
 The construction driver transports exact atom counts between castles on
-top of these primitives.  No atom is translated one by one: a level map
-is climbed by reading its images, the array of the atoms it sends each
-atom onto, which the build keeps up to date and `AtomSpace.images`
-computes for a whole map at once.  Every tower the build hands on is
+top of these primitives.  No atom is translated by a `translate` call: a
+level map is read through its displacement table
+(`AtomSpace.displacements`), which climbs a column, or gives the images of
+a run of codes, one table read per atom, with no image array of the whole
+space.  Every tower the build hands on is
 stored in climb order (`_put_in_climb_order` mends the few levels its
 joins and swaps can leave out of it), so `castle_refinement_over` and
 `refine_pure_columns` read column i as `codes[i::width]`, climb nothing,
@@ -35,10 +36,10 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, islice
-from operator import eq
+from itertools import compress, repeat
+from operator import getitem
 
-from .odometer import AtomSpace, OdometerChain
+from .odometer import AtomSpace, Displacements, OdometerChain
 from .speedup import Cone
 
 
@@ -221,55 +222,55 @@ class Castle:
         return self.chain.kr_partition(self.depth)
 
 
-def _column(images, c: int, height: int) -> array:
-    """The atoms from c up a level map given by its images (`images[c]` the
-    atom it sends c onto, -1 where unknown): `height` of them, or fewer when
-    the column meets an atom with no known image, which it ends with."""
-    column = array("i", [c])
-    for _ in range(height - 1):
-        c = images[c]
-        if c < 0:
-            break
-        column.append(c)
-    return column
+CLIMB_CHUNK = 1 << 12  # codes per pass of `_climbs_as_stored`
 
 
-def _climbs_as_stored(images, tower: Tower) -> bool:
-    """Whether climbing the tower up a level map given by its images reads
-    back its own codes: column i is `codes[i::width]`, all the way up.
+def _climbs_as_stored(moves: Displacements, tower: Tower) -> bool:
+    """Whether climbing the tower up a level map (`moves`, read off its
+    displacement table) reads back its own codes: column i is
+    `codes[i::width]`, all the way up.
 
     That holds iff every atom below the top is sent onto the code one level
-    above it in the same place, `images[codes[j]] == codes[j + width]`,
-    checked in one pass with no temporary array; -1 among the codes is
-    refused, since a climb stops at an image -1 (`_column`).  Codes that
-    match so far are images, so no code is read that a climb would not
-    read."""
+    above it in the same place: the images of `codes[:-width]` equal
+    `codes[width:]`, compared chunk by chunk as arrays, so no image array of
+    the space is built.  An atom with no step has image -1, which no code
+    matches: -1 among the codes is refused first.  A code past the space
+    fails the test (the IndexError of reading its step id) rather than
+    raise, as a climb stops at the first code that is not an image."""
     codes, w = tower.codes, tower.width
     if len(codes) != w * tower.height or -1 in codes:
         return False
-    return all(map(eq, islice(codes, w, None), map(images.__getitem__, codes)))
+    below = len(codes) - w
+    try:
+        for s in range(0, below, CLIMB_CHUNK):
+            e = min(s + CLIMB_CHUNK, below)
+            if moves.images(codes[s:e]) != codes[s + w : e + w]:
+                return False
+    except IndexError:
+        return False
+    return True
 
 
-def _climb(images, base, height: int) -> list[array]:
-    """The columns from the atoms of `base` up a level map given by its
-    images.  An unknown image below the top raises CastleError."""
-    columns = [_column(images, c, height) for c in base]
+def _climb(moves: Displacements, base, height: int) -> list[array]:
+    """The columns from the atoms of `base` up a level map.  An atom with
+    no step below the top raises CastleError."""
+    columns = [moves.column(c, height) for c in base]
     if any(len(column) < height for column in columns):
         raise CastleError("the level map has no known image at an atom below a tower's top")
     return columns
 
 
-def _put_in_climb_order(tower: Tower, images, edges) -> None:
-    """Put the tower in climb order up a level map given by its images,
-    when only the sorted `edges` v can send level v onto v + 1 out of
-    stored order: at each, in turn, where the images of level v differ
-    from level v + 1, the columns of levels v + 1 up to the next edge are
-    permuted by strided slice assignment.  Level 0 never moves.  A level
-    not sent onto the next one raises CastleError."""
+def _put_in_climb_order(tower: Tower, moves: Displacements, edges) -> None:
+    """Put the tower in climb order up a level map, when only the sorted
+    `edges` v can send level v onto v + 1 out of stored order: at each, in
+    turn, where the images of level v, read off the map as it is then,
+    differ from level v + 1, the columns of levels v + 1 up to the next
+    edge are permuted by strided slice assignment.  Level 0 never moves.  A
+    level not sent onto the next one raises CastleError."""
     codes, w = tower.codes, tower.width
     for v, end in zip(edges, [*edges[1:], tower.height - 1]):
         lo, hi = (v + 1) * w, (end + 1) * w  # levels v + 1 .. end
-        image = array("i", map(images.__getitem__, codes[lo - w : lo]))
+        image = moves.images(codes[lo - w : lo])
         above = codes[lo : lo + w]
         if image != above:
             if sorted(image) != sorted(above):
@@ -331,7 +332,7 @@ def refine_pure_columns(castle: Castle, depth: int) -> Castle:
     for t in castle.towers:
         by_cylinders: dict = {}
         for i in range(t.width):
-            key = array("i", map(labels.__getitem__, t.codes[i :: t.width])).tobytes() if t.width > 1 else None
+            key = array("i", map(getitem, repeat(labels), t.codes[i :: t.width])).tobytes() if t.width > 1 else None
             by_cylinders.setdefault(key, []).append(i)
         groups.extend((t, members) for members in by_cylinders.values())
     del labels

@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
-from operator import ge, gt, le, lt, mul, ne, setitem
+from operator import ge, getitem, gt, le, lt, mul, ne, setitem
 
 from .castles import (
     Castle,
@@ -64,7 +64,6 @@ from .castles import (
     ValueGroupMismatch,
     _climb,
     _climbs_as_stored,
-    _column,
     _put_in_climb_order,
     castle_refinement_over,
     minimal_cone_vector,
@@ -338,9 +337,9 @@ class SpeedupConstruction:
                 touched.add((alpha, w))
         return frozenset(c for left in gone.values() for _, c in left), touched
 
-    def _transfer(self, src, dst, space, lattice, steps, images=None, changed=None):
-        """Send `src[i]` onto `dst[i]` by the least cone vector; given
-        `images`, the vector sending s onto d is the image `images[s] = d`."""
+    def _transfer(self, src, dst, space, lattice, steps, changed=None):
+        """Send `src[i]` onto `dst[i]` by the least cone vector; given the
+        set `changed`, add to it each atom whose step this changes."""
         if len(src) != len(dst):
             raise CastleError("transfer endpoints have different sizes")
         for s, d in zip(src, dst):
@@ -348,8 +347,6 @@ class SpeedupConstruction:
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
             steps.assign(s, vec)
-            if images is not None:
-                images[s] = d
 
     def _copy_levels_to_target(self, castle, pools, pretower_of):
         """Mirror the source towers on the target side, measure for measure:
@@ -407,15 +404,14 @@ class SpeedupConstruction:
             for (beta, m, _), chunk in zip(demands, chunks):
                 piece_of[(beta, m)] = chunk
 
-        # --- climb each block piece once up the previous map's images:
-        # column i of a climb starts at the piece's i-th smallest base atom.
-        # The previous map is rebuilt in place below into this stage's map;
-        # every transfer of the rebuild and the joins below keeps the images
-        # up to date until the pretowers are put in climb order
-        # (the atom each step sends its atom onto, -1 where it has none)
+        # --- climb each block piece once up the previous map: column i of a
+        # climb starts at the piece's i-th smallest base atom.  The previous
+        # map is rebuilt in place below into this stage's map, and `moves`
+        # reads it as it is at each read: the steps the rebuild and the
+        # joins assign, and the vectors they append, included
         steps = _previous_map(prev.src_castle, gamma)
-        images = space.images(steps.vectors, steps.ids)
-        climbs = {key: _climb(images, piece, h_prev) for key, piece in piece_of.items()}
+        moves = space.displacements(steps.vectors, steps.ids)
+        climbs = {key: _climb(moves, piece, h_prev) for key, piece in piece_of.items()}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
         (beta0, m0), i0 = _find_column(climbs, x0_atom, 0)
@@ -486,31 +482,31 @@ class SpeedupConstruction:
             tower = pretowers[alpha]
             dst = set(tower.level(v + 1))
             stale_src, covered = [], set()
-            for c in tower.level(v):
-                image = images[c]  # -1 exactly where the previous map has no step
+            level = tower.level(v)
+            for c, image in zip(level, moves.images(level)):  # -1 exactly where the map has no step
                 if image in dst:
                     covered.add(image)
                 else:
                     stale_src.append(c)
             if stale_src:
-                self._transfer(sorted(stale_src), sorted(dst - covered), space, lattice, steps, images, changed)
+                self._transfer(sorted(stale_src), sorted(dst - covered), space, lattice, steps, changed)
         # record where the map was rebuilt: the swapped set, everything
         # remapped, and the in-block preimages of swapped atoms
         r_atoms = set(f_atoms) | changed
         for alpha, w in touched:
             if w and w % h_prev:
                 arrived = f_atoms.intersection(pretowers[alpha].level(w))
-                r_atoms.update(c for c in pretowers[alpha].level(w - 1) if images[c] in arrived)
+                below = pretowers[alpha].level(w - 1)
+                r_atoms.update(c for c, image in zip(below, moves.images(below)) if image in arrived)
 
         # --- join the blocks with fresh cone vectors
         for tower in pretowers:
             for v in joins:
-                self._transfer(sorted(tower.level(v)), sorted(tower.level(v + 1)), space, lattice, steps, images)
+                self._transfer(sorted(tower.level(v)), sorted(tower.level(v + 1)), space, lattice, steps)
 
         # --- put the pretowers back in climb order at every edge that can break it
         for tower, tower_breaks in zip(pretowers, breaks):
-            _put_in_climb_order(tower, images, sorted(tower_breaks))
-        del images
+            _put_in_climb_order(tower, moves, sorted(tower_breaks))
 
         # --- refine into pure cylinder columns at depth k+1; a tower's first
         # atom is a base atom of its pretower
@@ -554,8 +550,9 @@ class SpeedupConstruction:
         where no proof on a whole tower or on the vector table gives them),
         and the exact points up the first anchor's column those of its steps,
         the column read off its tower where the walk found the tower stored
-        in climb order and climbed otherwise, both up the images of the
-        stage's own level map; the
+        in climb order and climbed otherwise, both up the stage's own level
+        map read off its displacement table on the stage's working space
+        (`AtomSpace.displacements`), with no image array of the space; the
         anchors' towers are read off the castle's bases and tops, and the
         previous map off the previous castle (`_previous_map`).  A check
         that raises on corrupted data fails and names the exception; a
@@ -661,9 +658,10 @@ class SpeedupConstruction:
         shift_ok = checks[-1][1]
 
         # (6a) level maps are bijections level-to-level, and the column sums
-        # stay in the cone: one climb of every column up the map's images
-        images = functools.cache(lambda: space.images(steps.vectors, steps.ids))
-        walk = functools.cache(lambda: _column_walk(src, images(), self.cone))
+        # stay in the cone: one climb of every column up the map, read off
+        # its displacement table on the audit's own space
+        moves = space.displacements(steps.vectors, steps.ids)
+        walk = functools.cache(lambda: _column_walk(src, moves, self.cone))
         check("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
@@ -685,22 +683,27 @@ class SpeedupConstruction:
         # columns: the exact points up the x0 column, from the zero point,
         # are the running sums of the steps along it, coordinate by
         # coordinate; the column is read off a tower the column walk found
-        # stored in climb order and climbed only in one that is not
+        # stored in climb order and climbed only in one that is not.  The
+        # point at level v lies in the column's atom at level v, so a column
+        # that misses x2's atom misses x2, and its sums are not read
         def _anchors_apart():
             tower_x0, tower_x2 = base[x0_atom], top[x2_atom]
+            detail = f"towers {tower_x0} vs {tower_x2}"
             tower = src.towers[tower_x0]
             h = tower.height
             if walk()[2][tower_x0]:
                 column = tower.codes[tower.level(0).index(x0_atom) :: tower.width]
             else:
-                column = _column(images(), x0_atom, h)
+                column = moves.column(x0_atom, h)
                 if len(column) < h:  # it ends at an atom with no step, as `steps[c]` would say
                     raise KeyError(column[-1])
+            if x2_atom not in column:
+                return tower_x0 != tower_x2, detail
             # coordinate i of each vector id's step, read lazily up the column
             tables = ([0] + [vec[i] for vec in steps.vectors[1:]] for i in range(self.source.dim))
             coords = (map(t.__getitem__, map(steps.ids.__getitem__, islice(column, h - 1))) for t in tables)
             points = zip(*(accumulate(c, initial=0) for c in coords))
-            return tower_x0 != tower_x2 and self.x2_vector not in points, f"towers {tower_x0} vs {tower_x2}"
+            return tower_x0 != tower_x2 and self.x2_vector not in points, detail
 
         check("anchors-in-distinct-towers", _anchors_apart)
 
@@ -809,7 +812,7 @@ def _levels_refine(space, towers, coarse) -> bool:
     for t in towers:
         w = t.width
         if w > 1:
-            level_labels = array("i", map(labels.__getitem__, t.codes))
+            level_labels = array("i", map(getitem, repeat(labels), t.codes))
             if any(level_labels[i::w] != level_labels[::w] for i in range(1, w)):
                 return False
     return True
@@ -825,10 +828,10 @@ def _verdict(failure) -> tuple[bool, str]:
     return False, "first failure: tower {} level {}".format(*failure)
 
 
-def _column_walk(castle: Castle, images, cone: Cone):
+def _column_walk(castle: Castle, moves, cone: Cone):
     """What climbing each column of the castle from its base atom to its
-    top, once, up the images of its level map (`images[c]` the atom the
-    map sends c onto, -1 where it has no step) finds.
+    top, once, up its level map (`moves`, the map read off its
+    displacement table, `AtomSpace.displacements`) finds.
 
     Returns the first (tower, level) where the set of climbed atoms
     differs from the tower's level and the first where a column's partial
@@ -839,16 +842,16 @@ def _column_walk(castle: Castle, images, cone: Cone):
     has no step and the walk would reach it.  The third result tells, per
     tower, whether the climb read back its codes (stored in climb order).
 
-    Reads only the towers, the level map, its images and the cone; the
-    audit computes the images with `space.images` of the level map itself
-    and never passes an array the build kept.  A column is read off them
-    (`castles._column`), and the step ids along it give its partial sums'
-    facet values (`_sums_outside`).  A column is climbed only where no
-    whole-array proof gives the same two results:
+    Reads only the towers, the level map and the cone; the audit reads the
+    map through a table of its own working space and never passes anything
+    the build kept.  A column is climbed by `moves.column`, and the step
+    ids along it give its partial sums' facet values (`_sums_outside`).  A
+    column is climbed only where no whole-tower proof gives the same two
+    results:
 
-    - A tower whose images send each level onto the next in stored order
-      (`castles._climbs_as_stored`: -1 is no code, and images[codes[j]]
-      is codes[j + w] below the top) climbs onto its own codes: column i
+    - A tower whose map sends each level onto the next in stored order
+      (`castles._climbs_as_stored`: -1 is no code, and the images of
+      codes[:-w] are codes[w:]) climbs onto its own codes: column i
       is codes[i::w], every column reaches the top, and every climbed
       level is the tower's level.  Every tower the build stores is such
       a tower; one stored out of climb order is climbed.
@@ -866,7 +869,7 @@ def _column_walk(castle: Castle, images, cone: Cone):
     in_order = []
     for alpha, t in enumerate(castle.towers):
         w, h, codes = t.width, t.height, t.codes
-        in_order.append(_climbs_as_stored(images, t))
+        in_order.append(_climbs_as_stored(moves, t))
         if in_order[alpha]:
             climbed, reach = codes, h
         else:
@@ -875,7 +878,7 @@ def _column_walk(castle: Castle, images, cone: Cone):
             # with no step is padded with that atom)
             climbed, reach = array("i", codes), h
             for i, c in enumerate(codes[:w]):
-                column = _column(images, c, h)
+                column = moves.column(c, h)
                 if len(column) < h:
                     reach = min(reach, len(column))
                     column.extend([column[-1]] * (h - len(column)))

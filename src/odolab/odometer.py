@@ -18,7 +18,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, product as iter_product
+from itertools import cycle, islice, product as iter_product
+from math import prod
 from typing import Callable, Optional
 
 from .lattice import (
@@ -278,10 +279,12 @@ class AtomSpace:
     code of this space at once, from slices of it, one per block of codes
     that share their more significant digits and the wraps of the least
     significant.
-    `images` translates every code by a level map at once: the most
-    significant digit carries into nothing, so a translate is the code plus
-    one table entry per run of the other digits that exchange carries, and
-    the per-vector tables cost one `translate` call per entry, not per atom.
+    A level map's translates are read off its displacement table
+    (`displacements`): the most significant digit carries into nothing, so
+    a translate is the code plus one table entry per run of the other digits
+    that exchange carries, and the table costs one or two `translate` calls
+    per vector and digit value, not per atom.  `images` reads it at every
+    code at once; a walk along tower order reads only the codes it visits.
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
@@ -366,48 +369,34 @@ class AtomSpace:
         self._offsets[tuple(vector)] = offsets
         return offsets
 
+    def displacements(self, vectors, ids) -> "Displacements":
+        """The level map `vectors[ids[c]]` (no step at id 0) read through its
+        displacement table on this space (`Displacements`)."""
+        return Displacements(self, vectors, ids)
+
     def images(self, vectors, ids) -> array:
         """The `array('i')` whose entry c is `self.translate(c, v)` for the
         vector v = `vectors[ids[c]]` of a level map (the table and the ids of
         a `castles.StepMap`, or a cocycle's generator table), -1 where the
         id is 0 (no step; `vectors[0]` is never read).
 
-        Digit 0 carries into nothing, so modulo the index translate(c, v) is
-        c + translate(0, v) plus one term per run g of digits 1..d-1 that
-        exchange carries, read off the run's digits alone: E_g[x] =
-        translate(x * s_g, v) - x * s_g - translate(0, v) at digit value x,
-        s_g the stride of the run's least significant digit.  The last run
-        has stride 1, so its term plus translate(0, v) is translate(x, v) - x.
-        The tables of a vector cost one `translate` call per value of each
-        run's digits, whatever the number of atoms; when the last run is one
-        digit (always in dimension 2) of more than two values, its table
-        costs two: the digit x + r (r that of the vector) wraps at most once,
-        at x = width - r, and on either side of the wrap translate(x, v) - x
-        is constant.  The other runs' terms are summed once per setting of
-        their digits, and each block of codes sharing every digit above the
-        last run is read in one pass."""
+        Each block of codes sharing every digit above the last run of
+        carrying digits is read in one pass off the map's displacement
+        table (`Displacements`): code c of a block translates to c plus its
+        last-run displacement plus the block's head term, modulo the index.
+        The walks of the construction read the same table along tower order
+        instead (`Displacements.column` and `Displacements.images`); this
+        whole-space pass is for maps read at every code."""
         n = self.size
-        translate = self.translate
-        *upper, (_, width) = self._runs or ((1, 1),)  # one dimension: blocks of one code
-        # every table is by digit value x a list over vector ids, 0 at id 0:
-        # translate(x, v) for the last run, E_g[x] for each other run
-        if 2 < width == self.rectangle[-1]:  # with two values or fewer, a call per value is no dearer
-            # per vector: translate(x, v) - x below the wrap at x = -r mod width, and from it on
-            below = [translate(0, v) for v in vectors[1:]]
-            wraps = [-b % width for b in below]
-            above = [translate(x, v) - x for x, v in zip(wraps, vectors[1:])]
-            last = [[0] + [x + (b if x < w else a) for b, w, a in zip(below, wraps, above)] for x in range(width)]
-        else:
-            last = [[0] + [translate(x, v) for v in vectors[1:]] for x in range(width)]
-        terms = [
-            [[0] + [translate(x * s, v) - x * s - b for v, b in zip(vectors[1:], last[0][1:])] for x in range(size)]
-            for s, size in upper
-        ]
-        # one head per setting of the other runs' digits, in code order
-        heads = [list(map(sum, zip([0] * len(vectors), *cols))) for cols in iter_product(*terms)]
+        table = self.displacements(vectors, ids)
+        table.fill()
+        # by digit value x of the last run, a list over vector ids: translate(x, v)
+        # less the head term, 0 at id 0
+        last = [[0] + [x + d for d in islice(row, 1, None)] for x, row in enumerate(table.rows)]
+        heads = table.heads or [[0] * len(vectors)]
         out = array("i")
-        for c, head in zip(range(0, n, width), cycle(heads)):
-            out.extend([(c + t[i] + head[i]) % n if i else -1 for t, i in zip(last, ids[c : c + width])])
+        for c, head in zip(range(0, n, table.width), cycle(heads)):
+            out.extend([(c + t[i] + head[i]) % n if i else -1 for t, i in zip(last, ids[c : c + table.width])])
         return out
 
     def lift(self, values, coarse: "AtomSpace") -> array:
@@ -482,3 +471,101 @@ class AtomSpace:
         for c in codes:
             out.update(self.fibers(c, finer))
         return frozenset(out)
+
+
+class Displacements:
+    """A level map on an atom space, read through its displacement table.
+
+    The map is `vectors[ids[c]]` at code c, with no step at id 0 (the table
+    and the ids of a `castles.StepMap`, or a cocycle's generator table).
+    Both are read where they live: vectors appended to the table after this
+    object was made get their rows at the next read, and ids written since
+    are read as they are.
+
+    Digit 0 carries into nothing, so modulo the index translate(c, v) is
+    c + D[x][i] + H[s][i] for v = `vectors[i]`, with:
+
+    - x = c % W, the value of the last run of carrying digits (stride 1,
+      W values), and D[x][i] = translate(x, v) - x;
+    - s = c // W % len(H), the setting of the other runs' digits, in code
+      order, and H[s][i] = the sum over those runs g, at their digit values
+      y_g, of translate(y_g * t_g, v) - y_g * t_g - translate(0, v), t_g
+      the stride of the run's least significant digit.  A space whose only
+      run is the last (every 2-D space, and a 3-D space whose digits 1 and
+      2 carry into each other) has no head term, and `heads` is None.
+
+    Rows cost one `translate` call per vector and value of each run's
+    digits, whatever the number of atoms; when the last run is one digit
+    of more than two values, D costs two per vector: the digit x + r (r
+    that of the vector) wraps at most once, at x = W - r, and on either side
+    of the wrap translate(x, v) - x is constant.  Row entries at id 0 are
+    None and are never added: the readers test the id first, so an atom
+    with no step never gets an image inside the space."""
+
+    def __init__(self, space: AtomSpace, vectors, ids):
+        self.space, self.vectors, self.ids = space, vectors, ids
+        *self._upper, (_, self.width) = space._runs or ((1, 1),)  # one dimension: x is always 0
+        self.rows: list[list] = [[None] for _ in range(self.width)]
+        settings = prod(size for _, size in self._upper)
+        self.heads: list[list] | None = [[None] for _ in range(settings)] if self._upper else None
+
+    def fill(self) -> None:
+        """Give the vectors appended since the last fill their rows."""
+        new = self.vectors[len(self.rows[0]) :]
+        if not new:
+            return
+        translate, width = self.space.translate, self.width
+        if 2 < width == self.space.rectangle[-1]:  # with two values or fewer, a call per value is no dearer
+            below = [translate(0, v) for v in new]
+            wraps = [-b % width for b in below]
+            above = [translate(x, v) - x for x, v in zip(wraps, new)]
+            for x, row in enumerate(self.rows):
+                row.extend([b if x < w else a for b, w, a in zip(below, wraps, above)])
+        else:
+            for x, row in enumerate(self.rows):
+                row.extend([translate(x, v) - x for v in new])
+        if self.heads is not None:
+            firsts = self.rows[0][-len(new) :]  # translate(0, v)
+            terms = [
+                [[translate(y * t, v) - y * t - b for v, b in zip(new, firsts)] for y in range(size)]
+                for t, size in self._upper
+            ]
+            for head, cols in zip(self.heads, iter_product(*terms)):
+                head.extend(map(sum, zip(*cols)))
+
+    def column(self, c: int, height: int) -> array:
+        """The atoms from c up the map: `height` of them, or fewer when the
+        column meets an atom with no step, which it ends with.  One step per
+        atom, read off the table, with no image array of the space."""
+        self.fill()
+        ids, rows, heads, n, w = self.ids, self.rows, self.heads, self.space.size, self.width
+        column = [c]
+        append = column.append
+        if heads is None:
+            for _ in range(height - 1):
+                if not (i := ids[c]):
+                    break
+                c = (c + rows[c % w][i]) % n
+                append(c)
+        else:
+            settings = len(heads)
+            for _ in range(height - 1):
+                if not (i := ids[c]):
+                    break
+                c = (c + rows[c % w][i] + heads[c // w % settings][i]) % n
+                append(c)
+        return array("i", column)
+
+    def images(self, codes) -> array:
+        """The `array('i')` whose entry j is the atom the map sends
+        `codes[j]` onto, -1 where its id is 0: `space.images` at those codes
+        alone, one step per code read off the table as in `column`."""
+        self.fill()
+        ids, rows, heads, n, w = self.ids, self.rows, self.heads, self.space.size, self.width
+        codes = list(codes)  # a list iterates faster than an array
+        if heads is None:
+            return array("i", [(c + rows[c % w][i]) % n if (i := ids[c]) else -1 for c in codes])
+        settings = len(heads)
+        return array(
+            "i", [(c + rows[c % w][i] + heads[c // w % settings][i]) % n if (i := ids[c]) else -1 for c in codes]
+        )

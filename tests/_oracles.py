@@ -394,6 +394,26 @@ def images_by_translation(castle):
     return images
 
 
+def stored_in_climb_order(images, tower):
+    """Whether climbing the tower up a map given by its `images` (entry c
+    the atom c is sent onto, -1 where it has no step) reads back its codes:
+    every atom below the top is sent onto the code one level above it,
+    compared one atom at a time; -1 is no code."""
+    codes, w = tower.codes, tower.width
+    return -1 not in codes and all(images[c] == d for c, d in zip(codes, codes[w:]))
+
+
+def column_by_translation(space, vectors, ids, code, height):
+    """The atoms from `code` up the map `vectors[ids[c]]`, one
+    `translate_by_reduction` per level: `height` of them, or fewer, ending
+    at the first atom with id 0."""
+    column = [code]
+    while len(column) < height and ids[code]:
+        code = translate_by_reduction(space, code, vectors[ids[code]])
+        column.append(code)
+    return column
+
+
 def previous_map_by_coarsening(castle, depth):
     """`construction._previous_map` one atom at a time: the castle's step ids
     off its top levels, each finer atom reading the id of the atom

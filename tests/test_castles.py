@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from odolab import castles
 from odolab.castles import (
     AtomSpace,
     Castle,
@@ -28,11 +29,13 @@ from odolab.speedup import Cone, derived_odometer
 from _oracles import (
     castle_refinement_by_sets,
     coarsen_by_reduction,
+    column_by_translation,
     coset_members_by_l1,
     fibers_by_scan,
     fraction_cone_member,
     images_by_translation,
     refine_pure_columns_by_sets,
+    stored_in_climb_order,
     tower_from_levels,
     translate_by_reduction,
 )
@@ -289,38 +292,67 @@ def test_refine_pure_columns_keeps_a_width_1_tower_codes_array():
 
 
 def _climbing_tower(width, height):
-    """A tower of width columns climbing by +1 mod width * height, each
-    column one residue class: column i is codes[i::width] up `images`."""
+    """A tower of width columns on the 1-D space of width * height atoms,
+    whose level map moves every atom by +width: each column is one residue
+    class, codes[i::width].  Returns the tower, the map and the map read
+    off its displacement table."""
     size = width * height
-    images = array("i", [(c + width) % size for c in range(size)])
-    return Tower(width, array("i", range(size))), images
+    space = OdometerChain.diagonal_power([size]).kr_partition(1)
+    steps = StepMap(size, [None, (width,)], array("i", [1]) * size)
+    return Tower(width, array("i", range(size))), steps, space.displacements(steps.vectors, steps.ids)
 
 
 def test_put_in_climb_order_mends_the_levels_above_each_edge():
     # levels 2-4 and 5-6 are stored in two other column orders, so only
     # edges 1 and 4 are out of climb order; permuting the columns above
     # them mends the tower and never moves level 0
-    tower, images = _climbing_tower(4, 7)
+    tower, _, moves = _climbing_tower(4, 7)
     expected = array("i", tower.codes)
     for v in range(2, 7):
         order = [2, 0, 3, 1] if v < 5 else [3, 2, 1, 0]
         tower.codes[4 * v : 4 * v + 4] = array("i", [4 * v + i for i in order])
-    assert not _climbs_as_stored(images, tower)
-    _put_in_climb_order(tower, images, [1, 4])
-    assert tower.codes == expected and _climbs_as_stored(images, tower)
+    assert not _climbs_as_stored(moves, tower)
+    _put_in_climb_order(tower, moves, [1, 4])
+    assert tower.codes == expected and _climbs_as_stored(moves, tower)
     # edges already in climb order leave the codes alone
-    _put_in_climb_order(tower, images, [0, 1, 2, 5])
+    _put_in_climb_order(tower, moves, [0, 1, 2, 5])
     assert tower.codes == expected
 
 
 def test_put_in_climb_order_refuses_a_level_not_sent_onto_the_next():
-    # an unknown image (-1), or an image outside the next level, below the
-    # top is a broken map: CastleError, not an assertion
-    for broken in (-1, 27):
-        tower, images = _climbing_tower(4, 7)
-        images[9] = broken
+    # an atom with no step (image -1), or a step outside the next level,
+    # below the top is a broken map: CastleError, not an assertion
+    for broken in (None, (18,)):
+        tower, steps, moves = _climbing_tower(4, 7)
+        if broken is None:
+            steps.ids[9] = 0
+        else:
+            steps.assign(9, broken)  # onto atom 27, a vector appended after the table was filled
         with pytest.raises(CastleError, match="the level map does not send level 2 onto level 3"):
-            _put_in_climb_order(tower, images, [0, 2])
+            _put_in_climb_order(tower, moves, [0, 2])
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 14])
+def test_climbs_as_stored_is_the_per_atom_test(chunk, monkeypatch):
+    # against one translate per atom, chunk by chunk: a tower in climb
+    # order, one whose climb ends at an atom with no step, one with -1 among
+    # its codes, one with a level out of column order, and one with a code
+    # past the space; chunks of 3 codes put each break inside a later chunk
+    monkeypatch.setattr(castles, "CLIMB_CHUNK", chunk)
+    tower, steps, moves = _climbing_tower(4, 7)
+    images = array("i", [(c + 4) % 28 for c in range(28)])
+    cases = [array("i", tower.codes)]
+    cases.append(array("i", tower.codes))  # no step at atom 17
+    cases.append(array("i", tower.codes[:-1]) + array("i", [-1]))
+    cases.append(array("i", tower.codes))
+    cases[-1][20:24] = array("i", [21, 20, 22, 23])
+    cases.append(array("i", tower.codes))
+    cases[-1][13] = 28
+    for j, codes in enumerate(cases):
+        t = Tower(4, codes)
+        steps.ids[17] = 0 if j == 1 else 1
+        images[17] = -1 if j == 1 else 21
+        assert _climbs_as_stored(moves, t) == stored_in_climb_order(images + array("i", [-1]), t) == (j == 0), j
 
 
 def tower_lists(castle, images=None):
@@ -328,7 +360,7 @@ def tower_lists(castle, images=None):
     `images` of the castle's level map, every tower must also be stored in
     climb order, column i `codes[i::width]`."""
     if images is not None:
-        assert all(_climbs_as_stored(images, t) for t in castle.towers)
+        assert all(stored_in_climb_order(images, t) for t in castle.towers)
     return [[sorted(t.level(v)) for v in range(t.height)] for t in castle.towers]
 
 
@@ -390,7 +422,9 @@ def test_refinements_match_the_two_pass_oracle(kind):
             space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
         )
         images = images_by_translation(castle)
-        assert all(_climbs_as_stored(images, t) for t in castle.towers)
+        assert all(stored_in_climb_order(images, t) for t in castle.towers)
+        moves = space.displacements(castle.steps.vectors, castle.steps.ids)
+        assert all(_climbs_as_stored(moves, t) for t in castle.towers)
         refined = refine_pure_columns(castle, coarse.depth)
         assert tower_lists(refined, images) == expected, chain.describe()
         partitions = []
@@ -633,6 +667,60 @@ def test_images_read_a_one_digit_last_run_off_two_translates():
         expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(ids)]
         assert space.images(vectors, ids).tolist() == expected, space.rectangle
         assert space._runs[-1][1] == side  # the last run is one digit
+
+
+def _walk_spaces():
+    """Spaces for the walks along tower order, with the width of their last
+    run of carrying digits and whether they have a head term: the 2-D
+    diagonal, the derived shear, the dyadic cube, a 3-D space whose digits
+    1 and 2 carry into digit 0 but not into each other, and a last side of
+    one value."""
+    sheared = IntegerLattice.from_rows([[2, 1, 1], [0, 2, 0], [0, 0, 2]])
+    sheared_3d = OdometerChain.explicit([sheared, IntegerLattice.from_rows([[4, 2, 2], [0, 4, 0], [0, 0, 4]])])
+    return {
+        "diagonal-2d": (OdometerChain.diagonal_power([3, 2]).kr_partition(2), 4, False),
+        "diagonal-2d-two-values": (OdometerChain.diagonal_power([3, 2]).kr_partition(1), 2, False),
+        "derived-shear": (derived_odometer(row_shear_cocycle(), checked_depth=2).kr_partition(2), 4, False),
+        "dyadic-cube": (OdometerChain.diagonal_power([2, 2, 2]).kr_partition(2), 4, True),
+        "sheared-3d": (sheared_3d.kr_partition(2), 4, True),
+        "last-side-one": (OdometerChain.diagonal_power([2, 3, 1]).kr_partition(2), 1, True),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_walk_spaces()))
+def test_walks_read_the_translates_off_the_displacement_table(name):
+    # both readers of the displacement table against one translation by
+    # reduction per atom: the images of runs of codes, with and without an
+    # atom with no step (id 0), and the column from every code, before and
+    # after vectors are appended to the table it was made from
+    space, width, head = _walk_spaces()[name]
+    dim, n, side = len(space.rectangle), space.size, space.rectangle[-1]
+    rng = random.Random(f"walks-{name}")
+    vectors = [None, (0,) * dim, (0,) * (dim - 1) + (-side,), (0,) * (dim - 1) + (side - 1,)]
+    vectors += [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(4)]
+    ids = array("i", [rng.randrange(1, len(vectors)) for _ in range(n)])
+    moves = space.displacements(vectors, ids)
+    assert (moves.width, moves.heads is not None) == (width, head)
+    if not space.system.lattice.is_diagonal():
+        assert any(space.system.lattice.rows[0][1:])
+
+    def image(c):
+        return translate_by_reduction(space, c, vectors[ids[c]]) if ids[c] else -1
+
+    for appended in (False, True):
+        if appended:  # rows for these come at the next read
+            vectors += [tuple(rng.randint(-12, 12) for _ in range(dim)) for _ in range(3)]
+            for c in rng.sample(range(n), n // 2):
+                ids[c] = rng.randrange(len(vectors) - 3, len(vectors))
+        codes = array("i", [rng.randrange(n) for _ in range(3 * n)])
+        assert moves.images(codes).tolist() == [image(c) for c in codes], appended
+        for c in range(n):
+            assert moves.column(c, 9).tolist() == column_by_translation(space, vectors, ids, c, 9), (appended, c)
+        saved = ids[codes[5]]
+        ids[codes[5]] = 0  # no step: image -1, and the column ends there
+        assert moves.images(codes).tolist() == [image(c) for c in codes], appended
+        assert moves.column(codes[5], 9).tolist() == [codes[5]]
+        ids[codes[5]] = saved
 
 
 def test_coarsen_needs_a_coarser_space_of_the_same_chain():

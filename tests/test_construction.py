@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from odolab import castles, construction
+from odolab import construction
 from odolab.castles import (
     Castle,
     CastleError,
@@ -20,7 +20,7 @@ from odolab.castles import (
     refine_pure_columns,
 )
 from odolab.construction import SpeedupConstruction, StageRecord, _previous_map
-from odolab.odometer import AtomSpace, OdometerChain
+from odolab.odometer import AtomSpace, Displacements, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
 from _oracles import (
@@ -32,6 +32,7 @@ from _oracles import (
     previous_map_by_coarsening,
     refine_pure_columns_by_sets,
     stage_checks_by_levels,
+    stored_in_climb_order,
     target_castle_by_translation,
     tower_from_levels,
     x0_column_points,
@@ -63,9 +64,10 @@ def assert_audit_matches_the_level_oracle(con, k):
 
 
 def assert_walk_matches_the_translating_oracle(con, k):
-    """`_column_walk`, reading the images of the level map, gives the two
-    results of the walk that translates atom by atom, or raises as it does
-    (errors compared by their repr)."""
+    """`_column_walk`, reading the level map off its displacement table on
+    the stage's working space, gives the three results of the walk that
+    translates atom by atom, or raises as it does (errors compared by their
+    repr)."""
     rec = con.stages[k]
     castle, space = rec.src_castle, con.source.kr_partition(rec.gamma)
     steps = castle.steps
@@ -77,7 +79,7 @@ def assert_walk_matches_the_translating_oracle(con, k):
             return repr(err)
 
     def walk():
-        return construction._column_walk(castle, space.images(steps.vectors, steps.ids), con.cone)
+        return construction._column_walk(castle, space.displacements(steps.vectors, steps.ids), con.cone)
 
     assert outcome(walk) == outcome(lambda: column_walk_by_translation(castle, space, con.cone)), k
 
@@ -579,21 +581,21 @@ def test_the_walk_of_quadrant_stage_3_matches_the_translating_oracle():
 
 def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
     # every translate call of the build and audit of quadrant stages 0-2 fills
-    # a table of `AtomSpace.images`: at most one per vector and value of the
-    # last digit (a 2-D stage's one run of carrying digits), far fewer than atoms
+    # a displacement table: at most one per vector and value of the last
+    # digit (a 2-D stage's one run of carrying digits), far fewer than atoms
     calls, entries = [0], [0]
-    translate, images = AtomSpace.translate, AtomSpace.images
+    translate, fill = AtomSpace.translate, Displacements.fill
 
     def counted_translate(space, code, vector):
         calls[0] += 1
         return translate(space, code, vector)
 
-    def counted_images(space, vectors, ids):
-        entries[0] += (len(vectors) - 1) * space.rectangle[-1]
-        return images(space, vectors, ids)
+    def counted_fill(table):
+        entries[0] += (len(table.vectors) - len(table.rows[0])) * table.space.rectangle[-1]
+        return fill(table)
 
     monkeypatch.setattr(AtomSpace, "translate", counted_translate)
-    monkeypatch.setattr(AtomSpace, "images", counted_images)
+    monkeypatch.setattr(Displacements, "fill", counted_fill)
     con = build(3)
     assert all(con.stage_invariants(k).ok for k in range(3))
     atoms = sum(con.source.index(rec.gamma) for rec in con.stages)
@@ -606,12 +608,12 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
     # the audit reads the first anchor's column off its tower.  The build
     # hands the refinement every pretower in climb order, so it climbs no
     # column at any stage, wide pretowers included
-    column, refine = castles._column, construction.refine_pure_columns
+    column, refine = Displacements.column, construction.refine_pure_columns
     climbs, refinements = [], []
 
-    def counted(images, c, height):
+    def counted(moves, c, height):
         climbs.append(c)
-        return column(images, c, height)
+        return column(moves, c, height)
 
     def recording(castle, depth):
         del climbs[:]
@@ -619,8 +621,7 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
         refinements.append((list(climbs), any(t.width > 1 for t in castle.towers)))
         return refined
 
-    monkeypatch.setattr(castles, "_column", counted)
-    monkeypatch.setattr(construction, "_column", counted)
+    monkeypatch.setattr(Displacements, "column", counted)
     monkeypatch.setattr(construction, "refine_pure_columns", recording)
     con = build(4)
     assert len(refinements) == 4 and all(wide for _, wide in refinements)
@@ -639,34 +640,63 @@ def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
     assert ("rebuild-set-recorded", True, f"|R|={len(rec.f_atoms)}") in report.checks
 
 
-def build_case(case):
-    """Quadrant, dyadic or mirrored-quadrant stages 0-3, or derived-sector,
-    sector or dyadic-cube stages 0-2."""
+def case_inputs(case):
+    """The stage count and the `build` arguments of a case: quadrant, dyadic
+    or mirrored-quadrant stages 0-3, or derived-sector, sector or
+    dyadic-cube stages 0-2."""
     if case == "quadrant":
-        return build(4)
+        return 4, {}
     if case == "derived-sector":
         source = derived_odometer(row_shear_cocycle(), checked_depth=2)
-        return build(3, cone=Cone.sector((1, 0), (1, 1)), source=source)
+        return 3, {"cone": Cone.sector((1, 0), (1, 1)), "source": source}
     if case == "sector":
-        return build(3, cone=Cone.sector((1, 0), (1, 1)))
+        return 3, {"cone": Cone.sector((1, 0), (1, 1))}
     if case == "dyadic":
-        return build(4, source=OdometerChain.diagonal_power([2, 2]), target=OdometerChain.diagonal_power([4]))
+        return 4, {"source": OdometerChain.diagonal_power([2, 2]), "target": OdometerChain.diagonal_power([4])}
     if case == "mirrored-quadrant":
-        return build(4, cone=MIRRORED_QUADRANT)
+        return 4, {"cone": MIRRORED_QUADRANT}
     cube, target = OdometerChain.diagonal_power([2, 2, 2]), OdometerChain.diagonal_power([8])
-    return build(3, cone=Cone.quadrant(3), source=cube, target=target)
+    return 3, {"cone": Cone.quadrant(3), "source": cube, "target": target}
+
+
+def build_case(case):
+    stages, kwargs = case_inputs(case)
+    return build(stages, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
+def test_the_build_and_the_audit_compute_no_whole_space_images(case, monkeypatch):
+    # the build climbs its block pieces, and the audit checks its towers,
+    # off the level maps' displacement tables, translating only the codes a
+    # walk reads: neither computes a map's images at every code of a space
+    # (a derived source computes its own while it is made, before the build)
+    stages, kwargs = case_inputs(case)
+    calls = []
+    images = AtomSpace.images
+
+    def counted(space, vectors, ids):
+        calls.append(space.size)
+        return images(space, vectors, ids)
+
+    monkeypatch.setattr(AtomSpace, "images", counted)
+    con = build(stages, **kwargs)
+    assert all(con.stage_invariants(k).ok for k in range(stages))
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube", "mirrored-quadrant"])
 def test_every_built_tower_is_stored_in_climb_order(case):
     # a tower is its columns: below the top its level map sends codes[j]
-    # onto codes[j + width], in the wide towers too
+    # onto codes[j + width], in the wide towers too; checked off the map's
+    # displacement table, and up its whole-space images one atom at a time
     stages = build_case(case).stages
     assert any(t.width > 1 for rec in stages for t in rec.src_castle.towers)
     for rec in stages:
         castle = rec.src_castle
+        moves = castle.space.displacements(castle.steps.vectors, castle.steps.ids)
+        assert all(_climbs_as_stored(moves, t) for t in castle.towers), rec.k
         images = castle.space.images(castle.steps.vectors, castle.steps.ids)
-        assert all(_climbs_as_stored(images, t) for t in castle.towers), rec.k
+        assert all(stored_in_climb_order(images, t) for t in castle.towers), rec.k
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube", "mirrored-quadrant"])
@@ -678,7 +708,7 @@ def test_every_pretower_the_refinement_takes_is_stored_in_climb_order(case, monk
 
     def checked(castle, depth):
         images = images_by_translation(castle)
-        assert all(_climbs_as_stored(images, t) for t in castle.towers), depth
+        assert all(stored_in_climb_order(images, t) for t in castle.towers), depth
         wide.append(any(t.width > 1 for t in castle.towers))
         return refine_pure_columns(castle, depth)
 
