@@ -18,14 +18,16 @@ and column i, the atoms the level map carries up from base atom
 The construction driver transports exact atom counts between castles on
 top of these primitives.  No atom is translated by a `translate` call: a
 level map is read through its displacement table
-(`AtomSpace.displacements`), which climbs a column, or gives the images of
-a run of codes, one table read per atom, with no image array of the whole
-space.  Every tower the build hands on is
-stored in climb order (`_put_in_climb_order` mends the few levels its
-joins and swaps can leave out of it), so `castle_refinement_over` and
-`refine_pure_columns` read column i as `codes[i::width]`, climb nothing,
-and store each new tower's columns side by side by strided assignment;
-`refine_pure_columns` reads the cylinders off one `AtomSpace.lift`.
+(`AtomSpace.displacements`) by its two readers, `column`, which climbs a
+column, and `images`, which gives the images of a run of codes, one table
+read per atom; the speedup layer reads its quotient permutations with the
+same `images`, at every code.  No castle builds an image array of the
+whole space.  Every tower the build hands on is stored in climb order
+(`_put_in_climb_order` mends the few levels its joins and swaps can leave
+out of it), so `castle_refinement_over` and `refine_pure_columns` read
+column i as `codes[i::width]`, climb nothing, and store each new tower's
+columns side by side by strided assignment; `refine_pure_columns` reads
+the cylinders off one `AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -34,7 +36,7 @@ here is deterministic and regression-testable.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import getitem
@@ -165,22 +167,6 @@ class StepMap(Mapping):
         return len(self.ids) - self.ids.count(0)
 
 
-class _Levels:
-    """Read view of a tower's levels; level v is an array of its codes."""
-
-    def __init__(self, tower: "Tower"):
-        self.tower = tower
-
-    def __len__(self) -> int:
-        return self.tower.height
-
-    def __getitem__(self, v: int) -> array:
-        h = self.tower.height
-        if not -h <= v < h:
-            raise IndexError("level out of range")
-        return self.tower.level(v % h)
-
-
 @dataclass
 class Tower:
     """Equal-size levels of atom codes, stored level by level in one array.
@@ -201,8 +187,8 @@ class Tower:
         return self.codes[v * self.width : (v + 1) * self.width]
 
     @property
-    def levels(self) -> _Levels:
-        return _Levels(self)
+    def levels(self) -> Iterator[array]:
+        return map(self.level, range(self.height))
 
 
 @dataclass

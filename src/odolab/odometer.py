@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice, product as iter_product
+from itertools import product as iter_product
 from math import prod
 from typing import Callable, Optional
 
@@ -283,8 +283,9 @@ class AtomSpace:
     (`displacements`): the most significant digit carries into nothing, so
     a translate is the code plus one table entry per run of the other digits
     that exchange carries, and the table costs one or two `translate` calls
-    per vector and digit value, not per atom.  `images` reads it at every
-    code at once; a walk along tower order reads only the codes it visits.
+    per vector and digit value, not per atom.  A walk along tower order
+    reads only the codes it visits, and a map needed whole (a cocycle's
+    quotient permutation) is the images of `range(size)`.
     """
 
     def __init__(self, chain: OdometerChain, depth: int):
@@ -373,31 +374,6 @@ class AtomSpace:
         """The level map `vectors[ids[c]]` (no step at id 0) read through its
         displacement table on this space (`Displacements`)."""
         return Displacements(self, vectors, ids)
-
-    def images(self, vectors, ids) -> array:
-        """The `array('i')` whose entry c is `self.translate(c, v)` for the
-        vector v = `vectors[ids[c]]` of a level map (the table and the ids of
-        a `castles.StepMap`, or a cocycle's generator table), -1 where the
-        id is 0 (no step; `vectors[0]` is never read).
-
-        Each block of codes sharing every digit above the last run of
-        carrying digits is read in one pass off the map's displacement
-        table (`Displacements`): code c of a block translates to c plus its
-        last-run displacement plus the block's head term, modulo the index.
-        The walks of the construction read the same table along tower order
-        instead (`Displacements.column` and `Displacements.images`); this
-        whole-space pass is for maps read at every code."""
-        n = self.size
-        table = self.displacements(vectors, ids)
-        table.fill()
-        # by digit value x of the last run, a list over vector ids: translate(x, v)
-        # less the head term, 0 at id 0
-        last = [[0] + [x + d for d in islice(row, 1, None)] for x, row in enumerate(table.rows)]
-        heads = table.heads or [[0] * len(vectors)]
-        out = array("i")
-        for c, head in zip(range(0, n, table.width), cycle(heads)):
-            out.extend([(c + t[i] + head[i]) % n if i else -1 for t, i in zip(last, ids[c : c + table.width])])
-        return out
 
     def lift(self, values, coarse: "AtomSpace") -> array:
         """The `array('i')` whose entry c is `values[k]`, k the code of the
@@ -495,12 +471,12 @@ class Displacements:
       2 carry into each other) has no head term, and `heads` is None.
 
     Rows cost one `translate` call per vector and value of each run's
-    digits, whatever the number of atoms; when the last run is one digit
-    of more than two values, D costs two per vector: the digit x + r (r
-    that of the vector) wraps at most once, at x = W - r, and on either side
-    of the wrap translate(x, v) - x is constant.  Row entries at id 0 are
-    None and are never added: the readers test the id first, so an atom
-    with no step never gets an image inside the space."""
+    digits, whatever the number of atoms; when the last run is one digit,
+    D costs two per vector: the digit x + r (r that of the vector) wraps at
+    most once, at x = W - r, and on either side of the wrap
+    translate(x, v) - x is constant.  Row entries at id 0 are None and are
+    never added: the readers test the id first, so an atom with no step
+    never gets an image inside the space."""
 
     def __init__(self, space: AtomSpace, vectors, ids):
         self.space, self.vectors, self.ids = space, vectors, ids
@@ -515,7 +491,7 @@ class Displacements:
         if not new:
             return
         translate, width = self.space.translate, self.width
-        if 2 < width == self.space.rectangle[-1]:  # with two values or fewer, a call per value is no dearer
+        if width == self.space.rectangle[-1]:  # the last run is one digit
             below = [translate(0, v) for v in new]
             wraps = [-b % width for b in below]
             above = [translate(x, v) - x for x, v in zip(wraps, new)]
@@ -558,8 +534,9 @@ class Displacements:
 
     def images(self, codes) -> array:
         """The `array('i')` whose entry j is the atom the map sends
-        `codes[j]` onto, -1 where its id is 0: `space.images` at those codes
-        alone, one step per code read off the table as in `column`."""
+        `codes[j]` onto, -1 where its id is 0: one step per code, read off
+        the table as in `column`; `images(range(space.size))` is the whole
+        map."""
         self.fill()
         ids, rows, heads, n, w = self.ids, self.rows, self.heads, self.space.size, self.width
         codes = list(codes)  # a list iterates faster than an array

@@ -10,9 +10,10 @@ action on the inverse limit.
 Tables, `value` and `step`/`walk`/`evaluate` speak coset representatives;
 everything else runs on the integer atom codes of the chain's `AtomSpace`
 (`OdometerChain.kr_partition`): permutations are `array('i')` indexed by
-code, read off `AtomSpace.images` of a generator's table kept as a level
-map, and the orbit of zero is an `array('i')` of codes laid out as a
-staircase of blocks, one side per generator.
+code, the images of every code under a generator's table kept as a
+level map and read off its displacement table (`AtomSpace.displacements`),
+and the orbit of zero is an `array('i')` of codes laid out as a staircase
+of blocks, one side per generator.
 
 The derived chain presents a minimal bounded speedup as an odometer again:
 stage j is the stabilizer D_j of the zero atom under the induced action on
@@ -192,8 +193,8 @@ class PiecewiseCocycle:
     Each table is also kept the way a castle keeps a level map, as
     `(vectors, ids)`: `vectors[0]` is None and `ids`, an `array('i')` over
     the depth-J codes, gives each code's vector.  The induced quotient
-    maps are `space.images(vectors, ids)`, with `ids` lifted first to a
-    finer depth.
+    maps are `space.displacements(vectors, ids).images(range(space.size))`,
+    with `ids` lifted first to a finer depth.
     """
 
     chain: OdometerChain
@@ -245,7 +246,7 @@ class PiecewiseCocycle:
             if depth != self.depth:
                 # a finer atom carries the value of the depth-J atom it refines
                 ids = space.lift(ids, self.chain.kr_partition(self.depth))
-            self._perm_cache[key] = space.images(vectors, ids)
+            self._perm_cache[key] = space.displacements(vectors, ids).images(range(space.size))
         return self._perm_cache[key]
 
     def inverse_permutation(self, i: int, depth: int) -> tuple[int, ...]:

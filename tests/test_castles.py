@@ -221,7 +221,7 @@ def _two_level_castle():
 
 def test_castle_refinement_over_two_way_split():
     castle = _two_level_castle()
-    base = sorted(castle.towers[0].levels[0])
+    base = sorted(castle.towers[0].level(0))
     parts = [[frozenset([base[0]]), frozenset([base[1]])]]
     refined = castle_refinement_over(castle, parts)
     assert len(refined.towers) == 2
@@ -233,25 +233,25 @@ def test_castle_refinement_over_two_way_split():
 
 def test_castle_refinement_trivial_partition():
     castle = _two_level_castle()
-    refined = castle_refinement_over(castle, [[castle.towers[0].levels[0]]])
+    refined = castle_refinement_over(castle, [[castle.towers[0].level(0)]])
     assert len(refined.towers) == 1
     assert refined.towers[0] == castle.towers[0]
 
 
 def test_castle_refinement_measure_bookkeeping():
     castle = _two_level_castle()
-    base = sorted(castle.towers[0].levels[0])
+    base = sorted(castle.towers[0].level(0))
     parts = [[frozenset([base[0]]), frozenset([base[1]])]]
     refined = castle_refinement_over(castle, parts)
-    old_base_measure = Fraction(len(castle.towers[0].levels[0]), 6)
-    new_base_measure = sum(Fraction(len(t.levels[0]), 6) for t in refined.towers)
+    old_base_measure = Fraction(len(castle.towers[0].level(0)), 6)
+    new_base_measure = sum(Fraction(len(t.level(0)), 6) for t in refined.towers)
     assert old_base_measure == new_base_measure
 
 
 def test_castle_refinement_rejects_bad_partition():
     castle = _two_level_castle()
     with pytest.raises(NotAPartition):
-        castle_refinement_over(castle, [[frozenset([min(castle.towers[0].levels[0])])]])
+        castle_refinement_over(castle, [[frozenset([min(castle.towers[0].level(0))])]])
 
 
 def test_refine_pure_columns_splits_by_labels():
@@ -638,16 +638,18 @@ def test_images_are_the_translates_at_every_code(name):
             vectors = [None] + [tuple(rng.randint(-50, 50) for _ in range(chain.dim)) for _ in range(6)]
             ids = array("i", [rng.randrange(len(vectors)) for _ in range(space.size)])
             expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(ids)]
-            assert space.images(vectors, ids).tolist() == expected, (chain.describe(), j)
+            images = space.displacements(vectors, ids).images(range(space.size))
+            assert images.tolist() == expected, (chain.describe(), j)
     assert merged or name != "merged-runs-3d"
 
 
-def test_images_read_a_one_digit_last_run_off_two_translates():
+def test_images_read_a_one_digit_last_run_off_two_translates(monkeypatch):
     # a last run of one digit wraps at most once, so its table comes from two
-    # translates per vector once it has more than two values: every code
-    # against translate, on diagonal, sheared and 3-D stages, last sides of
-    # 1 and 2 beside wider ones, vectors whose last digit is 0 (no wrap) and
-    # negative vectors
+    # translates per vector, whatever its number of values, and a head term
+    # from one per value of the other runs' digits: every code against
+    # translate, on diagonal, sheared and 3-D stages, last sides of 1 and 2
+    # beside wider ones, vectors whose last digit is 0 (no wrap) and negative
+    # vectors
     rng = random.Random("one-digit-run")
     spaces = [
         OdometerChain.diagonal_power([3, 2]).kr_partition(1),
@@ -665,8 +667,13 @@ def test_images_read_a_one_digit_last_run_off_two_translates():
         n = min(len(vectors), space.size)
         ids[:n] = array("i", range(n))  # every vector at least once where the space allows
         expected = [space.translate(c, vectors[i]) if i else -1 for c, i in enumerate(ids)]
-        assert space.images(vectors, ids).tolist() == expected, space.rectangle
+        calls = []
+        monkeypatch.setattr(space, "translate", lambda c, v, t=space.translate: calls.append(c) or t(c, v))
+        images = space.displacements(vectors, ids).images(range(space.size))
+        assert images.tolist() == expected, space.rectangle
         assert space._runs[-1][1] == side  # the last run is one digit
+        heads = sum(size for _, size in space._runs[:-1])
+        assert len(calls) == (2 + heads) * (len(vectors) - 1), space.rectangle
 
 
 def _walk_spaces():
@@ -778,6 +785,6 @@ def test_translate_rejects_a_vector_of_the_wrong_length():
     for bad in ((1,), (1, 0, 7)):
         with pytest.raises(DimensionMismatch):
             sheared.translate(5, bad)
-        # images translates every vector of the map's table
+        # the table translates every vector of the map's table at its first read
         with pytest.raises(DimensionMismatch):
-            sheared.images([None, (1, 0), bad], array("i", [0]) * sheared.size)
+            sheared.displacements([None, (1, 0), bad], array("i", [0]) * sheared.size).images(range(sheared.size))

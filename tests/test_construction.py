@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from odolab import construction
 from odolab.castles import (
+    CLIMB_CHUNK,
     Castle,
     CastleError,
     DepthExhausted,
@@ -142,9 +143,9 @@ def test_stage_invariants_detect_corruption():
     tower_x0 = anchor_towers(con, 0)[0]
     # move one base atom out of the anchor cylinder: (5b) must fail
     tower = rec.src_castle.towers[tower_x0]
-    base = sorted(tower.levels[0])
+    base = sorted(tower.level(0))
     outsider = max(
-        frozenset().union(*(t.levels[1] for t in rec.src_castle.towers))
+        frozenset().union(*(t.level(1) for t in rec.src_castle.towers))
     )
     corrupted = [
         tower_from_levels([[outsider] + base[1:]] + list(tower.levels)[1:])
@@ -162,7 +163,7 @@ def test_stage_invariants_detect_one_displacement_outside_the_cone():
     con = build(1)
     rec = con.stages[0]
     steps = rec.src_castle.steps
-    atom = min(rec.src_castle.towers[0].levels[0])
+    atom = min(rec.src_castle.towers[0].level(0))
     vec = steps[atom]
     # a congruent vector outside the quadrant: the level maps stay bijective
     m = con.source.stage(rec.gamma).diag[0]
@@ -668,34 +669,35 @@ def build_case(case):
 def test_the_build_and_the_audit_compute_no_whole_space_images(case, monkeypatch):
     # the build climbs its block pieces, and the audit checks its towers,
     # off the level maps' displacement tables, translating only the codes a
-    # walk reads: neither computes a map's images at every code of a space
-    # (a derived source computes its own while it is made, before the build)
+    # walk reads: no read of a map's images takes more codes than one chunk
+    # of the climb-order test, on spaces far larger than a chunk
     stages, kwargs = case_inputs(case)
-    calls = []
-    images = AtomSpace.images
+    reads = []
+    images = Displacements.images
 
-    def counted(space, vectors, ids):
-        calls.append(space.size)
-        return images(space, vectors, ids)
+    def counted(moves, codes):
+        codes = list(codes)
+        reads.append((len(codes), moves.space.size))
+        return images(moves, codes)
 
-    monkeypatch.setattr(AtomSpace, "images", counted)
+    monkeypatch.setattr(Displacements, "images", counted)
     con = build(stages, **kwargs)
     assert all(con.stage_invariants(k).ok for k in range(stages))
-    assert calls == []
+    assert max(read for read, _ in reads) <= CLIMB_CHUNK < max(size for _, size in reads)
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "sector", "dyadic", "cube", "mirrored-quadrant"])
 def test_every_built_tower_is_stored_in_climb_order(case):
     # a tower is its columns: below the top its level map sends codes[j]
     # onto codes[j + width], in the wide towers too; checked off the map's
-    # displacement table, and up its whole-space images one atom at a time
+    # displacement table, and up its images at every code one atom at a time
     stages = build_case(case).stages
     assert any(t.width > 1 for rec in stages for t in rec.src_castle.towers)
     for rec in stages:
         castle = rec.src_castle
         moves = castle.space.displacements(castle.steps.vectors, castle.steps.ids)
         assert all(_climbs_as_stored(moves, t) for t in castle.towers), rec.k
-        images = castle.space.images(castle.steps.vectors, castle.steps.ids)
+        images = moves.images(range(castle.space.size))
         assert all(stored_in_climb_order(images, t) for t in castle.towers), rec.k
 
 
@@ -750,8 +752,8 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
     def recording(castle, depth):
         towers = [list(t.levels) for t in castle.towers]
         refined = refine_pure_columns(castle, depth)
-        images = castle.space.images(castle.steps.vectors, castle.steps.ids)
-        calls.append((castle, towers, depth, tower_lists(refined, images)))
+        moves = castle.space.displacements(castle.steps.vectors, castle.steps.ids)
+        calls.append((castle, towers, depth, tower_lists(refined, moves.images(range(castle.space.size)))))
         return refined
 
     monkeypatch.setattr(construction, "refine_pure_columns", recording)
@@ -804,7 +806,7 @@ def test_base_stage_tower_count_matches_column_scan():
     steps = rec.src_castle.steps
     itineraries = set()
     for alpha, tower in enumerate(rec.src_castle.towers):
-        for start in tower.levels[0]:
+        for start in tower.level(0):
             atom = start
             names = [coarse.encode(coarse.system.reduce(space.decode(atom)))]
             for _ in range(rec.height - 1):
@@ -1062,7 +1064,7 @@ def test_partial_speedup_table_is_grouped():
     table = con.partial_speedup_pieces(0)
     rec = con.stages[0]
     total = sum(count for _, _, _, count in table)
-    per_level = sum(len(t.levels[0]) for t in rec.src_castle.towers)
+    per_level = sum(len(t.level(0)) for t in rec.src_castle.towers)
     assert total == per_level * (rec.height - 1)
     assert all(con.cone.contains(vec) for _, _, vec, _ in table)
 

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from odolab.lattice import IntegerLattice
-from odolab.odometer import AtomSpace, OdometerChain
+from odolab.odometer import AtomSpace, Displacements, OdometerChain
 from odolab.speedup import (
     AntipodalValues,
     Cone,
@@ -264,8 +264,9 @@ def test_permutations_match_the_reduction_loop():
     # stage sheared), and one on the alternating chain whose values differ
     # across its depth-1 atoms by vectors of stage 1 (so it is bijective at
     # every depth): above the resolution a finer atom must read the value of
-    # the sheared atom it lies in.  Each runs at its resolution and two
-    # depths above it
+    # the sheared atom it lies in; and a constant cocycle on the dyadic cube,
+    # whose maps read a head term (its digits 1 and 2 carry into nothing, so
+    # they are two runs).  Each runs at its resolution and two depths above it
     derived = derived_odometer(row_shear_cocycle(), checked_depth=2)
     cocycles = sample_cocycles(chain32(), 12, random.Random(7))
     cocycles.append(constant_cocycle(derived, 1, [(1, 0), (2, 1)]))
@@ -274,6 +275,9 @@ def test_permutations_match_the_reduction_loop():
     shifts = [(0, 0), (3, 0), (1, 2), (-1, -2), (4, 2), (-3, 0)]
     table = {rep: (1 + a, b) for rep, (a, b) in zip(alternating.system(1).reps, shifts)}
     cocycles.append(PiecewiseCocycle(alternating, 1, 1, (table,)))
+    cube = OdometerChain.diagonal_power([2, 2, 2])
+    cocycles.append(constant_cocycle(cube, 1, [(1, 0, 0), (0, -1, 3), (3, 1, -1)]))
+    assert len(cube.kr_partition(1)._runs) == 2
     for c in cocycles:
         for depth in range(c.depth, c.depth + 3):
             space = c.chain.kr_partition(depth)
@@ -287,22 +291,22 @@ def test_permutations_match_the_reduction_loop():
 
 def test_permutations_run_on_tables_not_on_atoms(monkeypatch):
     # every translate call of the staircase cocycle's permutations at depths
-    # 1-8 fills a table of `AtomSpace.images`: at most one per vector and
-    # value of the last digit (a 2-D stage's one run of carrying digits), far
-    # fewer than the 65,536 atoms of the last depth
+    # 1-8 fills a displacement table: at most one per vector and value of
+    # the last digit (a 2-D stage's one run of carrying digits), far fewer
+    # than the 65,536 atoms of the last depth
     calls, entries = [0], [0]
-    translate, images = AtomSpace.translate, AtomSpace.images
+    translate, fill = AtomSpace.translate, Displacements.fill
 
     def counted_translate(space, code, vector):
         calls[0] += 1
         return translate(space, code, vector)
 
-    def counted_images(space, vectors, ids):
-        entries[0] += (len(vectors) - 1) * space.rectangle[-1]
-        return images(space, vectors, ids)
+    def counted_fill(table):
+        entries[0] += (len(table.vectors) - len(table.rows[0])) * table.space.rectangle[-1]
+        return fill(table)
 
     monkeypatch.setattr(AtomSpace, "translate", counted_translate)
-    monkeypatch.setattr(AtomSpace, "images", counted_images)
+    monkeypatch.setattr(Displacements, "fill", counted_fill)
     c = staircase_cocycle()
     perms = [c.permutation(i, depth) for depth in range(1, 9) for i in range(c.d2)]
     atoms = c.chain.index(8)
