@@ -3,6 +3,9 @@
 `minimal_cone_vector` joins tower levels by the least cone member of a
 coset in (l1 norm, lexicographic) order: one exact search over the
 lattice's canonical triangular basis, for every cone and every lattice.
+It reads only the difference of its two representatives, so the
+construction searches once per lattice and difference and keeps the
+result.
 
 Castles live on the integer atom codes of the chain's depth-j
 `AtomSpace` (`OdometerChain.kr_partition`).  They are families of

@@ -53,7 +53,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
-from operator import ge, getitem, gt, le, lt, mul, ne, setitem
+from operator import ge, getitem, gt, le, lt, mul, ne, setitem, sub
 
 from .castles import (
     Castle,
@@ -138,6 +138,8 @@ class SpeedupConstruction:
         self.u = minimal_cone_vector(cone, zero, zero, IntegerLattice.standard(source.dim))
         self.x2_vector = tuple(-x for x in self.u)  # exact second anchor: translate of 0
         self.stages: list[StageRecord] = []
+        # least cone vectors by lattice and target - source (`_transfer`)
+        self._joins: dict[tuple, tuple[int, ...]] = {}
 
     # -- small helpers -------------------------------------------------
 
@@ -339,11 +341,17 @@ class SpeedupConstruction:
 
     def _transfer(self, src, dst, space, lattice, steps, changed=None):
         """Send `src[i]` onto `dst[i]` by the least cone vector; given the
-        set `changed`, add to it each atom whose step this changes."""
+        set `changed`, add to it each atom whose step this changes.  The
+        search reads only d - s of the representatives (its cap too), so it
+        runs once per lattice and difference in a construction."""
         if len(src) != len(dst):
             raise CastleError("transfer endpoints have different sizes")
+        joins = self._joins
         for s, d in zip(src, dst):
-            vec = minimal_cone_vector(self.cone, space.decode(d), space.decode(s), lattice)
+            target, source = space.decode(d), space.decode(s)
+            key = (lattice, tuple(map(sub, target, source)))
+            if (vec := joins.get(key)) is None:
+                vec = joins[key] = minimal_cone_vector(self.cone, target, source, lattice)
             if changed is not None and steps.get(s) != vec:
                 changed.add(s)
             steps.assign(s, vec)
@@ -642,7 +650,7 @@ class SpeedupConstruction:
         def _target_levels_ok():
             m = self.target.index(rec.n)
             if tsize % m:
-                raise ChainError("coarsen needs a coarser atom space of the same chain")
+                raise ChainError(f"target stage {rec.n} is finer than the target depth {rec.tgt_depth}")
             return all(len({c % m for c in b}) <= 1 for b in rec.tgt_bases)
 
         check("target-levels-refine-cylinders", _target_levels_ok)

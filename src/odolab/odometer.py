@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
+from operator import mul
 from typing import Callable, Optional
 
 from .lattice import (
@@ -317,6 +318,7 @@ class AtomSpace:
             runs.append((first, i))
         self._runs = tuple((strides[last], strides[first - 1] // strides[last]) for first, last in runs)
         self._offsets: dict[tuple[int, ...], tuple[tuple[int, int, int, tuple[int, ...]], ...]] = {}
+        self._zero_fibers: dict[int, tuple[list[int], dict[int, int]]] = {}  # `fibers`, per finer depth
 
     @property
     def atom_measure(self) -> Fraction:
@@ -388,10 +390,13 @@ class AtomSpace:
         the result is built from slices `values[b:b + m]`, with one prefix
         reduced per block and no work per atom.  When the last coarse digit
         carries nothing (always on a diagonal stage), a prefix's blocks are
-        one slice repeated.  Raises ChainError unless `coarse` belongs to
-        this space's chain at a depth at most this space's."""
+        one slice repeated.  Digit 0 carries into nothing, so a block reads
+        it mod coarse.rectangle[0] and the codes repeat with that period in
+        it (a 1-D space has no prefix digits).  Raises ChainError unless
+        `coarse` belongs to this space's chain at a depth at most this
+        space's."""
         if coarse._chain_stages is not self._chain_stages or coarse.depth > self.depth:
-            raise ChainError("coarsen needs a coarser atom space of the same chain")
+            raise ChainError("lift needs a coarser atom space of the same chain")
         m = coarse.rectangle[-1]
         wraps = self.rectangle[-1] // m
         shift = coarse._carries[-1]
@@ -410,8 +415,12 @@ class AtomSpace:
                 b += t % side * stride
             return b
 
+        sides = list(self.rectangle[:-1])
+        periods = 1
+        if sides:
+            sides[0], periods = coarse.rectangle[0], sides[0] // coarse.rectangle[0]
         out = array("i")
-        for prefix in iter_product(*map(range, self.rectangle[:-1])):
+        for prefix in iter_product(*map(range, sides)):
             if shift:
                 for q in range(wraps):
                     b = block([x - q * a for x, a in zip(prefix, shift)])
@@ -419,28 +428,31 @@ class AtomSpace:
             else:
                 b = block(list(prefix))
                 out.extend(values[b : b + m] * wraps)
-        return out
+        return out * periods if periods > 1 else out
 
     def fibers(self, code: int, finer: "AtomSpace") -> list[int]:
         """Atom codes at the finer depth refining this atom, in increasing order.
 
-        Both stages have canonical upper-triangular bases, so the finer
-        basis is the coarser one times an integer upper-triangular matrix
-        with diagonal finer.rectangle[i] // self.rectangle[i]; coarse-basis
-        combinations with coefficients in that box are a transversal of
-        the coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
+        The fiber of this atom is the zero atom's fiber translated by the
+        atom's representative, read off one displacement table.  The zero
+        fiber is kept per finer depth: both stages have canonical
+        upper-triangular bases, so the finer basis is the coarser one times
+        an integer upper-triangular matrix with diagonal
+        finer.rectangle[i] // self.rectangle[i], and coarse-basis
+        combinations with coefficients in that box are a transversal of the
+        coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
         """
         if finer._chain_stages is not self._chain_stages or finer.depth < self.depth:
             raise ChainError("fibers need a finer atom space of the same chain")
-        rep = self.decode(code)
-        cols = self.system.lattice.columns()
-        box = [range(f // c) for f, c in zip(finer.rectangle, self.rectangle)]
-        return sorted(
-            finer.encode_vector(
-                tuple(r + sum(k * col[i] for k, col in zip(coeffs, cols)) for i, r in enumerate(rep))
-            )
-            for coeffs in iter_product(*box)
-        )
+        if (zero := self._zero_fibers.get(finer.depth)) is None:
+            cols = self.system.lattice.columns()
+            box = [range(f // c) for f, c in zip(finer.rectangle, self.rectangle)]
+            codes = [
+                finer.encode_vector(tuple(sum(map(mul, k, row)) for row in zip(*cols))) for k in iter_product(*box)
+            ]
+            zero = self._zero_fibers[finer.depth] = (codes, dict.fromkeys(codes, 1))
+        codes, ones = zero
+        return sorted(finer.displacements([None, self.decode(code)], ones).images(codes))
 
     def refine_set(self, codes, finer: "AtomSpace") -> frozenset[int]:
         out = set()

@@ -187,6 +187,25 @@ def fibers_by_scan(coarse, code, finer):
     return out
 
 
+def fibers_by_transversal(coarse, code, finer):
+    """Finer atom codes refining the coarser atom `code`, in increasing order.
+
+    Encodes one point per finer atom: the atom's representative plus each
+    coarse-basis combination with coefficients in the box
+    prod range(finer.rectangle[i] // coarse.rectangle[i]), a transversal of
+    the coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
+    """
+    rep = coarse.decode(code)
+    cols = coarse.system.lattice.columns()
+    box = [range(f // c) for f, c in zip(finer.rectangle, coarse.rectangle)]
+    return sorted(
+        finer.encode_vector(
+            tuple(r + sum(k * col[i] for k, col in zip(coeffs, cols)) for i, r in enumerate(rep))
+        )
+        for coeffs in product(*box)
+    )
+
+
 def fraction_cone_member(normals_flags, x):
     """Membership of the integer vector x in the cone cut out by rational
     normals: nonzero, and every dot product >= 0 (> 0 when strict), in Fractions."""

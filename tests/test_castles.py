@@ -32,6 +32,7 @@ from _oracles import (
     column_by_translation,
     coset_members_by_l1,
     fibers_by_scan,
+    fibers_by_transversal,
     fraction_cone_member,
     images_by_translation,
     refine_pure_columns_by_sets,
@@ -467,6 +468,36 @@ def test_fibers_match_full_scan_on_the_derived_chain():
             assert coarse.refine_set(codes, fine) == expected
 
 
+# the diagonal quadrant chain, the sheared row-shear derived chain, the
+# dyadic cube and random sheared explicit 3-D chains
+FIBER_CHAINS = {
+    "quadrant": (lambda: [OdometerChain.diagonal_power([3, 2])], 4),
+    "row-shear-derived": (lambda: [derived_odometer(row_shear_cocycle(), checked_depth=2)], 4),
+    "dyadic-cube": (lambda: [OdometerChain.diagonal_power([2, 2, 2])], 4),
+    "sheared-3d": (lambda: _sheared_3d_chains(random.Random("fibers-3d"), 4), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBER_CHAINS))
+def test_fibers_are_the_transversal_at_every_code(name):
+    # the zero fiber translated off a displacement table, against one encode
+    # per finer atom of the coarse representative's transversal
+    chains, depth = FIBER_CHAINS[name]
+    for chain in chains():
+        for j in range(1, depth + 1):
+            coarse = chain.kr_partition(j)
+            for finer_depth in range(j, depth + 1):
+                fine = chain.kr_partition(finer_depth)
+                for c in range(coarse.size):
+                    assert coarse.fibers(c, fine) == fibers_by_transversal(coarse, c, fine), (
+                        chain.describe(), j, finer_depth, c,
+                    )
+
+
+def _sheared_3d_chains(rng, count):
+    return [_random_chain(rng, IntegerLattice.from_rows([[2, 1, 1], [0, 2, 1], [0, 0, 1]]), 4) for _ in range(count)]
+
+
 def _random_chain(rng, first, depth):
     """Explicit chain whose stage k+1 is stage k's basis times a random integer matrix."""
     dim = first.dim
@@ -581,13 +612,16 @@ def test_coarsen_onto_a_diagonal_stage_of_a_sheared_chain(first):
 
 
 # the diagonal quadrant chain, the sheared row-shear derived chain, the
-# dyadic cube and twelve random sheared explicit chains, each with its
-# deepest depth of at most about 50,000 atoms
+# dyadic cube, twelve random sheared explicit chains, random sheared
+# explicit 3-D chains and a 1-D chain, each with its deepest depth of at
+# most about 50,000 atoms
 LIFT_CHAINS = {
     "quadrant": (lambda: [OdometerChain.diagonal_power([3, 2])], 6),
     "row-shear-derived": (lambda: [derived_odometer(row_shear_cocycle(), checked_depth=2)], 6),
     "dyadic-cube": (lambda: [OdometerChain.diagonal_power([2, 2, 2])], 5),
     "sheared-explicit": (lambda: _sheared_chains(random.Random("lift"), 12), 4),
+    "sheared-3d": (lambda: _sheared_3d_chains(random.Random("lift-3d"), 4), 4),
+    "diag-1d": (lambda: [OdometerChain.diagonal_power([5])], 4),
 }
 
 
@@ -598,23 +632,30 @@ def _sheared_chains(rng, count):
 
 @pytest.mark.parametrize("name", sorted(LIFT_CHAINS))
 def test_lift_is_the_coarsening_at_every_code(name):
+    # `lift` reads digit 0 mod its coarse side and repeats what it read:
+    # the row-shear chain repeats it at depths 5 -> 2 and 5 -> 3 with a
+    # last coarse digit that carries, and a 1-D chain has no digit to repeat
     chains, depth = LIFT_CHAINS[name]
+    repeated = set()  # (fine depth, coarse depth) with a repeat and a carrying last digit
     for chain in chains():
         for fine_depth in range(1, depth + 1):
             fine = chain.kr_partition(fine_depth)
             for j in range(1, fine_depth + 1):
                 coarse = chain.kr_partition(j)
+                if chain.dim > 1 and fine.rectangle[0] > coarse.rectangle[0] and any(coarse._carries[-1]):
+                    repeated.add((fine_depth, j))
                 # values other than the coarse codes, read through the same map
                 expected = array("i", [100 + coarsen_by_reduction(fine, c, coarse) for c in range(fine.size)])
                 lifted = fine.lift(array("i", range(100, 100 + coarse.size)), coarse)
                 assert lifted == expected, (chain.describe(), j, fine_depth)
+    assert name != "row-shear-derived" or {(5, 2), (5, 3)} <= repeated
+    assert name != "sheared-3d" or repeated
 
 
-# the chains of LIFT_CHAINS, a 1-D chain, the 3-D mixed chain, and random
-# sheared explicit 3-D chains whose carrying digits 1 and 2 form one run
+# the chains of LIFT_CHAINS, the 3-D mixed chain, and random sheared
+# explicit 3-D chains whose carrying digits 1 and 2 form one run
 IMAGES_CHAINS = {
     **LIFT_CHAINS,
-    "diag-1d": (lambda: [OdometerChain.diagonal_power([5])], 4),
     "mixed-3d": (lambda: [OdometerChain.diagonal_power([3, 2, 6])], 2),
     "merged-runs-3d": (
         lambda: [
@@ -735,7 +776,7 @@ def test_coarsen_needs_a_coarser_space_of_the_same_chain():
     coarse, fine = ch.kr_partition(1), ch.kr_partition(2)
     lifted = fine.lift(array("i", range(coarse.size)), coarse)
     assert [lifted[c] for c in coarse.fibers(4, fine)] == [4] * 6
-    message = "coarsen needs a coarser atom space of the same chain"
+    message = "lift needs a coarser atom space of the same chain"
     with pytest.raises(ChainError, match=message):
         coarse.lift(array("i", range(fine.size)), fine)
     with pytest.raises(ChainError, match=message):

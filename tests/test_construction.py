@@ -388,9 +388,12 @@ def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
     hand = _hand_built(Cone.quadrant(2), [(1, 0), (0, 1)]).stages[0]
     rec.src_castle, rec.tgt_bases, rec.tgt_depth = hand.src_castle, hand.tgt_bases, hand.tgt_depth
     report = assert_audit_matches_the_level_oracle(con, 1)
-    detail = "check raised ChainError: coarsen needs a coarser atom space of the same chain"
-    for name in ("levels-refine-cylinders", "target-levels-refine-cylinders"):
-        assert (name, False, detail) in report.checks
+    details = {
+        "levels-refine-cylinders": "lift needs a coarser atom space of the same chain",
+        "target-levels-refine-cylinders": "target stage 4 is finer than the target depth 1",
+    }
+    for name, detail in details.items():
+        assert (name, False, f"check raised ChainError: {detail}") in report.checks
 
 
 def test_finer_target_towers_are_translation_climbs():
@@ -717,6 +720,52 @@ def test_every_pretower_the_refinement_takes_is_stored_in_climb_order(case, monk
     monkeypatch.setattr(construction, "refine_pure_columns", checked)
     stages = build_case(case).stages
     assert len(wide) == len(stages) and any(wide[1:])
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
+def test_each_join_difference_is_searched_once(case, monkeypatch):
+    # the construction keeps its least cone vectors by lattice and
+    # target - source: one search per distinct pair, and every step a
+    # transfer assigns is the vector a fresh search of its endpoints finds
+    stages, kwargs = case_inputs(case)
+    search = construction.minimal_cone_vector
+    searched, transfers = [], [0]
+
+    def counted(cone, target_rep, source_rep, lattice):
+        searched.append((lattice, tuple(t - s for t, s in zip(target_rep, source_rep))))
+        return search(cone, target_rep, source_rep, lattice)
+
+    transfer = SpeedupConstruction._transfer
+
+    def checked(con, src, dst, space, lattice, steps, changed=None):
+        transfer(con, src, dst, space, lattice, steps, changed)
+        for s, d in zip(src, dst):
+            transfers[0] += 1
+            assert steps[s] == search(con.cone, space.decode(d), space.decode(s), lattice), (s, d)
+
+    monkeypatch.setattr(construction, "minimal_cone_vector", counted)
+    monkeypatch.setattr(SpeedupConstruction, "_transfer", checked)
+    build(stages, **kwargs)
+    assert len(searched) == len(set(searched)) < transfers[0]
+
+
+def test_each_construction_searches_its_own_joins(monkeypatch):
+    # the table lives on the construction: a second one built from the same
+    # inputs meets it empty and searches as often as the first
+    search = construction.minimal_cone_vector
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(construction, "minimal_cone_vector", counted)
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        build(2)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] > 1
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])

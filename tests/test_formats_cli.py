@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import odolab
 from odolab.classify import SupergroupDescriptor, fit_descriptor, orbit_equivalence_test
 from odolab.cli import main
 from odolab.formats import (
@@ -293,6 +298,17 @@ def test_cli_repro_single(capsys):
     assert main(["repro", "sandwich-lattice-rigidity"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_python_m_odolab_runs_the_cli():
+    # `python -m odolab` runs `cli.main`: the help lists the commands and exits 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(odolab.__file__).parent.parent), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "odolab", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: odolab ") and "construct" in run.stdout
 
 
 def test_cli_repro_unknown(capsys):
