@@ -29,8 +29,12 @@ whole space.  Every tower the build hands on is stored in climb order
 (`_put_in_climb_order` mends the few levels its joins and swaps can leave
 out of it), so `castle_refinement_over` and `refine_pure_columns` read
 column i as `codes[i::width]`, climb nothing, and store each new tower's
-columns side by side by strided assignment; `refine_pure_columns` reads
-the cylinders off one `AtomSpace.lift`.
+columns side by side by strided assignment.  `refine_pure_columns` takes
+the cylinders of each wide tower as an array laid out like its codes,
+which the inductive build reads off the previous castle's columns and
+carries through its swaps and column moves, so it reads no cylinder per
+atom of its working space; given none, it reads them off one
+`AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -249,13 +253,14 @@ def _climb(moves: Displacements, base, height: int) -> list[array]:
     return columns
 
 
-def _put_in_climb_order(tower: Tower, moves: Displacements, edges) -> None:
+def _put_in_climb_order(tower: Tower, moves: Displacements, edges, labels: array | None = None) -> None:
     """Put the tower in climb order up a level map, when only the sorted
     `edges` v can send level v onto v + 1 out of stored order: at each, in
     turn, where the images of level v, read off the map as it is then,
     differ from level v + 1, the columns of levels v + 1 up to the next
     edge are permuted by strided slice assignment.  Level 0 never moves.  A
-    level not sent onto the next one raises CastleError."""
+    level not sent onto the next one raises CastleError.  An array of
+    `labels` laid out like the codes makes the same column moves."""
     codes, w = tower.codes, tower.width
     for v, end in zip(edges, [*edges[1:], tower.height - 1]):
         lo, hi = (v + 1) * w, (end + 1) * w  # levels v + 1 .. end
@@ -265,9 +270,10 @@ def _put_in_climb_order(tower: Tower, moves: Displacements, edges) -> None:
             if sorted(image) != sorted(above):
                 raise CastleError(f"the level map does not send level {v} onto level {v + 1}")
             column_of = {c: i for i, c in enumerate(above)}
-            segment = codes[lo:hi]
-            for j, c in enumerate(image):
-                codes[lo + j : hi : w] = segment[column_of[c] :: w]
+            for out in (codes,) if labels is None else (codes, labels):
+                segment = out[lo:hi]
+                for j, c in enumerate(image):
+                    out[lo + j : hi : w] = segment[column_of[c] :: w]
 
 
 def _columns_of(tower: Tower, members) -> array:
@@ -306,23 +312,46 @@ def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
-def refine_pure_columns(castle: Castle, depth: int) -> Castle:
+def refine_pure_columns(castle: Castle, depth: int, labels=None) -> Castle:
     """Refine so every tower's column meets a constant sequence of
     cylinder atoms at `depth`.
 
-    Each atom's cylinder at `depth` is one entry of the space's `lift` of
-    the coarse codes.  The columns of a tower, read off its codes, are
-    grouped by their sequences of cylinders; each group is a new tower of
-    those columns in base order (`_columns_of`), and the groups follow the
-    order of their first base atoms."""
-    coarse = castle.chain.kr_partition(depth)
-    labels = castle.space.lift(array("i", range(coarse.size)), coarse)
+    `labels[alpha]`, when given, holds tower alpha's cylinders laid out like
+    its codes (None for a tower of width 1); each entry is set to None as
+    its tower's columns are grouped, so the arrays are freed before the new
+    towers are assembled.  The inductive build of stage k passes them, read
+    off the previous castle's columns (`construction._pretower_labels`):
+    an atom lies in its previous atom's depth-(k+1) cylinder only when the
+    previous depth is at least k + 1, so a stage whose previous depth is
+    below it passes none, and nor does the base stage, which has no
+    previous castle.  Without labels a wide tower's cylinders are read off
+    the space's `lift` of the coarse codes, one tower at a time.  Column
+    i's cylinders are the strided slice [i::width], and each column joins
+    the first group whose first column has the same cylinders, compared
+    slice to slice, so no column's cylinders outlive their comparison; each
+    group is a new tower of its columns in base order (`_columns_of`), and
+    the groups follow the order of their first base atoms."""
+    lifted = None
+    if labels is None:
+        coarse = castle.chain.kr_partition(depth)
+        lifted = castle.space.lift(array("i", range(coarse.size)), coarse)
     groups = []  # (tower, the columns of one new tower)
-    for t in castle.towers:
-        by_cylinders: dict = {}
-        for i in range(t.width):
-            key = array("i", map(getitem, repeat(labels), t.codes[i :: t.width])).tobytes() if t.width > 1 else None
-            by_cylinders.setdefault(key, []).append(i)
-        groups.extend((t, members) for members in by_cylinders.values())
-    del labels
+    for alpha, t in enumerate(castle.towers):
+        w = t.width
+        by_cylinders = [[0]]  # the columns of each new tower
+        if w > 1:
+            if lifted is None:
+                own, labels[alpha] = labels[alpha], None
+            else:
+                own = array("i", map(getitem, repeat(lifted), t.codes))
+            for i in range(1, w):
+                cylinders = own[i::w]
+                members = next((m for m in by_cylinders if own[m[0] :: w] == cylinders), None)
+                if members is None:
+                    by_cylinders.append([i])
+                else:
+                    members.append(i)
+            del own
+        groups.extend((t, members) for members in by_cylinders)
+    del lifted
     return Castle(castle.chain, castle.depth, [Tower(len(m), _columns_of(t, m)) for t, m in groups], castle.steps)

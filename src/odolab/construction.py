@@ -17,7 +17,8 @@ target's cylinder towers inside the source space, stage by stage:
             cylinders (recording the moved set and patching the previous
             translation map where it broke), join consecutive blocks by
             fresh cone translations, permute columns back into climb
-            order where the joins and swaps broke it, refine, and copy over.
+            order where the joins and swaps broke it, refine by the
+            cylinders read off the previous castle's columns, and copy over.
 
 Every tower the build hands to a refinement is stored in climb order, so
 column i of a tower is `codes[i::width]` and no refinement climbs.
@@ -76,6 +77,7 @@ from .speedup import Cone
 
 
 MAX_ATOMS = 2**26  # admits quadrant stage 6 (6^10 atoms, ~23 bytes each) in ~1.5 GB
+LOCATE_CHUNK = 1 << 16  # codes per `bytes.find` pass of `_locate`
 
 
 class _NeedDepth(Exception):
@@ -288,20 +290,17 @@ class SpeedupConstruction:
         displaced atom takes the level its replacement left.  Then, level by
         level, the atoms that arrived are dealt in increasing order to the
         towers that lost atoms there, in tower order.  Only the base, the top
-        and the moved atoms are written; the (tower, level) of every atom that
-        can move (one in an anchor set, the base or the top) is found by one
-        scan of each tower's codes.  Updates the towers in place; returns the
-        moved atoms and the (tower, level) pairs that changed.
+        and the moved atoms are written.  The (tower, level) of a base or top
+        atom is read off the levels 0 and h - 1; only the incoming anchor
+        atoms from inside the towers, at most as many as the base and top
+        hold, are searched for (`_locate`).  Updates the towers in place;
+        returns the moved atoms and the (tower, level) pairs that changed.
         """
         h = towers[0].height
-        base = {c for t in towers for c in t.level(0)}
-        top = {c for t in towers for c in t.level(h - 1)}
-        wanted = a0 | a2 | base | top
-        where: dict[int, tuple[int, int]] = {}
-        for alpha, t in enumerate(towers):
-            for j in compress(count(), map(wanted.__contains__, t.codes)):
-                where[t.codes[j]] = alpha, j // t.width
-        level_of: dict[int, int] = {}  # level after the swaps of every atom they moved
+        where = {c: (alpha, v) for v in (0, h - 1) for alpha, t in enumerate(towers) for c in t.level(v)}
+        base = {c for c, (_, v) in where.items() if not v}
+        top = set(where) - base
+        swaps = []  # (level, incoming atoms, the atoms they displace) per swap
         for position, edge, anchor, keep_atom in ((0, base, a0, x0_atom), (h - 1, top, a2, x2_atom)):
             deficit = sorted(edge - anchor)
             pool = sorted(anchor - base - top)
@@ -311,11 +310,16 @@ class SpeedupConstruction:
             if len(pool) < len(deficit):
                 raise CastleError("anchor cylinder too small for the swap")
             incoming = pool[: len(deficit)]
-            for c, out in zip(incoming, deficit):
-                level_of[out] = level_of.get(c, where[c][1])
-                level_of[c] = position
+            swaps.append((position, incoming, deficit))
             edge.difference_update(deficit)
             edge.update(incoming)
+        # an incoming atom not in the base or top as they were lies inside a tower
+        where.update(_locate(towers, [c for _, incoming, _ in swaps for c in incoming if c not in where]))
+        level_of: dict[int, int] = {}  # level after the swaps of every atom they moved
+        for position, incoming, deficit in swaps:
+            for c, out in zip(incoming, deficit):
+                level_of[out] = level_of[c] if c in level_of else where[c][1]
+                level_of[c] = position
         gone: dict[int, list[tuple[int, int]]] = {}  # level -> (tower, atom) that left it
         came: dict[int, list[int]] = {}              # level -> atoms that arrived
         for c, w in level_of.items():
@@ -405,10 +409,14 @@ class SpeedupConstruction:
             for m, alpha in enumerate(itinerary):
                 wants.setdefault(alpha, []).append((beta, m, len(codes)))
         prev_space = prev.src_castle.space
+        column_of: dict[int, int] = {}  # the previous column each piece atom climbs
         for alpha, demands in wants.items():
             demands.sort()
-            pool = sorted(prev_space.refine_set(prev.src_castle.towers[alpha].level(0), space))
-            chunks = _deal(pool, [size for _, _, size in demands])
+            over = {}  # the fibers of the previous tower's base, by previous column
+            for i, c in enumerate(prev.src_castle.towers[alpha].level(0)):
+                over.update(dict.fromkeys(prev_space.fibers(c, space), i))
+            column_of.update(over)
+            chunks = _deal(sorted(over), [size for _, _, size in demands])
             for (beta, m, _), chunk in zip(demands, chunks):
                 piece_of[(beta, m)] = chunk
 
@@ -452,27 +460,42 @@ class SpeedupConstruction:
             beta0, beta2 = len(layout) - 3, len(layout) - 2
             pool = sorted(c for base in tall_bases for c in base)
             tall_bases = _deal(pool, [len(members[0]) for _, members in layout])
-        # block m of a pretower is its levels from m * h_prev on, and its
-        # column j there is the climb of the block's j-th chosen column
-        pretowers = []
-        for beta, members in layout:
-            width = len(members[0])
-            codes = array("i", [0]) * (width * h)
-            for m in range(blocks):
-                for j, i in enumerate(members[m]):
-                    codes[m * h_prev * width + j : (m + 1) * h_prev * width : width] = climbs[beta, m][i]
-            pretowers.append(Tower(width, codes))
+        # the anchors' pretowers are rotated by whole blocks so that x0's
+        # block comes first and x2's last: block m of pretower b is its
+        # levels from ((m - first[b]) % blocks) * h_prev on, and its column j
+        # there is the climb of the block's j-th chosen column (`_lay_out`)
+        first = [0] * len(layout)
+        first[beta0], first[beta2] = m0, (m2 + 1) % blocks
+        pretowers = [
+            Tower(len(members[0]), _lay_out(members, first[b], h_prev, lambda m, i: climbs[beta, m][i]))
+            for b, (beta, members) in enumerate(layout)
+        ]
         del climbs
 
-        # --- rotate the anchors to the base and the top
-        pretowers[beta0] = _rotate(pretowers[beta0], m0 * h_prev)
-        pretowers[beta2] = _rotate(pretowers[beta2], (m2 + 1) * h_prev % h)
+        # --- the depth-(k+1) cylinders of each wide pretower, laid out like
+        # its codes, off the previous castle's columns; every later write to
+        # the codes makes the same write to them.  Below depth k+1 the
+        # previous atoms are coarser than the cylinders, which the
+        # refinement then reads off one `lift`
+        label_space = self.source.kr_partition(k + 1)
+        labels = None
+        if prev.gamma >= k + 1:
+            labels = _pretower_labels(prev.src_castle, label_space, layout, first, list(groups), piece_of, column_of)
+        del column_of
 
-        # --- swap the castle boundary into the anchor cylinders
+        # --- swap the castle boundary into the anchor cylinders, and read
+        # the cylinders of each level it touched off its own atoms
         a0, a2 = self._anchor_sets(k, gamma)
         pre_sizes = _shape(pretowers)
         f_atoms, touched = self._swap(pretowers, a0, a2, x0_atom, x2_atom)
         post_sizes = _shape(pretowers)
+        for alpha, w in touched if labels else ():
+            if labels[alpha] is not None:
+                width = pretowers[alpha].width
+                level = pretowers[alpha].level(w)
+                labels[alpha][w * width : (w + 1) * width] = array(
+                    "i", (label_space.encode_vector(space.decode(c)) for c in level)
+                )
 
         # --- each block was stored in the order of its climb of the previous
         # map, so the map can break, or send a level onto the next out of
@@ -513,13 +536,14 @@ class SpeedupConstruction:
                 self._transfer(sorted(tower.level(v)), sorted(tower.level(v + 1)), space, lattice, steps)
 
         # --- put the pretowers back in climb order at every edge that can break it
-        for tower, tower_breaks in zip(pretowers, breaks):
-            _put_in_climb_order(tower, moves, sorted(tower_breaks))
+        for alpha, (tower, tower_breaks) in enumerate(zip(pretowers, breaks)):
+            _put_in_climb_order(tower, moves, sorted(tower_breaks), labels[alpha] if labels else None)
 
         # --- refine into pure cylinder columns at depth k+1; a tower's first
         # atom is a base atom of its pretower
         pretower_of = {c: beta for beta, t in enumerate(pretowers) for c in t.level(0)}
-        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1)
+        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1, labels)
+        del labels
         pretower_of_tower = [pretower_of[t.codes[0]] for t in refined.towers]
 
         tgt_bases = self._copy_levels_to_target(refined, tall_bases, pretower_of_tower)
@@ -957,6 +981,42 @@ def _sums_outside(cone: Cone, vectors):
     return first_outside
 
 
+def _pretower_labels(prev_castle, label_space, layout, first, itineraries, pieces, column_of):
+    """The depth-(k+1) cylinders (codes of `label_space`) of each pretower
+    wider than 1, laid out like its codes (`_lay_out`, with the build's
+    `layout` and block rotations `first`); None for a width-1 pretower.
+
+    Read off the previous castle, whose depth is at least k + 1.  A block
+    of a pretower column is a climb of the lifted previous map from a piece
+    atom over a previous base atom, so level by level it lies over that
+    atom's previous column (`column_of` names it), stored as
+    `codes[i::width]` in its tower `itineraries[beta][m]`.  Each atom lies
+    in its previous atom's depth-(k+1) cylinder, so the block's cylinders
+    are the previous column's: one `lift` onto the previous space, and one
+    read per previous atom, each column's cylinders gathered once and
+    shared by its fiber-mates."""
+    prev_labels = prev_castle.space.lift(array("i", range(label_space.size)), label_space)
+    gathered: dict[tuple[int, int], array] = {}  # (previous tower, column) -> its cylinders
+
+    def cylinders(alpha, i):
+        if (out := gathered.get((alpha, i))) is None:
+            codes = prev_castle.towers[alpha].codes[i :: prev_castle.towers[alpha].width]
+            out = gathered[alpha, i] = array("i", map(getitem, repeat(prev_labels), codes))
+        return out
+
+    return [
+        _lay_out(
+            members,
+            first[b],
+            prev_castle.towers[0].height,
+            lambda m, i: cylinders(itineraries[beta][m], column_of[pieces[beta, m][i]]),
+        )
+        if len(members[0]) > 1
+        else None
+        for b, (beta, members) in enumerate(layout)
+    ]
+
+
 def _find_column(climbs, atom: int, row: int):
     """(piece, column index) of the `_climb` column that holds `atom` at level `row`."""
     for piece, columns in climbs.items():
@@ -966,13 +1026,47 @@ def _find_column(climbs, atom: int, row: int):
     raise CastleError("anchors are misaligned with the block structure")
 
 
+def _locate(towers, atoms) -> dict[int, tuple[int, int]]:
+    """(tower, level) of each atom: `bytes.find` of the bytes of its code
+    in the codes of one tower at a time, copied LOCATE_CHUNK codes at a
+    time, skipping a hit at an offset that is not a multiple of the code
+    size (it straddles two codes).  An atom in no tower raises CastleError."""
+    where: dict[int, tuple[int, int]] = {}
+    left = {c: array("i", [c]).tobytes() for c in sorted(set(atoms))}
+    for alpha, t in enumerate(towers):
+        codes, size = t.codes, t.codes.itemsize
+        for s in range(0, len(codes), LOCATE_CHUNK):
+            if not left:
+                return where
+            buf = codes[s : s + LOCATE_CHUNK].tobytes()
+            for c, needle in list(left.items()):
+                j = buf.find(needle)
+                while j > 0 and j % size:
+                    j = buf.find(needle, j + 1)
+                if j >= 0:
+                    where[c] = alpha, (s + j // size) // t.width
+                    del left[c]
+    if left:
+        raise CastleError(f"atom {next(iter(left))} lies in no tower")
+    return where
+
+
 def _shape(towers) -> tuple[tuple[int, int], ...]:
     return tuple((t.width, len(t.codes)) for t in towers)
 
 
-def _rotate(tower: Tower, shift: int) -> Tower:
-    cut = shift * tower.width
-    return Tower(tower.width, tower.codes[cut:] + tower.codes[:cut])
+def _lay_out(members, first: int, height: int, column) -> array:
+    """The array of a pretower of blocks of `height` levels whose column j
+    in block m is `column(m, members[m][j])`, block m at levels from
+    ((m - first) % blocks) * height on, by strided assignment."""
+    blocks, width = len(members), len(members[0])
+    span = height * width
+    out = array("i", [0]) * (span * blocks)
+    for m, chosen in enumerate(members):
+        p = (m - first) % blocks
+        for j, i in enumerate(chosen):
+            out[p * span + j : (p + 1) * span : width] = column(m, i)
+    return out
 
 
 def _deal(pool, sizes):

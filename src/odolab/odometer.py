@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from operator import mul
 from typing import Callable, Optional
 
 from .lattice import (
@@ -440,17 +439,23 @@ class AtomSpace:
         an integer upper-triangular matrix with diagonal
         finer.rectangle[i] // self.rectangle[i], and coarse-basis
         combinations with coefficients in that box are a transversal of the
-        coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).
+        coarser lattice modulo the finer one (Cohen, GTM 138, 2.4).  It is
+        stepped out from the zero atom (code 0) one column of the coarse
+        basis at a time: the atoms so far, translated by the column 1, ...,
+        n - 1 times (n its side of the box), each translate one read of the
+        column's displacement table.
         """
         if finer._chain_stages is not self._chain_stages or finer.depth < self.depth:
             raise ChainError("fibers need a finer atom space of the same chain")
         if (zero := self._zero_fibers.get(finer.depth)) is None:
-            cols = self.system.lattice.columns()
-            box = [range(f // c) for f, c in zip(finer.rectangle, self.rectangle)]
-            codes = [
-                finer.encode_vector(tuple(sum(map(mul, k, row)) for row in zip(*cols))) for k in iter_product(*box)
-            ]
-            zero = self._zero_fibers[finer.depth] = (codes, dict.fromkeys(codes, 1))
+            codes, ones = [0], {0: 1}  # every code read is given id 1
+            for col, f, c in zip(self.system.lattice.columns(), finer.rectangle, self.rectangle):
+                step, layer = finer.displacements([None, col], ones), codes
+                for _ in range(f // c - 1):
+                    layer = step.images(layer)
+                    ones.update(dict.fromkeys(layer, 1))
+                    codes.extend(layer)
+            zero = self._zero_fibers[finer.depth] = (codes, ones)
         codes, ones = zero
         return sorted(finer.displacements([None, self.decode(code)], ones).images(codes))
 

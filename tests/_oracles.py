@@ -465,6 +465,59 @@ def refine_pure_columns_by_sets(space, towers, steps, label):
     return castle_refinement_by_sets(space, towers, steps, partitions)
 
 
+def swap_by_full_scan(towers, a0, a2, x0_atom, x2_atom):
+    """`SpeedupConstruction._swap` by one scan of every code of every tower:
+    the (tower, level) of every atom that can move (one in an anchor set,
+    the base or the top) is read off that scan, with no search.  Updates
+    the towers in place; returns the moved atoms and the (tower, level)
+    pairs that changed."""
+    from odolab.castles import CastleError
+
+    h = towers[0].height
+    base = {c for t in towers for c in t.level(0)}
+    top = {c for t in towers for c in t.level(h - 1)}
+    wanted = a0 | a2 | base | top
+    where = {}
+    for alpha, t in enumerate(towers):
+        for j, c in enumerate(t.codes):
+            if c in wanted:
+                where[c] = alpha, j // t.width
+    level_of = {}
+    for position, edge, anchor, keep_atom in ((0, base, a0, x0_atom), (h - 1, top, a2, x2_atom)):
+        deficit = sorted(edge - anchor)
+        pool = sorted(anchor - base - top)
+        if keep_atom in pool:
+            pool.remove(keep_atom)
+            pool.insert(0, keep_atom)
+        if len(pool) < len(deficit):
+            raise CastleError("anchor cylinder too small for the swap")
+        incoming = pool[: len(deficit)]
+        for c, out in zip(incoming, deficit):
+            level_of[out] = level_of.get(c, where[c][1])
+            level_of[c] = position
+        edge.difference_update(deficit)
+        edge.update(incoming)
+    gone, came = {}, {}
+    for c, w in level_of.items():
+        alpha, v = where[c]
+        if v != w:
+            gone.setdefault(v, []).append((alpha, c))
+            came.setdefault(w, []).append(c)
+    touched = set()
+    for w, left in gone.items():
+        left.sort()
+        drops = {c for _, c in left}
+        adds = {}
+        for (alpha, _), c in zip(left, sorted(came[w])):
+            adds.setdefault(alpha, []).append(c)
+        for alpha, new in adds.items():
+            t = towers[alpha]
+            level = [c for c in t.level(w) if c not in drops] + new
+            t.codes[w * t.width : (w + 1) * t.width] = array("i", sorted(level))
+            touched.add((alpha, w))
+    return frozenset(c for left in gone.values() for _, c in left), touched
+
+
 def _shear_candidates(sup2, duals):
     """Shears a/d with d <= the largest stage denominator supported on sup2 and
     |a/d| <= 2, each once, d first, then (|a|, sign): every integer up to

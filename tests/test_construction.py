@@ -34,6 +34,7 @@ from _oracles import (
     refine_pure_columns_by_sets,
     stage_checks_by_levels,
     stored_in_climb_order,
+    swap_by_full_scan,
     target_castle_by_translation,
     tower_from_levels,
     x0_column_points,
@@ -619,9 +620,9 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
         climbs.append(c)
         return column(moves, c, height)
 
-    def recording(castle, depth):
+    def recording(castle, depth, labels=None):
         del climbs[:]
-        refined = refine(castle, depth)
+        refined = refine(castle, depth, labels)
         refinements.append((list(climbs), any(t.width > 1 for t in castle.towers)))
         return refined
 
@@ -711,11 +712,11 @@ def test_every_pretower_the_refinement_takes_is_stored_in_climb_order(case, monk
     # the level map by per-atom translation, before the refinement runs
     wide = []
 
-    def checked(castle, depth):
+    def checked(castle, depth, labels=None):
         images = images_by_translation(castle)
         assert all(stored_in_climb_order(images, t) for t in castle.towers), depth
         wide.append(any(t.width > 1 for t in castle.towers))
-        return refine_pure_columns(castle, depth)
+        return refine_pure_columns(castle, depth, labels)
 
     monkeypatch.setattr(construction, "refine_pure_columns", checked)
     stages = build_case(case).stages
@@ -798,9 +799,9 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
     # record every call of the refinement
     calls = []
 
-    def recording(castle, depth):
+    def recording(castle, depth, labels=None):
         towers = [list(t.levels) for t in castle.towers]
-        refined = refine_pure_columns(castle, depth)
+        refined = refine_pure_columns(castle, depth, labels)
         moves = castle.space.displacements(castle.steps.vectors, castle.steps.ids)
         calls.append((castle, towers, depth, tower_lists(refined, moves.images(range(castle.space.size)))))
         return refined
@@ -821,6 +822,99 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
         previous = _previous_map(prev.src_castle, rec.gamma)
         assert previous.vectors == prev.src_castle.steps.vectors
         assert previous.ids == previous_map_by_coarsening(prev.src_castle, rec.gamma), rec.k
+
+
+# stages built per case: quadrant 0-4, derived sector, cube and mirrored
+# quadrant 0-3, sector 0-2 and dyadic 0-3
+LABEL_STAGES = {"quadrant": 5, "derived-sector": 4, "cube": 4, "mirrored-quadrant": 4, "sector": 3, "dyadic": 4}
+
+
+@pytest.mark.parametrize("case", sorted(LABEL_STAGES))
+def test_the_refinement_reads_the_cylinders_the_build_passes_like_the_per_atom_oracle(case, monkeypatch):
+    # every inductive stage passes the cylinders of each wide pretower, laid
+    # out like its codes, and they are the per-atom reductions at every
+    # code; a width-1 pretower gets None, the base stage passes none, and no
+    # inductive stage lifts the depth-(k+1) cylinders onto its working space
+    _, kwargs = case_inputs(case)
+    passed, lifts, building = [], [], []
+    lift, build_inductive = AtomSpace.lift, SpeedupConstruction._build_inductive
+
+    def counted(space, values, coarse):
+        if building:
+            lifts.append((*building[-1], space.depth, coarse.depth))
+        return lift(space, values, coarse)
+
+    def inductive(con, k, n, h, gamma, tgt_depth):
+        building.append((k, gamma))
+        try:
+            return build_inductive(con, k, n, h, gamma, tgt_depth)
+        finally:
+            building.pop()
+
+    def checked(castle, depth, labels=None):
+        passed.append(labels is not None)
+        if labels is not None:
+            space, coarse = castle.space, castle.chain.kr_partition(depth)
+            assert [cylinders is None for cylinders in labels] == [t.width == 1 for t in castle.towers], depth
+            for t, cylinders in zip(castle.towers, labels):
+                if cylinders is not None:
+                    expected = array("i", (coarsen_by_reduction(space, c, coarse) for c in t.codes))
+                    assert cylinders == expected, depth
+        return refine_pure_columns(castle, depth, labels)
+
+    monkeypatch.setattr(AtomSpace, "lift", counted)
+    monkeypatch.setattr(SpeedupConstruction, "_build_inductive", inductive)
+    monkeypatch.setattr(construction, "refine_pure_columns", checked)
+    stages = build(LABEL_STAGES[case], **kwargs).stages
+    assert all(prev.gamma >= rec.k + 1 for prev, rec in zip(stages, stages[1:]))
+    assert passed == [False] + [True] * (len(stages) - 1)
+    assert lifts and not [lift for lift in lifts if lift[2] == lift[1] and lift[3] == lift[0] + 1]
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube", "mirrored-quadrant"])
+def test_the_swap_moves_what_the_full_scan_moves(case, monkeypatch):
+    # on every castle the build swaps, base and inductive stages alike, the
+    # swap that searches only its incoming atoms gives the towers, the
+    # swapped atoms and the touched (tower, level) pairs of one scan of
+    # every code
+    stages, kwargs = case_inputs(case)
+    swap = SpeedupConstruction._swap
+    moved = []
+
+    def checked(con, towers, a0, a2, x0_atom, x2_atom):
+        copies = [Tower(t.width, array("i", t.codes)) for t in towers]
+        expected = swap_by_full_scan(copies, a0, a2, x0_atom, x2_atom)
+        result = swap(con, towers, a0, a2, x0_atom, x2_atom)
+        assert result == expected
+        assert [t.codes for t in towers] == [t.codes for t in copies]
+        moved.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(SpeedupConstruction, "_swap", checked)
+    build(stages, **kwargs)
+    assert len(moved) >= stages and any(moved)
+
+
+def test_a_swapped_in_atom_found_in_no_tower_is_named():
+    # atom 9 of the anchor set is to replace base atom 1, but no tower holds it
+    con = build(1)
+    towers = [Tower(2, array("i", range(6)))]
+    with pytest.raises(CastleError, match="^atom 9 lies in no tower$"):
+        con._swap(towers, frozenset({0, 9}), frozenset({4, 5}), 0, 4)
+
+
+def test_locate_skips_a_code_straddling_two_codes(monkeypatch):
+    # the bytes of atom c also run across the first two codes, which make
+    # the first chunk of two; only the aligned hit, in the second chunk, is c
+    monkeypatch.setattr(construction, "LOCATE_CHUNK", 2)
+    c = 1
+    needle = array("i", [c]).tobytes()
+    codes = array("i")
+    codes.frombytes(bytes(3) + needle + bytes(1))
+    codes.append(c)
+    assert c not in codes[:2]
+    towers = [Tower(1, array("i", [7, 8])), Tower(1, codes)]
+    assert construction._locate(towers, [c, 8]) == {c: (1, 2), 8: (0, 1)}
 
 
 def test_stage_numbers_out_of_range_are_refused():
