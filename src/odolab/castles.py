@@ -31,10 +31,10 @@ out of it), so `castle_refinement_over` and `refine_pure_columns` read
 column i as `codes[i::width]`, climb nothing, and store each new tower's
 columns side by side by strided assignment.  `refine_pure_columns` takes
 the cylinders of each wide tower as an array laid out like its codes,
-which the inductive build reads off the previous castle's columns and
+which every inductive stage reads off the previous castle's columns and
 carries through its swaps and column moves, so it reads no cylinder per
-atom of its working space; given none, it reads them off one
-`AtomSpace.lift`.
+atom of its working space; given none, as at the base stage and in a
+direct call, it reads them off one `AtomSpace.lift`.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -319,13 +319,12 @@ def refine_pure_columns(castle: Castle, depth: int, labels=None) -> Castle:
     `labels[alpha]`, when given, holds tower alpha's cylinders laid out like
     its codes (None for a tower of width 1); each entry is set to None as
     its tower's columns are grouped, so the arrays are freed before the new
-    towers are assembled.  The inductive build of stage k passes them, read
-    off the previous castle's columns (`construction._pretower_labels`):
-    an atom lies in its previous atom's depth-(k+1) cylinder only when the
-    previous depth is at least k + 1, so a stage whose previous depth is
-    below it passes none, and nor does the base stage, which has no
-    previous castle.  Without labels a wide tower's cylinders are read off
-    the space's `lift` of the coarse codes, one tower at a time.  Column
+    towers are assembled.  Every inductive stage k passes them, read off
+    the previous castle's columns (`construction._pretower_labels`), whose
+    depth is at least k + 1 (`construction.SpeedupConstruction._stage`).
+    Without labels, which only the base stage, having no previous castle,
+    and a direct call give, a wide tower's cylinders are read off the
+    space's `lift` of the coarse codes, one tower at a time.  Column
     i's cylinders are the strided slice [i::width], and each column joins
     the first group whose first column has the same cylinders, compared
     slice to slice, so no column's cylinders outlive their comparison; each

@@ -39,7 +39,7 @@ rule: its joins pair the i-th atoms of consecutive sorted levels, except
 that the top's two least atoms trade places when the second anchor is the
 least, so the zero point's column never ends at the second anchor
 (`_build_base`).  Stage numbers and tower heights are the least values
-satisfying the driving inequalities, computed exactly:
+satisfying the driving inequalities, computed in integers (`_schedule`):
 
     atom measure < anchor measure                      (stage 0)
     boundary measure < min(eps cap, anchor measure/3)  (stage k), with
@@ -57,6 +57,7 @@ from itertools import accumulate, compress, count, islice, repeat
 from operator import ge, getitem, gt, le, lt, mul, ne, setitem, sub
 
 from .castles import (
+    CLIMB_CHUNK,
     Castle,
     CastleError,
     DepthExhausted,
@@ -101,9 +102,12 @@ class StageRecord:
 class SpeedupConstruction:
     """Stage driver; build with run(k) and audit with stage_invariants(k).
 
-    Each stage is built by one loop that deepens the working depths of
-    both chains together until every selection step has fine enough atoms
-    (`_stage`).  Its `StageRecord` holds the stage itself: the castles and
+    Each stage starts at the least equal-index depth pair past one target
+    base, which is fine enough for its anchor cylinders and for the next
+    stage's cylinder labels, and one loop deepens the working depths of
+    both chains together only when the data refuse it: a lone tall tower
+    of two bases, or an anchors' tall tower narrower than 3 (`_stage`).
+    Its `StageRecord` holds the stage itself: the castles and
     the swap and rebuild records; the audit works out everything else, the
     anchors' towers and columns and the previous stage's map included, from
     these and the previous record.  A cone that contains a line is refused:
@@ -177,14 +181,21 @@ class SpeedupConstruction:
     # -- stage scheduling ----------------------------------------------
 
     def _schedule(self, k: int) -> int:
-        """The target stage n_k: the least n past n_(k-1) at which `atoms`
-        target atoms measure less than `bound`."""
-        mu = self.anchor_measure(k)
-        n, atoms, bound = 1, 1, mu
+        """The target stage n_k: the least n past n_(k-1) whose index T(n)
+        exceeds a limit, computed in integers.
+
+        With I(j) the source index at depth j, the module's inequalities
+        read: one target atom measures less than an anchor, 1/T(n) <
+        1/I(1), at stage 0; and two measure less than min(eps cap, anchor/3),
+        T(n) > 2 * max(24 * sum_{j<k} I(k+1)/I(j+1), 3 * I(k+1)), at stage
+        k >= 1.  The chain is nested, so I(j+1) divides I(k+1) and every
+        term is an integer.  Hence T(n_0) > I(1), and T(n_k) > 6 * I(k+1)."""
+        index = self.source.index
+        n, limit = 1, index(1)
         if k:
-            earlier = sum((self.anchor_measure(j) for j in range(k)), Fraction(0))
-            n, atoms, bound = self.stages[k - 1].n + 1, 2, min(mu / (24 * earlier), mu / 3)
-        while Fraction(atoms, self.target.index(n)) >= bound:
+            earlier = sum(index(k + 1) // index(j + 1) for j in range(k))
+            n, limit = self.stages[k - 1].n + 1, 2 * max(24 * earlier, 3 * index(k + 1))
+        while self.target.index(n) <= limit:
             if self.target.index(n) > MAX_ATOMS:
                 raise DepthExhausted(f"stage {k}: no target stage within {MAX_ATOMS} atoms has fine enough atoms")
             n += 1
@@ -199,16 +210,28 @@ class SpeedupConstruction:
         return self
 
     def _stage(self, k: int) -> StageRecord:
-        """Build stage k at the least working depths that work, deepening
-        both chains together whenever a selection step needs finer atoms."""
+        """Build stage k of height h = T(n_k), starting at the least
+        equal-index depth pair whose index exceeds h (and, past stage 0, no
+        coarser than the previous stage's).
+
+        At index h the target is one base and no stage builds.  h divides
+        every finer target index, so the start index is at least 2h, and the
+        base stage's one tower is at least 2 wide.  The source depth gamma_k
+        has I(gamma_k) > h = T(n_k) > I(k+1) (`_schedule`), so gamma_k >=
+        k + 2: every castle is at least as fine as the next stage's anchor
+        cylinders, off which that stage reads its cylinder labels
+        (`_pretower_labels`).  The loop deepens both chains together only
+        when the data refuse the pair: a lone tall tower of two bases, or an
+        anchors' tall tower narrower than 3 (`_build_inductive`)."""
         n = self._schedule(k)
         h = self.target.index(n)
+        t = next(d for d in count(n + 1) if self.target.index(d) > h)  # a chain may repeat a stage
         if k == 0:
-            gamma, tgt_depth = self._align_depths(2, n)
+            gamma, tgt_depth = self._align_depths(1, t)
             build = self._build_base
         else:
             prev = self.stages[-1]
-            gamma, tgt_depth = self._align_depths(max(prev.gamma, k + 1), max(prev.tgt_depth, n))
+            gamma, tgt_depth = self._align_depths(prev.gamma, max(prev.tgt_depth, t))
             build = self._build_inductive
         while True:
             try:
@@ -220,9 +243,7 @@ class SpeedupConstruction:
 
     def _build_base(self, k, n, h, gamma, tgt_depth) -> StageRecord:
         space = self.source.kr_partition(gamma)
-        total = space.size  # a multiple of h, the index of a coarser depth of the target
-        if total // h < 2:
-            raise _NeedDepth()
+        total = space.size  # a multiple of h, at least 2h (`_stage`)
         towers = [Tower(total // h, array("i", range(total)))]
 
         a0, a2 = self._anchor_sets(k, gamma)
@@ -239,7 +260,7 @@ class SpeedupConstruction:
         # codes[i::width].  Every level is stored sorted and x0 is code 0, the
         # least atom of the base, so the least atoms form x0's column; when x2
         # is the least atom of the top, the top's two least atoms trade
-        # places (the width is at least 2), so x2 tops another column.
+        # places (the width total // h is at least 2), so x2 tops another column.
         # Distinct columns hold distinct atoms.  Pointwise they are apart
         # too: the points up x0's column are sums of cone vectors, and x2 =
         # -u is one only if u plus cone vectors sums to 0, which a cone with
@@ -398,7 +419,8 @@ class SpeedupConstruction:
                 raise CastleError("block itineraries must start at previous bases") from None
             groups.setdefault(itinerary, []).append(c)  # in increasing c: keys by least base
         # both anchors lie in a lone tall tower, which must be split below
-        # into three parts; narrower than 3, deepen before mirroring and climbing
+        # into three parts; with two bases, the fewest `_stage` admits,
+        # deepen before mirroring and climbing
         if len(groups) == 1 and len(next(iter(groups.values()))) < 3:
             raise _NeedDepth()
 
@@ -411,7 +433,6 @@ class SpeedupConstruction:
         prev_space = prev.src_castle.space
         column_of: dict[int, int] = {}  # the previous column each piece atom climbs
         for alpha, demands in wants.items():
-            demands.sort()
             over = {}  # the fibers of the previous tower's base, by previous column
             for i, c in enumerate(prev.src_castle.towers[alpha].level(0)):
                 over.update(dict.fromkeys(prev_space.fibers(c, space), i))
@@ -473,14 +494,11 @@ class SpeedupConstruction:
         del climbs
 
         # --- the depth-(k+1) cylinders of each wide pretower, laid out like
-        # its codes, off the previous castle's columns; every later write to
-        # the codes makes the same write to them.  Below depth k+1 the
-        # previous atoms are coarser than the cylinders, which the
-        # refinement then reads off one `lift`
+        # its codes, off the previous castle's columns, which are that fine
+        # (prev.gamma >= k + 1, `_stage`); every later write to the codes
+        # makes the same write to them, and the refinement reads no `lift`
         label_space = self.source.kr_partition(k + 1)
-        labels = None
-        if prev.gamma >= k + 1:
-            labels = _pretower_labels(prev.src_castle, label_space, layout, first, list(groups), piece_of, column_of)
+        labels = _pretower_labels(prev.src_castle, label_space, layout, first, list(groups), piece_of, column_of)
         del column_of
 
         # --- swap the castle boundary into the anchor cylinders, and read
@@ -489,7 +507,7 @@ class SpeedupConstruction:
         pre_sizes = _shape(pretowers)
         f_atoms, touched = self._swap(pretowers, a0, a2, x0_atom, x2_atom)
         post_sizes = _shape(pretowers)
-        for alpha, w in touched if labels else ():
+        for alpha, w in touched:
             if labels[alpha] is not None:
                 width = pretowers[alpha].width
                 level = pretowers[alpha].level(w)
@@ -537,7 +555,7 @@ class SpeedupConstruction:
 
         # --- put the pretowers back in climb order at every edge that can break it
         for alpha, (tower, tower_breaks) in enumerate(zip(pretowers, breaks)):
-            _put_in_climb_order(tower, moves, sorted(tower_breaks), labels[alpha] if labels else None)
+            _put_in_climb_order(tower, moves, sorted(tower_breaks), labels[alpha])
 
         # --- refine into pure cylinder columns at depth k+1; a tower's first
         # atom is a base atom of its pretower
@@ -750,9 +768,8 @@ class SpeedupConstruction:
             old = prev.ids
             if renumber != list(range(len(renumber))):
                 old = array("i", map(renumber.__getitem__, prev.ids))
-            n = 4096  # codes per chunk
-            for s in range(0, len(old), n):
-                new_chunk, old_chunk = steps.ids[s : s + n], old[s : s + n]
+            for s in range(0, len(old), CLIMB_CHUNK):
+                new_chunk, old_chunk = steps.ids[s : s + CLIMB_CHUNK], old[s : s + CLIMB_CHUNK]
                 if new_chunk != old_chunk:
                     for c in compress(count(s), map(ne, old_chunk, new_chunk)):
                         i, j = steps.ids[c], prev.ids[c]

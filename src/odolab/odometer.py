@@ -459,12 +459,6 @@ class AtomSpace:
         codes, ones = zero
         return sorted(finer.displacements([None, self.decode(code)], ones).images(codes))
 
-    def refine_set(self, codes, finer: "AtomSpace") -> frozenset[int]:
-        out = set()
-        for c in codes:
-            out.update(self.fibers(c, finer))
-        return frozenset(out)
-
 
 class Displacements:
     """A level map on an atom space, read through its displacement table.

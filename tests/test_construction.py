@@ -2,6 +2,8 @@ import random
 import re
 from array import array
 from fractions import Fraction
+from itertools import count
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from odolab.castles import (
     refine_pure_columns,
 )
 from odolab.construction import SpeedupConstruction, StageRecord, _previous_map
+from odolab.lattice import IntegerLattice
 from odolab.odometer import AtomSpace, Displacements, OdometerChain
 from odolab.speedup import Cone, derived_odometer
 
@@ -32,6 +35,7 @@ from _oracles import (
     images_by_translation,
     previous_map_by_coarsening,
     refine_pure_columns_by_sets,
+    schedule_by_fractions,
     stage_checks_by_levels,
     stored_in_climb_order,
     swap_by_full_scan,
@@ -771,9 +775,8 @@ def test_each_construction_searches_its_own_joins(monkeypatch):
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
 def test_each_inductive_stage_lifts_the_previous_map_once(case, monkeypatch):
-    # at the least working depth the target split leaves one tall tower of
-    # width 1 holding both anchors; that attempt deepens before the previous
-    # map is lifted, so only the attempt that builds the stage lifts it
+    # an attempt the target split refuses deepens before the previous map
+    # is lifted, so only the attempt that builds the stage lifts it
     lifts = []
     previous_map = construction._previous_map
 
@@ -869,6 +872,79 @@ def test_the_refinement_reads_the_cylinders_the_build_passes_like_the_per_atom_o
     assert all(prev.gamma >= rec.k + 1 for prev, rec in zip(stages, stages[1:]))
     assert passed == [False] + [True] * (len(stages) - 1)
     assert lifts and not [lift for lift in lifts if lift[2] == lift[1] and lift[3] == lift[0] + 1]
+
+
+# stages built per case by the depth-rule tests: quadrant 0-5, derived
+# sector, cube and mirrored quadrant 0-3, and the mixed source onto the
+# target 36^j, whose depths differ from the source's, 0-2
+DEPTH_RULE_STAGES = {"quadrant": 6, "derived-sector": 4, "cube": 4, "mirrored-quadrant": 4, "target-36": 3}
+
+
+def depth_rule_inputs(case):
+    if case == "target-36":
+        return {"target": OdometerChain.diagonal_power([36])}
+    return case_inputs(case)[1]
+
+
+@pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
+def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
+    # each stage is tried once, at the least equal-index depth pair past one
+    # target base, so no `_NeedDepth` is raised; that pair is at least as
+    # fine as the next stage's anchor cylinders, and every inductive stage
+    # passes the refinement a cylinder array for each pretower wider than 1
+    tried, passed = [], []
+    build_base, build_inductive = SpeedupConstruction._build_base, SpeedupConstruction._build_inductive
+
+    def tracked(build):
+        def attempt(con, k, n, h, gamma, tgt_depth):
+            tried.append((k, gamma, tgt_depth))
+            return build(con, k, n, h, gamma, tgt_depth)
+
+        return attempt
+
+    def checked(castle, depth, labels=None):
+        passed.append(labels is not None and [a is None for a in labels] == [t.width == 1 for t in castle.towers])
+        return refine_pure_columns(castle, depth, labels)
+
+    monkeypatch.setattr(SpeedupConstruction, "_build_base", tracked(build_base))
+    monkeypatch.setattr(SpeedupConstruction, "_build_inductive", tracked(build_inductive))
+    monkeypatch.setattr(construction, "refine_pure_columns", checked)
+    con = build(DEPTH_RULE_STAGES[case], **depth_rule_inputs(case))
+    assert tried == [(rec.k, rec.gamma, rec.tgt_depth) for rec in con.stages]
+    for rec in con.stages:
+        # the least source depth, from the previous stage's on, whose index
+        # exceeds the height and is a target index
+        targets = {con.target.index(t) for t in range(1, rec.tgt_depth + 1)}
+        start = con.stages[rec.k - 1].gamma if rec.k else 1
+        least = next(g for g in count(start) if rec.height < con.source.index(g) in targets)
+        assert (rec.gamma, con.source.index(rec.gamma)) == (least, con.target.index(rec.tgt_depth)), rec.k
+        assert rec.gamma >= rec.k + 2, rec.k
+    assert passed == [False] + [True] * (len(con.stages) - 1)
+
+
+def test_a_target_that_repeats_the_height_starts_past_it():
+    # the target chain 2, 4, 4, 8, 16, ... repeats its second stage, and
+    # stage 0 has height 4, the index of both: it starts at the index-8 pair
+    # past the repeat, not at a second depth of index 4 with one target base
+    indices = [2, 4, 4] + [2**j for j in range(3, 25)]
+    target = OdometerChain.explicit([IntegerLattice.from_rows([[i]]) for i in indices])
+    con = build(4, source=OdometerChain.diagonal_power([2]), target=target, cone=Cone.quadrant(1))
+    rec = con.stages[0]
+    assert (rec.n, rec.height, rec.gamma, rec.tgt_depth) == (2, 4, 3, 4)
+    assert all(con.stage_invariants(k).ok for k in range(4))
+
+
+@pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
+def test_the_integer_schedule_is_the_fraction_schedule(case):
+    # n_0..n_5 of each chain pair, each stage scheduled past the one before;
+    # `_schedule` reads only the previous stage's n, so no stage is built
+    con = build(0, **depth_rule_inputs(case))
+    previous = None
+    for k in range(6):
+        n = con._schedule(k)
+        assert n == schedule_by_fractions(con.source, con.target, k, previous), (case, k)
+        con.stages.append(SimpleNamespace(n=n))
+        previous = n
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube", "mirrored-quadrant"])
@@ -1090,8 +1166,9 @@ def test_value_group_mismatch_rejected():
 
 
 def test_the_atom_budget_on_aligning_depths_is_reported_as_such(monkeypatch):
-    # stage 1 onto 36^j deepens to source depth 5, whose index 6^5 is no
-    # power of 36; the next equal index, 6^6, lies past the budget
+    # stage 1 onto 36^j starts past stage 0's index 6^4 = 36^2; source
+    # depth 5's index 6^5 is no power of 36, and the next equal index, 6^6,
+    # lies past the budget
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
     con = build(1, target=OdometerChain.diagonal_power([36]))
     with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 7776 atoms: source depth 6 has 46656 atoms$"):
@@ -1100,17 +1177,22 @@ def test_the_atom_budget_on_aligning_depths_is_reported_as_such(monkeypatch):
 
 
 def test_the_atom_budget_on_deepening_a_stage(monkeypatch):
-    # stage 1 is tried at source depth 4 (6^4 atoms, the budget) and needs
-    # finer atoms: the deepening is refused, not built
+    # stage 0 onto 36^j starts at source depth 4 (6^4 = 36^2 atoms, the
+    # budget); refused there by force, it needs finer atoms: the deepening
+    # to source depth 5 is refused, not built
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**4)
-    con = build(1)
+    con = build(0, target=OdometerChain.diagonal_power([36]))
     tried = []
-    build_inductive = con._build_inductive
-    monkeypatch.setattr(con, "_build_inductive", lambda k, n, h, g, t: tried.append(g) or build_inductive(k, n, h, g, t))
+
+    def refused(k, n, h, g, t):
+        tried.append(g)
+        raise construction._NeedDepth()
+
+    monkeypatch.setattr(con, "_build_base", refused)
     with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 1296 atoms: source depth 5 has 7776 atoms$"):
-        con.run(2)
+        con.run(1)
     assert tried == [4]
-    assert len(con.stages) == 1
+    assert not con.stages
 
 
 def test_the_atom_budget_on_scheduling_a_target_stage(monkeypatch):
