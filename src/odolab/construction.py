@@ -9,8 +9,8 @@ target's cylinder towers inside the source space, stage by stage:
             slabs by cone translations, split the two anchors into their
             own towers, refine to pure cylinder columns, and mirror the
             tower shape on the target side by exact measure bookkeeping;
-  stage k   refine the target tower into pure previous-stage columns,
-            mirror that refinement on the source castle with one climb of
+  stage k   read the target's one tall tower as blocks of previous-stage
+            towers, mirror them on the source castle with one climb of
             the previous map, separate the anchors by choosing columns of
             that climb, rotate the two anchor towers so the anchors sit at
             the base and top, swap the boundary into the next anchor
@@ -38,8 +38,10 @@ are their depth-(k+1) cylinders.  Stage 0 parts the anchors by one pairing
 rule: its joins pair the i-th atoms of consecutive sorted levels, except
 that the top's two least atoms trade places when the second anchor is the
 least, so the zero point's column never ends at the second anchor
-(`_build_base`).  Stage numbers and tower heights are the least values
-satisfying the driving inequalities, computed in integers (`_schedule`):
+(`_build_base`).  Stage numbers are the least target stages, from the
+previous stage's working target depth on, that satisfy the driving
+inequalities, computed in integers (`_schedule`); the inequalities only
+bound the stage number from below, so the later start keeps them:
 
     atom measure < anchor measure                      (stage 0)
     boundary measure < min(eps cap, anchor measure/3)  (stage k), with
@@ -81,10 +83,6 @@ MAX_ATOMS = 2**26  # admits quadrant stage 6 (6^10 atoms, ~23 bytes each) in ~1.
 LOCATE_CHUNK = 1 << 16  # codes per `bytes.find` pass of `_locate`
 
 
-class _NeedDepth(Exception):
-    """Internal: the working depth is too coarse for a selection step."""
-
-
 @dataclass
 class StageRecord:
     k: int
@@ -102,17 +100,17 @@ class StageRecord:
 class SpeedupConstruction:
     """Stage driver; build with run(k) and audit with stage_invariants(k).
 
-    Each stage starts at the least equal-index depth pair past one target
-    base, which is fine enough for its anchor cylinders and for the next
-    stage's cylinder labels, and one loop deepens the working depths of
-    both chains together only when the data refuse it: a lone tall tower
-    of two bases, or an anchors' tall tower narrower than 3 (`_stage`).
-    Its `StageRecord` holds the stage itself: the castles and
-    the swap and rebuild records; the audit works out everything else, the
-    anchors' towers and columns and the previous stage's map included, from
-    these and the previous record.  A cone that contains a line is refused:
-    with no strict facet, a nonzero integer kernel of the facet normals
-    spans a line inside the cone."""
+    Each stage is built once, at the least equal-index depth pair whose
+    index is at least twice the stage's height at stage 0 and three times
+    it past stage 0 (`_stage`), which is fine enough for its anchor
+    cylinders and for the next stage's cylinder labels; past stage 0 the
+    target is one tall tower, which splits into an anchor part, a
+    co-anchor part and the rest.  Its `StageRecord` holds the stage
+    itself: the castles and the swap and rebuild records; the audit works
+    out everything else, the anchors' towers and columns and the previous
+    stage's map included, from these and the previous record.  A cone that
+    contains a line is refused: with no strict facet, a nonzero integer
+    kernel of the facet normals spans a line inside the cone."""
 
     def __init__(
         self,
@@ -181,20 +179,27 @@ class SpeedupConstruction:
     # -- stage scheduling ----------------------------------------------
 
     def _schedule(self, k: int) -> int:
-        """The target stage n_k: the least n past n_(k-1) whose index T(n)
-        exceeds a limit, computed in integers.
+        """The target stage n_k: the least n whose index T(n) exceeds a
+        limit, computed in integers; from n = 1 at stage 0, and from the
+        previous stage's working target depth on at stage k >= 1.
 
         With I(j) the source index at depth j, the module's inequalities
         read: one target atom measures less than an anchor, 1/T(n) <
         1/I(1), at stage 0; and two measure less than min(eps cap, anchor/3),
         T(n) > 2 * max(24 * sum_{j<k} I(k+1)/I(j+1), 3 * I(k+1)), at stage
         k >= 1.  The chain is nested, so I(j+1) divides I(k+1) and every
-        term is an integer.  Hence T(n_0) > I(1), and T(n_k) > 6 * I(k+1)."""
+        term is an integer.  Hence T(n_0) > I(1), and T(n_k) > 6 * I(k+1).
+
+        The inequalities only bound n from below, so the later start keeps
+        them, and the previous working target depth exceeds n_(k-1), so the
+        stage numbers still increase.  From that start the previous target
+        index divides T(n_k), which makes stage k's target one tall tower
+        (`_build_inductive`)."""
         index = self.source.index
         n, limit = 1, index(1)
         if k:
             earlier = sum(index(k + 1) // index(j + 1) for j in range(k))
-            n, limit = self.stages[k - 1].n + 1, 2 * max(24 * earlier, 3 * index(k + 1))
+            n, limit = self.stages[k - 1].tgt_depth, 2 * max(24 * earlier, 3 * index(k + 1))
         while self.target.index(n) <= limit:
             if self.target.index(n) > MAX_ATOMS:
                 raise DepthExhausted(f"stage {k}: no target stage within {MAX_ATOMS} atoms has fine enough atoms")
@@ -210,34 +215,26 @@ class SpeedupConstruction:
         return self
 
     def _stage(self, k: int) -> StageRecord:
-        """Build stage k of height h = T(n_k), starting at the least
-        equal-index depth pair whose index exceeds h (and, past stage 0, no
-        coarser than the previous stage's).
+        """Build stage k of height h = T(n_k) at the least equal-index depth
+        pair whose index is at least 2h at stage 0 and at least 3h past it.
 
-        At index h the target is one base and no stage builds.  h divides
-        every finer target index, so the start index is at least 2h, and the
-        base stage's one tower is at least 2 wide.  The source depth gamma_k
-        has I(gamma_k) > h = T(n_k) > I(k+1) (`_schedule`), so gamma_k >=
-        k + 2: every castle is at least as fine as the next stage's anchor
-        cylinders, off which that stage reads its cylinder labels
-        (`_pretower_labels`).  The loop deepens both chains together only
-        when the data refuse the pair: a lone tall tower of two bases, or an
-        anchors' tall tower narrower than 3 (`_build_inductive`)."""
+        h divides every finer target index.  At stage 0 this is the least
+        pair past one target base, at whose index h no stage builds, and
+        the base stage's one tower is at least 2 wide.  Past stage 0 the
+        target is one tall tower (`_schedule`) of at least 3 bases, enough
+        for an anchor part, a co-anchor part and a rest that is not empty
+        (`_build_inductive`); its index exceeds the previous stage's, which
+        divides h, so the pair is finer than the previous stage's.  The
+        source depth gamma_k has I(gamma_k) > h = T(n_k) > I(k+1)
+        (`_schedule`), so gamma_k >= k + 2: every castle is at least as fine
+        as the next stage's anchor cylinders, off which that stage reads its
+        cylinder labels (`_pretower_labels`)."""
         n = self._schedule(k)
         h = self.target.index(n)
-        t = next(d for d in count(n + 1) if self.target.index(d) > h)  # a chain may repeat a stage
-        if k == 0:
-            gamma, tgt_depth = self._align_depths(1, t)
-            build = self._build_base
-        else:
-            prev = self.stages[-1]
-            gamma, tgt_depth = self._align_depths(prev.gamma, max(prev.tgt_depth, t))
-            build = self._build_inductive
-        while True:
-            try:
-                return build(k, n, h, gamma, tgt_depth)
-            except _NeedDepth:
-                gamma, tgt_depth = self._align_depths(gamma + 1, tgt_depth + 1)
+        bases = 3 if k else 2
+        t = next(d for d in count(n + 1) if self.target.index(d) >= bases * h)  # a chain may repeat a stage
+        build = self._build_inductive if k else self._build_base
+        return build(k, n, h, *self._align_depths(1, t))
 
     # -- base stage ------------------------------------------------------
 
@@ -283,9 +280,7 @@ class SpeedupConstruction:
         castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [parts])
         castle = refine_pure_columns(castle, 1)
 
-        tgt_bases = self._copy_levels_to_target(
-            castle, [range(0, self.target.index(tgt_depth), h)], [0] * len(castle.towers)
-        )
+        tgt_bases = self._copy_levels_to_target(castle, tgt_depth)
         return StageRecord(
             k=k,
             n=n,
@@ -381,22 +376,21 @@ class SpeedupConstruction:
                 changed.add(s)
             steps.assign(s, vec)
 
-    def _copy_levels_to_target(self, castle, pools, pretower_of):
+    def _copy_levels_to_target(self, castle, tgt_depth):
         """Mirror the source towers on the target side, measure for measure:
-        the target base atoms of each tower.
+        the target base atoms of each tower, the multiples of the height h
+        dealt lexicographically in tower order, as many to a tower as it
+        has columns.
 
-        `pools[beta]` holds the target base atoms available to the towers
-        descending from pretower beta; chunks are dealt lexicographically
-        in tower order.  A one-dimensional code is the residue mod the index
-        and every base lies in hZ, h the height, so +1 never wraps below a
-        top: the tower over `base` has the sorted levels base + v, and only
-        the base is kept (the split in `_build_inductive` relies on this
-        too)."""
-        sizes: list[list[int]] = [[] for _ in pools]
-        for alpha, tower in enumerate(castle.towers):
-            sizes[pretower_of[alpha]].append(tower.width)
-        chunks = [iter(_deal(pool, s)) for pool, s in zip(pools, sizes)]
-        return [array("i", next(chunks[beta])) for beta in pretower_of]
+        A one-dimensional code is the residue mod the index and every base
+        lies in hZ, so +1 never wraps below a top: the tower over `base` has
+        the sorted levels base + v, and only the base is kept (the next
+        stage's itinerary in `_build_inductive` relies on this too).  An
+        inductive castle's one-column anchor towers come first, so they get
+        the bases 0 and h."""
+        h = castle.towers[0].height
+        widths = [t.width for t in castle.towers]
+        return [array("i", chunk) for chunk in _deal(range(0, self.target.index(tgt_depth), h), widths)]
 
     # -- inductive stage ----------------------------------------------------
 
@@ -406,40 +400,34 @@ class SpeedupConstruction:
         h_prev = prev.height
         blocks = h // h_prev
 
-        # --- target side: pure previous-column split of the tall tower; by
-        # residue arithmetic (`_copy_levels_to_target`) block m of the tower
-        # over c starts at the previous atom (c + m * h_prev) mod its index
+        # --- target side: one tall tower, of the bases hZ.  The previous
+        # target index P divides h (`_schedule`), so by residue arithmetic
+        # (`_copy_levels_to_target`) block m of the tower over every base
+        # starts at the previous atom m * h_prev mod P: one itinerary of
+        # previous towers, and at least 3 bases (`_stage`)
         prev_index = self.target.index(prev.tgt_depth)
         tower_of = {c: alpha for alpha, base in enumerate(prev.tgt_bases) for c in base}
-        groups: dict[tuple, list[int]] = {}
-        for c in range(0, self.target.index(tgt_depth), h):
-            try:
-                itinerary = tuple(tower_of[(c + w) % prev_index] for w in range(0, h, h_prev))
-            except KeyError:
-                raise CastleError("block itineraries must start at previous bases") from None
-            groups.setdefault(itinerary, []).append(c)  # in increasing c: keys by least base
-        # both anchors lie in a lone tall tower, which must be split below
-        # into three parts; with two bases, the fewest `_stage` admits,
-        # deepen before mirroring and climbing
-        if len(groups) == 1 and len(next(iter(groups.values()))) < 3:
-            raise _NeedDepth()
+        try:
+            itinerary = [tower_of[m * h_prev % prev_index] for m in range(blocks)]
+        except KeyError:
+            raise CastleError("block itineraries must start at previous bases") from None
+        width = self.target.index(tgt_depth) // h
 
-        # --- source mirror: split previous bases by the tall-tower measures
-        piece_of: dict[tuple[int, int], list[int]] = {}
-        wants: dict[int, list[tuple[int, int, int]]] = {}
-        for beta, (itinerary, codes) in enumerate(groups.items()):
-            for m, alpha in enumerate(itinerary):
-                wants.setdefault(alpha, []).append((beta, m, len(codes)))
+        # --- source mirror: deal the fibers over each previous tower's base
+        # into the block pieces the itinerary takes from it, `width` atoms each
+        pieces: list[list[int]] = [[] for _ in range(blocks)]
+        blocks_of: dict[int, list[int]] = {}
+        for m, alpha in enumerate(itinerary):
+            blocks_of.setdefault(alpha, []).append(m)
         prev_space = prev.src_castle.space
         column_of: dict[int, int] = {}  # the previous column each piece atom climbs
-        for alpha, demands in wants.items():
+        for alpha, ms in blocks_of.items():
             over = {}  # the fibers of the previous tower's base, by previous column
             for i, c in enumerate(prev.src_castle.towers[alpha].level(0)):
                 over.update(dict.fromkeys(prev_space.fibers(c, space), i))
             column_of.update(over)
-            chunks = _deal(sorted(over), [size for _, _, size in demands])
-            for (beta, m, _), chunk in zip(demands, chunks):
-                piece_of[(beta, m)] = chunk
+            for m, chunk in zip(ms, _deal(sorted(over), [width] * len(ms))):
+                pieces[m] = chunk
 
         # --- climb each block piece once up the previous map: column i of a
         # climb starts at the piece's i-th smallest base atom.  The previous
@@ -448,48 +436,34 @@ class SpeedupConstruction:
         # joins assign, and the vectors they append, included
         steps = _previous_map(prev.src_castle, gamma)
         moves = space.displacements(steps.vectors, steps.ids)
-        climbs = {key: _climb(moves, piece, h_prev) for key, piece in piece_of.items()}
+        climbs = [_climb(moves, piece, h_prev) for piece in pieces]
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
-        (beta0, m0), i0 = _find_column(climbs, x0_atom, 0)
-        (beta2, m2), i2 = _find_column(climbs, x2_atom, h_prev - 1)
+        m0, i0 = _find_column(climbs, x0_atom, 0)
+        m2, i2 = _find_column(climbs, x2_atom, h_prev - 1)
+        if (m0, i0) == (m2, i2):
+            raise CastleError("the anchors share a block column")
 
-        # --- pretowers as (tall tower, the columns each block gives it);
-        # when the anchors share one, split it into an anchor part, a
-        # co-anchor part and the rest, each block giving one column to each
-        # anchor part.  Levels need at least three atoms so the remainder
-        # keeps equal measures; deepen the working depth otherwise.
-        tall_bases = list(groups.values())
-        widths = [len(codes) for codes in tall_bases]
-        layout = [(beta, [range(width)] * blocks) for beta, width in enumerate(widths)]
-        if beta0 == beta2:
-            width = widths[beta0]
-            if width < 3:
-                raise _NeedDepth()
-            if (m0, i0) == (m2, i2):
-                raise CastleError("the anchors share a block column")
-            parts = []
-            for m in range(blocks):
-                a = i0 if m == m0 else None
-                b = i2 if m == m2 else None
-                rest = [i for i in range(width) if i not in (a, b)]
-                a = rest.pop(0) if a is None else a
-                b = rest.pop(0) if b is None else b
-                parts.append(([a], [b], rest))
-            del layout[beta0]
-            layout.extend((beta0, list(members)) for members in zip(*parts))
-            beta0, beta2 = len(layout) - 3, len(layout) - 2
-            pool = sorted(c for base in tall_bases for c in base)
-            tall_bases = _deal(pool, [len(members[0]) for _, members in layout])
+        # --- three pretowers, the columns each block gives them: an anchor
+        # part and a co-anchor part of one column each, and the rest, which
+        # keeps at least one column
+        parts = []
+        for m in range(blocks):
+            a = i0 if m == m0 else None
+            b = i2 if m == m2 else None
+            rest = [i for i in range(width) if i not in (a, b)]
+            a = rest.pop(0) if a is None else a
+            b = rest.pop(0) if b is None else b
+            parts.append(([a], [b], rest))
+        layout = list(zip(*parts))
         # the anchors' pretowers are rotated by whole blocks so that x0's
         # block comes first and x2's last: block m of pretower b is its
         # levels from ((m - first[b]) % blocks) * h_prev on, and its column j
         # there is the climb of the block's j-th chosen column (`_lay_out`)
-        first = [0] * len(layout)
-        first[beta0], first[beta2] = m0, (m2 + 1) % blocks
+        first = [m0, (m2 + 1) % blocks, 0]
         pretowers = [
-            Tower(len(members[0]), _lay_out(members, first[b], h_prev, lambda m, i: climbs[beta, m][i]))
-            for b, (beta, members) in enumerate(layout)
+            Tower(len(members[0]), _lay_out(members, f, h_prev, lambda m, i: climbs[m][i]))
+            for members, f in zip(layout, first)
         ]
         del climbs
 
@@ -498,7 +472,7 @@ class SpeedupConstruction:
         # (prev.gamma >= k + 1, `_stage`); every later write to the codes
         # makes the same write to them, and the refinement reads no `lift`
         label_space = self.source.kr_partition(k + 1)
-        labels = _pretower_labels(prev.src_castle, label_space, layout, first, list(groups), piece_of, column_of)
+        labels = _pretower_labels(prev.src_castle, label_space, layout, first, itinerary, pieces, column_of)
         del column_of
 
         # --- swap the castle boundary into the anchor cylinders, and read
@@ -509,10 +483,9 @@ class SpeedupConstruction:
         post_sizes = _shape(pretowers)
         for alpha, w in touched:
             if labels[alpha] is not None:
-                width = pretowers[alpha].width
-                level = pretowers[alpha].level(w)
-                labels[alpha][w * width : (w + 1) * width] = array(
-                    "i", (label_space.encode_vector(space.decode(c)) for c in level)
+                t = pretowers[alpha]
+                labels[alpha][w * t.width : (w + 1) * t.width] = array(
+                    "i", (label_space.encode_vector(space.decode(c)) for c in t.level(w))
                 )
 
         # --- each block was stored in the order of its climb of the previous
@@ -539,14 +512,12 @@ class SpeedupConstruction:
                     stale_src.append(c)
             if stale_src:
                 self._transfer(sorted(stale_src), sorted(dst - covered), space, lattice, steps, changed)
-        # record where the map was rebuilt: the swapped set, everything
-        # remapped, and the in-block preimages of swapped atoms
-        r_atoms = set(f_atoms) | changed
-        for alpha, w in touched:
-            if w and w % h_prev:
-                arrived = f_atoms.intersection(pretowers[alpha].level(w))
-                below = pretowers[alpha].level(w - 1)
-                r_atoms.update(c for c, image in zip(below, moves.images(below)) if image in arrived)
+        # record where the map was rebuilt: the swapped set and everything
+        # remapped.  An atom off F that the rebuilt map sends, inside a
+        # block, onto an atom the swap brought in had its old image on that
+        # level, and the swap took it away: it was stale, so the rebuild
+        # gave it a new vector, and it is in `changed`
+        r_atoms = f_atoms | changed
 
         # --- join the blocks with fresh cone vectors
         for tower in pretowers:
@@ -557,14 +528,11 @@ class SpeedupConstruction:
         for alpha, (tower, tower_breaks) in enumerate(zip(pretowers, breaks)):
             _put_in_climb_order(tower, moves, sorted(tower_breaks), labels[alpha])
 
-        # --- refine into pure cylinder columns at depth k+1; a tower's first
-        # atom is a base atom of its pretower
-        pretower_of = {c: beta for beta, t in enumerate(pretowers) for c in t.level(0)}
+        # --- refine into pure cylinder columns at depth k+1
         refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1, labels)
         del labels
-        pretower_of_tower = [pretower_of[t.codes[0]] for t in refined.towers]
 
-        tgt_bases = self._copy_levels_to_target(refined, tall_bases, pretower_of_tower)
+        tgt_bases = self._copy_levels_to_target(refined, tgt_depth)
         return StageRecord(
             k=k,
             n=n,
@@ -574,7 +542,7 @@ class SpeedupConstruction:
             src_castle=refined,
             tgt_bases=tgt_bases,
             f_atoms=f_atoms,
-            r_atoms=frozenset(r_atoms),
+            r_atoms=r_atoms,
             swap_audit=(pre_sizes, post_sizes),
         )
 
@@ -998,16 +966,17 @@ def _sums_outside(cone: Cone, vectors):
     return first_outside
 
 
-def _pretower_labels(prev_castle, label_space, layout, first, itineraries, pieces, column_of):
+def _pretower_labels(prev_castle, label_space, layout, first, itinerary, pieces, column_of):
     """The depth-(k+1) cylinders (codes of `label_space`) of each pretower
     wider than 1, laid out like its codes (`_lay_out`, with the build's
-    `layout` and block rotations `first`); None for a width-1 pretower.
+    `layout` and block rotations `first`); None for a width-1 pretower,
+    such as the anchor and co-anchor parts.
 
     Read off the previous castle, whose depth is at least k + 1.  A block
-    of a pretower column is a climb of the lifted previous map from a piece
-    atom over a previous base atom, so level by level it lies over that
-    atom's previous column (`column_of` names it), stored as
-    `codes[i::width]` in its tower `itineraries[beta][m]`.  Each atom lies
+    of a pretower column is a climb of the lifted previous map from an atom
+    of block m's piece over a previous base atom, so level by level it lies
+    over that atom's previous column (`column_of` names it), stored as
+    `codes[i::width]` in its tower `itinerary[m]`.  Each atom lies
     in its previous atom's depth-(k+1) cylinder, so the block's cylinders
     are the previous column's: one `lift` onto the previous space, and one
     read per previous atom, each column's cylinders gathered once and
@@ -1024,22 +993,22 @@ def _pretower_labels(prev_castle, label_space, layout, first, itineraries, piece
     return [
         _lay_out(
             members,
-            first[b],
+            f,
             prev_castle.towers[0].height,
-            lambda m, i: cylinders(itineraries[beta][m], column_of[pieces[beta, m][i]]),
+            lambda m, i: cylinders(itinerary[m], column_of[pieces[m][i]]),
         )
         if len(members[0]) > 1
         else None
-        for b, (beta, members) in enumerate(layout)
+        for members, f in zip(layout, first)
     ]
 
 
 def _find_column(climbs, atom: int, row: int):
-    """(piece, column index) of the `_climb` column that holds `atom` at level `row`."""
-    for piece, columns in climbs.items():
+    """(block, column index) of the `_climb` column that holds `atom` at level `row`."""
+    for m, columns in enumerate(climbs):
         for i, column in enumerate(columns):
             if column[row] == atom:
-                return piece, i
+                return m, i
     raise CastleError("anchors are misaligned with the block structure")
 
 

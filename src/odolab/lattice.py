@@ -249,11 +249,6 @@ class IntegerLattice:
         """All rational vectors pairing integrally with every element."""
         return RationalLattice.from_integer(self).dual()
 
-    def scaled(self, factor: int) -> "IntegerLattice":
-        if factor <= 0:
-            raise SingularBasis("scale factor must be positive")
-        return IntegerLattice(self.dim, tuple(tuple(factor * e for e in row) for row in self.rows))
-
     def coset_system(self) -> "CosetSystem":
         return CosetSystem(self)
 

@@ -206,7 +206,6 @@ class OdometerChain:
             tuple(sorted(sup.items())),
             exact=False,
             depth_checked=depth,
-            indices=tuple(self.index(j) for j in range(1, depth + 1)),
         )
 
     def is_product_type_stagewise(self, depth: int) -> bool:

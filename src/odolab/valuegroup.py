@@ -29,7 +29,6 @@ class ValueGroup:
     finite: tuple[tuple[int, int], ...]
     exact: bool
     depth_checked: int | None
-    indices: tuple[int, ...] | None = None  # realized stage indices, when finite
 
     def exponent(self, p: int) -> int | None:
         """Supremum exponent for prime p; None means unbounded."""
@@ -48,8 +47,7 @@ class ValueGroup:
 
     def same_group(self, other: "ValueGroup") -> bool | None:
         """Equality of canonical forms; None when either side is inexact
-        (the comparison is then only evidence at the checked depths).
-        The `indices` field is bookkeeping and takes no part in this."""
+        (the comparison is then only evidence at the checked depths)."""
         if self.exact and other.exact:
             return (self.infinite, self.finite) == (other.infinite, other.finite)
         return None

@@ -630,9 +630,9 @@ def column_walk_by_translation(castle, space, cone):
     return maps_at, sums_at, in_order
 
 
-def schedule_by_fractions(source, target, k, previous_n):
+def schedule_by_fractions(source, target, k, start):
     """The target stage n_k of `SpeedupConstruction._schedule`, by measures
-    in `Fraction`s: the least n (past `previous_n` from stage 1 on) at which
+    in `Fraction`s: the least n (from `start` on, from stage 1 on) at which
     one target atom (stage 0), or two (stage k), measure less than the
     anchor measure mu_k = 1/I(k+1), or less than min(mu_k / (24 * sum of
     the earlier anchor measures), mu_k / 3); I is the source index.  No
@@ -641,7 +641,7 @@ def schedule_by_fractions(source, target, k, previous_n):
     n, atoms, bound = 1, 1, mu
     if k:
         earlier = sum((Fraction(1, source.index(j + 1)) for j in range(k)), Fraction(0))
-        n, atoms, bound = previous_n + 1, 2, min(mu / (24 * earlier), mu / 3)
+        n, atoms, bound = start, 2, min(mu / (24 * earlier), mu / 3)
     while Fraction(atoms, target.index(n)) >= bound:
         n += 1
     return n

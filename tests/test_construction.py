@@ -775,8 +775,8 @@ def test_each_construction_searches_its_own_joins(monkeypatch):
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
 def test_each_inductive_stage_lifts_the_previous_map_once(case, monkeypatch):
-    # an attempt the target split refuses deepens before the previous map
-    # is lifted, so only the attempt that builds the stage lifts it
+    # each inductive stage is built once and lifts the previous map once,
+    # to its own working depth
     lifts = []
     previous_map = construction._previous_map
 
@@ -875,23 +875,49 @@ def test_the_refinement_reads_the_cylinders_the_build_passes_like_the_per_atom_o
 
 
 # stages built per case by the depth-rule tests: quadrant 0-5, derived
-# sector, cube and mirrored quadrant 0-3, and the mixed source onto the
-# target 36^j, whose depths differ from the source's, 0-2
-DEPTH_RULE_STAGES = {"quadrant": 6, "derived-sector": 4, "cube": 4, "mirrored-quadrant": 4, "target-36": 3}
+# sector, cube and mirrored quadrant 0-3, the mixed source onto the target
+# 36^j, whose depths differ from the source's, 0-2, and the targets of
+# ratio 2: the line 2^j onto itself 0-5, the line onto the target 2, 4, 4,
+# 8, 16, ..., which repeats a stage, 0-5, and the dyadic square onto 2^j 0-3
+DEPTH_RULE_STAGES = {
+    "quadrant": 6,
+    "derived-sector": 4,
+    "cube": 4,
+    "mirrored-quadrant": 4,
+    "target-36": 3,
+    "line-2": 6,
+    "target-2-4-4-8": 6,
+    "dyadic-onto-2": 4,
+}
+RATIO_2_CASES = ["dyadic-onto-2", "line-2", "target-2-4-4-8"]
+
+
+def repeating_target():
+    """The target chain 2, 4, 4, 8, 16, ..., 2^24, which repeats its second stage."""
+    indices = [2, 4, 4] + [2**j for j in range(3, 25)]
+    return OdometerChain.explicit([IntegerLattice.from_rows([[i]]) for i in indices])
 
 
 def depth_rule_inputs(case):
     if case == "target-36":
         return {"target": OdometerChain.diagonal_power([36])}
+    line = {"source": OdometerChain.diagonal_power([2]), "cone": Cone.quadrant(1)}
+    if case == "line-2":
+        return {**line, "target": OdometerChain.diagonal_power([2])}
+    if case == "target-2-4-4-8":
+        return {**line, "target": repeating_target()}
+    if case == "dyadic-onto-2":
+        return {"source": OdometerChain.diagonal_power([2, 2]), "target": OdometerChain.diagonal_power([2])}
     return case_inputs(case)[1]
 
 
 @pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
 def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
-    # each stage is tried once, at the least equal-index depth pair past one
-    # target base, so no `_NeedDepth` is raised; that pair is at least as
-    # fine as the next stage's anchor cylinders, and every inductive stage
-    # passes the refinement a cylinder array for each pretower wider than 1
+    # each stage is built once, at the least equal-index depth pair whose
+    # index is at least 2h at stage 0 and 3h past it, h the height; that
+    # pair is at least as fine as the next stage's anchor cylinders, and
+    # every inductive stage passes the refinement a cylinder array for each
+    # pretower wider than 1
     tried, passed = [], []
     build_base, build_inductive = SpeedupConstruction._build_base, SpeedupConstruction._build_inductive
 
@@ -912,39 +938,57 @@ def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
     con = build(DEPTH_RULE_STAGES[case], **depth_rule_inputs(case))
     assert tried == [(rec.k, rec.gamma, rec.tgt_depth) for rec in con.stages]
     for rec in con.stages:
-        # the least source depth, from the previous stage's on, whose index
-        # exceeds the height and is a target index
+        # the least source depth whose index is at least 2h (stage 0) or 3h
+        # (past it) and is a target index
         targets = {con.target.index(t) for t in range(1, rec.tgt_depth + 1)}
-        start = con.stages[rec.k - 1].gamma if rec.k else 1
-        least = next(g for g in count(start) if rec.height < con.source.index(g) in targets)
+        bases = 3 if rec.k else 2
+        least = next(g for g in count(1) if bases * rec.height <= con.source.index(g) in targets)
         assert (rec.gamma, con.source.index(rec.gamma)) == (least, con.target.index(rec.tgt_depth)), rec.k
         assert rec.gamma >= rec.k + 2, rec.k
     assert passed == [False] + [True] * (len(con.stages) - 1)
+
+
+@pytest.mark.parametrize("case", RATIO_2_CASES)
+def test_a_ratio_2_target_has_one_tall_tower_at_every_stage(case):
+    # a stage scheduled from the previous target depth on has a height that
+    # the previous target index divides, so block m of every tall tower
+    # starts at the same previous atom, and every audit check passes.  Onto
+    # these targets a stage scheduled just past the previous stage number
+    # mimics a coarser target stage than that depth
+    con = build(DEPTH_RULE_STAGES[case], **depth_rule_inputs(case))
+    for prev, rec in zip(con.stages, con.stages[1:]):
+        assert rec.height % con.target.index(prev.tgt_depth) == 0, rec.k
+    for k in range(len(con.stages)):
+        assert con.stage_invariants(k).ok, k
 
 
 def test_a_target_that_repeats_the_height_starts_past_it():
     # the target chain 2, 4, 4, 8, 16, ... repeats its second stage, and
     # stage 0 has height 4, the index of both: it starts at the index-8 pair
     # past the repeat, not at a second depth of index 4 with one target base
-    indices = [2, 4, 4] + [2**j for j in range(3, 25)]
-    target = OdometerChain.explicit([IntegerLattice.from_rows([[i]]) for i in indices])
-    con = build(4, source=OdometerChain.diagonal_power([2]), target=target, cone=Cone.quadrant(1))
+    con = build(4, source=OdometerChain.diagonal_power([2]), target=repeating_target(), cone=Cone.quadrant(1))
     rec = con.stages[0]
     assert (rec.n, rec.height, rec.gamma, rec.tgt_depth) == (2, 4, 3, 4)
     assert all(con.stage_invariants(k).ok for k in range(4))
 
 
 @pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
-def test_the_integer_schedule_is_the_fraction_schedule(case):
-    # n_0..n_5 of each chain pair, each stage scheduled past the one before;
-    # `_schedule` reads only the previous stage's n, so no stage is built
+def test_the_integer_schedule_is_the_fraction_schedule(case, monkeypatch):
+    # n_0..n_5 of each chain pair, each stage scheduled from the previous
+    # stage's working target depth on; the builds are replaced by records of
+    # the stage and the depths it starts at, so no stage is built, and the
+    # atom budget, which bounds the spaces a build makes, is lifted
+    def record(k, n, h, gamma, tgt_depth):
+        return SimpleNamespace(k=k, n=n, gamma=gamma, tgt_depth=tgt_depth)
+
+    monkeypatch.setattr(construction, "MAX_ATOMS", 2**64)
     con = build(0, **depth_rule_inputs(case))
-    previous = None
-    for k in range(6):
-        n = con._schedule(k)
-        assert n == schedule_by_fractions(con.source, con.target, k, previous), (case, k)
-        con.stages.append(SimpleNamespace(n=n))
-        previous = n
+    monkeypatch.setattr(con, "_build_base", record)
+    monkeypatch.setattr(con, "_build_inductive", record)
+    con.run(6)
+    for k, rec in enumerate(con.stages):
+        start = con.stages[k - 1].tgt_depth if k else None
+        assert rec.n == schedule_by_fractions(con.source, con.target, k, start), (case, k)
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube", "mirrored-quadrant"])
@@ -1174,25 +1218,6 @@ def test_the_atom_budget_on_aligning_depths_is_reported_as_such(monkeypatch):
     with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 7776 atoms: source depth 6 has 46656 atoms$"):
         con.run(2)
     assert len(con.stages) == 1
-
-
-def test_the_atom_budget_on_deepening_a_stage(monkeypatch):
-    # stage 0 onto 36^j starts at source depth 4 (6^4 = 36^2 atoms, the
-    # budget); refused there by force, it needs finer atoms: the deepening
-    # to source depth 5 is refused, not built
-    monkeypatch.setattr(construction, "MAX_ATOMS", 6**4)
-    con = build(0, target=OdometerChain.diagonal_power([36]))
-    tried = []
-
-    def refused(k, n, h, g, t):
-        tried.append(g)
-        raise construction._NeedDepth()
-
-    monkeypatch.setattr(con, "_build_base", refused)
-    with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 1296 atoms: source depth 5 has 7776 atoms$"):
-        con.run(1)
-    assert tried == [4]
-    assert not con.stages
 
 
 def test_the_atom_budget_on_scheduling_a_target_stage(monkeypatch):
