@@ -31,10 +31,9 @@ out of it), so `castle_refinement_over` and `refine_pure_columns` read
 column i as `codes[i::width]`, climb nothing, and store each new tower's
 columns side by side by strided assignment.  `refine_pure_columns` takes
 the cylinders of each wide tower as an array laid out like its codes,
-which every inductive stage reads off the previous castle's columns and
-carries through its swaps and column moves, so it reads no cylinder per
-atom of its working space; given none, as at the base stage and in a
-direct call, it reads them off one `AtomSpace.lift`.
+which the base stage reads off one `AtomSpace.lift` and every inductive
+stage off the previous castle's columns, carried through its swaps and
+column moves; the refinement itself reads no cylinder of any atom.
 
 All choices follow a fixed lexicographic order, so every construction
 here is deterministic and regression-testable.
@@ -45,8 +44,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import getitem
+from itertools import compress
 
 from .odometer import AtomSpace, Displacements, OdometerChain
 from .speedup import Cone
@@ -312,37 +310,28 @@ def castle_refinement_over(castle: Castle, base_partitions) -> Castle:
     return Castle(castle.chain, castle.depth, new_towers, castle.steps)
 
 
-def refine_pure_columns(castle: Castle, depth: int, labels=None) -> Castle:
+def refine_pure_columns(castle: Castle, labels) -> Castle:
     """Refine so every tower's column meets a constant sequence of
-    cylinder atoms at `depth`.
+    cylinder atoms.
 
-    `labels[alpha]`, when given, holds tower alpha's cylinders laid out like
-    its codes (None for a tower of width 1); each entry is set to None as
-    its tower's columns are grouped, so the arrays are freed before the new
-    towers are assembled.  Every inductive stage k passes them, read off
-    the previous castle's columns (`construction._pretower_labels`), whose
-    depth is at least k + 1 (`construction.SpeedupConstruction._stage`).
-    Without labels, which only the base stage, having no previous castle,
-    and a direct call give, a wide tower's cylinders are read off the
-    space's `lift` of the coarse codes, one tower at a time.  Column
-    i's cylinders are the strided slice [i::width], and each column joins
-    the first group whose first column has the same cylinders, compared
-    slice to slice, so no column's cylinders outlive their comparison; each
-    group is a new tower of its columns in base order (`_columns_of`), and
-    the groups follow the order of their first base atoms."""
-    lifted = None
-    if labels is None:
-        coarse = castle.chain.kr_partition(depth)
-        lifted = castle.space.lift(array("i", range(coarse.size)), coarse)
+    `labels[alpha]` holds tower alpha's cylinders laid out like its codes
+    (None for a tower of width 1); each entry is set to None as its tower's
+    columns are grouped, so the arrays are freed before the new towers are
+    assembled.  Every stage k passes the depth-(k+1) cylinders: the base
+    stage reads them off one `lift` of its working space, and each
+    inductive stage off the previous castle's columns
+    (`construction._pretower_labels`).  Column i's cylinders are the
+    strided slice [i::width], and each column joins the first group whose
+    first column has the same cylinders, compared slice to slice, so no
+    column's cylinders outlive their comparison; each group is a new tower
+    of its columns in base order (`_columns_of`), and the groups follow the
+    order of their first base atoms."""
     groups = []  # (tower, the columns of one new tower)
     for alpha, t in enumerate(castle.towers):
         w = t.width
         by_cylinders = [[0]]  # the columns of each new tower
         if w > 1:
-            if lifted is None:
-                own, labels[alpha] = labels[alpha], None
-            else:
-                own = array("i", map(getitem, repeat(lifted), t.codes))
+            own, labels[alpha] = labels[alpha], None
             for i in range(1, w):
                 cylinders = own[i::w]
                 members = next((m for m in by_cylinders if own[m[0] :: w] == cylinders), None)
@@ -352,5 +341,4 @@ def refine_pure_columns(castle: Castle, depth: int, labels=None) -> Castle:
                     members.append(i)
             del own
         groups.extend((t, members) for members in by_cylinders)
-    del lifted
     return Castle(castle.chain, castle.depth, [Tower(len(m), _columns_of(t, m)) for t, m in groups], castle.steps)

@@ -7,8 +7,7 @@ target's cylinder towers inside the source space, stage by stage:
   stage 0   partition the source into h equal slabs, swap the base and top
             into shrinking cylinders around two anchor points, join the
             slabs by cone translations, split the two anchors into their
-            own towers, refine to pure cylinder columns, and mirror the
-            tower shape on the target side by exact measure bookkeeping;
+            own towers, and read the cylinders off one lift;
   stage k   read the target's one tall tower as blocks of previous-stage
             towers, mirror them on the source castle with one climb of
             the previous map, separate the anchors by choosing columns of
@@ -16,9 +15,13 @@ target's cylinder towers inside the source space, stage by stage:
             the base and top, swap the boundary into the next anchor
             cylinders (recording the moved set and patching the previous
             translation map where it broke), join consecutive blocks by
-            fresh cone translations, permute columns back into climb
-            order where the joins and swaps broke it, refine by the
-            cylinders read off the previous castle's columns, and copy over.
+            fresh cone translations, and permute columns back into climb
+            order where the joins and swaps broke it, reading the cylinders
+            off the previous castle's columns.
+
+Every stage ends alike (`SpeedupConstruction._stage`): refine to pure
+cylinder columns by the cylinders its builder passes, and mirror the tower
+shape on the target side by exact measure bookkeeping.
 
 Every tower the build hands to a refinement is stored in climb order, so
 column i of a tower is `codes[i::width]` and no refinement climbs.
@@ -102,7 +105,7 @@ class SpeedupConstruction:
 
     Each stage is built once, at the least equal-index depth pair whose
     index is at least twice the stage's height at stage 0 and three times
-    it past stage 0 (`_stage`), which is fine enough for its anchor
+    it past stage 0 (`_depths`), which is fine enough for its anchor
     cylinders and for the next stage's cylinder labels; past stage 0 the
     target is one tall tower, which splits into an anchor part, a
     co-anchor part and the rest.  Its `StageRecord` holds the stage
@@ -214,8 +217,9 @@ class SpeedupConstruction:
             self.stages.append(self._stage(len(self.stages)))
         return self
 
-    def _stage(self, k: int) -> StageRecord:
-        """Build stage k of height h = T(n_k) at the least equal-index depth
+    def _depths(self, k: int) -> tuple[int, int, int, int]:
+        """(n, h, gamma, tgt_depth) of stage k: the target stage n = n_k
+        (`_schedule`), the height h = T(n), and the least equal-index depth
         pair whose index is at least 2h at stage 0 and at least 3h past it.
 
         h divides every finer target index.  At stage 0 this is the least
@@ -233,14 +237,35 @@ class SpeedupConstruction:
         h = self.target.index(n)
         bases = 3 if k else 2
         t = next(d for d in count(n + 1) if self.target.index(d) >= bases * h)  # a chain may repeat a stage
+        return (n, h, *self._align_depths(1, t))
+
+    def _stage(self, k: int) -> StageRecord:
+        """Build stage k at its depths (`_depths`), and finish it as every
+        stage ends: refine the builder's castle into pure columns by the
+        depth-(k+1) cylinders it passes, one array per wide tower, and
+        mirror the refined towers on the target side, measure for measure.
+
+        The target bases are the multiples of h dealt lexicographically in
+        tower order, as many to a tower as it has columns.  A
+        one-dimensional code is the residue mod the index and every base
+        lies in hZ, so +1 never wraps below a top: the tower over `base` has
+        the sorted levels base + v, and only the base is kept (the next
+        stage's itinerary in `_build_inductive` relies on this too).  Every
+        builder's one-column anchor towers come first, so they get the
+        bases 0 and h."""
+        n, h, gamma, tgt_depth = self._depths(k)
         build = self._build_inductive if k else self._build_base
-        return build(k, n, h, *self._align_depths(1, t))
+        castle, labels, f_atoms, r_atoms, swap_audit = build(k, h, gamma)
+        castle = refine_pure_columns(castle, labels)
+        bases = _deal(range(0, self.target.index(tgt_depth), h), [t.width for t in castle.towers])
+        tgt_bases = [array("i", chunk) for chunk in bases]
+        return StageRecord(k, n, gamma, tgt_depth, h, castle, tgt_bases, f_atoms, r_atoms, swap_audit)
 
     # -- base stage ------------------------------------------------------
 
-    def _build_base(self, k, n, h, gamma, tgt_depth) -> StageRecord:
+    def _build_base(self, k, h, gamma):
         space = self.source.kr_partition(gamma)
-        total = space.size  # a multiple of h, at least 2h (`_stage`)
+        total = space.size  # a multiple of h, at least 2h (`_depths`)
         towers = [Tower(total // h, array("i", range(total)))]
 
         a0, a2 = self._anchor_sets(k, gamma)
@@ -278,21 +303,13 @@ class SpeedupConstruction:
         if rest:
             parts.append(rest)
         castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [parts])
-        castle = refine_pure_columns(castle, 1)
 
-        tgt_bases = self._copy_levels_to_target(castle, tgt_depth)
-        return StageRecord(
-            k=k,
-            n=n,
-            gamma=gamma,
-            tgt_depth=tgt_depth,
-            height=h,
-            src_castle=castle,
-            tgt_bases=tgt_bases,
-            f_atoms=frozenset(),
-            r_atoms=frozenset(),
-            swap_audit=(pre_sizes, post_sizes),
-        )
+        # the depth-1 cylinders of each wide tower, laid out like its codes,
+        # off one `lift` of the working space
+        coarse = self.source.kr_partition(k + 1)
+        lifted = space.lift(array("i", range(coarse.size)), coarse)
+        labels = [array("i", map(getitem, repeat(lifted), t.codes)) if t.width > 1 else None for t in castle.towers]
+        return castle, labels, frozenset(), frozenset(), (pre_sizes, post_sizes)
 
     # -- shared machinery -------------------------------------------------
 
@@ -376,25 +393,9 @@ class SpeedupConstruction:
                 changed.add(s)
             steps.assign(s, vec)
 
-    def _copy_levels_to_target(self, castle, tgt_depth):
-        """Mirror the source towers on the target side, measure for measure:
-        the target base atoms of each tower, the multiples of the height h
-        dealt lexicographically in tower order, as many to a tower as it
-        has columns.
-
-        A one-dimensional code is the residue mod the index and every base
-        lies in hZ, so +1 never wraps below a top: the tower over `base` has
-        the sorted levels base + v, and only the base is kept (the next
-        stage's itinerary in `_build_inductive` relies on this too).  An
-        inductive castle's one-column anchor towers come first, so they get
-        the bases 0 and h."""
-        h = castle.towers[0].height
-        widths = [t.width for t in castle.towers]
-        return [array("i", chunk) for chunk in _deal(range(0, self.target.index(tgt_depth), h), widths)]
-
     # -- inductive stage ----------------------------------------------------
 
-    def _build_inductive(self, k, n, h, gamma, tgt_depth) -> StageRecord:
+    def _build_inductive(self, k, h, gamma):
         prev = self.stages[-1]
         space = self.source.kr_partition(gamma)
         h_prev = prev.height
@@ -402,16 +403,16 @@ class SpeedupConstruction:
 
         # --- target side: one tall tower, of the bases hZ.  The previous
         # target index P divides h (`_schedule`), so by residue arithmetic
-        # (`_copy_levels_to_target`) block m of the tower over every base
-        # starts at the previous atom m * h_prev mod P: one itinerary of
-        # previous towers, and at least 3 bases (`_stage`)
+        # (`_stage`) block m of the tower over every base starts at the
+        # previous atom m * h_prev mod P: one itinerary of previous towers,
+        # and at least 3 bases (`_depths`)
         prev_index = self.target.index(prev.tgt_depth)
         tower_of = {c: alpha for alpha, base in enumerate(prev.tgt_bases) for c in base}
         try:
             itinerary = [tower_of[m * h_prev % prev_index] for m in range(blocks)]
         except KeyError:
             raise CastleError("block itineraries must start at previous bases") from None
-        width = self.target.index(tgt_depth) // h
+        width = space.size // h  # the tower's bases: the equal index over h
 
         # --- source mirror: deal the fibers over each previous tower's base
         # into the block pieces the itinerary takes from it, `width` atoms each
@@ -467,12 +468,14 @@ class SpeedupConstruction:
         ]
         del climbs
 
-        # --- the depth-(k+1) cylinders of each wide pretower, laid out like
-        # its codes, off the previous castle's columns, which are that fine
-        # (prev.gamma >= k + 1, `_stage`); every later write to the codes
-        # makes the same write to them, and the refinement reads no `lift`
+        # --- the depth-(k+1) cylinders of the rest pretower, the one that
+        # can be wide, laid out like its codes, off the previous castle's
+        # columns, which are that fine (prev.gamma >= k + 1, `_depths`);
+        # every later write to the codes makes the same write to them
         label_space = self.source.kr_partition(k + 1)
-        labels = _pretower_labels(prev.src_castle, label_space, layout, first, itinerary, pieces, column_of)
+        labels = [None, None, None]
+        if width > 3:
+            labels[2] = _pretower_labels(prev.src_castle, label_space, layout[2], itinerary, pieces, column_of)
         del column_of
 
         # --- swap the castle boundary into the anchor cylinders, and read
@@ -528,23 +531,7 @@ class SpeedupConstruction:
         for alpha, (tower, tower_breaks) in enumerate(zip(pretowers, breaks)):
             _put_in_climb_order(tower, moves, sorted(tower_breaks), labels[alpha])
 
-        # --- refine into pure cylinder columns at depth k+1
-        refined = refine_pure_columns(Castle(self.source, gamma, pretowers, steps), k + 1, labels)
-        del labels
-
-        tgt_bases = self._copy_levels_to_target(refined, tgt_depth)
-        return StageRecord(
-            k=k,
-            n=n,
-            gamma=gamma,
-            tgt_depth=tgt_depth,
-            height=h,
-            src_castle=refined,
-            tgt_bases=tgt_bases,
-            f_atoms=f_atoms,
-            r_atoms=r_atoms,
-            swap_audit=(pre_sizes, post_sizes),
-        )
+        return Castle(self.source, gamma, pretowers, steps), labels, f_atoms, r_atoms, (pre_sizes, post_sizes)
 
     # -- audits ------------------------------------------------------------
 
@@ -966,11 +953,12 @@ def _sums_outside(cone: Cone, vectors):
     return first_outside
 
 
-def _pretower_labels(prev_castle, label_space, layout, first, itinerary, pieces, column_of):
-    """The depth-(k+1) cylinders (codes of `label_space`) of each pretower
-    wider than 1, laid out like its codes (`_lay_out`, with the build's
-    `layout` and block rotations `first`); None for a width-1 pretower,
-    such as the anchor and co-anchor parts.
+def _pretower_labels(prev_castle, label_space, members, itinerary, pieces, column_of):
+    """The depth-(k+1) cylinders (codes of `label_space`) of the rest
+    pretower, laid out like its codes (`_lay_out`, with the columns
+    `members` each block gives it, in block order).  The anchor and
+    co-anchor pretowers are one column wide, so the refinement reads no
+    cylinders of theirs.
 
     Read off the previous castle, whose depth is at least k + 1.  A block
     of a pretower column is a climb of the lifted previous map from an atom
@@ -990,17 +978,8 @@ def _pretower_labels(prev_castle, label_space, layout, first, itinerary, pieces,
             out = gathered[alpha, i] = array("i", map(getitem, repeat(prev_labels), codes))
         return out
 
-    return [
-        _lay_out(
-            members,
-            f,
-            prev_castle.towers[0].height,
-            lambda m, i: cylinders(itinerary[m], column_of[pieces[m][i]]),
-        )
-        if len(members[0]) > 1
-        else None
-        for members, f in zip(layout, first)
-    ]
+    height = prev_castle.towers[0].height
+    return _lay_out(members, 0, height, lambda m, i: cylinders(itinerary[m], column_of[pieces[m][i]]))
 
 
 def _find_column(climbs, atom: int, row: int):

@@ -214,6 +214,9 @@ def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain 
     kv = _keyvals(header, lineno)
     depth = _field(kv, "J", lineno, int, 1)
     d2 = _field(kv, "d2", lineno, int)
+    for key, value in (("J", depth), ("d2", d2)):
+        if value < 1:  # stages are numbered from 1, and a cocycle has at least one generator table
+            raise SpecSyntaxError(lineno, kv[key][1], f"{key} must be at least 1, got {value}")
     if chain is None:
         path = _field(kv, "chain", lineno, Path)
         if base_dir is not None and not path.is_absolute():

@@ -375,6 +375,17 @@ def coarsen_by_reduction(fine, code, coarse):
     return coarse.encode(coarse.system.reduce(fine.decode(code)))
 
 
+def cylinder_labels_by_reduction(castle, coarse):
+    """The labels `refine_pure_columns` takes, atom by atom: for each tower
+    wider than 1, the `coarse` atom of each of its codes, laid out like the
+    codes (`coarsen_by_reduction`); None for a tower of width 1."""
+    space = castle.space
+    return [
+        array("i", (coarsen_by_reduction(space, c, coarse) for c in t.codes)) if t.width > 1 else None
+        for t in castle.towers
+    ]
+
+
 def tower_from_levels(levels):
     """A `Tower` with the given levels, of one nonzero size, each sorted."""
     from odolab.castles import Tower

@@ -31,6 +31,7 @@ from _oracles import (
     coarsen_by_reduction,
     column_by_translation,
     coset_members_by_l1,
+    cylinder_labels_by_reduction,
     fibers_by_scan,
     fibers_by_transversal,
     fraction_cone_member,
@@ -263,7 +264,7 @@ def test_refine_pure_columns_splits_by_labels():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1)
+    refined = refine_pure_columns(castle, cylinder_labels_by_reduction(castle, AtomSpace(ch, 1)))
     assert len(refined.towers) == 2
 
 
@@ -275,7 +276,7 @@ def test_refine_pure_columns_trivial_labels():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1)
+    refined = refine_pure_columns(castle, cylinder_labels_by_reduction(castle, AtomSpace(ch, 1)))
     assert tower_lists(refined) == tower_lists(castle)
 
 
@@ -288,7 +289,7 @@ def test_refine_pure_columns_keeps_a_width_1_tower_codes_array():
     steps = _step_map(space, {c: (0, 1) for c in base})
     top = frozenset(space.translate(c, steps[c]) for c in base)
     castle = Castle(ch, 2, [tower_from_levels([base, top])], steps)
-    refined = refine_pure_columns(castle, 1)
+    refined = refine_pure_columns(castle, cylinder_labels_by_reduction(castle, AtomSpace(ch, 1)))
     assert refined.towers[0].codes is castle.towers[0].codes
 
 
@@ -426,7 +427,7 @@ def test_refinements_match_the_two_pass_oracle(kind):
         assert all(stored_in_climb_order(images, t) for t in castle.towers)
         moves = space.displacements(castle.steps.vectors, castle.steps.ids)
         assert all(_climbs_as_stored(moves, t) for t in castle.towers)
-        refined = refine_pure_columns(castle, coarse.depth)
+        refined = refine_pure_columns(castle, cylinder_labels_by_reduction(castle, coarse))
         assert tower_lists(refined, images) == expected, chain.describe()
         partitions = []
         for levels in towers:

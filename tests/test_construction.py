@@ -32,6 +32,7 @@ from _oracles import (
     coarsen_by_reduction,
     column_walk_by_translation,
     coset_members_by_l1,
+    cylinder_labels_by_reduction,
     images_by_translation,
     previous_map_by_coarsening,
     refine_pure_columns_by_sets,
@@ -624,9 +625,9 @@ def test_the_audit_and_the_refinement_climb_only_what_no_certificate_covers(monk
         climbs.append(c)
         return column(moves, c, height)
 
-    def recording(castle, depth, labels=None):
+    def recording(castle, labels):
         del climbs[:]
-        refined = refine(castle, depth, labels)
+        refined = refine(castle, labels)
         refinements.append((list(climbs), any(t.width > 1 for t in castle.towers)))
         return refined
 
@@ -716,11 +717,11 @@ def test_every_pretower_the_refinement_takes_is_stored_in_climb_order(case, monk
     # the level map by per-atom translation, before the refinement runs
     wide = []
 
-    def checked(castle, depth, labels=None):
+    def checked(castle, labels):
         images = images_by_translation(castle)
-        assert all(stored_in_climb_order(images, t) for t in castle.towers), depth
+        assert all(stored_in_climb_order(images, t) for t in castle.towers), len(wide)
         wide.append(any(t.width > 1 for t in castle.towers))
-        return refine_pure_columns(castle, depth, labels)
+        return refine_pure_columns(castle, labels)
 
     monkeypatch.setattr(construction, "refine_pure_columns", checked)
     stages = build_case(case).stages
@@ -802,9 +803,10 @@ def test_the_build_refines_and_lifts_like_the_per_atom_oracles(case, monkeypatch
     # record every call of the refinement
     calls = []
 
-    def recording(castle, depth, labels=None):
+    def recording(castle, labels):
+        depth = len(calls) + 1  # stage k refines by its depth-(k+1) cylinders
         towers = [list(t.levels) for t in castle.towers]
-        refined = refine_pure_columns(castle, depth, labels)
+        refined = refine_pure_columns(castle, labels)
         moves = castle.space.displacements(castle.steps.vectors, castle.steps.ids)
         calls.append((castle, towers, depth, tower_lists(refined, moves.images(range(castle.space.size)))))
         return refined
@@ -834,10 +836,10 @@ LABEL_STAGES = {"quadrant": 5, "derived-sector": 4, "cube": 4, "mirrored-quadran
 
 @pytest.mark.parametrize("case", sorted(LABEL_STAGES))
 def test_the_refinement_reads_the_cylinders_the_build_passes_like_the_per_atom_oracle(case, monkeypatch):
-    # every inductive stage passes the cylinders of each wide pretower, laid
+    # every stage passes the cylinders of each wide tower it refines, laid
     # out like its codes, and they are the per-atom reductions at every
-    # code; a width-1 pretower gets None, the base stage passes none, and no
-    # inductive stage lifts the depth-(k+1) cylinders onto its working space
+    # code; a width-1 tower gets None, and no inductive stage lifts the
+    # depth-(k+1) cylinders onto its working space
     _, kwargs = case_inputs(case)
     passed, lifts, building = [], [], []
     lift, build_inductive = AtomSpace.lift, SpeedupConstruction._build_inductive
@@ -847,14 +849,15 @@ def test_the_refinement_reads_the_cylinders_the_build_passes_like_the_per_atom_o
             lifts.append((*building[-1], space.depth, coarse.depth))
         return lift(space, values, coarse)
 
-    def inductive(con, k, n, h, gamma, tgt_depth):
+    def inductive(con, k, h, gamma):
         building.append((k, gamma))
         try:
-            return build_inductive(con, k, n, h, gamma, tgt_depth)
+            return build_inductive(con, k, h, gamma)
         finally:
             building.pop()
 
-    def checked(castle, depth, labels=None):
+    def checked(castle, labels):
+        depth = len(passed) + 1  # stage k refines by its depth-(k+1) cylinders
         passed.append(labels is not None)
         if labels is not None:
             space, coarse = castle.space, castle.chain.kr_partition(depth)
@@ -863,15 +866,40 @@ def test_the_refinement_reads_the_cylinders_the_build_passes_like_the_per_atom_o
                 if cylinders is not None:
                     expected = array("i", (coarsen_by_reduction(space, c, coarse) for c in t.codes))
                     assert cylinders == expected, depth
-        return refine_pure_columns(castle, depth, labels)
+        return refine_pure_columns(castle, labels)
 
     monkeypatch.setattr(AtomSpace, "lift", counted)
     monkeypatch.setattr(SpeedupConstruction, "_build_inductive", inductive)
     monkeypatch.setattr(construction, "refine_pure_columns", checked)
     stages = build(LABEL_STAGES[case], **kwargs).stages
     assert all(prev.gamma >= rec.k + 1 for prev, rec in zip(stages, stages[1:]))
-    assert passed == [False] + [True] * (len(stages) - 1)
+    assert passed == [True] * len(stages)
     assert lifts and not [lift for lift in lifts if lift[2] == lift[1] and lift[3] == lift[0] + 1]
+
+
+@pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
+def test_the_refinement_lifts_nothing(case, monkeypatch):
+    # every stage, the base stage included, hands the refinement its
+    # cylinders, so no refinement lifts codes from one space to another
+    lifts, refining = [], []
+    lift, refine = AtomSpace.lift, construction.refine_pure_columns
+
+    def counted(space, values, coarse):
+        if refining:
+            lifts.append((space.depth, coarse.depth))
+        return lift(space, values, coarse)
+
+    def tracked(castle, labels):
+        refining.append(castle.depth)
+        try:
+            return refine(castle, labels)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(AtomSpace, "lift", counted)
+    monkeypatch.setattr(construction, "refine_pure_columns", tracked)
+    stages = build_case(case).stages
+    assert stages and lifts == []
 
 
 # stages built per case by the depth-rule tests: quadrant 0-5, derived
@@ -918,22 +946,28 @@ def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
     # pair is at least as fine as the next stage's anchor cylinders, and
     # every inductive stage passes the refinement a cylinder array for each
     # pretower wider than 1
-    tried, passed = [], []
+    tried, depths, passed = [], [], []
     build_base, build_inductive = SpeedupConstruction._build_base, SpeedupConstruction._build_inductive
+    stage_depths = SpeedupConstruction._depths
 
     def tracked(build):
-        def attempt(con, k, n, h, gamma, tgt_depth):
-            tried.append((k, gamma, tgt_depth))
-            return build(con, k, n, h, gamma, tgt_depth)
+        def attempt(con, k, h, gamma):
+            tried.append((k, gamma, depths[-1][3]))  # the build is that of the pair just computed
+            return build(con, k, h, gamma)
 
         return attempt
 
-    def checked(castle, depth, labels=None):
+    def recorded(con, k):
+        depths.append(stage_depths(con, k))
+        return depths[-1]
+
+    def checked(castle, labels):
         passed.append(labels is not None and [a is None for a in labels] == [t.width == 1 for t in castle.towers])
-        return refine_pure_columns(castle, depth, labels)
+        return refine_pure_columns(castle, labels)
 
     monkeypatch.setattr(SpeedupConstruction, "_build_base", tracked(build_base))
     monkeypatch.setattr(SpeedupConstruction, "_build_inductive", tracked(build_inductive))
+    monkeypatch.setattr(SpeedupConstruction, "_depths", recorded)
     monkeypatch.setattr(construction, "refine_pure_columns", checked)
     con = build(DEPTH_RULE_STAGES[case], **depth_rule_inputs(case))
     assert tried == [(rec.k, rec.gamma, rec.tgt_depth) for rec in con.stages]
@@ -945,7 +979,7 @@ def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
         least = next(g for g in count(1) if bases * rec.height <= con.source.index(g) in targets)
         assert (rec.gamma, con.source.index(rec.gamma)) == (least, con.target.index(rec.tgt_depth)), rec.k
         assert rec.gamma >= rec.k + 2, rec.k
-    assert passed == [False] + [True] * (len(con.stages) - 1)
+    assert passed == [True] * len(con.stages)
 
 
 @pytest.mark.parametrize("case", RATIO_2_CASES)
@@ -975,17 +1009,14 @@ def test_a_target_that_repeats_the_height_starts_past_it():
 @pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
 def test_the_integer_schedule_is_the_fraction_schedule(case, monkeypatch):
     # n_0..n_5 of each chain pair, each stage scheduled from the previous
-    # stage's working target depth on; the builds are replaced by records of
-    # the stage and the depths it starts at, so no stage is built, and the
-    # atom budget, which bounds the spaces a build makes, is lifted
-    def record(k, n, h, gamma, tgt_depth):
-        return SimpleNamespace(k=k, n=n, gamma=gamma, tgt_depth=tgt_depth)
-
+    # stage's working target depth on; each stage is a record of the depths
+    # `_depths` gives it, so no stage is built, and the atom budget, which
+    # bounds the spaces a build makes, is lifted
     monkeypatch.setattr(construction, "MAX_ATOMS", 2**64)
     con = build(0, **depth_rule_inputs(case))
-    monkeypatch.setattr(con, "_build_base", record)
-    monkeypatch.setattr(con, "_build_inductive", record)
-    con.run(6)
+    for k in range(6):
+        n, _, gamma, tgt_depth = con._depths(k)
+        con.stages.append(SimpleNamespace(k=k, n=n, gamma=gamma, tgt_depth=tgt_depth))
     for k, rec in enumerate(con.stages):
         start = con.stages[k - 1].tgt_depth if k else None
         assert rec.n == schedule_by_fractions(con.source, con.target, k, start), (case, k)
@@ -1104,7 +1135,7 @@ def test_refine_pure_columns_matches_the_two_pass_oracle_on_stages(case):
             expected = refine_pure_columns_by_sets(
                 space, towers, castle.steps, lambda c: coarsen_by_reduction(space, c, coarse)
             )
-            refined = refine_pure_columns(castle, depth)
+            refined = refine_pure_columns(castle, cylinder_labels_by_reduction(castle, coarse))
             assert tower_lists(refined, images) == expected
 
 
@@ -1132,9 +1163,10 @@ def test_an_open_half_plane_contains_no_line_and_builds():
 
 def test_the_mirrored_quadrant_parts_its_anchors_by_trading_the_top(monkeypatch):
     # x2 = -u = (1, 0) is the least atom of stage 0's top, which would end
-    # x0's column; the top's two least atoms trade places instead.  Under a
-    # budget of 6^6 atoms, a stage that deepened without end would raise
-    # DepthExhausted rather than hang
+    # x0's column; the top's two least atoms trade places instead.  The
+    # budget of 6^6 atoms is stage 2's own space, so a build that regressed
+    # to a finer depth pair raises DepthExhausted here rather than run on a
+    # space six times as large
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**6)
     con = build(3, cone=MIRRORED_QUADRANT)
     assert con.u == (-1, 0)
@@ -1149,8 +1181,9 @@ def test_the_mirrored_quadrant_parts_its_anchors_by_trading_the_top(monkeypatch)
 def test_random_plane_facet_cones_build_two_stages(monkeypatch):
     # two facets each, normals in [-3, 3]^2, each strict with probability
     # 0.4; one cone is empty and refused, every other builds stages 0-1 with
-    # every check passing.  Under a budget of 6^5 atoms, a stage that
-    # deepened without end would raise DepthExhausted rather than hang
+    # every check passing.  The budget of 6^5 atoms is stage 1's own
+    # space, so a build that regressed to a finer depth pair raises
+    # DepthExhausted here rather than run on a space six times as large
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
     rng = random.Random(20210223)
     empty = 0

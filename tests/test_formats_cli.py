@@ -169,6 +169,17 @@ def test_syntax_error_carries_position():
             "chain=unused J=1 d2=1\nnonsense",
             chain=OdometerChain.diagonal_power([2]),
         )
+    # a resolution depth J or a generator count d2 below 1 is refused at its
+    # value, before any table is read
+    line = OdometerChain.diagonal_power([2])
+    for header, column, message in [
+        ("chain=unused J=1 d2=0", 21, "d2 must be at least 1, got 0"),
+        ("chain=unused J=0 d2=1", 16, "J must be at least 1, got 0"),
+        ("chain=unused J=1 d2=-1", 21, "d2 must be at least 1, got -1"),
+        ("chain=unused d2=1 J=-2", 21, "J must be at least 1, got -2"),
+    ]:
+        with pytest.raises(SpecSyntaxError, match=rf"^line 1, column {column}: {message}$"):
+            parse_cocycle(header + "\ngen 1:\nrep (0) -> (1)", chain=line)
 
 
 # ---------------------------------------------------------------- CLI
@@ -338,6 +349,9 @@ BAD_SPECS = {
     "zeroray.cone": "cone=sector u=0,0 v=1,0",
     "ray3.cone": "cone=sector u=1,2,3 v=1,0",
     "flat.chain": "dim=1 provider=diagpow primes=6 exps=0",
+    "zerod2.cocycle": "chain=mixed.chain J=1 d2=0",
+    "zeroj.cocycle": "chain=mixed.chain J=0 d2=1\ngen 1:\nrep (0,0) -> (1,0)",
+    "negd2.cocycle": "chain=mixed.chain J=1 d2=-1",
 }
 
 
@@ -417,6 +431,10 @@ BAD_SPECS = {
         (["classify", "oe", "ex.chain", "ex.chain", "--depth", "0"], "depth bound must be at least 1, got 0"),
         (["odometer", "value-group", "ex.chain", "--depth", "0"], "depth bound must be at least 1, got 0"),
         (["odometer", "product-type", "mixed.chain", "--depth", "0"], "depth bound must be at least 1, got 0"),
+        (["speedup", "validate", "zerod2.cocycle"], "line 1, column 26: d2 must be at least 1, got 0"),
+        (["speedup", "cone", "zerod2.cocycle"], "line 1, column 26: d2 must be at least 1, got 0"),
+        (["speedup", "validate", "zeroj.cocycle"], "line 1, column 21: J must be at least 1, got 0"),
+        (["speedup", "validate", "negd2.cocycle"], "line 1, column 26: d2 must be at least 1, got -1"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
