@@ -1,8 +1,9 @@
 """Finite-stage construction of a cone speedup conjugate to a target odometer.
 
 Source: a free d-dimensional odometer chain.  Target: a one-dimensional
-odometer chain with the same clopen value group.  The driver mimics the
-target's cylinder towers inside the source space, stage by stage:
+odometer with the same clopen value group, run at the source's own indices
+(`SpeedupConstruction`).  The driver mimics the target's cylinder towers
+inside the source space, stage by stage:
 
   stage 0   partition the source into h equal slabs, swap the base and top
             into shrinking cylinders around two anchor points, join the
@@ -31,9 +32,8 @@ step moves exact atom counts, which is the only consequence of such a map
 the castle-level construction consumes.  All selections are
 lexicographic, so runs are reproducible.
 
-No working depth has more than MAX_ATOMS atoms (the two chains work at equal
-index, so one bound covers both); a source whose clopen value group is Z, whose
-atoms never get finer, is refused.
+No working depth has more than MAX_ATOMS atoms (`_depths`); a source whose
+clopen value group is Z, whose atoms never get finer, is refused.
 
 Anchor conventions: the first anchor is the zero point; the second is its
 translate by minus the least cone vector; the stage-k anchor cylinders
@@ -41,8 +41,8 @@ are their depth-(k+1) cylinders.  Stage 0 parts the anchors by one pairing
 rule: its joins pair the i-th atoms of consecutive sorted levels, except
 that the top's two least atoms trade places when the second anchor is the
 least, so the zero point's column never ends at the second anchor
-(`_build_base`).  Stage numbers are the least target stages, from the
-previous stage's working target depth on, that satisfy the driving
+(`_build_base`).  Stage numbers are the least depths of the working
+chain, from the previous stage's working depth on, that satisfy the driving
 inequalities, computed in integers (`_schedule`); the inequalities only
 bound the stage number from below, so the later start keeps them:
 
@@ -89,9 +89,8 @@ LOCATE_CHUNK = 1 << 16  # codes per `bytes.find` pass of `_locate`
 @dataclass
 class StageRecord:
     k: int
-    n: int                       # target stage the castle mimics
-    gamma: int                   # source working depth
-    tgt_depth: int               # target working depth (equal index)
+    n: int                       # stage of the working chain (a source depth) the castle mimics
+    gamma: int                   # working depth of both castles
     height: int
     src_castle: Castle
     tgt_bases: list[array]       # target base atoms per tower; tower alpha is tgt_bases[alpha] + v, v < height
@@ -103,12 +102,26 @@ class StageRecord:
 class SpeedupConstruction:
     """Stage driver; build with run(k) and audit with stage_invariants(k).
 
-    Each stage is built once, at the least equal-index depth pair whose
-    index is at least twice the stage's height at stage 0 and three times
-    it past stage 0 (`_depths`), which is fine enough for its anchor
-    cylinders and for the next stage's cylinder labels; past stage 0 the
-    target is one tall tower, which splits into an anchor part, a
-    co-anchor part and the rest.  Its `StageRecord` holds the stage
+    The target side runs at the source's own indices I(j).  A
+    one-dimensional odometer is fixed up to conjugacy by its clopen value
+    group, its supernatural number (Downarowicz, "Survey of odometers and
+    Toeplitz flows", Contemp. Math. 385, 2005).  The source's stages are
+    nested, so I(j) divides I(j + 1), and the one-dimensional odometer of
+    the indices I(j) has the source's value group; once that group equals
+    the target's, the two one-dimensional odometers are conjugate, and a
+    speedup conjugate to one is conjugate to the other.  So the user's
+    target chain is read once, in `__init__`, for its value group; that
+    comparison must be exact, so a chain known only to a checked depth
+    (an explicit chain, on either side) is refused.  Stage numbers n and
+    the target's depth are depths of this working chain: the CLI's
+    `target-stage=` counts them.
+
+    Each stage is built once, at the least depth gamma whose index is at
+    least twice the stage's height at stage 0 and three times it past
+    stage 0 (`_depths`), which is fine enough for its anchor cylinders and
+    for the next stage's cylinder labels; both castles work at gamma.  Past
+    stage 0 the target is one tall tower, which splits into an anchor part,
+    a co-anchor part and the rest.  Its `StageRecord` holds the stage
     itself: the castles and the swap and rebuild records; the audit works
     out everything else, the anchors' towers and columns and the previous
     stage's map included, from these and the previous record.  A cone that
@@ -136,10 +149,15 @@ class SpeedupConstruction:
                 f"source and target clopen value groups differ: {witness} lies in only one of them"
             )
         group = source.clopen_value_group(6)
-        if group.exact and not group.infinite:  # bounded indices
+        if verdict.outcome != "yes":
+            raise CastleError(
+                f"source and target clopen value groups {group.describe()} and "
+                f"{target.clopen_value_group(6).describe()} are not known to be equal: "
+                "the target runs at the source's indices, which needs an exact match"
+            )
+        if not group.infinite:  # bounded indices
             raise CastleError(f"the clopen value group is {group.describe()}: the chains' atoms never get finer")
         self.source = source
-        self.target = target
         self.cone = cone
         zero = (0,) * source.dim
         self.u = minimal_cone_vector(cone, zero, zero, IntegerLattice.standard(source.dim))
@@ -165,47 +183,34 @@ class SpeedupConstruction:
         a2 = frozenset(coarse.fibers(other, fine))
         return a0, a2
 
-    def _align_depths(self, min_src_depth: int, min_tgt_depth: int):
-        """Smallest depth pair with equal index on both chains, within the atom budget."""
-        g, t = max(1, min_src_depth), max(1, min_tgt_depth)
-        while (si := self.source.index(g)) <= MAX_ATOMS:
-            ti = self.target.index(t)
-            if si == ti:
-                return g, t
-            if si < ti:
-                g += 1
-            else:
-                t += 1
-        # `__init__` refused differing value groups and indices that stop growing: this is the budget
-        raise DepthExhausted(f"no common atom granularity within {MAX_ATOMS} atoms: source depth {g} has {si} atoms")
-
     # -- stage scheduling ----------------------------------------------
 
     def _schedule(self, k: int) -> int:
-        """The target stage n_k: the least n whose index T(n) exceeds a
-        limit, computed in integers; from n = 1 at stage 0, and from the
-        previous stage's working target depth on at stage k >= 1.
+        """The stage n_k: the least depth n of the working chain whose index
+        I(n) exceeds a limit, computed in integers; from n = 1 at stage 0,
+        and from the previous stage's working depth on at stage k >= 1.
 
-        With I(j) the source index at depth j, the module's inequalities
-        read: one target atom measures less than an anchor, 1/T(n) <
-        1/I(1), at stage 0; and two measure less than min(eps cap, anchor/3),
-        T(n) > 2 * max(24 * sum_{j<k} I(k+1)/I(j+1), 3 * I(k+1)), at stage
-        k >= 1.  The chain is nested, so I(j+1) divides I(k+1) and every
-        term is an integer.  Hence T(n_0) > I(1), and T(n_k) > 6 * I(k+1).
+        With I(j) the source index at depth j, which the target side runs
+        at too, the module's inequalities read: one target atom measures
+        less than an anchor, 1/I(n) < 1/I(1), at stage 0; and two measure
+        less than min(eps cap, anchor/3), I(n) > 2 * max(24 * sum_{j<k}
+        I(k+1)/I(j+1), 3 * I(k+1)), at stage k >= 1.  The chain is nested,
+        so I(j+1) divides I(k+1) and every term is an integer.  Hence
+        I(n_0) > I(1), and I(n_k) > 6 * I(k+1).  The indices grow without
+        bound (`__init__`), so the scan ends; the atom budget is checked on
+        the working depth (`_depths`).
 
         The inequalities only bound n from below, so the later start keeps
-        them, and the previous working target depth exceeds n_(k-1), so the
-        stage numbers still increase.  From that start the previous target
-        index divides T(n_k), which makes stage k's target one tall tower
+        them, and the previous working depth exceeds n_(k-1), so the stage
+        numbers still increase.  From that start the previous index divides
+        I(n_k), which makes stage k's target one tall tower
         (`_build_inductive`)."""
         index = self.source.index
         n, limit = 1, index(1)
         if k:
             earlier = sum(index(k + 1) // index(j + 1) for j in range(k))
-            n, limit = self.stages[k - 1].tgt_depth, 2 * max(24 * earlier, 3 * index(k + 1))
-        while self.target.index(n) <= limit:
-            if self.target.index(n) > MAX_ATOMS:
-                raise DepthExhausted(f"stage {k}: no target stage within {MAX_ATOMS} atoms has fine enough atoms")
+            n, limit = self.stages[k - 1].gamma, 2 * max(24 * earlier, 3 * index(k + 1))
+        while index(n) <= limit:
             n += 1
         return n
 
@@ -217,49 +222,57 @@ class SpeedupConstruction:
             self.stages.append(self._stage(len(self.stages)))
         return self
 
-    def _depths(self, k: int) -> tuple[int, int, int, int]:
-        """(n, h, gamma, tgt_depth) of stage k: the target stage n = n_k
-        (`_schedule`), the height h = T(n), and the least equal-index depth
-        pair whose index is at least 2h at stage 0 and at least 3h past it.
+    def _depths(self, k: int) -> tuple[int, int, int]:
+        """(n, h, gamma) of stage k: the stage n = n_k (`_schedule`), the
+        height h = I(n), and the least working depth gamma whose index is
+        at least 2h at stage 0 and at least 3h past it; a gamma with more
+        than MAX_ATOMS atoms raises DepthExhausted, the one budget check.
 
-        h divides every finer target index.  At stage 0 this is the least
-        pair past one target base, at whose index h no stage builds, and
-        the base stage's one tower is at least 2 wide.  Past stage 0 the
-        target is one tall tower (`_schedule`) of at least 3 bases, enough
-        for an anchor part, a co-anchor part and a rest that is not empty
-        (`_build_inductive`); its index exceeds the previous stage's, which
-        divides h, so the pair is finer than the previous stage's.  The
-        source depth gamma_k has I(gamma_k) > h = T(n_k) > I(k+1)
-        (`_schedule`), so gamma_k >= k + 2: every castle is at least as fine
-        as the next stage's anchor cylinders, off which that stage reads its
-        cylinder labels (`_pretower_labels`)."""
+        h divides every finer index.  At stage 0 this is the least depth
+        past one target base, at whose index h no stage builds, and the
+        base stage's one tower is at least 2 wide.  On a chain that repeats
+        a stage, gamma is the least depth of its index: an earlier depth of
+        that index lies past n too (I(n) = h is smaller), so the scan would
+        have stopped there.  Past stage 0 the target is one tall
+        tower (`_schedule`) of at least 3 bases, enough for an anchor part,
+        a co-anchor part and a rest that is not empty (`_build_inductive`);
+        its index exceeds the previous stage's, which divides h, so the
+        depth is finer than the previous stage's.  I(gamma_k) > h = I(n_k)
+        > I(k+1) (`_schedule`), so gamma_k >= k + 2: every castle is at
+        least as fine as the next stage's anchor cylinders, off which that
+        stage reads its cylinder labels (`_pretower_labels`).  Only indices
+        are read, never an atom space."""
+        index = self.source.index
         n = self._schedule(k)
-        h = self.target.index(n)
+        h = index(n)
         bases = 3 if k else 2
-        t = next(d for d in count(n + 1) if self.target.index(d) >= bases * h)  # a chain may repeat a stage
-        return (n, h, *self._align_depths(1, t))
+        gamma = next(d for d in count(n + 1) if index(d) >= bases * h)
+        if index(gamma) > MAX_ATOMS:
+            raise DepthExhausted(f"stage {k} needs depth {gamma}, whose {index(gamma)} atoms exceed {MAX_ATOMS}")
+        return n, h, gamma
 
     def _stage(self, k: int) -> StageRecord:
         """Build stage k at its depths (`_depths`), and finish it as every
         stage ends: refine the builder's castle into pure columns by the
         depth-(k+1) cylinders it passes, one array per wide tower, and
-        mirror the refined towers on the target side, measure for measure.
+        mirror the refined towers on the target side, measure for measure,
+        at the same working depth gamma.
 
-        The target bases are the multiples of h dealt lexicographically in
-        tower order, as many to a tower as it has columns.  A
-        one-dimensional code is the residue mod the index and every base
-        lies in hZ, so +1 never wraps below a top: the tower over `base` has
-        the sorted levels base + v, and only the base is kept (the next
-        stage's itinerary in `_build_inductive` relies on this too).  Every
-        builder's one-column anchor towers come first, so they get the
-        bases 0 and h."""
-        n, h, gamma, tgt_depth = self._depths(k)
+        The target bases are the multiples of h below I(gamma), dealt
+        lexicographically in tower order, as many to a tower as it has
+        columns.  A one-dimensional code is the residue mod the index and
+        every base lies in hZ, so +1 never wraps below a top: the tower over
+        `base` has the sorted levels base + v, and only the base is kept
+        (the next stage's itinerary in `_build_inductive` relies on this
+        too).  Every builder's one-column anchor towers come first, so they
+        get the bases 0 and h."""
+        n, h, gamma = self._depths(k)
         build = self._build_inductive if k else self._build_base
         castle, labels, f_atoms, r_atoms, swap_audit = build(k, h, gamma)
         castle = refine_pure_columns(castle, labels)
-        bases = _deal(range(0, self.target.index(tgt_depth), h), [t.width for t in castle.towers])
+        bases = _deal(range(0, self.source.index(gamma), h), [t.width for t in castle.towers])
         tgt_bases = [array("i", chunk) for chunk in bases]
-        return StageRecord(k, n, gamma, tgt_depth, h, castle, tgt_bases, f_atoms, r_atoms, swap_audit)
+        return StageRecord(k, n, gamma, h, castle, tgt_bases, f_atoms, r_atoms, swap_audit)
 
     # -- base stage ------------------------------------------------------
 
@@ -402,17 +415,17 @@ class SpeedupConstruction:
         blocks = h // h_prev
 
         # --- target side: one tall tower, of the bases hZ.  The previous
-        # target index P divides h (`_schedule`), so by residue arithmetic
-        # (`_stage`) block m of the tower over every base starts at the
-        # previous atom m * h_prev mod P: one itinerary of previous towers,
-        # and at least 3 bases (`_depths`)
-        prev_index = self.target.index(prev.tgt_depth)
+        # index P = I(prev.gamma) divides h (`_schedule`), so by residue
+        # arithmetic (`_stage`) block m of the tower over every base starts
+        # at the previous atom m * h_prev mod P: one itinerary of previous
+        # towers, and at least 3 bases (`_depths`)
+        prev_index = self.source.index(prev.gamma)
         tower_of = {c: alpha for alpha, base in enumerate(prev.tgt_bases) for c in base}
         try:
             itinerary = [tower_of[m * h_prev % prev_index] for m in range(blocks)]
         except KeyError:
             raise CastleError("block itineraries must start at previous bases") from None
-        width = space.size // h  # the tower's bases: the equal index over h
+        width = space.size // h  # the tower's bases: the working index over h
 
         # --- source mirror: deal the fibers over each previous tower's base
         # into the block pieces the itinerary takes from it, `width` atoms each
@@ -568,7 +581,6 @@ class SpeedupConstruction:
             return StageReport(k, ())  # nothing built: vacuously fine
         rec = self._record(k)
         space = self.source.kr_partition(rec.gamma)
-        tsize = self.target.index(rec.tgt_depth)  # a target code is its residue mod tsize
         checks: list[tuple[str, bool, str]] = []
 
         def check(name, ok, detail=""):
@@ -643,11 +655,13 @@ class SpeedupConstruction:
 
         # (5c) target levels inside single target cylinder atoms: +1 maps
         # depth-n atoms onto depth-n atoms, so a tower's levels lie in one
-        # each iff its base does; a code's depth-n atom is its residue mod T(n)
+        # each iff its base does.  The target works at depth gamma too, so a
+        # code is its residue mod I(gamma), and its depth-n atom its residue
+        # mod I(n)
         def _target_levels_ok():
-            m = self.target.index(rec.n)
-            if tsize % m:
-                raise ChainError(f"target stage {rec.n} is finer than the target depth {rec.tgt_depth}")
+            m = self.source.index(rec.n)
+            if space.size % m:
+                raise ChainError(f"target stage {rec.n} is finer than the working depth {rec.gamma}")
             return all(len({c % m for c in b}) <= 1 for b in rec.tgt_bases)
 
         check("target-levels-refine-cylinders", _target_levels_ok)
@@ -657,7 +671,7 @@ class SpeedupConstruction:
         # levels base + v are disjoint and cover every target atom
         def _tiling_ok():
             bases = array("i", sorted(c for b in rec.tgt_bases for c in b))
-            return tsize % rec.height == 0 and bases == array("i", range(0, tsize, rec.height))
+            return space.size % rec.height == 0 and bases == array("i", range(0, space.size, rec.height))
 
         check("target-translation-castle", _tiling_ok)
         shift_ok = checks[-1][1]

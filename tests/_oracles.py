@@ -578,6 +578,19 @@ def fit_by_enumeration(chain, depth):
     return NoFit("no unit lower shear with the observed prime supports fits")
 
 
+def source_index_chain(source):
+    """The one-dimensional chain of the source's indices I(j), at whose
+    depths `SpeedupConstruction` runs the target side: stage j is I(j)Z,
+    realized lazily from the source."""
+    from odolab.lattice import IntegerLattice
+    from odolab.odometer import DerivedProvider, OdometerChain
+
+    def stage(j):
+        return IntegerLattice.from_rows([[source.index(j)]])
+
+    return OdometerChain(1, DerivedProvider(1, stage, "source indices"))
+
+
 def target_castle_by_translation(space, bases, height):
     """Target towers of the given height rebuilt from their bases as lists
     of sorted levels: each level is the sorted +1 images of the one below,
@@ -698,12 +711,14 @@ def stage_checks_by_levels(con, k):
     level is coarsened for the cylinder checks.  The target towers are
     rebuilt from their bases by `target_castle_by_translation`; each
     level must be its base + v, with no wrap, and the levels together
-    must cover the target atoms once each."""
+    must cover the target atoms once each.  The target side works at the
+    source's indices (`source_index_chain`), at the stage's depth gamma."""
     from odolab.speedup import _vadd
 
     rec = con.stages[k]
     space = con.source.kr_partition(rec.gamma)
-    tspace = con.target.kr_partition(rec.tgt_depth)
+    working = source_index_chain(con.source)
+    tspace = working.kr_partition(rec.gamma)
     checks = []
 
     def check(name, ok):
@@ -753,7 +768,7 @@ def stage_checks_by_levels(con, k):
     x0_atom = space.encode_vector((0,) * con.source.dim)
     x2_atom = space.encode_vector(con.x2_vector)
     check("anchors-in-boundary-cylinders", x0_atom in base and x2_atom in top and base <= a0 and top <= a2)
-    check("target-levels-refine-cylinders", lambda: levels_refine(tspace, tgt(), con.target.kr_partition(rec.n)))
+    check("target-levels-refine-cylinders", lambda: levels_refine(tspace, tgt(), working.kr_partition(rec.n)))
 
     def shift_ok():
         seen = [0] * tspace.size

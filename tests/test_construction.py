@@ -24,8 +24,9 @@ from odolab.castles import (
 )
 from odolab.construction import SpeedupConstruction, StageRecord, _previous_map
 from odolab.lattice import IntegerLattice
-from odolab.odometer import AtomSpace, Displacements, OdometerChain
+from odolab.odometer import AtomSpace, DerivedProvider, Displacements, OdometerChain
 from odolab.speedup import Cone, derived_odometer
+from odolab.valuegroup import ValueGroup
 
 from _oracles import (
     anchor_towers,
@@ -37,6 +38,7 @@ from _oracles import (
     previous_map_by_coarsening,
     refine_pure_columns_by_sets,
     schedule_by_fractions,
+    source_index_chain,
     stage_checks_by_levels,
     stored_in_climb_order,
     swap_by_full_scan,
@@ -92,9 +94,10 @@ def assert_walk_matches_the_translating_oracle(con, k):
 
 
 def assert_targets_are_translation_climbs(con):
-    """Every target tower, base + v by definition, equals the +1 climb of its base."""
+    """Every target tower, base + v by definition, equals the +1 climb of
+    its base, at the stage's working depth of the source's indices."""
     for rec in con.stages:
-        tspace = con.target.kr_partition(rec.tgt_depth)
+        tspace = source_index_chain(con.source).kr_partition(rec.gamma)
         expected = [[[c + v for c in base] for v in range(rec.height)] for base in rec.tgt_bases]
         assert target_castle_by_translation(tspace, rec.tgt_bases, rec.height) == expected
 
@@ -342,7 +345,7 @@ def _hand_built(cone, vectors):
     castle = Castle(con.source, 1, [Tower(1, codes)], steps)
     con.stages = [
         StageRecord(
-            k=0, n=1, gamma=1, tgt_depth=1, height=len(codes), src_castle=castle,
+            k=0, n=1, gamma=1, height=len(codes), src_castle=castle,
             tgt_bases=[array("i", [0])], f_atoms=frozenset(), r_atoms=frozenset(), swap_audit=((), ()),
         )
     ]
@@ -387,27 +390,29 @@ def test_audit_matches_the_oracle_on_a_first_step_outside_the_cone(cone, vectors
 
 
 def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
-    # stage 1's levels must lie in source cylinders of depth 2 and target
-    # cylinders of depth n = 4; the hand-built castles have depth 1
+    # stage 1's levels must lie in source cylinders of depth 2, and the
+    # hand-built source castle has depth 1; its target levels must lie in
+    # cylinders of depth n, here set one past the working depth gamma = 5
     con = build(2)
     rec = con.stages[1]
     hand = _hand_built(Cone.quadrant(2), [(1, 0), (0, 1)]).stages[0]
-    rec.src_castle, rec.tgt_bases, rec.tgt_depth = hand.src_castle, hand.tgt_bases, hand.tgt_depth
+    rec.src_castle, rec.tgt_bases, rec.n = hand.src_castle, hand.tgt_bases, rec.gamma + 1
     report = assert_audit_matches_the_level_oracle(con, 1)
     details = {
         "levels-refine-cylinders": "lift needs a coarser atom space of the same chain",
-        "target-levels-refine-cylinders": "target stage 4 is finer than the target depth 1",
+        "target-levels-refine-cylinders": "target stage 6 is finer than the working depth 5",
     }
     for name, detail in details.items():
         assert (name, False, f"check raised ChainError: {detail}") in report.checks
 
 
 def test_finer_target_towers_are_translation_climbs():
-    # index 36^j against the source's 6^j: the target depth trails the source's
+    # index 36^j against the source's 6^j: the target runs at the source's
+    # indices, so its towers are +1 climbs at the source's working depth
     con = build(2, target=OdometerChain.diagonal_power([36]))
     for k in range(2):
         assert con.stage_invariants(k).ok, k
-    assert con.stages[1].tgt_depth < con.stages[1].gamma
+    assert [rec.gamma for rec in con.stages] == [3, 5]
     assert_targets_are_translation_climbs(con)
 
 
@@ -904,9 +909,10 @@ def test_the_refinement_lifts_nothing(case, monkeypatch):
 
 # stages built per case by the depth-rule tests: quadrant 0-5, derived
 # sector, cube and mirrored quadrant 0-3, the mixed source onto the target
-# 36^j, whose depths differ from the source's, 0-2, and the targets of
-# ratio 2: the line 2^j onto itself 0-5, the line onto the target 2, 4, 4,
-# 8, 16, ..., which repeats a stage, 0-5, and the dyadic square onto 2^j 0-3
+# 36^j, which runs at the source's indices like any target, 0-2, the
+# sources of ratio 2: the line 2^j onto itself 0-5 and the line 2, 4, 4, 8,
+# 16, ..., which repeats a stage, onto 2^j 0-5, and the dyadic square onto
+# 2^j, which runs at the source's indices 4^j, 0-3
 DEPTH_RULE_STAGES = {
     "quadrant": 6,
     "derived-sector": 4,
@@ -914,26 +920,31 @@ DEPTH_RULE_STAGES = {
     "mirrored-quadrant": 4,
     "target-36": 3,
     "line-2": 6,
-    "target-2-4-4-8": 6,
+    "source-2-4-4-8": 6,
     "dyadic-onto-2": 4,
 }
-RATIO_2_CASES = ["dyadic-onto-2", "line-2", "target-2-4-4-8"]
+RATIO_2_CASES = ["dyadic-onto-2", "line-2", "source-2-4-4-8"]
 
 
-def repeating_target():
-    """The target chain 2, 4, 4, 8, 16, ..., 2^24, which repeats its second stage."""
-    indices = [2, 4, 4] + [2**j for j in range(3, 25)]
-    return OdometerChain.explicit([IntegerLattice.from_rows([[i]]) for i in indices])
+def repeating_source():
+    """The line 2, 4, 4, 8, 16, ..., which repeats its second stage; its value
+    group Z[1/2^inf] is given exactly, as a derived chain's is."""
+
+    def stage(j):
+        return IntegerLattice.from_rows([[2 ** (j - 1 if j > 2 else j)]])
+
+    group = ValueGroup(frozenset({2}), (), exact=True, depth_checked=None)
+    return OdometerChain(1, DerivedProvider(1, stage, "2,4,4,8", lambda: group))
 
 
 def depth_rule_inputs(case):
     if case == "target-36":
         return {"target": OdometerChain.diagonal_power([36])}
-    line = {"source": OdometerChain.diagonal_power([2]), "cone": Cone.quadrant(1)}
     if case == "line-2":
-        return {**line, "target": OdometerChain.diagonal_power([2])}
-    if case == "target-2-4-4-8":
-        return {**line, "target": repeating_target()}
+        line = OdometerChain.diagonal_power([2])
+        return {"source": line, "target": line, "cone": Cone.quadrant(1)}
+    if case == "source-2-4-4-8":
+        return {"source": repeating_source(), "target": OdometerChain.diagonal_power([2]), "cone": Cone.quadrant(1)}
     if case == "dyadic-onto-2":
         return {"source": OdometerChain.diagonal_power([2, 2]), "target": OdometerChain.diagonal_power([2])}
     return case_inputs(case)[1]
@@ -941,10 +952,10 @@ def depth_rule_inputs(case):
 
 @pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
 def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
-    # each stage is built once, at the least equal-index depth pair whose
-    # index is at least 2h at stage 0 and 3h past it, h the height; that
-    # pair is at least as fine as the next stage's anchor cylinders, and
-    # every inductive stage passes the refinement a cylinder array for each
+    # each stage is built once, at the least working depth whose index is
+    # at least 2h at stage 0 and 3h past it, h the height; that depth is at
+    # least as fine as the next stage's anchor cylinders, and every
+    # inductive stage passes the refinement a cylinder array for each
     # pretower wider than 1
     tried, depths, passed = [], [], []
     build_base, build_inductive = SpeedupConstruction._build_base, SpeedupConstruction._build_inductive
@@ -952,7 +963,7 @@ def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
 
     def tracked(build):
         def attempt(con, k, h, gamma):
-            tried.append((k, gamma, depths[-1][3]))  # the build is that of the pair just computed
+            tried.append((k, h, gamma))
             return build(con, k, h, gamma)
 
         return attempt
@@ -970,56 +981,49 @@ def test_every_stage_builds_at_the_depth_pair_it_starts_at(case, monkeypatch):
     monkeypatch.setattr(SpeedupConstruction, "_depths", recorded)
     monkeypatch.setattr(construction, "refine_pure_columns", checked)
     con = build(DEPTH_RULE_STAGES[case], **depth_rule_inputs(case))
-    assert tried == [(rec.k, rec.gamma, rec.tgt_depth) for rec in con.stages]
+    # each build runs at the depths just computed for it
+    assert depths == [(rec.n, rec.height, rec.gamma) for rec in con.stages]
+    assert tried == [(rec.k, rec.height, rec.gamma) for rec in con.stages]
     for rec in con.stages:
         # the least source depth whose index is at least 2h (stage 0) or 3h
-        # (past it) and is a target index
-        targets = {con.target.index(t) for t in range(1, rec.tgt_depth + 1)}
+        # (past it): on a source that repeats the height's index, the depth
+        # past the repeat, not a second depth of that index with one base
         bases = 3 if rec.k else 2
-        least = next(g for g in count(1) if bases * rec.height <= con.source.index(g) in targets)
-        assert (rec.gamma, con.source.index(rec.gamma)) == (least, con.target.index(rec.tgt_depth)), rec.k
+        assert rec.gamma == next(g for g in count(1) if bases * rec.height <= con.source.index(g)), rec.k
+        assert rec.height == con.source.index(rec.n), rec.k
         assert rec.gamma >= rec.k + 2, rec.k
     assert passed == [True] * len(con.stages)
 
 
 @pytest.mark.parametrize("case", RATIO_2_CASES)
 def test_a_ratio_2_target_has_one_tall_tower_at_every_stage(case):
-    # a stage scheduled from the previous target depth on has a height that
-    # the previous target index divides, so block m of every tall tower
-    # starts at the same previous atom, and every audit check passes.  Onto
-    # these targets a stage scheduled just past the previous stage number
-    # mimics a coarser target stage than that depth
+    # a stage scheduled from the previous working depth on has a height
+    # that the previous index divides, so block m of every tall tower
+    # starts at the same previous atom, and every audit check passes.  On
+    # the lines a stage scheduled just past the previous stage number
+    # mimics a coarser stage than that depth
     con = build(DEPTH_RULE_STAGES[case], **depth_rule_inputs(case))
     for prev, rec in zip(con.stages, con.stages[1:]):
-        assert rec.height % con.target.index(prev.tgt_depth) == 0, rec.k
+        assert rec.height % con.source.index(prev.gamma) == 0, rec.k
     for k in range(len(con.stages)):
         assert con.stage_invariants(k).ok, k
 
 
-def test_a_target_that_repeats_the_height_starts_past_it():
-    # the target chain 2, 4, 4, 8, 16, ... repeats its second stage, and
-    # stage 0 has height 4, the index of both: it starts at the index-8 pair
-    # past the repeat, not at a second depth of index 4 with one target base
-    con = build(4, source=OdometerChain.diagonal_power([2]), target=repeating_target(), cone=Cone.quadrant(1))
-    rec = con.stages[0]
-    assert (rec.n, rec.height, rec.gamma, rec.tgt_depth) == (2, 4, 3, 4)
-    assert all(con.stage_invariants(k).ok for k in range(4))
-
-
 @pytest.mark.parametrize("case", sorted(DEPTH_RULE_STAGES))
 def test_the_integer_schedule_is_the_fraction_schedule(case, monkeypatch):
-    # n_0..n_5 of each chain pair, each stage scheduled from the previous
-    # stage's working target depth on; each stage is a record of the depths
-    # `_depths` gives it, so no stage is built, and the atom budget, which
-    # bounds the spaces a build makes, is lifted
+    # n_0..n_5 of each source, each stage scheduled from the previous
+    # stage's working depth on, the target side at the source's indices;
+    # each stage is a record of the depths `_depths` gives it, so no stage
+    # is built, and the atom budget, which bounds the spaces a build makes,
+    # is lifted
     monkeypatch.setattr(construction, "MAX_ATOMS", 2**64)
     con = build(0, **depth_rule_inputs(case))
     for k in range(6):
-        n, _, gamma, tgt_depth = con._depths(k)
-        con.stages.append(SimpleNamespace(k=k, n=n, gamma=gamma, tgt_depth=tgt_depth))
+        n, _, gamma = con._depths(k)
+        con.stages.append(SimpleNamespace(k=k, n=n, gamma=gamma))
     for k, rec in enumerate(con.stages):
-        start = con.stages[k - 1].tgt_depth if k else None
-        assert rec.n == schedule_by_fractions(con.source, con.target, k, start), (case, k)
+        start = con.stages[k - 1].gamma if k else None
+        assert rec.n == schedule_by_fractions(con.source, con.source, k, start), (case, k)
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube", "mirrored-quadrant"])
@@ -1164,9 +1168,9 @@ def test_an_open_half_plane_contains_no_line_and_builds():
 def test_the_mirrored_quadrant_parts_its_anchors_by_trading_the_top(monkeypatch):
     # x2 = -u = (1, 0) is the least atom of stage 0's top, which would end
     # x0's column; the top's two least atoms trade places instead.  The
-    # budget of 6^6 atoms is stage 2's own space, so a build that regressed
-    # to a finer depth pair raises DepthExhausted here rather than run on a
-    # space six times as large
+    # budget of 6^6 atoms is the space of stage 2's one working depth, so a
+    # build that regressed to a finer working depth raises DepthExhausted
+    # here rather than run on a space six times as large
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**6)
     con = build(3, cone=MIRRORED_QUADRANT)
     assert con.u == (-1, 0)
@@ -1181,9 +1185,10 @@ def test_the_mirrored_quadrant_parts_its_anchors_by_trading_the_top(monkeypatch)
 def test_random_plane_facet_cones_build_two_stages(monkeypatch):
     # two facets each, normals in [-3, 3]^2, each strict with probability
     # 0.4; one cone is empty and refused, every other builds stages 0-1 with
-    # every check passing.  The budget of 6^5 atoms is stage 1's own
-    # space, so a build that regressed to a finer depth pair raises
-    # DepthExhausted here rather than run on a space six times as large
+    # every check passing.  The budget of 6^5 atoms is the space of stage
+    # 1's one working depth, so a build that regressed to a finer working
+    # depth raises DepthExhausted here rather than run on a space six times
+    # as large
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
     rng = random.Random(20210223)
     empty = 0
@@ -1242,36 +1247,86 @@ def test_value_group_mismatch_rejected():
         )
 
 
+def test_a_target_known_only_to_a_checked_depth_is_refused():
+    # the target runs at the source's indices, so its value group must equal
+    # the source's exactly; an explicit chain's group is known only to the
+    # depth it lists, even where its indices are the source's
+    target = OdometerChain.explicit([IntegerLattice.from_rows([[6**j]]) for j in range(1, 4)])
+    message = (
+        "source and target clopen value groups Z[1/2^inf, 1/3^inf] and Z[1/2^3, 1/3^3] (to depth 3) are not "
+        "known to be equal: the target runs at the source's indices, which needs an exact match"
+    )
+    with pytest.raises(CastleError, match=f"^{re.escape(message)}$"):
+        SpeedupConstruction(OdometerChain.diagonal_power([3, 2]), target, Cone.quadrant(2))
+
+
+def test_targets_with_the_sources_value_group_give_equal_records():
+    # 6^j, 36^j and 6^(11j) have the source's value group, and the target
+    # runs at the source's indices, so their indices do not matter
+    source = OdometerChain.diagonal_power([3, 2])
+    targets = OdometerChain.diagonal_power([6]), OdometerChain.diagonal_power([36]), OdometerChain.diagonal_power([6], [11])
+    runs = [SpeedupConstruction(source, target, Cone.quadrant(2)).run(3).stages for target in targets]
+    assert runs[0] == runs[1] == runs[2]
+    assert [rec.gamma for rec in runs[0]] == [3, 5, 6]
+
+
+# source and target pairs with equal value groups whose indices meet only at
+# depth 0, and the stages built of each: the pair (4^j, 3^j) onto 6^j, the
+# line 12^j onto 18^j, and the pair (2^j, 3^(2j)) onto 6^j, whose stage 2
+# has 18^5 atoms
+EQUAL_GROUP_PAIRS = {
+    "4,3-onto-6": (OdometerChain.diagonal_power([4, 3]), OdometerChain.diagonal_power([6]), 3),
+    "12-onto-18": (OdometerChain.diagonal_power([12]), OdometerChain.diagonal_power([18]), 3),
+    "2,3-j,2j-onto-6": (OdometerChain.diagonal_power([2, 3], [1, 2]), OdometerChain.diagonal_power([6]), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUAL_GROUP_PAIRS))
+def test_pairs_with_equal_value_groups_and_no_common_index_build(case):
+    source, target, stages = EQUAL_GROUP_PAIRS[case]
+    con = build(stages, source=source, target=target, cone=Cone.quadrant(source.dim))
+    assert assert_audit_matches_the_level_oracle(con, 0).ok
+    for k in range(1, stages):
+        report = con.stage_invariants(k)
+        assert report.ok, (k, report.failures())
+    assert_targets_are_translation_climbs(con)
+
+
 def test_the_atom_budget_on_aligning_depths_is_reported_as_such(monkeypatch):
-    # stage 1 onto 36^j starts past stage 0's index 6^4 = 36^2; source
-    # depth 5's index 6^5 is no power of 36, and the next equal index, 6^6,
-    # lies past the budget
+    # onto 36^j, which runs at the source's indices 6^j, stage 1 builds at
+    # depth 5, 6^5 atoms, within the budget; stage 2 needs depth 6, past it,
+    # and the error names the budget, not the target
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
-    con = build(1, target=OdometerChain.diagonal_power([36]))
-    with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 7776 atoms: source depth 6 has 46656 atoms$"):
-        con.run(2)
-    assert len(con.stages) == 1
+    con = build(2, target=OdometerChain.diagonal_power([36]))
+    with pytest.raises(DepthExhausted, match=r"^stage 2 needs depth 6, whose 46656 atoms exceed 7776$"):
+        con.run(3)
+    assert len(con.stages) == 2
 
 
 def test_the_atom_budget_on_scheduling_a_target_stage(monkeypatch):
-    # stage 1 needs a target stage with 2 atoms below 1/144; the first one
-    # tried, 6^3 atoms, is not fine enough and already past the budget
+    # stage 1 needs a stage with 2 atoms below 1/144: depth 4 (6^4 atoms)
+    # is the least, and the schedule finds it though it is past the budget;
+    # its working depth 5 is checked, and refused
     con = build(1)
     monkeypatch.setattr(construction, "MAX_ATOMS", 36)
-    with pytest.raises(DepthExhausted, match=r"^stage 1: no target stage within 36 atoms has fine enough atoms$"):
+    assert con._schedule(1) == 4
+    with pytest.raises(DepthExhausted, match=r"^stage 1 needs depth 5, whose 7776 atoms exceed 36$"):
         con.run(2)
     assert len(con.stages) == 1
 
 
 def test_the_atom_budget_admits_quadrant_depth_10_and_refuses_11():
-    # 6^10 atoms is within the budget and 6^11 is not; aligning realizes
-    # lattices only, never an atom space
+    # 6^10 atoms is within the budget and 6^11 is not.  A stage 1 after a
+    # stage at depth 9 (10) has n = 9 (10) and works at depth 10 (11);
+    # `_depths` reads indices only, never an atom space
     con = SpeedupConstruction(OdometerChain.diagonal_power([3, 2]), OdometerChain.diagonal_power([6]), Cone.quadrant(2))
-    assert con._align_depths(10, 10) == (10, 10)
-    with pytest.raises(DepthExhausted, match=r"^no common atom granularity within 67108864 atoms: source depth 11 has "):
-        con._align_depths(11, 11)
+    con.stages = [SimpleNamespace(gamma=9)]
+    assert con._depths(1) == (9, 6**9, 10)
+    con.stages = [SimpleNamespace(gamma=10)]
+    with pytest.raises(DepthExhausted, match=r"^stage 1 needs depth 11, whose 362797056 atoms exceed 67108864$"):
+        con._depths(1)
     assert construction.MAX_ATOMS == 2**26
-    assert not con.stages and not con.source._spaces and not con.target._spaces
+    assert not con.source._spaces
 
 
 @pytest.mark.parametrize("source_primes", [[1, 1], [1, 1, 1]])

@@ -276,22 +276,39 @@ def test_cli_construct(specdir, capsys):
 
 
 def test_cli_construct_prints_the_stages_built_before_an_error(specdir, monkeypatch, capsys):
-    # with the atom budget at 6^5, stage 1 onto 36^j finds no common atom
-    # granularity: stage 0 and its audit are printed, then the error
+    # with the atom budget at 6^5, stages 0 and 1 onto 36^j build at the
+    # source's depths 3 and 5, and stage 2 needs depth 6: stages 0-1 and
+    # their audits are printed, then the error
     from odolab import construction
 
     monkeypatch.setattr(construction, "MAX_ATOMS", 6**5)
     (specdir / "t36.chain").write_text("dim=1 provider=diagpow primes=36 exps=j")
     argv = ["construct", "--source", str(specdir / "mixed.chain"), "--target", str(specdir / "t36.chain"),
             "--cone", str(specdir / "quad.cone"), "--audit", "--stages"]
-    assert main([*argv, "1"]) == 0
-    stage_0 = capsys.readouterr().out
-    assert stage_0.startswith("stage 0: ") and "  stage 0 PASS " in stage_0 and "FAIL" not in stage_0
+    assert main([*argv, "2"]) == 0
+    built = capsys.readouterr().out
+    assert built.startswith("stage 0: ") and "\nstage 1: " in built and "FAIL" not in built
     assert main([*argv, "4"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == stage_0
-    assert captured.err.startswith("odolab: error: no common atom granularity within 7776 atoms: ")
-    assert captured.err.count("\n") == 1
+    assert captured.out == built
+    assert captured.err == "odolab: error: stage 2 needs depth 6, whose 46656 atoms exceed 7776\n"
+
+
+def test_cli_construct_refuses_an_explicit_target(specdir, capsys):
+    # an explicit chain's value group is known only to the depth it lists,
+    # so it cannot be matched exactly to the source's, even at the
+    # source's own indices: one line naming both groups, exit 3
+    (specdir / "t6.chain").write_text("dim=1 provider=explicit\n1; 6\n1; 36\n1; 216")
+    argv = ["construct", "--source", str(specdir / "mixed.chain"), "--target", str(specdir / "t6.chain"),
+            "--cone", str(specdir / "quad.cone"), "--stages", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "odolab: error: source and target clopen value groups Z[1/2^inf, 1/3^inf] and Z[1/2^3, 1/3^3] "
+        "(to depth 3) are not known to be equal: the target runs at the source's indices, "
+        "which needs an exact match\n"
+    )
 
 
 def test_cli_construct_refuses_chains_whose_atoms_never_get_finer(specdir, capsys):
