@@ -633,7 +633,9 @@ def continuous_oe_test(
 def orbit_equivalence_test(
     chain_t: OdometerChain, chain_s: OdometerChain, depth: int = 6
 ) -> ClassificationVerdict:
-    """Equality of clopen value groups; exact for rule-backed chains."""
+    """Equality of clopen value groups; exact for rule-backed chains, and
+    "no" for a chain known to a checked depth whose observed group already
+    holds a rational the other, exact, group lacks (the witness)."""
     relation = "orbit-equivalent"
     vg_t = chain_t.clopen_value_group(depth)
     vg_s = chain_s.clopen_value_group(depth)
@@ -641,6 +643,6 @@ def orbit_equivalence_test(
     if same is True:
         return _yes(relation, witness=vg_t.describe())
     if same is False:
-        witness = vg_t.witness_against(vg_s) or vg_s.witness_against(vg_t)
+        witness = vg_t.certain_witness(vg_s)
         return _no(relation, certificate=("value-group witness", witness))
     return _undecided(relation, depth)

@@ -21,8 +21,10 @@ inside the source space, stage by stage:
             off the previous castle's columns.
 
 Every stage ends alike (`SpeedupConstruction._stage`): refine to pure
-cylinder columns by the cylinders its builder passes, and mirror the tower
-shape on the target side by exact measure bookkeeping.
+cylinder columns by the cylinders its build method passes.  The target
+castle that mirrors the tower shape, measure for measure, is a function
+of the stage's height and tower widths: it is worked out where it is
+read, never stored.
 
 Every tower the build hands to a refinement is stored in climb order, so
 column i of a tower is `codes[i::width]` and no refinement climbs.
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import functools
 from array import array
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,8 +95,7 @@ class StageRecord:
     n: int                       # stage of the working chain (a source depth) the castle mimics
     gamma: int                   # working depth of both castles
     height: int
-    src_castle: Castle
-    tgt_bases: list[array]       # target base atoms per tower; tower alpha is tgt_bases[alpha] + v, v < height
+    src_castle: Castle           # the target castle is a function of its widths and the height (`_stage`)
     f_atoms: frozenset[int]      # swapped points, source working depth
     r_atoms: frozenset[int]      # where the previous map was rebuilt
     swap_audit: tuple            # (width, atom count) per tower, (before, after) the swaps
@@ -122,9 +124,10 @@ class SpeedupConstruction:
     for the next stage's cylinder labels; both castles work at gamma.  Past
     stage 0 the target is one tall tower, which splits into an anchor part,
     a co-anchor part and the rest.  Its `StageRecord` holds the stage
-    itself: the castles and the swap and rebuild records; the audit works
-    out everything else, the anchors' towers and columns and the previous
-    stage's map included, from these and the previous record.  A cone that
+    itself: the one source castle and the swap and rebuild records; the
+    audit works out everything else, the target castle, the anchors'
+    towers and columns and the previous stage's map included, from these
+    and the previous record.  A cone that
     contains a line is refused: with no strict facet, a nonzero integer
     kernel of the facet normals spans a line inside the cone."""
 
@@ -254,25 +257,24 @@ class SpeedupConstruction:
     def _stage(self, k: int) -> StageRecord:
         """Build stage k at its depths (`_depths`), and finish it as every
         stage ends: refine the builder's castle into pure columns by the
-        depth-(k+1) cylinders it passes, one array per wide tower, and
-        mirror the refined towers on the target side, measure for measure,
-        at the same working depth gamma.
+        depth-(k+1) cylinders it passes, one array per wide tower.
 
-        The target bases are the multiples of h below I(gamma), dealt
-        lexicographically in tower order, as many to a tower as it has
-        columns.  A one-dimensional code is the residue mod the index and
-        every base lies in hZ, so +1 never wraps below a top: the tower over
-        `base` has the sorted levels base + v, and only the base is kept
-        (the next stage's itinerary in `_build_inductive` relies on this
-        too).  Every builder's one-column anchor towers come first, so they
-        get the bases 0 and h."""
+        The refined towers are mirrored on the target side, measure for
+        measure, at the same working depth gamma, by a castle that is a
+        function of the stage and is never stored: the multiples of h
+        below I(gamma) are its bases, dealt in increasing order to the
+        towers, as many to a tower as it has columns.  With c the running
+        sums of the tower widths, tower alpha has the bases q * h,
+        c(alpha - 1) <= q < c(alpha).  A one-dimensional code is the
+        residue mod the index and every base lies in hZ, so +1 never wraps
+        below a top: the tower over `base` has the sorted levels base + v
+        (the next stage's itinerary in `_build_inductive` and the audit
+        read it so).  Both build methods put their one-column anchor towers
+        first, so they get the bases 0 and h."""
         n, h, gamma = self._depths(k)
         build = self._build_inductive if k else self._build_base
         castle, labels, f_atoms, r_atoms, swap_audit = build(k, h, gamma)
-        castle = refine_pure_columns(castle, labels)
-        bases = _deal(range(0, self.source.index(gamma), h), [t.width for t in castle.towers])
-        tgt_bases = [array("i", chunk) for chunk in bases]
-        return StageRecord(k, n, gamma, h, castle, tgt_bases, f_atoms, r_atoms, swap_audit)
+        return StageRecord(k, n, gamma, h, refine_pure_columns(castle, labels), f_atoms, r_atoms, swap_audit)
 
     # -- base stage ------------------------------------------------------
 
@@ -417,14 +419,12 @@ class SpeedupConstruction:
         # --- target side: one tall tower, of the bases hZ.  The previous
         # index P = I(prev.gamma) divides h (`_schedule`), so by residue
         # arithmetic (`_stage`) block m of the tower over every base starts
-        # at the previous atom m * h_prev mod P: one itinerary of previous
-        # towers, and at least 3 bases (`_depths`)
-        prev_index = self.source.index(prev.gamma)
-        tower_of = {c: alpha for alpha, base in enumerate(prev.tgt_bases) for c in base}
-        try:
-            itinerary = [tower_of[m * h_prev % prev_index] for m in range(blocks)]
-        except KeyError:
-            raise CastleError("block itineraries must start at previous bases") from None
+        # at the previous atom m * h_prev mod P, base number m mod P/h_prev
+        # of the previous deal, which lies in the tower whose running sum
+        # of widths first exceeds it: one itinerary of previous towers, and
+        # at least 3 bases (`_depths`)
+        starts = list(accumulate(t.width for t in prev.src_castle.towers))
+        itinerary = [bisect_right(starts, m % starts[-1]) for m in range(blocks)]
         width = space.size // h  # the tower's bases: the working index over h
 
         # --- source mirror: deal the fibers over each previous tower's base
@@ -563,8 +563,11 @@ class SpeedupConstruction:
 
         The checks read only the stage's towers, level map, swap records
         and cone and the previous stage's castle, never an array the build
-        made for its own speed.  The level maps and the column sums are
-        those of one climb of each column (`_column_walk`, which climbs only
+        made for its own speed.  The target castle is a function of the
+        stage's height and tower widths (`_stage`), so its checks are
+        residue arithmetic on those and the working index.  The level maps
+        and the column sums are those of one climb of each column
+        (`_column_walk`, which climbs only
         where no proof on a whole tower or on the vector table gives them),
         and the exact points up the first anchor's column those of its steps,
         the column read off its tower where the walk found the tower stored
@@ -657,23 +660,23 @@ class SpeedupConstruction:
         # depth-n atoms onto depth-n atoms, so a tower's levels lie in one
         # each iff its base does.  The target works at depth gamma too, so a
         # code is its residue mod I(gamma), and its depth-n atom its residue
-        # mod I(n)
+        # mod I(n).  A tower's bases are q * h for consecutive q (`_stage`),
+        # so they share one residue iff the tower is one column wide or I(n)
+        # divides h
         def _target_levels_ok():
             m = self.source.index(rec.n)
             if space.size % m:
                 raise ChainError(f"target stage {rec.n} is finer than the working depth {rec.gamma}")
-            return all(len({c % m for c in b}) <= 1 for b in rec.tgt_bases)
+            return rec.height % m == 0 or all(t.width <= 1 for t in src.towers)
 
         check("target-levels-refine-cylinders", _target_levels_ok)
 
-        # (5d) the target towers tile the target: the bases are exactly the
-        # multiples of the height, so +1 never wraps below a top, and the
-        # levels base + v are disjoint and cover every target atom
-        def _tiling_ok():
-            bases = array("i", sorted(c for b in rec.tgt_bases for c in b))
-            return space.size % rec.height == 0 and bases == array("i", range(0, space.size, rec.height))
-
-        check("target-translation-castle", _tiling_ok)
+        # (5d) towers of height h tile the target: h divides I(gamma), so
+        # the multiples of h below it are the bases of towers whose levels
+        # base + v never wrap below a top, are disjoint and cover every
+        # target atom.  That the deal hands them all to the source towers
+        # is the pairing's check (7)
+        check("target-translation-castle", lambda: space.size % rec.height == 0)
         shift_ok = checks[-1][1]
 
         # (6a) level maps are bijections level-to-level, and the column sums
@@ -751,10 +754,12 @@ class SpeedupConstruction:
         else:
             check("map-stable-off-rebuild", _stable)
 
-        # (7) the level pairing intertwines the two castles
-        pair_ok = len(src.towers) == len(rec.tgt_bases) and all(
-            s.height == rec.height and s.width == len(b) for s, b in zip(src.towers, rec.tgt_bases)
-        )
+        # (7) the level pairing intertwines the two castles: every source
+        # tower is as tall as the target's, and their widths sum to the
+        # working index over h, so the deal of `_stage` hands out every
+        # target base
+        pair_ok = all(t.height == rec.height for t in src.towers)
+        pair_ok = pair_ok and sum(t.width for t in src.towers) * rec.height == space.size
         check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
 
         # swap conservation: level sizes unchanged by the swaps

@@ -128,13 +128,13 @@ def emit_lattice(lat) -> str:
 _EXP_RE = re.compile(r"^(\d*)j$|^(\d+)$")
 
 
-def _parse_exponent(token: str, lineno: int) -> int:
+def _parse_exponent(token: str, lineno: int, column: int) -> int:
     m = _EXP_RE.match(token)
     if not m:
-        raise SpecSyntaxError(lineno, 1, f"bad exponent rule {token!r} (use j, 2j, ...)")
+        raise SpecSyntaxError(lineno, column, f"bad exponent rule {token!r} (use j, 2j, ...)")
     if m.group(2) is not None:
         if int(m.group(2)) != 0:
-            raise SpecSyntaxError(lineno, 1, "constant exponents other than 0 are not a rule")
+            raise SpecSyntaxError(lineno, column, "constant exponents other than 0 are not a rule")
         return 0
     return int(m.group(1)) if m.group(1) else 1
 
@@ -151,9 +151,12 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
         primes = _field(kv, "primes", lineno, _ints)
         if min(primes) < 1:  # base 1 is allowed: the chain is not free, as `freeness_evidence` says
             raise SpecSyntaxError(lineno, kv["primes"][1], f"diagpow bases must be at least 1, got {min(primes)}")
-        exps = [_parse_exponent(e, lineno) for e in _field(kv, "exps", lineno, default="j").split(",")]
+        rules, column = kv.get("exps", ("j", 1))
+        exps = [_parse_exponent(e, lineno, column) for e in rules.split(",")]
         if len(exps) == 1:
             exps = exps * len(primes)
+        if len(exps) != len(primes):
+            raise SpecSyntaxError(lineno, column, f"exps needs 1 or {len(primes)} rules, got {len(exps)}")
         if dim is not None and dim != len(primes):
             raise SpecSyntaxError(lineno, 1, "dim does not match the prime list")
         return OdometerChain.diagonal_power(primes, exps)
@@ -328,6 +331,8 @@ def parse_cone(text: str) -> Cone:
         u = _field(kv, "u", lineno, _ints)
         v = _field(kv, "v", lineno, _ints)
         include = _field(kv, "include", lineno, default="both")
+        if include not in ("both", "u", "v", "none"):
+            raise SpecSyntaxError(lineno, kv["include"][1], "include must be both, u, v or none")
         try:
             return Cone.sector(u, v, include_u=include in ("both", "u"), include_v=include in ("both", "v"))
         except SpeedupError as err:  # a bad ray, or rays that span no cone: at u unless u is a nonzero plane vector

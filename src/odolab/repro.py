@@ -434,7 +434,3 @@ def run_repro(name: str, seed: int = 20210223) -> CaseReport:
     with tempfile.TemporaryDirectory() as tmp:
         CASES[name](report, Path(tmp), rng)
     return report
-
-
-def run_all(seed: int = 20210223):
-    return [run_repro(name, seed) for name in CASES]

@@ -46,11 +46,22 @@ class ValueGroup:
         return True
 
     def same_group(self, other: "ValueGroup") -> bool | None:
-        """Equality of canonical forms; None when either side is inexact
-        (the comparison is then only evidence at the checked depths)."""
+        """Equality of canonical forms; with an inexact side, False when a
+        rational lies in only one group for certain (`certain_witness`),
+        and None otherwise (the comparison is then only evidence at the
+        checked depths)."""
         if self.exact and other.exact:
             return (self.infinite, self.finite) == (other.infinite, other.finite)
-        return None
+        return False if self.certain_witness(other) else None
+
+    def certain_witness(self, other: "ValueGroup"):
+        """A rational that lies in only one of the two groups for certain, or
+        None.  An inexact group's observed exponents are lower bounds of its
+        own, so a rational of its observed group lies in it, but one it lacks
+        may lie in it too: the lacking side must be exact."""
+        if other.exact and (witness := self.witness_against(other)):
+            return witness
+        return other.witness_against(self) if self.exact else None
 
     def witness_against(self, other: "ValueGroup"):
         """A rational in this group but (by canonical form) not in the other."""

@@ -7,7 +7,7 @@ triangular-solve code it is used to check.
 import functools
 from array import array
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 
 def span_in_box(generators, coeff_bound):
@@ -591,6 +591,14 @@ def source_index_chain(source):
     return OdometerChain(1, DerivedProvider(1, stage, "source indices"))
 
 
+def target_bases_by_deal(widths, height):
+    """The target bases of `SpeedupConstruction`'s stage whose source towers
+    have the given widths: the multiples of `height`, dealt in increasing
+    order to the towers, as many to a tower as it is wide, one list each."""
+    multiples = count(0, height)
+    return [[next(multiples) for _ in range(width)] for width in widths]
+
+
 def target_castle_by_translation(space, bases, height):
     """Target towers of the given height rebuilt from their bases as lists
     of sorted levels: each level is the sorted +1 images of the one below,
@@ -709,10 +717,14 @@ def stage_checks_by_levels(con, k):
     at a time, comparing the climbed atoms with the level as sets and
     testing every partial sum with `Cone.contains`; every atom of every
     level is coarsened for the cylinder checks.  The target towers are
-    rebuilt from their bases by `target_castle_by_translation`; each
-    level must be its base + v, with no wrap, and the levels together
-    must cover the target atoms once each.  The target side works at the
-    source's indices (`source_index_chain`), at the stage's depth gamma."""
+    rebuilt from their bases by `target_castle_by_translation`: the bases
+    dealt to the source towers (`target_bases_by_deal`) for the cylinder
+    check, and one tower over every multiple of the height below the
+    target's size for the tiling, whose every level must be its base + v,
+    with no wrap, covering the target atoms once each; the pairing needs
+    the deal to hand out exactly those bases.  The target side works at
+    the source's indices (`source_index_chain`), at the stage's depth
+    gamma."""
     from odolab.speedup import _vadd
 
     rec = con.stages[k]
@@ -739,7 +751,8 @@ def stage_checks_by_levels(con, k):
     check("stage-numbers-increase", k == 0 or rec.n > con.stages[k - 1].n)
     src = rec.src_castle
     steps = src.steps
-    tgt = functools.cache(lambda: target_castle_by_translation(tspace, rec.tgt_bases, rec.height))
+    dealt = target_bases_by_deal([t.width for t in src.towers], rec.height)
+    tgt = functools.cache(lambda: target_castle_by_translation(tspace, dealt, rec.height))
 
     def shape_ok():
         seen = bytearray(space.size)
@@ -771,13 +784,13 @@ def stage_checks_by_levels(con, k):
     check("target-levels-refine-cylinders", lambda: levels_refine(tspace, tgt(), working.kr_partition(rec.n)))
 
     def shift_ok():
+        base = list(range(0, tspace.size, rec.height))
         seen = [0] * tspace.size
-        for base, levels in zip(rec.tgt_bases, tgt()):
-            for v, level in enumerate(levels):
-                if level != sorted(c + v for c in base):
-                    return False
-                for c in level:
-                    seen[c] += 1
+        for v, level in enumerate(target_castle_by_translation(tspace, [base], rec.height)[0]):
+            if level != sorted(c + v for c in base):
+                return False
+            for c in level:
+                seen[c] += 1
         return seen.count(1) == tspace.size
 
     check("target-translation-castle", shift_ok)
@@ -834,8 +847,9 @@ def stage_checks_by_levels(con, k):
     check("map-stable-off-rebuild", True if k == 0 else stable)
 
     def pair_ok():
-        return len(src.towers) == len(tgt()) and all(
-            s.height == len(levels) and s.width == len(levels[0]) for s, levels in zip(src.towers, tgt())
+        bases = sorted(c for base in dealt for c in base)
+        return bases == list(range(0, tspace.size, rec.height)) and all(
+            s.height == len(levels) for s, levels in zip(src.towers, tgt())
         )
 
     check("pairing-intertwines", lambda: pair_ok() and maps_ok and shift_ok)

@@ -18,6 +18,7 @@ from odolab.classify import (
     isomorphism_test,
     orbit_equivalence_test,
 )
+from odolab.lattice import IntegerLattice
 from odolab.odometer import OdometerChain
 from odolab.sampling import sample_cocycles
 from odolab.speedup import NotMinimalAtDepth, derived_odometer
@@ -430,6 +431,26 @@ def test_orbit_equivalence_no_with_witness():
     assert verdict.outcome == "no"
     _, witness = verdict.certificate
     assert witness == Fraction(1, 3)
+
+
+def _explicit_line(base, depth=3):
+    return OdometerChain.explicit([IntegerLattice.from_rows([[base**j]]) for j in range(1, depth + 1)])
+
+
+def test_orbit_equivalence_against_an_explicit_chain_is_no_only_when_certain():
+    # an explicit chain's group is known only to a checked depth, and its
+    # observed exponents are lower bounds: 3, 9, 27 already holds 1/3,
+    # which 2^j lacks, but lacks 1/2 only as far as it is listed
+    line2, explicit3 = OdometerChain.diagonal_power([2]), _explicit_line(3)
+    for chain_t, chain_s in ((line2, explicit3), (explicit3, line2)):
+        verdict = orbit_equivalence_test(chain_t, chain_s)
+        assert (verdict.outcome, verdict.certificate) == ("no", ("value-group witness", Fraction(1, 3)))
+    # 6, 36, 216 holds nothing the mixed source lacks, and two explicit
+    # chains never differ for certain
+    explicit6 = _explicit_line(6)
+    for chain_t, chain_s in ((explicit6, chain32()), (chain32(), explicit6), (explicit3, explicit6)):
+        assert orbit_equivalence_test(chain_t, chain_s).outcome == "undecided"
+        assert chain_t.clopen_value_group(6).certain_witness(chain_s.clopen_value_group(6)) is None
 
 
 # ---------------------------------------------------------------- implication lattice

@@ -42,6 +42,7 @@ from _oracles import (
     stage_checks_by_levels,
     stored_in_climb_order,
     swap_by_full_scan,
+    target_bases_by_deal,
     target_castle_by_translation,
     tower_from_levels,
     x0_column_points,
@@ -94,12 +95,16 @@ def assert_walk_matches_the_translating_oracle(con, k):
 
 
 def assert_targets_are_translation_climbs(con):
-    """Every target tower, base + v by definition, equals the +1 climb of
-    its base, at the stage's working depth of the source's indices."""
+    """The target bases dealt to the source towers by their widths are the
+    multiples of the height below the working index, and every target
+    tower, base + v by definition, equals the +1 climb of its base, at the
+    stage's working depth of the source's indices."""
     for rec in con.stages:
         tspace = source_index_chain(con.source).kr_partition(rec.gamma)
-        expected = [[[c + v for c in base] for v in range(rec.height)] for base in rec.tgt_bases]
-        assert target_castle_by_translation(tspace, rec.tgt_bases, rec.height) == expected
+        bases = target_bases_by_deal([t.width for t in rec.src_castle.towers], rec.height)
+        assert sorted(c for base in bases for c in base) == list(range(0, tspace.size, rec.height))
+        expected = [[[c + v for c in base] for v in range(rec.height)] for base in bases]
+        assert target_castle_by_translation(tspace, bases, rec.height) == expected
 
 
 def test_anchor_choice_and_schedule():
@@ -259,38 +264,6 @@ def test_audit_matches_the_oracle_on_a_wide_level_straddling_two_cylinders():
     assert "levels-refine-cylinders" in report.failures()
 
 
-# quadrant stage 1: target bases of widths 1, 1, 2, 1, 1, all multiples of the height
-@pytest.mark.parametrize("alpha", [0, 2])
-def test_audit_matches_the_oracle_on_a_target_base_shifted_by_one(alpha):
-    # the shifted tower overlaps the next one and leaves its old base uncovered
-    con = build(2)
-    bases = con.stages[1].tgt_bases
-    bases[alpha] = array("i", [c + 1 for c in bases[alpha]])
-    report = assert_audit_matches_the_level_oracle(con, 1)
-    assert "target-translation-castle" in report.failures()
-    assert "pairing-intertwines" in report.failures()
-
-
-def test_audit_matches_the_oracle_on_target_bases_swapped_between_widths():
-    # the target still tiles, but its towers no longer pair with the source's
-    con = build(2)
-    bases = con.stages[1].tgt_bases
-    assert [len(b) for b in bases] == [1, 1, 2, 1, 1]
-    bases[0], bases[2] = bases[2], bases[0]
-    report = assert_audit_matches_the_level_oracle(con, 1)
-    assert report.failures() == ["pairing-intertwines"]
-
-
-def test_audit_matches_the_oracle_on_a_target_base_straddling_two_cylinders():
-    # the depth-n target cylinders are the residues mod the height
-    con = build(2)
-    bases = con.stages[1].tgt_bases
-    bases[2] = array("i", [bases[2][0], bases[2][1] + 1])
-    report = assert_audit_matches_the_level_oracle(con, 1)
-    assert "target-levels-refine-cylinders" in report.failures()
-    assert "target-translation-castle" in report.failures()
-
-
 def _detour(con, k, v, via):
     """Send the x0 column of stage k from its level-v point through the
     exact points `via`, then on to its own point one level after them,
@@ -346,7 +319,7 @@ def _hand_built(cone, vectors):
     con.stages = [
         StageRecord(
             k=0, n=1, gamma=1, height=len(codes), src_castle=castle,
-            tgt_bases=[array("i", [0])], f_atoms=frozenset(), r_atoms=frozenset(), swap_audit=((), ()),
+            f_atoms=frozenset(), r_atoms=frozenset(), swap_audit=((), ()),
         )
     ]
     return con
@@ -396,7 +369,7 @@ def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
     con = build(2)
     rec = con.stages[1]
     hand = _hand_built(Cone.quadrant(2), [(1, 0), (0, 1)]).stages[0]
-    rec.src_castle, rec.tgt_bases, rec.n = hand.src_castle, hand.tgt_bases, rec.gamma + 1
+    rec.src_castle, rec.n = hand.src_castle, rec.gamma + 1
     report = assert_audit_matches_the_level_oracle(con, 1)
     details = {
         "levels-refine-cylinders": "lift needs a coarser atom space of the same chain",
@@ -414,16 +387,6 @@ def test_finer_target_towers_are_translation_climbs():
         assert con.stage_invariants(k).ok, k
     assert [rec.gamma for rec in con.stages] == [3, 5]
     assert_targets_are_translation_climbs(con)
-
-
-def test_a_rotated_previous_target_tower_is_refused():
-    # the tall tower's blocks must start at previous target bases; with
-    # tower 0 turned one level, its base is its old level 1
-    con = build(1)
-    bases = con.stages[0].tgt_bases
-    bases[0] = array("i", [c + 1 for c in bases[0]])
-    with pytest.raises(CastleError, match="block itineraries must start at previous bases"):
-        con.run(2)
 
 
 @pytest.mark.parametrize("inside", [False, True])
@@ -566,6 +529,15 @@ CORRUPTIONS = {
     "unused-vector-outside-the-cone": (_unused_vector_outside_the_cone, []),
     "atom-doubled-in-a-wide-level": (
         _atom_doubled_in_a_wide_level, ["castle-shape", "level-maps-biject", "pairing-intertwines"]
+    ),
+    # depth-(n + 1) target cylinders hold one residue mod 6h: the bases of
+    # the width-2 tower, h apart, lie in two
+    "target-stage-plus-one": (lambda rec, prev: setattr(rec, "n", rec.n + 1), ["target-levels-refine-cylinders"]),
+    # the towers stay h tall, and h + 1 neither divides the working index
+    # nor is a multiple of I(n) = h
+    "height-plus-one": (
+        lambda rec, prev: setattr(rec, "height", rec.height + 1),
+        ["castle-shape", "target-levels-refine-cylinders", "target-translation-castle", "pairing-intertwines"],
     ),
 }
 
@@ -796,11 +768,10 @@ def test_each_inductive_stage_lifts_the_previous_map_once(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])
-def test_tower_codes_and_target_bases_are_int32_arrays(case):
+def test_tower_codes_are_int32_arrays(case):
     # one array type for every atom array, as the images and step ids are
     for rec in build_case(case).stages:
         assert {t.codes.typecode for t in rec.src_castle.towers} == {"i"}, rec.k
-        assert {b.typecode for b in rec.tgt_bases} == {"i"}, rec.k
 
 
 @pytest.mark.parametrize("case", ["quadrant", "derived-sector", "cube"])

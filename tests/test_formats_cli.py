@@ -180,6 +180,20 @@ def test_syntax_error_carries_position():
     ]:
         with pytest.raises(SpecSyntaxError, match=rf"^line 1, column {column}: {message}$"):
             parse_cocycle(header + "\ngen 1:\nrep (0) -> (1)", chain=line)
+    # a sector's include= is one of four words, refused at its value; a
+    # diagpow rule list holds one rule or one per base, and a bad rule is
+    # refused at the exps= value too
+    for parse, text, column, message in [
+        (parse_cone, "cone=sector u=1,0 v=1,1 include=bogus", 33, "include must be both, u, v or none"),
+        (parse_chain, "dim=2 provider=diagpow primes=3,2 exps=j,j,j", 40, "exps needs 1 or 2 rules, got 3"),
+        (parse_chain, "dim=3 provider=diagpow primes=3,2,5 exps=j,j", 42, "exps needs 1 or 3 rules, got 2"),
+        (parse_chain, "dim=2 provider=diagpow primes=3,2 exps=j,x", 40, r"bad exponent rule 'x' \(use j, 2j, \.\.\.\)"),
+        (parse_chain, "dim=2 provider=diagpow primes=3,2 exps=j,3", 40, "constant exponents other than 0 are not a rule"),
+    ]:
+        with pytest.raises(SpecSyntaxError, match=rf"^line 1, column {column}: {message}$"):
+            parse(text)
+    assert parse_cone("cone=sector u=1,0 v=1,1 include=none").sector_data[2:] == (False, False)
+    assert parse_chain("dim=2 provider=diagpow primes=3,2 exps=2j").stage(1).diag == (9, 4)
 
 
 # ---------------------------------------------------------------- CLI
@@ -311,6 +325,24 @@ def test_cli_construct_refuses_an_explicit_target(specdir, capsys):
     )
 
 
+def test_cli_oe_finds_a_certain_witness_against_an_explicit_chain(specdir, capsys):
+    # the observed group of an explicit chain lies inside its own, so 1/3,
+    # which 3, 9, 27 already holds, is a certain witness against 2^j; 1/2 is
+    # not, since the explicit chain's later stages could hold it
+    (specdir / "line2.chain").write_text("dim=1 provider=diagpow primes=2 exps=j")
+    (specdir / "e3.chain").write_text("dim=1 provider=explicit\n1; 3\n1; 9\n1; 27")
+    (specdir / "quad1.cone").write_text("cone=quadrant dim=1")
+    for pair in (["line2.chain", "e3.chain"], ["e3.chain", "line2.chain"]):
+        assert main(["classify", "oe", *(str(specdir / name) for name in pair)]) == 1
+        assert capsys.readouterr().out == "orbit-equivalent: no certificate=(value-group witness, 1/3)\n"
+    argv = ["construct", "--source", str(specdir / "line2.chain"), "--target", str(specdir / "e3.chain"),
+            "--cone", str(specdir / "quad1.cone"), "--stages", "1"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "odolab: error: source and target clopen value groups differ: 1/3 lies in only one of them\n"
+    )
+
+
 def test_cli_construct_refuses_chains_whose_atoms_never_get_finer(specdir, capsys):
     (specdir / "ones.chain").write_text("dim=2 provider=diagpow primes=1,1 exps=j,j")
     (specdir / "one.chain").write_text("dim=1 provider=diagpow primes=1 exps=j")
@@ -369,6 +401,9 @@ BAD_SPECS = {
     "zerod2.cocycle": "chain=mixed.chain J=1 d2=0",
     "zeroj.cocycle": "chain=mixed.chain J=0 d2=1\ngen 1:\nrep (0,0) -> (1,0)",
     "negd2.cocycle": "chain=mixed.chain J=1 d2=-1",
+    "badinclude.cone": "cone=sector u=1,0 v=1,1 include=bogus",
+    "longexps.chain": "dim=2 provider=diagpow primes=3,2 exps=j,j,j",
+    "shortexps.chain": "dim=3 provider=diagpow primes=3,2,5 exps=j,j",
 }
 
 
@@ -452,6 +487,12 @@ BAD_SPECS = {
         (["speedup", "cone", "zerod2.cocycle"], "line 1, column 26: d2 must be at least 1, got 0"),
         (["speedup", "validate", "zeroj.cocycle"], "line 1, column 21: J must be at least 1, got 0"),
         (["speedup", "validate", "negd2.cocycle"], "line 1, column 26: d2 must be at least 1, got -1"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "badinclude.cone"],
+            "line 1, column 33: include must be both, u, v or none",
+        ),
+        (["odometer", "stage", "longexps.chain", "--depth", "2"], "line 1, column 40: exps needs 1 or 2 rules, got 3"),
+        (["odometer", "stage", "shortexps.chain"], "line 1, column 42: exps needs 1 or 3 rules, got 2"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
