@@ -26,9 +26,10 @@ column, and `images`, which gives the images of a run of codes, one table
 read per atom; the speedup layer reads its quotient permutations with the
 same `images`, at every code.  No castle builds an image array of the
 whole space.  Every tower the build hands on is stored in climb order
-(`_put_in_climb_order` mends the few levels its joins and swaps can leave
-out of it), so `castle_refinement_over` and `refine_pure_columns` read
-column i as `codes[i::width]`, climb nothing, and store each new tower's
+(`_put_in_climb_order` mends it at the few break edges of a stage's one
+mending pass per pretower: its joins and the edges beside its swaps), so
+`castle_refinement_over` and `refine_pure_columns` read column i as
+`codes[i::width]`, climb nothing, and store each new tower's
 columns side by side by strided assignment.  `refine_pure_columns` takes
 the cylinders of each wide tower as an array laid out like its codes,
 which the base stage reads off one `AtomSpace.lift` and every inductive

@@ -14,11 +14,13 @@ inside the source space, stage by stage:
             the previous map, separate the anchors by choosing columns of
             that climb, rotate the two anchor towers so the anchors sit at
             the base and top, swap the boundary into the next anchor
-            cylinders (recording the moved set and patching the previous
-            translation map where it broke), join consecutive blocks by
-            fresh cone translations, and permute columns back into climb
-            order where the joins and swaps broke it, reading the cylinders
-            off the previous castle's columns.
+            cylinders (recording the moved set), and mend each pretower in
+            one pass over its break edges, the block joins and the edges
+            beside the swapped levels: one rule sends the atoms the lifted
+            previous map no longer takes to the next level by fresh cone
+            translations (at a join, every atom), and the columns are
+            permuted back into climb order at the same edges; the
+            cylinders are read off the previous castle's columns.
 
 Every stage ends alike (`SpeedupConstruction._stage`): refine to pure
 cylinder columns by the cylinders its build method passes.  The target
@@ -97,7 +99,7 @@ class StageRecord:
     height: int
     src_castle: Castle           # the target castle is a function of its widths and the height (`_stage`)
     f_atoms: frozenset[int]      # swapped points, source working depth
-    r_atoms: frozenset[int]      # where the previous map was rebuilt
+    r_atoms: frozenset[int]      # f_atoms and the atoms whose previous step the mending pass changed
     swap_audit: tuple            # (width, atom count) per tower, (before, after) the swaps
 
 
@@ -393,9 +395,10 @@ class SpeedupConstruction:
 
     def _transfer(self, src, dst, space, lattice, steps, changed=None):
         """Send `src[i]` onto `dst[i]` by the least cone vector; given the
-        set `changed`, add to it each atom whose step this changes.  The
-        search reads only d - s of the representatives (its cap too), so it
-        runs once per lattice and difference in a construction."""
+        set `changed`, add to it each atom that had a step and gets a
+        different one.  The search reads only d - s of the representatives
+        (its cap too), so it runs once per lattice and difference in a
+        construction."""
         if len(src) != len(dst):
             raise CastleError("transfer endpoints have different sizes")
         joins = self._joins
@@ -404,7 +407,7 @@ class SpeedupConstruction:
             key = (lattice, tuple(map(sub, target, source)))
             if (vec := joins.get(key)) is None:
                 vec = joins[key] = minimal_cone_vector(self.cone, target, source, lattice)
-            if changed is not None and steps.get(s) != vec:
+            if changed is not None and steps.get(s, vec) != vec:
                 changed.add(s)
             steps.assign(s, vec)
 
@@ -445,9 +448,9 @@ class SpeedupConstruction:
 
         # --- climb each block piece once up the previous map: column i of a
         # climb starts at the piece's i-th smallest base atom.  The previous
-        # map is rebuilt in place below into this stage's map, and `moves`
-        # reads it as it is at each read: the steps the rebuild and the
-        # joins assign, and the vectors they append, included
+        # map is mended in place below into this stage's map, and `moves`
+        # reads it as it is at each read: the steps the mending pass
+        # assigns, and the vectors it appends, included
         steps = _previous_map(prev.src_castle, gamma)
         moves = space.displacements(steps.vectors, steps.ids)
         climbs = [_climb(moves, piece, h_prev) for piece in pieces]
@@ -491,58 +494,52 @@ class SpeedupConstruction:
             labels[2] = _pretower_labels(prev.src_castle, label_space, layout[2], itinerary, pieces, column_of)
         del column_of
 
-        # --- swap the castle boundary into the anchor cylinders, and read
-        # the cylinders of each level it touched off its own atoms
+        # --- swap the castle boundary into the anchor cylinders
         a0, a2 = self._anchor_sets(k, gamma)
         pre_sizes = _shape(pretowers)
         f_atoms, touched = self._swap(pretowers, a0, a2, x0_atom, x2_atom)
         post_sizes = _shape(pretowers)
-        for alpha, w in touched:
-            if labels[alpha] is not None:
-                t = pretowers[alpha]
-                labels[alpha][w * t.width : (w + 1) * t.width] = array(
-                    "i", (label_space.encode_vector(space.decode(c)) for c in t.level(w))
-                )
 
-        # --- each block was stored in the order of its climb of the previous
-        # map, so the map can break, or send a level onto the next out of
-        # stored order, only at an edge v (level v onto v + 1) that is a join
-        # or next to a level the swap touched
-        joins = range(h_prev - 1, h - 1, h_prev)
-        breaks = [set(joins) for _ in pretowers]
-        for alpha, w in touched:
-            breaks[alpha].update(v for v in (w - 1, w) if 0 <= v < h - 1)
-
-        # --- rebuild the previous map in place at the in-block edges
+        # --- one mending pass per pretower.  Each block was stored in the
+        # order of its climb of the previous map, so the map can break, or
+        # send a level onto the next out of stored order, only at a break
+        # edge v (level v onto v + 1): a join, or an edge beside a level the
+        # swap touched, whose cylinders are read off its own atoms first.  At
+        # each, the atoms of level v whose image is not in level v + 1 get
+        # least cone vectors onto the atoms there that nothing reaches, both
+        # sorted; then the pretower is put back in climb order at the same edges.
+        #
+        # R, the rebuild set, is F, the swapped set, with every atom that had
+        # a step and got a different one (`_transfer`).  At a join every
+        # atom of level v sits over a previous top atom, to which
+        # `_previous_map` gives no step, or the swap brought it there: from
+        # the base, whose image lies in level 1 and not in v + 1, or from the
+        # top, which has no step.  So at a join every atom is stale, the rule
+        # pairs sorted(level v) with sorted(level v + 1), and no join atom
+        # enters R off F.  An in-block stale atom with no step is a swapped
+        # one, in F already.  Were a join atom to keep its image, its kept
+        # step would be a previous step, in the cone.  An atom off F that the
+        # map sends, inside a block, onto an atom the swap brought in had its
+        # old image on that level, and the swap took it away: it was stale,
+        # so it got a new vector, and it is in R
         lattice = self.source.stage(gamma)
         changed: set[int] = set()
-        for alpha, v in sorted((alpha, v) for alpha, vs in enumerate(breaks) for v in vs if (v + 1) % h_prev):
-            tower = pretowers[alpha]
-            dst = set(tower.level(v + 1))
-            stale_src, covered = [], set()
-            level = tower.level(v)
-            for c, image in zip(level, moves.images(level)):  # -1 exactly where the map has no step
-                if image in dst:
-                    covered.add(image)
-                else:
-                    stale_src.append(c)
-            if stale_src:
-                self._transfer(sorted(stale_src), sorted(dst - covered), space, lattice, steps, changed)
-        # record where the map was rebuilt: the swapped set and everything
-        # remapped.  An atom off F that the rebuilt map sends, inside a
-        # block, onto an atom the swap brought in had its old image on that
-        # level, and the swap took it away: it was stale, so the rebuild
-        # gave it a new vector, and it is in `changed`
+        for alpha, tower in enumerate(pretowers):
+            edges = set(range(h_prev - 1, h - 1, h_prev))  # the joins
+            for w in (w for beta, w in touched if beta == alpha):
+                if labels[alpha] is not None:
+                    labels[alpha][w * tower.width : (w + 1) * tower.width] = array(
+                        "i", (label_space.encode_vector(space.decode(c)) for c in tower.level(w))
+                    )
+                edges.update(v for v in (w - 1, w) if 0 <= v < h - 1)
+            edges = sorted(edges)
+            for v in edges:
+                level, dst = tower.level(v), set(tower.level(v + 1))
+                images = moves.images(level)  # -1 exactly where the map has no step
+                stale = sorted(c for c, image in zip(level, images) if image not in dst)
+                self._transfer(stale, sorted(dst.difference(images)), space, lattice, steps, changed)
+            _put_in_climb_order(tower, moves, edges, labels[alpha])
         r_atoms = f_atoms | changed
-
-        # --- join the blocks with fresh cone vectors
-        for tower in pretowers:
-            for v in joins:
-                self._transfer(sorted(tower.level(v)), sorted(tower.level(v + 1)), space, lattice, steps)
-
-        # --- put the pretowers back in climb order at every edge that can break it
-        for alpha, (tower, tower_breaks) in enumerate(zip(pretowers, breaks)):
-            _put_in_climb_order(tower, moves, sorted(tower_breaks), labels[alpha])
 
         return Castle(self.source, gamma, pretowers, steps), labels, f_atoms, r_atoms, (pre_sizes, post_sizes)
 
@@ -808,11 +805,13 @@ class StageReport:
 
 def _previous_map(castle: Castle, depth: int) -> StepMap:
     """The castle's level map off its top levels, at a finer depth of its chain:
-    the map the next stage rebuilds in place, and the one its audit finds
+    the map the next stage mends in place, and the one its audit finds
     unchanged off the rebuild set.
 
     The map is not defined on a top level, so its atoms get no step, even
-    where the castle still holds one from an earlier stage."""
+    where the castle still holds one from an earlier stage.  The next
+    stage's joins sit over those atoms, so its mending pass treats a join
+    as a break edge where this map has no step."""
     ids = array("i", castle.steps.ids)
     for t in castle.towers:
         for c in t.level(t.height - 1):

@@ -50,9 +50,12 @@ def _content_lines(text: str):
 
 
 def _keyvals(line: str, lineno: int) -> dict[str, tuple[str, int]]:
-    """Header tokens as key -> (value text, column of the value)."""
+    """Header tokens as key -> (value text, column of the value); a key
+    given twice is refused at its second occurrence."""
     out = {}
     for m in re.finditer(r"(\S+?)=(\S+)", line):
+        if m.group(1) in out:
+            raise SpecSyntaxError(lineno, m.start(1) + 1, f"repeated key {m.group(1)}=")
         out[m.group(1)] = (m.group(2), m.start(2) + 1)
     if not out:
         raise SpecSyntaxError(lineno, 1, "expected key=value tokens")
@@ -158,7 +161,7 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
         if len(exps) != len(primes):
             raise SpecSyntaxError(lineno, column, f"exps needs 1 or {len(primes)} rules, got {len(exps)}")
         if dim is not None and dim != len(primes):
-            raise SpecSyntaxError(lineno, 1, "dim does not match the prime list")
+            raise SpecSyntaxError(lineno, kv["dim"][1], "dim does not match the prime list")
         return OdometerChain.diagonal_power(primes, exps)
     if provider == "explicit":
         lattices = []
@@ -173,7 +176,7 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
         if not lattices:
             raise SpecSyntaxError(lineno, 1, "explicit chains need at least one stage")
         if dim is not None and dim != lattices[0].dim:
-            raise SpecSyntaxError(lineno, 1, "dim does not match the stage matrices")
+            raise SpecSyntaxError(lineno, kv["dim"][1], "dim does not match the stage matrices")
         return OdometerChain.explicit(lattices)
     if provider == "derived":
         path = _field(kv, "cocycle", lineno, Path)
@@ -184,7 +187,7 @@ def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
         if dim is not None and dim != cocycle.d2:
             raise SpecSyntaxError(lineno, kv["dim"][1], f"dim does not match the cocycle's rank {cocycle.d2}")
         return derived_odometer(cocycle, checked_depth=checked)
-    raise SpecSyntaxError(lineno, 1, f"unknown provider {provider!r}")
+    raise SpecSyntaxError(lineno, kv["provider"][1], f"unknown provider {provider!r}")
 
 
 def emit_chain(chain: OdometerChain) -> str:
@@ -290,14 +293,14 @@ def parse_descriptor(text: str) -> SupergroupDescriptor:
     dim = _field(kv, "dim", lineno, int)
     entries = _field(kv, "shear", lineno, lambda text: [Fraction(t) for t in text.split(",")])
     if len(entries) != dim * dim:
-        raise SpecSyntaxError(lineno, 1, f"shear needs {dim * dim} entries")
+        raise SpecSyntaxError(lineno, kv["shear"][1], f"shear needs {dim * dim} entries")
     shear = [entries[i * dim : (i + 1) * dim] for i in range(dim)]
     supports = _field(
         kv, "supports", lineno,
         lambda text: [set() if chunk in ("", "-") else set(_ints(chunk)) for chunk in text.split("|")],
     )
     if len(supports) != dim:
-        raise SpecSyntaxError(lineno, 1, f"supports need {dim} groups separated by |")
+        raise SpecSyntaxError(lineno, kv["supports"][1], f"supports need {dim} groups separated by |")
     return SupergroupDescriptor.make(shear, supports)
 
 
@@ -354,7 +357,7 @@ def parse_cone(text: str) -> Cone:
             normals.append((normal, flag == ">"))
             column += len(chunk) + 1
         return Cone.from_facets(normals)
-    raise SpecSyntaxError(lineno, 1, "cone kind must be quadrant, sector, or facets")
+    raise SpecSyntaxError(lineno, kv.get("cone", ("", 1))[1], "cone kind must be quadrant, sector, or facets")
 
 
 def emit_cone(cone: Cone) -> str:

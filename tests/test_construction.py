@@ -627,6 +627,22 @@ def test_a_rebuild_set_equal_to_the_swapped_set_is_recorded():
     assert ("rebuild-set-recorded", True, f"|R|={len(rec.f_atoms)}") in report.checks
 
 
+@pytest.mark.parametrize("case, stages", [("quadrant", 5), ("mirrored-quadrant", 4), ("cube", 4), ("sector", 4)])
+def test_the_rebuild_set_is_the_swapped_set_and_the_changed_previous_steps(case, stages):
+    # R - F is minimal: each of its atoms had a step in the previous map, and
+    # the stage gave it a different one.  A join atom, which had none, is not
+    # counted.  `map-stable-off-rebuild` checks only that R covers every change
+    _, kwargs = case_inputs(case)
+    con = build(stages, **kwargs)
+    rebuilt = 0
+    for prev, rec in zip(con.stages, con.stages[1:]):
+        previous, steps = _previous_map(prev.src_castle, rec.gamma), rec.src_castle.steps
+        for c in rec.r_atoms - rec.f_atoms:
+            assert c in previous and previous[c] != steps.get(c), (rec.k, c)
+        rebuilt += len(rec.r_atoms - rec.f_atoms)
+    assert rebuilt
+
+
 def case_inputs(case):
     """The stage count and the `build` arguments of a case: quadrant, dyadic
     or mirrored-quadrant stages 0-3, or derived-sector, sector or
@@ -1151,6 +1167,7 @@ def test_the_mirrored_quadrant_parts_its_anchors_by_trading_the_top(monkeypatch)
     for k in range(3):
         report = assert_audit_matches_the_level_oracle(con, k)
         assert report.ok, (k, report.failures())
+    assert stage_digests(con) == FROZEN["mirrored"]
 
 
 def test_random_plane_facet_cones_build_two_stages(monkeypatch):

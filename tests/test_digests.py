@@ -9,8 +9,8 @@ the benchmark run.  Quadrant stage 3 is left to the benchmark.
 
 `FROZEN` holds the stage 0-2 digests of runs the benchmark does not hash:
 every inductive stage of them separates the two anchors out of one
-pretower.  The sector, derived-sector and dyadic runs are checked by the
-tests in `test_construction.py` that already build them.
+pretower.  The sector, derived-sector, dyadic and mirrored-quadrant runs
+are checked by the tests in `test_construction.py` that already build them.
 """
 
 import json
@@ -50,6 +50,13 @@ FROZEN = {
         "b8012d62ca32da9f9f7f52ae1cc8c78bf1dd28884db966053f01acc852069132",
         "791d470940e7bbcfa616117c399379e31e21fc2c68fe1b940abe2d4e0894b0da",
         "3973ce8c469d32c8b3aa80a9c537cc81d6354ca13fe306c87e333ccf596b2a9f",
+    ),
+    # diagonal primes=3,2 -> 6^j, the mirrored quadrant x <= 0, y <= 0, whose
+    # base stage trades the top's two least atoms
+    "mirrored": (
+        "71dbfe66a9ea7a9d67dbf1a11112a51b2b50b3d62ee28b7dde738cb2659a7814",
+        "5752ca4e5c4816b869cbf1cf079569b05dc5c4ebf10365c7729f2efcae958dbc",
+        "ff5bb8ca3d6b41121d1acec11365a8e3f3d70078f2b4dbbaf0c6b51c03631eb9",
     ),
 }
 

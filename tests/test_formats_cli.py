@@ -189,6 +189,20 @@ def test_syntax_error_carries_position():
         (parse_chain, "dim=3 provider=diagpow primes=3,2,5 exps=j,j", 42, "exps needs 1 or 3 rules, got 2"),
         (parse_chain, "dim=2 provider=diagpow primes=3,2 exps=j,x", 40, r"bad exponent rule 'x' \(use j, 2j, \.\.\.\)"),
         (parse_chain, "dim=2 provider=diagpow primes=3,2 exps=j,3", 40, "constant exponents other than 0 are not a rule"),
+        # a key given twice is refused at its second occurrence, not read as
+        # the last of the two
+        (parse_cone, "cone=sector u=1,0 v=1,1 include=u include=v", 35, "repeated key include="),
+        (parse_chain, "provider=diagpow primes=3,2 primes=2,2", 29, "repeated key primes="),
+        (parse_cone, "cone=quadrant dim=2 dim=2", 21, "repeated key dim="),
+        # a header error that blames one value is positioned at it; a
+        # missing cone= stays at column 1
+        (parse_chain, "dim=3 provider=diagpow primes=3,2", 5, "dim does not match the prime list"),
+        (parse_chain, "dim=2 provider=bogus", 16, "unknown provider 'bogus'"),
+        (parse_chain, "dim=3 provider=explicit\n2; 1 0; 0 1", 5, "dim does not match the stage matrices"),
+        (parse_descriptor, "dim=2 shear=1,0,0 supports=3|2", 13, "shear needs 4 entries"),
+        (parse_descriptor, "dim=2 shear=1,0,0,1 supports=3", 30, r"supports need 2 groups separated by \|"),
+        (parse_cone, "cone=bogus dim=2", 6, "cone kind must be quadrant, sector, or facets"),
+        (parse_cone, "dim=2", 1, "cone kind must be quadrant, sector, or facets"),
     ]:
         with pytest.raises(SpecSyntaxError, match=rf"^line 1, column {column}: {message}$"):
             parse(text)
@@ -404,6 +418,11 @@ BAD_SPECS = {
     "badinclude.cone": "cone=sector u=1,0 v=1,1 include=bogus",
     "longexps.chain": "dim=2 provider=diagpow primes=3,2 exps=j,j,j",
     "shortexps.chain": "dim=3 provider=diagpow primes=3,2,5 exps=j,j",
+    "twoinclude.cone": "cone=sector u=1,0 v=1,1 include=u include=v",
+    "twoprimes.chain": "dim=2 provider=diagpow primes=3,2 primes=2,2",
+    "dimprimes.chain": "dim=3 provider=diagpow primes=3,2",
+    "bogus.chain": "dim=2 provider=bogus",
+    "bogus.cone": "cone=bogus dim=2",
 }
 
 
@@ -493,6 +512,17 @@ BAD_SPECS = {
         ),
         (["odometer", "stage", "longexps.chain", "--depth", "2"], "line 1, column 40: exps needs 1 or 2 rules, got 3"),
         (["odometer", "stage", "shortexps.chain"], "line 1, column 42: exps needs 1 or 3 rules, got 2"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "twoinclude.cone"],
+            "line 1, column 35: repeated key include=",
+        ),
+        (["odometer", "stage", "twoprimes.chain"], "line 1, column 35: repeated key primes="),
+        (["odometer", "stage", "dimprimes.chain"], "line 1, column 5: dim does not match the prime list"),
+        (["odometer", "stage", "bogus.chain"], "line 1, column 16: unknown provider 'bogus'"),
+        (
+            ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "bogus.cone"],
+            "line 1, column 6: cone kind must be quadrant, sector, or facets",
+        ),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):
