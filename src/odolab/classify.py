@@ -252,6 +252,11 @@ def fit_descriptor(chain: OdometerChain, depth: int):
     exactly.  Returns a descriptor or NoFit; depth must be at least 2 so a
     shear has two stages to pin it down.
 
+    Outside dimension 2 the fit is the coordinate product whose support i
+    holds the primes of the stage generators' i-th coordinates.  Every
+    one-dimensional chain fits: stage j's dual is (1/I(j))Z, and cutting
+    the product at I(j) gives it back.
+
     In dimension 2 the fit is the shear [[1, 0], [lam, 1]] with supports
     (sup1, sup2): sup1 the primes of the stage generators' first
     coordinates, sup2 those of the stages' vertical scales.  The shears
@@ -279,15 +284,6 @@ def fit_descriptor(chain: OdometerChain, depth: int):
     if depth < 2:
         raise ClassifyError("fitting needs at least two stages")
     duals = [chain.cohomology_stage(j) for j in range(1, depth + 1)]
-    if chain.dim == 1:
-        primes: set[int] = set()
-        for j in range(1, depth + 1):
-            primes |= set(prime_factors(chain.index(j)))
-        desc = SupergroupDescriptor.coordinate([primes])
-        if _fit_valid(desc, chain, duals):
-            return desc
-        return NoFit("one-dimensional stages are not pure prime-power scales")
-
     if chain.dim != 2:
         desc = SupergroupDescriptor.coordinate(_coordinate_supports(duals, chain.dim))
         if _fit_valid(desc, chain, duals):

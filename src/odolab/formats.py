@@ -62,6 +62,16 @@ def _keyvals(line: str, lineno: int) -> dict[str, tuple[str, int]]:
     return out
 
 
+def _header(text: str, kind: str):
+    """The content lines of a spec, and its first line's number and header
+    tokens; a text of blank and comment lines is an empty spec."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise SpecSyntaxError(1, 1, f"empty {kind} spec")
+    lineno, header = lines[0]
+    return lines, lineno, _keyvals(header, lineno)
+
+
 def _field(kv, key: str, lineno: int, parse=str, default=...):
     """Header value of `key` converted by `parse` (required unless a default
     is given); a missing or malformed value raises a positioned SpecSyntaxError."""
@@ -143,11 +153,7 @@ def _parse_exponent(token: str, lineno: int, column: int) -> int:
 
 
 def parse_chain(text: str, base_dir: Path | None = None) -> OdometerChain:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise SpecSyntaxError(1, 1, "empty chain spec")
-    lineno, header = lines[0]
-    kv = _keyvals(header, lineno)
+    lines, lineno, kv = _header(text, "chain")
     provider = _field(kv, "provider", lineno)
     dim = _field(kv, "dim", lineno, int, None)
     if provider == "diagpow":
@@ -213,11 +219,7 @@ _REP_RE = re.compile(r"^rep\s*\(([^)]*)\)\s*->\s*\(([^)]*)\)$")
 
 
 def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain | None = None) -> PiecewiseCocycle:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise SpecSyntaxError(1, 1, "empty cocycle spec")
-    lineno, header = lines[0]
-    kv = _keyvals(header, lineno)
+    lines, lineno, kv = _header(text, "cocycle")
     depth = _field(kv, "J", lineno, int, 1)
     d2 = _field(kv, "d2", lineno, int)
     for key, value in (("J", depth), ("d2", d2)):
@@ -228,7 +230,9 @@ def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain 
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         chain = load_chain(path)
+    space = chain.kr_partition(depth)
     tables: list[dict] = []
+    heads: list[int] = []  # the line of each table's `gen i:`
     current: dict | None = None
     for ln, line in lines[1:]:
         m = re.match(r"^gen\s+(\d+)\s*:$", line.strip())
@@ -237,6 +241,7 @@ def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain 
                 raise SpecSyntaxError(ln, 1, "generators must appear in order 1, 2, ...")
             current = {}
             tables.append(current)
+            heads.append(ln)
             continue
         m = _REP_RE.match(line.strip())
         if not m:
@@ -245,9 +250,19 @@ def parse_cocycle(text: str, base_dir: Path | None = None, chain: OdometerChain 
             raise SpecSyntaxError(ln, 1, "rep line before any 'gen i:' header")
         indent = len(line) - len(line.lstrip())
         rep = _rep_vector(m, 1, ln, indent, chain.dim)
+        column = indent + m.start(1) + 1
+        if not all(0 <= x < side for x, side in zip(rep, space.rectangle)):
+            sides = "x".join(map(str, space.rectangle))
+            raise SpecSyntaxError(ln, column, f"rep ({m.group(1)}) lies outside the depth-{depth} coset rectangle {sides}")
+        if rep in current:
+            raise SpecSyntaxError(ln, column, f"repeated rep ({m.group(1)})")
         current[rep] = _rep_vector(m, 2, ln, indent, chain.dim)
     if len(tables) != d2:
         raise SpecSyntaxError(lineno, 1, f"expected {d2} generator tables, found {len(tables)}")
+    for i, (ln, table) in enumerate(zip(heads, tables), start=1):
+        if len(table) < space.size:  # its reps are distinct and in the rectangle, so one is missing
+            missing = next(rep for rep in map(space.decode, space.atoms()) if rep not in table)
+            raise SpecSyntaxError(ln, 1, f"gen {i} has no rep ({','.join(map(str, missing))})")
     return PiecewiseCocycle(chain, d2, depth, tuple(tables))
 
 
@@ -285,11 +300,7 @@ def load_cocycle(path) -> PiecewiseCocycle:
 # ---------------------------------------------------------------- descriptors
 
 def parse_descriptor(text: str) -> SupergroupDescriptor:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise SpecSyntaxError(1, 1, "empty descriptor spec")
-    lineno, header = lines[0]
-    kv = _keyvals(header, lineno)
+    _, lineno, kv = _header(text, "descriptor")
     dim = _field(kv, "dim", lineno, int)
     entries = _field(kv, "shear", lineno, lambda text: [Fraction(t) for t in text.split(",")])
     if len(entries) != dim * dim:
@@ -317,11 +328,7 @@ def load_descriptor(path) -> SupergroupDescriptor:
 # ---------------------------------------------------------------- cones
 
 def parse_cone(text: str) -> Cone:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise SpecSyntaxError(1, 1, "empty cone spec")
-    lineno, header = lines[0]
-    kv = _keyvals(header, lineno)
+    _, lineno, kv = _header(text, "cone")
     kind = _field(kv, "cone", lineno, default=None)
     if kind == "quadrant":
         dim = _field(kv, "dim", lineno, int)

@@ -1,19 +1,19 @@
 """Reproduction catalog: every worked example as an executable case.
 
-Each case embeds its input files verbatim (they go through the real
-parsers), runs the pipeline, and compares exact values.  Expected facts
-carry a provenance tag: 'published' for values transcribed from the
-source material, 'derived' for values computed here by an independent
-oracle, 'trivial' for bookkeeping identities.
+Each case embeds its input specs verbatim, parses them in memory with the
+real parsers, runs the pipeline, and compares exact values.  A cocycle's
+`chain=` header is not read there: the case parses the embedded chain
+spec and passes that chain.  Expected facts carry a provenance tag:
+'published' for values transcribed from the source material, 'derived'
+for values computed here by an independent oracle, 'trivial' for
+bookkeeping identities.
 """
 
 from __future__ import annotations
 
 import random
-import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .classify import (
     SupergroupDescriptor,
@@ -24,14 +24,8 @@ from .classify import (
     orbit_equivalence_test,
 )
 from .construction import SpeedupConstruction
-from .formats import (
-    load_chain,
-    load_cocycle,
-    load_cone,
-    load_descriptor,
-)
+from .formats import parse_chain, parse_cocycle, parse_cone, parse_descriptor
 from .lattice import IntegerLattice, RationalLattice
-from .odometer import OdometerChain
 from .sampling import sample_cocycles
 from .speedup import (
     Cone,
@@ -126,24 +120,18 @@ DYADIC_DESCRIPTOR = "dim=2 shear=1,0,0,1 supports=2|2"
 QUADRANT_CONE = "cone=quadrant dim=2"
 
 
-def _materialize(workdir: Path, files: dict[str, str]):
-    for name, content in files.items():
-        (workdir / name).write_text(content)
+def _cocycle(text: str, chain_spec: str):
+    """An embedded cocycle on the parsed chain spec, validated as
+    `load_cocycle` validates, so an invalid table raises."""
+    cocycle = parse_cocycle(text, chain=parse_chain(chain_spec))
+    validate(cocycle)
+    return cocycle
 
 
 # ---------------------------------------------------------------- cases
 
-def _case_shear_speedup(report: CaseReport, workdir: Path, rng):
-    _materialize(
-        workdir,
-        {
-            "mixed.chain": MIXED_CHAIN,
-            "rowshear.cocycle": ROW_SHEAR_COCYCLE,
-            "base.desc": BASE_DESCRIPTOR,
-            "sheared.desc": SHEARED_DESCRIPTOR,
-        },
-    )
-    cocycle = load_cocycle(workdir / "rowshear.cocycle")
+def _case_shear_speedup(report: CaseReport, rng):
+    cocycle = _cocycle(ROW_SHEAR_COCYCLE, MIXED_CHAIN)
     report.add("cocycle-validates", "published", validate(cocycle, raise_on_error=False).ok)
 
     chain = derived_odometer(cocycle, checked_depth=2)
@@ -165,10 +153,10 @@ def _case_shear_speedup(report: CaseReport, workdir: Path, rng):
             f"{chain.cohomology_stage(j)}",
         )
 
-    sheared = load_descriptor(workdir / "sheared.desc")
-    base = load_descriptor(workdir / "base.desc")
+    sheared = parse_descriptor(SHEARED_DESCRIPTOR)
+    base = parse_descriptor(BASE_DESCRIPTOR)
     fitted = fit_descriptor(chain, 5)
-    report.add("fitted-descriptor-is-half-shear", "published", fitted == sheared, fitted.describe() if hasattr(fitted, "describe") else str(fitted))
+    report.add("fitted-descriptor-is-half-shear", "published", fitted == sheared, fitted.describe())
 
     vec = (Fraction(1, 3), Fraction(1, 6))
     report.add("separating-vector-in-speedup-group", "published", sheared.member(vec))
@@ -185,20 +173,12 @@ def _case_shear_speedup(report: CaseReport, workdir: Path, rng):
     report.add("continuous-oe-found", "derived", coe.outcome == "yes", str(coe.witness))
     conj = conjugate_test(desc_t=base, desc_s=sheared)
     report.add("not-conjugate", "published", conj.outcome == "no")
-    oe = orbit_equivalence_test(load_chain(workdir / "mixed.chain"), chain)
+    oe = orbit_equivalence_test(parse_chain(MIXED_CHAIN), chain)
     report.add("orbit-equivalent", "trivial", oe.outcome == "yes")
 
 
-def _case_dyadic_speedup(report: CaseReport, workdir: Path, rng):
-    _materialize(
-        workdir,
-        {
-            "dyadic.chain": DYADIC_CHAIN,
-            "staircase.cocycle": STAIRCASE_COCYCLE,
-            "dyadic.desc": DYADIC_DESCRIPTOR,
-        },
-    )
-    cocycle = load_cocycle(workdir / "staircase.cocycle")
+def _case_dyadic_speedup(report: CaseReport, rng):
+    cocycle = _cocycle(STAIRCASE_COCYCLE, DYADIC_CHAIN)
     flags = minimality_to_depth(cocycle, 8)
     report.add("minimal-to-depth-8", "published", all(flags.values()), str(flags[8]))
 
@@ -221,14 +201,13 @@ def _case_dyadic_speedup(report: CaseReport, workdir: Path, rng):
 
     chain = derived_odometer(cocycle, checked_depth=3)
     fitted = fit_descriptor(chain, 4)
-    desc = load_descriptor(workdir / "dyadic.desc")
+    desc = parse_descriptor(DYADIC_DESCRIPTOR)
     conj = conjugate_test(desc_t=desc, desc_s=fitted)
     report.add("conjugate-to-dyadic-square", "published", conj.outcome == "yes")
 
 
-def _case_axis_obstruction(report: CaseReport, workdir: Path, rng):
-    _materialize(workdir, {"mixed.chain": MIXED_CHAIN, "rowshear.cocycle": ROW_SHEAR_COCYCLE})
-    cocycle = load_cocycle(workdir / "rowshear.cocycle")
+def _case_axis_obstruction(report: CaseReport, rng):
+    cocycle = _cocycle(ROW_SHEAR_COCYCLE, MIXED_CHAIN)
 
     hull = cone_hull(cocycle)
     report.add(
@@ -249,7 +228,7 @@ def _case_axis_obstruction(report: CaseReport, workdir: Path, rng):
     report.add("inclusive-quadrant-accepted", "published", ok)
 
     # rigidity probe: diagonal derived chains force product form
-    chain = load_chain(workdir / "mixed.chain")
+    chain = parse_chain(MIXED_CHAIN)
     samples = sample_cocycles(chain, 120, rng)
     diag = lambda j: IntegerLattice.diagonal([3**j, 2**j])
     checked = hits = consistent = 0
@@ -280,7 +259,7 @@ def _case_axis_obstruction(report: CaseReport, workdir: Path, rng):
     )
 
 
-def _case_sandwich_rigidity(report: CaseReport, workdir: Path, rng):
+def _case_sandwich_rigidity(report: CaseReport, rng):
     for target_index, m, expected in (
         (6, 1, IntegerLattice.diagonal([3, 2])),
         (36, 2, IntegerLattice.diagonal([9, 4])),
@@ -308,14 +287,10 @@ def _case_sandwich_rigidity(report: CaseReport, workdir: Path, rng):
         )
 
 
-def _case_construction(report: CaseReport, workdir: Path, rng):
-    _materialize(
-        workdir,
-        {"mixed.chain": MIXED_CHAIN, "target.chain": TARGET_CHAIN, "quadrant.cone": QUADRANT_CONE},
-    )
-    source = load_chain(workdir / "mixed.chain")
-    target = load_chain(workdir / "target.chain")
-    cone = load_cone(workdir / "quadrant.cone")
+def _case_construction(report: CaseReport, rng):
+    source = parse_chain(MIXED_CHAIN)
+    target = parse_chain(TARGET_CHAIN)
+    cone = parse_cone(QUADRANT_CONE)
     oe = orbit_equivalence_test(source, target)
     report.add("value-groups-match", "derived", oe.outcome == "yes", str(oe.witness))
     con = SpeedupConstruction(source, target, cone).run(3)
@@ -334,26 +309,21 @@ def _case_construction(report: CaseReport, workdir: Path, rng):
         )
 
 
-def _case_classification_catalog(report: CaseReport, workdir: Path, rng):
-    base = SupergroupDescriptor.coordinate([{3}, {2}])
-    sheared = SupergroupDescriptor.make([[1, 0], [Fraction(-1, 2), 1]], [{3}, {2}])
-    dyadic = SupergroupDescriptor.coordinate([{2}, {2}])
-    mixed = OdometerChain.diagonal_power([3, 2])
-    dy = OdometerChain.diagonal_power([2, 2])
-    row_shear = derived_odometer(
-        parse_embedded_cocycle(workdir, MIXED_CHAIN, ROW_SHEAR_COCYCLE, "mixed.chain", "a.cocycle"),
-        checked_depth=2,
-    )
-    stairs = derived_odometer(
-        parse_embedded_cocycle(workdir, DYADIC_CHAIN, STAIRCASE_COCYCLE, "dyadic.chain", "b.cocycle"),
-        checked_depth=2,
-    )
+def _case_classification_catalog(report: CaseReport, rng):
+    base = parse_descriptor(BASE_DESCRIPTOR)
+    sheared = parse_descriptor(SHEARED_DESCRIPTOR)
+    dyadic = parse_descriptor(DYADIC_DESCRIPTOR)
+    mixed = parse_chain(MIXED_CHAIN)
+    dy = parse_chain(DYADIC_CHAIN)
+    rank_one = parse_chain(TARGET_CHAIN)
+    row_shear = derived_odometer(_cocycle(ROW_SHEAR_COCYCLE, MIXED_CHAIN), checked_depth=2)
+    stairs = derived_odometer(_cocycle(STAIRCASE_COCYCLE, DYADIC_CHAIN), checked_depth=2)
     pairs = [
         ("mixed-vs-its-speedup", base, sheared, mixed, row_shear),
         ("dyadic-vs-its-speedup", dyadic, fit_descriptor(stairs, 4), dy, stairs),
         ("mixed-vs-dyadic", base, dyadic, mixed, dy),
         ("mixed-vs-itself", base, base, mixed, mixed),
-        ("mixed-vs-rank-one", base, fit_descriptor(OdometerChain.diagonal_power([6]), 3), mixed, OdometerChain.diagonal_power([6])),
+        ("mixed-vs-rank-one", base, fit_descriptor(rank_one, 3), mixed, rank_one),
     ]
     strength = {"yes": 1, "undecided": 0, "no": -1}
     for name, da, db, ca, cb in pairs:
@@ -375,17 +345,11 @@ def _case_classification_catalog(report: CaseReport, workdir: Path, rng):
         )
 
 
-def parse_embedded_cocycle(workdir, chain_text, cocycle_text, chain_name, cocycle_name):
-    (workdir / chain_name).write_text(chain_text)
-    (workdir / cocycle_name).write_text(cocycle_text.replace("mixed.chain", chain_name).replace("dyadic.chain", chain_name))
-    return load_cocycle(workdir / cocycle_name)
-
-
-def _case_continuous_oe_probe(report: CaseReport, workdir: Path, rng):
+def _case_continuous_oe_probe(report: CaseReport, rng):
     """Exploratory probe only: whether bounded speedups of the mixed chain
     look continuously orbit equivalent to it.  Observations are reported
     and never asserted."""
-    chain = OdometerChain.diagonal_power([3, 2])
+    chain = parse_chain(MIXED_CHAIN)
     base = fit_descriptor(chain, 4)
     samples = sample_cocycles(chain, 25, rng)
     yes = no = undecided = nofit = notmin = 0
@@ -431,6 +395,5 @@ def run_repro(name: str, seed: int = 20210223) -> CaseReport:
         raise UnknownCase(f"unknown case {name!r}; known: {', '.join(sorted(CASES))}")
     report = CaseReport(name)
     rng = random.Random(seed)
-    with tempfile.TemporaryDirectory() as tmp:
-        CASES[name](report, Path(tmp), rng)
+    CASES[name](report, rng)
     return report

@@ -96,6 +96,17 @@ def test_sheared_dual_contains_separating_vector():
 def test_fit_descriptor_one_dimensional():
     desc = fit_descriptor(OdometerChain.diagonal_power([6]), 3)
     assert desc == SupergroupDescriptor.coordinate([{2, 3}])
+    # every one-dimensional chain fits, with the primes of its indices up to
+    # the depth as the support
+    explicit = OdometerChain.explicit([IntegerLattice.diagonal([n]) for n in (2, 6, 12, 60)])
+    for chain, supports in [
+        (OdometerChain.diagonal_power([6]), ({2, 3},) * 3),
+        (OdometerChain.diagonal_power([2]), ({2},) * 3),
+        (OdometerChain.diagonal_power([12], [2]), ({2, 3},) * 3),
+        (explicit, ({2, 3}, {2, 3}, {2, 3, 5})),
+    ]:
+        for depth, primes in zip((2, 3, 4), supports):
+            assert fit_descriptor(chain, depth) == SupergroupDescriptor.coordinate([primes])
 
 
 def test_fit_descriptor_needs_two_stages():

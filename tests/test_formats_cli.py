@@ -25,6 +25,7 @@ from odolab.formats import (
 )
 from odolab.lattice import IntegerLattice, RationalLattice, SingularBasis
 from odolab.odometer import OdometerChain
+from odolab.repro import ROW_SHEAR_COCYCLE
 from odolab.speedup import Cone, constant_cocycle
 
 from test_speedup import row_shear_cocycle
@@ -203,9 +204,32 @@ def test_syntax_error_carries_position():
         (parse_descriptor, "dim=2 shear=1,0,0,1 supports=3", 30, r"supports need 2 groups separated by \|"),
         (parse_cone, "cone=bogus dim=2", 6, "cone kind must be quadrant, sector, or facets"),
         (parse_cone, "dim=2", 1, "cone kind must be quadrant, sector, or facets"),
+        # a text of comments and blank lines is an empty spec of its kind
+        (parse_chain, "# no spec here\n\n", 1, "empty chain spec"),
+        (parse_cocycle, "  # nothing\n", 1, "empty cocycle spec"),
+        (parse_descriptor, "#", 1, "empty descriptor spec"),
+        (parse_cone, "\n# only a comment", 1, "empty cone spec"),
     ]:
         with pytest.raises(SpecSyntaxError, match=rf"^line 1, column {column}: {message}$"):
             parse(text)
+    # a rep of a cocycle table is one of the depth-J coset representatives,
+    # given once: a repeated rep and one outside the coset rectangle are
+    # refused at the rep, and a missing one at its table's `gen i:` line
+    mixed = OdometerChain.diagonal_power([3, 2])
+    table = "".join(f"rep ({a},{b}) -> (1,0)\n" for a in range(3) for b in range(2))
+    head = "chain=unused J=1 d2=1\ngen 1:\n"
+    for text, line, column, message in [
+        (head + "rep (0,0) -> (3,3)\n" + table, 4, 6, r"repeated rep \(0,0\)"),
+        (head + table + "   rep (1,0) -> (0,0)", 9, 9, r"repeated rep \(1,0\)"),
+        (head + table.replace("(2,1) ->", "(5,1) ->"), 8, 6, r"rep \(5,1\) lies outside the depth-1 coset rectangle 3x2"),
+        (head + table.replace("(2,1) ->", "(-1,1) ->"), 8, 6, r"rep \(-1,1\) lies outside the depth-1 coset rectangle 3x2"),
+        ("chain=unused J=2 d2=1\ngen 1:\nrep (3,4) -> (1,0)", 3, 6, r"rep \(3,4\) lies outside the depth-2 coset rectangle 9x4"),
+        (head + table.replace("rep (1,1) -> (1,0)\n", ""), 2, 1, r"gen 1 has no rep \(1,1\)"),
+        (head.replace("d2=1", "d2=2") + table + "gen 2:\n" + table.replace("rep (0,0) -> (1,0)\n", ""), 9, 1, r"gen 2 has no rep \(0,0\)"),
+    ]:
+        with pytest.raises(SpecSyntaxError, match=rf"^line {line}, column {column}: {message}$"):
+            parse_cocycle(text, chain=mixed)
+    assert parse_cocycle(head + table, chain=mixed).tables[0][(2, 1)] == (1, 0)
     assert parse_cone("cone=sector u=1,0 v=1,1 include=none").sector_data[2:] == (False, False)
     assert parse_chain("dim=2 provider=diagpow primes=3,2 exps=2j").stage(1).diag == (9, 4)
 
@@ -423,6 +447,10 @@ BAD_SPECS = {
     "dimprimes.chain": "dim=3 provider=diagpow primes=3,2",
     "bogus.chain": "dim=2 provider=bogus",
     "bogus.cone": "cone=bogus dim=2",
+    "tworep.cocycle": ROW_SHEAR_COCYCLE.replace("gen 1:\n", "gen 1:\nrep (0,0) -> (3,3)\n"),
+    "farrep.cocycle": ROW_SHEAR_COCYCLE.replace("rep (2,1) -> (1,0)", "rep (5,1) -> (1,0)"),
+    "negrep.cocycle": ROW_SHEAR_COCYCLE.replace("rep (2,1) -> (1,0)", "rep (-1,1) -> (1,0)"),
+    "norep.cocycle": ROW_SHEAR_COCYCLE.replace("rep (1,1) -> (1,1)\n", ""),
 }
 
 
@@ -523,6 +551,11 @@ BAD_SPECS = {
             ["construct", "--source", "mixed.chain", "--target", "target.chain", "--cone", "bogus.cone"],
             "line 1, column 6: cone kind must be quadrant, sector, or facets",
         ),
+        (["speedup", "validate", "tworep.cocycle"], "line 4, column 6: repeated rep (0,0)"),
+        (["speedup", "derive", "tworep.cocycle", "--depth", "2"], "line 4, column 6: repeated rep (0,0)"),
+        (["speedup", "validate", "farrep.cocycle"], "line 8, column 6: rep (5,1) lies outside the depth-1 coset rectangle 3x2"),
+        (["speedup", "validate", "negrep.cocycle"], "line 8, column 6: rep (-1,1) lies outside the depth-1 coset rectangle 3x2"),
+        (["speedup", "validate", "norep.cocycle"], "line 9, column 1: gen 2 has no rep (1,1)"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):

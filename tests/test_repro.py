@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -10,6 +11,16 @@ from odolab.repro import CASES, UnknownCase, run_repro
 def test_case_passes(name):
     report = run_repro(name)
     assert report.ok, "\n".join(report.lines())
+
+
+# sha256 of `odolab repro all` at the default seed, the report lines of every
+# case in sorted order; it pins each fact's detail text, not only its verdict
+REPRO_ALL_SHA256 = "480c55643aec310d6f09dbafae45f8c6109b4006a4ee37c9777772d03b7f8efd"
+
+
+def test_repro_all_output_is_frozen():
+    text = "".join(line + "\n" for name in sorted(CASES) for line in run_repro(name).lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == REPRO_ALL_SHA256
 
 
 def test_reports_carry_provenance():
