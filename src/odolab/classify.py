@@ -72,15 +72,17 @@ class SupergroupDescriptor:
 
     @staticmethod
     def make(shear, supports) -> "SupergroupDescriptor":
+        """The descriptor of a unit lower-triangular shear, whose determinant
+        is 1, and one prime support per coordinate.  Raises
+        DimensionMismatch when their dimensions differ, and
+        UnsupportedDescriptor for any other shear (a non-unimodular one
+        included) or when the group does not contain Z^d."""
         shear = tuple(tuple(Fraction(e) for e in row) for row in shear)
         dim = len(shear)
         supports = tuple(frozenset(int(p) for p in s) for s in supports)
         if any(len(row) != dim for row in shear) or len(supports) != dim:
             raise DimensionMismatch("shear and supports must agree on the dimension")
         desc = SupergroupDescriptor(dim, shear, supports)
-        det = _det(shear)
-        if det not in (1, -1):
-            raise UnsupportedDescriptor(f"shear determinant {det} is not a unit")
         for i in range(dim):
             if shear[i][i] != 1 or any(shear[i][j] != 0 for j in range(i + 1, dim)):
                 raise UnsupportedDescriptor("shear must be unit lower triangular")
@@ -113,18 +115,13 @@ class SupergroupDescriptor:
 
 
 def _det(rows):
-    """Determinant by cofactor expansion, in the entries' own arithmetic:
-    an int for integer rows, a Fraction for rational ones."""
-    n = len(rows)
-    if n == 1:
+    """Determinant of a matrix of order 1 or 2, the only orders the
+    transport searches meet (`_check_rank` refuses rank above 2), in the
+    entries' own arithmetic; a larger matrix does not unpack and raises."""
+    if len(rows) == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
+    (a, b), (c, d) = rows
+    return a * d - b * c
 
 
 def _clear_denominators(rows):
@@ -290,10 +287,7 @@ def fit_descriptor(chain: OdometerChain, depth: int):
             return desc
         return NoFit("only coordinate-product fits are attempted beyond dimension 2")
 
-    sup1: set[int] = set()
-    for dual in duals:
-        for col in dual.columns():
-            sup1 |= prime_support(col[0])
+    sup1 = _coordinate_supports(duals, 2)[0]
     sup2: set[int] = set()
     for dual in duals:
         sup2 |= prime_support(_vertical_scale(dual))

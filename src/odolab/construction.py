@@ -100,7 +100,6 @@ class StageRecord:
     src_castle: Castle           # the target castle is a function of its widths and the height (`_stage`)
     f_atoms: frozenset[int]      # swapped points, source working depth
     r_atoms: frozenset[int]      # f_atoms and the atoms whose previous step the mending pass changed
-    swap_audit: tuple            # (width, atom count) per tower, (before, after) the swaps
 
 
 class SpeedupConstruction:
@@ -275,8 +274,8 @@ class SpeedupConstruction:
         first, so they get the bases 0 and h."""
         n, h, gamma = self._depths(k)
         build = self._build_inductive if k else self._build_base
-        castle, labels, f_atoms, r_atoms, swap_audit = build(k, h, gamma)
-        return StageRecord(k, n, gamma, h, refine_pure_columns(castle, labels), f_atoms, r_atoms, swap_audit)
+        castle, labels, f_atoms, r_atoms = build(k, h, gamma)
+        return StageRecord(k, n, gamma, h, refine_pure_columns(castle, labels), f_atoms, r_atoms)
 
     # -- base stage ------------------------------------------------------
 
@@ -289,9 +288,7 @@ class SpeedupConstruction:
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
 
-        pre_sizes = _shape(towers)
         self._swap(towers, a0, a2, x0_atom, x2_atom)
-        post_sizes = _shape(towers)
         tower = towers[0]
 
         # the anchors' columns part by one pairing rule.  The joins pair the
@@ -315,18 +312,16 @@ class SpeedupConstruction:
             self._transfer(tower.level(v), tower.level(v + 1), space, lattice, steps)
 
         y_atom = tower.codes[tower.level(h - 1).index(x2_atom)]  # the base of x2's column
-        parts = [[x0_atom], [y_atom]]  # the anchors' towers part here
+        # the anchors' towers part here; an empty rest makes no tower
         rest = set(tower.level(0)) - {x0_atom, y_atom}
-        if rest:
-            parts.append(rest)
-        castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [parts])
+        castle = castle_refinement_over(Castle(self.source, gamma, towers, steps), [[[x0_atom], [y_atom], rest]])
 
         # the depth-1 cylinders of each wide tower, laid out like its codes,
         # off one `lift` of the working space
         coarse = self.source.kr_partition(k + 1)
         lifted = space.lift(array("i", range(coarse.size)), coarse)
         labels = [array("i", map(getitem, repeat(lifted), t.codes)) if t.width > 1 else None for t in castle.towers]
-        return castle, labels, frozenset(), frozenset(), (pre_sizes, post_sizes)
+        return castle, labels, frozenset(), frozenset()
 
     # -- shared machinery -------------------------------------------------
 
@@ -496,9 +491,7 @@ class SpeedupConstruction:
 
         # --- swap the castle boundary into the anchor cylinders
         a0, a2 = self._anchor_sets(k, gamma)
-        pre_sizes = _shape(pretowers)
         f_atoms, touched = self._swap(pretowers, a0, a2, x0_atom, x2_atom)
-        post_sizes = _shape(pretowers)
 
         # --- one mending pass per pretower.  Each block was stored in the
         # order of its climb of the previous map, so the map can break, or
@@ -541,7 +534,7 @@ class SpeedupConstruction:
             _put_in_climb_order(tower, moves, edges, labels[alpha])
         r_atoms = f_atoms | changed
 
-        return Castle(self.source, gamma, pretowers, steps), labels, f_atoms, r_atoms, (pre_sizes, post_sizes)
+        return Castle(self.source, gamma, pretowers, steps), labels, f_atoms, r_atoms
 
     # -- audits ------------------------------------------------------------
 
@@ -558,11 +551,14 @@ class SpeedupConstruction:
         displacements and column sums in the cone, stability off the
         rebuild set, pairing, swap conservation).
 
-        The checks read only the stage's towers, level map, swap records
-        and cone and the previous stage's castle, never an array the build
-        made for its own speed.  The target castle is a function of the
-        stage's height and tower widths (`_stage`), so its checks are
-        residue arithmetic on those and the working index.  The level maps
+        The checks read only the stage's towers, level map, swapped and
+        rebuild sets and cone and the previous stage's castle, never an
+        array the build made for its own speed.  Swap conservation too is
+        read off the towers: `_swap` trades atoms level for level, or
+        raises, so every tower holds `height` full levels of its width.
+        The target castle is a function of the stage's height and tower
+        widths (`_stage`), so its checks are residue arithmetic on those
+        and the working index.  The level maps
         and the column sums are those of one climb of each column
         (`_column_walk`, which climbs only
         where no proof on a whole tower or on the vector table gives them),
@@ -759,8 +755,8 @@ class SpeedupConstruction:
         pair_ok = pair_ok and sum(t.width for t in src.towers) * rec.height == space.size
         check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
 
-        # swap conservation: level sizes unchanged by the swaps
-        check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
+        # swap conservation: every tower holds `rec.height` full levels of its width
+        check("swap-conserves-shape", all(len(t.codes) == t.width * rec.height for t in src.towers))
 
         # cone closure along columns: partial sums of every column stay in the cone
         check("column-sums-in-cone", lambda: _verdict(walk()[1]))
@@ -1032,10 +1028,6 @@ def _locate(towers, atoms) -> dict[int, tuple[int, int]]:
     if left:
         raise CastleError(f"atom {next(iter(left))} lies in no tower")
     return where
-
-
-def _shape(towers) -> tuple[tuple[int, int], ...]:
-    return tuple((t.width, len(t.codes)) for t in towers)
 
 
 def _lay_out(members, first: int, height: int, column) -> array:

@@ -321,10 +321,6 @@ def emit_descriptor(desc: SupergroupDescriptor) -> str:
     return f"dim={desc.dim} shear={shear} supports={sups}"
 
 
-def load_descriptor(path) -> SupergroupDescriptor:
-    return parse_descriptor(Path(path).read_text())
-
-
 # ---------------------------------------------------------------- cones
 
 def parse_cone(text: str) -> Cone:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
@@ -379,7 +380,7 @@ def cone_hull(cocycle: PiecewiseCocycle) -> Cone:
     values = cocycle.values()
     if any(all(e == 0 for e in v) for v in values):
         raise AntipodalValues("a zero displacement belongs to no cone")
-    dirs = sorted({_primitive(v) for v in values}, key=_angle_key)
+    dirs = sorted({_primitive(v) for v in values}, key=cmp_to_key(_angle_order))
     if len(dirs) == 1:
         return Cone.sector(dirs[0], dirs[0])
     wide = None
@@ -397,26 +398,15 @@ def cone_hull(cocycle: PiecewiseCocycle) -> Cone:
     return Cone.sector(wide[0], wide[1])
 
 
-def _angle_key(v):
-    """Total order of directions by angle in [0, 2pi), exactly."""
-    x, y = v
-    half = 0 if (y > 0 or (y == 0 and x > 0)) else 1
-    return (half, _HalfAngle(x, y))
+def _angle_order(u, v):
+    """Compare directions by angle in [0, 2pi), exactly: the half-turn
+    [0, pi) first, then, within a half-turn, by the sign of the cross
+    product."""
 
+    def half(w):
+        return 0 if w[1] > 0 or (w[1] == 0 and w[0] > 0) else 1
 
-class _HalfAngle:
-    """Comparator for directions within one half-turn via cross products."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x, self.y = x, y
-
-    def __lt__(self, other):
-        return _cross((self.x, self.y), (other.x, other.y)) > 0
-
-    def __eq__(self, other):
-        return _cross((self.x, self.y), (other.x, other.y)) == 0
+    return half(u) - half(v) or -_cross(u, v)
 
 
 def product_form_check(cocycle: PiecewiseCocycle) -> bool:

@@ -853,7 +853,13 @@ def stage_checks_by_levels(con, k):
         )
 
     check("pairing-intertwines", lambda: pair_ok() and maps_ok and shift_ok)
-    check("swap-conserves-shape", rec.swap_audit[0] == rec.swap_audit[1])
+    check(
+        "swap-conserves-shape",
+        all(
+            all(len(t.level(v)) == t.width for v in range(rec.height)) and not t.codes[rec.height * t.width :]
+            for t in src.towers
+        ),
+    )
     check("column-sums-in-cone", lambda: climb()[1])
     return checks
 

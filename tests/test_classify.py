@@ -47,10 +47,36 @@ def test_member_examples_more():
 
 
 def test_descriptor_validation():
-    with pytest.raises(UnsupportedDescriptor):
+    # a shear of determinant 2 and a unit upper-triangular one
+    with pytest.raises(UnsupportedDescriptor, match="^shear must be unit lower triangular$"):
         SupergroupDescriptor.make([[2, 0], [0, 1]], [{3}, {2}])
-    with pytest.raises(UnsupportedDescriptor):
+    with pytest.raises(UnsupportedDescriptor, match="^shear must be unit lower triangular$"):
         SupergroupDescriptor.make([[1, Fraction(1, 2)], [0, 1]], [{3}, {2}])
+
+
+@pytest.mark.parametrize(
+    "shear, supports, member, outsider",
+    [
+        (
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [{2}, {3}, set()],
+            (Fraction(1, 2), Fraction(1, 9), 4),
+            (0, 0, Fraction(1, 2)),
+        ),
+        # column j of the shear is its image of e_j, so the supports must
+        # hold the primes of its entries below the diagonal
+        (
+            [[1, 0, 0], [Fraction(1, 2), 1, 0], [Fraction(1, 3), Fraction(1, 5), 1]],
+            [set(), {2}, {3, 5}],
+            (2, 0, 0),
+            (Fraction(1, 2), 0, 0),
+        ),
+    ],
+)
+def test_three_dimensional_descriptors(shear, supports, member, outsider):
+    desc = SupergroupDescriptor.make(shear, supports)
+    assert desc.dim == 3
+    assert desc.member(member) and not desc.member(outsider)
 
 
 # ---------------------------------------------------------------- fitting

@@ -133,7 +133,14 @@ def test_base_stage_all_invariants():
     assert rec.f_atoms == frozenset() and rec.r_atoms == frozenset()
 
 
-def test_three_stages_all_invariants():
+def test_three_stages_all_invariants(monkeypatch):
+    refine, received = construction.refine_pure_columns, []
+
+    def recording(castle, labels):
+        received.append([t.width for t in castle.towers])
+        return refine(castle, labels)
+
+    monkeypatch.setattr(construction, "refine_pure_columns", recording)
     con = build(3)
     for k in range(3):
         report = assert_audit_matches_the_level_oracle(con, k)
@@ -145,10 +152,10 @@ def test_three_stages_all_invariants():
         mu_f = Fraction(len(rec.f_atoms), con.source.index(rec.gamma))
         assert mu_f <= 4 * con.anchor_measure(k)
         # both anchors fall in the one tall tower: it splits into the x0
-        # column, the x2 column and the w - 2 columns left
-        assert len(rec.swap_audit[0]) == 3
+        # column, the x2 column and the w - 2 columns left, the pretowers
+        # that the refinement receives
         w = con.source.index(rec.gamma) // rec.height
-        assert [width for width, _ in rec.swap_audit[0][-3:]] == [1, 1, w - 2]
+        assert received[k] == [1, 1, w - 2]
 
 
 def test_stage_invariants_detect_corruption():
@@ -319,7 +326,7 @@ def _hand_built(cone, vectors):
     con.stages = [
         StageRecord(
             k=0, n=1, gamma=1, height=len(codes), src_castle=castle,
-            f_atoms=frozenset(), r_atoms=frozenset(), swap_audit=((), ()),
+            f_atoms=frozenset(), r_atoms=frozenset(),
         )
     ]
     return con
@@ -465,6 +472,13 @@ def _atom_doubled_in_a_wide_level(rec, prev):
     tower.codes[j + 1] = tower.codes[j]
 
 
+def _top_atom_dropped(rec, prev):
+    """Drop the top atom of tower 3 (width 1): the tower holds a level
+    fewer than the stage's height, and its new top lies outside the top
+    anchor cylinder."""
+    rec.src_castle.towers[3].codes.pop()
+
+
 def _unused_vector_outside_the_cone(rec, prev):
     """Put a vector outside the cone into the step table, used by no atom:
     the table alone no longer proves the displacements, so the audit reads
@@ -478,9 +492,9 @@ def _unused_vector_outside_the_cone(rec, prev):
 
 # corrupted records of quadrant stage 1 (or of stage 0 under it) and the
 # checks that fail on them: one per check that the build's own records
-# decide, a level map whose image leaves its tower, a previous map changed
-# under the stage, and one that defeats each shortcut of the column walk
-# (`construction._column_walk`)
+# decide, a tower a level short, a level map whose image leaves its
+# tower, a previous map changed under the stage, and one that defeats each
+# shortcut of the column walk (`construction._column_walk`)
 CORRUPTIONS = {
     "stage-numbers-increase": (lambda rec, prev: setattr(rec, "n", prev.n), ["stage-numbers-increase"]),
     "rebuild-set-recorded": (
@@ -492,8 +506,8 @@ CORRUPTIONS = {
         ["rebuild-set-recorded"],
     ),
     "swap-conserves-shape": (
-        lambda rec, prev: setattr(rec, "swap_audit", (rec.swap_audit[0], rec.swap_audit[0][1:])),
-        ["swap-conserves-shape"],
+        _top_atom_dropped,
+        ["castle-shape", "anchors-in-boundary-cylinders", "pairing-intertwines", "swap-conserves-shape"],
     ),
     "level-maps-biject": (
         _step_out_of_its_tower, ["level-maps-biject", "map-stable-off-rebuild", "pairing-intertwines"]
@@ -537,7 +551,13 @@ CORRUPTIONS = {
     # nor is a multiple of I(n) = h
     "height-plus-one": (
         lambda rec, prev: setattr(rec, "height", rec.height + 1),
-        ["castle-shape", "target-levels-refine-cylinders", "target-translation-castle", "pairing-intertwines"],
+        [
+            "castle-shape",
+            "target-levels-refine-cylinders",
+            "target-translation-castle",
+            "pairing-intertwines",
+            "swap-conserves-shape",
+        ],
     ),
 }
 

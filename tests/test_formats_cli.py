@@ -451,6 +451,7 @@ BAD_SPECS = {
     "farrep.cocycle": ROW_SHEAR_COCYCLE.replace("rep (2,1) -> (1,0)", "rep (5,1) -> (1,0)"),
     "negrep.cocycle": ROW_SHEAR_COCYCLE.replace("rep (2,1) -> (1,0)", "rep (-1,1) -> (1,0)"),
     "norep.cocycle": ROW_SHEAR_COCYCLE.replace("rep (1,1) -> (1,1)\n", ""),
+    "scaled.desc": "dim=2 shear=2,0,0,1 supports=3|2",
 }
 
 
@@ -556,6 +557,7 @@ BAD_SPECS = {
         (["speedup", "validate", "farrep.cocycle"], "line 8, column 6: rep (5,1) lies outside the depth-1 coset rectangle 3x2"),
         (["speedup", "validate", "negrep.cocycle"], "line 8, column 6: rep (-1,1) lies outside the depth-1 coset rectangle 3x2"),
         (["speedup", "validate", "norep.cocycle"], "line 9, column 1: gen 2 has no rep (1,1)"),
+        (["classify", "coe", "base.desc", "scaled.desc"], "shear must be unit lower triangular"),
     ],
 )
 def test_cli_domain_errors_exit_3(specdir, monkeypatch, capsys, argv, message):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from odolab.speedup import (
     NotMinimalAtDepth,
     PiecewiseCocycle,
     SpeedupError,
+    _angle_order,
     cone_check,
     cone_hull,
     constant_cocycle,
@@ -546,6 +548,17 @@ def test_cone_hull_single_direction():
     assert hull.sector_data == ((3, 1), (3, 1), True, True)
     assert hull.contains((3, 1)) and hull.contains((9, 3))
     assert not hull.contains((1, 0)) and not hull.contains((-3, -1))
+
+
+def test_angle_order_sorts_a_full_turn_counterclockwise():
+    # from the positive x-axis round: the upper half-turn [0, pi), then the
+    # lower one, each ordered by the sign of the cross product, which alone
+    # is no order on a full turn
+    ordered = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 2), (-1, 0), (-3, -1), (0, -1), (1, -1)]
+    rng = random.Random(20210223)
+    for _ in range(10):
+        shuffled = rng.sample(ordered, len(ordered))
+        assert sorted(shuffled, key=cmp_to_key(_angle_order)) == ordered
 
 
 def test_cone_hull_antipodal():
