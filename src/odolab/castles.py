@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from itertools import compress
 
+from ._record import record
 from .odometer import AtomSpace, Displacements, OdometerChain
 from .speedup import Cone
 
@@ -173,7 +173,7 @@ class StepMap(Mapping):
         return len(self.ids) - self.ids.count(0)
 
 
-@dataclass
+@record
 class Tower:
     """Equal-size levels of atom codes, stored level by level in one array.
 
@@ -197,7 +197,7 @@ class Tower:
         return map(self.level, range(self.height))
 
 
-@dataclass
+@record
 class Castle:
     """Towers of equal-size levels with an internal level map.
 

@@ -26,12 +26,12 @@ verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 from operator import mul
 
+from ._record import record
 from .lattice import (
     DimensionMismatch,
     IntegerLattice,
@@ -58,7 +58,7 @@ class UnsupportedDescriptor(ClassifyError):
 
 # ---------------------------------------------------------------- descriptors
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SupergroupDescriptor:
     """Closed-form membership oracle for a group H with Z^d <= H <= Q^d.
 
@@ -192,7 +192,7 @@ def _non_member_witness(a: SupergroupDescriptor, b: SupergroupDescriptor):
 
 # ---------------------------------------------------------------- verdicts
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassificationVerdict:
     relation: str
     outcome: str  # "yes" | "no" | "undecided"
@@ -236,7 +236,7 @@ def _undecided(relation, depth):
 
 # ---------------------------------------------------------------- fitting
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NoFit:
     reason: str
 

@@ -61,11 +61,11 @@ import functools
 from array import array
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
 from operator import ge, getitem, gt, le, lt, mul, ne, setitem, sub
 
+from ._record import record
 from .castles import (
     CLIMB_CHUNK,
     Castle,
@@ -91,7 +91,7 @@ MAX_ATOMS = 2**26  # admits quadrant stage 6 (6^10 atoms, ~23 bytes each) in ~1.
 LOCATE_CHUNK = 1 << 16  # codes per `bytes.find` pass of `_locate`
 
 
-@dataclass
+@record
 class StageRecord:
     k: int
     n: int                       # stage of the working chain (a source depth) the castle mimics
@@ -570,7 +570,10 @@ class SpeedupConstruction:
         anchors' towers are read off the castle's bases and tops, and the
         previous map off the previous castle (`_previous_map`).  A check
         that raises on corrupted data fails and names the exception; a
-        failing climb check names its first failing tower and level.  A stage not built yet reports
+        failing climb check names its first failing tower and level.  A
+        check that reads levels runs only when every tower holds whole
+        levels of the stage's height, and otherwise fails with the detail
+        `castle-shape failed`.  A stage not built yet reports
         no checks; a negative k raises CastleError.
         """
         if k >= len(self.stages):
@@ -602,6 +605,15 @@ class SpeedupConstruction:
 
         src = rec.src_castle
         steps = src.steps
+        whole = all(len(t.codes) == t.width * rec.height for t in src.towers)
+
+        def check_levels(name, ok, detail=""):
+            # a check that reads levels runs only on towers of whole levels
+            # of the stage's height; castle-shape refuses any other record
+            if whole:
+                check(name, ok, detail)
+            else:
+                checks.append((name, False, "castle-shape failed"))
 
         # (2) castle shape: equal-size levels per tower, disjoint, full cover;
         # every code is marked in one C-level pass (`operator.setitem`, which
@@ -634,7 +646,9 @@ class SpeedupConstruction:
         )
 
         # (5a) every level inside one cylinder atom at depth k+1
-        check("levels-refine-cylinders", lambda: _levels_refine(src.space, src.towers, self.source.kr_partition(k + 1)))
+        check_levels(
+            "levels-refine-cylinders", lambda: _levels_refine(src.space, src.towers, self.source.kr_partition(k + 1))
+        )
 
         # (5b) anchors in base/top inside their cylinders; base and top map
         # each of their atoms to its tower
@@ -643,7 +657,7 @@ class SpeedupConstruction:
         top = {c: alpha for alpha, t in enumerate(src.towers) for c in t.level(t.height - 1)}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
-        check(
+        check_levels(
             "anchors-in-boundary-cylinders",
             x0_atom in base and x2_atom in top and base.keys() <= a0 and top.keys() <= a2,
             f"|base|={len(base)} |anchor|={len(a0)}",
@@ -677,7 +691,7 @@ class SpeedupConstruction:
         # its displacement table on the audit's own space
         moves = space.displacements(steps.vectors, steps.ids)
         walk = functools.cache(lambda: _column_walk(src, moves, self.cone))
-        check("level-maps-biject", lambda: _verdict(walk()[0]))
+        check_levels("level-maps-biject", lambda: _verdict(walk()[0]))
         maps_ok = checks[-1][1]
 
         # (6b) every displacement lies in the cone; a stage uses few distinct ones.
@@ -692,7 +706,7 @@ class SpeedupConstruction:
                 raise KeyError("an atom below a tower's top has no step")
             return all(self.cone.contains(steps.vectors[i]) for i in used)
 
-        check("displacements-in-cone", _cone_ok)
+        check_levels("displacements-in-cone", _cone_ok)
 
         # (6c) the anchors live in distinct towers with pointwise disjoint
         # columns: the exact points up the x0 column, from the zero point,
@@ -720,7 +734,7 @@ class SpeedupConstruction:
             points = zip(*(accumulate(c, initial=0) for c in coords))
             return tower_x0 != tower_x2 and self.x2_vector not in points, detail
 
-        check("anchors-in-distinct-towers", _anchors_apart)
+        check_levels("anchors-in-distinct-towers", _anchors_apart)
 
         # (6d) the map agrees with the previous stage off the rebuild set; only
         # codes whose ids differ, renumbered into one table, are compared,
@@ -748,18 +762,18 @@ class SpeedupConstruction:
             check("map-stable-off-rebuild", _stable)
 
         # (7) the level pairing intertwines the two castles: every source
-        # tower is as tall as the target's, and their widths sum to the
+        # tower is as tall as the target's (it holds whole levels of the
+        # stage's height, or the check does not run), and their widths sum to the
         # working index over h, so the deal of `_stage` hands out every
         # target base
-        pair_ok = all(t.height == rec.height for t in src.towers)
-        pair_ok = pair_ok and sum(t.width for t in src.towers) * rec.height == space.size
-        check("pairing-intertwines", pair_ok and maps_ok and shift_ok)
+        pair_ok = sum(t.width for t in src.towers) * rec.height == space.size
+        check_levels("pairing-intertwines", pair_ok and maps_ok and shift_ok)
 
         # swap conservation: every tower holds `rec.height` full levels of its width
-        check("swap-conserves-shape", all(len(t.codes) == t.width * rec.height for t in src.towers))
+        check("swap-conserves-shape", whole)
 
         # cone closure along columns: partial sums of every column stay in the cone
-        check("column-sums-in-cone", lambda: _verdict(walk()[1]))
+        check_levels("column-sums-in-cone", lambda: _verdict(walk()[1]))
 
         return StageReport(k, tuple(checks))
 
@@ -779,7 +793,7 @@ class SpeedupConstruction:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StageReport:
     k: int
     checks: tuple[tuple[str, bool, str], ...]

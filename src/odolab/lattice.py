@@ -18,10 +18,11 @@ anywhere, and an entry with a fractional part is refused, never truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
+
+from ._record import record
 
 
 class LatticeError(ValueError):
@@ -141,7 +142,7 @@ def _integer_entry(e) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntegerLattice:
     """Finite-index sublattice of Z^d in canonical form.
 
@@ -151,6 +152,12 @@ class IntegerLattice:
 
     dim: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __init__(self, dim: int, rows: tuple[tuple[int, ...], ...]):
+        # written out rather than `record`'s loop over the fields: a
+        # derivation builds lattices by the thousand
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", rows)
 
     # -- constructors ------------------------------------------------
 
@@ -261,7 +268,7 @@ def hnf(matrix) -> IntegerLattice:
     return IntegerLattice.from_rows(matrix)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RationalLattice:
     """Full-rank lattice in Q^d, stored as (1/den) * (canonical integer basis).
 

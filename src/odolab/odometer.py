@@ -16,12 +16,12 @@ layers all work.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import product as iter_product
 from math import prod
-from typing import Callable, Optional
 
+from ._record import record
 from .lattice import (
     CosetSystem,
     DimensionMismatch,
@@ -52,7 +52,7 @@ class ChainDepthError(ChainError):
 
 # ---------------------------------------------------------------- providers
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExplicitProvider:
     lattices: tuple[IntegerLattice, ...]
 
@@ -65,7 +65,7 @@ class ExplicitProvider:
         return f"explicit[{len(self.lattices)}]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagonalPowerProvider:
     """Stage j is diag(b_i ** (a_i * j)): a coordinate product at every depth."""
 
@@ -80,14 +80,14 @@ class DiagonalPowerProvider:
         return f"diagpow({rule})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DerivedProvider:
     """Stage rule supplied by a callback (stabilizer chain of a speedup)."""
 
     dim: int
     stage_fn: Callable[[int], IntegerLattice]
     label: str = "derived"
-    value_group_fn: Optional[Callable[[], "ValueGroup"]] = None
+    value_group_fn: Callable[[], ValueGroup] | None = None
 
     def stage(self, j: int) -> IntegerLattice:
         return self.stage_fn(j)
@@ -219,7 +219,7 @@ class OdometerChain:
         return all(self.stage(j).is_diagonal() for j in range(1, depth + 1))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FreenessReport:
     """Depth-bounded evidence about triviality of the chain intersection.
 

@@ -12,9 +12,9 @@ bookkeeping identities.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import record
 from .classify import (
     SupergroupDescriptor,
     conjugate_test,
@@ -46,7 +46,7 @@ class UnknownCase(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fact:
     name: str
     provenance: str  # published | derived | trivial
@@ -54,10 +54,14 @@ class Fact:
     detail: str = ""
 
 
-@dataclass
+@record
 class CaseReport:
     name: str
-    facts: list[Fact] = field(default_factory=list)
+    facts: list[Fact]
+
+    def __init__(self, name, facts=()):
+        self.name = name
+        self.facts = list(facts)
 
     @property
     def ok(self) -> bool:

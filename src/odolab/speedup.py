@@ -33,13 +33,13 @@ kernel, and the speedup is minimal at depth j iff its index is
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul, sub
 
+from ._record import record
 from .lattice import DimensionMismatch, IntegerLattice, _integer_kernel
 from .odometer import DerivedProvider, OdometerChain
 from .valuegroup import ValueGroup
@@ -98,7 +98,7 @@ def _primitive(v):
     return tuple(e // g for e in v)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cone:
     """Integer points of a filled cone: d half-space facets through 0.
 
@@ -187,7 +187,7 @@ class Cone:
 
 # ---------------------------------------------------------------- cocycles
 
-@dataclass
+@record
 class PiecewiseCocycle:
     """Speedup cocycle generated by d2 tables on depth-J representatives.
 
@@ -259,7 +259,7 @@ class PiecewiseCocycle:
         return self._perm_cache[key]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationReport:
     ok: bool
     detail: str
@@ -469,7 +469,7 @@ def minimality_to_depth(cocycle: PiecewiseCocycle, depth: int) -> dict[int, bool
 
 # ---------------------------------------------------------------- derived chain
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DerivedChainReport:
     first_depth: int
     stages: tuple[IntegerLattice, ...]

@@ -9,13 +9,13 @@ an exact comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .lattice import prime_factors
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValueGroup:
     """Subgroup of Q generated by {1/n over the stage indices n}.
 

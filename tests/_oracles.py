@@ -724,7 +724,9 @@ def stage_checks_by_levels(con, k):
     with no wrap, covering the target atoms once each; the pairing needs
     the deal to hand out exactly those bases.  The target side works at
     the source's indices (`source_index_chain`), at the stage's depth
-    gamma."""
+    gamma.  A check that reads the source towers' levels runs only when
+    every tower holds whole levels of the stage's height, and fails
+    otherwise."""
     from odolab.speedup import _vadd
 
     rec = con.stages[k]
@@ -741,6 +743,9 @@ def stage_checks_by_levels(con, k):
                 ok = False
         checks.append((name, bool(ok)))
 
+    def check_levels(name, ok):
+        check(name, ok if whole else False)
+
     def levels_refine(space, towers, coarse):
         for levels in towers:
             for level in levels:
@@ -751,6 +756,10 @@ def stage_checks_by_levels(con, k):
     check("stage-numbers-increase", k == 0 or rec.n > con.stages[k - 1].n)
     src = rec.src_castle
     steps = src.steps
+    whole = all(
+        all(len(t.level(v)) == t.width for v in range(rec.height)) and not t.codes[rec.height * t.width :]
+        for t in src.towers
+    )
     dealt = target_bases_by_deal([t.width for t in src.towers], rec.height)
     tgt = functools.cache(lambda: target_castle_by_translation(tspace, dealt, rec.height))
 
@@ -771,7 +780,7 @@ def stage_checks_by_levels(con, k):
     else:
         check("swap-measure-bound", Fraction(len(rec.f_atoms), space.size) <= 4 * con.anchor_measure(k))
     check("rebuild-set-recorded", rec.f_atoms <= rec.r_atoms and all(0 <= c < space.size for c in rec.r_atoms))
-    check(
+    check_levels(
         "levels-refine-cylinders",
         lambda: levels_refine(src.space, [list(t.levels) for t in src.towers], con.source.kr_partition(k + 1)),
     )
@@ -780,7 +789,7 @@ def stage_checks_by_levels(con, k):
     top = {c for t in src.towers for c in t.level(t.height - 1)}
     x0_atom = space.encode_vector((0,) * con.source.dim)
     x2_atom = space.encode_vector(con.x2_vector)
-    check("anchors-in-boundary-cylinders", x0_atom in base and x2_atom in top and base <= a0 and top <= a2)
+    check_levels("anchors-in-boundary-cylinders", x0_atom in base and x2_atom in top and base <= a0 and top <= a2)
     check("target-levels-refine-cylinders", lambda: levels_refine(tspace, tgt(), working.kr_partition(rec.n)))
 
     def shift_ok():
@@ -816,7 +825,7 @@ def stage_checks_by_levels(con, k):
                     return False, False
         return maps_ok, sums_ok
 
-    check("level-maps-biject", lambda: climb()[0])
+    check_levels("level-maps-biject", lambda: climb()[0])
     maps_ok = checks[-1][1]
 
     def cone_ok():
@@ -827,13 +836,13 @@ def stage_checks_by_levels(con, k):
             raise KeyError("an atom below a tower's top has no step")
         return all(con.cone.contains(steps.vectors[i]) for i in used)
 
-    check("displacements-in-cone", cone_ok)
+    check_levels("displacements-in-cone", cone_ok)
 
     def anchors_apart():
         tower_x0, tower_x2 = anchor_towers(con, k)
         return tower_x0 != tower_x2 and all(p != con.x2_vector for p in x0_column_points(con, k))
 
-    check("anchors-in-distinct-towers", anchors_apart)
+    check_levels("anchors-in-distinct-towers", anchors_apart)
 
     def stable():
         prev = con.stages[k - 1].src_castle
@@ -852,15 +861,9 @@ def stage_checks_by_levels(con, k):
             s.height == len(levels) for s, levels in zip(src.towers, tgt())
         )
 
-    check("pairing-intertwines", lambda: pair_ok() and maps_ok and shift_ok)
-    check(
-        "swap-conserves-shape",
-        all(
-            all(len(t.level(v)) == t.width for v in range(rec.height)) and not t.codes[rec.height * t.width :]
-            for t in src.towers
-        ),
-    )
-    check("column-sums-in-cone", lambda: climb()[1])
+    check_levels("pairing-intertwines", lambda: pair_ok() and maps_ok and shift_ok)
+    check("swap-conserves-shape", whole)
+    check_levels("column-sums-in-cone", lambda: climb()[1])
     return checks
 
 

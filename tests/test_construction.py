@@ -372,11 +372,13 @@ def test_audit_matches_the_oracle_on_a_first_step_outside_the_cone(cone, vectors
 def test_audit_matches_the_oracle_on_castles_coarser_than_their_cylinders():
     # stage 1's levels must lie in source cylinders of depth 2, and the
     # hand-built source castle has depth 1; its target levels must lie in
-    # cylinders of depth n, here set one past the working depth gamma = 5
+    # cylinders of depth n, here set one past the working depth gamma = 5.
+    # The stage takes the hand-built height, so its towers hold whole levels
+    # and the level checks run
     con = build(2)
     rec = con.stages[1]
     hand = _hand_built(Cone.quadrant(2), [(1, 0), (0, 1)]).stages[0]
-    rec.src_castle, rec.n = hand.src_castle, rec.gamma + 1
+    rec.src_castle, rec.n, rec.height = hand.src_castle, rec.gamma + 1, hand.height
     report = assert_audit_matches_the_level_oracle(con, 1)
     details = {
         "levels-refine-cylinders": "lift needs a coarser atom space of the same chain",
@@ -479,6 +481,34 @@ def _top_atom_dropped(rec, prev):
     rec.src_castle.towers[3].codes.pop()
 
 
+def _wide_top_code_popped(rec, prev):
+    """Pop the last code of tower 2 (width 2): its top level is half
+    gone, so the tower no longer holds whole levels."""
+    rec.src_castle.towers[2].codes.pop()
+
+
+def _code_appended_to_a_wide_tower(rec, prev):
+    """Append tower 2's first code to it: one atom of a level past its
+    top, so the tower no longer holds whole levels."""
+    tower = rec.src_castle.towers[2]
+    tower.codes.append(tower.codes[0])
+
+
+# every check that reads levels fails on a tower of no whole levels, and
+# names the shape as the reason
+RAGGED = [
+    "castle-shape",
+    "levels-refine-cylinders",
+    "anchors-in-boundary-cylinders",
+    "level-maps-biject",
+    "displacements-in-cone",
+    "anchors-in-distinct-towers",
+    "pairing-intertwines",
+    "swap-conserves-shape",
+    "column-sums-in-cone",
+]
+
+
 def _unused_vector_outside_the_cone(rec, prev):
     """Put a vector outside the cone into the step table, used by no atom:
     the table alone no longer proves the displacements, so the audit reads
@@ -505,10 +535,9 @@ CORRUPTIONS = {
         lambda rec, prev: setattr(rec, "r_atoms", rec.r_atoms | {rec.src_castle.space.size}),
         ["rebuild-set-recorded"],
     ),
-    "swap-conserves-shape": (
-        _top_atom_dropped,
-        ["castle-shape", "anchors-in-boundary-cylinders", "pairing-intertwines", "swap-conserves-shape"],
-    ),
+    "swap-conserves-shape": (_top_atom_dropped, RAGGED),
+    "wide-top-code-popped": (_wide_top_code_popped, RAGGED),
+    "code-appended-to-a-wide-tower": (_code_appended_to_a_wide_tower, RAGGED),
     "level-maps-biject": (
         _step_out_of_its_tower, ["level-maps-biject", "map-stable-off-rebuild", "pairing-intertwines"]
     ),
@@ -547,16 +576,22 @@ CORRUPTIONS = {
     # depth-(n + 1) target cylinders hold one residue mod 6h: the bases of
     # the width-2 tower, h apart, lie in two
     "target-stage-plus-one": (lambda rec, prev: setattr(rec, "n", rec.n + 1), ["target-levels-refine-cylinders"]),
-    # the towers stay h tall, and h + 1 neither divides the working index
-    # nor is a multiple of I(n) = h
+    # the towers stay h tall, so none holds whole levels of height h + 1;
+    # and h + 1 neither divides the working index nor is a multiple of I(n) = h
     "height-plus-one": (
         lambda rec, prev: setattr(rec, "height", rec.height + 1),
         [
             "castle-shape",
+            "levels-refine-cylinders",
+            "anchors-in-boundary-cylinders",
             "target-levels-refine-cylinders",
             "target-translation-castle",
+            "level-maps-biject",
+            "displacements-in-cone",
+            "anchors-in-distinct-towers",
             "pairing-intertwines",
             "swap-conserves-shape",
+            "column-sums-in-cone",
         ],
     ),
 }
@@ -569,6 +604,18 @@ def test_audit_matches_the_oracle_on_a_corrupted_record(name):
     corrupt(con.stages[1], con.stages[0])
     report = assert_audit_matches_the_level_oracle(con, 1)
     assert report.failures() == failures
+
+
+@pytest.mark.parametrize("name", ["swap-conserves-shape", "wide-top-code-popped", "code-appended-to-a-wide-tower"])
+def test_checks_that_read_levels_name_the_shape_on_a_ragged_tower(name):
+    # no check slices a tower of no whole levels: each one that reads
+    # levels fails for the shape, and none reports an exception
+    con = build(2)
+    CORRUPTIONS[name][0](con.stages[1], con.stages[0])
+    details = {check: detail for check, ok, detail in con.stage_invariants(1).checks if not ok}
+    shape = ("castle-shape", "swap-conserves-shape")
+    assert all(details[check] == "castle-shape failed" for check in RAGGED if check not in shape)
+    assert not any("check raised" in detail for detail in details.values())
 
 
 def test_castle_shape_reports_a_code_out_of_range():
