@@ -24,7 +24,6 @@ def record(cls=None, *, frozen=False):
         return lambda cls: record(cls, frozen=frozen)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    tail = tuple(defaults.values())
     get = attrgetter(*names)
     fields = get if len(names) > 1 else lambda self: (get(self),)
     has_post_init = hasattr(cls, "__post_init__")
@@ -35,8 +34,6 @@ def record(cls=None, *, frozen=False):
     def values(args, kwargs):
         # the field values in order, from a call's arguments and the defaults
         rest = names[len(args) :]
-        if not kwargs and len(rest) <= len(tail) and len(args) <= len(names):
-            return args + tail[len(tail) - len(rest) :]
         rest = tuple(kwargs.pop(name) if name in kwargs else defaults.get(name, _MISSING) for name in rest)
         if kwargs or _MISSING in rest or len(args) > len(names):
             raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}")

@@ -615,15 +615,15 @@ class SpeedupConstruction:
             else:
                 checks.append((name, False, "castle-shape failed"))
 
-        # (2) castle shape: equal-size levels per tower, disjoint, full cover;
-        # every code is marked in one C-level pass (`operator.setitem`, which
+        # (2) castle shape: every tower of whole levels (`whole`), disjoint,
+        # full cover; every code is marked in one C-level pass (`operator.setitem`, which
         # calls faster than the bound `seen.__setitem__`), and space.size
         # codes that leave no atom unmarked cover each atom once
         def _shape_ok():
+            if not whole:
+                return False
             seen = bytearray(space.size)
             for t in src.towers:
-                if t.height != rec.height or len(t.codes) != t.width * t.height:
-                    return False
                 deque(map(setitem, repeat(seen), t.codes, repeat(1)), maxlen=0)
             return sum(len(t.codes) for t in src.towers) == space.size and 0 not in seen
 

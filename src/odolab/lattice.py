@@ -153,12 +153,6 @@ class IntegerLattice:
     dim: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, dim: int, rows: tuple[tuple[int, ...], ...]):
-        # written out rather than `record`'s loop over the fields: a
-        # derivation builds lattices by the thousand
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
-
     # -- constructors ------------------------------------------------
 
     @staticmethod

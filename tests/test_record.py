@@ -8,7 +8,9 @@ fields; hashing of the frozen ones and none for the mutable ones; and
 frozen fields that cannot be assigned or deleted."""
 
 import functools
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from array import array
@@ -95,8 +97,24 @@ def _twin(cls):
     return record(type("Twin", (), {"__annotations__": dict(cls.__annotations__)}), frozen=cls not in MUTABLE)
 
 
+def _package_records():
+    """Every class of an odolab module whose `__eq__` `record` made."""
+    found = set()
+    for info in pkgutil.iter_modules(odolab.__path__, "odolab."):
+        if info.name == "odolab.__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(info.name)
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == info.name:
+                if getattr(value.__eq__, "__module__", None) == record.__module__:
+                    found.add(value)
+    return found
+
+
 def test_every_record_class_is_listed():
-    # the twenty record classes of the package, and no dataclass among them
+    # a record class of the package missing from EXAMPLES would escape
+    # every test below
+    assert _package_records() == set(EXAMPLES)
     assert len(CLASSES) == 20
     assert not any(hasattr(cls, "__dataclass_fields__") for cls in CLASSES)
 
