@@ -571,10 +571,10 @@ class SpeedupConstruction:
         previous map off the previous castle (`_previous_map`).  A check
         that raises on corrupted data fails and names the exception; a
         failing climb check names its first failing tower and level.  A
-        check that reads levels runs only when every tower holds whole
-        levels of the stage's height, and otherwise fails with the detail
-        `castle-shape failed`.  A stage not built yet reports
-        no checks; a negative k raises CastleError.
+        check that reads levels runs only when every tower is at least one
+        atom wide and holds whole levels of the stage's height, and
+        otherwise fails with the detail `castle-shape failed`.  A stage not
+        built yet reports no checks; a negative k raises CastleError.
         """
         if k >= len(self.stages):
             return StageReport(k, ())  # nothing built: vacuously fine
@@ -605,11 +605,12 @@ class SpeedupConstruction:
 
         src = rec.src_castle
         steps = src.steps
-        whole = all(len(t.codes) == t.width * rec.height for t in src.towers)
+        whole = all(t.width > 0 and len(t.codes) == t.width * rec.height for t in src.towers)
 
         def check_levels(name, ok, detail=""):
             # a check that reads levels runs only on towers of whole levels
-            # of the stage's height; castle-shape refuses any other record
+            # of the stage's height, none of width 0; castle-shape refuses
+            # any other record
             if whole:
                 check(name, ok, detail)
             else:
@@ -651,10 +652,11 @@ class SpeedupConstruction:
         )
 
         # (5b) anchors in base/top inside their cylinders; base and top map
-        # each of their atoms to its tower
+        # each of their atoms to its tower (read only when `whole`, so every
+        # top is level rec.height - 1, and no width divides)
         a0, a2 = self._anchor_sets(k, rec.gamma)
         base = {c: alpha for alpha, t in enumerate(src.towers) for c in t.level(0)}
-        top = {c: alpha for alpha, t in enumerate(src.towers) for c in t.level(t.height - 1)}
+        top = {c: alpha for alpha, t in enumerate(src.towers) for c in t.level(rec.height - 1)}
         x0_atom = space.encode_vector((0,) * self.source.dim)
         x2_atom = space.encode_vector(self.x2_vector)
         check_levels(

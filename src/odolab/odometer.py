@@ -469,55 +469,47 @@ class Displacements:
     are read as they are.
 
     Digit 0 carries into nothing, so modulo the index translate(c, v) is
-    c + D[x][i] + H[s][i] for v = `vectors[i]`, with:
+    c + rows[i][x] + heads[i][s] for v = `vectors[i]`, with:
 
     - x = c % W, the value of the last run of carrying digits (stride 1,
-      W values), and D[x][i] = translate(x, v) - x;
-    - s = c // W % len(H), the setting of the other runs' digits, in code
-      order, and H[s][i] = the sum over those runs g, at their digit values
-      y_g, of translate(y_g * t_g, v) - y_g * t_g - translate(0, v), t_g
-      the stride of the run's least significant digit.  A space whose only
-      run is the last (every 2-D space, and a 3-D space whose digits 1 and
-      2 carry into each other) has no head term, and `heads` is None.
+      W values), and rows[i][x] = translate(x, v) - x;
+    - s = c // W % S, the setting of the other runs' digits, in code order
+      (S settings), and heads[i][s] = the sum over those runs g, at their
+      digit values y_g, of translate(y_g * t_g, v) - y_g * t_g -
+      translate(0, v), t_g the stride of the run's least significant
+      digit.  A space whose only run is the last (every 2-D space, and a
+      3-D space whose digits 1 and 2 carry into each other) has no head
+      term, and `heads` is None.
 
-    Rows cost one `translate` call per vector and value of each run's
-    digits, whatever the number of atoms; when the last run is one digit,
-    D costs two per vector: the digit x + r (r that of the vector) wraps at
-    most once, at x = W - r, and on either side of the wrap
-    translate(x, v) - x is constant.  Row entries at id 0 are None and are
-    never added: the readers test the id first, so an atom with no step
-    never gets an image inside the space."""
+    Each vector's row and head are made once, when a reader first meets
+    the vector, and appended: one `translate` call per value of each run's
+    digits, whatever the number of atoms.  When the last run is one digit
+    the row costs two: the digit x + r (r that of the vector) wraps at most
+    once, at x = W - r, and on either side of the wrap translate(x, v) - x
+    is constant, so the row is two repeated values.  The row and head at
+    id 0 hold None and are never added: the readers test the id first, so
+    an atom with no step never gets an image inside the space."""
 
     def __init__(self, space: AtomSpace, vectors, ids):
         self.space, self.vectors, self.ids = space, vectors, ids
         *self._upper, (_, self.width) = space._runs or ((1, 1),)  # one dimension: x is always 0
-        self.rows: list[list] = [[None] for _ in range(self.width)]
-        settings = prod(size for _, size in self._upper)
-        self.heads: list[list] | None = [[None] for _ in range(settings)] if self._upper else None
+        self.rows: list[list] = [[None] * self.width]
+        self.heads: list[list] | None = [[None] * prod(size for _, size in self._upper)] if self._upper else None
 
     def fill(self) -> None:
-        """Give the vectors appended since the last fill their rows."""
-        new = self.vectors[len(self.rows[0]) :]
-        if not new:
-            return
+        """Give each vector appended since the last fill its row and head."""
         translate, width = self.space.translate, self.width
-        if width == self.space.rectangle[-1]:  # the last run is one digit
-            below = [translate(0, v) for v in new]
-            wraps = [-b % width for b in below]
-            above = [translate(x, v) - x for x, v in zip(wraps, new)]
-            for x, row in enumerate(self.rows):
-                row.extend([b if x < w else a for b, w, a in zip(below, wraps, above)])
-        else:
-            for x, row in enumerate(self.rows):
-                row.extend([translate(x, v) - x for v in new])
-        if self.heads is not None:
-            firsts = self.rows[0][-len(new) :]  # translate(0, v)
-            terms = [
-                [[translate(y * t, v) - y * t - b for v, b in zip(new, firsts)] for y in range(size)]
-                for t, size in self._upper
-            ]
-            for head, cols in zip(self.heads, iter_product(*terms)):
-                head.extend(map(sum, zip(*cols)))
+        for v in self.vectors[len(self.rows) :]:
+            if width == self.space.rectangle[-1]:  # the last run is one digit
+                b = translate(0, v)
+                w = -b % width
+                row = [b] * w + [translate(w, v) - w] * (width - w)
+            else:
+                row = [translate(x, v) - x for x in range(width)]
+            self.rows.append(row)
+            if self.heads is not None:
+                terms = [[translate(y * t, v) - y * t - row[0] for y in range(size)] for t, size in self._upper]
+                self.heads.append(list(map(sum, iter_product(*terms))))
 
     def column(self, c: int, height: int) -> array:
         """The atoms from c up the map: `height` of them, or fewer when the
@@ -531,14 +523,14 @@ class Displacements:
             for _ in range(height - 1):
                 if not (i := ids[c]):
                     break
-                c = (c + rows[c % w][i]) % n
+                c = (c + rows[i][c % w]) % n
                 append(c)
         else:
-            settings = len(heads)
+            settings = len(heads[0])
             for _ in range(height - 1):
                 if not (i := ids[c]):
                     break
-                c = (c + rows[c % w][i] + heads[c // w % settings][i]) % n
+                c = (c + rows[i][c % w] + heads[i][c // w % settings]) % n
                 append(c)
         return array("i", column)
 
@@ -551,8 +543,8 @@ class Displacements:
         ids, rows, heads, n, w = self.ids, self.rows, self.heads, self.space.size, self.width
         codes = list(codes)  # a list iterates faster than an array
         if heads is None:
-            return array("i", [(c + rows[c % w][i]) % n if (i := ids[c]) else -1 for c in codes])
-        settings = len(heads)
+            return array("i", [(c + rows[i][c % w]) % n if (i := ids[c]) else -1 for c in codes])
+        settings = len(heads[0])
         return array(
-            "i", [(c + rows[c % w][i] + heads[c // w % settings][i]) % n if (i := ids[c]) else -1 for c in codes]
+            "i", [(c + rows[i][c % w] + heads[i][c // w % settings]) % n if (i := ids[c]) else -1 for c in codes]
         )

@@ -725,8 +725,8 @@ def stage_checks_by_levels(con, k):
     the deal to hand out exactly those bases.  The target side works at
     the source's indices (`source_index_chain`), at the stage's depth
     gamma.  A check that reads the source towers' levels runs only when
-    every tower holds whole levels of the stage's height, and fails
-    otherwise."""
+    every tower is at least one atom wide and holds whole levels of the
+    stage's height, and fails otherwise."""
     from odolab.speedup import _vadd
 
     rec = con.stages[k]
@@ -757,7 +757,9 @@ def stage_checks_by_levels(con, k):
     src = rec.src_castle
     steps = src.steps
     whole = all(
-        all(len(t.level(v)) == t.width for v in range(rec.height)) and not t.codes[rec.height * t.width :]
+        t.width > 0
+        and all(len(t.level(v)) == t.width for v in range(rec.height))
+        and not t.codes[rec.height * t.width :]
         for t in src.towers
     )
     dealt = target_bases_by_deal([t.width for t in src.towers], rec.height)
@@ -785,11 +787,15 @@ def stage_checks_by_levels(con, k):
         lambda: levels_refine(src.space, [list(t.levels) for t in src.towers], con.source.kr_partition(k + 1)),
     )
     a0, a2 = con._anchor_sets(k, rec.gamma)
-    base = {c for t in src.towers for c in t.level(0)}
-    top = {c for t in src.towers for c in t.level(t.height - 1)}
-    x0_atom = space.encode_vector((0,) * con.source.dim)
-    x2_atom = space.encode_vector(con.x2_vector)
-    check_levels("anchors-in-boundary-cylinders", x0_atom in base and x2_atom in top and base <= a0 and top <= a2)
+
+    def anchors_ok():
+        base = {c for t in src.towers for c in t.level(0)}
+        top = {c for t in src.towers for c in t.level(t.height - 1)}
+        x0_atom = space.encode_vector((0,) * con.source.dim)
+        x2_atom = space.encode_vector(con.x2_vector)
+        return x0_atom in base and x2_atom in top and base <= a0 and top <= a2
+
+    check_levels("anchors-in-boundary-cylinders", anchors_ok)
     check("target-levels-refine-cylinders", lambda: levels_refine(tspace, tgt(), working.kr_partition(rec.n)))
 
     def shift_ok():

@@ -3,7 +3,7 @@ import random
 import weakref
 from array import array
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -712,18 +712,24 @@ def test_images_read_a_one_digit_last_run_off_two_translates(monkeypatch):
 
 def _walk_spaces():
     """Spaces for the walks along tower order, with the width of their last
-    run of carrying digits and whether they have a head term: the 2-D
-    diagonal, the derived shear, the dyadic cube, a 3-D space whose digits
-    1 and 2 carry into digit 0 but not into each other, and a last side of
-    one value."""
+    run of carrying digits and whether they have a head term: a line, the
+    2-D diagonal, the derived shear, the dyadic cube, a 3-D space whose
+    digits 1 and 2 carry into digit 0 but not into each other, a 3-D space
+    whose digit 2 carries into digit 1, so that its last run is two digits
+    wide (a refinement of the first stage of the sheared explicit chains of
+    the refinement oracle test), and a last side of one value."""
     sheared = IntegerLattice.from_rows([[2, 1, 1], [0, 2, 0], [0, 0, 2]])
     sheared_3d = OdometerChain.explicit([sheared, IntegerLattice.from_rows([[4, 2, 2], [0, 4, 0], [0, 0, 4]])])
+    merged = IntegerLattice.from_rows([[2, 1, 1], [0, 2, 1], [0, 0, 1]])
+    merged_runs = OdometerChain.explicit([merged, IntegerLattice.from_rows([[4, 2, 2], [0, 4, 2], [0, 0, 2]])])
     return {
+        "line": (OdometerChain.diagonal_power([6]).kr_partition(2), 1, False),
         "diagonal-2d": (OdometerChain.diagonal_power([3, 2]).kr_partition(2), 4, False),
         "diagonal-2d-two-values": (OdometerChain.diagonal_power([3, 2]).kr_partition(1), 2, False),
         "derived-shear": (derived_odometer(row_shear_cocycle(), checked_depth=2).kr_partition(2), 4, False),
         "dyadic-cube": (OdometerChain.diagonal_power([2, 2, 2]).kr_partition(2), 4, True),
         "sheared-3d": (sheared_3d.kr_partition(2), 4, True),
+        "sheared-explicit": (merged_runs.kr_partition(2), 8, False),
         "last-side-one": (OdometerChain.diagonal_power([2, 3, 1]).kr_partition(2), 1, True),
     }
 
@@ -731,9 +737,10 @@ def _walk_spaces():
 @pytest.mark.parametrize("name", sorted(_walk_spaces()))
 def test_walks_read_the_translates_off_the_displacement_table(name):
     # both readers of the displacement table against one translation by
-    # reduction per atom: the images of runs of codes, with and without an
-    # atom with no step (id 0), and the column from every code, before and
-    # after vectors are appended to the table it was made from
+    # reduction per atom: the images of the whole space and of runs of
+    # codes, with and without an atom with no step (id 0), and the column
+    # from every code, before and after vectors are appended to the table
+    # it was made from
     space, width, head = _walk_spaces()[name]
     dim, n, side = len(space.rectangle), space.size, space.rectangle[-1]
     rng = random.Random(f"walks-{name}")
@@ -753,6 +760,7 @@ def test_walks_read_the_translates_off_the_displacement_table(name):
             vectors += [tuple(rng.randint(-12, 12) for _ in range(dim)) for _ in range(3)]
             for c in rng.sample(range(n), n // 2):
                 ids[c] = rng.randrange(len(vectors) - 3, len(vectors))
+        assert moves.images(range(n)).tolist() == [image(c) for c in range(n)], appended
         codes = array("i", [rng.randrange(n) for _ in range(3 * n)])
         assert moves.images(codes).tolist() == [image(c) for c in codes], appended
         for c in range(n):
@@ -762,6 +770,38 @@ def test_walks_read_the_translates_off_the_displacement_table(name):
         assert moves.images(codes).tolist() == [image(c) for c in codes], appended
         assert moves.column(codes[5], 9).tolist() == [codes[5]]
         ids[codes[5]] = saved
+
+
+@pytest.mark.parametrize("name", sorted(_walk_spaces()))
+def test_a_displacement_table_makes_each_row_once(name, monkeypatch):
+    # reads interleaved with appended vectors: after each read the table
+    # holds one row of W entries (and one head term per setting of the
+    # other runs) per vector, the rows of earlier reads are the same
+    # objects, and each new vector cost its translate calls once: two for
+    # a last run of one digit, else one per value, and one per value of
+    # each other run
+    space, width, head = _walk_spaces()[name]
+    dim, n = len(space.rectangle), space.size
+    per_vector = (2 if width == space.rectangle[-1] else width) + sum(size for _, size in space._runs[:-1])
+    calls = []
+    monkeypatch.setattr(space, "translate", lambda c, v, t=space.translate: calls.append(c) or t(c, v))
+    rng = random.Random(f"rows-{name}")
+    vectors, ids = [None], array("i", [0]) * n
+    moves = space.displacements(vectors, ids)
+    settings = prod(size for _, size in space._runs[:-1])
+    made = []
+    for read in range(6):
+        vectors += [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(read % 3)]
+        if read % 2:
+            moves.images(range(n))
+        else:
+            moves.column(rng.randrange(n), 5)
+        assert len(moves.rows) == len(vectors) and all(len(row) == width for row in moves.rows)
+        if head:
+            assert len(moves.heads) == len(vectors) and all(len(h) == settings for h in moves.heads)
+        assert all(row is old for row, old in zip(moves.rows, made))
+        assert len(calls) == per_vector * (len(vectors) - 1)
+        made = list(moves.rows)
 
 
 def test_coarsen_needs_a_coarser_space_of_the_same_chain():

@@ -494,6 +494,12 @@ def _code_appended_to_a_wide_tower(rec, prev):
     tower.codes.append(tower.codes[0])
 
 
+def _zero_width_tower_appended(rec, prev):
+    """Append a tower of width 0 and no codes: its length is 0 levels of
+    any height, but it holds no level, and its height is no number."""
+    rec.src_castle.towers.append(Tower(0, array("i")))
+
+
 # every check that reads levels fails on a tower of no whole levels, and
 # names the shape as the reason
 RAGGED = [
@@ -522,9 +528,9 @@ def _unused_vector_outside_the_cone(rec, prev):
 
 # corrupted records of quadrant stage 1 (or of stage 0 under it) and the
 # checks that fail on them: one per check that the build's own records
-# decide, a tower a level short, a level map whose image leaves its
-# tower, a previous map changed under the stage, and one that defeats each
-# shortcut of the column walk (`construction._column_walk`)
+# decide, a tower a level short, a tower of width 0, a level map whose
+# image leaves its tower, a previous map changed under the stage, and one
+# that defeats each shortcut of the column walk (`construction._column_walk`)
 CORRUPTIONS = {
     "stage-numbers-increase": (lambda rec, prev: setattr(rec, "n", prev.n), ["stage-numbers-increase"]),
     "rebuild-set-recorded": (
@@ -538,6 +544,7 @@ CORRUPTIONS = {
     "swap-conserves-shape": (_top_atom_dropped, RAGGED),
     "wide-top-code-popped": (_wide_top_code_popped, RAGGED),
     "code-appended-to-a-wide-tower": (_code_appended_to_a_wide_tower, RAGGED),
+    "zero-width-tower": (_zero_width_tower_appended, RAGGED),
     "level-maps-biject": (
         _step_out_of_its_tower, ["level-maps-biject", "map-stable-off-rebuild", "pairing-intertwines"]
     ),
@@ -606,7 +613,9 @@ def test_audit_matches_the_oracle_on_a_corrupted_record(name):
     assert report.failures() == failures
 
 
-@pytest.mark.parametrize("name", ["swap-conserves-shape", "wide-top-code-popped", "code-appended-to-a-wide-tower"])
+@pytest.mark.parametrize(
+    "name", ["swap-conserves-shape", "wide-top-code-popped", "code-appended-to-a-wide-tower", "zero-width-tower"]
+)
 def test_checks_that_read_levels_name_the_shape_on_a_ragged_tower(name):
     # no check slices a tower of no whole levels: each one that reads
     # levels fails for the shape, and none reports an exception
@@ -645,7 +654,7 @@ def test_translation_runs_on_tables_not_on_atoms(monkeypatch):
         return translate(space, code, vector)
 
     def counted_fill(table):
-        entries[0] += (len(table.vectors) - len(table.rows[0])) * table.space.rectangle[-1]
+        entries[0] += (len(table.vectors) - len(table.rows)) * table.space.rectangle[-1]
         return fill(table)
 
     monkeypatch.setattr(AtomSpace, "translate", counted_translate)

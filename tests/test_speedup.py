@@ -304,7 +304,7 @@ def test_permutations_run_on_tables_not_on_atoms(monkeypatch):
         return translate(space, code, vector)
 
     def counted_fill(table):
-        entries[0] += (len(table.vectors) - len(table.rows[0])) * table.space.rectangle[-1]
+        entries[0] += (len(table.vectors) - len(table.rows)) * table.space.rectangle[-1]
         return fill(table)
 
     monkeypatch.setattr(AtomSpace, "translate", counted_translate)
